@@ -1,18 +1,21 @@
 """Response planning and action selection.
 
-Futures are predicted by applying action effect models to a copy of the
-believed features, treating probabilistic effects as independent. A bounded
-best-first search proposes plans, scored by weighted goal satisfaction minus
-risk and noise penalties. Selection filters by the rules of engagement,
-trims and augments the winner (prerequisite, preparatory, precautionary,
-post-execution entries) and releases it only if it beats inaction through
-the risk gate. A condition-action fast path bypasses search entirely under
-tight deadlines.
+Futures are predicted from outcome distributions over the features that the
+goal predicates name, treating probabilistic effects as independent. A
+bounded best-first search proposes plans; each search node carries its
+distribution and extends its parent's with the new action's effects alone,
+in an order that keeps every probability and every per-goal sum bit-equal to
+scoring the whole sequence from scratch (see _Outcomes). Plans are scored by
+weighted goal satisfaction minus risk and noise penalties. Selection filters
+by the rules of engagement, trims and augments the winner (prerequisite,
+preparatory, precautionary, post-execution entries) and releases it only if
+it beats inaction through the risk gate, which predicts with the same
+distribution code. A condition-action fast path bypasses search entirely
+under tight deadlines.
 """
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,6 +31,7 @@ from .sensing import (
     WorldState,
     all_hold,
     apply_feature_delta,
+    feature_after_delta,
     predicate_holds,
 )
 
@@ -183,6 +187,125 @@ def signed_noise(spec: ActionSpec) -> float:
 
 # -- prediction -----------------------------------------------------------------
 
+_ABSENT = object()  # the value of a goal feature that the features do not hold
+_Rows = list[tuple[float, tuple]]  # (probability, goal-feature values)
+
+
+def _apply_optimistic(feats: dict[str, Any], spec: ActionSpec) -> None:
+    """Apply every effect of `spec` to `feats`, whatever its probability."""
+    for eff in spec.effects:
+        for delta in eff.feature_deltas:
+            apply_feature_delta(feats, delta)
+
+
+class _Outcomes:
+    """Outcome distributions over the goal-predicate features.
+
+    A distribution is a list of (probability, values) rows; values holds
+    the features the goal predicates name, in `keys` order. Rows stay in
+    the order itertools.product((False, True), ...) enumerates the
+    uncertain effects, first effect slowest, so every probability is the
+    left-to-right product of its factors and every per-goal sum adds the
+    same terms in the same order, whether a sequence is scored in one go or
+    extended one action at a time. Identical rows are never merged, since
+    that would reorder the sums.
+
+    Which goals hold on a values tuple is memoised: one instance serves a
+    whole search, whose goals are fixed.
+    """
+
+    def __init__(self, goals: list[Goal], features: dict[str, Any]) -> None:
+        self.goals = goals
+        self.keys = tuple(dict.fromkeys(pred[0] for g in goals for pred in g.predicates))
+        self._slots = {key: i for i, key in enumerate(self.keys)}
+        self._held: dict[tuple, tuple[str, ...]] = {}
+        self._base = tuple(features.get(key, _ABSENT) for key in self.keys)
+        self.start: _Rows = [(1.0, self._base)]
+
+    def _moves(self, eff: ProbabilisticEffect) -> list[tuple[int, str, Any]]:
+        return [(self._slots[key], op, value) for key, op, value in eff.feature_deltas
+                if key in self._slots]
+
+    @staticmethod
+    def _shift(values: tuple, moves: list[tuple[int, str, Any]]) -> tuple:
+        out = list(values)
+        for slot, op, value in moves:
+            current = out[slot]
+            out[slot] = feature_after_delta(0.0 if current is _ABSENT else current, op, value)
+        return tuple(out)
+
+    def extend(self, rows: Optional[_Rows], uncertain: int,
+               spec: ActionSpec) -> tuple[Optional[_Rows], int]:
+        """The distribution after `spec`'s effects, and the count of
+        uncertain effects so far. A certain effect updates every row; an
+        uncertain one with probability p splits each row into prob * (1 - p)
+        without it, then prob * p with it; an effect with probability 0
+        never occurs. Rows of probability 0 are dropped, as enumeration
+        skips them. Past EXACT_ENUM_LIMIT uncertain effects the rows are
+        None and the sequence is scored by sampling."""
+        uncertain += sum(1 for eff in spec.effects if 0.0 < eff.probability < 1.0)
+        if rows is None or uncertain > EXACT_ENUM_LIMIT:
+            return None, uncertain
+        shift = self._shift
+        for eff in spec.effects:
+            p = eff.probability
+            moves = self._moves(eff)
+            if p >= 1.0:
+                if moves:
+                    rows = [(prob, shift(values, moves)) for prob, values in rows]
+            elif p > 0.0:
+                q = 1.0 - p
+                split = []
+                for prob, values in rows:
+                    without, occurs = prob * q, prob * p
+                    if without > 0.0:
+                        split.append((without, values))
+                    if occurs > 0.0:
+                        split.append((occurs, shift(values, moves) if moves else values))
+                rows = split
+        return rows, uncertain
+
+    def _sample(self, action_ids: Sequence[str],
+                repertoire: dict[str, ActionSpec]) -> _Rows:
+        """SAMPLE_COUNT equally weighted rows, drawn with a generator seeded
+        from the action ids."""
+        effects = [(eff.probability, self._moves(eff))
+                   for aid in action_ids for eff in repertoire[aid].effects]
+        rng = Random(zlib.crc32("|".join(action_ids).encode()) ^ 0x5EED)
+        share = 1.0 / SAMPLE_COUNT
+        rows = []
+        for _ in range(SAMPLE_COUNT):
+            values = self._base
+            for p, moves in effects:
+                if p >= 1.0 or (0.0 < p < 1.0 and rng.random() < p):
+                    values = self._shift(values, moves)
+            rows.append((share, values))
+        return rows
+
+    def satisfaction(self, rows: Optional[_Rows], action_ids: Sequence[str],
+                     repertoire: dict[str, ActionSpec]) -> dict[str, float]:
+        """Per-goal probability mass of the rows that satisfy the goal; with
+        no rows, that of the sampled outcomes of `action_ids`."""
+        if rows is None:
+            rows = self._sample(action_ids, repertoire)
+        satisfaction = {g.goal_id: 0.0 for g in self.goals}
+        held = self._held
+        for prob, values in rows:
+            try:
+                goal_ids = held[values]
+            except KeyError:
+                goal_ids = held[values] = self._goals_held(values)
+            except TypeError:  # an unhashable feature value, such as a list
+                goal_ids = self._goals_held(values)
+            for goal_id in goal_ids:
+                satisfaction[goal_id] += prob
+        return satisfaction
+
+    def _goals_held(self, values: tuple) -> tuple[str, ...]:
+        feats = {key: value for key, value in zip(self.keys, values) if value is not _ABSENT}
+        return tuple(g.goal_id for g in self.goals if all_hold(feats, g.predicates))
+
+
 def predict(
     ws: WorldState,
     action_ids: Sequence[str],
@@ -193,65 +316,43 @@ def predict(
     """Per-goal satisfaction probability after running the sequence.
 
     base_deltas (e.g. threat progression) apply deterministically first.
-    Each probabilistic effect occurs independently; with at most
-    EXACT_ENUM_LIMIT uncertain effects the distribution is enumerated
-    exactly, beyond that SAMPLE_COUNT deterministic seeded samples are
-    drawn. Raises PreconditionUnevaluable if a precondition references a
-    feature missing from the (optimistically evolved) belief copy.
+    Each probabilistic effect occurs independently. With at most
+    EXACT_ENUM_LIMIT uncertain effects the outcome distribution is built
+    exactly, one action at a time, as the search builds it node by node
+    (see _Outcomes for the row order that keeps the sums bit-exact); beyond
+    that SAMPLE_COUNT deterministic seeded samples are drawn. Raises
+    PreconditionUnevaluable if a precondition references a feature missing
+    from the (optimistically evolved) belief copy.
     """
     features = dict(ws.features)
     for delta in base_deltas:
         apply_feature_delta(features, delta)
-
-    optimistic = dict(features)
-    effect_plan: list[tuple[list[FeatureDelta], float]] = []
+    outcomes = _Outcomes(goals, features)
+    rows: Optional[_Rows] = outcomes.start
+    uncertain = 0
     for aid in action_ids:
         spec = repertoire[aid]
         for pred in spec.preconditions:
-            if pred[0] not in optimistic:
+            if pred[0] not in features:
                 raise PreconditionUnevaluable(
                     f"action {aid!r} precondition references absent feature {pred[0]!r}")
-        for eff in spec.effects:
-            effect_plan.append((eff.feature_deltas, eff.probability))
-            for delta in eff.feature_deltas:
-                apply_feature_delta(optimistic, delta)
+        _apply_optimistic(features, spec)
+        rows, uncertain = outcomes.extend(rows, uncertain, spec)
+    return outcomes.satisfaction(rows, action_ids, repertoire)
 
-    uncertain = [i for i, (_, p) in enumerate(effect_plan) if 0.0 < p < 1.0]
-    satisfaction = {g.goal_id: 0.0 for g in goals}
 
-    def evaluate(occurring: set[int], weight: float) -> None:
-        feats = dict(features)
-        for i, (deltas, _) in enumerate(effect_plan):
-            if i in occurring:
-                for delta in deltas:
-                    apply_feature_delta(feats, delta)
-        for g in goals:
-            if all_hold(feats, g.predicates):
-                satisfaction[g.goal_id] += weight
-
-    certain = {i for i, (_, p) in enumerate(effect_plan) if p >= 1.0}
-    if len(uncertain) <= EXACT_ENUM_LIMIT:
-        for bits in itertools.product((False, True), repeat=len(uncertain)):
-            prob = 1.0
-            occurring = set(certain)
-            for bit, idx in zip(bits, uncertain):
-                p = effect_plan[idx][1]
-                prob *= p if bit else (1.0 - p)
-                if bit:
-                    occurring.add(idx)
-            if prob > 0.0:
-                evaluate(occurring, prob)
-    else:
-        seed = zlib.crc32("|".join(action_ids).encode()) ^ 0x5EED
-        rng = Random(seed)
-        share = 1.0 / SAMPLE_COUNT
-        for _ in range(SAMPLE_COUNT):
-            occurring = set(certain)
-            for idx in uncertain:
-                if rng.random() < effect_plan[idx][1]:
-                    occurring.add(idx)
-            evaluate(occurring, share)
-    return satisfaction
+def _proposal(
+    action_ids: tuple[str, ...],
+    sat: dict[str, float],
+    repertoire: dict[str, ActionSpec],
+    goals: list[Goal],
+    config: PlannerConfig,
+) -> PlanProposal:
+    benefit = sum(g.weight * sat[g.goal_id] for g in goals)
+    risk_total = sum(repertoire[a].risk for a in action_ids)
+    noise_total = sum(signed_noise(repertoire[a]) for a in action_ids)
+    utility = benefit - config.risk_weight * risk_total - config.noise_weight * noise_total
+    return PlanProposal(action_ids, sat, utility, benefit, risk_total, noise_total)
 
 
 def score_sequence(
@@ -262,11 +363,7 @@ def score_sequence(
     config: PlannerConfig,
 ) -> PlanProposal:
     sat = predict(ws, action_ids, repertoire, goals)
-    benefit = sum(g.weight * sat[g.goal_id] for g in goals)
-    risk_total = sum(repertoire[a].risk for a in action_ids)
-    noise_total = sum(signed_noise(repertoire[a]) for a in action_ids)
-    utility = benefit - config.risk_weight * risk_total - config.noise_weight * noise_total
-    return PlanProposal(tuple(action_ids), sat, utility, benefit, risk_total, noise_total)
+    return _proposal(tuple(action_ids), sat, repertoire, goals, config)
 
 
 # -- proposal search --------------------------------------------------------------
@@ -282,31 +379,39 @@ def propose_plans(
 
     An action extends a sequence iff its preconditions hold on the belief
     copy evolved by optimistically applying every prior effect (probability
-    ignored). The beam keeps the best `beam` nodes per level by
-    (utility desc, action-id sequence asc). Returns at most `beam`
-    proposals, best first, with the empty plan always included as the
-    baseline candidate.
+    ignored). Each node carries its outcome distribution, extended from its
+    parent's by the new action's effects alone, and is scored exactly as
+    score_sequence scores its sequence. The beam keeps the best `beam`
+    nodes per level by (utility desc, action-id sequence asc). Returns at
+    most `beam` proposals, best first, with the empty plan always included
+    as the baseline candidate.
     """
-    empty = score_sequence(ws, (), repertoire, goals, config)
+    outcomes = _Outcomes(goals, ws.features)
+    empty = _proposal((), outcomes.satisfaction(outcomes.start, (), repertoire),
+                      repertoire, goals, config)
     candidates: dict[tuple[str, ...], PlanProposal] = {(): empty}
-    frontier: list[tuple[tuple[str, ...], dict[str, Any]]] = [((), dict(ws.features))]
+    # a node: (actions, optimistic features, outcome rows, uncertain effects)
+    frontier: list[tuple[tuple[str, ...], dict[str, Any], Optional[_Rows], int]] = [
+        ((), dict(ws.features), outcomes.start, 0)]
+    order = sorted(repertoire)
 
     for _ in range(config.depth):
-        level: list[tuple[PlanProposal, dict[str, Any]]] = []
-        for seq, feats in frontier:
-            for aid in sorted(repertoire):
+        level: list[tuple[PlanProposal, tuple]] = []
+        for seq, feats, rows, uncertain in frontier:
+            for aid in order:
                 spec = repertoire[aid]
                 if not all_hold(feats, spec.preconditions):
                     continue
                 new_feats = dict(feats)
-                for eff in spec.effects:
-                    for delta in eff.feature_deltas:
-                        apply_feature_delta(new_feats, delta)
-                proposal = score_sequence(ws, seq + (aid,), repertoire, goals, config)
-                candidates[proposal.actions] = proposal
-                level.append((proposal, new_feats))
+                _apply_optimistic(new_feats, spec)
+                new_seq = seq + (aid,)
+                new_rows, new_uncertain = outcomes.extend(rows, uncertain, spec)
+                sat = outcomes.satisfaction(new_rows, new_seq, repertoire)
+                proposal = _proposal(new_seq, sat, repertoire, goals, config)
+                candidates[new_seq] = proposal
+                level.append((proposal, (new_seq, new_feats, new_rows, new_uncertain)))
         level.sort(key=lambda t: (-t[0].utility, t[0].actions))
-        frontier = [(p.actions, f) for p, f in level[: config.beam]]
+        frontier = [node for _, node in level[: config.beam]]
 
     ranked = sorted(candidates.values(), key=lambda p: (-p.utility, p.actions))
     top = ranked[: config.beam]
@@ -401,18 +506,10 @@ def _unique_provider(
         if not action_roe_ok(spec, roe) or not all_hold(feats, spec.preconditions):
             continue
         trial = dict(feats)
-        for eff in spec.effects:
-            for delta in eff.feature_deltas:
-                apply_feature_delta(trial, delta)
+        _apply_optimistic(trial, spec)
         if all_hold(trial, failing):
             providers.append(aid)
     return providers[0] if len(providers) == 1 else None
-
-
-def _apply_optimistic(feats: dict[str, Any], spec: ActionSpec) -> None:
-    for eff in spec.effects:
-        for delta in eff.feature_deltas:
-            apply_feature_delta(feats, delta)
 
 
 def _trim_and_augment(

@@ -45,14 +45,19 @@ def all_hold(features: dict[str, Any], preds: Sequence[Predicate], strict: bool 
     return all(predicate_holds(features, p, strict=strict) for p in preds)
 
 
+def feature_after_delta(current: Any, op: str, value: Any) -> Any:
+    """A feature's value after one delta; `current` is 0.0 for a feature
+    that is absent."""
+    if op == "set":
+        return value
+    if op == "add":
+        return current + value
+    raise ValueError(f"unknown feature delta op {op!r}")
+
+
 def apply_feature_delta(features: dict[str, Any], delta: FeatureDelta) -> None:
     key, op, value = delta
-    if op == "set":
-        features[key] = value
-    elif op == "add":
-        features[key] = features.get(key, 0.0) + value
-    else:
-        raise ValueError(f"unknown feature delta op {op!r}")
+    features[key] = feature_after_delta(features.get(key, 0.0), op, value)
 
 
 @dataclass(frozen=True)

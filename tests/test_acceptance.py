@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. Golden agent-off baselines live in tests/golden/ and are regenerated
-only via scripts/generate_golden.py.
+lines. Golden agent-off baselines and agent-on artifact digests live in
+tests/golden/ and are regenerated only via scripts/generate_golden.py.
 """
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -17,7 +18,7 @@ from defsim.collaboration import Conclusion, Verdict, run_negotiation
 from defsim.learning import EffectObservation, KnowledgeBase, learn, apply_proposition
 from defsim.adversary import HuntResult, MalwareInstance, MalwarePhase, hunt
 from defsim.planning import Goal, PlannerConfig, normalize_goals, propose_plans
-from defsim.runner import replay, run_episode, write_trace
+from defsim.runner import replay, run_episode, write_result, write_trace
 from defsim.scenario import parse_scenario
 from defsim.sensing import Assessment, WorldState, all_hold
 from defsim.learning import reward
@@ -79,6 +80,28 @@ def test_criterion_2_paired_baseline(bundled_configs):
                 off_values.append(off["resilience_auc"])
                 on_values.append(run_episode(config, seed).metrics["resilience_auc"])
             assert sum(on_values) / 20 > sum(off_values) / 20, name
+
+
+# -- behaviour lock: agent-on artifacts against committed digests ----------------------------------
+
+def test_agent_on_artifacts_match_golden_digests(bundled_configs, tmp_path):
+    golden = json.loads((GOLDEN_DIR / "agent_on_digests.json").read_text())
+    assert sorted(golden) == sorted(BUNDLED)
+    for name in BUNDLED:
+        config = bundled_configs[name]
+        assert golden[name]["scenario_hash"] == config.scenario_hash(), \
+            "scenario changed: regenerate goldens deliberately"
+        expected = golden[name]["digests_by_seed"]
+        assert sorted(expected, key=int) == [str(seed) for seed in range(1, 21)]
+        for seed in range(1, 21):
+            result = run_episode(config, seed)
+            trace, res = tmp_path / "trace.jsonl", tmp_path / "result.json"
+            write_trace(result, trace)
+            write_result(result, res)
+            assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
+                expected[str(seed)]["trace"], f"{name} seed {seed}: trace bytes changed"
+            assert hashlib.sha256(res.read_bytes()).hexdigest() == \
+                expected[str(seed)]["result"], f"{name} seed {seed}: result bytes changed"
 
 
 # -- 3. planner oracle equivalence ------------------------------------------------------------------
