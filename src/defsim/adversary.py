@@ -253,7 +253,7 @@ def malware_step(
         return []
     scripted = [
         s for s in playbook.steps
-        if s.tick == tick and (s.instance_id or _default_instance_id(playbook)) == instance.instance_id
+        if s.tick == tick and s.instance_id == instance.instance_id
     ]
     effects: list[EffectDescriptor] = []
     ran_script = False
@@ -267,17 +267,12 @@ def malware_step(
     return effects
 
 
-def _default_instance_id(playbook: Playbook) -> Optional[str]:
-    return getattr(playbook, "_default_instance", None)
-
-
 class MalwareController:
     """Owns every instance in an episode and routes the playbook to them."""
 
     def __init__(self, instances: list[MalwareInstance], playbook: Playbook):
         self.instances: dict[str, MalwareInstance] = {i.instance_id: i for i in instances}
         self.playbook = playbook
-        playbook._default_instance = instances[0].instance_id if instances else None  # type: ignore[attr-defined]
         self._replica_counter = 0
 
     def reached_hosts(self) -> set[str]:

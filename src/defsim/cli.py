@@ -33,10 +33,13 @@ _VALIDATION_ERRORS = (ConfigInvalid, SchemaMismatch, CorruptTrace, IndexOutOfRan
 
 
 def _parse_seeds(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ConfigInvalid(f"cannot parse seeds {text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,10 +83,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario)
-    seeds = _parse_seeds(args.seeds)
-    if not seeds:
-        raise ConfigInvalid("no seeds given")
-    batch = run_batch(config, seeds, agent_enabled=not args.agent_off)
+    batch = run_batch(config, _parse_seeds(args.seeds), agent_enabled=not args.agent_off)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_csv(batch, out / "metrics.csv")
@@ -103,6 +103,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         data = json.loads(Path(args.result).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigInvalid(f"cannot read result file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigInvalid("result file is not a JSON object")
     print(explain(data.get("decision_log", []), args.decision))
     return 0
 

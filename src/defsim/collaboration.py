@@ -42,9 +42,6 @@ DEFAULT_NEGOTIATION_ROUNDS = 3
 class MessageKind(str, Enum):
     REQUEST_CONCLUSIONS = "RequestConclusions"
     SHARE_CONCLUSIONS = "ShareConclusions"
-    PROPOSE = "Propose"
-    ACCEPT = "Accept"
-    REJECT = "Reject"
     STATUS_REPORT = "StatusReport"
     CONTROL_COMMAND = "ControlCommand"
     HANDOVER_GRANT = "HandoverGrant"
@@ -144,24 +141,6 @@ def merge_conclusions(
         held = merged.get(c.subject)
         merged[c.subject] = c if held is None else _prefer(held, c)
     return merged
-
-
-def negotiate(
-    local: dict[str, Conclusion],
-    incoming: list[dict[str, Conclusion]],
-    max_rounds: int = DEFAULT_NEGOTIATION_ROUNDS,
-) -> dict[str, Conclusion]:
-    """Merge the received sets round by round until nothing changes or the
-    round budget is spent; the merge is idempotent so a fixpoint is quick."""
-    current = dict(local)
-    for _ in range(max_rounds):
-        merged = dict(current)
-        for conclusions in incoming:
-            merged = merge_conclusions(merged, conclusions.values())
-        if merged == current:
-            break
-        current = merged
-    return current
 
 
 def run_negotiation(

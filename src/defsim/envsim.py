@@ -98,7 +98,6 @@ class CommsChannel:
     state: ChannelState = ChannelState.HEALTHY
     drop_probability: float = 0.0
     delay_ticks: int = 0
-    observed_by_malware: bool = False
 
     def enforce_invariants(self) -> None:
         # healthy channels are clean by definition
@@ -113,9 +112,6 @@ class EnvEvent:
     seq: int
     kind: str
     payload: dict[str, Any]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"tick": self.tick, "seq": self.seq, "kind": self.kind, **self.payload}
 
 
 @dataclass(frozen=True)
@@ -133,14 +129,6 @@ class EffectDescriptor:
     attribute: str
     operation: str  # set | add | remove | spawn | kill | clamp
     value: Any = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "target": self.target,
-            "attribute": self.attribute,
-            "operation": self.operation,
-            "value": self.value,
-        }
 
 
 @dataclass
@@ -195,7 +183,6 @@ class Environment:
         self._seq: dict[int, itertools.count] = {}
         self._scheduled: dict[int, list[EnvEvent]] = {}
         self.inboxes: dict[str, list[dict[str, Any]]] = {}
-        self._snapshots: dict[int, SnapshotToken] = {}
         self._token_counter = itertools.count(1)
         for host in self.hosts.values():
             for svc in host.services.values():
@@ -451,7 +438,6 @@ class Environment:
             self.inboxes.setdefault(message["recipient"], []).append(message)
             return DeliveryOutcome(DeliveryStatus.DELIVERED, message=message)
         if ch.state is ChannelState.SPOOFED:
-            ch.observed_by_malware = True
             out = spoofer(message) if spoofer is not None else dict(message, observed=True)
             self.inboxes.setdefault(out["recipient"], []).append(out)
             return DeliveryOutcome(DeliveryStatus.OBSERVED_AND_DELIVERED, message=out)
@@ -467,15 +453,13 @@ class Environment:
         host = self.hosts.get(host_id)
         if host is None:
             raise UnknownHost(f"no host {host_id!r}")
-        token = SnapshotToken(
+        return SnapshotToken(
             token_id=next(self._token_counter),
             host_id=host_id,
             services=copy.deepcopy(host.services),
             processes=copy.deepcopy(host.processes),
             files=copy.deepcopy(host.files),
         )
-        self._snapshots[token.token_id] = token
-        return token
 
     def restore(self, token: SnapshotToken) -> dict[str, Any]:
         """Return services, files and system processes to snapshot values.

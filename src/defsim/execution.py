@@ -1,5 +1,6 @@
 """Plan execution: effector, execution/effects monitoring, adjustment, and
-the agent's own lifecycle state (detectability, fail-safe, self-destruct).
+the agent's own lifecycle state (detectability, fail-safe). An agent reaches
+the destroyed mode only when malware kills it; the episode loop records that.
 
 Plans run strictly sequentially. Every action's noise raises detectability
 (camouflage lowers it by its configured reduction); failures and unmet
@@ -66,7 +67,6 @@ class ExecutionRecord:
     started_tick: int
     finished_tick: Optional[int] = None
     observed_effects: list[dict[str, Any]] = field(default_factory=list)
-    deviations: list[dict[str, Any]] = field(default_factory=list)
     effects_checked: bool = False
     adjusted: bool = False
 
@@ -298,12 +298,10 @@ def monitor_effects(
         rec.effects_checked = True
         for eff in spec.effects:
             if eff.expect and not all_hold(ws.features, eff.expect):
-                dev = Deviation(
+                deviations.append(Deviation(
                     "effect_unmet", rec.action_id, rec.entry_index,
                     detail=f"expected {eff.expect} not observed",
-                    probability=eff.probability)
-                deviations.append(dev)
-                rec.deviations.append(dev.to_dict())
+                    probability=eff.probability))
     return deviations
 
 
@@ -354,12 +352,3 @@ def fail_safe(agent_state: AgentState, reason: str) -> AgentState:
     agent_state.mode = AgentMode.FAIL_SAFE
     return agent_state
 
-
-def self_destruct(agent_state: AgentState, env: Environment) -> AgentState:
-    """Irreversibly end participation: remove the agent's processes from its
-    host and refuse all further operations."""
-    if agent_state.mode is AgentMode.DESTROYED:
-        raise ModeForbidden("agent destroyed")
-    agent_state.mode = AgentMode.DESTROYED
-    env.remove_agent(agent_state.agent_id)
-    return agent_state

@@ -1,23 +1,23 @@
-"""Reward computation, count-based effect statistics, pattern-confidence
-reweighting, and the guarded merge of learned propositions.
+"""Reward computation, count-based effect statistics and pattern-confidence
+reweighting.
 
-Effect probability estimates are Laplace-smoothed counts; a proposed
-knowledge change is merged only if it does not lower the cumulative reward
-replayed on a recorded validation episode.
+Feedback becomes propositions, each applied to the knowledge base once per
+observation id, with no validation gate: effect outcomes update
+success/trial counts (read back as Laplace-smoothed estimates), and
+end-of-episode assessment outcomes of a training scenario set a pattern's
+confidence to its confirmed/matched ratio. The planner still plans with the
+effect probabilities the scenario declares, not with these estimates.
 """
 
 from __future__ import annotations
 
 import copy
-import logging
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Any
 
 from .errors import SchemaMismatch
 from .planning import ConditionActionRule, Goal
 from .sensing import Pattern, WorldState, all_hold
-
-log = logging.getLogger(__name__)
 
 KB_SCHEMA_VERSION = 1
 
@@ -139,7 +139,7 @@ class AssessmentObservation:
 
 @dataclass(frozen=True)
 class Proposition:
-    kind: str  # effect_stat_update | pattern_confidence_update | new_pattern
+    kind: str  # effect_stat_update | pattern_confidence_update
     observation_id: str
     payload: dict[str, Any]
 
@@ -190,43 +190,5 @@ def apply_proposition(kb: KnowledgeBase, proposition: Proposition) -> bool:
     if proposition.kind == "pattern_confidence_update":
         kb.note_pattern_outcome(payload["pattern_id"], payload["confirmed"])
         return True
-    if proposition.kind == "new_pattern":
-        spec = payload["pattern"]
-        kb.patterns[spec["id"]] = Pattern(
-            pattern_id=spec["id"],
-            predicates=[tuple(x) for x in spec["predicates"]],
-            severity=spec["severity"],
-            confidence=spec["confidence"],
-            progression=[tuple(x) for x in spec.get("progression", [])],
-            deadline_ticks=spec.get("deadline_ticks"),
-        )
-        return True
     raise ValueError(f"unknown proposition kind {proposition.kind!r}")
 
-
-class ValidationReplay(Protocol):
-    """A recorded episode that can be re-scored under a candidate knowledge
-    base; the runner provides an episode re-run, tests provide stubs."""
-
-    def cumulative_reward(self, kb: KnowledgeBase) -> float: ...
-
-
-def improve_knowledge(
-    kb: KnowledgeBase,
-    propositions: list[Proposition],
-    validation: ValidationReplay,
-) -> KnowledgeBase:
-    """Merge propositions into a candidate and keep it only if the replayed
-    cumulative reward does not drop; otherwise the incumbent stays."""
-    if not propositions:
-        return kb
-    candidate = kb.copy()
-    for proposition in propositions:
-        apply_proposition(candidate, proposition)
-    incumbent_reward = validation.cumulative_reward(kb)
-    candidate_reward = validation.cumulative_reward(candidate)
-    if candidate_reward >= incumbent_reward:
-        return candidate
-    log.info("knowledge merge rejected: replay reward %.4f < incumbent %.4f",
-             candidate_reward, incumbent_reward)
-    return kb

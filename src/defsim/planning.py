@@ -106,10 +106,6 @@ class PlanProposal:
     risk_total: float
     noise_total: float
 
-    @property
-    def components(self) -> tuple[float, float, float]:
-        return (self.benefit, self.risk_total, self.noise_total)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "actions": list(self.actions),

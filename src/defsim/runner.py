@@ -36,13 +36,18 @@ from .errors import (
 )
 from .execution import AgentMode, AgentState, Authority, PlanExecution
 from .learning import AssessmentObservation, EffectObservation, KnowledgeBase
-from .planning import ActionSpec, PlannerConfig, RulesOfEngagement
+from .planning import ActionSpec, ExecutablePlan, PlannerConfig, RulesOfEngagement
 from .scenario import AgentSpec, ScenarioConfig
 from .sensing import Assessment, Descriptor, SensorConfig, WorldState
 
 TRACE_SCHEMA_VERSION = 1
 RECOVERY_LEVEL = 0.95
 RECOVERY_SUSTAIN_TICKS = 10
+# supervisor commands that move authority, as the handover message they stand for
+_HANDOVER_COMMANDS = {
+    "request_handover": collaboration.MessageKind.HANDOVER_GRANT,
+    "grant_return": collaboration.MessageKind.HANDOVER_RETURN,
+}
 
 
 def _dump(obj: Any) -> str:
@@ -99,17 +104,9 @@ class EpisodeResult:
         }
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "schema_version": TRACE_SCHEMA_VERSION,
-            "scenario": self.scenario_name,
-            "scenario_hash": self.scenario_hash,
-            "seed": self.seed,
-            "metrics": self.metrics,
-            "functionality_series": self.functionality_series,
-            "decision_log": self.decision_log,
-            "agents": self.agents,
-            "primary_agent": self.primary_agent,
-        }
+        return {**self.header(), "metrics": self.metrics,
+                "functionality_series": self.functionality_series,
+                "decision_log": self.decision_log}
 
 
 def time_to_recovery(series: list[float], onset: Optional[int]) -> Optional[int]:
@@ -130,6 +127,18 @@ def time_to_recovery(series: list[float], onset: Optional[int]) -> Optional[int]
             run_start = None
             run_len = 0
     return None
+
+
+def _episode_metrics(series: list[float], onset: Optional[int], survived: Optional[bool],
+                     harm_events: int, reward_total: float) -> dict[str, Any]:
+    """The metrics block, computed the same way by an episode and by replay."""
+    return {
+        "resilience_auc": sum(series) / len(series) if series else 0.0,
+        "time_to_recovery": time_to_recovery(series, onset),
+        "agent_survived": survived,
+        "harm_events": harm_events,
+        "reward_total": reward_total,
+    }
 
 
 class Episode:
@@ -163,30 +172,30 @@ class Episode:
 
     # -- construction ----------------------------------------------------------
 
-    def _add_agent(self, spec: AgentSpec, kb: Optional[KnowledgeBase] = None,
-                   roe: Optional[RulesOfEngagement] = None) -> AgentRuntime:
+    def _add_agent(self, spec: AgentSpec) -> None:
         state = AgentState(agent_id=spec.agent_id, host_id=spec.host_id,
                            detectability=spec.detectability)
-        if kb is None:
-            kb = KnowledgeBase(
-                patterns={p.pattern_id: p for p in self.config.build_patterns()},
-                rules=self.config.build_rules(),
-                goals=self.config.build_goals(),
-            )
-        runtime = AgentRuntime(
+        kb = KnowledgeBase(
+            patterns={p.pattern_id: p for p in self.config.build_patterns()},
+            rules=self.config.build_rules(),
+            goals=self.config.build_goals(),
+        )
+        self.env.install_agent(spec.agent_id, spec.host_id)
+        self._add_runtime(spec, state, kb)
+
+    def _add_runtime(self, spec: AgentSpec, state: AgentState, kb: KnowledgeBase) -> None:
+        """Register an agent already installed on its host (scenario agent or replica)."""
+        self.agents.append(AgentRuntime(
             spec=spec,
             state=state,
             ws=WorldState(),
             kb=kb,
-            roe=roe if roe is not None else self.config.build_roe(),
+            roe=self.config.build_roe(),
             planner=self.config.build_planner_config(),
             sensors=self.config.build_sensor_config(),
             repertoire=self.config.build_repertoire(),
-        )
-        self.env.install_agent(spec.agent_id, spec.host_id)
-        self.agents.append(runtime)
+        ))
         self.agent_hosts[spec.agent_id] = spec.host_id
-        return runtime
 
     # -- trace helpers -----------------------------------------------------------
 
@@ -254,20 +263,12 @@ class Episode:
         )
 
     def _metrics(self) -> dict[str, Any]:
-        series = self.functionality_series
-        survived: Optional[bool]
-        if self.primary_agent is None:
-            survived = None
-        else:
+        survived: Optional[bool] = None
+        if self.primary_agent is not None:
             primary = next(a for a in self.agents if a.state.agent_id == self.primary_agent)
             survived = primary.state.mode is not AgentMode.DESTROYED
-        return {
-            "resilience_auc": sum(series) / len(series) if series else 0.0,
-            "time_to_recovery": time_to_recovery(series, self.attack_onset),
-            "agent_survived": survived,
-            "harm_events": self.harm_events,
-            "reward_total": self.reward_total,
-        }
+        return _episode_metrics(self.functionality_series, self.attack_onset, survived,
+                                self.harm_events, self.reward_total)
 
     # -- adversary phase ---------------------------------------------------------------
 
@@ -426,14 +427,8 @@ class Episode:
         for command in queue:
             name = command.get("command")
             try:
-                if name == "request_handover":
-                    collaboration.handover(
-                        rt.state, {"kind": collaboration.MessageKind.HANDOVER_GRANT.value})
-                    self.emit("agent.handover", agent=rt.state.agent_id,
-                              authority=rt.state.authority.value)
-                elif name == "grant_return":
-                    collaboration.handover(
-                        rt.state, {"kind": collaboration.MessageKind.HANDOVER_RETURN.value})
+                if name in _HANDOVER_COMMANDS:
+                    collaboration.handover(rt.state, {"kind": _HANDOVER_COMMANDS[name].value})
                     self.emit("agent.handover", agent=rt.state.agent_id,
                               authority=rt.state.authority.value)
                 elif name == "fail_safe":
@@ -509,11 +504,7 @@ class Episode:
             return
         feedback = self._collect_effect_feedback(rt, pe)
         if feedback:
-            propositions = learning.learn(rt.kb, feedback, [])
-            applied = sum(learning.apply_proposition(rt.kb, p) for p in propositions)
-            if applied:
-                self.emit("agent.learning", agent=rt.state.agent_id,
-                          propositions=applied, proposition_kind="effect_stat_update")
+            self._learn(rt, feedback, [], "effect_stat_update")
         deviations = execution.monitor_execution(pe.records, tick, rt.repertoire)
         deviations += execution.monitor_effects(pe, rt.ws, rt.repertoire)
         if not deviations:
@@ -564,7 +555,6 @@ class Episode:
         fast_action, fast_log = planning.fast_rule_select(
             rt.ws, rules, deadline, rt.roe, rt.repertoire)
         if fast_action is not None:
-            plan = planning.plan_from_action(fast_action)
             entry = {
                 "tick": tick,
                 "agent": rt.state.agent_id,
@@ -577,12 +567,7 @@ class Episode:
                               "fast_deadline_ticks": rt.roe.fast_deadline_ticks,
                               "rules_evaluated": fast_log},
             }
-            self.decision_log.append(entry)
-            self.emit("agent.decision", **entry)
-            self.emit("agent.plan_released", agent=rt.state.agent_id,
-                      entries=entry["chosen"]["entries"], path="fast")
-            rt.plan_exec = PlanExecution(plan=plan)
-            rt.no_action_streak = 0
+            self._decide(rt, entry, planning.plan_from_action(fast_action))
             return
 
         proposals = planning.propose_plans(assessment, rt.ws, rt.repertoire,
@@ -606,14 +591,8 @@ class Episode:
             "chosen": chosen,
             "rationale": {k: v for k, v in outcome.log.items() if k != "candidates"},
         }
-        self.decision_log.append(entry)
-        self.emit("agent.decision", **entry)
-        if outcome.plan is not None:
-            self.emit("agent.plan_released", agent=rt.state.agent_id,
-                      entries=chosen["entries"], path="deliberative")
-            rt.plan_exec = PlanExecution(plan=outcome.plan)
-            rt.no_action_streak = 0
-        else:
+        self._decide(rt, entry, outcome.plan)
+        if outcome.plan is None:
             rt.no_action_streak += 1
             if (rt.no_action_streak >= self.config.collaboration.fail_safe_streak
                     and rt.state.mode is AgentMode.NORMAL):
@@ -621,6 +600,17 @@ class Episode:
                 self.emit("agent.fail_safe", agent=rt.state.agent_id,
                           reason="persistent_no_action")
                 self._attempt_report(rt, tick, reason="fail_safe")
+
+    def _decide(self, rt: AgentRuntime, entry: dict[str, Any],
+                plan: Optional[ExecutablePlan]) -> None:
+        """Log the decision and release its plan, if any."""
+        self.decision_log.append(entry)
+        self.emit("agent.decision", **entry)
+        if plan is not None:
+            self.emit("agent.plan_released", agent=rt.state.agent_id,
+                      entries=entry["chosen"]["entries"], path=entry["path"])
+            rt.plan_exec = PlanExecution(plan=plan)
+            rt.no_action_streak = 0
 
     @staticmethod
     def _trigger_summary(assessment: Assessment) -> dict[str, Any]:
@@ -685,18 +675,7 @@ class Episode:
             rt.replica_count += 1
             replica_spec = AgentSpec(agent_id=new_id, host_id=target,
                                      detectability=rt.spec.detectability)
-            runtime = AgentRuntime(
-                spec=replica_spec,
-                state=replica_state,
-                ws=WorldState(),
-                kb=rt.kb.copy(),
-                roe=self.config.build_roe(),
-                planner=self.config.build_planner_config(),
-                sensors=self.config.build_sensor_config(),
-                repertoire=self.config.build_repertoire(),
-            )
-            self.agents.append(runtime)
-            self.agent_hosts[new_id] = target
+            self._add_runtime(replica_spec, replica_state, rt.kb.copy())
             self.emit("agent.propagation", agent=rt.state.agent_id, target=target,
                       installed=True, replica=new_id)
             return True, new_id
@@ -781,11 +760,15 @@ class Episode:
                 )
                 for pid in sorted(rt.patterns_matched_episode)
             ]
-            propositions = learning.learn(rt.kb, [], feedback)
-            applied = sum(learning.apply_proposition(rt.kb, p) for p in propositions)
-            if applied:
-                self.emit("agent.learning", agent=rt.state.agent_id,
-                          propositions=applied, proposition_kind="pattern_confidence_update")
+            self._learn(rt, [], feedback, "pattern_confidence_update")
+
+    def _learn(self, rt: AgentRuntime, effect_feedback: list[EffectObservation],
+               assessment_feedback: list[AssessmentObservation], kind: str) -> None:
+        propositions = learning.learn(rt.kb, effect_feedback, assessment_feedback)
+        applied = sum(learning.apply_proposition(rt.kb, p) for p in propositions)
+        if applied:
+            self.emit("agent.learning", agent=rt.state.agent_id,
+                      propositions=applied, proposition_kind=kind)
 
 
 # -- public entry points --------------------------------------------------------------------
@@ -847,6 +830,8 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise CorruptTrace(f"unparseable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CorruptTrace("trace header is not a JSON object")
     version = header.get("schema_version")
     if version != TRACE_SCHEMA_VERSION:
         raise SchemaMismatch(
@@ -855,6 +840,9 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
         events = [json.loads(line) for line in lines[1:]]
     except json.JSONDecodeError as exc:
         raise CorruptTrace(f"unparseable event line: {exc}") from exc
+    for number, event in enumerate(events, start=2):
+        if not isinstance(event, dict) or "kind" not in event:
+            raise CorruptTrace(f"trace line {number} is not an event object with a kind")
     if not events or events[-1].get("kind") != "end":
         raise CorruptTrace("trace missing end record")
     end = events.pop()
@@ -862,28 +850,21 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
         raise CorruptTrace(
             f"trace truncated: end record says {end.get('events')} events, found {len(events)}")
 
-    series = [e["value"] for e in events if e["kind"] == "tick.functionality"]
-    onset_events = [e["tick"] for e in events if e["kind"] == "attack.onset"]
-    onset = onset_events[0] if onset_events else None
-    harm = sum(1 for e in events if e["kind"] == "harm")
-    primary = header.get("primary_agent")
-    reward_total = sum(e["reward"] for e in events
-                       if e["kind"] == "agent.reward" and e.get("agent") == primary)
-    survived: Optional[bool]
-    if primary is None:
-        survived = None
-    else:
-        destroyed = any(
-            e["kind"] in ("agent.killed", "agent.self_destruct") and e.get("agent") == primary
-            for e in events)
-        survived = not destroyed
-    return {
-        "resilience_auc": sum(series) / len(series) if series else 0.0,
-        "time_to_recovery": time_to_recovery(series, onset),
-        "agent_survived": survived,
-        "harm_events": harm,
-        "reward_total": reward_total,
-    }
+    try:
+        series = [e["value"] for e in events if e["kind"] == "tick.functionality"]
+        onset_events = [e["tick"] for e in events if e["kind"] == "attack.onset"]
+        onset = onset_events[0] if onset_events else None
+        harm = sum(1 for e in events if e["kind"] == "harm")
+        primary = header.get("primary_agent")
+        reward_total = sum((e["reward"] for e in events
+                            if e["kind"] == "agent.reward" and e.get("agent") == primary), 0.0)
+        survived: Optional[bool] = None
+        if primary is not None:
+            survived = not any(e["kind"] == "agent.killed" and e.get("agent") == primary
+                               for e in events)
+        return _episode_metrics(series, onset, survived, harm, reward_total)
+    except (KeyError, TypeError) as exc:
+        raise CorruptTrace(f"malformed event field: {exc!r}") from exc
 
 
 def explain(decision_log: list[dict[str, Any]], index: int) -> str:

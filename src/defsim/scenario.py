@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
@@ -164,7 +164,7 @@ class ScenarioConfig:
                 tick=s["tick"],
                 action=s["action"],
                 params=s.get("params", {}),
-                instance_id=s.get("instance_id", default_instance),
+                instance_id=s.get("instance_id") or default_instance,
                 trigger=s.get("trigger"),
             )
             for s in pb.get("steps", [])
@@ -443,6 +443,8 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
     _keys(pb, {"instances", "steps", "fallback", "hunt_intensity", "spoof_probability",
                "degradation_amount", "max_instances"}, set(), "playbook", problems)
     instance_ids: set[str] = set()
+    # a step without an instance_id runs on the first listed instance, as in build_playbook
+    default_instance = next((i.get("instance_id") for i in pb.get("instances", [])), None)
     for i in pb.get("instances", []):
         _keys(i, {"instance_id", "host_id", "phase", "hunt_intensity"},
               {"instance_id", "host_id"}, f"instance {i.get('instance_id')!r}", problems)
@@ -470,7 +472,7 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
         if s.get("action") == "degrade_service":
             hid = params.get("host") or next(
                 (i.get("host_id") for i in pb.get("instances", [])
-                 if i.get("instance_id") == (s.get("instance_id") or next(iter(instance_ids), None))),
+                 if i.get("instance_id") == (s.get("instance_id") or default_instance)),
                 None)
             if hid in service_ids and params.get("service") not in service_ids.get(hid, set()):
                 problems.append(f"{where}: unknown service {params.get('service')!r} on host {hid!r}")

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
+import defsim
 from defsim.envsim import CommsChannel, Environment, Host, Owner, Process, Service
 from defsim.runner import EpisodeResult, run_episode
 from defsim.scenario import ScenarioConfig, load_scenario
@@ -13,6 +18,14 @@ BUNDLED = ("s1_comms_spoof", "s2_lateral_hunt", "s3_partition")
 
 def scenario_path(name: str) -> str:
     return str(files("defsim") / "scenarios" / f"{name}.json")
+
+
+def run_python(args: list[str], **env: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this defsim, with extra env vars."""
+    src = str(Path(defsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 @pytest.fixture(scope="session")

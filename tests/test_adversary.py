@@ -27,16 +27,15 @@ def inst(phase=MalwarePhase.DORMANT, host="h1", intensity=0.5, alive=True):
 
 def test_dead_instance_emits_nothing():
     env = make_env()
-    pb = Playbook(steps=[PlaybookStep(0, "create_file")], fallback=True)
-    pb._default_instance = "m1"
+    pb = Playbook(steps=[PlaybookStep(0, "create_file", instance_id="m1")], fallback=True)
     assert malware_step(inst(alive=False), env, pb, Random(1), 0) == []
 
 
 def test_scripted_step_passthrough():
     env = two_host_env()
-    pb = Playbook(steps=[PlaybookStep(4, "set_channel", {"channel": "c1", "state": "disabled"})],
+    pb = Playbook(steps=[PlaybookStep(4, "set_channel", {"channel": "c1", "state": "disabled"},
+                                      instance_id="m1")],
                   fallback=False)
-    pb._default_instance = "m1"
     effects = malware_step(inst(MalwarePhase.COMMS_COMPROMISE), env, pb, Random(1), 4)
     assert len(effects) == 1
     assert effects[0].target == "channel:c1"
@@ -45,10 +44,9 @@ def test_scripted_step_passthrough():
 
 def test_scripted_trigger_gates_step():
     env = make_env()
-    step = PlaybookStep(2, "create_file", {"file_id": "f"},
+    step = PlaybookStep(2, "create_file", {"file_id": "f"}, instance_id="m1",
                         trigger={"kind": "host_integrity_below", "host": "h1", "value": 0.5})
     pb = Playbook(steps=[step], fallback=False)
-    pb._default_instance = "m1"
     assert malware_step(inst(), env, pb, Random(1), 2) == []
     env.hosts["h1"].integrity = 0.2
     assert len(malware_step(inst(), env, pb, Random(1), 2)) == 1
@@ -61,7 +59,6 @@ def test_fallback_degradation_targets_lowest_health_required_service():
         Service("gamma", False, 1.0, 0.1),  # not required, ignored
     ])])
     pb = Playbook(fallback=True, degradation_amount=0.2)
-    pb._default_instance = "m1"
     effects = malware_step(inst(MalwarePhase.DEGRADATION), env, pb, Random(1), 0)
     assert len(effects) == 1
     assert effects[0].target == "service:h1:beta"
@@ -71,7 +68,6 @@ def test_fallback_degradation_targets_lowest_health_required_service():
 def test_fallback_foothold_spawns_unknown_process_and_tracks_footprint():
     env = make_env()
     pb = Playbook(fallback=True)
-    pb._default_instance = "m1"
     instance = inst(MalwarePhase.FOOTHOLD)
     effects = malware_step(instance, env, pb, Random(1), 0)
     assert effects[0].operation == "spawn"
@@ -83,7 +79,6 @@ def test_fallback_foothold_spawns_unknown_process_and_tracks_footprint():
 def test_fallback_holds_in_degradation_without_resident_agent():
     env = make_env()
     pb = Playbook(fallback=True)
-    pb._default_instance = "m1"
     instance = inst(MalwarePhase.DEGRADATION)
     malware_step(instance, env, pb, Random(1), 0)
     assert instance.phase is MalwarePhase.DEGRADATION
@@ -142,7 +137,8 @@ def test_spoof_probability_one_forges_with_invalid_tag():
 def test_controller_filters_effects_on_unreached_hosts():
     env = two_host_env()
     pb = Playbook(steps=[
-        PlaybookStep(0, "degrade_service", {"host": "h2", "service": "db", "amount": 0.5}),
+        PlaybookStep(0, "degrade_service", {"host": "h2", "service": "db", "amount": 0.5},
+                     instance_id="m1"),
     ], fallback=False)
     ctrl = MalwareController([inst(MalwarePhase.DEGRADATION, host="h1")], pb)
     effects, _ = ctrl.step(env, Random(1), 0, lambda h: None)
@@ -151,7 +147,7 @@ def test_controller_filters_effects_on_unreached_hosts():
 
 def test_controller_lateral_creates_instance_and_respects_cap():
     env = two_host_env()
-    pb = Playbook(steps=[PlaybookStep(0, "move_lateral", {"target_host": "h2"})],
+    pb = Playbook(steps=[PlaybookStep(0, "move_lateral", {"target_host": "h2"}, instance_id="m1")],
                   fallback=False, max_instances=2)
     ctrl = MalwareController([inst(MalwarePhase.LATERAL_MOVEMENT)], pb)
     _, notes = ctrl.step(env, Random(1), 0, lambda h: None)

@@ -1,8 +1,10 @@
 import json
 
+import pytest
+
 from defsim.cli import main
 
-from conftest import scenario_path
+from conftest import run_python, scenario_path
 
 
 def test_run_writes_trace_and_result(tmp_path, capsys):
@@ -77,3 +79,35 @@ def test_explain_bad_index_exits_2(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["explain", "--result", str(out / "result.json"), "--decision", "9999"])
     assert rc == 2
+
+
+S1 = scenario_path("s1_comms_spoof")
+END_ONE = '{"kind": "end", "events": 1}\n'
+# command line, with FILE standing for the artifact path, and the artifact text
+MALFORMED = {
+    "seeds_not_numbers": (["batch", "--scenario", S1, "--seeds", "abc", "--out", "FILE"], None),
+    "seeds_empty": (["batch", "--scenario", S1, "--seeds", ",", "--out", "FILE"], None),
+    "trace_header_array": (["replay", "--trace", "FILE"],
+                           '[1, 2]\n{"kind": "end", "events": 0}\n'),
+    "trace_event_array": (["replay", "--trace", "FILE"],
+                          '{"schema_version": 1}\n[1]\n' + END_ONE),
+    "trace_event_without_kind": (["replay", "--trace", "FILE"],
+                                 '{"schema_version": 1}\n{"tick": 0}\n' + END_ONE),
+    "trace_event_without_field": (
+        ["replay", "--trace", "FILE"],
+        '{"schema_version": 1}\n{"kind": "tick.functionality", "tick": 0}\n' + END_ONE),
+    "result_array": (["explain", "--result", "FILE", "--decision", "0"], "[]\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_without_traceback(case, tmp_path):
+    args, text = MALFORMED[case]
+    artifact = tmp_path / "artifact"
+    if text is not None:
+        artifact.write_text(text)
+    proc = run_python(["-m", "defsim.cli"]
+                      + [str(artifact) if arg == "FILE" else arg for arg in args])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

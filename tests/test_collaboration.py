@@ -12,7 +12,6 @@ from defsim.collaboration import (
     build_message,
     handover,
     merge_conclusions,
-    negotiate,
     propagate,
     report,
     run_negotiation,
@@ -74,14 +73,14 @@ def test_tag_depends_on_all_addressing_fields():
 
 def test_single_agent_no_incoming_unchanged():
     local = {"host:h1": concl("host:h1", "clean", 0.8, "a1")}
-    assert negotiate(local, [], 3) == local
+    assert merge_conclusions(local, []) == local
 
 
 def test_disjoint_subjects_union():
     a = {"host:h1": concl("host:h1", "compromised", 0.7, "a1")}
     b = {"host:h2": concl("host:h2", "clean", 0.6, "a2")}
-    merged_a = negotiate(a, [b], 3)
-    merged_b = negotiate(b, [a], 3)
+    merged_a = merge_conclusions(a, b.values())
+    merged_b = merge_conclusions(b, a.values())
     assert set(merged_a) == set(merged_b) == {"host:h1", "host:h2"}
     assert merged_a == merged_b
 
@@ -89,7 +88,7 @@ def test_disjoint_subjects_union():
 def test_conflict_resolved_by_confidence():
     a = {"host:h2": concl("host:h2", "compromised", 0.9, "a1")}
     b = {"host:h2": concl("host:h2", "clean", 0.6, "a2")}
-    merged = negotiate(b, [a], 3)
+    merged = merge_conclusions(b, a.values())
     assert merged["host:h2"].verdict is Verdict.COMPROMISED
 
 
@@ -97,7 +96,7 @@ def test_conflict_tie_broken_by_smaller_origin():
     # (h2, compromised, 0.9, a1) vs (h2, clean, 0.9, a2): a1 < a2 wins
     a = {"host:h2": concl("host:h2", "compromised", 0.9, "a1")}
     b = {"host:h2": concl("host:h2", "clean", 0.9, "a2")}
-    merged = negotiate(b, [a], 3)
+    merged = merge_conclusions(b, a.values())
     assert merged["host:h2"].verdict is Verdict.COMPROMISED
     assert merged["host:h2"].origin == "a1"
 

@@ -179,7 +179,6 @@ def test_deliver_spoofed_is_observed_and_substitutable():
     env.step(0)
     out = env.deliver("c1", msg(), Random(1), spoofer=lambda m: dict(m, payload={"forged": True}))
     assert out.status is DeliveryStatus.OBSERVED_AND_DELIVERED
-    assert env.channels["c1"].observed_by_malware
     assert env.inboxes["a2"][0]["payload"] == {"forged": True}
 
 
@@ -216,6 +215,19 @@ def test_restore_after_host_removed_is_stale():
     del env.hosts["h1"]
     with pytest.raises(StaleToken):
         env.restore(token)
+
+
+def test_remove_agent_clears_residence_and_agent_process():
+    env = two_host_env()
+    env.install_agent("a1", "h1")
+    env.install_agent("a2", "h2")
+    assert env.hosts["h1"].resident_agent == "a1"
+    assert "agent_proc_a1" in env.hosts["h1"].processes
+    env.remove_agent("a1")
+    assert env.hosts["h1"].resident_agent is None
+    assert "agent_proc_a1" not in env.hosts["h1"].processes
+    assert env.hosts["h2"].resident_agent == "a2"
+    assert "agent_proc_a2" in env.hosts["h2"].processes
 
 
 def test_restore_preserves_malware_and_agent_presence():

@@ -16,7 +16,6 @@ from defsim.execution import (
     fail_safe,
     monitor_effects,
     monitor_execution,
-    self_destruct,
 )
 from defsim.planning import (
     ActionCategory,
@@ -317,26 +316,16 @@ def test_fail_safe_transition():
     assert state.mode is AgentMode.FAIL_SAFE
 
 
-def test_self_destruct_removes_footprint_and_is_terminal():
-    env = make_env()
-    env.install_agent("a1", "h1")
-    state = agent()
-    self_destruct(state, env)
-    assert state.mode is AgentMode.DESTROYED
-    assert env.hosts["h1"].resident_agent is None
-    assert "agent_proc_a1" not in env.hosts["h1"].processes
-    with pytest.raises(ModeForbidden):
-        fail_safe(state, "too late")
-    with pytest.raises(ModeForbidden):
-        self_destruct(state, env)
-
-
 def test_mode_walk_has_no_resurrection():
     state = agent()
     fail_safe(state, "x")
     env = make_env()
-    self_destruct(state, env)
-    assert state.mode is AgentMode.DESTROYED
+    env.install_agent("a1", "h1")
+    # malware killed the agent: the episode marks it destroyed and removes it
+    state.mode = AgentMode.DESTROYED
+    env.remove_agent("a1")
+    with pytest.raises(ModeForbidden):
+        fail_safe(state, "too late")
     with pytest.raises(ModeForbidden):
         execute_step(PlanExecution(plan=plan_of("look")), env, state, 0,
                      {"look": spec("look")}, Random(1))

@@ -10,7 +10,6 @@ from defsim.learning import (
     KnowledgeBase,
     Proposition,
     apply_proposition,
-    improve_knowledge,
     learn,
     reward,
 )
@@ -115,73 +114,6 @@ def test_proposition_application_is_idempotent_per_observation():
     assert apply_proposition(kb, proposition) is True
     assert apply_proposition(kb, proposition) is False
     assert kb.effect_stats[("act", 0)] == (1, 1)
-
-
-# -- guarded merge -----------------------------------------------------------------------------
-
-class StubReplay:
-    """Replay whose reward depends on how close the estimate is to truth."""
-
-    def __init__(self, truth=0.7):
-        self.truth = truth
-
-    def cumulative_reward(self, kb):
-        return -abs(kb.estimate("act", 0) - self.truth)
-
-
-def test_empty_propositions_keep_knowledge_base():
-    kb = KnowledgeBase()
-    assert improve_knowledge(kb, [], StubReplay()) is kb
-
-
-def test_improving_proposition_accepted():
-    kb = KnowledgeBase()  # estimate 0.5, truth 0.7
-    propositions = [Proposition("effect_stat_update", f"o{i}",
-                                {"action_id": "act", "effect_index": 0, "observed": True})
-                    for i in range(5)]  # estimate -> 6/7, closer to 0.7 than 0.5
-    merged = improve_knowledge(kb, propositions, StubReplay(truth=0.7))
-    assert merged is not kb
-    assert merged.effect_stats[("act", 0)] == (5, 5)
-
-
-def test_degrading_proposition_rejected():
-    kb = KnowledgeBase()
-    for i in range(10):  # estimate 11/12 with truth 11/12: incumbent nearly exact
-        apply_proposition(kb, Proposition(
-            "effect_stat_update", f"seed{i}",
-            {"action_id": "act", "effect_index": 0, "observed": True}))
-    truth = kb.estimate("act", 0)
-    corrupt = [Proposition("effect_stat_update", f"bad{i}",
-                           {"action_id": "act", "effect_index": 0, "observed": False})
-               for i in range(20)]
-    merged = improve_knowledge(kb, corrupt, StubReplay(truth=truth))
-    assert merged is kb
-    assert kb.effect_stats[("act", 0)] == (10, 10)
-
-
-def test_merge_never_decreases_replay_reward():
-    rng = Random(5)
-    replay = StubReplay(truth=0.6)
-    kb = KnowledgeBase()
-    for round_no in range(10):
-        propositions = [
-            Proposition("effect_stat_update", f"r{round_no}:{i}",
-                        {"action_id": "act", "effect_index": 0,
-                         "observed": rng.random() < 0.6})
-            for i in range(rng.randint(1, 8))
-        ]
-        before = replay.cumulative_reward(kb)
-        kb = improve_knowledge(kb, propositions, replay)
-        assert replay.cumulative_reward(kb) >= before
-
-
-def test_new_pattern_proposition():
-    kb = KnowledgeBase()
-    proposition = Proposition("new_pattern", "np-1", {"pattern": {
-        "id": "fresh", "predicates": [["x", ">=", 2]], "severity": 0.7, "confidence": 0.5}})
-    apply_proposition(kb, proposition)
-    assert "fresh" in kb.patterns
-    assert kb.patterns["fresh"].predicates == [("x", ">=", 2)]
 
 
 # -- serialization ---------------------------------------------------------------------------------

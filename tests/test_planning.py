@@ -144,10 +144,10 @@ def test_utility_decomposition_recomputes_exactly():
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
     config = PlannerConfig(risk_weight=1.5, noise_weight=0.25, depth=2)
     for proposal in propose_plans(PROBLEM, ws, rep, goals, config):
-        benefit, risk_total, noise_total = proposal.components
         assert proposal.utility == pytest.approx(
-            benefit - 1.5 * risk_total - 0.25 * noise_total, abs=1e-12)
-        assert noise_total == pytest.approx(
+            proposal.benefit - 1.5 * proposal.risk_total - 0.25 * proposal.noise_total,
+            abs=1e-12)
+        assert proposal.noise_total == pytest.approx(
             sum(signed_noise(rep[a]) for a in proposal.actions), abs=1e-12)
 
 

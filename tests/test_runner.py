@@ -156,6 +156,19 @@ def test_replay_schema_mismatch_names_version(tmp_path):
     assert "0" in str(err.value)
 
 
+@pytest.mark.parametrize("agent_enabled", [True, False], ids=["agent_on", "agent_off"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_replay_metrics_serialize_like_result_json(name, agent_enabled, bundled_configs,
+                                                   tmp_path):
+    result = run_episode(bundled_configs[name], 1, agent_enabled=agent_enabled)
+    write_trace(result, tmp_path / "trace.jsonl")
+    write_result(result, tmp_path / "result.json")
+    stored = json.loads((tmp_path / "result.json").read_text())["metrics"]
+    replayed = replay(tmp_path / "trace.jsonl")
+    assert json.dumps(replayed, sort_keys=True) == json.dumps(result.metrics, sort_keys=True)
+    assert json.dumps(replayed, sort_keys=True) == json.dumps(stored, sort_keys=True)
+
+
 # -- explain -----------------------------------------------------------------------------------
 
 def test_explain_index_out_of_range():

@@ -1,9 +1,11 @@
+import json
+
 import pytest
 
 from defsim.errors import ConfigInvalid
 from defsim.scenario import load_scenario, parse_scenario, validate_scenario
 
-from conftest import BUNDLED, scenario_path
+from conftest import BUNDLED, run_python, scenario_path
 
 
 def minimal_raw():
@@ -143,3 +145,33 @@ def test_config_invalid_lists_all_problems():
     with pytest.raises(ConfigInvalid) as err:
         parse_scenario(raw)
     assert len(err.value.problems) >= 2
+
+
+def two_instance_raw(step):
+    """Instances m_a@h1 and m_b@h2; only h1 runs the service the step degrades."""
+    raw = minimal_raw()
+    raw["topology"]["hosts"].append({"host_id": "h2"})
+    raw["playbook"] = {
+        "instances": [{"instance_id": "m_a", "host_id": "h1"},
+                      {"instance_id": "m_b", "host_id": "h2"}],
+        "steps": [dict(step, tick=1, action="degrade_service", params={"service": "svc"})],
+    }
+    return raw
+
+
+def test_step_without_instance_runs_on_first_listed_instance():
+    for step in ({}, {"instance_id": None}):
+        _, playbook = parse_scenario(two_instance_raw(step)).build_playbook()
+        assert playbook.steps[0].instance_id == "m_a"
+
+
+def test_default_instance_validation_ignores_hash_seed():
+    # validation must pick the same default instance as build_playbook under
+    # every string-hash seed, not the first element of a set
+    script = ("import json, sys; from defsim.scenario import validate_scenario; "
+              "print(json.dumps(validate_scenario(json.loads(sys.argv[1]))))")
+    raw = json.dumps(two_instance_raw({}))
+    for hash_seed in range(8):
+        proc = run_python(["-c", script, raw], PYTHONHASHSEED=str(hash_seed))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [], f"PYTHONHASHSEED={hash_seed}"
