@@ -15,7 +15,7 @@ from random import Random
 from typing import Any, Callable, Optional
 
 from .envsim import ChannelState, EffectDescriptor, Environment
-from .errors import NoResidentAgent
+from .errors import ConfigInvalid, NoResidentAgent
 
 
 class MalwarePhase(str, Enum):
@@ -271,6 +271,9 @@ class MalwareController:
     """Owns every instance in an episode and routes the playbook to them."""
 
     def __init__(self, instances: list[MalwareInstance], playbook: Playbook):
+        unrouted = [step.tick for step in playbook.steps if step.instance_id is None]
+        if unrouted:
+            raise ConfigInvalid(f"playbook steps at ticks {unrouted} name no instance")
         self.instances: dict[str, MalwareInstance] = {i.instance_id: i for i in instances}
         self.playbook = playbook
         self._replica_counter = 0

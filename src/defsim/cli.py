@@ -105,7 +105,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         raise ConfigInvalid(f"cannot read result file: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigInvalid("result file is not a JSON object")
-    print(explain(data.get("decision_log", []), args.decision))
+    decision_log = data.get("decision_log", [])
+    if not isinstance(decision_log, list):
+        raise ConfigInvalid("result file's decision_log is not a list")
+    print(explain(decision_log, args.decision))
     return 0
 
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .envsim import DeliveryOutcome, DeliveryStatus, Environment, clamp01
 from .errors import (
@@ -33,8 +33,6 @@ from .learning import KnowledgeBase
 from .planning import ConditionActionRule, RulesOfEngagement, normalize_goals
 from .sensing import all_hold
 
-DEFAULT_COLLABORATION_THRESHOLD = 0.6
-DEFAULT_PROPAGATION_THRESHOLD = 0.3
 DEFAULT_COMMUNICATE_NOISE = 0.05
 DEFAULT_NEGOTIATION_ROUNDS = 3
 
@@ -181,7 +179,7 @@ def share_and_request(
     key: str,
     communicate_noise: float = DEFAULT_COMMUNICATE_NOISE,
     round_no: int = 0,
-    spoofers: Optional[dict[str, Any]] = None,
+    spoofer: Optional[Callable[[str, dict[str, Any]], dict[str, Any]]] = None,
 ) -> list[dict[str, Any]]:
     """Send a conclusions request (carrying our own set) to each peer.
 
@@ -199,7 +197,6 @@ def share_and_request(
         payload = {"conclusions": [c.to_dict() for c in _sorted_conclusions(conclusions)]}
         msg = build_message(key, MessageKind.REQUEST_CONCLUSIONS,
                             agent_state.agent_id, peer_id, payload, round_no)
-        spoofer = (spoofers or {}).get(channel)
         delivery = env.deliver(channel, msg, rng, spoofer=spoofer)
         agent_state.detectability = clamp01(agent_state.detectability + communicate_noise)
         sent_any = True
@@ -221,14 +218,13 @@ def report(
     rng: Random,
     key: str,
     communicate_noise: float = DEFAULT_COMMUNICATE_NOISE,
-    spoofers: Optional[dict[str, Any]] = None,
+    spoofer: Optional[Callable[[str, dict[str, Any]], dict[str, Any]]] = None,
 ) -> DeliveryOutcome:
     """Status report to the remote center, subject to channel state."""
     channel = env.route(agent_state.host_id, c2_host)
     if channel is None:
         raise NoRoute(f"no channel from {agent_state.host_id!r} to {c2_host!r}")
     msg = build_message(key, MessageKind.STATUS_REPORT, agent_state.agent_id, "c2", summary)
-    spoofer = (spoofers or {}).get(channel)
     outcome = env.deliver(channel, msg, rng, spoofer=spoofer)
     agent_state.detectability = clamp01(agent_state.detectability + communicate_noise)
     return outcome

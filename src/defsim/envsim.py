@@ -407,7 +407,7 @@ class Environment:
         channel_id: str,
         message: dict[str, Any],
         rng: Random,
-        spoofer: Optional[Callable[[dict[str, Any]], dict[str, Any]]] = None,
+        spoofer: Optional[Callable[[str, dict[str, Any]], dict[str, Any]]] = None,
     ) -> DeliveryOutcome:
         """Push one message through a channel.
 
@@ -438,7 +438,7 @@ class Environment:
             self.inboxes.setdefault(message["recipient"], []).append(message)
             return DeliveryOutcome(DeliveryStatus.DELIVERED, message=message)
         if ch.state is ChannelState.SPOOFED:
-            out = spoofer(message) if spoofer is not None else dict(message, observed=True)
+            out = spoofer(channel_id, message) if spoofer else dict(message, observed=True)
             self.inboxes.setdefault(out["recipient"], []).append(out)
             return DeliveryOutcome(DeliveryStatus.OBSERVED_AND_DELIVERED, message=out)
         self.inboxes.setdefault(message["recipient"], []).append(message)

@@ -439,18 +439,24 @@ def expected_loss(
 
 # -- rules of engagement -----------------------------------------------------------
 
-def action_roe_ok(spec: ActionSpec, roe: RulesOfEngagement) -> bool:
+def _action_violations(aid: str, spec: ActionSpec, roe: RulesOfEngagement) -> list[str]:
+    """The ROE clauses one action breaks whatever plan it sits in."""
+    violations = []
     if spec.category.value in roe.forbidden_categories:
-        return False
-    if spec.risk > roe.max_plan_risk:
-        return False
+        violations.append(f"{aid}: category {spec.category.value} forbidden")
     if (
         spec.category is ActionCategory.DESTRUCTIVE
         and roe.destructive_only_on_residence
         and spec.target_scope is TargetScope.REMOTE
     ):
+        violations.append(f"{aid}: destructive action with remote scope")
+    return violations
+
+
+def action_roe_ok(spec: ActionSpec, roe: RulesOfEngagement) -> bool:
+    if spec.risk > roe.max_plan_risk:
         return False
-    return True
+    return not _action_violations(spec.action_id, spec, roe)
 
 
 def plan_roe_violations(
@@ -463,15 +469,7 @@ def plan_roe_violations(
         violations.append(
             f"plan risk {proposal.risk_total:.3f} exceeds budget {roe.max_plan_risk:.3f}")
     for aid in proposal.actions:
-        spec = repertoire[aid]
-        if spec.category.value in roe.forbidden_categories:
-            violations.append(f"{aid}: category {spec.category.value} forbidden")
-        if (
-            spec.category is ActionCategory.DESTRUCTIVE
-            and roe.destructive_only_on_residence
-            and spec.target_scope is TargetScope.REMOTE
-        ):
-            violations.append(f"{aid}: destructive action with remote scope")
+        violations.extend(_action_violations(aid, repertoire[aid], roe))
     return violations
 
 

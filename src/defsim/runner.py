@@ -20,7 +20,7 @@ from typing import Any, Optional
 
 from . import adversary, collaboration, execution, learning, planning, sensing
 from .adversary import MalwareController
-from .envsim import Environment, SnapshotToken
+from .envsim import Environment, SnapshotToken, clamp01
 from .errors import (
     AuthorityNotHeld,
     ConfigInvalid,
@@ -409,9 +409,9 @@ class Episode:
         payload = {"conclusions": [c.to_dict() for _, c in sorted(rt.conclusions.items())]}
         msg = collaboration.build_message(self.auth_key, kind, rt.state.agent_id,
                                           peer_id, payload, round_no)
-        delivery = self.env.deliver(channel, msg, self.rng, spoofer=self._spoofer_for(channel))
-        rt.state.detectability = min(
-            1.0, rt.state.detectability + self.config.collaboration.communicate_noise)
+        delivery = self.env.deliver(channel, msg, self.rng, spoofer=self._spoof)
+        rt.state.detectability = clamp01(
+            rt.state.detectability + self.config.collaboration.communicate_noise)
         self.emit("agent.conclusions_shared", agent=rt.state.agent_id, peer=peer_id,
                   status=delivery.status.value, round=round_no)
 
@@ -467,34 +467,24 @@ class Episode:
         try:
             outcomes = collaboration.share_and_request(
                 rt.state, peers, rt.conclusions, self.env, self.rng, self.auth_key,
-                self.config.collaboration.communicate_noise,
-                spoofers=self._all_spoofers())
+                self.config.collaboration.communicate_noise, spoofer=self._spoof)
             for outcome in outcomes:
                 self.emit("agent.conclusions_requested", agent=rt.state.agent_id, **outcome)
         except NoRoute:
             self.emit("agent.collaboration_solo", agent=rt.state.agent_id,
                       reason="no_peer_reachable")
 
-    def _spoofer_for(self, channel_id: str):
-        spoofers = self._all_spoofers()
-        return spoofers.get(channel_id)
-
-    def _all_spoofers(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for cid in sorted(self.env.channels):
-            channel = self.env.channels[cid]
-            if channel.state.value != "spoofed":
-                continue
-            instance = next(
-                (self.malware.instances[iid] for iid in sorted(self.malware.instances)
-                 if self.malware.instances[iid].alive
-                 and self.malware.instances[iid].host_id in channel.endpoints),
-                None)
-            if instance is None:
-                continue
-            out[cid] = (lambda msg, inst=instance: adversary.spoof_payload(
-                inst, msg, self.playbook.spoof_probability, self.rng))
-        return out
+    def _spoof(self, channel_id: str, message: dict[str, Any]) -> dict[str, Any]:
+        """The spoofed channel's view of a message: the first live instance
+        (by id) on one of its endpoints intercepts it; with none there it
+        passes through, flagged observed."""
+        endpoints = self.env.channels[channel_id].endpoints
+        for iid in sorted(self.malware.instances):
+            instance = self.malware.instances[iid]
+            if instance.alive and instance.host_id in endpoints:
+                return adversary.spoof_payload(
+                    instance, message, self.playbook.spoof_probability, self.rng)
+        return dict(message, observed=True)
 
     # -- monitoring, planning, execution -------------------------------------------------
 
@@ -705,7 +695,7 @@ class Episode:
             outcome = collaboration.report(
                 rt.state, self.config.c2_host, self._report_summary(rt), self.env,
                 self.rng, self.auth_key, self.config.collaboration.communicate_noise,
-                spoofers=self._all_spoofers())
+                spoofer=self._spoof)
             self.emit("agent.report", agent=rt.state.agent_id,
                       status=outcome.status.value, reason=reason)
         except NoRoute:
@@ -738,8 +728,7 @@ class Episode:
             msg = collaboration.build_message(
                 self.auth_key, collaboration.MessageKind(entry["kind"]),
                 "c2", recipient, entry.get("payload", {}))
-            delivery = self.env.deliver(channel, msg, self.rng,
-                                        spoofer=self._spoofer_for(channel))
+            delivery = self.env.deliver(channel, msg, self.rng, spoofer=self._spoof)
             self.emit("c2.sent", to=recipient, message_kind=entry["kind"],
                       status=delivery.status.value)
 
@@ -872,7 +861,13 @@ def explain(decision_log: list[dict[str, Any]], index: int) -> str:
     recorded log entry."""
     if index < 0 or index >= len(decision_log):
         raise IndexOutOfRange(f"decision index {index} outside 0..{len(decision_log) - 1}")
-    entry = decision_log[index]
+    try:
+        return _render_decision(decision_log[index], index)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise CorruptTrace(f"decision {index} is malformed: {exc!r}") from exc
+
+
+def _render_decision(entry: dict[str, Any], index: int) -> str:
     lines: list[str] = []
     trigger = entry["trigger"]
     lines.append(f"Decision {index} at tick {entry['tick']} by agent {entry['agent']}:")

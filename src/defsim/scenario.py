@@ -354,6 +354,11 @@ def _check_fraction(value: Any, where: str, problems: list[str]) -> None:
         problems.append(f"{where}: {value!r} must be a fraction in [0, 1]")
 
 
+def _check_int(value: Any, minimum: int, where: str, problems: list[str]) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        problems.append(f"{where}: {value!r} must be an integer >= {minimum}")
+
+
 def validate_scenario(raw: dict[str, Any]) -> list[str]:
     problems: list[str] = []
     if not isinstance(raw, dict):
@@ -370,8 +375,9 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
     if raw.get("schema_version") != SCHEMA_VERSION:
         problems.append(
             f"scenario: schema_version {raw.get('schema_version')!r}, expected {SCHEMA_VERSION}")
-    if not isinstance(raw.get("duration_ticks", 0), int) or raw.get("duration_ticks", 0) < 1:
-        problems.append("scenario: duration_ticks must be a positive integer")
+    _check_int(raw.get("duration_ticks", 0), 1, "scenario.duration_ticks", problems)
+    if "trigger_threshold" in raw:
+        _check_fraction(raw["trigger_threshold"], "scenario.trigger_threshold", problems)
 
     topo = raw.get("topology", {})
     _keys(topo, {"hosts", "channels", "thresholds"}, {"hosts"}, "topology", problems)
@@ -402,7 +408,8 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
             service_ids[hid].add(s.get("service_id", ""))
             if s.get("required", False):
                 required_services += 1
-            if s.get("weight", 1.0) <= 0:
+            weight = s.get("weight", 1.0)
+            if not isinstance(weight, (int, float)) or weight <= 0:
                 problems.append(f"service {s.get('service_id')!r}: weight must be positive")
             if "health" in s:
                 _check_fraction(s["health"], f"service {s.get('service_id')!r}.health", problems)
@@ -466,6 +473,8 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
             problems.append(f"{where}: unknown action {s.get('action')!r}")
         if s.get("instance_id") is not None and s["instance_id"] not in instance_ids:
             problems.append(f"{where}: unknown instance {s['instance_id']!r}")
+        if s.get("instance_id") is None and default_instance is None:
+            problems.append(f"{where}: no instance_id and no instance listed to run on")
         params = s.get("params", {})
         if s.get("action") == "set_channel" and params.get("channel") not in channel_ids:
             problems.append(f"{where}: unknown channel {params.get('channel')!r}")
@@ -522,8 +531,7 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
         _check_predicates(a.get("preconditions", []), where, problems)
         _check_fraction(a.get("risk", 0.0), f"{where}.risk", problems)
         _check_fraction(a.get("noise", 0.0), f"{where}.noise", problems)
-        if a.get("duration", 1) < 1:
-            problems.append(f"{where}: duration must be >= 1")
+        _check_int(a.get("duration", 1), 1, f"{where}.duration", problems)
         if a.get("target_scope", "self_host") not in {t.value for t in TargetScope}:
             problems.append(f"{where}: unknown target_scope {a.get('target_scope')!r}")
         if a.get("builtin") not in (None, "snapshot", "restore", "verify", "propagate"):
@@ -576,18 +584,24 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
 
     planner = raw.get("planner", {})
     _keys(planner, {"risk_weight", "noise_weight", "depth", "beam"}, set(), "planner", problems)
-    if planner.get("depth", 1) < 1:
-        problems.append("planner: depth must be >= 1")
-    if planner.get("beam", 1) < 1:
-        problems.append("planner: beam must be >= 1")
+    for key in ("depth", "beam"):
+        _check_int(planner.get(key, 1), 1, f"planner.{key}", problems)
     for key in ("risk_weight", "noise_weight"):
-        if key in planner and planner[key] < 0:
-            problems.append(f"planner: {key} must be >= 0")
+        value = planner.get(key, 0.0)
+        if not isinstance(value, (int, float)) or value < 0:
+            problems.append(f"planner.{key}: {value!r} must be a number >= 0")
 
     collab = raw.get("collaboration", {})
     _keys(collab, {"threshold", "report_interval", "propagation_threshold",
                    "communicate_noise", "negotiation_rounds", "fail_safe_streak"},
           set(), "collaboration", problems)
+    for key in ("threshold", "propagation_threshold", "communicate_noise"):
+        if key in collab:
+            _check_fraction(collab[key], f"collaboration.{key}", problems)
+    for key, minimum in (("report_interval", 1), ("negotiation_rounds", 0),
+                         ("fail_safe_streak", 1)):
+        if key in collab:
+            _check_int(collab[key], minimum, f"collaboration.{key}", problems)
 
     c2 = raw.get("c2", {})
     _keys(c2, {"host_id", "script"}, set(), "c2", problems)
@@ -612,9 +626,13 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
         if hid not in host_ids:
             problems.append(f"roster: unknown host {hid!r}")
 
+    seen_agents: set[Any] = set()
     for a in raw.get("agents", []):
         _keys(a, {"agent_id", "host_id", "detectability"}, {"agent_id", "host_id"},
               f"agent {a.get('agent_id')!r}", problems)
+        if a.get("agent_id") in seen_agents:
+            problems.append(f"agents: duplicate agent_id {a.get('agent_id')!r}")
+        seen_agents.add(a.get("agent_id"))
         if a.get("host_id") not in host_ids:
             problems.append(f"agent {a.get('agent_id')!r}: unknown host {a.get('host_id')!r}")
         if "detectability" in a:

@@ -10,10 +10,9 @@ derived features is what triggers planning.
 from __future__ import annotations
 
 import fnmatch
-from collections import deque
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .envsim import ChannelState, Environment, ServiceState
 from .errors import PreconditionUnevaluable, StaleDescriptors
@@ -88,15 +87,11 @@ class Assessment:
     top_severity: float
 
 
-HISTORY_DEPTH = 64
-
-
 @dataclass
 class WorldState:
     tick: int = 0
     beliefs: dict[str, Any] = field(default_factory=dict)
     features: dict[str, Any] = field(default_factory=dict)
-    history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_DEPTH))
 
 
 @dataclass
@@ -107,44 +102,47 @@ class SensorConfig:
     noise: dict[str, float] = field(default_factory=dict)  # key glob -> half width
 
 
+# A sensor emits (kind, entity id or None, value) rows; the descriptor key is
+# the kind, or "kind:id" for a per-entity row. A stage keeps its rows by kind:
+# {kind: value} or {kind: {id: value}}, so the next stage reads by kind.
+Row = tuple[str, Optional[str], Any]
+Stage = dict[str, Any]
+
+
 # -- stage 1: physical reads --------------------------------------------------
 
-def _phys_host_integrity(env: Environment, host_id: str) -> list[tuple[str, Any]]:
-    return [("host_integrity", env.hosts[host_id].integrity)]
+def _phys_host_integrity(env: Environment, host_id: str) -> list[Row]:
+    return [("host_integrity", None, env.hosts[host_id].integrity)]
 
 
-def _phys_service_table(env: Environment, host_id: str) -> list[tuple[str, Any]]:
-    out: list[tuple[str, Any]] = []
+def _phys_service_table(env: Environment, host_id: str) -> list[Row]:
+    out: list[Row] = []
     for sid in sorted(env.hosts[host_id].services):
         svc = env.hosts[host_id].services[sid]
-        out.append((f"service_health:{sid}", svc.health))
-        out.append((f"service_up:{sid}", 1 if svc.state is ServiceState.UP else 0))
-        out.append((f"service_required:{sid}", 1 if svc.required else 0))
-        out.append((f"service_weight:{sid}", svc.weight))
+        out.append(("service_health", sid, svc.health))
+        out.append(("service_up", sid, 1 if svc.state is ServiceState.UP else 0))
+        out.append(("service_required", sid, 1 if svc.required else 0))
+        out.append(("service_weight", sid, svc.weight))
     return out
 
 
-def _phys_process_table(env: Environment, host_id: str) -> list[tuple[str, Any]]:
-    out: list[tuple[str, Any]] = []
-    for pid in sorted(env.hosts[host_id].processes):
-        proc = env.hosts[host_id].processes[pid]
-        out.append((f"process_unknown:{pid}", 0 if proc.known_good else 1))
-    return out
+def _phys_process_table(env: Environment, host_id: str) -> list[Row]:
+    processes = env.hosts[host_id].processes
+    return [("process_unknown", pid, 0 if processes[pid].known_good else 1)
+            for pid in sorted(processes)]
 
 
-def _phys_file_table(env: Environment, host_id: str) -> list[tuple[str, Any]]:
-    out: list[tuple[str, Any]] = []
-    for fid in sorted(env.hosts[host_id].files):
-        entry = env.hosts[host_id].files[fid]
-        out.append((f"file_foreign:{fid}", 1 if entry.owner.value == "malware" else 0))
-    return out
+def _phys_file_table(env: Environment, host_id: str) -> list[Row]:
+    files = env.hosts[host_id].files
+    return [("file_foreign", fid, 1 if files[fid].owner.value == "malware" else 0)
+            for fid in sorted(files)]
 
 
-def _phys_channel_state(env: Environment, host_id: str) -> list[tuple[str, Any]]:
-    out: list[tuple[str, Any]] = []
+def _phys_channel_state(env: Environment, host_id: str) -> list[Row]:
+    out: list[Row] = []
     for ch in env.channels_adjacent(host_id):
-        out.append((f"channel_state:{ch.channel_id}", ch.state.value))
-        out.append((f"channel_healthy:{ch.channel_id}", 1 if ch.state is ChannelState.HEALTHY else 0))
+        out.append(("channel_state", ch.channel_id, ch.state.value))
+        out.append(("channel_healthy", ch.channel_id, 1 if ch.state is ChannelState.HEALTHY else 0))
     return out
 
 
@@ -157,61 +155,58 @@ _PHYSICAL_SENSORS = {
 }
 
 
+def _copy(*kinds: str) -> Callable[[Stage], list[Row]]:
+    """A logical sensor or transformer that passes the previous stage's rows
+    of the given kinds through unchanged, kind by kind."""
+    def copy(stage: Stage) -> list[Row]:
+        out: list[Row] = []
+        for kind in kinds:
+            value = stage.get(kind)
+            if isinstance(value, dict):
+                out += [(kind, ident, v) for ident, v in value.items()]
+            elif kind in stage:
+                out.append((kind, None, value))
+        return out
+    return copy
+
+
 # -- stage 2: logical aggregations ---------------------------------------------
 
-def _log_unknown_proc_count(phys: dict[str, Any]) -> list[tuple[str, Any]]:
-    return [("unknown_proc_count",
-             sum(v for k, v in phys.items() if k.startswith("process_unknown:")))]
+def _log_unknown_proc_count(phys: Stage) -> list[Row]:
+    return [("unknown_proc_count", None, sum(phys.get("process_unknown", {}).values()))]
 
 
-def _log_foreign_file_count(phys: dict[str, Any]) -> list[tuple[str, Any]]:
-    return [("foreign_file_count",
-             sum(v for k, v in phys.items() if k.startswith("file_foreign:")))]
+def _log_foreign_file_count(phys: Stage) -> list[Row]:
+    return [("foreign_file_count", None, sum(phys.get("file_foreign", {}).values()))]
 
 
-def _log_required_down_count(phys: dict[str, Any]) -> list[tuple[str, Any]]:
-    count = 0
-    for key, req in phys.items():
-        if not key.startswith("service_required:") or not req:
-            continue
-        sid = key.split(":", 1)[1]
-        if not phys.get(f"service_up:{sid}", 0):
-            count += 1
-    return [("required_down_count", count)]
+def _required_services(phys: Stage) -> list[str]:
+    return [sid for sid, req in phys.get("service_required", {}).items() if req]
 
 
-def _log_channel_counts(phys: dict[str, Any]) -> list[tuple[str, Any]]:
-    states = [k for k in phys if k.startswith("channel_healthy:")]
-    return [("channel_count", len(states)),
-            ("channel_healthy_count", sum(phys[k] for k in states))]
+def _log_required_down_count(phys: Stage) -> list[Row]:
+    up = phys.get("service_up", {})
+    return [("required_down_count", None,
+             sum(1 for sid in _required_services(phys) if not up.get(sid, 0)))]
 
 
-def _log_service_weights(phys: dict[str, Any]) -> list[tuple[str, Any]]:
+def _log_channel_counts(phys: Stage) -> list[Row]:
+    healthy = phys.get("channel_healthy", {})
+    return [("channel_count", None, len(healthy)),
+            ("channel_healthy_count", None, sum(healthy.values()))]
+
+
+def _log_service_weights(phys: Stage) -> list[Row]:
+    up = phys.get("service_up", {})
+    weights = phys.get("service_weight", {})
     total = 0.0
-    up = 0.0
-    for key, req in phys.items():
-        if not key.startswith("service_required:") or not req:
-            continue
-        sid = key.split(":", 1)[1]
-        weight = phys.get(f"service_weight:{sid}", 0.0)
+    up_weight = 0.0
+    for sid in _required_services(phys):
+        weight = weights.get(sid, 0.0)
         total += weight
-        if phys.get(f"service_up:{sid}", 0):
-            up += weight
-    return [("required_weight", total), ("required_up_weight", up)]
-
-
-def _log_host_integrity(phys: dict[str, Any]) -> list[tuple[str, Any]]:
-    if "host_integrity" in phys:
-        return [("host_integrity", phys["host_integrity"])]
-    return []
-
-
-def _log_service_health(phys: dict[str, Any]) -> list[tuple[str, Any]]:
-    return [(k, v) for k, v in phys.items() if k.startswith("service_health:")]
-
-
-def _log_channel_health(phys: dict[str, Any]) -> list[tuple[str, Any]]:
-    return [(k, v) for k, v in phys.items() if k.startswith("channel_healthy:")]
+        if up.get(sid, 0):
+            up_weight += weight
+    return [("required_weight", None, total), ("required_up_weight", None, up_weight)]
 
 
 _LOGICAL_SENSORS = {
@@ -220,54 +215,35 @@ _LOGICAL_SENSORS = {
     "required_down_count": _log_required_down_count,
     "channel_counts": _log_channel_counts,
     "service_weights": _log_service_weights,
-    "host_integrity": _log_host_integrity,
-    "service_health": _log_service_health,
-    "channel_health": _log_channel_health,
+    "host_integrity": _copy("host_integrity"),
+    "service_health": _copy("service_health"),
+    "channel_health": _copy("channel_healthy"),
 }
 
 
 # -- stage 3: normalizing transformers -----------------------------------------
 
-def _tf_comms_integrity(logical: dict[str, Any]) -> list[tuple[str, Any]]:
+def _tf_comms_integrity(logical: Stage) -> list[Row]:
     count = logical.get("channel_count", 0)
     if not count:
-        return [("comms_integrity", 1.0)]
-    return [("comms_integrity", logical.get("channel_healthy_count", 0) / count)]
+        return [("comms_integrity", None, 1.0)]
+    return [("comms_integrity", None, logical.get("channel_healthy_count", 0) / count)]
 
 
-def _tf_functionality_belief(logical: dict[str, Any]) -> list[tuple[str, Any]]:
+def _tf_functionality_belief(logical: Stage) -> list[Row]:
     total = logical.get("required_weight", 0.0)
     if not total:
-        return [("functionality_belief", 1.0)]
-    return [("functionality_belief", logical.get("required_up_weight", 0.0) / total)]
-
-
-def _tf_host_integrity(logical: dict[str, Any]) -> list[tuple[str, Any]]:
-    if "host_integrity" in logical:
-        return [("host_integrity", logical["host_integrity"])]
-    return []
-
-
-def _tf_service_health(logical: dict[str, Any]) -> list[tuple[str, Any]]:
-    return [(k, v) for k, v in logical.items() if k.startswith("service_health:")]
-
-
-def _tf_counts(logical: dict[str, Any]) -> list[tuple[str, Any]]:
-    keys = ("unknown_proc_count", "foreign_file_count", "required_down_count")
-    return [(k, logical[k]) for k in keys if k in logical]
-
-
-def _tf_channel_health(logical: dict[str, Any]) -> list[tuple[str, Any]]:
-    return [(k, v) for k, v in logical.items() if k.startswith("channel_healthy:")]
+        return [("functionality_belief", None, 1.0)]
+    return [("functionality_belief", None, logical.get("required_up_weight", 0.0) / total)]
 
 
 _TRANSFORMERS = {
     "comms_integrity": _tf_comms_integrity,
     "functionality_belief": _tf_functionality_belief,
-    "host_integrity": _tf_host_integrity,
-    "service_health": _tf_service_health,
-    "counts": _tf_counts,
-    "channel_health": _tf_channel_health,
+    "host_integrity": _copy("host_integrity"),
+    "service_health": _copy("service_health"),
+    "counts": _copy("unknown_proc_count", "foreign_file_count", "required_down_count"),
+    "channel_health": _copy("channel_healthy"),
 }
 
 
@@ -276,6 +252,31 @@ def _noise_half_width(key: str, noise: dict[str, float]) -> float:
         if fnmatch.fnmatchcase(key, pattern):
             return half_width
     return 0.0
+
+
+def _run_stage(stage_name: str, sensors: dict[str, Callable[..., list[Row]]], names: list[str],
+               args: tuple, tick: int, descriptors: list[Descriptor],
+               noise: Optional[dict[str, float]] = None, rng: Optional[Random] = None) -> Stage:
+    """Run the named sensors in order, record their rows as descriptors,
+    perturbing numeric values by the noise globs in row order, and key the
+    rows by kind for the next stage."""
+    stage: Stage = {}
+    for name in names:
+        source = f"{stage_name}:{name}"
+        for kind, ident, value in sensors[name](*args):
+            key = kind if ident is None else f"{kind}:{ident}"
+            if noise and isinstance(value, (int, float)) and not isinstance(value, bool):
+                hw = _noise_half_width(key, noise)
+                if hw > 0.0:
+                    value = max(0.0, min(1.0, value + rng.uniform(-hw, hw)))
+            if ident is None:
+                stage[kind] = value
+            elif kind in stage:
+                stage[kind][ident] = value
+            else:
+                stage[kind] = {ident: value}
+            descriptors.append(Descriptor(source, key, value, tick))
+    return stage
 
 
 def sense(env: Environment, host_id: str, config: SensorConfig, rng: Random) -> list[Descriptor]:
@@ -287,27 +288,10 @@ def sense(env: Environment, host_id: str, config: SensorConfig, rng: Random) -> 
     """
     tick = max(env.tick, 0)
     descriptors: list[Descriptor] = []
-
-    phys: dict[str, Any] = {}
-    for name in config.physical:
-        for key, value in _PHYSICAL_SENSORS[name](env, host_id):
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                hw = _noise_half_width(key, config.noise)
-                if hw > 0.0:
-                    value = max(0.0, min(1.0, value + rng.uniform(-hw, hw)))
-            phys[key] = value
-            descriptors.append(Descriptor(f"physical:{name}", key, value, tick))
-
-    logical: dict[str, Any] = {}
-    for name in config.logical:
-        for key, value in _LOGICAL_SENSORS[name](phys):
-            logical[key] = value
-            descriptors.append(Descriptor(f"logical:{name}", key, value, tick))
-
-    for name in config.transformers:
-        for key, value in _TRANSFORMERS[name](logical):
-            descriptors.append(Descriptor(f"transformer:{name}", key, value, tick))
-
+    phys = _run_stage("physical", _PHYSICAL_SENSORS, config.physical, (env, host_id),
+                      tick, descriptors, config.noise, rng)
+    logical = _run_stage("logical", _LOGICAL_SENSORS, config.logical, (phys,), tick, descriptors)
+    _run_stage("transformer", _TRANSFORMERS, config.transformers, (logical,), tick, descriptors)
     return descriptors
 
 
@@ -315,13 +299,11 @@ def update_world_state(ws: WorldState, descriptors: list[Descriptor]) -> WorldSt
     """Fold a sensing pass into the world state.
 
     Physical descriptors land in beliefs, derived ones in features, last
-    writer wins per key. The previous summary is pushed into the bounded
-    history even for an empty pass.
+    writer wins per key. An empty pass still advances the tick by one.
     """
     for d in descriptors:
         if d.tick < ws.tick:
             raise StaleDescriptors(f"descriptor {d.key!r} from tick {d.tick} < {ws.tick}")
-    ws.history.append({"tick": ws.tick, "features": dict(ws.features)})
     new_tick = max((d.tick for d in descriptors), default=ws.tick + 1)
     for d in descriptors:
         if d.source.startswith("physical:"):

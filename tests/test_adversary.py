@@ -16,7 +16,7 @@ from defsim.adversary import (
     spoof_payload,
 )
 from defsim.envsim import Service
-from defsim.errors import NoResidentAgent
+from defsim.errors import ConfigInvalid, NoResidentAgent
 
 from conftest import make_env, make_host, two_host_env
 
@@ -143,6 +143,14 @@ def test_controller_filters_effects_on_unreached_hosts():
     ctrl = MalwareController([inst(MalwarePhase.DEGRADATION, host="h1")], pb)
     effects, _ = ctrl.step(env, Random(1), 0, lambda h: None)
     assert effects == []  # h2 was never reached
+
+
+def test_controller_rejects_a_step_without_an_instance():
+    # such a step would otherwise match no instance and never run
+    pb = Playbook(steps=[PlaybookStep(0, "create_file", instance_id="m1"),
+                         PlaybookStep(3, "create_file")])
+    with pytest.raises(ConfigInvalid, match=r"ticks \[3\]"):
+        MalwareController([inst()], pb)
 
 
 def test_controller_lateral_creates_instance_and_respects_cap():

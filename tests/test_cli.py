@@ -97,6 +97,10 @@ MALFORMED = {
         ["replay", "--trace", "FILE"],
         '{"schema_version": 1}\n{"kind": "tick.functionality", "tick": 0}\n' + END_ONE),
     "result_array": (["explain", "--result", "FILE", "--decision", "0"], "[]\n"),
+    "decision_entry_empty": (["explain", "--result", "FILE", "--decision", "0"],
+                             '{"decision_log": [{}]}\n'),
+    "decision_log_number": (["explain", "--result", "FILE", "--decision", "0"],
+                            '{"decision_log": 5}\n'),
 }
 
 

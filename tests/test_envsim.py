@@ -177,7 +177,7 @@ def test_deliver_degraded_delay_schedules_arrival():
 def test_deliver_spoofed_is_observed_and_substitutable():
     env = two_host_env("spoofed")
     env.step(0)
-    out = env.deliver("c1", msg(), Random(1), spoofer=lambda m: dict(m, payload={"forged": True}))
+    out = env.deliver("c1", msg(), Random(1), spoofer=lambda _, m: dict(m, payload={"forged": True}))
     assert out.status is DeliveryStatus.OBSERVED_AND_DELIVERED
     assert env.inboxes["a2"][0]["payload"] == {"forged": True}
 

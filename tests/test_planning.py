@@ -9,16 +9,19 @@ from defsim.planning import (
     ConditionActionRule,
     EntryOrigin,
     Goal,
+    PlanProposal,
     PlannerConfig,
     ProbabilisticEffect,
     RulesOfEngagement,
     SNAPSHOT_ACTION_ID,
     TargetScope,
     VERIFY_ACTION_ID,
+    action_roe_ok,
     expected_loss,
     fast_rule_select,
     normalize_goals,
     plan_from_action,
+    plan_roe_violations,
     propose_plans,
     predict,
     select_action_plan,
@@ -244,6 +247,25 @@ def test_all_roe_violating_proposals_yield_no_action():
     assert outcome.no_action
     filtered = [c for c in outcome.log["candidates"] if not c["roe_ok"]]
     assert any("remote scope" in v for c in filtered for v in c["roe_violations"])
+
+
+def test_action_and_plan_roe_checks_share_the_per_action_clauses():
+    rep = {"boom": action("boom", category=ActionCategory.DESTRUCTIVE, risk=0.4,
+                          scope=TargetScope.REMOTE),
+           "hide": action("hide", category=ActionCategory.CAMOUFLAGE, risk=0.1)}
+    rules = roe(forbidden_categories={"camouflage"})
+    proposal = PlanProposal(("boom", "hide"), {}, 0.0, 0.0, 0.6, 0.0)
+    # these strings are written to the decision log
+    assert plan_roe_violations(proposal, rep, rules) == [
+        "plan risk 0.600 exceeds budget 0.500",
+        "boom: destructive action with remote scope",
+        "hide: category camouflage forbidden",
+    ]
+    assert not action_roe_ok(rep["boom"], rules) and not action_roe_ok(rep["hide"], rules)
+    assert action_roe_ok(rep["hide"], roe())
+    assert action_roe_ok(rep["boom"], roe(destructive_only_on_residence=False))
+    assert not action_roe_ok(rep["boom"], roe(max_plan_risk=0.3,
+                                              destructive_only_on_residence=False))
 
 
 def test_risk_budget_filters_expensive_plans():

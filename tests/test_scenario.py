@@ -175,3 +175,33 @@ def test_default_instance_validation_ignores_hash_seed():
         proc = run_python(["-c", script, raw], PYTHONHASHSEED=str(hash_seed))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [], f"PYTHONHASHSEED={hash_seed}"
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda r: r.update(collaboration={"threshold": "0.5"}), "collaboration.threshold"),
+    (lambda r: r.update(collaboration={"report_interval": 0}), "collaboration.report_interval"),
+    (lambda r: r.update(collaboration={"communicate_noise": -0.1}),
+     "collaboration.communicate_noise"),
+    (lambda r: r.update(collaboration={"fail_safe_streak": "20"}),
+     "collaboration.fail_safe_streak"),
+    (lambda r: r["agents"].append({"agent_id": "a1", "host_id": "h1"}),
+     "duplicate agent_id 'a1'"),
+    (lambda r: r.update(planner={"depth": "3"}), "planner.depth"),
+    (lambda r: r.update(planner={"noise_weight": "1"}), "planner.noise_weight"),
+    (lambda r: r.update(trigger_threshold="0.5"), "scenario.trigger_threshold"),
+    (lambda r: r["topology"]["hosts"][0]["services"][0].update(weight="1"),
+     "weight must be positive"),
+    (lambda r: r.update(repertoire=[{"action_id": "a", "category": "observe", "duration": "2"}]),
+     "action 'a'.duration"),
+    (lambda r: r.update(playbook={"steps": [{"tick": 1, "action": "create_file"}]}),
+     "no instance_id and no instance listed"),
+], ids=["threshold_string", "report_interval_zero", "communicate_noise_negative",
+        "fail_safe_streak_string", "duplicate_agent_id", "depth_string",
+        "noise_weight_string", "trigger_threshold_string", "service_weight_string",
+        "duration_string", "step_without_any_instance"])
+def test_mistyped_or_out_of_range_settings_are_config_invalid(edit, problem):
+    raw = minimal_raw()
+    edit(raw)
+    with pytest.raises(ConfigInvalid) as err:
+        parse_scenario(raw)
+    assert any(problem in p for p in err.value.problems), err.value.problems

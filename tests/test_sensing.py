@@ -8,7 +8,6 @@ from defsim.errors import StaleDescriptors
 from defsim.sensing import (
     Assessment,
     Descriptor,
-    HISTORY_DEPTH,
     Pattern,
     SensorConfig,
     WorldState,
@@ -92,13 +91,34 @@ def test_sensor_noise_is_bounded_and_seeded():
     assert 0.4 <= value <= 0.6 and value != 0.5
 
 
+def test_noise_draws_follow_key_order_on_a_multi_service_host():
+    # service_table reads each service in sorted id order as health, up,
+    # required, weight; a "service_*" glob perturbs every one of them
+    env = make_env(hosts=[make_host("h1", services=[
+        Service("web", True, 1.0, 0.9),
+        Service("db", False, 2.0, 0.4),
+        Service("api", True, 0.5, 0.7),
+    ])])
+    env.step(0)
+    config = SensorConfig(physical=["service_table"], noise={"service_*": 0.25})
+    descriptors = sense(env, "h1", config, Random(5))
+
+    draws = Random(5)
+    expected = []
+    for sid, truth in (("api", (0.7, 0, 1, 0.5)), ("db", (0.4, 0, 0, 2.0)),
+                       ("web", (0.9, 1, 1, 1.0))):
+        for kind, value in zip(("service_health", "service_up", "service_required",
+                                "service_weight"), truth):
+            expected.append((f"{kind}:{sid}", max(0.0, min(1.0, value + draws.uniform(-0.25, 0.25)))))
+    assert [(d.key, d.value) for d in descriptors] == expected
+
+
 # -- update_world_state ---------------------------------------------------------------
 
-def test_empty_update_grows_history_only():
+def test_empty_update_only_advances_the_tick():
     ws = WorldState(tick=3, features={"x": 1.0})
     update_world_state(ws, [])
     assert ws.features == {"x": 1.0}
-    assert len(ws.history) == 1
     assert ws.tick == 4
 
 
@@ -106,13 +126,6 @@ def test_last_writer_wins_overwrite():
     ws = WorldState(features={"comms_integrity": 1.0})
     update_world_state(ws, [Descriptor("transformer:t", "comms_integrity", 0.5, 0)])
     assert ws.features["comms_integrity"] == 0.5
-
-
-def test_history_ring_is_bounded():
-    ws = WorldState()
-    for tick in range(HISTORY_DEPTH + 3):
-        update_world_state(ws, [Descriptor("transformer:t", "x", tick, tick)])
-    assert len(ws.history) == HISTORY_DEPTH
 
 
 def test_stale_descriptors_rejected():
