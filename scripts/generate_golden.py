@@ -1,4 +1,4 @@
-"""Regenerate the committed golden files.
+"""Regenerate, or check, the committed golden files.
 
 Run from the repository root after any change that affects environment or
 adversary behaviour:
@@ -16,12 +16,22 @@ It writes two kinds of file to tests/golden/:
 The acceptance suite compares fresh runs against these files, so they must
 only ever change deliberately; each regeneration that changes agent-on
 digests names the behaviour change in CHANGES.md.
+
+    python3 scripts/generate_golden.py --check
+
+recomputes the same values and compares them with tests/golden/ without
+writing anything. It prints one line per difference, naming the scenario,
+the seed and the file (agent_off, trace or result), and exits 1 if there is
+any; otherwise it prints "unchanged" and exits 0. A change meant to keep
+behaviour shows "unchanged"; a behaviour change names the bytes it moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import sys
 import tempfile
 from importlib.resources import files
 from pathlib import Path
@@ -45,8 +55,13 @@ def artifact_digests(result: EpisodeResult) -> dict[str, str]:
                 "result": hashlib.sha256(res.read_bytes()).hexdigest()}
 
 
-def main() -> None:
-    OUT.mkdir(parents=True, exist_ok=True)
+def agent_off_path(name: str) -> Path:
+    return OUT / f"agent_off_{name}.json"
+
+
+def compute() -> tuple[dict[str, dict], dict[str, dict]]:
+    """The agent-off payload of each scenario, and the agent-on digests."""
+    agent_off: dict[str, dict] = {}
     digests: dict[str, dict] = {}
     for name in BUNDLED:
         config = load_scenario(str(files("defsim") / "scenarios" / f"{name}.json"))
@@ -54,19 +69,73 @@ def main() -> None:
             str(seed): run_episode(config, seed, agent_enabled=False).metrics
             for seed in SEEDS
         }
-        payload = {"scenario": name, "scenario_hash": config.scenario_hash(),
-                   "agent_enabled": False, "metrics_by_seed": baseline}
-        path = OUT / f"agent_off_{name}.json"
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        print(f"wrote {path}")
+        agent_off[name] = {"scenario": name, "scenario_hash": config.scenario_hash(),
+                           "agent_enabled": False, "metrics_by_seed": baseline}
         digests[name] = {
             "scenario_hash": config.scenario_hash(),
             "digests_by_seed": {str(seed): artifact_digests(run_episode(config, seed))
                                 for seed in SEEDS},
         }
+    return agent_off, digests
+
+
+def _read(path: Path) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError):
+        return {}
+
+
+def differences(agent_off: dict[str, dict], digests: dict[str, dict]) -> list[str]:
+    """One line per (scenario, seed, file) whose fresh value differs from the
+    committed one; a scenario whose hash changed counts as one line."""
+    lines = []
+    committed_digests = _read(DIGESTS)
+    for name in BUNDLED:
+        off = _read(agent_off_path(name))
+        on = committed_digests.get(name, {})
+        fresh_hash = agent_off[name]["scenario_hash"]
+        if off.get("scenario_hash") != fresh_hash or on.get("scenario_hash") != fresh_hash:
+            lines.append(f"{name}: scenario_hash differs")
+        for seed in SEEDS:
+            key = str(seed)
+            if off.get("metrics_by_seed", {}).get(key) != agent_off[name]["metrics_by_seed"][key]:
+                lines.append(f"{name} seed {seed}: agent_off")
+            fresh = digests[name]["digests_by_seed"][key]
+            old = on.get("digests_by_seed", {}).get(key, {})
+            for kind in ("trace", "result"):
+                if old.get(kind) != fresh[kind]:
+                    lines.append(f"{name} seed {seed}: {kind}")
+    return lines
+
+
+def write(agent_off: dict[str, dict], digests: dict[str, dict]) -> None:
+    OUT.mkdir(parents=True, exist_ok=True)
+    for name, payload in agent_off.items():
+        path = agent_off_path(name)
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        print(f"wrote {path}")
     DIGESTS.write_text(json.dumps(digests, sort_keys=True, indent=2) + "\n")
     print(f"wrote {DIGESTS}")
 
 
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with tests/golden/ instead of writing")
+    args = parser.parse_args(argv)
+    agent_off, digests = compute()
+    if not args.check:
+        write(agent_off, digests)
+        return 0
+    lines = differences(agent_off, digests)
+    for line in lines:
+        print(line)
+    if lines:
+        return 1
+    print("unchanged")
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -75,6 +75,8 @@ class AgentRuntime:
     assessment: Optional[Assessment] = None
     patterns_matched_episode: set[str] = field(default_factory=set)
     obs_counter: int = 0
+    # (planner inputs, outcome) of the last deliberation, kept while it released no plan
+    last_no_action: Optional[tuple[list, planning.SelectionOutcome]] = None
 
     def next_observation_id(self, seed: int) -> str:
         self.obs_counter += 1
@@ -560,11 +562,18 @@ class Episode:
             self._decide(rt, entry, planning.plan_from_action(fast_action))
             return
 
-        proposals = planning.propose_plans(assessment, rt.ws, rt.repertoire,
-                                           rt.kb.goals, rt.planner)
         progression = sensing.progression_deltas(assessment, patterns)
-        outcome = planning.select_action_plan(
-            proposals, rt.kb.goals, rt.roe, rt.ws, rt.repertoire, rt.planner, progression)
+        inputs = self._planner_inputs(rt, progression)
+        # a deliberation that withheld action stands while its inputs do
+        if rt.last_no_action is not None and rt.last_no_action[0] == inputs:
+            outcome = rt.last_no_action[1]
+        else:
+            proposals = planning.propose_plans(assessment, rt.ws, rt.repertoire,
+                                               rt.kb.goals, rt.planner)
+            outcome = planning.select_action_plan(
+                proposals, rt.kb.goals, rt.roe, rt.ws, rt.repertoire, rt.planner, progression)
+            if outcome.plan is None:
+                rt.last_no_action = (inputs, outcome)
         chosen: dict[str, Any]
         if outcome.plan is not None:
             chosen = {"no_action": False,
@@ -591,9 +600,26 @@ class Episode:
                           reason="persistent_no_action")
                 self._attempt_report(rt, tick, reason="fail_safe")
 
+    @staticmethod
+    def _planner_inputs(rt: AgentRuntime, progression: list[sensing.FeatureDelta]) -> list:
+        """Everything propose_plans and select_action_plan read that can change
+        between two deliberations of one runtime; its repertoire and planner
+        settings never do. Values carry their type, so 1, 1.0 and True differ.
+        Compared with ==, never hashed: a feature value may be a list."""
+        roe = rt.roe
+        return [
+            [(key, type(value), value) for key, value in rt.ws.features.items()],
+            [goal.weight for goal in rt.kb.goals],
+            (roe.max_plan_risk, roe.destructive_only_on_residence,
+             frozenset(roe.forbidden_categories), roe.fast_deadline_ticks),
+            [(key, op, type(value), value) for key, op, value in progression],
+        ]
+
     def _decide(self, rt: AgentRuntime, entry: dict[str, Any],
                 plan: Optional[ExecutablePlan]) -> None:
-        """Log the decision and release its plan, if any."""
+        """Log the decision and release its plan, if any. A reused no-action
+        entry shares its candidates and rationale values with earlier
+        entries; no logged entry is edited after this point."""
         self.decision_log.append(entry)
         self.emit("agent.decision", **entry)
         if plan is not None:
@@ -601,6 +627,7 @@ class Episode:
                       entries=entry["chosen"]["entries"], path=entry["path"])
             rt.plan_exec = PlanExecution(plan=plan)
             rt.no_action_streak = 0
+            rt.last_no_action = None
 
     @staticmethod
     def _trigger_summary(assessment: Assessment) -> dict[str, Any]:

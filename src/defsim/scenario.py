@@ -327,6 +327,39 @@ def _keys(section: dict[str, Any], allowed: set[str], required: set[str],
         problems.append(f"{where}: missing field {key!r}")
 
 
+def _object(value: Any, where: str, problems: list[str]) -> dict[str, Any]:
+    """`value` if it is a JSON object; otherwise a problem and an empty one."""
+    if isinstance(value, dict):
+        return value
+    problems.append(f"{where}: {value!r} must be an object")
+    return {}
+
+
+def _objects(value: Any, where: str, problems: list[str]) -> list[dict[str, Any]]:
+    """The entries of a list that are JSON objects; a problem for each other
+    entry, or for a value that is not a list."""
+    if not isinstance(value, list):
+        problems.append(f"{where}: {value!r} must be a list")
+        return []
+    entries = []
+    for index, entry in enumerate(value):
+        if isinstance(entry, dict):
+            entries.append(entry)
+        else:
+            problems.append(f"{where}[{index}]: {entry!r} must be an object")
+    return entries
+
+
+def _ident(entry: dict[str, Any], key: str, where: str, problems: list[str]) -> str:
+    """entry[key] if it is a string. An absent key gives "" (_keys reports a
+    required one); any other type gives "" and a problem."""
+    value = entry.get(key, "")
+    if isinstance(value, str):
+        return value
+    problems.append(f"{where}: {key} {value!r} must be a string")
+    return ""
+
+
 def _check_predicates(preds: Any, where: str, problems: list[str]) -> None:
     if not isinstance(preds, list):
         problems.append(f"{where}: predicates must be a list")
@@ -379,9 +412,9 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
     if "trigger_threshold" in raw:
         _check_fraction(raw["trigger_threshold"], "scenario.trigger_threshold", problems)
 
-    topo = raw.get("topology", {})
+    topo = _object(raw.get("topology", {}), "topology", problems)
     _keys(topo, {"hosts", "channels", "thresholds"}, {"hosts"}, "topology", problems)
-    thresholds = topo.get("thresholds", {})
+    thresholds = _object(topo.get("thresholds", {}), "topology.thresholds", problems)
     _keys(thresholds, {"up_threshold", "down_threshold"}, set(), "topology.thresholds", problems)
     up = thresholds.get("up_threshold", 0.8)
     down = thresholds.get("down_threshold", 0.3)
@@ -391,21 +424,22 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
     host_ids: set[str] = set()
     service_ids: dict[str, set[str]] = {}
     required_services = 0
-    for spec in topo.get("hosts", []):
+    hosts = _objects(topo.get("hosts", []), "topology.hosts", problems)
+    for spec in hosts:
         _keys(spec, {"host_id", "friendly", "integrity", "services", "processes",
                      "files", "resident_agent"}, {"host_id"},
               f"host {spec.get('host_id')!r}", problems)
-        hid = spec.get("host_id", "")
+        hid = _ident(spec, "host_id", "topology.hosts", problems)
         if hid in host_ids:
             problems.append(f"topology: duplicate host_id {hid!r}")
         host_ids.add(hid)
         service_ids[hid] = set()
         if "integrity" in spec:
             _check_fraction(spec["integrity"], f"host {hid!r}.integrity", problems)
-        for s in spec.get("services", []):
+        for s in _objects(spec.get("services", []), f"host {hid!r}.services", problems):
             _keys(s, {"service_id", "required", "weight", "health"}, {"service_id"},
                   f"service {s.get('service_id')!r}", problems)
-            service_ids[hid].add(s.get("service_id", ""))
+            service_ids[hid].add(_ident(s, "service_id", f"host {hid!r}.services", problems))
             if s.get("required", False):
                 required_services += 1
             weight = s.get("weight", 1.0)
@@ -413,22 +447,22 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
                 problems.append(f"service {s.get('service_id')!r}: weight must be positive")
             if "health" in s:
                 _check_fraction(s["health"], f"service {s.get('service_id')!r}.health", problems)
-        for p in spec.get("processes", []):
+        for p in _objects(spec.get("processes", []), f"host {hid!r}.processes", problems):
             _keys(p, {"process_id", "image_hash", "known_good", "owner"}, {"process_id"},
                   f"process {p.get('process_id')!r}", problems)
             if p.get("owner") == "malware" and p.get("known_good", False):
                 problems.append(f"process {p.get('process_id')!r}: malware owner requires known_good=false")
-        for f in spec.get("files", []):
+        for f in _objects(spec.get("files", []), f"host {hid!r}.files", problems):
             _keys(f, {"file_id", "owner"}, {"file_id"}, f"file {f.get('file_id')!r}", problems)
 
     if required_services == 0:
         problems.append("topology: at least one required service is needed for functionality")
 
     channel_ids: set[str] = set()
-    for c in topo.get("channels", []):
+    for c in _objects(topo.get("channels", []), "topology.channels", problems):
         _keys(c, {"channel_id", "endpoints", "state", "drop_probability", "delay_ticks"},
               {"channel_id", "endpoints"}, f"channel {c.get('channel_id')!r}", problems)
-        cid = c.get("channel_id", "")
+        cid = _ident(c, "channel_id", "topology.channels", problems)
         if cid in channel_ids:
             problems.append(f"topology: duplicate channel_id {cid!r}")
         channel_ids.add(cid)
@@ -446,16 +480,17 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
         if state == "healthy" and (c.get("drop_probability", 0.0) or c.get("delay_ticks", 0)):
             problems.append(f"channel {cid!r}: healthy implies drop_probability=0 and delay_ticks=0")
 
-    pb = raw.get("playbook", {})
+    pb = _object(raw.get("playbook", {}), "playbook", problems)
     _keys(pb, {"instances", "steps", "fallback", "hunt_intensity", "spoof_probability",
                "degradation_amount", "max_instances"}, set(), "playbook", problems)
     instance_ids: set[str] = set()
+    instances = _objects(pb.get("instances", []), "playbook.instances", problems)
     # a step without an instance_id runs on the first listed instance, as in build_playbook
-    default_instance = next((i.get("instance_id") for i in pb.get("instances", [])), None)
-    for i in pb.get("instances", []):
+    default_instance = next((i.get("instance_id") for i in instances), None)
+    for i in instances:
         _keys(i, {"instance_id", "host_id", "phase", "hunt_intensity"},
               {"instance_id", "host_id"}, f"instance {i.get('instance_id')!r}", problems)
-        instance_ids.add(i.get("instance_id", ""))
+        instance_ids.add(_ident(i, "instance_id", "playbook.instances", problems))
         if i.get("host_id") not in host_ids:
             problems.append(f"instance {i.get('instance_id')!r}: unknown host {i.get('host_id')!r}")
         phase = i.get("phase", "Dormant")
@@ -465,7 +500,7 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
         _check_fraction(pb["hunt_intensity"], "playbook.hunt_intensity", problems)
     if "spoof_probability" in pb:
         _check_fraction(pb["spoof_probability"], "playbook.spoof_probability", problems)
-    for s in pb.get("steps", []):
+    for s in _objects(pb.get("steps", []), "playbook.steps", problems):
         _keys(s, {"tick", "action", "params", "instance_id", "trigger"},
               {"tick", "action"}, f"playbook step at tick {s.get('tick')!r}", problems)
         where = f"playbook step at tick {s.get('tick')!r}"
@@ -480,7 +515,7 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
             problems.append(f"{where}: unknown channel {params.get('channel')!r}")
         if s.get("action") == "degrade_service":
             hid = params.get("host") or next(
-                (i.get("host_id") for i in pb.get("instances", [])
+                (i.get("host_id") for i in instances
                  if i.get("instance_id") == (s.get("instance_id") or default_instance)),
                 None)
             if hid in service_ids and params.get("service") not in service_ids.get(hid, set()):
@@ -490,7 +525,7 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
             if target is not None and target not in host_ids:
                 problems.append(f"{where}: unknown host {target!r}")
 
-    sensors = raw.get("sensors", {})
+    sensors = _object(raw.get("sensors", {}), "sensors", problems)
     _keys(sensors, {"physical", "logical", "transformers", "noise"}, set(), "sensors", problems)
     from .sensing import _LOGICAL_SENSORS, _PHYSICAL_SENSORS, _TRANSFORMERS
     for name in sensors.get("physical", []):
@@ -504,22 +539,23 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
             problems.append(f"sensors.transformers: unknown transformer {name!r}")
 
     pattern_ids: set[str] = set()
-    for p in raw.get("patterns", []):
+    for p in _objects(raw.get("patterns", []), "patterns", problems):
         _keys(p, {"id", "predicates", "severity", "confidence", "progression",
                   "deadline_ticks"}, {"id", "severity", "confidence"},
               f"pattern {p.get('id')!r}", problems)
-        pattern_ids.add(p.get("id", ""))
+        pattern_ids.add(_ident(p, "id", "patterns", problems))
         _check_predicates(p.get("predicates", []), f"pattern {p.get('id')!r}", problems)
         _check_deltas(p.get("progression", []), f"pattern {p.get('id')!r}.progression", problems)
         _check_fraction(p.get("severity", 0), f"pattern {p.get('id')!r}.severity", problems)
         _check_fraction(p.get("confidence", 0), f"pattern {p.get('id')!r}.confidence", problems)
 
     action_ids: set[str] = set()
-    for a in raw.get("repertoire", []):
+    repertoire = _objects(raw.get("repertoire", []), "repertoire", problems)
+    for a in repertoire:
         _keys(a, {"action_id", "category", "preconditions", "effects", "risk", "noise",
                   "duration", "target_scope", "preparation", "builtin", "target_host"},
               {"action_id", "category"}, f"action {a.get('action_id')!r}", problems)
-        aid = a.get("action_id", "")
+        aid = _ident(a, "action_id", "repertoire", problems)
         where = f"action {aid!r}"
         if aid in action_ids:
             problems.append(f"repertoire: duplicate action_id {aid!r}")
@@ -540,7 +576,7 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
             problems.append(f"{where}: propagate actions need a target_host")
         if a.get("target_host") is not None and a["target_host"] not in host_ids:
             problems.append(f"{where}: unknown target_host {a['target_host']!r}")
-        for idx, e in enumerate(a.get("effects", [])):
+        for idx, e in enumerate(_objects(a.get("effects", []), f"{where}.effects", problems)):
             _keys(e, {"env", "features", "probability", "expect"}, set(),
                   f"{where}.effects[{idx}]", problems)
             _check_fraction(e.get("probability", 1.0), f"{where}.effects[{idx}].probability",
@@ -549,19 +585,30 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
             _check_predicates(e.get("expect", []), f"{where}.effects[{idx}].expect", problems)
             env = e.get("env")
             if env is not None:
+                env = _object(env, f"{where}.effects[{idx}].env", problems)
                 _keys(env, {"target", "attribute", "operation", "value"},
                       {"target", "operation"}, f"{where}.effects[{idx}].env", problems)
+    # the planner only inserts a preparation step it finds in the repertoire
+    for a in repertoire:
+        preparation = a.get("preparation", [])
+        where = f"action {a.get('action_id')!r}.preparation"
+        if not isinstance(preparation, list):
+            problems.append(f"{where}: {preparation!r} must be a list")
+            continue
+        for prep_id in preparation:
+            if not isinstance(prep_id, str) or prep_id not in action_ids:
+                problems.append(f"{where}: unknown action {prep_id!r}")
 
     goal_ids: set[str] = set()
-    for g in raw.get("goals", []):
+    for g in _objects(raw.get("goals", []), "goals", problems):
         _keys(g, {"goal_id", "predicates", "weight"}, {"goal_id", "weight"},
               f"goal {g.get('goal_id')!r}", problems)
-        goal_ids.add(g.get("goal_id", ""))
+        goal_ids.add(_ident(g, "goal_id", "goals", problems))
         _check_predicates(g.get("predicates", []), f"goal {g.get('goal_id')!r}", problems)
         if not isinstance(g.get("weight"), (int, float)) or g.get("weight", 0) <= 0:
             problems.append(f"goal {g.get('goal_id')!r}: weight must be positive")
 
-    roe = raw.get("roe", {})
+    roe = _object(raw.get("roe", {}), "roe", problems)
     _keys(roe, {"max_plan_risk", "destructive_only_on_residence", "forbidden_categories",
                 "fast_deadline_ticks"}, set(), "roe", problems)
     if "max_plan_risk" in roe:
@@ -571,7 +618,7 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
             problems.append(f"roe.forbidden_categories: unknown category {cat!r}")
 
     priorities: set[int] = set()
-    for r in raw.get("rules", []):
+    for r in _objects(raw.get("rules", []), "rules", problems):
         _keys(r, {"rule_id", "condition", "action_id", "priority"},
               {"rule_id", "action_id", "priority"}, f"rule {r.get('rule_id')!r}", problems)
         _check_predicates(r.get("condition", []), f"rule {r.get('rule_id')!r}", problems)
@@ -582,7 +629,7 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
             problems.append(f"rule {r.get('rule_id')!r}: duplicate priority {prio!r}")
         priorities.add(prio)
 
-    planner = raw.get("planner", {})
+    planner = _object(raw.get("planner", {}), "planner", problems)
     _keys(planner, {"risk_weight", "noise_weight", "depth", "beam"}, set(), "planner", problems)
     for key in ("depth", "beam"):
         _check_int(planner.get(key, 1), 1, f"planner.{key}", problems)
@@ -591,7 +638,7 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
         if not isinstance(value, (int, float)) or value < 0:
             problems.append(f"planner.{key}: {value!r} must be a number >= 0")
 
-    collab = raw.get("collaboration", {})
+    collab = _object(raw.get("collaboration", {}), "collaboration", problems)
     _keys(collab, {"threshold", "report_interval", "propagation_threshold",
                    "communicate_noise", "negotiation_rounds", "fail_safe_streak"},
           set(), "collaboration", problems)
@@ -603,12 +650,13 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
         if key in collab:
             _check_int(collab[key], minimum, f"collaboration.{key}", problems)
 
-    c2 = raw.get("c2", {})
+    c2 = _object(raw.get("c2", {}), "c2", problems)
     _keys(c2, {"host_id", "script"}, set(), "c2", problems)
-    if c2 and c2.get("host_id") not in host_ids:
+    if c2 and _ident(c2, "host_id", "c2", problems) not in host_ids:
         problems.append(f"c2: unknown host {c2.get('host_id')!r}")
-    agent_ids = {a.get("agent_id") for a in raw.get("agents", [])}
-    for entry in c2.get("script", []):
+    agents = _objects(raw.get("agents", []), "agents", problems)
+    agent_ids = [_ident(a, "agent_id", "agents", problems) for a in agents]
+    for entry in _objects(c2.get("script", []), "c2.script", problems):
         _keys(entry, {"tick", "kind", "to", "payload"}, {"tick", "kind", "to"},
               f"c2 script at tick {entry.get('tick')!r}", problems)
         if entry.get("kind") not in _C2_KINDS:
@@ -620,26 +668,26 @@ def validate_scenario(raw: dict[str, Any]) -> list[str]:
             if command not in _CONTROL_COMMANDS:
                 problems.append(f"c2 script: unknown control command {command!r}")
 
-    roster = raw.get("roster", {})
+    roster = _object(raw.get("roster", {}), "roster", problems)
     _keys(roster, {"hosts", "authorization_token"}, set(), "roster", problems)
     for hid in roster.get("hosts", []):
         if hid not in host_ids:
             problems.append(f"roster: unknown host {hid!r}")
 
-    seen_agents: set[Any] = set()
-    for a in raw.get("agents", []):
+    seen_agents: set[str] = set()
+    for a, agent_id in zip(agents, agent_ids):
         _keys(a, {"agent_id", "host_id", "detectability"}, {"agent_id", "host_id"},
               f"agent {a.get('agent_id')!r}", problems)
-        if a.get("agent_id") in seen_agents:
-            problems.append(f"agents: duplicate agent_id {a.get('agent_id')!r}")
-        seen_agents.add(a.get("agent_id"))
+        if agent_id in seen_agents:
+            problems.append(f"agents: duplicate agent_id {agent_id!r}")
+        seen_agents.add(agent_id)
         if a.get("host_id") not in host_ids:
             problems.append(f"agent {a.get('agent_id')!r}: unknown host {a.get('host_id')!r}")
         if "detectability" in a:
             _check_fraction(a["detectability"], f"agent {a.get('agent_id')!r}.detectability",
                             problems)
 
-    for spec in topo.get("hosts", []):
+    for spec in hosts:
         resident = spec.get("resident_agent")
         if resident is not None and resident not in agent_ids:
             problems.append(

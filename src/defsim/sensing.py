@@ -12,7 +12,7 @@ from __future__ import annotations
 import fnmatch
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .envsim import ChannelState, Environment, ServiceState
 from .errors import PreconditionUnevaluable, StaleDescriptors
@@ -59,8 +59,7 @@ def apply_feature_delta(features: dict[str, Any], delta: FeatureDelta) -> None:
     features[key] = feature_after_delta(features.get(key, 0.0), op, value)
 
 
-@dataclass(frozen=True)
-class Descriptor:
+class Descriptor(NamedTuple):
     source: str
     key: str
     value: Any

@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from defsim import planning
 from defsim.errors import ConfigInvalid, CorruptTrace, IndexOutOfRange, SchemaMismatch
 from defsim.runner import (
+    Episode,
     explain,
     export_csv,
     replay,
@@ -14,6 +17,7 @@ from defsim.runner import (
     write_trace,
 )
 from defsim.scenario import parse_scenario
+from defsim.sensing import Assessment
 
 from conftest import BUNDLED
 
@@ -324,3 +328,145 @@ def test_set_roe_zero_risk_budget_filters_all_risky_plans(bundled_configs):
         for event in result.trace:
             if event["kind"] == "agent.plan_released" and event["tick"] > boundary:
                 assert all(risk_of.get(e["action"], 0.0) == 0.0 for e in event["entries"])
+
+
+# -- reuse of an unchanged no-action deliberation ---------------------------------------
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Count the plan searches the episode loop starts."""
+    calls = []
+    search = planning.propose_plans
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(planning, "propose_plans", counted)
+    return calls
+
+
+def test_unchanged_no_action_deliberations_are_reused(bundled_configs, search_calls):
+    deliberations = 0
+    for seed in (1, 2, 3):
+        result = run_episode(bundled_configs["s3_partition"], seed)
+        deliberations += sum(1 for d in result.decision_log if d["path"] == "deliberative")
+    assert 0 < len(search_calls) < deliberations
+
+
+def withholding_agent():
+    """An agent whose only action never beats inaction, so every deliberation
+    withholds; an `urgent` match takes the fast path and releases it, and a
+    `spreading` match adds threat progression."""
+    config = quiet_scenario(
+        patterns=[{"id": "proc", "predicates": [["unknown_proc_count", ">=", 1]],
+                   "severity": 0.9, "confidence": 0.9},
+                  {"id": "urgent", "predicates": [], "severity": 0.9, "confidence": 0.9,
+                   "deadline_ticks": 0},
+                  {"id": "spreading", "predicates": [], "severity": 0.9, "confidence": 0.9,
+                   "progression": [["unknown_proc_count", "add", 1]]}],
+        goals=[{"goal_id": "g", "predicates": [["functionality_belief", ">=", 0.95]],
+                "weight": 1.0},
+               {"goal_id": "g_clean", "predicates": [["unknown_proc_count", "<=", 0]],
+                "weight": 1.0}],
+        roe={"fast_deadline_ticks": 1},
+        rules=[{"rule_id": "r", "condition": [], "action_id": "watch", "priority": 1}],
+    )
+    episode = Episode(config, seed=1)
+    rt = episode.agents[0]
+    rt.ws.features.update(functionality_belief=1, unknown_proc_count=1)
+    return episode, rt
+
+
+def threat(pattern_id):
+    return Assessment(matched=[(pattern_id, 0.9, 0.9)], problematic=True, top_severity=0.9)
+
+
+def _command(**command):
+    def apply(episode, rt):
+        rt.control_queue.append(command)
+        episode._apply_control_queue(rt)
+    return apply
+
+
+def _release_plan(episode, rt):
+    episode._maybe_plan(rt, threat("urgent"), tick=1)
+    assert rt.plan_exec is not None
+    rt.plan_exec = None  # the plan ran to its end
+
+
+def _retype_goal_feature(episode, rt):
+    rt.ws.features["functionality_belief"] = 1.0
+
+
+@pytest.mark.parametrize("between, searches", [
+    (lambda episode, rt: None, 1),
+    (_command(command="set_goal_weight", goal_id="g", weight=3.0), 2),
+    (_command(command="set_roe", field="max_plan_risk", value=0.5), 2),
+    (_command(command="set_roe", field="forbidden_categories", value=["contain"]), 2),
+    (_retype_goal_feature, 2),
+    (_release_plan, 2),
+    (lambda episode, rt: "spreading", 2),
+], ids=["nothing", "set_goal_weight", "set_roe", "set_roe_forbidden_categories",
+        "goal_feature_1_to_1.0", "released_plan", "threat_progression"])
+def test_what_forces_a_new_search(between, searches, search_calls):
+    episode, rt = withholding_agent()
+    episode._maybe_plan(rt, threat("proc"), tick=0)
+    second = between(episode, rt) or "proc"
+    episode._maybe_plan(rt, threat(second), tick=2)
+    assert len(search_calls) == searches
+    withheld = [d for d in episode.decision_log if d["path"] == "deliberative"]
+    assert [d["tick"] for d in withheld] == [0, 2]
+    assert all(d["chosen"]["no_action"] for d in withheld)
+    assert rt.no_action_streak == (1 if between is _release_plan else 2)
+
+
+_S3_GOALS = ("g_available", "g_comms", "g_clean", "g_unknown")  # the last is rejected
+_roe_values = {
+    "max_plan_risk": st.one_of(st.sampled_from([0, 1, 0.0, 1.0]),
+                               st.floats(min_value=0, max_value=1)),
+    "forbidden_categories": st.lists(
+        st.sampled_from([c.value for c in planning.ActionCategory]), max_size=3),
+    "destructive_only_on_residence": st.booleans(),
+    "fast_deadline_ticks": st.integers(min_value=0, max_value=4),
+}
+_c2_commands = st.one_of(
+    st.fixed_dictionaries({"command": st.just("set_goal_weight"),
+                           "goal_id": st.sampled_from(_S3_GOALS),
+                           "weight": st.floats(min_value=0.05, max_value=5.0)}),
+    *(st.fixed_dictionaries({"command": st.just("set_roe"), "field": st.just(field),
+                             "value": values})
+      for field, values in _roe_values.items()),
+)
+_c2_entries = st.lists(
+    st.fixed_dictionaries({"tick": st.integers(min_value=0, max_value=59),
+                           "kind": st.just("ControlCommand"),
+                           "to": st.sampled_from(["a1", "a2", "a3"]),
+                           "payload": _c2_commands}),
+    max_size=6)
+
+
+def _artifact_bytes(result, tmp_path):
+    write_trace(result, tmp_path / "trace.jsonl")
+    write_result(result, tmp_path / "result.json")
+    return (tmp_path / "trace.jsonl").read_bytes(), (tmp_path / "result.json").read_bytes()
+
+
+@given(entries=_c2_entries, seed=st.integers(min_value=1, max_value=20))
+@settings(max_examples=25, deadline=None)
+def test_reuse_leaves_artifacts_unchanged_under_c2_commands(bundled_configs, tmp_path_factory,
+                                                            entries, seed):
+    # s3's C2 host links only to a1's host; links to the other two hosts let
+    # the commands reach a2 and a3, which withhold action on most ticks
+    raw = json.loads(json.dumps(bundled_configs["s3_partition"].raw))
+    raw["topology"]["channels"] += [
+        {"channel_id": f"c2{host}", "endpoints": [host, "c2host"], "state": "healthy"}
+        for host in ("hB", "hC")]
+    raw["c2"]["script"] = raw["c2"]["script"] + entries
+    config = parse_scenario(raw)
+    reused = _artifact_bytes(run_episode(config, seed), tmp_path_factory.mktemp("reused"))
+    with pytest.MonkeyPatch.context() as mp:
+        # inputs that never compare equal: every deliberation searches afresh
+        mp.setattr(Episode, "_planner_inputs", staticmethod(lambda rt, progression: object()))
+        fresh = _artifact_bytes(run_episode(config, seed), tmp_path_factory.mktemp("fresh"))
+    assert reused == fresh

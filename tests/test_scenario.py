@@ -195,10 +195,18 @@ def test_default_instance_validation_ignores_hash_seed():
      "action 'a'.duration"),
     (lambda r: r.update(playbook={"steps": [{"tick": 1, "action": "create_file"}]}),
      "no instance_id and no instance listed"),
+    (lambda r: r["agents"].append("a2"), "agents[1]: 'a2' must be an object"),
+    (lambda r: r["agents"][0].update(agent_id=["a1"]), "agent_id ['a1'] must be a string"),
+    (lambda r: r.update(topology=[r["topology"]]), "topology: [{"),
+    (lambda r: r["topology"]["hosts"].append("h2"), "topology.hosts[1]: 'h2' must be an object"),
+    (lambda r: r.update(repertoire=[{"action_id": "a", "category": "observe",
+                                     "preparation": ["ghost"]}]),
+     "action 'a'.preparation: unknown action 'ghost'"),
 ], ids=["threshold_string", "report_interval_zero", "communicate_noise_negative",
         "fail_safe_streak_string", "duplicate_agent_id", "depth_string",
         "noise_weight_string", "trigger_threshold_string", "service_weight_string",
-        "duration_string", "step_without_any_instance"])
+        "duration_string", "step_without_any_instance", "agent_entry_string",
+        "agent_id_list", "topology_list", "host_entry_string", "unknown_preparation"])
 def test_mistyped_or_out_of_range_settings_are_config_invalid(edit, problem):
     raw = minimal_raw()
     edit(raw)

@@ -134,6 +134,16 @@ def test_stale_descriptors_rejected():
         update_world_state(ws, [Descriptor("transformer:t", "x", 1, 4)])
 
 
+def test_descriptor_is_immutable_and_hashable():
+    d = Descriptor("physical:p", "k", 1.0, 0)
+    assert (d.source, d.key, d.value, d.tick) == ("physical:p", "k", 1.0, 0)
+    for name in ("source", "key", "value", "tick"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, None)
+    assert d == Descriptor("physical:p", "k", 1.0, 0)
+    assert hash(d) == hash(Descriptor("physical:p", "k", 1.0, 0))
+
+
 # -- identify ----------------------------------------------------------------------------
 
 def pattern(pid, preds, severity, confidence=0.9):
