@@ -45,12 +45,6 @@ class NoResidentAgent(DefsimError):
     """Hunt invoked on a host with no resident agent."""
 
 
-# -- sensing ----------------------------------------------------------------
-
-class StaleDescriptors(DefsimError):
-    """Descriptor batch carries a tick older than the world state."""
-
-
 # -- planning ---------------------------------------------------------------
 
 class PreconditionUnevaluable(DefsimError):

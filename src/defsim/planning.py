@@ -25,7 +25,6 @@ from typing import Any, Optional, Sequence
 from .envsim import EffectDescriptor
 from .errors import ConfigInvalid, PreconditionUnevaluable
 from .sensing import (
-    Assessment,
     FeatureDelta,
     Predicate,
     WorldState,
@@ -365,7 +364,6 @@ def score_sequence(
 # -- proposal search --------------------------------------------------------------
 
 def propose_plans(
-    assessment: Assessment,
     ws: WorldState,
     repertoire: dict[str, ActionSpec],
     goals: list[Goal],

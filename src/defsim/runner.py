@@ -38,7 +38,7 @@ from .execution import AgentMode, AgentState, Authority, PlanExecution
 from .learning import AssessmentObservation, EffectObservation, KnowledgeBase
 from .planning import ActionSpec, ExecutablePlan, PlannerConfig, RulesOfEngagement
 from .scenario import AgentSpec, ScenarioConfig
-from .sensing import Assessment, Descriptor, SensorConfig, WorldState
+from .sensing import Assessment, SensorConfig, WorldState
 
 TRACE_SCHEMA_VERSION = 1
 RECOVERY_LEVEL = 0.95
@@ -50,8 +50,7 @@ _HANDOVER_COMMANDS = {
 }
 
 
-def _dump(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass
@@ -73,6 +72,8 @@ class AgentRuntime:
     no_action_streak: int = 0
     replica_count: int = 0
     assessment: Optional[Assessment] = None
+    # the patterns as the last identify read them
+    identified_with: Optional[list] = None
     patterns_matched_episode: set[str] = field(default_factory=set)
     obs_counter: int = 0
     # (planner inputs, outcome) of the last deliberation, kept while it released no plan
@@ -307,13 +308,19 @@ class Episode:
         if rt.state.mode is AgentMode.DESTROYED:
             return
 
-        descriptors = sensing.sense(self.env, rt.state.host_id, rt.sensors, self.rng)
-        descriptors = descriptors + self._self_descriptors(rt)
-        sensing.update_world_state(rt.ws, descriptors)
-
+        rows = sensing.sense(self.env, rt.state.host_id, rt.sensors, self.rng)
+        changed = sensing.update_world_state(
+            rt.ws, rows, rt.sensors, tick,
+            {"detectability": rt.state.detectability, "replica_count": rt.replica_count})
         patterns = list(rt.kb.patterns.values())
-        assessment = sensing.identify(rt.ws, patterns, self.config.trigger_threshold)
-        rt.assessment = assessment
+        # an assessment stands while the features and the patterns do (C2's
+        # add_pattern_example moves a confidence); logged numbers keep their type
+        pattern_inputs = [(p.pattern_id, tuple(p.predicates), type(p.severity), p.severity,
+                           type(p.confidence), p.confidence) for p in patterns]
+        if changed or pattern_inputs != rt.identified_with:
+            rt.assessment = sensing.identify(rt.ws, patterns, self.config.trigger_threshold)
+            rt.identified_with = pattern_inputs
+        assessment = rt.assessment
         for pid, _, _ in assessment.matched:
             rt.patterns_matched_episode.add(pid)
         if assessment.matched:
@@ -341,13 +348,6 @@ class Episode:
                 self.reward_total += reward_sample.reward
                 self.emit("agent.reward", agent=rt.state.agent_id, reward=reward_sample.reward)
             self._periodic_report(rt, tick)
-
-    def _self_descriptors(self, rt: AgentRuntime) -> list[Descriptor]:
-        tick = max(self.env.tick, 0)
-        return [
-            Descriptor("self:agent", "detectability", rt.state.detectability, tick),
-            Descriptor("self:agent", "replica_count", rt.replica_count, tick),
-        ]
 
     def _process_inbox(self, rt: AgentRuntime) -> None:
         for msg in self.env.drain_inbox(rt.state.agent_id):
@@ -568,8 +568,7 @@ class Episode:
         if rt.last_no_action is not None and rt.last_no_action[0] == inputs:
             outcome = rt.last_no_action[1]
         else:
-            proposals = planning.propose_plans(assessment, rt.ws, rt.repertoire,
-                                               rt.kb.goals, rt.planner)
+            proposals = planning.propose_plans(rt.ws, rt.repertoire, rt.kb.goals, rt.planner)
             outcome = planning.select_action_plan(
                 proposals, rt.kb.goals, rt.roe, rt.ws, rt.repertoire, rt.planner, progression)
             if outcome.plan is None:

@@ -1,21 +1,23 @@
-"""Descriptor pipeline, world-state maintenance and pattern matching.
+"""Sensing pipeline, world-state maintenance and pattern matching.
 
 The agent never reads the environment directly: everything it believes comes
-through sense(), a three-stage pipeline (physical reads, logical
-aggregations, normalizing transformers) where each stage consumes only the
-previous stage's output. Matching learned threshold patterns against the
-derived features is what triggers planning.
+through a three-stage pipeline (physical reads, logical aggregations,
+normalizing transformers) where each stage consumes only the previous
+stage's output. sense() takes the physical reads; update_world_state()
+folds them into beliefs and derives the rest into features. Matching learned
+threshold patterns against the derived features is what triggers planning.
 """
 
 from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass, field
+from itertools import chain
 from random import Random
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .envsim import ChannelState, Environment, ServiceState
-from .errors import PreconditionUnevaluable, StaleDescriptors
+from .errors import PreconditionUnevaluable
 
 # A predicate is (feature key, comparator, threshold); conjunctions are lists.
 Predicate = tuple[str, str, Any]
@@ -59,13 +61,6 @@ def apply_feature_delta(features: dict[str, Any], delta: FeatureDelta) -> None:
     features[key] = feature_after_delta(features.get(key, 0.0), op, value)
 
 
-class Descriptor(NamedTuple):
-    source: str
-    key: str
-    value: Any
-    tick: int
-
-
 @dataclass
 class Pattern:
     pattern_id: str
@@ -91,6 +86,8 @@ class WorldState:
     tick: int = 0
     beliefs: dict[str, Any] = field(default_factory=dict)
     features: dict[str, Any] = field(default_factory=dict)
+    # the physical rows last folded in; None until the first pass
+    rows: Optional[list[Row]] = None
 
 
 @dataclass
@@ -101,8 +98,8 @@ class SensorConfig:
     noise: dict[str, float] = field(default_factory=dict)  # key glob -> half width
 
 
-# A sensor emits (kind, entity id or None, value) rows; the descriptor key is
-# the kind, or "kind:id" for a per-entity row. A stage keeps its rows by kind:
+# A sensor emits (kind, entity id or None, value) rows; a row's key is the
+# kind, or "kind:id" for a per-entity row. A stage keeps its rows by kind:
 # {kind: value} or {kind: {id: value}}, so the next stage reads by kind.
 Row = tuple[str, Optional[str], Any]
 Stage = dict[str, Any]
@@ -246,71 +243,75 @@ _TRANSFORMERS = {
 }
 
 
-def _noise_half_width(key: str, noise: dict[str, float]) -> float:
-    for pattern, half_width in noise.items():
-        if fnmatch.fnmatchcase(key, pattern):
-            return half_width
-    return 0.0
+def _perturb(key: str, value: Any, noise: dict[str, float], rng: Random) -> Any:
+    """A numeric read plus uniform noise of the half width of the first glob
+    matching its key, clamped to [0, 1]; other reads pass unchanged."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        hw = next((w for glob, w in noise.items() if fnmatch.fnmatchcase(key, glob)), 0.0)
+        if hw > 0.0:
+            return max(0.0, min(1.0, value + rng.uniform(-hw, hw)))
+    return value
 
 
-def _run_stage(stage_name: str, sensors: dict[str, Callable[..., list[Row]]], names: list[str],
-               args: tuple, tick: int, descriptors: list[Descriptor],
-               noise: Optional[dict[str, float]] = None, rng: Optional[Random] = None) -> Stage:
-    """Run the named sensors in order, record their rows as descriptors,
-    perturbing numeric values by the noise globs in row order, and key the
+def _fold(rows: Iterable[Row], out: dict[str, Any]) -> Stage:
+    """Write each row to `out` under its key, last writer wins, and key the
     rows by kind for the next stage."""
     stage: Stage = {}
-    for name in names:
-        source = f"{stage_name}:{name}"
-        for kind, ident, value in sensors[name](*args):
-            key = kind if ident is None else f"{kind}:{ident}"
-            if noise and isinstance(value, (int, float)) and not isinstance(value, bool):
-                hw = _noise_half_width(key, noise)
-                if hw > 0.0:
-                    value = max(0.0, min(1.0, value + rng.uniform(-hw, hw)))
-            if ident is None:
-                stage[kind] = value
-            elif kind in stage:
-                stage[kind][ident] = value
-            else:
-                stage[kind] = {ident: value}
-            descriptors.append(Descriptor(source, key, value, tick))
+    for kind, ident, value in rows:
+        if ident is None:
+            stage[kind] = out[kind] = value
+        else:
+            stage.setdefault(kind, {})[ident] = out[f"{kind}:{ident}"] = value
     return stage
 
 
-def sense(env: Environment, host_id: str, config: SensorConfig, rng: Random) -> list[Descriptor]:
-    """Run the three-stage pipeline for the agent resident on host_id.
+def _run_stage(sensors: dict[str, Callable[[Stage], list[Row]]], names: list[str],
+               previous: Stage, out: dict[str, Any]) -> Stage:
+    return _fold(chain.from_iterable(sensors[name](previous) for name in names), out)
 
-    Noisy physical sensors perturb numeric reads with additive uniform noise
-    (configured half width per key glob), drawn from the seeded stream in
-    key order. Unsensed attributes are simply absent from the result.
+
+def sense(env: Environment, host_id: str, config: SensorConfig, rng: Random) -> list[Row]:
+    """The physical rows the agent resident on host_id reads, in sensor order.
+
+    Noisy physical sensors perturb numeric reads (`_perturb`), drawing from
+    the seeded stream in row order. Unsensed attributes are simply absent
+    from the result.
     """
-    tick = max(env.tick, 0)
-    descriptors: list[Descriptor] = []
-    phys = _run_stage("physical", _PHYSICAL_SENSORS, config.physical, (env, host_id),
-                      tick, descriptors, config.noise, rng)
-    logical = _run_stage("logical", _LOGICAL_SENSORS, config.logical, (phys,), tick, descriptors)
-    _run_stage("transformer", _TRANSFORMERS, config.transformers, (logical,), tick, descriptors)
-    return descriptors
+    rows = [row for name in config.physical for row in _PHYSICAL_SENSORS[name](env, host_id)]
+    if config.noise:
+        rows = [(kind, ident, _perturb(kind if ident is None else f"{kind}:{ident}", value,
+                                       config.noise, rng)) for kind, ident, value in rows]
+    return rows
 
 
-def update_world_state(ws: WorldState, descriptors: list[Descriptor]) -> WorldState:
-    """Fold a sensing pass into the world state.
+def update_world_state(ws: WorldState, rows: list[Row], config: SensorConfig, tick: int,
+                       own: dict[str, Any]) -> bool:
+    """Fold one pass of physical rows into the world state at `tick`.
 
-    Physical descriptors land in beliefs, derived ones in features, last
-    writer wins per key. An empty pass still advances the tick by one.
+    Physical rows land in beliefs; the logical and transformer stages derive
+    features from them, then the agent's own values (`own`) are written to
+    features, last writer wins per key. Each stage reads only the one
+    before it, so when the rows equal the previous pass's by value and by
+    value type (1, 1.0 and True differ; kinds and ids are the sensors' own
+    strings and the environment's keys), beliefs and derived features
+    already hold what this pass would write, and only `own` is written.
+    One world state is fed by one sensor config. Returns whether any
+    feature may have changed.
     """
-    for d in descriptors:
-        if d.tick < ws.tick:
-            raise StaleDescriptors(f"descriptor {d.key!r} from tick {d.tick} < {ws.tick}")
-    new_tick = max((d.tick for d in descriptors), default=ws.tick + 1)
-    for d in descriptors:
-        if d.source.startswith("physical:"):
-            ws.beliefs[d.key] = d.value
-        else:
-            ws.features[d.key] = d.value
-    ws.tick = new_tick
-    return ws
+    ws.tick = tick
+    changed = not (rows == ws.rows
+                   and [type(r[2]) for r in rows] == [type(r[2]) for r in ws.rows])
+    if changed:
+        ws.rows = rows
+        physical = _fold(rows, ws.beliefs)
+        logical = _run_stage(_LOGICAL_SENSORS, config.logical, physical, ws.features)
+        _run_stage(_TRANSFORMERS, config.transformers, logical, ws.features)
+    features = ws.features
+    for key, value in own.items():
+        if key not in features or type(features[key]) is not type(value) or features[key] != value:
+            changed = True
+        features[key] = value
+    return changed
 
 
 def identify(ws: WorldState, patterns: list[Pattern], trigger_threshold: float) -> Assessment:

@@ -20,7 +20,7 @@ from defsim.adversary import HuntResult, MalwareInstance, MalwarePhase, hunt
 from defsim.planning import Goal, PlannerConfig, normalize_goals, propose_plans
 from defsim.runner import replay, run_episode, write_result, write_trace
 from defsim.scenario import parse_scenario
-from defsim.sensing import Assessment, WorldState, all_hold
+from defsim.sensing import WorldState, all_hold
 from defsim.learning import reward
 
 from conftest import BUNDLED
@@ -110,10 +110,9 @@ def test_criterion_3_planner_oracle_equivalence():
     with criterion(3, "planner oracle equivalence"):
         rng = Random(31337)
         config = PlannerConfig(depth=2, beam=5)
-        problem = Assessment(matched=[("p", 0.9, 0.9)], problematic=True, top_severity=0.9)
         for _ in range(200):
             ws, repertoire, goals = random_instance(rng)
-            proposals = propose_plans(problem, ws, repertoire, goals, config)
+            proposals = propose_plans(ws, repertoire, goals, config)
             oracle_utility, oracle_seq = oracle_best(ws, repertoire, goals, config)
             assert proposals[0].utility == oracle_utility
             assert proposals[0].actions == oracle_seq

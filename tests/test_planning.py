@@ -27,7 +27,7 @@ from defsim.planning import (
     select_action_plan,
     signed_noise,
 )
-from defsim.sensing import Assessment, WorldState
+from defsim.sensing import WorldState
 
 
 def ws_with(**features):
@@ -48,9 +48,6 @@ def effect(deltas, probability=1.0, expect=()):
 
 def goal(gid, preds, weight=1.0):
     return Goal(gid, list(preds), weight)
-
-
-PROBLEM = Assessment(matched=[("p", 0.9, 0.9)], problematic=True, top_severity=0.9)
 
 
 # -- predict ---------------------------------------------------------------------------
@@ -111,7 +108,7 @@ def test_predict_sampling_path_is_deterministic():
 
 def test_empty_repertoire_proposes_only_empty_plan():
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    proposals = propose_plans(PROBLEM, ws_with(x=0.0), {}, goals, PlannerConfig())
+    proposals = propose_plans(ws_with(x=0.0), {}, goals, PlannerConfig())
     assert len(proposals) == 1 and proposals[0].actions == ()
 
 
@@ -119,7 +116,7 @@ def test_single_improving_action_beats_empty_plan():
     ws = ws_with(x=0.0)
     rep = {"fix": action("fix", effects=[effect([("x", "set", 1.0)])])}
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    proposals = propose_plans(PROBLEM, ws, rep, goals, PlannerConfig(depth=1))
+    proposals = propose_plans(ws, rep, goals, PlannerConfig(depth=1))
     assert proposals[0].actions == ("fix",)
     empty = next(p for p in proposals if p.actions == ())
     assert proposals[0].utility > empty.utility
@@ -134,7 +131,7 @@ def test_preconditions_chain_under_optimistic_application():
                       effects=[effect([("x", "set", 1.0)])]),
     }
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    proposals = propose_plans(PROBLEM, ws, rep, goals, PlannerConfig(depth=2))
+    proposals = propose_plans(ws, rep, goals, PlannerConfig(depth=2))
     assert proposals[0].actions == ("enable", "fix")
 
 
@@ -146,7 +143,7 @@ def test_utility_decomposition_recomputes_exactly():
     }
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
     config = PlannerConfig(risk_weight=1.5, noise_weight=0.25, depth=2)
-    for proposal in propose_plans(PROBLEM, ws, rep, goals, config):
+    for proposal in propose_plans(ws, rep, goals, config):
         assert proposal.utility == pytest.approx(
             proposal.benefit - 1.5 * proposal.risk_total - 0.25 * proposal.noise_total,
             abs=1e-12)
@@ -164,9 +161,9 @@ def test_ranking_invariant_under_joint_weight_rescaling():
     base = [goal("gx", [("x", ">=", 1)], 0.3), goal("gy", [("y", ">=", 1)], 0.7)]
     scaled = [goal("gx", [("x", ">=", 1)], 3.0), goal("gy", [("y", ">=", 1)], 7.0)]
     order_a = [p.actions for p in propose_plans(
-        PROBLEM, ws, rep, normalize_goals(base), config)]
+        ws, rep, normalize_goals(base), config)]
     order_b = [p.actions for p in propose_plans(
-        PROBLEM, ws, rep, normalize_goals(scaled), config)]
+        ws, rep, normalize_goals(scaled), config)]
     assert order_a == order_b
 
 
@@ -183,7 +180,7 @@ def test_bounded_search_equals_brute_force_on_small_instances():
     config = PlannerConfig(depth=2, beam=5)
     for _ in range(60):
         ws, repertoire, goals = random_instance(rng)
-        proposals = propose_plans(PROBLEM, ws, repertoire, goals, config)
+        proposals = propose_plans(ws, repertoire, goals, config)
         oracle_utility, oracle_seq = oracle_best(ws, repertoire, goals, config)
         assert proposals[0].utility == oracle_utility  # dyadic inputs: exact
         assert proposals[0].actions == oracle_seq
@@ -232,7 +229,7 @@ def roe(**kw):
 
 def select(ws, rep, goals, roe_=None, config=None, progression=()):
     config = config or PlannerConfig(depth=2)
-    proposals = propose_plans(PROBLEM, ws, rep, goals, config)
+    proposals = propose_plans(ws, rep, goals, config)
     return select_action_plan(proposals, goals, roe_ or roe(), ws, rep, config, progression)
 
 
@@ -324,7 +321,7 @@ def test_trim_drops_action_with_failing_precondition_without_provider():
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
     config = PlannerConfig(depth=2, beam=8)
     # force the proposal that includes the unsatisfiable action
-    proposals = propose_plans(PROBLEM, ws, rep, goals, config)
+    proposals = propose_plans(ws, rep, goals, config)
     assert all("strike" not in p.actions for p in proposals)  # search never chains it
     # hand-build a proposal containing it to exercise the trim path
     from defsim.planning import score_sequence
@@ -376,7 +373,7 @@ def test_released_plan_never_scores_below_empty_plan():
     rep = {"fix": action("fix", effects=[effect([("x", "set", 1.0)], 0.9)], risk=0.1)}
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
     config = PlannerConfig(depth=2)
-    proposals = propose_plans(PROBLEM, ws, rep, goals, config)
+    proposals = propose_plans(ws, rep, goals, config)
     outcome = select_action_plan(proposals, goals, roe(), ws, rep, config)
     empty_utility = next(p.utility for p in proposals if p.actions == ())
     if outcome.plan is not None:

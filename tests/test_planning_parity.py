@@ -20,11 +20,10 @@ from defsim.planning import (
     predict,
     propose_plans,
 )
-from defsim.sensing import Assessment, WorldState
+from defsim.sensing import WorldState
 
 from planning_oracle import reference_predict, reference_propose_plans
 
-PROBLEM = Assessment(matched=[("p", 0.9, 0.9)], problematic=True, top_severity=0.9)
 PRESENT = ("f0", "f1", "f2")
 KEYS = PRESENT + ("ghost",)  # "ghost" is absent from the beliefs, so "add" creates it
 
@@ -99,7 +98,7 @@ def test_predict_sampled_path_equals_reference(instance, data):
 def test_propose_plans_equals_reference_search(instance, depth, beam):
     ws, repertoire, goals = instance
     config = PlannerConfig(risk_weight=0.7, noise_weight=0.3, depth=depth, beam=beam)
-    assert_bit_equal(proposal_rows(propose_plans(PROBLEM, ws, repertoire, goals, config)),
+    assert_bit_equal(proposal_rows(propose_plans(ws, repertoire, goals, config)),
                      proposal_rows(reference_propose_plans(ws, repertoire, goals, config)))
 
 
@@ -118,7 +117,7 @@ def test_search_crossing_the_enumeration_limit_equals_reference_search():
     goals = normalize_goals([Goal("g", [("x", ">=", 0.95)], 1.0),
                              Goal("h", [("x", ">=", 0.45)], 0.5)])
     config = PlannerConfig(depth=3, beam=5)
-    got = propose_plans(PROBLEM, ws, repertoire, goals, config)
+    got = propose_plans(ws, repertoire, goals, config)
     assert_bit_equal(proposal_rows(got),
                      proposal_rows(reference_propose_plans(ws, repertoire, goals, config)))
     uncertain = sum(1 for a in got[0].actions for eff in repertoire[a].effects

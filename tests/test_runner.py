@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from defsim import planning
+from defsim import planning, sensing
 from defsim.errors import ConfigInvalid, CorruptTrace, IndexOutOfRange, SchemaMismatch
 from defsim.runner import (
     Episode,
@@ -446,6 +446,15 @@ _c2_entries = st.lists(
     max_size=6)
 
 
+def _link_c2_to_every_agent(raw):
+    """s3's C2 host links only to a1's host; links to the other two hosts let
+    commands reach a2 and a3 too."""
+    if raw["name"] == "s3_partition":
+        raw["topology"]["channels"] += [
+            {"channel_id": f"c2{host}", "endpoints": [host, "c2host"], "state": "healthy"}
+            for host in ("hB", "hC")]
+
+
 def _artifact_bytes(result, tmp_path):
     write_trace(result, tmp_path / "trace.jsonl")
     write_result(result, tmp_path / "result.json")
@@ -456,12 +465,9 @@ def _artifact_bytes(result, tmp_path):
 @settings(max_examples=25, deadline=None)
 def test_reuse_leaves_artifacts_unchanged_under_c2_commands(bundled_configs, tmp_path_factory,
                                                             entries, seed):
-    # s3's C2 host links only to a1's host; links to the other two hosts let
-    # the commands reach a2 and a3, which withhold action on most ticks
+    # a2 and a3 withhold action on most ticks
     raw = json.loads(json.dumps(bundled_configs["s3_partition"].raw))
-    raw["topology"]["channels"] += [
-        {"channel_id": f"c2{host}", "endpoints": [host, "c2host"], "state": "healthy"}
-        for host in ("hB", "hC")]
+    _link_c2_to_every_agent(raw)
     raw["c2"]["script"] = raw["c2"]["script"] + entries
     config = parse_scenario(raw)
     reused = _artifact_bytes(run_episode(config, seed), tmp_path_factory.mktemp("reused"))
@@ -470,3 +476,84 @@ def test_reuse_leaves_artifacts_unchanged_under_c2_commands(bundled_configs, tmp
         mp.setattr(Episode, "_planner_inputs", staticmethod(lambda rt, progression: object()))
         fresh = _artifact_bytes(run_episode(config, seed), tmp_path_factory.mktemp("fresh"))
     assert reused == fresh
+
+
+# -- skipping unchanged sensing passes --------------------------------------------------
+
+# features on which every predicate of every bundled pattern holds
+_PATTERN_EXAMPLE = {"unknown_proc_count": 1, "foreign_file_count": 1, "comms_integrity": 0.3,
+                    "functionality_belief": 0.5, "detectability": 0.5, "host_integrity": 0.3}
+
+
+def _pattern_example(number):
+    """The number-th add_pattern_example command; labels alternate, so every
+    command moves the confidences of the patterns it touches."""
+    return {"command": "add_pattern_example", "features": _PATTERN_EXAMPLE,
+            "label": ("compromised", "clean")[number % 2]}
+
+
+def _defeat_sensing_skip(mp):
+    """Make every pass re-derive its features and re-run identify."""
+    update = sensing.update_world_state
+
+    def rederive(ws, rows, config, tick, own):
+        ws.rows = None  # no previous pass to compare with
+        update(ws, rows, config, tick, own)
+        return True
+    mp.setattr(sensing, "update_world_state", rederive)
+
+
+def _bytes_with_and_without_skip(config, seed, tmp_path_factory):
+    skipped = _artifact_bytes(run_episode(config, seed), tmp_path_factory.mktemp("skipped"))
+    with pytest.MonkeyPatch.context() as mp:
+        _defeat_sensing_skip(mp)
+        full = _artifact_bytes(run_episode(config, seed), tmp_path_factory.mktemp("full"))
+    return skipped, full
+
+
+def test_unchanged_sensing_passes_skip_identify(bundled_configs, monkeypatch):
+    calls = {"update_world_state": 0, "identify": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(sensing, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sensing, name, counted)
+    for seed in (1, 2, 3):
+        run_episode(bundled_configs["s3_partition"], seed)
+    assert 0 < calls["identify"] < calls["update_world_state"]
+
+
+def test_identify_reruns_when_a_pattern_confidence_changes(bundled_configs, tmp_path_factory):
+    # features often stay the same across the ticks after a command, so an
+    # assessment reused on features alone would log the old confidence
+    raw = json.loads(json.dumps(bundled_configs["s1_comms_spoof"].raw))
+    raw["c2"]["script"] = raw["c2"]["script"] + [
+        {"tick": tick, "kind": "ControlCommand", "to": "a1", "payload": _pattern_example(i)}
+        for i, tick in enumerate(range(3, 60, 2))]
+    config = parse_scenario(raw)
+    applied = 0
+    for seed in range(1, 21):
+        skipped, full = _bytes_with_and_without_skip(config, seed, tmp_path_factory)
+        assert skipped == full, f"seed {seed}"
+        applied += skipped[0].count(b'"patterns_updated":["')
+    assert applied
+
+
+@given(data=st.data(), name=st.sampled_from(BUNDLED), seed=st.integers(min_value=1, max_value=20))
+@settings(max_examples=25, deadline=None)
+def test_sensing_skip_leaves_artifacts_unchanged_under_c2_commands(
+        bundled_configs, tmp_path_factory, data, name, seed):
+    raw = json.loads(json.dumps(bundled_configs[name].raw))
+    _link_c2_to_every_agent(raw)
+    entries = data.draw(st.lists(
+        st.fixed_dictionaries({"tick": st.integers(min_value=0, max_value=59),
+                               "kind": st.just("ControlCommand"),
+                               "to": st.sampled_from([a["agent_id"] for a in raw["agents"]]),
+                               "payload": st.one_of(_c2_commands, st.none())}),
+        max_size=8))
+    examples = [e for e in sorted(entries, key=lambda e: e["tick"]) if e["payload"] is None]
+    for number, entry in enumerate(examples):
+        entry["payload"] = _pattern_example(number)
+    raw["c2"]["script"] = raw["c2"]["script"] + entries
+    skipped, full = _bytes_with_and_without_skip(parse_scenario(raw), seed, tmp_path_factory)
+    assert skipped == full

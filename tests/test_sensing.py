@@ -3,11 +3,16 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from defsim.envsim import ChannelState, CommsChannel, EffectDescriptor, Owner, Process, Service
-from defsim.errors import StaleDescriptors
+from defsim.envsim import (
+    ChannelState,
+    CommsChannel,
+    EffectDescriptor,
+    FileEntry,
+    Owner,
+    Process,
+    Service,
+)
 from defsim.sensing import (
-    Assessment,
-    Descriptor,
     Pattern,
     SensorConfig,
     WorldState,
@@ -28,9 +33,15 @@ FULL_CONFIG = SensorConfig(
 )
 
 
-def features_of(descriptors):
-    ws = update_world_state(WorldState(), descriptors)
-    return ws.features
+def fold(rows, config=FULL_CONFIG, ws=None, tick=0, **own):
+    """A world state after folding one pass of rows into it."""
+    ws = WorldState() if ws is None else ws
+    update_world_state(ws, rows, config, tick, own)
+    return ws
+
+
+def features_of(rows, config=FULL_CONFIG):
+    return fold(rows, config).features
 
 
 def test_no_sensors_yields_no_descriptors():
@@ -70,7 +81,7 @@ def test_pipeline_stages_feed_forward_only():
     # physical reads land in beliefs, derived values in features
     env = make_env()
     env.step(0)
-    ws = update_world_state(WorldState(), sense(env, "h1", FULL_CONFIG, Random(1)))
+    ws = fold(sense(env, "h1", FULL_CONFIG, Random(1)))
     assert "service_health:web" in ws.beliefs
     assert "functionality_belief" in ws.features
     assert "service_table" not in ws.features
@@ -84,7 +95,7 @@ def test_sensor_noise_is_bounded_and_seeded():
                           transformers=["host_integrity"], noise={"host_integrity": 0.1})
     values = set()
     for _ in range(5):
-        feats = features_of(sense(env, "h1", config, Random(9)))
+        feats = features_of(sense(env, "h1", config, Random(9)), config)
         values.add(feats["host_integrity"])
     assert len(values) == 1  # same seed, same perturbation
     value = values.pop()
@@ -101,7 +112,7 @@ def test_noise_draws_follow_key_order_on_a_multi_service_host():
     ])])
     env.step(0)
     config = SensorConfig(physical=["service_table"], noise={"service_*": 0.25})
-    descriptors = sense(env, "h1", config, Random(5))
+    rows = sense(env, "h1", config, Random(5))
 
     draws = Random(5)
     expected = []
@@ -110,38 +121,100 @@ def test_noise_draws_follow_key_order_on_a_multi_service_host():
         for kind, value in zip(("service_health", "service_up", "service_required",
                                 "service_weight"), truth):
             expected.append((f"{kind}:{sid}", max(0.0, min(1.0, value + draws.uniform(-0.25, 0.25)))))
-    assert [(d.key, d.value) for d in descriptors] == expected
+    assert [(f"{kind}:{ident}", value) for kind, ident, value in rows] == expected
+
+
+def test_noisy_pass_draws_the_pinned_values():
+    # pinned values and next draw: a change in how sensing consumes the
+    # seeded stream would change every trace of a noisy scenario
+    env = make_env(
+        hosts=[make_host("h1", integrity=0.6,
+                         services=[Service("web", True, 1.0, 0.9), Service("db", False, 2.0, 0.4)],
+                         processes=[Process("sys", "s", True, Owner.SYSTEM),
+                                    Process("mal", "m", False, Owner.MALWARE)],
+                         files=[FileEntry("f1", Owner.MALWARE)]),
+               make_host("h2"), make_host("h3")],
+        channels=[CommsChannel("c1", ("h1", "h2"), ChannelState.HEALTHY),
+                  CommsChannel("c2", ("h1", "h3"), ChannelState.SPOOFED)])
+    env.step(0)
+    config = SensorConfig(physical=FULL_CONFIG.physical,
+                          noise={"host_integrity": 0.3, "service_health:*": 0.2,
+                                 "process_unknown:*": 0.4, "channel_healthy:*": 0.1})
+    rng = Random(42)
+    rows = sense(env, "h1", config, rng)
+    assert [(kind if ident is None else f"{kind}:{ident}", value)
+            for kind, ident, value in rows] == [
+        ("host_integrity", 0.6836560790747302),
+        ("service_health:db", 0.21000430208906679),
+        ("service_up:db", 0),
+        ("service_required:db", 0),
+        ("service_weight:db", 2.0),
+        ("service_health:web", 0.8100117273476477),
+        ("service_up:web", 1),
+        ("service_required:web", 1),
+        ("service_weight:web", 1.0),
+        ("process_unknown:mal", 0.7785685905190582),
+        ("process_unknown:sys", 0.18917697133120992),
+        ("file_foreign:f1", 1),
+        ("channel_state:c1", "healthy"),
+        ("channel_healthy:c1", 1.0),
+        ("channel_state:c2", "spoofed"),
+        ("channel_healthy:c2", 0.0784359135409691),
+    ]
+    assert rng.random() == 0.08693883262941615
 
 
 # -- update_world_state ---------------------------------------------------------------
 
 def test_empty_update_only_advances_the_tick():
     ws = WorldState(tick=3, features={"x": 1.0})
-    update_world_state(ws, [])
-    assert ws.features == {"x": 1.0}
+    update_world_state(ws, [], SensorConfig(), 4, {})
+    assert ws.features == {"x": 1.0} and ws.beliefs == {}
     assert ws.tick == 4
 
 
 def test_last_writer_wins_overwrite():
     ws = WorldState(features={"comms_integrity": 1.0})
-    update_world_state(ws, [Descriptor("transformer:t", "comms_integrity", 0.5, 0)])
+    config = SensorConfig(logical=["channel_counts"], transformers=["comms_integrity"])
+    fold([("channel_healthy", "c1", 1), ("channel_healthy", "c2", 0)], config, ws)
     assert ws.features["comms_integrity"] == 0.5
 
 
-def test_stale_descriptors_rejected():
-    ws = WorldState(tick=5)
-    with pytest.raises(StaleDescriptors):
-        update_world_state(ws, [Descriptor("transformer:t", "x", 1, 4)])
+# -- skipping unchanged passes -------------------------------------------------------------
+
+INTEGRITY_ONLY = SensorConfig(physical=["host_integrity"], logical=["host_integrity"],
+                              transformers=["host_integrity"])
 
 
-def test_descriptor_is_immutable_and_hashable():
-    d = Descriptor("physical:p", "k", 1.0, 0)
-    assert (d.source, d.key, d.value, d.tick) == ("physical:p", "k", 1.0, 0)
-    for name in ("source", "key", "value", "tick"):
-        with pytest.raises(AttributeError):
-            setattr(d, name, None)
-    assert d == Descriptor("physical:p", "k", 1.0, 0)
-    assert hash(d) == hash(Descriptor("physical:p", "k", 1.0, 0))
+def test_first_pass_derives_even_without_rows():
+    ws = WorldState()
+    assert update_world_state(ws, [], SensorConfig(transformers=["comms_integrity"]), 0, {})
+    assert ws.features == {"comms_integrity": 1.0}
+
+
+def test_unchanged_rows_and_own_values_report_no_change():
+    ws = fold([("host_integrity", None, 0.5)], INTEGRITY_ONLY, detectability=0.1)
+    assert not update_world_state(ws, [("host_integrity", None, 0.5)], INTEGRITY_ONLY, 1,
+                                  {"detectability": 0.1})
+    assert ws.tick == 1
+    assert ws.features == {"host_integrity": 0.5, "detectability": 0.1}
+
+
+@pytest.mark.parametrize("first, second", [(1, 1.0), (1.0, 1), (1, True), (0.5, 0.25)])
+def test_rows_of_another_value_or_type_are_rederived(first, second):
+    ws = fold([("host_integrity", None, first)], INTEGRITY_ONLY)
+    assert update_world_state(ws, [("host_integrity", None, second)], INTEGRITY_ONLY, 1, {})
+    for values in (ws.beliefs, ws.features):
+        assert type(values["host_integrity"]) is type(second)
+        assert values["host_integrity"] == second
+
+
+@pytest.mark.parametrize("first, second", [(0, 0.0), (0, 1)])
+def test_own_values_are_written_on_every_pass(first, second):
+    ws = fold([("host_integrity", None, 0.5)], INTEGRITY_ONLY, replica_count=first)
+    assert update_world_state(ws, [("host_integrity", None, 0.5)], INTEGRITY_ONLY, 1,
+                              {"replica_count": second})
+    assert type(ws.features["replica_count"]) is type(second)
 
 
 # -- identify ----------------------------------------------------------------------------
@@ -216,14 +289,14 @@ def test_unsensed_ground_truth_never_reaches_beliefs():
     env.step(0)
     config = SensorConfig(physical=["service_table"], logical=["service_weights"],
                           transformers=["functionality_belief"])
-    ws = update_world_state(WorldState(), sense(env, "h1", config, Random(1)))
+    ws = fold(sense(env, "h1", config, Random(1)), config)
     baseline_beliefs = dict(ws.beliefs)
     baseline_features = dict(ws.features)
     # corrupt ground truth outside sensor coverage
     env.hosts["h1"].integrity = 0.01
     env.apply_effect(EffectDescriptor("process:h1:mal", "", "spawn", {"owner": "malware"}))
     env.step(1)
-    update_world_state(ws, sense(env, "h1", config, Random(1)))
+    fold(sense(env, "h1", config, Random(1)), config, ws, tick=1)
     assert ws.beliefs == baseline_beliefs
     assert ws.features == baseline_features
     assert "host_integrity" not in ws.beliefs
