@@ -17,6 +17,7 @@ from .errors import (
     DefsimError,
     IndexOutOfRange,
     SchemaMismatch,
+    read_json,
 )
 from .runner import (
     explain,
@@ -99,10 +100,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    try:
-        data = json.loads(Path(args.result).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigInvalid(f"cannot read result file: {exc}") from exc
+    data = read_json(args.result, ConfigInvalid, "result file")
     if not isinstance(data, dict):
         raise ConfigInvalid("result file is not a JSON object")
     decision_log = data.get("decision_log", [])

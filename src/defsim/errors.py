@@ -1,6 +1,11 @@
-"""Exception hierarchy shared across the simulation kit."""
+"""Exception hierarchy shared across the simulation kit, and the reader that
+maps a bad input file onto it."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any
 
 
 class DefsimError(Exception):
@@ -111,3 +116,17 @@ class CorruptTrace(DefsimError):
 
 class IndexOutOfRange(DefsimError):
     """Decision index outside the decision log."""
+
+
+def read_json(path: str | Path, error: type[DefsimError], what: str,
+              lines: bool = False) -> Any:
+    """The JSON document in the file at `path`, or with `lines` the documents
+    on its non-blank lines. A file that cannot be read, is not UTF-8, is not
+    JSON or nests too deep for the decoder raises `error`."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        if lines:
+            return [json.loads(line) for line in text.splitlines() if line.strip()]
+        return json.loads(text)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise error(f"cannot read {what}: {exc}") from exc

@@ -33,6 +33,7 @@ from .errors import (
     SchemaMismatch,
     UnknownField,
     UnknownGoal,
+    read_json,
 )
 from .execution import AgentMode, AgentState, Authority, PlanExecution
 from .learning import AssessmentObservation, EffectObservation, KnowledgeBase
@@ -753,7 +754,7 @@ class Episode:
                 continue
             msg = collaboration.build_message(
                 self.auth_key, collaboration.MessageKind(entry["kind"]),
-                "c2", recipient, entry.get("payload", {}))
+                "c2", recipient, entry["payload"])
             delivery = self.env.deliver(channel, msg, self.rng, spoofer=self._spoof)
             self.emit("c2.sent", to=recipient, message_kind=entry["kind"],
                       status=delivery.status.value)
@@ -834,27 +835,16 @@ def write_result(result: EpisodeResult, path: str | Path) -> None:
 
 def replay(trace_path: str | Path) -> dict[str, Any]:
     """Recompute the metrics block from a trace file alone."""
-    try:
-        text = Path(trace_path).read_text()
-    except OSError as exc:
-        raise CorruptTrace(f"cannot read trace: {exc}") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    events = read_json(trace_path, CorruptTrace, "trace", lines=True)
+    if not events:
         raise CorruptTrace("empty trace file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CorruptTrace(f"unparseable header: {exc}") from exc
+    header = events.pop(0)
     if not isinstance(header, dict):
         raise CorruptTrace("trace header is not a JSON object")
     version = header.get("schema_version")
     if version != TRACE_SCHEMA_VERSION:
         raise SchemaMismatch(
             f"trace schema_version {version!r}, expected {TRACE_SCHEMA_VERSION}")
-    try:
-        events = [json.loads(line) for line in lines[1:]]
-    except json.JSONDecodeError as exc:
-        raise CorruptTrace(f"unparseable event line: {exc}") from exc
     for number, event in enumerate(events, start=2):
         if not isinstance(event, dict) or "kind" not in event:
             raise CorruptTrace(f"trace line {number} is not an event object with a kind")

@@ -325,7 +325,9 @@ def identify(ws: WorldState, patterns: list[Pattern], trigger_threshold: float) 
         key=lambda m: (-m[1], m[0]),
     )
     top = matched[0][1] if matched else 0.0
-    return Assessment(matched=matched, problematic=top >= trigger_threshold, top_severity=top)
+    # no match is no problem, even under a trigger threshold of 0
+    return Assessment(matched=matched, problematic=bool(matched) and top >= trigger_threshold,
+                      top_severity=top)
 
 
 def matched_patterns(assessment: Assessment, patterns: list[Pattern]) -> list[Pattern]:

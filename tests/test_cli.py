@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +84,10 @@ def test_explain_bad_index_exits_2(tmp_path, capsys):
 
 S1 = scenario_path("s1_comms_spoof")
 END_ONE = '{"kind": "end", "events": 1}\n'
+NOT_UTF8 = str(Path(__file__).parent / "data" / "not_utf8.json")
+TOO_DEEP = "[" * 100_000 + "\n"  # deeper than the JSON decoder recurses
+S1_STEP_PARAMS_STRING = json.loads(Path(S1).read_text())
+S1_STEP_PARAMS_STRING["playbook"]["steps"][2]["params"] = "s"
 # command line, with FILE standing for the artifact path, and the artifact text
 MALFORMED = {
     "seeds_not_numbers": (["batch", "--scenario", S1, "--seeds", "abc", "--out", "FILE"], None),
@@ -101,6 +106,15 @@ MALFORMED = {
                              '{"decision_log": [{}]}\n'),
     "decision_log_number": (["explain", "--result", "FILE", "--decision", "0"],
                             '{"decision_log": 5}\n'),
+    "scenario_not_utf8": (["run", "--scenario", NOT_UTF8, "--seed", "1", "--out", "FILE"], None),
+    "scenario_too_deep": (["run", "--scenario", "FILE", "--seed", "1", "--out", "FILE"],
+                          TOO_DEEP),
+    "scenario_step_params_string": (["run", "--scenario", "FILE", "--seed", "1", "--out", "FILE"],
+                                    json.dumps(S1_STEP_PARAMS_STRING)),
+    "trace_not_utf8": (["replay", "--trace", NOT_UTF8], None),
+    "trace_too_deep": (["replay", "--trace", "FILE"], TOO_DEEP),
+    "result_not_utf8": (["explain", "--result", NOT_UTF8, "--decision", "0"], None),
+    "result_too_deep": (["explain", "--result", "FILE", "--decision", "0"], TOO_DEEP),
 }
 
 

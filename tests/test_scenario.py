@@ -1,8 +1,12 @@
+import copy
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from defsim.errors import ConfigInvalid
+from defsim.errors import ConfigInvalid, DefsimError
+from defsim.runner import run_episode
 from defsim.scenario import load_scenario, parse_scenario, validate_scenario
 
 from conftest import BUNDLED, run_python, scenario_path
@@ -202,14 +206,117 @@ def test_default_instance_validation_ignores_hash_seed():
     (lambda r: r.update(repertoire=[{"action_id": "a", "category": "observe",
                                      "preparation": ["ghost"]}]),
      "action 'a'.preparation: unknown action 'ghost'"),
+    # known_good defaults to true, which a malware-owned process may not be
+    (lambda r: r["topology"]["hosts"][0].update(
+        processes=[{"process_id": "evil", "owner": "malware"}]),
+     "process 'evil': malware owner requires known_good=false"),
 ], ids=["threshold_string", "report_interval_zero", "communicate_noise_negative",
         "fail_safe_streak_string", "duplicate_agent_id", "depth_string",
         "noise_weight_string", "trigger_threshold_string", "service_weight_string",
         "duration_string", "step_without_any_instance", "agent_entry_string",
-        "agent_id_list", "topology_list", "host_entry_string", "unknown_preparation"])
+        "agent_id_list", "topology_list", "host_entry_string", "unknown_preparation",
+        "malware_process_known_good_by_default"])
 def test_mistyped_or_out_of_range_settings_are_config_invalid(edit, problem):
     raw = minimal_raw()
     edit(raw)
     with pytest.raises(ConfigInvalid) as err:
         parse_scenario(raw)
     assert any(problem in p for p in err.value.problems), err.value.problems
+
+
+# -- fuzzing: any document is either ConfigInvalid or runs ---------------------------
+
+S1 = json.loads(Path(scenario_path("s1_comms_spoof")).read_text())
+PROBES = ["s", ["l"], {"o": 1}, 7, -3, None, True, 0.5]
+DELETE = object()  # an edit that removes the node
+
+
+def node_paths(node, prefix=()):
+    """The path, as keys and list indices, of every node under `node`."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from node_paths(child, prefix + (key,))
+
+
+def node_at(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+S1_PATHS = list(node_paths(S1))
+# every string the scenario holds, as a key or a value: ids, names and enum values
+S1_STRINGS = sorted({p[-1] for p in S1_PATHS if isinstance(p[-1], str)}
+                    | {v for v in (node_at(S1, p) for p in S1_PATHS) if isinstance(v, str)})
+
+
+def edited(raw, edits):
+    """`raw` with each (path, value) edit applied in turn."""
+    out = copy.deepcopy(raw)
+    for path, value in edits:
+        try:
+            parent = node_at(out, path[:-1])
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit replaced or removed a node on the path
+    return out
+
+
+def parse_and_run(raw):
+    """Parse the document and run a 10-tick episode of it. ConfigInvalid from
+    the parse and the kit's own errors from the run are fine; any other
+    exception fails the calling test."""
+    try:
+        config = parse_scenario(raw)
+    except ConfigInvalid:
+        return
+    config.duration_ticks = min(config.duration_ticks, 10)
+    try:
+        run_episode(config, 1)
+    except DefsimError:
+        pass
+
+
+def test_every_single_node_edit_is_config_invalid_or_runs():
+    for path in S1_PATHS:
+        for probe in PROBES:
+            parse_and_run(edited(S1, [(path, probe)]))
+
+
+def in_range(original):
+    """Values of the node's own type, so that most edits stay inside the
+    table's ranges; a string names something the scenario already names."""
+    if isinstance(original, bool):
+        return st.booleans()
+    if isinstance(original, int):
+        return st.integers(min_value=0, max_value=6)
+    if isinstance(original, float):
+        return st.floats(min_value=0.0, max_value=1.0)
+    if isinstance(original, str):
+        return st.sampled_from(S1_STRINGS)
+    return st.just(DELETE)
+
+
+OUT_OF_RANGE = st.one_of(
+    st.sampled_from(PROBES), st.just(DELETE), st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-10**400, max_value=10**400),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(min_value=-3, max_value=3), max_size=2))
+
+
+@st.composite
+def several_edits(draw):
+    paths = draw(st.lists(st.sampled_from(S1_PATHS), min_size=2, max_size=6))
+    return [(p, draw(st.one_of(in_range(node_at(S1, p)), OUT_OF_RANGE))) for p in paths]
+
+
+@given(edits=several_edits())
+@settings(max_examples=80, deadline=None)
+def test_several_edits_at_once_are_config_invalid_or_run(edits):
+    parse_and_run(edited(S1, edits))
