@@ -50,12 +50,6 @@ class NoResidentAgent(DefsimError):
     """Hunt invoked on a host with no resident agent."""
 
 
-# -- planning ---------------------------------------------------------------
-
-class PreconditionUnevaluable(DefsimError):
-    """A precondition references a feature absent from the world state."""
-
-
 # -- execution --------------------------------------------------------------
 
 class AuthorityNotHeld(DefsimError):

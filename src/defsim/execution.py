@@ -282,27 +282,31 @@ def monitor_effects(
     pe: PlanExecution,
     ws: WorldState,
     repertoire: dict[str, ActionSpec],
-) -> list[Deviation]:
+) -> tuple[list[Deviation], list[tuple[str, int, bool]]]:
     """Compare each done action's expected-effect predicates against the
-    refreshed beliefs; unmet expectations are the warning signs."""
+    refreshed beliefs; unmet expectations are the warning signs. Returns the
+    deviations and every check made, as (action id, effect index, held)."""
     deviations: list[Deviation] = []
+    checks: list[tuple[str, int, bool]] = []
     for rec in pe.records:
         if rec.status is not ActionStatus.DONE or rec.effects_checked or rec.adjusted:
             continue
         if rec.finished_tick is None or rec.finished_tick >= ws.tick:
             continue  # beliefs not refreshed since completion yet
+        rec.effects_checked = True
         spec = BUILTIN_ACTIONS.get(rec.action_id) or repertoire.get(rec.action_id)
         if spec is None or spec.builtin is not None:
-            rec.effects_checked = True
             continue
-        rec.effects_checked = True
-        for eff in spec.effects:
-            if eff.expect and not all_hold(ws.features, eff.expect):
-                deviations.append(Deviation(
-                    "effect_unmet", rec.action_id, rec.entry_index,
-                    detail=f"expected {eff.expect} not observed",
-                    probability=eff.probability))
-    return deviations
+        for index, eff in enumerate(spec.effects):
+            if eff.expect:
+                held = all_hold(ws.features, eff.expect)
+                checks.append((rec.action_id, index, held))
+                if not held:
+                    deviations.append(Deviation(
+                        "effect_unmet", rec.action_id, rec.entry_index,
+                        detail=f"expected {eff.expect} not observed",
+                        probability=eff.probability))
+    return deviations, checks
 
 
 def adjust(

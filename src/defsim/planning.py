@@ -23,7 +23,7 @@ from random import Random
 from typing import Any, Optional, Sequence
 
 from .envsim import EffectDescriptor
-from .errors import ConfigInvalid, PreconditionUnevaluable
+from .errors import ConfigInvalid
 from .sensing import (
     FeatureDelta,
     Predicate,
@@ -186,11 +186,14 @@ _ABSENT = object()  # the value of a goal feature that the features do not hold
 _Rows = list[tuple[float, tuple]]  # (probability, goal-feature values)
 
 
-def _apply_optimistic(feats: dict[str, Any], spec: ActionSpec) -> None:
-    """Apply every effect of `spec` to `feats`, whatever its probability."""
+def _apply_optimistic(feats: dict[str, Any], spec: ActionSpec) -> dict[str, Any]:
+    """A copy of `feats` with every effect of `spec` applied, whatever its
+    probability."""
+    evolved = dict(feats)
     for eff in spec.effects:
         for delta in eff.feature_deltas:
-            apply_feature_delta(feats, delta)
+            apply_feature_delta(evolved, delta)
+    return evolved
 
 
 class _Outcomes:
@@ -315,9 +318,9 @@ def predict(
     EXACT_ENUM_LIMIT uncertain effects the outcome distribution is built
     exactly, one action at a time, as the search builds it node by node
     (see _Outcomes for the row order that keeps the sums bit-exact); beyond
-    that SAMPLE_COUNT deterministic seeded samples are drawn. Raises
-    PreconditionUnevaluable if a precondition references a feature missing
-    from the (optimistically evolved) belief copy.
+    that SAMPLE_COUNT deterministic seeded samples are drawn. Preconditions
+    are not checked here: the search and _trim_and_augment admit an action
+    only where they hold.
     """
     features = dict(ws.features)
     for delta in base_deltas:
@@ -326,13 +329,7 @@ def predict(
     rows: Optional[_Rows] = outcomes.start
     uncertain = 0
     for aid in action_ids:
-        spec = repertoire[aid]
-        for pred in spec.preconditions:
-            if pred[0] not in features:
-                raise PreconditionUnevaluable(
-                    f"action {aid!r} precondition references absent feature {pred[0]!r}")
-        _apply_optimistic(features, spec)
-        rows, uncertain = outcomes.extend(rows, uncertain, spec)
+        rows, uncertain = outcomes.extend(rows, uncertain, repertoire[aid])
     return outcomes.satisfaction(rows, action_ids, repertoire)
 
 
@@ -396,8 +393,7 @@ def propose_plans(
                 spec = repertoire[aid]
                 if not all_hold(feats, spec.preconditions):
                     continue
-                new_feats = dict(feats)
-                _apply_optimistic(new_feats, spec)
+                new_feats = _apply_optimistic(feats, spec)
                 new_seq = seq + (aid,)
                 new_rows, new_uncertain = outcomes.extend(rows, uncertain, spec)
                 sat = outcomes.satisfaction(new_rows, new_seq, repertoire)
@@ -497,9 +493,7 @@ def _unique_provider(
         spec = repertoire[aid]
         if not action_roe_ok(spec, roe) or not all_hold(feats, spec.preconditions):
             continue
-        trial = dict(feats)
-        _apply_optimistic(trial, spec)
-        if all_hold(trial, failing):
+        if all_hold(_apply_optimistic(feats, spec), failing):
             providers.append(aid)
     return providers[0] if len(providers) == 1 else None
 
@@ -510,7 +504,7 @@ def _trim_and_augment(
     roe: RulesOfEngagement,
     ws: WorldState,
 ) -> tuple[list[tuple[str, EntryOrigin]], list[dict[str, Any]], list[dict[str, Any]]]:
-    feats = dict(ws.features)
+    feats = ws.features
     entries: list[tuple[str, EntryOrigin]] = []
     trims: list[dict[str, Any]] = []
     insertions: list[dict[str, Any]] = []
@@ -525,7 +519,7 @@ def _trim_and_augment(
             if all_hold(feats, prep.preconditions):
                 entries.append((prep_id, EntryOrigin.PREPARATORY))
                 insertions.append({"action": prep_id, "origin": "preparatory", "before": aid})
-                _apply_optimistic(feats, prep)
+                feats = _apply_optimistic(feats, prep)
         if not all_hold(feats, spec.preconditions):
             failing = [list(p) for p in spec.preconditions if not predicate_holds(feats, p)]
             provider = _unique_provider(
@@ -535,7 +529,7 @@ def _trim_and_augment(
                 continue
             entries.append((provider, EntryOrigin.PREREQUISITE))
             insertions.append({"action": provider, "origin": "prerequisite", "before": aid})
-            _apply_optimistic(feats, repertoire[provider])
+            feats = _apply_optimistic(feats, repertoire[provider])
             if not all_hold(feats, spec.preconditions):
                 trims.append({"action": aid, "reason": "precondition_failed_after_prerequisite",
                               "failing": failing})
@@ -545,7 +539,7 @@ def _trim_and_augment(
             insertions.append({"action": SNAPSHOT_ACTION_ID, "origin": "precautionary", "before": aid})
             snapshot_done = True
         entries.append((aid, EntryOrigin.PROPOSED))
-        _apply_optimistic(feats, spec)
+        feats = _apply_optimistic(feats, spec)
 
     if entries:
         entries.append((VERIFY_ACTION_ID, EntryOrigin.POST_EXECUTION))

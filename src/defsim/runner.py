@@ -133,12 +133,21 @@ def time_to_recovery(series: list[float], onset: Optional[int]) -> Optional[int]
     return None
 
 
-def _episode_metrics(series: list[float], onset: Optional[int], survived: Optional[bool],
-                     harm_events: int, reward_total: float) -> dict[str, Any]:
-    """The metrics block, computed the same way by an episode and by replay."""
+def _episode_metrics(events: list[dict[str, Any]], primary: Optional[str]) -> dict[str, Any]:
+    """The metrics block folded from an episode's events: by the episode
+    from its own trace, and by replay from the trace file."""
+    series = [e["value"] for e in events if e["kind"] == "tick.functionality"]
+    onsets = [e["tick"] for e in events if e["kind"] == "attack.onset"]
+    harm_events = sum(1 for e in events if e["kind"] == "harm")
+    reward_total = sum((e["reward"] for e in events
+                        if e["kind"] == "agent.reward" and e.get("agent") == primary), 0.0)
+    survived: Optional[bool] = None
+    if primary is not None:
+        survived = not any(e["kind"] == "agent.killed" and e.get("agent") == primary
+                           for e in events)
     return {
         "resilience_auc": sum(series) / len(series) if series else 0.0,
-        "time_to_recovery": time_to_recovery(series, onset),
+        "time_to_recovery": time_to_recovery(series, onsets[0] if onsets else None),
         "agent_survived": survived,
         "harm_events": harm_events,
         "reward_total": reward_total,
@@ -159,9 +168,7 @@ class Episode:
         self.trace: list[dict[str, Any]] = []
         self.decision_log: list[dict[str, Any]] = []
         self.functionality_series: list[float] = []
-        self.attack_onset: Optional[int] = None
-        self.harm_events = 0
-        self.reward_total = 0.0
+        self.attacked = False
         self.compromised_hosts: set[str] = set()
         self.tick = 0
 
@@ -217,7 +224,6 @@ class Episode:
                 and change.get("new_state") == "down"
                 and change.get("old_state") != "down"
             ):
-                self.harm_events += 1
                 self.emit("harm", entity=change["entity"], cause=cause)
             if change.get("entity", "").startswith("agent:") and cause.startswith("malware:"):
                 agent_id = change["entity"].split(":", 1)[1]
@@ -253,26 +259,17 @@ class Episode:
             self.functionality_series.append(value)
             self.emit("tick.functionality", value=value)
         self._end_of_episode_learning()
-        metrics = self._metrics()
         return EpisodeResult(
             scenario_name=self.config.name,
             scenario_hash=self.config.scenario_hash(),
             seed=self.seed,
-            metrics=metrics,
+            metrics=_episode_metrics(self.trace, self.primary_agent),
             functionality_series=self.functionality_series,
             decision_log=self.decision_log,
             trace=self.trace,
             agents=[a.state.agent_id for a in self.agents],
             primary_agent=self.primary_agent,
         )
-
-    def _metrics(self) -> dict[str, Any]:
-        survived: Optional[bool] = None
-        if self.primary_agent is not None:
-            primary = next(a for a in self.agents if a.state.agent_id == self.primary_agent)
-            survived = primary.state.mode is not AgentMode.DESTROYED
-        return _episode_metrics(self.functionality_series, self.attack_onset, survived,
-                                self.harm_events, self.reward_total)
 
     # -- adversary phase ---------------------------------------------------------------
 
@@ -295,8 +292,8 @@ class Episode:
             self.emit("adversary.lateral", **move)
         for iid, effect in effects:
             outcome = self.env.apply_effect(effect, cause=f"malware:{iid}")
-            if self.attack_onset is None:
-                self.attack_onset = tick
+            if not self.attacked:
+                self.attacked = True
                 self.emit("attack.onset")
             self._record_effect_outcome(outcome)
 
@@ -346,7 +343,6 @@ class Episode:
         if rt.state.mode is not AgentMode.DESTROYED:
             reward_sample = learning.reward(rt.kb.goals, rt.ws)
             if rt.state.agent_id == self.primary_agent:
-                self.reward_total += reward_sample.reward
                 self.emit("agent.reward", agent=rt.state.agent_id, reward=reward_sample.reward)
             self._periodic_report(rt, tick)
 
@@ -495,11 +491,12 @@ class Episode:
         pe = rt.plan_exec
         if pe is None:
             return
-        feedback = self._collect_effect_feedback(rt, pe)
-        if feedback:
+        unmet, checks = execution.monitor_effects(pe, rt.ws, rt.repertoire)
+        if checks:
+            feedback = [EffectObservation(rt.next_observation_id(self.seed), action_id, index,
+                                          held) for action_id, index, held in checks]
             self._learn(rt, feedback, [], "effect_stat_update")
-        deviations = execution.monitor_execution(pe.records, tick, rt.repertoire)
-        deviations += execution.monitor_effects(pe, rt.ws, rt.repertoire)
+        deviations = execution.monitor_execution(pe.records, tick, rt.repertoire) + unmet
         if not deviations:
             if pe.finished():
                 rt.plan_exec = None
@@ -514,28 +511,6 @@ class Episode:
                   substitute=decision.substitute_action_id)
         if decision.kind == "replan":
             rt.plan_exec = None
-
-    def _collect_effect_feedback(self, rt: AgentRuntime, pe: PlanExecution) -> list[EffectObservation]:
-        feedback: list[EffectObservation] = []
-        for rec in pe.records:
-            if (rec.status is not execution.ActionStatus.DONE or rec.effects_checked
-                    or rec.adjusted or rec.finished_tick is None
-                    or rec.finished_tick >= rt.ws.tick):
-                continue
-            spec = rt.repertoire.get(rec.action_id)
-            if spec is None or spec.builtin is not None:
-                continue
-            for idx, eff in enumerate(spec.effects):
-                if not eff.expect:
-                    continue
-                observed = sensing.all_hold(rt.ws.features, eff.expect)
-                feedback.append(EffectObservation(
-                    observation_id=rt.next_observation_id(self.seed),
-                    action_id=rec.action_id,
-                    effect_index=idx,
-                    observed=observed,
-                ))
-        return feedback
 
     def _maybe_plan(self, rt: AgentRuntime, assessment: Assessment, tick: int) -> None:
         if rt.plan_exec is not None or not assessment.problematic:
@@ -574,13 +549,8 @@ class Episode:
                 proposals, rt.kb.goals, rt.roe, rt.ws, rt.repertoire, rt.planner, progression)
             if outcome.plan is None:
                 rt.last_no_action = (inputs, outcome)
-        chosen: dict[str, Any]
-        if outcome.plan is not None:
-            chosen = {"no_action": False,
-                      "entries": [{"action": e.action_id, "offset": e.offset,
-                                   "origin": e.origin.value} for e in outcome.plan.entries]}
-        else:
-            chosen = {"no_action": True, "entries": None}
+        chosen = ({"no_action": False, "entries": outcome.log["released_entries"]}
+                  if outcome.plan is not None else {"no_action": True, "entries": None})
         entry = {
             "tick": tick,
             "agent": rt.state.agent_id,
@@ -856,18 +826,7 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
             f"trace truncated: end record says {end.get('events')} events, found {len(events)}")
 
     try:
-        series = [e["value"] for e in events if e["kind"] == "tick.functionality"]
-        onset_events = [e["tick"] for e in events if e["kind"] == "attack.onset"]
-        onset = onset_events[0] if onset_events else None
-        harm = sum(1 for e in events if e["kind"] == "harm")
-        primary = header.get("primary_agent")
-        reward_total = sum((e["reward"] for e in events
-                            if e["kind"] == "agent.reward" and e.get("agent") == primary), 0.0)
-        survived: Optional[bool] = None
-        if primary is not None:
-            survived = not any(e["kind"] == "agent.killed" and e.get("agent") == primary
-                               for e in events)
-        return _episode_metrics(series, onset, survived, harm, reward_total)
+        return _episode_metrics(events, header.get("primary_agent"))
     except (KeyError, TypeError) as exc:
         raise CorruptTrace(f"malformed event field: {exc!r}") from exc
 

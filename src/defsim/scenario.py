@@ -28,8 +28,9 @@ from .collaboration import FriendlyRoster
 from .envsim import (ChannelState, CommsChannel, EffectDescriptor, Environment, FileEntry, Host,
                      Owner, Process, Service)
 from .errors import ConfigInvalid, read_json
-from .planning import (ActionCategory, ActionSpec, ConditionActionRule, Goal, PlannerConfig,
-                       ProbabilisticEffect, RulesOfEngagement, TargetScope, normalize_goals)
+from .planning import (BUILTIN_ACTIONS, ActionCategory, ActionSpec, ConditionActionRule, Goal,
+                       PlannerConfig, ProbabilisticEffect, RulesOfEngagement, TargetScope,
+                       normalize_goals)
 from .sensing import _LOGICAL_SENSORS, _PHYSICAL_SENSORS, _TRANSFORMERS, Pattern, SensorConfig
 
 
@@ -518,6 +519,8 @@ def _cross_rules(doc: dict[str, Any], ids: dict[str, set[Any]], problems: list[s
                 problems.append(f"scenario.playbook.steps[{index}]: unknown service "
                                 f"{step['params']['service']!r} on host {host!r}")
     for a in doc["repertoire"]:
+        if a["action_id"] in BUILTIN_ACTIONS:  # plan entries find builtins by id
+            problems.append(f"action {a['action_id']!r}: id is taken by a builtin action")
         if a["category"] == "destructive" and a["risk"] <= 0.0:
             problems.append(f"action {a['action_id']!r}: destructive actions must declare risk > 0")
         if a["builtin"] == "propagate" and not a["target_host"]:
@@ -545,10 +548,6 @@ def _check(raw: Any) -> tuple[Any, list[str]]:
     if not walk.problems:
         _cross_rules(doc, walk.ids, walk.problems)
     return doc, walk.problems
-
-
-def validate_scenario(raw: Any) -> list[str]:
-    return _check(raw)[1]
 
 
 # -- configuration --------------------------------------------------------------

@@ -17,7 +17,6 @@ from random import Random
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .envsim import ChannelState, Environment, ServiceState
-from .errors import PreconditionUnevaluable
 
 # A predicate is (feature key, comparator, threshold); conjunctions are lists.
 Predicate = tuple[str, str, Any]
@@ -33,17 +32,13 @@ _COMPARATORS = {
 }
 
 
-def predicate_holds(features: dict[str, Any], pred: Predicate, strict: bool = False) -> bool:
+def predicate_holds(features: dict[str, Any], pred: Predicate) -> bool:
     key, cmp, threshold = pred
-    if key not in features:
-        if strict:
-            raise PreconditionUnevaluable(f"feature {key!r} absent")
-        return False
-    return _COMPARATORS[cmp](features[key], threshold)
+    return key in features and _COMPARATORS[cmp](features[key], threshold)
 
 
-def all_hold(features: dict[str, Any], preds: Sequence[Predicate], strict: bool = False) -> bool:
-    return all(predicate_holds(features, p, strict=strict) for p in preds)
+def all_hold(features: dict[str, Any], preds: Sequence[Predicate]) -> bool:
+    return all(predicate_holds(features, p) for p in preds)
 
 
 def feature_after_delta(current: Any, op: str, value: Any) -> Any:

@@ -19,7 +19,6 @@ import zlib
 from random import Random
 from typing import Any, Sequence
 
-from defsim.errors import PreconditionUnevaluable
 from defsim.planning import (
     EXACT_ENUM_LIMIT,
     SAMPLE_COUNT,
@@ -106,18 +105,10 @@ def reference_predict(
     for delta in base_deltas:
         apply_feature_delta(features, delta)
 
-    optimistic = dict(features)
     effect_plan: list[tuple[list[FeatureDelta], float]] = []
     for aid in action_ids:
-        spec = repertoire[aid]
-        for pred in spec.preconditions:
-            if pred[0] not in optimistic:
-                raise PreconditionUnevaluable(
-                    f"action {aid!r} precondition references absent feature {pred[0]!r}")
-        for eff in spec.effects:
+        for eff in repertoire[aid].effects:
             effect_plan.append((eff.feature_deltas, eff.probability))
-            for delta in eff.feature_deltas:
-                apply_feature_delta(optimistic, delta)
 
     uncertain = [i for i, (_, p) in enumerate(effect_plan) if 0.0 < p < 1.0]
     satisfaction = {g.goal_id: 0.0 for g in goals}

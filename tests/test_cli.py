@@ -88,6 +88,12 @@ NOT_UTF8 = str(Path(__file__).parent / "data" / "not_utf8.json")
 TOO_DEEP = "[" * 100_000 + "\n"  # deeper than the JSON decoder recurses
 S1_STEP_PARAMS_STRING = json.loads(Path(S1).read_text())
 S1_STEP_PARAMS_STRING["playbook"]["steps"][2]["params"] = "s"
+# a repertoire action under a builtin's id, whose effect a precondition needs
+S1_SHADOWS_BUILTIN = json.loads(Path(S1).read_text())
+S1_SHADOWS_BUILTIN["repertoire"].append({"action_id": "verify_effects", "category": "observe",
+                                         "effects": [{"features": [["armed", "set", 1]]}]})
+next(a for a in S1_SHADOWS_BUILTIN["repertoire"]
+     if a["action_id"] == "purge_unknown")["preconditions"].append(["armed", ">=", 1])
 # command line, with FILE standing for the artifact path, and the artifact text
 MALFORMED = {
     "seeds_not_numbers": (["batch", "--scenario", S1, "--seeds", "abc", "--out", "FILE"], None),
@@ -111,6 +117,8 @@ MALFORMED = {
                           TOO_DEEP),
     "scenario_step_params_string": (["run", "--scenario", "FILE", "--seed", "1", "--out", "FILE"],
                                     json.dumps(S1_STEP_PARAMS_STRING)),
+    "scenario_action_shadows_builtin": (["run", "--scenario", "FILE", "--seed", "1",
+                                         "--out", "FILE"], json.dumps(S1_SHADOWS_BUILTIN)),
     "trace_not_utf8": (["replay", "--trace", NOT_UTF8], None),
     "trace_too_deep": (["replay", "--trace", "FILE"], TOO_DEEP),
     "result_not_utf8": (["explain", "--result", NOT_UTF8, "--decision", "0"], None),

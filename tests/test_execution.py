@@ -216,11 +216,13 @@ def test_monitor_effects_met_and_unmet():
     pe = PlanExecution(plan=plan_of("fix"))
     execute_step(pe, env, state, 0, rep, Random(1))
     met_ws = WorldState(tick=1, features={"proc_gone": 1})
-    assert monitor_effects(pe, met_ws, rep) == []
+    assert monitor_effects(pe, met_ws, rep) == ([], [("fix", 0, True)])
+    assert monitor_effects(pe, met_ws, rep) == ([], [])  # each record is checked once
     pe2 = PlanExecution(plan=plan_of("fix"))
     execute_step(pe2, env, state, 0, rep, Random(1))
     unmet_ws = WorldState(tick=1, features={"proc_gone": 0})
-    deviations = monitor_effects(pe2, unmet_ws, rep)
+    deviations, checks = monitor_effects(pe2, unmet_ws, rep)
+    assert checks == [("fix", 0, False)]
     assert len(deviations) == 1
     assert deviations[0].kind == "effect_unmet"
     assert deviations[0].probability == 0.7  # retry heuristic input
@@ -235,7 +237,7 @@ def test_monitor_effects_waits_for_belief_refresh():
     pe = PlanExecution(plan=plan_of("fix"))
     execute_step(pe, env, state, 5, rep, Random(1))
     stale_ws = WorldState(tick=5, features={})
-    assert monitor_effects(pe, stale_ws, rep) == []  # ws not refreshed yet
+    assert monitor_effects(pe, stale_ws, rep) == ([], [])  # ws not refreshed yet
 
 
 # -- adjustment ladder ---------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Every name a defsim module imports is used in that module, and every
-module-level constant is referenced somewhere in the package.
+module-level constant, function and method is referenced somewhere in the
+package.
 
 A stdlib stand-in for a linter's unused-name rules: deleting a function
-often leaves its imports and constants behind, and nothing else notices them.
+often leaves its imports and constants behind, and nothing else notices
+them; a function that only the tests call is dead code in the package.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -80,23 +83,23 @@ def module_constants(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def referenced_names(tree: ast.Module) -> set[str]:
-    """Names read in a module: loaded names, attribute names (module.NAME)
-    and names imported from another module."""
-    refs: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            refs |= {alias.name for alias in node.names}
+def reference_counts(node: ast.AST) -> Counter:
+    """How often each name is read under `node`: loaded names, attribute
+    names (module.NAME) and names imported from another module."""
+    refs: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
     return refs
 
 
 def unreferenced_constants(sources: dict[str, str]) -> list[str]:
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    refs = set().union(*(referenced_names(tree) for tree in trees.values()))
+    refs = set().union(*(reference_counts(tree) for tree in trees.values()))
     return [f"{name}: {const} (line {line})"
             for name, tree in sorted(trees.items())
             for const, line in sorted(module_constants(tree).items()) if const not in refs]
@@ -115,3 +118,55 @@ def test_checker_flags_an_unreferenced_constant_and_accepts_used_ones():
 def test_every_module_constant_is_referenced():
     sources = {path.name: path.read_text() for path in SOURCES}
     assert unreferenced_constants(sources) == []
+
+
+# Functions that nothing in the package calls, kept for a reason outside it.
+KEPT_FUNCTIONS = {
+    "collaboration.py: run_negotiation": "criterion 6 runs negotiation rounds through it",
+    "learning.py: KnowledgeBase.estimate": "criterion 7 reads the learnt effect estimates",
+    "learning.py: KnowledgeBase.from_json": "the reader of the documented knowledge-base format",
+    "planning.py: score_sequence": "the traced benchmark run wraps it (perfbench/spans.py)",
+}
+
+
+def module_functions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Module-level functions and the methods of module-level classes, as
+    `name` or `Class.name`; Python calls the dunder methods itself."""
+    functions = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.{item.name}", item) for item in node.body
+                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return functions
+
+
+def unreferenced_functions(sources: dict[str, str]) -> list[str]:
+    """Functions whose name is read nowhere in `sources` but in their own body."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    refs = sum((reference_counts(tree) for tree in trees.values()), Counter())
+    return sorted(f"{name}: {qualname}"
+                  for name, tree in trees.items()
+                  for qualname, node in module_functions(tree)
+                  if refs[node.name] <= reference_counts(node)[node.name])
+
+
+def test_checker_flags_an_unreferenced_function_and_accepts_used_ones():
+    sources = {
+        "a.py": "def used():\n    pass\n"
+                "def recursive():\n    return recursive()\n"
+                "class K:\n"
+                "    def __init__(self):\n        pass\n"
+                "    def method(self):\n        return self.helper()\n"
+                "    @staticmethod\n    def helper():\n        pass\n"
+                "    def dead(self):\n        pass\n",
+        "b.py": "from a import used, K\nused()\nK().method()\n",
+    }
+    assert unreferenced_functions(sources) == ["a.py: K.dead", "a.py: recursive"]
+
+
+def test_every_function_is_referenced_in_the_package():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unreferenced_functions(sources) == sorted(KEPT_FUNCTIONS)

@@ -1,7 +1,9 @@
 from random import Random
 
 import pytest
-from defsim.errors import ConfigInvalid, PreconditionUnevaluable
+from hypothesis import given, settings, strategies as st
+
+from defsim.errors import ConfigInvalid
 from defsim.planning import (
     ActionCategory,
     ActionSpec,
@@ -24,10 +26,11 @@ from defsim.planning import (
     plan_roe_violations,
     propose_plans,
     predict,
+    score_sequence,
     select_action_plan,
     signed_noise,
 )
-from defsim.sensing import WorldState
+from defsim.sensing import WorldState, all_hold, apply_feature_delta
 
 
 def ws_with(**features):
@@ -83,13 +86,6 @@ def test_predict_two_independent_effects_enumerated_exactly():
                                      effect([("y", "set", 1.0)], 0.5)])}
     goals = normalize_goals([goal("g", [("x", ">=", 1), ("y", ">=", 1)])])
     assert predict(ws, ["a"], rep, goals)["g"] == pytest.approx(0.3, abs=1e-12)
-
-
-def test_predict_missing_precondition_feature_raises():
-    ws = ws_with()
-    rep = {"a": action("a", pre=[("ghost", ">=", 1)])}
-    with pytest.raises(PreconditionUnevaluable):
-        predict(ws, ["a"], rep, normalize_goals([goal("g", [("ghost", ">=", 1)])]))
 
 
 def test_predict_sampling_path_is_deterministic():
@@ -403,6 +399,71 @@ def test_offsets_accumulate_durations():
     assert outcome.plan is not None
     offsets = {e.action_id: e.offset for e in outcome.plan.entries}
     assert offsets["slow"] == 0 and offsets["quick"] == 3
+
+
+# "made" is absent from the beliefs: only an effect or a progression delta creates it
+GATE_KEYS = ("f0", "f1", "made")
+gate_values = st.sampled_from([0.0, 0.5, 1.0])
+gate_deltas = st.tuples(st.sampled_from(GATE_KEYS), st.sampled_from(["set", "add"]),
+                        st.sampled_from([1.0, 0.5, 0.0]))
+gate_predicates = st.tuples(st.sampled_from(GATE_KEYS), st.sampled_from([">=", "<="]),
+                            gate_values)
+# goals that the beliefs rarely meet, so that acting pays
+gate_goal_predicates = st.tuples(st.sampled_from(GATE_KEYS), st.just(">="),
+                                 st.sampled_from([1.0, 1.5]))
+
+
+@st.composite
+def gated_instances(draw):
+    """Beliefs, repertoire, goals, progression deltas and extra proposed
+    sequences, which need not be applicable, so trimming and inserted
+    prerequisite and preparatory entries all occur."""
+    ids = [f"a{i}" for i in range(draw(st.integers(1, 4)))]
+    repertoire = {aid: action(
+        aid, category=draw(st.sampled_from([ActionCategory.RESTORE, ActionCategory.CONTAIN,
+                                            ActionCategory.DESTRUCTIVE])),
+        pre=draw(st.lists(gate_predicates, max_size=2)),
+        effects=[effect(draw(st.lists(gate_deltas, min_size=1, max_size=2)),
+                        draw(st.sampled_from([0.25, 0.5, 1.0])))
+                 for _ in range(draw(st.integers(1, 2)))],
+        risk=draw(st.sampled_from([0.0, 0.125])),
+        preparation=draw(st.lists(st.sampled_from(ids), max_size=1))) for aid in ids}
+    ws = ws_with(**{key: draw(gate_values) for key in GATE_KEYS[:2]})
+    goals = normalize_goals([goal(f"g{i}", draw(st.lists(gate_goal_predicates, min_size=1,
+                                                          max_size=2)))
+                             for i in range(draw(st.integers(1, 2)))])
+    progression = draw(st.lists(gate_deltas, max_size=2))
+    sequences = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=3), max_size=3))
+    return ws, repertoire, goals, progression, sequences
+
+
+@given(gated_instances())
+@settings(max_examples=400, deadline=None)
+def test_released_entries_are_applicable_on_the_gate_walk(instance):
+    # the risk gate predicts each released plan without checking preconditions;
+    # selection must release only entries whose preconditions the gate could
+    # evaluate: each holds on the optimistic walk from the beliefs, and each
+    # feature it names is present on the walk from the features after progression
+    ws, repertoire, goals, progression, sequences = instance
+    config = PlannerConfig(depth=2, beam=4)
+    proposals = propose_plans(ws, repertoire, goals, config)
+    proposals += [score_sequence(ws, seq, repertoire, goals, config) for seq in sequences]
+    outcome = select_action_plan(proposals, goals, roe(), ws, repertoire, config, progression)
+    if outcome.plan is None:
+        return
+    walk = dict(ws.features)
+    gate_walk = dict(ws.features)
+    for delta in progression * config.depth:  # expected_loss's horizon is the depth
+        apply_feature_delta(gate_walk, delta)
+    for aid in outcome.plan.action_ids():
+        if aid in BUILTIN_ACTIONS:
+            continue
+        spec = repertoire[aid]
+        assert all_hold(walk, spec.preconditions), (aid, spec.preconditions, walk)
+        assert all(key in gate_walk for key, _, _ in spec.preconditions), (aid, gate_walk)
+        for delta in (d for eff in spec.effects for d in eff.feature_deltas):
+            apply_feature_delta(walk, delta)
+            apply_feature_delta(gate_walk, delta)
 
 
 # -- fast path --------------------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from defsim.errors import ConfigInvalid, DefsimError
 from defsim.runner import run_episode
-from defsim.scenario import load_scenario, parse_scenario, validate_scenario
+from defsim.scenario import load_scenario, parse_scenario
 
 from conftest import BUNDLED, run_python, scenario_path
 
@@ -29,6 +29,13 @@ def minimal_raw():
     }
 
 
+def problems_of(raw):
+    """The problems parse_scenario reports for `raw`; it must report some."""
+    with pytest.raises(ConfigInvalid) as err:
+        parse_scenario(raw)
+    return err.value.problems
+
+
 def test_bundled_scenarios_validate():
     for name in BUNDLED:
         config = load_scenario(scenario_path(name))
@@ -45,14 +52,14 @@ def test_minimal_scenario_parses():
 def test_unknown_top_level_field_rejected():
     raw = minimal_raw()
     raw["surprise"] = 1
-    problems = validate_scenario(raw)
+    problems = problems_of(raw)
     assert any("unknown field 'surprise'" in p for p in problems)
 
 
 def test_unknown_nested_field_rejected():
     raw = minimal_raw()
     raw["topology"]["hosts"][0]["surprise"] = 1
-    assert any("unknown field 'surprise'" in p for p in validate_scenario(raw))
+    assert any("unknown field 'surprise'" in p for p in problems_of(raw))
 
 
 def test_wrong_schema_version_rejected():
@@ -65,19 +72,19 @@ def test_wrong_schema_version_rejected():
 def test_dangling_channel_endpoint_rejected():
     raw = minimal_raw()
     raw["topology"]["channels"] = [{"channel_id": "c", "endpoints": ["h1", "ghost"]}]
-    assert any("endpoint 'ghost'" in p for p in validate_scenario(raw))
+    assert any("endpoint 'ghost'" in p for p in problems_of(raw))
 
 
 def test_missing_required_service_rejected():
     raw = minimal_raw()
     raw["topology"]["hosts"][0]["services"][0]["required"] = False
-    assert any("required service" in p for p in validate_scenario(raw))
+    assert any("required service" in p for p in problems_of(raw))
 
 
 def test_rule_referencing_unknown_action_rejected():
     raw = minimal_raw()
     raw["rules"] = [{"rule_id": "r", "condition": [], "action_id": "ghost", "priority": 1}]
-    assert any("unknown action 'ghost'" in p for p in validate_scenario(raw))
+    assert any("unknown action 'ghost'" in p for p in problems_of(raw))
 
 
 def test_duplicate_rule_priorities_rejected():
@@ -87,45 +94,45 @@ def test_duplicate_rule_priorities_rejected():
         {"rule_id": "r1", "condition": [], "action_id": "a", "priority": 1},
         {"rule_id": "r2", "condition": [], "action_id": "a", "priority": 1},
     ]
-    assert any("duplicate priority" in p for p in validate_scenario(raw))
+    assert any("duplicate priority" in p for p in problems_of(raw))
 
 
 def test_bad_comparator_rejected():
     raw = minimal_raw()
     raw["patterns"] = [{"id": "p", "predicates": [["x", "~", 1]],
                         "severity": 0.5, "confidence": 0.5}]
-    assert any("unknown comparator" in p for p in validate_scenario(raw))
+    assert any("unknown comparator" in p for p in problems_of(raw))
 
 
 def test_playbook_unknown_instance_host_rejected():
     raw = minimal_raw()
     raw["playbook"] = {"instances": [{"instance_id": "m1", "host_id": "ghost"}]}
-    assert any("unknown host 'ghost'" in p for p in validate_scenario(raw))
+    assert any("unknown host 'ghost'" in p for p in problems_of(raw))
 
 
 def test_destructive_action_needs_positive_risk():
     raw = minimal_raw()
     raw["repertoire"] = [{"action_id": "boom", "category": "destructive", "risk": 0.0}]
-    assert any("risk > 0" in p for p in validate_scenario(raw))
+    assert any("risk > 0" in p for p in problems_of(raw))
 
 
 def test_c2_script_unknown_agent_rejected():
     raw = minimal_raw()
     raw["c2"] = {"host_id": "h1",
                  "script": [{"tick": 1, "kind": "HandoverGrant", "to": "ghost"}]}
-    assert any("unknown agent 'ghost'" in p for p in validate_scenario(raw))
+    assert any("unknown agent 'ghost'" in p for p in problems_of(raw))
 
 
 def test_roster_unknown_host_rejected():
     raw = minimal_raw()
     raw["roster"] = {"hosts": ["ghost"], "authorization_token": "t"}
-    assert any("roster: unknown host" in p for p in validate_scenario(raw))
+    assert any("roster: unknown host" in p for p in problems_of(raw))
 
 
 def test_thresholds_ordering_enforced():
     raw = minimal_raw()
     raw["topology"]["thresholds"] = {"up_threshold": 0.3, "down_threshold": 0.8}
-    assert any("down_threshold < up_threshold" in p for p in validate_scenario(raw))
+    assert any("down_threshold < up_threshold" in p for p in problems_of(raw))
 
 
 def test_healthy_channel_with_delay_rejected():
@@ -133,13 +140,13 @@ def test_healthy_channel_with_delay_rejected():
     raw["topology"]["hosts"].append({"host_id": "h2"})
     raw["topology"]["channels"] = [
         {"channel_id": "c", "endpoints": ["h1", "h2"], "state": "healthy", "delay_ticks": 3}]
-    assert any("healthy implies" in p for p in validate_scenario(raw))
+    assert any("healthy implies" in p for p in problems_of(raw))
 
 
 def test_resident_agent_consistency_checked():
     raw = minimal_raw()
     raw["topology"]["hosts"][0]["resident_agent"] = "ghost"
-    assert any("resident_agent 'ghost'" in p for p in validate_scenario(raw))
+    assert any("resident_agent 'ghost'" in p for p in problems_of(raw))
 
 
 def test_config_invalid_lists_all_problems():
@@ -172,8 +179,14 @@ def test_step_without_instance_runs_on_first_listed_instance():
 def test_default_instance_validation_ignores_hash_seed():
     # validation must pick the same default instance as build_playbook under
     # every string-hash seed, not the first element of a set
-    script = ("import json, sys; from defsim.scenario import validate_scenario; "
-              "print(json.dumps(validate_scenario(json.loads(sys.argv[1]))))")
+    script = ("import json, sys\n"
+              "from defsim.errors import ConfigInvalid\n"
+              "from defsim.scenario import parse_scenario\n"
+              "try:\n"
+              "    parse_scenario(json.loads(sys.argv[1]))\n"
+              "    print('[]')\n"
+              "except ConfigInvalid as exc:\n"
+              "    print(json.dumps(exc.problems))\n")
     raw = json.dumps(two_instance_raw({}))
     for hash_seed in range(8):
         proc = run_python(["-c", script, raw], PYTHONHASHSEED=str(hash_seed))
@@ -210,12 +223,15 @@ def test_default_instance_validation_ignores_hash_seed():
     (lambda r: r["topology"]["hosts"][0].update(
         processes=[{"process_id": "evil", "owner": "malware"}]),
      "process 'evil': malware owner requires known_good=false"),
+    # plan entries name builtins by id, so a repertoire action may not reuse one
+    (lambda r: r.update(repertoire=[{"action_id": "verify_effects", "category": "observe"}]),
+     "action 'verify_effects': id is taken by a builtin action"),
 ], ids=["threshold_string", "report_interval_zero", "communicate_noise_negative",
         "fail_safe_streak_string", "duplicate_agent_id", "depth_string",
         "noise_weight_string", "trigger_threshold_string", "service_weight_string",
         "duration_string", "step_without_any_instance", "agent_entry_string",
         "agent_id_list", "topology_list", "host_entry_string", "unknown_preparation",
-        "malware_process_known_good_by_default"])
+        "malware_process_known_good_by_default", "action_id_shadows_builtin"])
 def test_mistyped_or_out_of_range_settings_are_config_invalid(edit, problem):
     raw = minimal_raw()
     edit(raw)
