@@ -800,7 +800,7 @@ def write_trace(result: EpisodeResult, path: str | Path) -> None:
 
 
 def write_result(result: EpisodeResult, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(result.to_json(), sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(_dump(result.to_json()) + "\n")
 
 
 def replay(trace_path: str | Path) -> dict[str, Any]:
@@ -827,7 +827,7 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
 
     try:
         return _episode_metrics(events, header.get("primary_agent"))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise CorruptTrace(f"malformed event field: {exc!r}") from exc
 
 

@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from defsim.cli import main
+from defsim.runner import explain, run_episode, write_result
 
-from conftest import run_python, scenario_path
+from conftest import BUNDLED, run_python, scenario_path
 
 
 def test_run_writes_trace_and_result(tmp_path, capsys):
@@ -58,6 +59,19 @@ def test_explain_renders_decision(tmp_path, capsys):
     assert "Decision 0 at tick" in capsys.readouterr().out
 
 
+def test_explain_from_file_equals_explain_from_memory(bundled_configs, tmp_path, capsys):
+    path = tmp_path / "result.json"
+    for name in BUNDLED:
+        for seed in range(1, 21):
+            result = run_episode(bundled_configs[name], seed)
+            write_result(result, path)
+            assert result.decision_log, f"{name} seed {seed}: no decision to explain"
+            for i in range(len(result.decision_log)):
+                assert main(["explain", "--result", str(path), "--decision", str(i)]) == 0
+                assert capsys.readouterr().out == explain(result.decision_log, i) + "\n", \
+                    f"{name} seed {seed} decision {i}"
+
+
 def test_invalid_scenario_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 1}))
@@ -84,6 +98,7 @@ def test_explain_bad_index_exits_2(tmp_path, capsys):
 
 S1 = scenario_path("s1_comms_spoof")
 END_ONE = '{"kind": "end", "events": 1}\n'
+TOO_LARGE = "1" + "0" * 400  # a JSON integer no float can hold
 NOT_UTF8 = str(Path(__file__).parent / "data" / "not_utf8.json")
 TOO_DEEP = "[" * 100_000 + "\n"  # deeper than the JSON decoder recurses
 S1_STEP_PARAMS_STRING = json.loads(Path(S1).read_text())
@@ -107,6 +122,14 @@ MALFORMED = {
     "trace_event_without_field": (
         ["replay", "--trace", "FILE"],
         '{"schema_version": 1}\n{"kind": "tick.functionality", "tick": 0}\n' + END_ONE),
+    "trace_reward_too_large": (
+        ["replay", "--trace", "FILE"],
+        '{"schema_version": 1, "primary_agent": "a1"}\n'
+        '{"kind": "agent.reward", "agent": "a1", "reward": ' + TOO_LARGE + '}\n' + END_ONE),
+    "trace_functionality_too_large": (
+        ["replay", "--trace", "FILE"],
+        '{"schema_version": 1}\n'
+        '{"kind": "tick.functionality", "tick": 0, "value": ' + TOO_LARGE + '}\n' + END_ONE),
     "result_array": (["explain", "--result", "FILE", "--decision", "0"], "[]\n"),
     "decision_entry_empty": (["explain", "--result", "FILE", "--decision", "0"],
                              '{"decision_log": [{}]}\n'),

@@ -306,9 +306,12 @@ def test_result_file_round_trip(tmp_path):
     result = run_episode(quiet_scenario(), 1)
     path = tmp_path / "result.json"
     write_result(result, path)
-    data = json.loads(path.read_text())
+    text = path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")  # one compact line
+    data = json.loads(text)
     assert data["metrics"] == result.metrics
     assert data["decision_log"] == result.decision_log
+    assert data == result.to_json()
 
 
 def test_set_roe_zero_risk_budget_filters_all_risky_plans(bundled_configs):
