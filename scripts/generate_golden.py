@@ -24,6 +24,9 @@ writing anything. It prints one line per difference, naming the scenario,
 the seed and the file (agent_off, trace or result), and exits 1 if there is
 any; otherwise it prints "unchanged" and exits 0. A change meant to keep
 behaviour shows "unchanged"; a behaviour change names the bytes it moved.
+Both modes also run the same seeds of each scenario through run_batch, whose
+episodes share one deliberation memo, and --check prints "<scenario>: batch"
+when a per-seed metric differs from the lone episode's.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import tempfile
 from importlib.resources import files
 from pathlib import Path
 
-from defsim.runner import EpisodeResult, run_episode, write_result, write_trace
+from defsim.runner import EpisodeResult, run_batch, run_episode, write_result, write_trace
 from defsim.scenario import load_scenario
 
 BUNDLED = ("s1_comms_spoof", "s2_lateral_hunt", "s3_partition")
@@ -59,10 +62,12 @@ def agent_off_path(name: str) -> Path:
     return OUT / f"agent_off_{name}.json"
 
 
-def compute() -> tuple[dict[str, dict], dict[str, dict]]:
-    """The agent-off payload of each scenario, and the agent-on digests."""
+def compute() -> tuple[dict[str, dict], dict[str, dict], list[str]]:
+    """The agent-off payload of each scenario, the agent-on digests, and the
+    scenarios whose run_batch metrics differ from their lone episodes'."""
     agent_off: dict[str, dict] = {}
     digests: dict[str, dict] = {}
+    batch_differs: list[str] = []
     for name in BUNDLED:
         config = load_scenario(str(files("defsim") / "scenarios" / f"{name}.json"))
         baseline = {
@@ -71,12 +76,15 @@ def compute() -> tuple[dict[str, dict], dict[str, dict]]:
         }
         agent_off[name] = {"scenario": name, "scenario_hash": config.scenario_hash(),
                            "agent_enabled": False, "metrics_by_seed": baseline}
+        results = {seed: run_episode(config, seed) for seed in SEEDS}
         digests[name] = {
             "scenario_hash": config.scenario_hash(),
-            "digests_by_seed": {str(seed): artifact_digests(run_episode(config, seed))
-                                for seed in SEEDS},
+            "digests_by_seed": {str(seed): artifact_digests(results[seed]) for seed in SEEDS},
         }
-    return agent_off, digests
+        per_seed = run_batch(config, list(SEEDS))["per_seed"]
+        if any(per_seed[str(seed)] != results[seed].metrics for seed in SEEDS):
+            batch_differs.append(name)
+    return agent_off, digests, batch_differs
 
 
 def _read(path: Path) -> dict:
@@ -86,9 +94,11 @@ def _read(path: Path) -> dict:
         return {}
 
 
-def differences(agent_off: dict[str, dict], digests: dict[str, dict]) -> list[str]:
+def differences(agent_off: dict[str, dict], digests: dict[str, dict],
+                batch_differs: list[str]) -> list[str]:
     """One line per (scenario, seed, file) whose fresh value differs from the
-    committed one; a scenario whose hash changed counts as one line."""
+    committed one; a scenario whose hash changed counts as one line, and so
+    does one whose batch metrics differ from its lone episodes'."""
     lines = []
     committed_digests = _read(DIGESTS)
     for name in BUNDLED:
@@ -106,6 +116,8 @@ def differences(agent_off: dict[str, dict], digests: dict[str, dict]) -> list[st
             for kind in ("trace", "result"):
                 if old.get(kind) != fresh[kind]:
                     lines.append(f"{name} seed {seed}: {kind}")
+        if name in batch_differs:
+            lines.append(f"{name}: batch")
     return lines
 
 
@@ -124,11 +136,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="compare with tests/golden/ instead of writing")
     args = parser.parse_args(argv)
-    agent_off, digests = compute()
+    agent_off, digests, batch_differs = compute()
     if not args.check:
         write(agent_off, digests)
         return 0
-    lines = differences(agent_off, digests)
+    lines = differences(agent_off, digests, batch_differs)
     for line in lines:
         print(line)
     if lines:

@@ -659,6 +659,7 @@ def fast_rule_select(
     return None, evaluated
 
 
-def plan_from_action(action_id: str) -> ExecutablePlan:
-    """Single-entry released plan for the fast path."""
-    return ExecutablePlan(entries=[PlanEntry(action_id, 0, EntryOrigin.PROPOSED)], roe_checked=True)
+def plan_from_entries(entries: list[dict[str, Any]]) -> ExecutablePlan:
+    """A released plan built from its logged entries (action, offset, origin)."""
+    return ExecutablePlan([PlanEntry(e["action"], e["offset"], EntryOrigin(e["origin"]))
+                           for e in entries], roe_checked=True)

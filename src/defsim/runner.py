@@ -37,7 +37,7 @@ from .errors import (
 )
 from .execution import AgentMode, AgentState, Authority, PlanExecution
 from .learning import AssessmentObservation, EffectObservation, KnowledgeBase
-from .planning import ActionSpec, ExecutablePlan, PlannerConfig, RulesOfEngagement
+from .planning import ActionSpec, PlannerConfig, RulesOfEngagement
 from .scenario import AgentSpec, ScenarioConfig
 from .sensing import Assessment, SensorConfig, WorldState
 
@@ -77,8 +77,6 @@ class AgentRuntime:
     identified_with: Optional[list] = None
     patterns_matched_episode: set[str] = field(default_factory=set)
     obs_counter: int = 0
-    # (planner inputs, outcome) of the last deliberation, kept while it released no plan
-    last_no_action: Optional[tuple[list, planning.SelectionOutcome]] = None
 
     def next_observation_id(self, seed: int) -> str:
         self.obs_counter += 1
@@ -155,7 +153,8 @@ def _episode_metrics(events: list[dict[str, Any]], primary: Optional[str]) -> di
 
 
 class Episode:
-    def __init__(self, config: ScenarioConfig, seed: int, agent_enabled: bool = True):
+    def __init__(self, config: ScenarioConfig, seed: int, agent_enabled: bool = True,
+                 memo: Optional[dict[tuple, planning.SelectionOutcome]] = None):
         self.config = config
         self.seed = seed
         self.agent_enabled = agent_enabled
@@ -171,10 +170,15 @@ class Episode:
         self.attacked = False
         self.compromised_hosts: set[str] = set()
         self.tick = 0
+        self.memo = {} if memo is None else memo  # planner inputs -> outcome; run_batch shares one
 
         self.agents: list[AgentRuntime] = []
         self.agent_hosts: dict[str, str] = {}
         if agent_enabled:
+            # shared by every runtime, as nothing edits them (set_roe edits each runtime's ROE)
+            self.planner = config.build_planner_config()
+            self.sensors = config.build_sensor_config()
+            self.repertoire = config.build_repertoire()
             for spec in config.agents:
                 self._add_agent(spec)
         self.primary_agent = config.agents[0].agent_id if (agent_enabled and config.agents) else None
@@ -202,9 +206,9 @@ class Episode:
             ws=WorldState(),
             kb=kb,
             roe=self.config.build_roe(),
-            planner=self.config.build_planner_config(),
-            sensors=self.config.build_sensor_config(),
-            repertoire=self.config.build_repertoire(),
+            planner=self.planner,
+            sensors=self.sensors,
+            repertoire=self.repertoire,
         ))
         self.agent_hosts[spec.agent_id] = spec.host_id
 
@@ -341,9 +345,9 @@ class Episode:
         self._maybe_plan(rt, assessment, tick)
         self._execute(rt, tick)
         if rt.state.mode is not AgentMode.DESTROYED:
-            reward_sample = learning.reward(rt.kb.goals, rt.ws)
             if rt.state.agent_id == self.primary_agent:
-                self.emit("agent.reward", agent=rt.state.agent_id, reward=reward_sample.reward)
+                self.emit("agent.reward", agent=rt.state.agent_id,
+                          reward=learning.reward(rt.kb.goals, rt.ws).reward)
             self._periodic_report(rt, tick)
 
     def _process_inbox(self, rt: AgentRuntime) -> None:
@@ -535,20 +539,21 @@ class Episode:
                               "fast_deadline_ticks": rt.roe.fast_deadline_ticks,
                               "rules_evaluated": fast_log},
             }
-            self._decide(rt, entry, planning.plan_from_action(fast_action))
+            self._decide(rt, entry)
             return
 
         progression = sensing.progression_deltas(assessment, patterns)
-        inputs = self._planner_inputs(rt, progression)
-        # a deliberation that withheld action stands while its inputs do
-        if rt.last_no_action is not None and rt.last_no_action[0] == inputs:
-            outcome = rt.last_no_action[1]
-        else:
+        try:
+            key = self._planner_inputs(rt, progression)
+            outcome = self.memo.get(key)
+        except TypeError:  # an unhashable input, such as a list feature: search, keep nothing
+            key = outcome = None
+        if outcome is None:
             proposals = planning.propose_plans(rt.ws, rt.repertoire, rt.kb.goals, rt.planner)
             outcome = planning.select_action_plan(
                 proposals, rt.kb.goals, rt.roe, rt.ws, rt.repertoire, rt.planner, progression)
-            if outcome.plan is None:
-                rt.last_no_action = (inputs, outcome)
+            if key is not None:
+                self.memo[key] = outcome
         chosen = ({"no_action": False, "entries": outcome.log["released_entries"]}
                   if outcome.plan is not None else {"no_action": True, "entries": None})
         entry = {
@@ -560,7 +565,7 @@ class Episode:
             "chosen": chosen,
             "rationale": {k: v for k, v in outcome.log.items() if k != "candidates"},
         }
-        self._decide(rt, entry, outcome.plan)
+        self._decide(rt, entry)
         if outcome.plan is None:
             rt.no_action_streak += 1
             if (rt.no_action_streak >= self.config.collaboration.fail_safe_streak
@@ -571,33 +576,34 @@ class Episode:
                 self._attempt_report(rt, tick, reason="fail_safe")
 
     @staticmethod
-    def _planner_inputs(rt: AgentRuntime, progression: list[sensing.FeatureDelta]) -> list:
-        """Everything propose_plans and select_action_plan read that can change
-        between two deliberations of one runtime; its repertoire and planner
-        settings never do. Values carry their type, so 1, 1.0 and True differ.
-        Compared with ==, never hashed: a feature value may be a list."""
+    def _planner_inputs(rt: AgentRuntime, progression: list[sensing.FeatureDelta]) -> tuple:
+        """The memo key: everything propose_plans and select_action_plan read
+        that differs between runtimes or deliberations; the repertoire and
+        planner settings are the config's. Values carry their type, so 1, 1.0
+        and True differ. Hashing it raises TypeError on a list feature value."""
         roe = rt.roe
-        return [
-            [(key, type(value), value) for key, value in rt.ws.features.items()],
-            [goal.weight for goal in rt.kb.goals],
-            (roe.max_plan_risk, roe.destructive_only_on_residence,
-             frozenset(roe.forbidden_categories), roe.fast_deadline_ticks),
-            [(key, op, type(value), value) for key, op, value in progression],
-        ]
+        return (
+            tuple((key, type(value), value) for key, value in rt.ws.features.items()),
+            tuple((type(goal.weight), goal.weight) for goal in rt.kb.goals),
+            tuple((type(value), value) for value in (
+                roe.max_plan_risk, roe.destructive_only_on_residence, roe.fast_deadline_ticks)),
+            frozenset(roe.forbidden_categories),
+            tuple((key, op, type(value), value) for key, op, value in progression),
+        )
 
-    def _decide(self, rt: AgentRuntime, entry: dict[str, Any],
-                plan: Optional[ExecutablePlan]) -> None:
-        """Log the decision and release its plan, if any. A reused no-action
-        entry shares its candidates and rationale values with earlier
-        entries; no logged entry is edited after this point."""
+    def _decide(self, rt: AgentRuntime, entry: dict[str, Any]) -> None:
+        """Log the decision and release its plan, if any, built afresh from the
+        logged entries: execution.adjust edits a released plan in place. Entries
+        from one memoised outcome share its candidates and rationale values; no
+        logged entry is edited after this point."""
         self.decision_log.append(entry)
         self.emit("agent.decision", **entry)
-        if plan is not None:
+        chosen = entry["chosen"]
+        if not chosen["no_action"]:
             self.emit("agent.plan_released", agent=rt.state.agent_id,
-                      entries=entry["chosen"]["entries"], path=entry["path"])
-            rt.plan_exec = PlanExecution(plan=plan)
+                      entries=chosen["entries"], path=entry["path"])
+            rt.plan_exec = PlanExecution(plan=planning.plan_from_entries(chosen["entries"]))
             rt.no_action_streak = 0
-            rt.last_no_action = None
 
     @staticmethod
     def _trigger_summary(assessment: Assessment) -> dict[str, Any]:
@@ -765,13 +771,14 @@ def run_episode(config: ScenarioConfig, seed: int, agent_enabled: bool = True) -
 
 def run_batch(config: ScenarioConfig, seeds: list[int],
               agent_enabled: bool = True) -> dict[str, Any]:
-    """Independent episodes, one per seed; aggregation is a pure fold over
-    results sorted by seed."""
+    """One episode per seed, all sharing one deliberation memo, which moves no
+    byte of them; aggregation is a pure fold over results sorted by seed."""
     if not seeds:
         raise ConfigInvalid("batch needs at least one seed")
     per_seed: dict[int, dict[str, Any]] = {}
+    memo: dict[tuple, planning.SelectionOutcome] = {}
     for seed in sorted(seeds):
-        per_seed[seed] = run_episode(config, seed, agent_enabled=agent_enabled).metrics
+        per_seed[seed] = Episode(config, seed, agent_enabled, memo).run().metrics
     numeric_keys = ["resilience_auc", "harm_events", "reward_total"]
     aggregate: dict[str, Any] = {}
     for key in numeric_keys:

@@ -22,7 +22,7 @@ from defsim.planning import (
     expected_loss,
     fast_rule_select,
     normalize_goals,
-    plan_from_action,
+    plan_from_entries,
     plan_roe_violations,
     propose_plans,
     predict,
@@ -503,7 +503,13 @@ def test_fast_path_falls_through_roe_forbidden_rule():
     assert log[0]["roe_ok"] is False and log[1]["roe_ok"] is True
 
 
-def test_plan_from_action_is_released_single_entry():
-    plan = plan_from_action("hide")
-    assert plan.roe_checked and len(plan.entries) == 1
-    assert plan.entries[0].origin is EntryOrigin.PROPOSED
+def test_plan_from_entries_rebuilds_the_logged_entries():
+    logged = [{"action": SNAPSHOT_ACTION_ID, "offset": 0, "origin": "precautionary"},
+              {"action": "hide", "offset": 1, "origin": "proposed"}]
+    plan = plan_from_entries(logged)
+    assert plan.roe_checked
+    assert [(e.action_id, e.offset, e.origin) for e in plan.entries] == [
+        (SNAPSHOT_ACTION_ID, 0, EntryOrigin.PRECAUTIONARY), ("hide", 1, EntryOrigin.PROPOSED)]
+    # each call builds new entries, so an edit to one plan reaches no other
+    plan.entries[1].action_id = "substitute"
+    assert plan_from_entries(logged).entries[1].action_id == "hide"

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from defsim import planning, sensing
+from defsim import execution, planning, sensing
 from defsim.errors import ConfigInvalid, CorruptTrace, IndexOutOfRange, SchemaMismatch
 from defsim.runner import (
     Episode,
@@ -333,7 +333,7 @@ def test_set_roe_zero_risk_budget_filters_all_risky_plans(bundled_configs):
                 assert all(risk_of.get(e["action"], 0.0) == 0.0 for e in event["entries"])
 
 
-# -- reuse of an unchanged no-action deliberation ---------------------------------------
+# -- the deliberation memo ------------------------------------------------------------
 
 @pytest.fixture
 def search_calls(monkeypatch):
@@ -350,11 +350,25 @@ def search_calls(monkeypatch):
 
 
 def test_unchanged_no_action_deliberations_are_reused(bundled_configs, search_calls):
+    config, seeds = bundled_configs["s3_partition"], list(range(1, 11))
     deliberations = 0
-    for seed in (1, 2, 3):
-        result = run_episode(bundled_configs["s3_partition"], seed)
+    for seed in seeds:
+        result = run_episode(config, seed)
         deliberations += sum(1 for d in result.decision_log if d["path"] == "deliberative")
-    assert 0 < len(search_calls) < deliberations
+    alone = len(search_calls)
+    assert 0 < alone < deliberations
+    run_batch(config, seeds)  # one memo for all ten episodes
+    assert 0 < len(search_calls) - alone < alone
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_episodes_sharing_one_memo_write_the_bytes_of_lone_episodes(name, bundled_configs,
+                                                                    tmp_path):
+    config, memo = bundled_configs[name], {}
+    for seed in range(1, 21):  # in seed order, as run_batch runs them
+        shared = _artifact_bytes(Episode(config, seed, memo=memo).run(), tmp_path)
+        assert shared == _artifact_bytes(run_episode(config, seed), tmp_path), seed
+    assert memo
 
 
 def withholding_agent():
@@ -408,7 +422,7 @@ def _retype_goal_feature(episode, rt):
     (_command(command="set_roe", field="max_plan_risk", value=0.5), 2),
     (_command(command="set_roe", field="forbidden_categories", value=["contain"]), 2),
     (_retype_goal_feature, 2),
-    (_release_plan, 2),
+    (_release_plan, 1),  # the memo outlives a released plan
     (lambda episode, rt: "spreading", 2),
 ], ids=["nothing", "set_goal_weight", "set_roe", "set_roe_forbidden_categories",
         "goal_feature_1_to_1.0", "released_plan", "threat_progression"])
@@ -422,6 +436,60 @@ def test_what_forces_a_new_search(between, searches, search_calls):
     assert [d["tick"] for d in withheld] == [0, 2]
     assert all(d["chosen"]["no_action"] for d in withheld)
     assert rt.no_action_streak == (1 if between is _release_plan else 2)
+
+
+def test_a_list_valued_feature_deliberates_without_the_memo(search_calls):
+    episode, rt = withholding_agent()
+    rt.ws.features["tags"] = ["a", "b"]  # unhashable: no key
+    episode._maybe_plan(rt, threat("proc"), tick=0)
+    episode._maybe_plan(rt, threat("proc"), tick=2)
+    assert len(search_calls) == 2 and episode.memo == {}
+    assert [d["chosen"]["no_action"] for d in episode.decision_log] == [True, True]
+
+
+def _releasing_runtime(episode):
+    rt = episode.agents[0]
+    rt.ws.features.update(functionality_belief=1, unknown_proc_count=1)
+    return rt
+
+
+def _entries(rt):
+    return [(e.action_id, e.offset, e.origin) for e in rt.plan_exec.plan.entries]
+
+
+def test_a_memo_hit_releases_the_logged_entries_after_a_substitution(search_calls):
+    """execution.adjust edits a released plan in place; the memo must not
+    hand that edit to the next runtime the same outcome releases."""
+    purge = {"category": "contain", "effects": [
+        {"features": [["unknown_proc_count", "set", 0]], "probability": 1.0}]}
+    config = quiet_scenario(
+        repertoire=[{"action_id": "kill", **purge}, {"action_id": "purge", **purge}],
+        goals=[{"goal_id": "g", "predicates": [["functionality_belief", ">=", 0.95]],
+                "weight": 1.0},
+               {"goal_id": "g_clean", "predicates": [["unknown_proc_count", "<=", 0]],
+                "weight": 1.0}])
+    memo = {}
+    first, second = Episode(config, seed=1, memo=memo), Episode(config, seed=2, memo=memo)
+    rt1, rt2 = _releasing_runtime(first), _releasing_runtime(second)
+    first._maybe_plan(rt1, threat("proc"), tick=0)
+    released = _entries(rt1)
+    second._maybe_plan(rt2, threat("proc"), tick=0)  # a hit
+    assert _entries(rt2) == released and len(search_calls) == 1
+
+    proposed = next(i for i, e in enumerate(rt2.plan_exec.plan.entries)
+                    if e.origin is planning.EntryOrigin.PROPOSED)
+    action = rt2.plan_exec.plan.entries[proposed].action_id
+    decision = execution.adjust(
+        rt2.plan_exec, [execution.Deviation("effect_unmet", action, proposed)],
+        rt2.repertoire, {}, rt2.ws, rt2.roe, max_retries=0)
+    assert decision.kind == "substitute" and _entries(rt2) != released
+
+    rt2.plan_exec = None  # the edited plan ran to its end
+    second._maybe_plan(rt2, threat("proc"), tick=3)  # a hit again
+    assert len(search_calls) == 1
+    assert _entries(rt2) == released and _entries(rt1) == released
+    logged = [d["chosen"]["entries"] for d in first.decision_log + second.decision_log]
+    assert logged[0] == logged[1] == logged[2]
 
 
 _S3_GOALS = ("g_available", "g_comms", "g_clean", "g_unknown")  # the last is rejected
@@ -473,11 +541,14 @@ def test_reuse_leaves_artifacts_unchanged_under_c2_commands(bundled_configs, tmp
     _link_c2_to_every_agent(raw)
     raw["c2"]["script"] = raw["c2"]["script"] + entries
     config = parse_scenario(raw)
-    reused = _artifact_bytes(run_episode(config, seed), tmp_path_factory.mktemp("reused"))
+    seeds, memo = (seed, seed + 1, seed + 2), {}  # three episodes through one memo
+    reused = [_artifact_bytes(Episode(config, s, memo=memo).run(),
+                              tmp_path_factory.mktemp("reused")) for s in seeds]
     with pytest.MonkeyPatch.context() as mp:
         # inputs that never compare equal: every deliberation searches afresh
         mp.setattr(Episode, "_planner_inputs", staticmethod(lambda rt, progression: object()))
-        fresh = _artifact_bytes(run_episode(config, seed), tmp_path_factory.mktemp("fresh"))
+        fresh = [_artifact_bytes(run_episode(config, s), tmp_path_factory.mktemp("fresh"))
+                 for s in seeds]
     assert reused == fresh
 
 
