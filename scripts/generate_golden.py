@@ -1,7 +1,7 @@
 """Regenerate, or check, the committed golden files.
 
 Run from the repository root after any change that affects environment or
-adversary behaviour:
+adversary behaviour, or the format of the trace or result file:
 
     python3 scripts/generate_golden.py
 
@@ -15,7 +15,11 @@ It writes two kinds of file to tests/golden/:
 
 The acceptance suite compares fresh runs against these files, so they must
 only ever change deliberately; each regeneration that changes agent-on
-digests names the behaviour change in CHANGES.md.
+digests names the behaviour change in CHANGES.md. A change to the trace
+format with no change of behaviour, such as writing a repeated decision
+body as a reference, moves only the trace digests: --check names every
+episode's trace and nothing else, and the run without --check regenerates
+them.
 
     python3 scripts/generate_golden.py --check
 
@@ -74,11 +78,11 @@ def compute() -> tuple[dict[str, dict], dict[str, dict], list[str]]:
             str(seed): run_episode(config, seed, agent_enabled=False).metrics
             for seed in SEEDS
         }
-        agent_off[name] = {"scenario": name, "scenario_hash": config.scenario_hash(),
+        agent_off[name] = {"scenario": name, "scenario_hash": config.scenario_hash,
                            "agent_enabled": False, "metrics_by_seed": baseline}
         results = {seed: run_episode(config, seed) for seed in SEEDS}
         digests[name] = {
-            "scenario_hash": config.scenario_hash(),
+            "scenario_hash": config.scenario_hash,
             "digests_by_seed": {str(seed): artifact_digests(results[seed]) for seed in SEEDS},
         }
         per_seed = run_batch(config, list(SEEDS))["per_seed"]

@@ -120,7 +120,8 @@ def read_json(path: str | Path, error: type[DefsimError], what: str,
     try:
         text = Path(path).read_text(encoding="utf-8")
         if lines:
-            return [json.loads(line) for line in text.splitlines() if line.strip()]
+            # lines and blanks by JSON's rules, not str's: strings may hold U+2028 raw
+            return [json.loads(line) for line in text.split("\n") if line.strip(" \t")]
         return json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise error(f"cannot read {what}: {exc}") from exc

@@ -154,7 +154,7 @@ def _episode_metrics(events: list[dict[str, Any]], primary: Optional[str]) -> di
 
 class Episode:
     def __init__(self, config: ScenarioConfig, seed: int, agent_enabled: bool = True,
-                 memo: Optional[dict[tuple, planning.SelectionOutcome]] = None):
+                 memo: Optional[dict[tuple, tuple[dict[str, Any], str]]] = None):
         self.config = config
         self.seed = seed
         self.agent_enabled = agent_enabled
@@ -163,14 +163,15 @@ class Episode:
         instances, playbook = config.build_playbook()
         self.malware = MalwareController(instances, playbook)
         self.playbook = playbook
-        self.auth_key = f"shared-key-{config.scenario_hash()}"
+        self.auth_key = f"shared-key-{config.scenario_hash}"
         self.trace: list[dict[str, Any]] = []
         self.decision_log: list[dict[str, Any]] = []
+        self.body_index: dict[str, int] = {}  # encoded decision body -> its first decision
         self.functionality_series: list[float] = []
         self.attacked = False
         self.compromised_hosts: set[str] = set()
         self.tick = 0
-        self.memo = {} if memo is None else memo  # planner inputs -> outcome; run_batch shares one
+        self.memo = {} if memo is None else memo  # inputs -> body and bytes; run_batch shares one
 
         self.agents: list[AgentRuntime] = []
         self.agent_hosts: dict[str, str] = {}
@@ -265,7 +266,7 @@ class Episode:
         self._end_of_episode_learning()
         return EpisodeResult(
             scenario_name=self.config.name,
-            scenario_hash=self.config.scenario_hash(),
+            scenario_hash=self.config.scenario_hash,
             seed=self.seed,
             metrics=_episode_metrics(self.trace, self.primary_agent),
             functionality_series=self.functionality_series,
@@ -527,11 +528,7 @@ class Episode:
         fast_action, fast_log = planning.fast_rule_select(
             rt.ws, rules, deadline, rt.roe, rt.repertoire)
         if fast_action is not None:
-            entry = {
-                "tick": tick,
-                "agent": rt.state.agent_id,
-                "path": "fast",
-                "trigger": self._trigger_summary(assessment),
+            body = {
                 "candidates": [],
                 "chosen": {"no_action": False, "action_id": fast_action,
                            "entries": [{"action": fast_action, "offset": 0, "origin": "proposed"}]},
@@ -539,34 +536,31 @@ class Episode:
                               "fast_deadline_ticks": rt.roe.fast_deadline_ticks,
                               "rules_evaluated": fast_log},
             }
-            self._decide(rt, entry)
+            self._decide(rt, tick, "fast", assessment, body, _dump(body))
             return
 
         progression = sensing.progression_deltas(assessment, patterns)
         try:
             key = self._planner_inputs(rt, progression)
-            outcome = self.memo.get(key)
+            found = self.memo.get(key)
         except TypeError:  # an unhashable input, such as a list feature: search, keep nothing
-            key = outcome = None
-        if outcome is None:
+            key = found = None
+        if found is None:
             proposals = planning.propose_plans(rt.ws, rt.repertoire, rt.kb.goals, rt.planner)
             outcome = planning.select_action_plan(
                 proposals, rt.kb.goals, rt.roe, rt.ws, rt.repertoire, rt.planner, progression)
+            body = {
+                "candidates": outcome.log["candidates"],
+                "chosen": ({"no_action": False, "entries": outcome.log["released_entries"]}
+                           if outcome.plan is not None else {"no_action": True, "entries": None}),
+                "rationale": {k: v for k, v in outcome.log.items() if k != "candidates"},
+            }
+            found = body, _dump(body)
             if key is not None:
-                self.memo[key] = outcome
-        chosen = ({"no_action": False, "entries": outcome.log["released_entries"]}
-                  if outcome.plan is not None else {"no_action": True, "entries": None})
-        entry = {
-            "tick": tick,
-            "agent": rt.state.agent_id,
-            "path": "deliberative",
-            "trigger": self._trigger_summary(assessment),
-            "candidates": outcome.log["candidates"],
-            "chosen": chosen,
-            "rationale": {k: v for k, v in outcome.log.items() if k != "candidates"},
-        }
-        self._decide(rt, entry)
-        if outcome.plan is None:
+                self.memo[key] = found
+        body, encoded = found
+        self._decide(rt, tick, "deliberative", assessment, body, encoded)
+        if body["chosen"]["no_action"]:
             rt.no_action_streak += 1
             if (rt.no_action_streak >= self.config.collaboration.fail_safe_streak
                     and rt.state.mode is AgentMode.NORMAL):
@@ -591,17 +585,23 @@ class Episode:
             tuple((key, op, type(value), value) for key, op, value in progression),
         )
 
-    def _decide(self, rt: AgentRuntime, entry: dict[str, Any]) -> None:
+    def _decide(self, rt: AgentRuntime, tick: int, path: str, assessment: Assessment,
+                body: dict[str, Any], encoded: str) -> None:
         """Log the decision and release its plan, if any, built afresh from the
         logged entries: execution.adjust edits a released plan in place. Entries
-        from one memoised outcome share its candidates and rationale values; no
-        logged entry is edited after this point."""
-        self.decision_log.append(entry)
-        self.emit("agent.decision", **entry)
-        chosen = entry["chosen"]
+        from one memoised outcome share its body; no logged entry is edited
+        after this point. A body that encodes to the bytes of an earlier one in
+        this episode is emitted as the index of the first, `same_as`."""
+        envelope = {"tick": tick, "agent": rt.state.agent_id, "path": path,
+                    "trigger": self._trigger_summary(assessment)}
+        first = self.body_index.setdefault(encoded, len(self.decision_log))
+        reused = first < len(self.decision_log)
+        self.decision_log.append({**envelope, **body})
+        self.emit("agent.decision", **envelope, **({"same_as": first} if reused else body))
+        chosen = body["chosen"]
         if not chosen["no_action"]:
             self.emit("agent.plan_released", agent=rt.state.agent_id,
-                      entries=chosen["entries"], path=entry["path"])
+                      entries=chosen["entries"], path=path)
             rt.plan_exec = PlanExecution(plan=planning.plan_from_entries(chosen["entries"]))
             rt.no_action_streak = 0
 
@@ -776,7 +776,7 @@ def run_batch(config: ScenarioConfig, seeds: list[int],
     if not seeds:
         raise ConfigInvalid("batch needs at least one seed")
     per_seed: dict[int, dict[str, Any]] = {}
-    memo: dict[tuple, planning.SelectionOutcome] = {}
+    memo: dict[tuple, tuple[dict[str, Any], str]] = {}
     for seed in sorted(seeds):
         per_seed[seed] = Episode(config, seed, agent_enabled, memo).run().metrics
     numeric_keys = ["resilience_auc", "harm_events", "reward_total"]
@@ -794,7 +794,7 @@ def run_batch(config: ScenarioConfig, seeds: list[int],
     aggregate["agent_survived_rate"] = (
         sum(1 for s in per_seed if per_seed[s]["agent_survived"]) / len(per_seed)
         if agent_enabled else None)
-    return {"scenario": config.name, "scenario_hash": config.scenario_hash(),
+    return {"scenario": config.name, "scenario_hash": config.scenario_hash,
             "seeds": sorted(per_seed), "per_seed": {str(s): per_seed[s] for s in sorted(per_seed)},
             "aggregate": aggregate}
 
@@ -822,9 +822,19 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
     if version != TRACE_SCHEMA_VERSION:
         raise SchemaMismatch(
             f"trace schema_version {version!r}, expected {TRACE_SCHEMA_VERSION}")
+    holds_body: list[bool] = []  # per decision so far: does its event hold its body
     for number, event in enumerate(events, start=2):
         if not isinstance(event, dict) or "kind" not in event:
             raise CorruptTrace(f"trace line {number} is not an event object with a kind")
+        if event["kind"] == "agent.decision":
+            ref, full = event.get("same_as"), "same_as" not in event
+            if [key in event for key in ("candidates", "chosen", "rationale")] != [full] * 3:
+                raise CorruptTrace(f"trace line {number}: a decision carries either same_as or "
+                                   "all of candidates, chosen and rationale")
+            if not (full or type(ref) is int and 0 <= ref < len(holds_body) and holds_body[ref]):
+                raise CorruptTrace(f"trace line {number}: same_as {_dump(ref)} names no "
+                                   "earlier decision that holds its body")
+            holds_body.append(full)
     if not events or events[-1].get("kind") != "end":
         raise CorruptTrace("trace missing end record")
     end = events.pop()

@@ -571,7 +571,8 @@ class CollaborationSettings:
 
 @dataclass
 class ScenarioConfig:
-    raw: dict[str, Any]  # as written: the scenario hash, auth key and trace header use it
+    raw: dict[str, Any]  # as written
+    scenario_hash: str  # of raw, computed once: the auth key and trace header use it
     doc: dict[str, Any]  # raw with every default of the table filled in
     name: str
     duration_ticks: int
@@ -582,10 +583,6 @@ class ScenarioConfig:
     c2_host: Optional[str]
     c2_script: list[dict[str, Any]]
     roster: FriendlyRoster
-
-    def scenario_hash(self) -> str:
-        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     # fresh, mutable objects per episode; episodes must not share state. The
     # table's keys are the dataclasses' field names where the two agree.
@@ -664,6 +661,8 @@ def parse_scenario(raw: dict[str, Any]) -> ScenarioConfig:
     c2 = doc["c2"]
     return ScenarioConfig(
         raw=raw,
+        scenario_hash=hashlib.sha256(
+            json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16],
         doc=doc,
         name=doc["name"],
         duration_ticks=doc["duration_ticks"],

@@ -70,7 +70,7 @@ def test_criterion_2_paired_baseline(bundled_configs):
         for name in BUNDLED:
             config = bundled_configs[name]
             golden = json.loads((GOLDEN_DIR / f"agent_off_{name}.json").read_text())
-            assert golden["scenario_hash"] == config.scenario_hash(), \
+            assert golden["scenario_hash"] == config.scenario_hash, \
                 "scenario changed: regenerate goldens deliberately"
             on_values, off_values = [], []
             for seed in range(1, 21):
@@ -89,7 +89,7 @@ def test_agent_on_artifacts_match_golden_digests(bundled_configs, tmp_path):
     assert sorted(golden) == sorted(BUNDLED)
     for name in BUNDLED:
         config = bundled_configs[name]
-        assert golden[name]["scenario_hash"] == config.scenario_hash(), \
+        assert golden[name]["scenario_hash"] == config.scenario_hash, \
             "scenario changed: regenerate goldens deliberately"
         expected = golden[name]["digests_by_seed"]
         assert sorted(expected, key=int) == [str(seed) for seed in range(1, 21)]

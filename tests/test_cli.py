@@ -109,6 +109,21 @@ S1_SHADOWS_BUILTIN["repertoire"].append({"action_id": "verify_effects", "categor
                                          "effects": [{"features": [["armed", "set", 1]]}]})
 next(a for a in S1_SHADOWS_BUILTIN["repertoire"]
      if a["action_id"] == "purge_unknown")["preconditions"].append(["armed", ">=", 1])
+
+
+def trace_text(*events: str) -> str:
+    """A version-1 trace of these event lines, framed by its end record."""
+    return "\n".join(['{"schema_version": 1}', *events,
+                      f'{{"kind": "end", "events": {len(events)}}}']) + "\n"
+
+
+DECISION = '{"kind": "agent.decision", "candidates": [], "chosen": {}, "rationale": {}}'
+
+
+def same_as(value: str) -> str:
+    return '{"kind": "agent.decision", "same_as": ' + value + '}'
+
+
 # command line, with FILE standing for the artifact path, and the artifact text
 MALFORMED = {
     "seeds_not_numbers": (["batch", "--scenario", S1, "--seeds", "abc", "--out", "FILE"], None),
@@ -130,6 +145,23 @@ MALFORMED = {
         ["replay", "--trace", "FILE"],
         '{"schema_version": 1}\n'
         '{"kind": "tick.functionality", "tick": 0, "value": ' + TOO_LARGE + '}\n' + END_ONE),
+    **{f"trace_same_as_{case}": (["replay", "--trace", "FILE"], trace_text(*events))
+       for case, events in {
+           "own_index": (DECISION, same_as("1")),
+           "past_own_index": (DECISION, same_as("2")),
+           "negative": (DECISION, same_as("-1")),
+           "true": (DECISION, same_as("true")),
+           "float": (DECISION, same_as("0.0")),
+           "string": (DECISION, same_as('"0"')),
+           "naming_a_reference": (DECISION, same_as("0"), same_as("1")),
+           "beside_a_body": (DECISION, DECISION[:-1] + ', "same_as": 0}'),
+       }.items()},
+    "trace_line_of_unicode_space": (  # not JSON, so not a blank line either
+        ["replay", "--trace", "FILE"],
+        '{"schema_version": 1}\n\u00a0\n{"kind": "end", "events": 0}\n'),
+    "trace_decision_without_body": (
+        ["replay", "--trace", "FILE"],
+        trace_text('{"kind": "agent.decision", "candidates": [], "chosen": {}}')),
     "result_array": (["explain", "--result", "FILE", "--decision", "0"], "[]\n"),
     "decision_entry_empty": (["explain", "--result", "FILE", "--decision", "0"],
                              '{"decision_log": [{}]}\n'),
@@ -154,9 +186,20 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path):
     args, text = MALFORMED[case]
     artifact = tmp_path / "artifact"
     if text is not None:
-        artifact.write_text(text)
+        artifact.write_text(text, encoding="utf-8")
     proc = run_python(["-m", "defsim.cli"]
                       + [str(artifact) if arg == "FILE" else arg for arg in args])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", [
+    trace_text('{"kind": "x", "s": "a\u2028b\u2029c\u0085d"}'),
+    trace_text(DECISION, same_as("0"), DECISION.replace("[]", "[1]"), same_as("2"), same_as("0")),
+], ids=["line_separators_in_a_string", "decision_references"])
+def test_replay_accepts_a_valid_trace(text, tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(text, encoding="utf-8")
+    assert main(["replay", "--trace", str(trace)]) == 0
+    assert json.loads(capsys.readouterr().out)["harm_events"] == 0

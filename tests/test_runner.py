@@ -160,6 +160,38 @@ def test_replay_schema_mismatch_names_version(tmp_path):
     assert "0" in str(err.value)
 
 
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-3, max_value=150)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5)
+
+
+@given(data=st.data(), seed=st.integers(min_value=1, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_replay_checks_every_decision_reference(bundled_results, tmp_path_factory, data, seed):
+    """A `same_as` rewritten to any JSON value replays to the episode's
+    metrics if it still names an earlier decision that holds its body, and
+    raises CorruptTrace otherwise."""
+    result = bundled_results[("s3_partition", seed)]
+    path = tmp_path_factory.mktemp("refs") / "trace.jsonl"
+    write_trace(result, path)
+    lines = path.read_text().splitlines()
+    events = [json.loads(line) for line in lines]
+    decisions = [i for i, e in enumerate(events) if e.get("kind") == "agent.decision"]
+    line = data.draw(st.sampled_from([i for i in decisions if "same_as" in events[i]]))
+    value = data.draw(_json_values)
+    lines[line] = json.dumps({**events[line], "same_as": value})
+    path.write_text("\n".join(lines) + "\n")
+    if (type(value) is int and 0 <= value < decisions.index(line)
+            and "same_as" not in events[decisions[value]]):
+        assert replay(path) == result.metrics
+    else:
+        with pytest.raises(CorruptTrace):
+            replay(path)
+
+
 @pytest.mark.parametrize("agent_enabled", [True, False], ids=["agent_on", "agent_off"])
 @pytest.mark.parametrize("name", BUNDLED)
 def test_replay_metrics_serialize_like_result_json(name, agent_enabled, bundled_configs,
@@ -361,13 +393,40 @@ def test_unchanged_no_action_deliberations_are_reused(bundled_configs, search_ca
     assert 0 < len(search_calls) - alone < alone
 
 
+_DECISION_BODY = ("candidates", "chosen", "rationale")
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def resolved_decisions(trace_path):
+    """The trace's decision events, each `same_as` replaced by the body of
+    the decision it names; also checks that no two full bodies are equal."""
+    lines = trace_path.read_text().split("\n")
+    decisions = [e for e in map(json.loads, filter(None, lines))
+                 if e.get("kind") == "agent.decision"]
+    full = [_encode({k: e[k] for k in _DECISION_BODY}) for e in decisions if "same_as" not in e]
+    assert len(set(full)) == len(full), "a full body repeats an earlier one"
+    for event in decisions:
+        if "same_as" in event:
+            first = decisions[event.pop("same_as")]
+            event.update({k: first[k] for k in _DECISION_BODY})
+    return decisions
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_episodes_sharing_one_memo_write_the_bytes_of_lone_episodes(name, bundled_configs,
                                                                     tmp_path):
+    """Episodes through one memo write the bytes of lone episodes, and
+    resolving each `same_as` gives back the full decision event's bytes:
+    {tick, seq, kind} and the decision_log entry."""
     config, memo = bundled_configs[name], {}
     for seed in range(1, 21):  # in seed order, as run_batch runs them
         shared = _artifact_bytes(Episode(config, seed, memo=memo).run(), tmp_path)
-        assert shared == _artifact_bytes(run_episode(config, seed), tmp_path), seed
+        lone = run_episode(config, seed)
+        assert shared == _artifact_bytes(lone, tmp_path), seed
+        resolved = resolved_decisions(tmp_path / "trace.jsonl")
+        assert [_encode(event) for event in resolved] == [
+            _encode({"tick": event["tick"], "seq": event["seq"], "kind": "agent.decision", **entry})
+            for event, entry in zip(resolved, lone.decision_log, strict=True)], seed
     assert memo
 
 

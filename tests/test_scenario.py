@@ -40,7 +40,7 @@ def test_bundled_scenarios_validate():
     for name in BUNDLED:
         config = load_scenario(scenario_path(name))
         assert config.duration_ticks > 0
-        assert config.scenario_hash()
+        assert config.scenario_hash
 
 
 def test_minimal_scenario_parses():
