@@ -19,7 +19,9 @@ digests names the behaviour change in CHANGES.md. A change to the trace
 format with no change of behaviour, such as writing a repeated decision
 body as a reference, moves only the trace digests: --check names every
 episode's trace and nothing else, and the run without --check regenerates
-them.
+them. Likewise a change to the result format alone, such as writing the
+result's decision log as the trace's decision records, moves only the
+result digests.
 
     python3 scripts/generate_golden.py --check
 

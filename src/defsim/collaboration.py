@@ -89,10 +89,12 @@ class FriendlyRoster:
 
 # -- authentication ------------------------------------------------------------
 
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode
+
+
 def auth_tag(key: str, kind: str, sender: str, recipient: str, payload: Any) -> str:
-    canonical = json.dumps(
-        {"kind": kind, "sender": sender, "recipient": recipient, "payload": payload},
-        sort_keys=True, separators=(",", ":"), default=str)
+    canonical = _canonical(
+        {"kind": kind, "sender": sender, "recipient": recipient, "payload": payload})
     return hashlib.sha256((key + canonical).encode()).hexdigest()[:16]
 
 

@@ -112,6 +112,20 @@ class IndexOutOfRange(DefsimError):
     """Decision index outside the decision log."""
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _loads_line(line: str) -> Any:
+    """json.loads(line), in one scanner call when the value fills the line;
+    any other line, padded or malformed, goes to json.loads itself, so
+    what is accepted and every error message stay json.loads'."""
+    try:
+        value, end = _raw_decode(line)
+    except (ValueError, RecursionError):
+        return json.loads(line)
+    return value if end == len(line) else json.loads(line)
+
+
 def read_json(path: str | Path, error: type[DefsimError], what: str,
               lines: bool = False) -> Any:
     """The JSON document in the file at `path`, or with `lines` the documents
@@ -121,7 +135,7 @@ def read_json(path: str | Path, error: type[DefsimError], what: str,
         text = Path(path).read_text(encoding="utf-8")
         if lines:
             # lines and blanks by JSON's rules, not str's: strings may hold U+2028 raw
-            return [json.loads(line) for line in text.split("\n") if line.strip(" \t")]
+            return [_loads_line(line) for line in text.split("\n") if line.strip(" \t")]
         return json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise error(f"cannot read {what}: {exc}") from exc

@@ -106,9 +106,12 @@ class EpisodeResult:
         }
 
     def to_json(self) -> dict[str, Any]:
+        """The result file. Its decision log holds the trace's decision
+        records, a repeated body named by `same_as`, which `explain` resolves."""
         return {**self.header(), "metrics": self.metrics,
                 "functionality_series": self.functionality_series,
-                "decision_log": self.decision_log}
+                "decision_log": [{k: v for k, v in event.items() if k not in ("kind", "seq")}
+                                 for event in self.trace if event["kind"] == "agent.decision"]}
 
 
 def time_to_recovery(series: list[float], onset: Optional[int]) -> Optional[int]:
@@ -827,13 +830,9 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
         if not isinstance(event, dict) or "kind" not in event:
             raise CorruptTrace(f"trace line {number} is not an event object with a kind")
         if event["kind"] == "agent.decision":
-            ref, full = event.get("same_as"), "same_as" not in event
-            if [key in event for key in ("candidates", "chosen", "rationale")] != [full] * 3:
-                raise CorruptTrace(f"trace line {number}: a decision carries either same_as or "
-                                   "all of candidates, chosen and rationale")
+            full, ref = _holds_body(event, "trace line", number), event.get("same_as")
             if not (full or type(ref) is int and 0 <= ref < len(holds_body) and holds_body[ref]):
-                raise CorruptTrace(f"trace line {number}: same_as {_dump(ref)} names no "
-                                   "earlier decision that holds its body")
+                raise _bad_reference(ref, "trace line", number)
             holds_body.append(full)
     if not events or events[-1].get("kind") != "end":
         raise CorruptTrace("trace missing end record")
@@ -848,18 +847,44 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
         raise CorruptTrace(f"malformed event field: {exc!r}") from exc
 
 
+def _holds_body(record: Any, what: str, number: int) -> bool:
+    """Whether a decision record holds its body (True) or names an earlier
+    decision's with `same_as` (False). It must do exactly one of the two."""
+    if not isinstance(record, dict):
+        raise CorruptTrace(f"{what} {number} is not a JSON object")
+    full = "same_as" not in record
+    if ("candidates" in record, "chosen" in record, "rationale" in record) != (full, full, full):
+        raise CorruptTrace(f"{what} {number}: a decision carries either same_as or "
+                           "all of candidates, chosen and rationale")
+    return full
+
+
+def _bad_reference(ref: Any, what: str, number: int) -> CorruptTrace:
+    return CorruptTrace(f"{what} {number}: same_as {_dump(ref)} names no "
+                        "earlier decision that holds its body")
+
+
 def explain(decision_log: list[dict[str, Any]], index: int) -> str:
     """Human-readable rendering of one decision, derived solely from the
-    recorded log entry."""
+    recorded log entry and, for a repeated body, the entry its `same_as`
+    names, which must be an earlier entry that holds its body."""
     if index < 0 or index >= len(decision_log):
         raise IndexOutOfRange(f"decision index {index} outside 0..{len(decision_log) - 1}")
+    entry = body = decision_log[index]
+    if not _holds_body(entry, "decision", index):
+        ref = entry["same_as"]
+        if not (type(ref) is int and 0 <= ref < index
+                and _holds_body(decision_log[ref], "decision", ref)):
+            raise _bad_reference(ref, "decision", index)
+        body = decision_log[ref]
     try:
-        return _render_decision(decision_log[index], index)
+        return _render_decision(entry, body, index)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CorruptTrace(f"decision {index} is malformed: {exc!r}") from exc
 
 
-def _render_decision(entry: dict[str, Any], index: int) -> str:
+def _render_decision(entry: dict[str, Any], body: dict[str, Any], index: int) -> str:
+    """The decision: `entry`'s envelope and `body`'s candidates, chosen and rationale."""
     lines: list[str] = []
     trigger = entry["trigger"]
     lines.append(f"Decision {index} at tick {entry['tick']} by agent {entry['agent']}:")
@@ -869,19 +894,19 @@ def _render_decision(entry: dict[str, Any], index: int) -> str:
     lines.append(f"  Top severity {trigger['top_severity']:.2f}; "
                  f"problematic={trigger['problematic']}")
 
-    rationale = entry.get("rationale", {})
+    rationale = body["rationale"]
     if entry.get("path") == "fast":
         lines.append(f"  Fast path taken: deadline {rationale['deadline_ticks']} tick(s) "
                      f"< fast threshold {rationale['fast_deadline_ticks']}")
         for ev in rationale.get("rules_evaluated", []):
             lines.append(f"    rule {ev['rule']} (priority {ev['priority']}): "
                          f"condition_held={ev['condition_held']}, roe_ok={ev['roe_ok']}")
-        lines.append(f"  Chosen action: {entry['chosen']['action_id']}")
+        lines.append(f"  Chosen action: {body['chosen']['action_id']}")
         return "\n".join(lines)
 
     lines.append(f"  Candidates (utility = benefit - {rationale['risk_weight']}*risk "
                  f"- {rationale['noise_weight']}*noise):")
-    for cand in entry.get("candidates", []):
+    for cand in body["candidates"]:
         actions = " -> ".join(cand["actions"]) if cand["actions"] else "(empty plan)"
         verdict = "ok" if cand["roe_ok"] else "FILTERED: " + "; ".join(cand["roe_violations"])
         lines.append(f"    [{actions}] utility {cand['utility']:.4f} = "
@@ -904,7 +929,7 @@ def _render_decision(entry: dict[str, Any], index: int) -> str:
             + ("released" if gate["released"] else "no action"))
     elif gate.get("reason"):
         lines.append(f"  Risk gate: {gate['reason']}")
-    chosen = entry["chosen"]
+    chosen = body["chosen"]
     if chosen["no_action"]:
         lines.append("  Chosen: no action")
     else:

@@ -117,11 +117,36 @@ def trace_text(*events: str) -> str:
                       f'{{"kind": "end", "events": {len(events)}}}']) + "\n"
 
 
-DECISION = '{"kind": "agent.decision", "candidates": [], "chosen": {}, "rationale": {}}'
+# a decision event that explain can render, as trace line or as result entry
+ENVELOPE = ('"kind": "agent.decision", "tick": 0, "agent": "a1", "path": "deliberative", '
+            '"trigger": {"matched": [], "top_severity": 0.5, "problematic": true}')
+DECISION = ('{' + ENVELOPE + ', "candidates": [], "chosen": {"no_action": true, "entries": null}, '
+            '"rationale": {"risk_weight": 1, "noise_weight": 1}}')
 
 
 def same_as(value: str) -> str:
-    return '{"kind": "agent.decision", "same_as": ' + value + '}'
+    return '{' + ENVELOPE + ', "same_as": ' + value + '}'
+
+
+# decision records whose last reference is malformed
+SAME_AS_CASES = {
+    "own_index": (DECISION, same_as("1")),
+    "past_own_index": (DECISION, same_as("2"), DECISION),
+    "negative": (DECISION, same_as("-1")),
+    "true": (DECISION, same_as("true")),
+    "float": (DECISION, same_as("0.0")),
+    "string": (DECISION, same_as('"0"')),
+    "naming_a_reference": (DECISION, same_as("0"), same_as("1")),
+    "beside_a_body": (DECISION, DECISION[:-1] + ', "same_as": 0}'),
+}
+
+
+def explain_last_reference(*entries: str) -> tuple[list[str], str]:
+    """explain's command line for the last entry that holds same_as, and a
+    result file of these entries."""
+    index = max(i for i, entry in enumerate(entries) if "same_as" in entry)
+    return (["explain", "--result", "FILE", "--decision", str(index)],
+            '{"decision_log": [' + ", ".join(entries) + ']}\n')
 
 
 # command line, with FILE standing for the artifact path, and the artifact text
@@ -146,16 +171,11 @@ MALFORMED = {
         '{"schema_version": 1}\n'
         '{"kind": "tick.functionality", "tick": 0, "value": ' + TOO_LARGE + '}\n' + END_ONE),
     **{f"trace_same_as_{case}": (["replay", "--trace", "FILE"], trace_text(*events))
-       for case, events in {
-           "own_index": (DECISION, same_as("1")),
-           "past_own_index": (DECISION, same_as("2")),
-           "negative": (DECISION, same_as("-1")),
-           "true": (DECISION, same_as("true")),
-           "float": (DECISION, same_as("0.0")),
-           "string": (DECISION, same_as('"0"')),
-           "naming_a_reference": (DECISION, same_as("0"), same_as("1")),
-           "beside_a_body": (DECISION, DECISION[:-1] + ', "same_as": 0}'),
-       }.items()},
+       for case, events in SAME_AS_CASES.items()},
+    # the result's entries are the trace's events less kind and seq; a kind changes nothing
+    **{f"result_same_as_{case}": explain_last_reference(*entries)
+       for case, entries in SAME_AS_CASES.items()},
+    "result_same_as_in_a_list": explain_last_reference(DECISION, '["same_as"]'),
     "trace_line_of_unicode_space": (  # not JSON, so not a blank line either
         ["replay", "--trace", "FILE"],
         '{"schema_version": 1}\n\u00a0\n{"kind": "end", "events": 0}\n'),

@@ -1,0 +1,53 @@
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from defsim.errors import CorruptTrace, read_json
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)))  # UTF-8 can encode it
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=12)
+PADDING = st.text(" \t\r", max_size=3)
+
+
+@st.composite
+def lines(draw):
+    """One line of a JSON-lines file: a value as json.dumps writes it, or a
+    line that json.loads reads otherwise or refuses."""
+    value = json.dumps(draw(VALUES), ensure_ascii=draw(st.booleans()))
+    return draw(st.sampled_from([
+        value,
+        draw(PADDING) + value + draw(PADDING),
+        "\ufeff" + value,  # a byte order mark
+        value + draw(st.sampled_from([" 0", "x", value])),  # extra data
+        draw(st.sampled_from(["NaN", "[Infinity, -Infinity]", '{"v": NaN}'])),
+        "[" * 100_000,  # deeper than the decoder recurses
+        "1" * 5000,  # more digits than int() converts
+        draw(PADDING),  # blank, or a line break in text mode
+    ]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(lines(), max_size=6), st.sampled_from(["\n", "\r\n"]))
+def test_read_json_lines_decodes_each_line_as_json_loads_does(tmp_path_factory, drawn, newline):
+    path = tmp_path_factory.mktemp("lines") / "trace.jsonl"
+    path.write_bytes(newline.join(drawn).encode("utf-8"))
+    # the lines as read_json splits them: text mode reads "\r" and "\r\n" as "\n"
+    text = path.read_text(encoding="utf-8")
+    kept = [line for line in text.split("\n") if line.strip(" \t")]
+    try:
+        expected = [json.loads(line) for line in kept]
+    except (ValueError, RecursionError) as exc:
+        try:
+            read_json(path, CorruptTrace, "trace", lines=True)
+        except CorruptTrace as error:
+            assert str(error) == f"cannot read trace: {exc}"
+            assert type(error.__cause__) is type(exc)
+        else:
+            raise AssertionError(f"read_json accepted what json.loads refuses: {exc}")
+    else:
+        # compared as text, so that NaN equals NaN and 1 differs from 1.0
+        got = read_json(path, CorruptTrace, "trace", lines=True)
+        assert json.dumps(got) == json.dumps(expected)

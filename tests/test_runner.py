@@ -334,16 +334,22 @@ def test_remote_authority_suspends_execution(bundled_results):
     assert reports  # it keeps reporting while supervised
 
 
-def test_result_file_round_trip(tmp_path):
-    result = run_episode(quiet_scenario(), 1)
+def test_result_file_round_trip(bundled_configs, tmp_path):
+    """The result file's decision log holds the trace's decision records, and
+    resolving their `same_as` gives back the in-memory log."""
+    result = run_episode(bundled_configs["s3_partition"], 1)  # repeats decision bodies
     path = tmp_path / "result.json"
     write_result(result, path)
+    write_trace(result, tmp_path / "trace.jsonl")
     text = path.read_text()
     assert text.count("\n") == 1 and text.endswith("\n")  # one compact line
     data = json.loads(text)
     assert data["metrics"] == result.metrics
-    assert data["decision_log"] == result.decision_log
     assert data == result.to_json()
+    assert data["decision_log"] == [{k: v for k, v in event.items() if k not in ("kind", "seq")}
+                                    for event in decision_events(tmp_path / "trace.jsonl")]
+    assert any("same_as" in entry for entry in data["decision_log"])
+    assert resolve_same_as(data["decision_log"]) == result.decision_log
 
 
 def test_set_roe_zero_risk_budget_filters_all_risky_plans(bundled_configs):
@@ -397,18 +403,20 @@ _DECISION_BODY = ("candidates", "chosen", "rationale")
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def resolved_decisions(trace_path):
-    """The trace's decision events, each `same_as` replaced by the body of
-    the decision it names; also checks that no two full bodies are equal."""
+def decision_events(trace_path):
     lines = trace_path.read_text().split("\n")
-    decisions = [e for e in map(json.loads, filter(None, lines))
-                 if e.get("kind") == "agent.decision"]
-    full = [_encode({k: e[k] for k in _DECISION_BODY}) for e in decisions if "same_as" not in e]
+    return [e for e in map(json.loads, filter(None, lines)) if e.get("kind") == "agent.decision"]
+
+
+def resolve_same_as(decisions):
+    """These decision records, each `same_as` replaced in place by the body
+    of the decision it names; also checks that no two full bodies are equal."""
+    full = [_encode({k: d[k] for k in _DECISION_BODY}) for d in decisions if "same_as" not in d]
     assert len(set(full)) == len(full), "a full body repeats an earlier one"
-    for event in decisions:
-        if "same_as" in event:
-            first = decisions[event.pop("same_as")]
-            event.update({k: first[k] for k in _DECISION_BODY})
+    for record in decisions:
+        if "same_as" in record:
+            first = decisions[record.pop("same_as")]
+            record.update({k: first[k] for k in _DECISION_BODY})
     return decisions
 
 
@@ -423,7 +431,7 @@ def test_episodes_sharing_one_memo_write_the_bytes_of_lone_episodes(name, bundle
         shared = _artifact_bytes(Episode(config, seed, memo=memo).run(), tmp_path)
         lone = run_episode(config, seed)
         assert shared == _artifact_bytes(lone, tmp_path), seed
-        resolved = resolved_decisions(tmp_path / "trace.jsonl")
+        resolved = resolve_same_as(decision_events(tmp_path / "trace.jsonl"))
         assert [_encode(event) for event in resolved] == [
             _encode({"tick": event["tick"], "seq": event["seq"], "kind": "agent.decision", **entry})
             for event, entry in zip(resolved, lone.decision_log, strict=True)], seed
