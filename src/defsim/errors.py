@@ -132,10 +132,12 @@ def read_json(path: str | Path, error: type[DefsimError], what: str,
     on its non-blank lines. A file that cannot be read, is not UTF-8, is not
     JSON or nests too deep for the decoder raises `error`."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
         if lines:
-            # lines and blanks by JSON's rules, not str's: strings may hold U+2028 raw
-            return [_loads_line(line) for line in text.split("\n") if line.strip(" \t")]
-        return json.loads(text)
+            # lines and blanks by JSON's rules, not str's: strings may hold U+2028
+            # raw, and a raw CR is whitespace, so it is read untranslated
+            with open(path, encoding="utf-8", newline="") as file:
+                text = file.read()
+            return [_loads_line(line) for line in text.split("\n") if line.strip(" \t\r")]
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise error(f"cannot read {what}: {exc}") from exc

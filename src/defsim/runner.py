@@ -183,6 +183,10 @@ class Episode:
             self.planner = config.build_planner_config()
             self.sensors = config.build_sensor_config()
             self.repertoire = config.build_repertoire()
+            # the features a deliberation reads; fixed, as set_goal_weight edits weights only
+            self.read_keys = tuple(sorted(
+                {pred[0] for goal in config.build_goals() for pred in goal.predicates}
+                | {pred[0] for spec in self.repertoire.values() for pred in spec.preconditions}))
             for spec in config.agents:
                 self._add_agent(spec)
         self.primary_agent = config.agents[0].agent_id if (agent_enabled and config.agents) else None
@@ -543,8 +547,8 @@ class Episode:
             return
 
         progression = sensing.progression_deltas(assessment, patterns)
+        key = self._planner_inputs(rt, progression)
         try:
-            key = self._planner_inputs(rt, progression)
             found = self.memo.get(key)
         except TypeError:  # an unhashable input, such as a list feature: search, keep nothing
             key = found = None
@@ -572,15 +576,22 @@ class Episode:
                           reason="persistent_no_action")
                 self._attempt_report(rt, tick, reason="fail_safe")
 
-    @staticmethod
-    def _planner_inputs(rt: AgentRuntime, progression: list[sensing.FeatureDelta]) -> tuple:
+    def _planner_inputs(self, rt: AgentRuntime, progression: list[sensing.FeatureDelta]) -> tuple:
         """The memo key: everything propose_plans and select_action_plan read
         that differs between runtimes or deliberations; the repertoire and
-        planner settings are the config's. Values carry their type, so 1, 1.0
-        and True differ. Hashing it raises TypeError on a list feature value."""
-        roe = rt.roe
+        planner settings are the config's. Of the features, only read_keys
+        count, by presence and value, as both read features only through goal
+        and precondition predicates: propose_plans checks preconditions and
+        scores the goal keys' outcomes; _apply_optimistic writes deltas read
+        back only by those predicates; _trim_and_augment and _unique_provider
+        check preconditions; expected_loss reads the goal keys after
+        progression. A new planner input, such as a learnt effect estimate,
+        must join the key. Values carry their type, so 1, 1.0 and True
+        differ. Hashing it raises TypeError on a list value of a read key."""
+        roe, features = rt.roe, rt.ws.features
         return (
-            tuple((key, type(value), value) for key, value in rt.ws.features.items()),
+            tuple((key, type(features[key]), features[key])
+                  for key in self.read_keys if key in features),
             tuple((type(goal.weight), goal.weight) for goal in rt.kb.goals),
             tuple((type(value), value) for value in (
                 roe.max_plan_risk, roe.destructive_only_on_residence, roe.fast_deadline_ticks)),

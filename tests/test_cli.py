@@ -176,6 +176,8 @@ MALFORMED = {
     **{f"result_same_as_{case}": explain_last_reference(*entries)
        for case, entries in SAME_AS_CASES.items()},
     "result_same_as_in_a_list": explain_last_reference(DECISION, '["same_as"]'),
+    "trace_bare_cr_line_breaks": (  # only LF ends a line: this is one line of two values
+        ["replay", "--trace", "FILE"], '{"schema_version": 1}\r{"kind": "end", "events": 0}\r'),
     "trace_line_of_unicode_space": (  # not JSON, so not a blank line either
         ["replay", "--trace", "FILE"],
         '{"schema_version": 1}\n\u00a0\n{"kind": "end", "events": 0}\n'),
@@ -217,7 +219,9 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path):
 @pytest.mark.parametrize("text", [
     trace_text('{"kind": "x", "s": "a\u2028b\u2029c\u0085d"}'),
     trace_text(DECISION, same_as("0"), DECISION.replace("[]", "[1]"), same_as("2"), same_as("0")),
-], ids=["line_separators_in_a_string", "decision_references"])
+    trace_text('{"kind": "x",\r"s": 1}'),  # a raw CR is JSON whitespace
+    trace_text('{"kind": "x", "s": 1}\r', '{"kind": "y"}').replace("\n", "\r\n"),
+], ids=["line_separators_in_a_string", "decision_references", "raw_cr_in_a_line", "crlf_lines"])
 def test_replay_accepts_a_valid_trace(text, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     trace.write_text(text, encoding="utf-8")

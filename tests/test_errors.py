@@ -20,23 +20,25 @@ def lines(draw):
     return draw(st.sampled_from([
         value,
         draw(PADDING) + value + draw(PADDING),
+        value.replace(", ", ",\r"),  # a raw CR as whitespace between tokens
         "\ufeff" + value,  # a byte order mark
         value + draw(st.sampled_from([" 0", "x", value])),  # extra data
         draw(st.sampled_from(["NaN", "[Infinity, -Infinity]", '{"v": NaN}'])),
         "[" * 100_000,  # deeper than the decoder recurses
         "1" * 5000,  # more digits than int() converts
-        draw(PADDING),  # blank, or a line break in text mode
+        draw(PADDING),  # blank
     ]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(lines(), max_size=6), st.sampled_from(["\n", "\r\n"]))
+@given(st.lists(lines(), max_size=6), st.sampled_from(["\n", "\r\n", "\r"]))
 def test_read_json_lines_decodes_each_line_as_json_loads_does(tmp_path_factory, drawn, newline):
     path = tmp_path_factory.mktemp("lines") / "trace.jsonl"
     path.write_bytes(newline.join(drawn).encode("utf-8"))
-    # the lines as read_json splits them: text mode reads "\r" and "\r\n" as "\n"
-    text = path.read_text(encoding="utf-8")
-    kept = [line for line in text.split("\n") if line.strip(" \t")]
+    # the lines as JSON sees them: only LF ends a line, and a CR is whitespace,
+    # so a CRLF line keeps its CR and a file of bare CR breaks is one line
+    text = path.read_bytes().decode("utf-8")
+    kept = [line for line in text.split("\n") if line.strip(" \t\r")]
     try:
         expected = [json.loads(line) for line in kept]
     except (ValueError, RecursionError) as exc:

@@ -7,6 +7,7 @@ from defsim import execution, planning, sensing
 from defsim.errors import ConfigInvalid, CorruptTrace, IndexOutOfRange, SchemaMismatch
 from defsim.runner import (
     Episode,
+    _dump,
     explain,
     export_csv,
     replay,
@@ -441,8 +442,12 @@ def test_episodes_sharing_one_memo_write_the_bytes_of_lone_episodes(name, bundle
 def withholding_agent():
     """An agent whose only action never beats inaction, so every deliberation
     withholds; an `urgent` match takes the fast path and releases it, and a
-    `spreading` match adds threat progression."""
+    `spreading` match adds threat progression. The action's preconditions
+    name two features no goal names: `link_state`, and `backlog`, which is
+    absent at first."""
     config = quiet_scenario(
+        repertoire=[{"action_id": "watch", "category": "observe",
+                     "preconditions": [["link_state", "==", 1], ["backlog", "<=", 0]]}],
         patterns=[{"id": "proc", "predicates": [["unknown_proc_count", ">=", 1]],
                    "severity": 0.9, "confidence": 0.9},
                   {"id": "urgent", "predicates": [], "severity": 0.9, "confidence": 0.9,
@@ -458,7 +463,8 @@ def withholding_agent():
     )
     episode = Episode(config, seed=1)
     rt = episode.agents[0]
-    rt.ws.features.update(functionality_belief=1, unknown_proc_count=1)
+    rt.ws.features.update(functionality_belief=1, unknown_proc_count=1, link_state=1,
+                          process_count=3)
     return episode, rt
 
 
@@ -479,8 +485,10 @@ def _release_plan(episode, rt):
     rt.plan_exec = None  # the plan ran to its end
 
 
-def _retype_goal_feature(episode, rt):
-    rt.ws.features["functionality_belief"] = 1.0
+def _set_feature(key, value):
+    def apply(episode, rt):
+        rt.ws.features[key] = value
+    return apply
 
 
 @pytest.mark.parametrize("between, searches", [
@@ -488,11 +496,16 @@ def _retype_goal_feature(episode, rt):
     (_command(command="set_goal_weight", goal_id="g", weight=3.0), 2),
     (_command(command="set_roe", field="max_plan_risk", value=0.5), 2),
     (_command(command="set_roe", field="forbidden_categories", value=["contain"]), 2),
-    (_retype_goal_feature, 2),
+    (_set_feature("functionality_belief", 1.0), 2),
+    (_set_feature("process_count", 4), 1),  # nothing reads it
+    (_set_feature("tags", ["a", "b"]), 1),  # nothing reads it, so it needs no hash
+    (_set_feature("link_state", 0), 2),  # only a precondition reads it
+    (_set_feature("backlog", 0.0), 2),
     (_release_plan, 1),  # the memo outlives a released plan
     (lambda episode, rt: "spreading", 2),
 ], ids=["nothing", "set_goal_weight", "set_roe", "set_roe_forbidden_categories",
-        "goal_feature_1_to_1.0", "released_plan", "threat_progression"])
+        "goal_feature_1_to_1.0", "unread_feature", "unread_list_feature", "precondition_feature",
+        "read_feature_absent_to_0.0", "released_plan", "threat_progression"])
 def test_what_forces_a_new_search(between, searches, search_calls):
     episode, rt = withholding_agent()
     episode._maybe_plan(rt, threat("proc"), tick=0)
@@ -507,11 +520,58 @@ def test_what_forces_a_new_search(between, searches, search_calls):
 
 def test_a_list_valued_feature_deliberates_without_the_memo(search_calls):
     episode, rt = withholding_agent()
-    rt.ws.features["tags"] = ["a", "b"]  # unhashable: no key
+    rt.ws.features["link_state"] = ["a", "b"]  # a read key, unhashable: no key
     episode._maybe_plan(rt, threat("proc"), tick=0)
     episode._maybe_plan(rt, threat("proc"), tick=2)
     assert len(search_calls) == 2 and episode.memo == {}
     assert [d["chosen"]["no_action"] for d in episode.decision_log] == [True, True]
+
+
+def deliberation_body(rt, progression):
+    """The body _maybe_plan builds from a search."""
+    proposals = planning.propose_plans(rt.ws, rt.repertoire, rt.kb.goals, rt.planner)
+    outcome = planning.select_action_plan(
+        proposals, rt.kb.goals, rt.roe, rt.ws, rt.repertoire, rt.planner, progression)
+    return {
+        "candidates": outcome.log["candidates"],
+        "chosen": ({"no_action": False, "entries": outcome.log["released_entries"]}
+                   if outcome.plan is not None else {"no_action": True, "entries": None}),
+        "rationale": {k: v for k, v in outcome.log.items() if k != "candidates"},
+    }
+
+
+# values every predicate threshold compares with, and anything at all
+_NUMBERS = st.one_of(st.booleans(), st.integers(min_value=-2, max_value=3),
+                     st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), st.floats(-2, 3))
+_ANYTHING = st.one_of(st.none(), _NUMBERS, st.floats(), st.text(max_size=3),
+                      st.lists(st.integers(), max_size=2))
+
+
+@given(data=st.data(), name=st.sampled_from(BUNDLED))
+@settings(max_examples=200, deadline=None)
+def test_features_outside_the_read_set_leave_the_deliberation_unchanged(bundled_configs,
+                                                                         data, name):
+    """Two belief states that agree on every read key, in presence, type and
+    value, and differ anywhere else give the same decision body."""
+    episode = Episode(bundled_configs[name], seed=1)
+    rt, read_keys = episode.agents[0], episode.read_keys
+    read = data.draw(st.dictionaries(st.sampled_from(read_keys), _NUMBERS))
+    named = sorted({pred[0] for goal in rt.kb.goals for pred in goal.predicates}
+                   | {pred[0] for spec in rt.repertoire.values() for pred in spec.preconditions}
+                   | {delta[0] for spec in rt.repertoire.values() for effect in spec.effects
+                      for delta in effect.feature_deltas}
+                   | {"host_integrity", "detectability", "replica_count", "process_count"})
+    unread = st.dictionaries((st.sampled_from(named) | st.text(max_size=4))
+                             .filter(lambda key: key not in read_keys), _ANYTHING, max_size=6)
+    progression = data.draw(st.lists(st.tuples(st.sampled_from(read_keys),
+                                               st.sampled_from(["set", "add"]), _NUMBERS),
+                                     max_size=3))
+    bodies = []
+    for _ in range(2):
+        items = [*data.draw(unread).items(), *read.items()]
+        rt.ws.features = dict(data.draw(st.permutations(items)))  # in any order
+        bodies.append(_dump(deliberation_body(rt, progression)))
+    assert bodies[0] == bodies[1]
 
 
 def _releasing_runtime(episode):
@@ -568,20 +628,17 @@ _roe_values = {
     "destructive_only_on_residence": st.booleans(),
     "fast_deadline_ticks": st.integers(min_value=0, max_value=4),
 }
-_c2_commands = st.one_of(
-    st.fixed_dictionaries({"command": st.just("set_goal_weight"),
-                           "goal_id": st.sampled_from(_S3_GOALS),
-                           "weight": st.floats(min_value=0.05, max_value=5.0)}),
-    *(st.fixed_dictionaries({"command": st.just("set_roe"), "field": st.just(field),
-                             "value": values})
-      for field, values in _roe_values.items()),
-)
-_c2_entries = st.lists(
-    st.fixed_dictionaries({"tick": st.integers(min_value=0, max_value=59),
-                           "kind": st.just("ControlCommand"),
-                           "to": st.sampled_from(["a1", "a2", "a3"]),
-                           "payload": _c2_commands}),
-    max_size=6)
+
+
+def _c2_commands(goal_ids):
+    return st.one_of(
+        st.fixed_dictionaries({"command": st.just("set_goal_weight"),
+                               "goal_id": st.sampled_from(goal_ids),
+                               "weight": st.floats(min_value=0.05, max_value=5.0)}),
+        *(st.fixed_dictionaries({"command": st.just("set_roe"), "field": st.just(field),
+                                 "value": values})
+          for field, values in _roe_values.items()),
+    )
 
 
 def _link_c2_to_every_agent(raw):
@@ -599,21 +656,28 @@ def _artifact_bytes(result, tmp_path):
     return (tmp_path / "trace.jsonl").read_bytes(), (tmp_path / "result.json").read_bytes()
 
 
-@given(entries=_c2_entries, seed=st.integers(min_value=1, max_value=20))
+@pytest.mark.parametrize("name", ["s1_comms_spoof", "s3_partition"])
+@given(data=st.data(), seed=st.integers(min_value=1, max_value=20))
 @settings(max_examples=25, deadline=None)
-def test_reuse_leaves_artifacts_unchanged_under_c2_commands(bundled_configs, tmp_path_factory,
-                                                            entries, seed):
-    # a2 and a3 withhold action on most ticks
-    raw = json.loads(json.dumps(bundled_configs["s3_partition"].raw))
+def test_reuse_leaves_artifacts_unchanged_under_c2_commands(name, bundled_configs,
+                                                            tmp_path_factory, data, seed):
+    # most memo hits fall in s1, and in s3, whose a2 and a3 withhold on most ticks
+    raw = json.loads(json.dumps(bundled_configs[name].raw))
     _link_c2_to_every_agent(raw)
-    raw["c2"]["script"] = raw["c2"]["script"] + entries
+    goal_ids = [g["goal_id"] for g in raw["goals"]] + ["g_unknown"]  # the last is rejected
+    raw["c2"]["script"] = raw["c2"]["script"] + data.draw(st.lists(
+        st.fixed_dictionaries({"tick": st.integers(min_value=0, max_value=59),
+                               "kind": st.just("ControlCommand"),
+                               "to": st.sampled_from([a["agent_id"] for a in raw["agents"]]),
+                               "payload": _c2_commands(goal_ids)}),
+        max_size=6))
     config = parse_scenario(raw)
     seeds, memo = (seed, seed + 1, seed + 2), {}  # three episodes through one memo
     reused = [_artifact_bytes(Episode(config, s, memo=memo).run(),
                               tmp_path_factory.mktemp("reused")) for s in seeds]
     with pytest.MonkeyPatch.context() as mp:
         # inputs that never compare equal: every deliberation searches afresh
-        mp.setattr(Episode, "_planner_inputs", staticmethod(lambda rt, progression: object()))
+        mp.setattr(Episode, "_planner_inputs", lambda self, rt, progression: object())
         fresh = [_artifact_bytes(run_episode(config, s), tmp_path_factory.mktemp("fresh"))
                  for s in seeds]
     assert reused == fresh
@@ -690,7 +754,7 @@ def test_sensing_skip_leaves_artifacts_unchanged_under_c2_commands(
         st.fixed_dictionaries({"tick": st.integers(min_value=0, max_value=59),
                                "kind": st.just("ControlCommand"),
                                "to": st.sampled_from([a["agent_id"] for a in raw["agents"]]),
-                               "payload": st.one_of(_c2_commands, st.none())}),
+                               "payload": st.one_of(_c2_commands(_S3_GOALS), st.none())}),
         max_size=8))
     examples = [e for e in sorted(entries, key=lambda e: e["tick"]) if e["payload"] is None]
     for number, entry in enumerate(examples):
