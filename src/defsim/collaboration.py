@@ -17,7 +17,7 @@ from enum import Enum
 from random import Random
 from typing import Any, Callable, Iterable, Optional
 
-from .envsim import DeliveryOutcome, DeliveryStatus, Environment, clamp01
+from .envsim import DeliveryStatus, Environment, clamp01
 from .errors import (
     InvalidTransition,
     NoRoute,
@@ -199,10 +199,10 @@ def share_and_request(
         payload = {"conclusions": [c.to_dict() for c in _sorted_conclusions(conclusions)]}
         msg = build_message(key, MessageKind.REQUEST_CONCLUSIONS,
                             agent_state.agent_id, peer_id, payload, round_no)
-        delivery = env.deliver(channel, msg, rng, spoofer=spoofer)
+        status = env.deliver(channel, msg, rng, spoofer=spoofer)
         agent_state.detectability = clamp01(agent_state.detectability + communicate_noise)
         sent_any = True
-        outcomes.append({"peer": peer_id, "status": delivery.status.value, "channel": channel})
+        outcomes.append({"peer": peer_id, "status": status.value, "channel": channel})
     if peers and not sent_any:
         raise NoRoute("no peer reachable; proceeding alone")
     return outcomes
@@ -221,15 +221,15 @@ def report(
     key: str,
     communicate_noise: float = DEFAULT_COMMUNICATE_NOISE,
     spoofer: Optional[Callable[[str, dict[str, Any]], dict[str, Any]]] = None,
-) -> DeliveryOutcome:
+) -> DeliveryStatus:
     """Status report to the remote center, subject to channel state."""
     channel = env.route(agent_state.host_id, c2_host)
     if channel is None:
         raise NoRoute(f"no channel from {agent_state.host_id!r} to {c2_host!r}")
     msg = build_message(key, MessageKind.STATUS_REPORT, agent_state.agent_id, "c2", summary)
-    outcome = env.deliver(channel, msg, rng, spoofer=spoofer)
+    status = env.deliver(channel, msg, rng, spoofer=spoofer)
     agent_state.detectability = clamp01(agent_state.detectability + communicate_noise)
-    return outcome
+    return status
 
 
 # -- authority handover ---------------------------------------------------------
@@ -337,8 +337,7 @@ def propagate(
         raise RefusedNoRoute(f"no usable channel to {target_host!r}")
     msg = build_message(key, MessageKind.REPLICA_TRANSFER, agent_state.agent_id,
                         new_agent_id, {"knowledge": kb_payload})
-    delivery = env.deliver(channel, msg, rng)
-    if delivery.status is DeliveryStatus.DROPPED:
+    if env.deliver(channel, msg, rng) is DeliveryStatus.DROPPED:
         raise RefusedNoRoute(f"replica transfer dropped on {channel!r}")
     replica = AgentState(
         agent_id=new_agent_id,

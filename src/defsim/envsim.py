@@ -146,13 +146,6 @@ class DeliveryStatus(str, Enum):
     OBSERVED_AND_DELIVERED = "observed_and_delivered"
 
 
-@dataclass
-class DeliveryOutcome:
-    status: DeliveryStatus
-    delay: int = 0
-    message: Optional[dict[str, Any]] = None
-
-
 # numeric attribute domains; fractions clamp to [0,1], counters floor at 0
 _FRACTION_ATTRS = {"integrity", "health", "drop_probability", "detectability"}
 _COUNTER_ATTRS = {"delay_ticks"}
@@ -408,7 +401,7 @@ class Environment:
         message: dict[str, Any],
         rng: Random,
         spoofer: Optional[Callable[[str, dict[str, Any]], dict[str, Any]]] = None,
-    ) -> DeliveryOutcome:
+    ) -> DeliveryStatus:
         """Push one message through a channel.
 
         Disabled drops always; degraded drops with drop_probability, else
@@ -420,10 +413,10 @@ class Environment:
         if ch is None:
             raise UnknownChannel(f"no channel {channel_id!r}")
         if ch.state is ChannelState.DISABLED:
-            return DeliveryOutcome(DeliveryStatus.DROPPED)
+            return DeliveryStatus.DROPPED
         if ch.state is ChannelState.DEGRADED:
             if rng.random() < ch.drop_probability:
-                return DeliveryOutcome(DeliveryStatus.DROPPED)
+                return DeliveryStatus.DROPPED
             delay = ch.delay_ticks
             if delay > 0:
                 arrival = self.tick + delay
@@ -434,15 +427,15 @@ class Environment:
                     payload={"channel": channel_id, "message": message},
                 )
                 self._scheduled.setdefault(arrival, []).append(event)
-                return DeliveryOutcome(DeliveryStatus.DELIVERED, delay=delay, message=message)
+                return DeliveryStatus.DELIVERED
             self.inboxes.setdefault(message["recipient"], []).append(message)
-            return DeliveryOutcome(DeliveryStatus.DELIVERED, message=message)
+            return DeliveryStatus.DELIVERED
         if ch.state is ChannelState.SPOOFED:
             out = spoofer(channel_id, message) if spoofer else dict(message, observed=True)
             self.inboxes.setdefault(out["recipient"], []).append(out)
-            return DeliveryOutcome(DeliveryStatus.OBSERVED_AND_DELIVERED, message=out)
+            return DeliveryStatus.OBSERVED_AND_DELIVERED
         self.inboxes.setdefault(message["recipient"], []).append(message)
-        return DeliveryOutcome(DeliveryStatus.DELIVERED, message=message)
+        return DeliveryStatus.DELIVERED
 
     def drain_inbox(self, recipient: str) -> list[dict[str, Any]]:
         return self.inboxes.pop(recipient, [])

@@ -22,7 +22,6 @@ from .planning import (
     ActionCategory,
     ActionSpec,
     BUILTIN_ACTIONS,
-    ExecutablePlan,
     RulesOfEngagement,
     action_roe_ok,
 )
@@ -32,11 +31,9 @@ DEFAULT_MAX_RETRIES = 2
 
 
 class ActionStatus(str, Enum):
-    PENDING = "pending"
     IN_PROGRESS = "in_progress"
     DONE = "done"
     FAILED = "failed"
-    BLOCKED = "blocked"
 
 
 class AgentMode(str, Enum):
@@ -73,7 +70,7 @@ class ExecutionRecord:
 
 @dataclass
 class Deviation:
-    kind: str  # failed | blocked | overdue | effect_unmet
+    kind: str  # failed | overdue | effect_unmet
     action_id: str
     entry_index: int
     detail: str = ""
@@ -97,7 +94,7 @@ class AdjustmentDecision:
 
 @dataclass
 class PlanExecution:
-    plan: ExecutablePlan
+    entries: list[dict[str, Any]]  # the released entries: action, offset, origin
     records: list[ExecutionRecord] = field(default_factory=list)
     cursor: int = 0
 
@@ -107,16 +104,16 @@ class PlanExecution:
         return None
 
     def halted(self) -> bool:
-        """A non-done terminal record awaits the adjuster."""
+        """A failed record awaits the adjuster."""
         return bool(
             self.records
-            and self.records[-1].status in (ActionStatus.FAILED, ActionStatus.BLOCKED)
+            and self.records[-1].status is ActionStatus.FAILED
             and not self.records[-1].adjusted
         )
 
     def finished(self) -> bool:
         return (
-            self.cursor >= len(self.plan.entries)
+            self.cursor >= len(self.entries)
             and self.active_record() is None
             and not self.halted()
         )
@@ -156,22 +153,20 @@ def execute_step(
         raise ModeForbidden("agent destroyed")
     if agent_state.authority is not Authority.AGENT:
         raise AuthorityNotHeld("authority held by remote center")
-    if not pe.plan.roe_checked:
-        raise ModeForbidden("plan released without ROE check")
     if pe.halted():
         return []
 
     updates: list[ExecutionRecord] = []
     rec = pe.active_record()
     if rec is None:
-        if pe.cursor >= len(pe.plan.entries):
+        if pe.cursor >= len(pe.entries):
             return []
-        entry = pe.plan.entries[pe.cursor]
-        spec = _lookup(entry.action_id, repertoire)
+        action_id = pe.entries[pe.cursor]["action"]
+        spec = _lookup(action_id, repertoire)
         if spec.category is ActionCategory.DESTRUCTIVE and agent_state.mode is AgentMode.FAIL_SAFE:
-            raise ModeForbidden(f"destructive action {entry.action_id!r} forbidden in fail_safe")
+            raise ModeForbidden(f"destructive action {action_id!r} forbidden in fail_safe")
         rec = ExecutionRecord(
-            action_id=entry.action_id,
+            action_id=action_id,
             entry_index=pe.cursor,
             status=ActionStatus.IN_PROGRESS,
             started_tick=tick,
@@ -266,9 +261,6 @@ def monitor_execution(
         if rec.status is ActionStatus.FAILED:
             deviations.append(Deviation("failed", rec.action_id, rec.entry_index,
                                         detail="action failed"))
-        elif rec.status is ActionStatus.BLOCKED:
-            deviations.append(Deviation("blocked", rec.action_id, rec.entry_index,
-                                        detail="action blocked"))
         elif rec.status is ActionStatus.IN_PROGRESS:
             spec = _lookup(rec.action_id, repertoire)
             if tick >= rec.started_tick + spec.duration:
@@ -342,7 +334,7 @@ def adjust(
         ]
         if alternatives:
             substitute = alternatives[0]
-            pe.plan.entries[dev.entry_index].action_id = substitute
+            pe.entries[dev.entry_index]["action"] = substitute
             pe.cursor = dev.entry_index
             return AdjustmentDecision("substitute", substitute_action_id=substitute)
     return AdjustmentDecision("replan")

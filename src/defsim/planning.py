@@ -124,22 +124,6 @@ class EntryOrigin(str, Enum):
 
 
 @dataclass
-class PlanEntry:
-    action_id: str
-    offset: int
-    origin: EntryOrigin
-
-
-@dataclass
-class ExecutablePlan:
-    entries: list[PlanEntry]
-    roe_checked: bool = False
-
-    def action_ids(self) -> list[str]:
-        return [e.action_id for e in self.entries]
-
-
-@dataclass
 class RulesOfEngagement:
     max_plan_risk: float = 1.0
     destructive_only_on_residence: bool = True
@@ -469,13 +453,6 @@ def plan_roe_violations(
 
 # -- selection ----------------------------------------------------------------------
 
-@dataclass
-class SelectionOutcome:
-    plan: Optional[ExecutablePlan]
-    no_action: bool
-    log: dict[str, Any]
-
-
 def _unique_provider(
     failing: list[Predicate],
     repertoire: dict[str, ActionSpec],
@@ -547,16 +524,6 @@ def _trim_and_augment(
     return entries, trims, insertions
 
 
-def _build_plan(entries: list[tuple[str, EntryOrigin]], repertoire: dict[str, ActionSpec]) -> ExecutablePlan:
-    plan_entries = []
-    offset = 0
-    for aid, origin in entries:
-        spec = BUILTIN_ACTIONS.get(aid) or repertoire[aid]
-        plan_entries.append(PlanEntry(aid, offset, origin))
-        offset += spec.duration
-    return ExecutablePlan(entries=plan_entries, roe_checked=True)
-
-
 def select_action_plan(
     proposals: list[PlanProposal],
     goals: list[Goal],
@@ -565,9 +532,11 @@ def select_action_plan(
     repertoire: dict[str, ActionSpec],
     config: PlannerConfig,
     progression: Sequence[FeatureDelta] = (),
-) -> SelectionOutcome:
-    """Pick, trim, augment and gate a plan; the returned log carries every
-    number needed to recompute the decision."""
+) -> dict[str, Any]:
+    """Pick, trim, augment and gate a plan. The returned log carries every
+    number needed to recompute the decision; a plan is released when the log
+    has `released_entries`, each {action, offset, origin} with the offset the
+    sum of the earlier entries' durations."""
     log: dict[str, Any] = {
         "candidates": [],
         "filters": [],
@@ -589,7 +558,7 @@ def select_action_plan(
 
     if not survivors:
         log["gate"] = {"released": False, "reason": "all_candidates_roe_filtered"}
-        return SelectionOutcome(plan=None, no_action=True, log=log)
+        return log
 
     survivors.sort(key=lambda p: (-p.utility, p.actions))
     best = survivors[0]
@@ -616,19 +585,22 @@ def select_action_plan(
         "released": released,
     }
     if not released:
-        return SelectionOutcome(plan=None, no_action=True, log=log)
+        return log
 
-    plan = _build_plan(entries, repertoire)
+    released_entries = []
+    offset = final_risk = 0
+    for aid, origin in entries:
+        spec = BUILTIN_ACTIONS.get(aid) or repertoire[aid]
+        released_entries.append({"action": aid, "offset": offset, "origin": origin.value})
+        offset += spec.duration
+        final_risk += spec.risk
     # re-verify every ROE clause on the augmented plan before release
-    final_risk = sum((BUILTIN_ACTIONS.get(a) or repertoire[a]).risk for a in plan.action_ids())
     if final_risk > roe.max_plan_risk:
         log["gate"]["released"] = False
         log["gate"]["reason"] = "augmented_plan_exceeds_risk_budget"
-        return SelectionOutcome(plan=None, no_action=True, log=log)
-    log["released_entries"] = [
-        {"action": e.action_id, "offset": e.offset, "origin": e.origin.value} for e in plan.entries
-    ]
-    return SelectionOutcome(plan=plan, no_action=False, log=log)
+        return log
+    log["released_entries"] = released_entries
+    return log
 
 
 # -- fast path ------------------------------------------------------------------------
@@ -657,9 +629,3 @@ def fast_rule_select(
         if held and roe_ok:
             return rule.action_id, evaluated
     return None, evaluated
-
-
-def plan_from_entries(entries: list[dict[str, Any]]) -> ExecutablePlan:
-    """A released plan built from its logged entries (action, offset, origin)."""
-    return ExecutablePlan([PlanEntry(e["action"], e["offset"], EntryOrigin(e["origin"]))
-                           for e in entries], roe_checked=True)

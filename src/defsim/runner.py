@@ -190,8 +190,6 @@ class Episode:
             for spec in config.agents:
                 self._add_agent(spec)
         self.primary_agent = config.agents[0].agent_id if (agent_enabled and config.agents) else None
-        if config.c2_host:
-            self.agent_hosts["c2"] = config.c2_host
 
     # -- construction ----------------------------------------------------------
 
@@ -420,11 +418,11 @@ class Episode:
         payload = {"conclusions": [c.to_dict() for _, c in sorted(rt.conclusions.items())]}
         msg = collaboration.build_message(self.auth_key, kind, rt.state.agent_id,
                                           peer_id, payload, round_no)
-        delivery = self.env.deliver(channel, msg, self.rng, spoofer=self._spoof)
+        status = self.env.deliver(channel, msg, self.rng, spoofer=self._spoof)
         rt.state.detectability = clamp01(
             rt.state.detectability + self.config.collaboration.communicate_noise)
         self.emit("agent.conclusions_shared", agent=rt.state.agent_id, peer=peer_id,
-                  status=delivery.status.value, round=round_no)
+                  status=status.value, round=round_no)
 
     def _peers_of(self, rt: AgentRuntime) -> list[tuple[str, str]]:
         return [
@@ -554,13 +552,13 @@ class Episode:
             key = found = None
         if found is None:
             proposals = planning.propose_plans(rt.ws, rt.repertoire, rt.kb.goals, rt.planner)
-            outcome = planning.select_action_plan(
+            log = planning.select_action_plan(
                 proposals, rt.kb.goals, rt.roe, rt.ws, rt.repertoire, rt.planner, progression)
+            entries = log.get("released_entries")
             body = {
-                "candidates": outcome.log["candidates"],
-                "chosen": ({"no_action": False, "entries": outcome.log["released_entries"]}
-                           if outcome.plan is not None else {"no_action": True, "entries": None}),
-                "rationale": {k: v for k, v in outcome.log.items() if k != "candidates"},
+                "candidates": log["candidates"],
+                "chosen": {"no_action": entries is None, "entries": entries},
+                "rationale": {k: v for k, v in log.items() if k != "candidates"},
             }
             found = body, _dump(body)
             if key is not None:
@@ -601,11 +599,12 @@ class Episode:
 
     def _decide(self, rt: AgentRuntime, tick: int, path: str, assessment: Assessment,
                 body: dict[str, Any], encoded: str) -> None:
-        """Log the decision and release its plan, if any, built afresh from the
-        logged entries: execution.adjust edits a released plan in place. Entries
-        from one memoised outcome share its body; no logged entry is edited
-        after this point. A body that encodes to the bytes of an earlier one in
-        this episode is emitted as the index of the first, `same_as`."""
+        """Log the decision and release its plan, if any. The plan runs a copy
+        of the logged entries: execution.adjust substitutes an action by editing
+        its entry in place, and the decisions of one memoised outcome share its
+        body, so no logged entry is edited after this point. A body that
+        encodes to the bytes of an earlier one in this episode is emitted as
+        the index of the first, `same_as`."""
         envelope = {"tick": tick, "agent": rt.state.agent_id, "path": path,
                     "trigger": self._trigger_summary(assessment)}
         first = self.body_index.setdefault(encoded, len(self.decision_log))
@@ -616,7 +615,7 @@ class Episode:
         if not chosen["no_action"]:
             self.emit("agent.plan_released", agent=rt.state.agent_id,
                       entries=chosen["entries"], path=path)
-            rt.plan_exec = PlanExecution(plan=planning.plan_from_entries(chosen["entries"]))
+            rt.plan_exec = PlanExecution([dict(e) for e in chosen["entries"]])
             rt.no_action_streak = 0
 
     @staticmethod
@@ -709,12 +708,12 @@ class Episode:
             return
         rt.last_report_tick = tick  # skipped reports retry next interval
         try:
-            outcome = collaboration.report(
+            status = collaboration.report(
                 rt.state, self.config.c2_host, self._report_summary(rt), self.env,
                 self.rng, self.auth_key, self.config.collaboration.communicate_noise,
                 spoofer=self._spoof)
             self.emit("agent.report", agent=rt.state.agent_id,
-                      status=outcome.status.value, reason=reason)
+                      status=status.value, reason=reason)
         except NoRoute:
             self.emit("agent.report_skipped", agent=rt.state.agent_id,
                       reason="no_route", trigger=reason)
@@ -745,9 +744,9 @@ class Episode:
             msg = collaboration.build_message(
                 self.auth_key, collaboration.MessageKind(entry["kind"]),
                 "c2", recipient, entry["payload"])
-            delivery = self.env.deliver(channel, msg, self.rng, spoofer=self._spoof)
+            status = self.env.deliver(channel, msg, self.rng, spoofer=self._spoof)
             self.emit("c2.sent", to=recipient, message_kind=entry["kind"],
-                      status=delivery.status.value)
+                      status=status.value)
 
     # -- episode-end learning ------------------------------------------------------------------
 

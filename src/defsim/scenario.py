@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
@@ -487,6 +488,9 @@ SCENARIO = Record({
 
 # -- rules that span fields or records ----------------------------------------
 
+_REPLICA_SUFFIX = re.compile(r"_r[0-9]+$")  # a replica is named <parent id>_r<n>
+
+
 def _cross_rules(doc: dict[str, Any], ids: dict[str, set[Any]], problems: list[str]) -> None:
     """The rules that span fields or records, on a document of the table's shape."""
     topo, pb = doc["topology"], doc["playbook"]
@@ -502,6 +506,19 @@ def _cross_rules(doc: dict[str, Any], ids: dict[str, set[Any]], problems: list[s
         if h["resident_agent"] is not None and h["resident_agent"] not in ids["agent"]:
             problems.append(f"host {h['host_id']!r}: resident_agent {h['resident_agent']!r} "
                             "not in agents")
+    # messages from the remote center carry the sender "c2"
+    if "c2" in ids["agent"]:
+        problems.append("agent 'c2': id is taken by the remote center")
+    for kind, records, key in (("agent", doc["agents"], "agent_id"),
+                               ("instance", pb["instances"], "instance_id")):
+        for record in records:
+            base = record[key]
+            while match := _REPLICA_SUFFIX.search(base):
+                base = base[:match.start()]
+                if base in ids[kind]:
+                    problems.append(f"{kind} {record[key]!r}: id is taken by a replica of "
+                                    f"{kind} {base!r}")
+                    break
     for c in topo["channels"]:
         if c["state"] == "healthy" and (c["drop_probability"] or c["delay_ticks"]):
             problems.append(f"channel {c['channel_id']!r}: healthy implies "

@@ -110,6 +110,16 @@ S1_SHADOWS_BUILTIN["repertoire"].append({"action_id": "verify_effects", "categor
 next(a for a in S1_SHADOWS_BUILTIN["repertoire"]
      if a["action_id"] == "purge_unknown")["preconditions"].append(["armed", ">=", 1])
 
+S2 = json.loads(Path(scenario_path("s2_lateral_hunt")).read_text())
+# declared ids that the remote center or a replica takes
+S2_RESERVED_IDS = {
+    "agent_c2": dict(S2, agents=S2["agents"] + [{"agent_id": "c2", "host_id": "h2"}]),
+    "agent_replica_id": dict(S2, agents=S2["agents"] + [{"agent_id": "a1_r1", "host_id": "h2"}]),
+    "instance_replica_id": dict(S2, playbook=dict(
+        S2["playbook"], max_instances=8,
+        instances=S2["playbook"]["instances"] + [{"instance_id": "m1_r1", "host_id": "h2"}])),
+}
+
 
 def trace_text(*events: str) -> str:
     """A version-1 trace of these event lines, framed by its end record."""
@@ -196,6 +206,8 @@ MALFORMED = {
                                     json.dumps(S1_STEP_PARAMS_STRING)),
     "scenario_action_shadows_builtin": (["run", "--scenario", "FILE", "--seed", "1",
                                          "--out", "FILE"], json.dumps(S1_SHADOWS_BUILTIN)),
+    **{f"scenario_{case}": (["run", "--scenario", "FILE", "--seed", "1", "--out", "FILE"],
+                            json.dumps(raw)) for case, raw in S2_RESERVED_IDS.items()},
     "trace_not_utf8": (["replay", "--trace", NOT_UTF8], None),
     "trace_too_deep": (["replay", "--trace", "FILE"], TOO_DEEP),
     "result_not_utf8": (["explain", "--result", NOT_UTF8, "--decision", "0"], None),

@@ -176,8 +176,8 @@ def test_share_all_peers_unreachable_is_no_route():
 def test_report_delivered_on_healthy_channel():
     env = two_host_env()
     env.step(0)
-    outcome = report(agent_on(), "h2", {"mode": "normal"}, env, Random(1), KEY)
-    assert outcome.status is DeliveryStatus.DELIVERED
+    status = report(agent_on(), "h2", {"mode": "normal"}, env, Random(1), KEY)
+    assert status is DeliveryStatus.DELIVERED
 
 
 def test_report_no_route_when_disabled():

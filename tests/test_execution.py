@@ -20,9 +20,6 @@ from defsim.execution import (
 from defsim.planning import (
     ActionCategory,
     ActionSpec,
-    EntryOrigin,
-    ExecutablePlan,
-    PlanEntry,
     ProbabilisticEffect,
     RulesOfEngagement,
     SNAPSHOT_ACTION_ID,
@@ -39,14 +36,14 @@ def spec(aid, category=ActionCategory.OBSERVE, noise=0.0, duration=1, effects=()
                       risk=risk, noise=noise, duration=duration, builtin=builtin)
 
 
-def plan_of(*action_ids, origins=None, durations=None):
+def plan_of(*action_ids, durations=None):
+    """Released entries, as select_action_plan logs them."""
     entries = []
     offset = 0
-    for i, aid in enumerate(action_ids):
-        origin = (origins or {}).get(aid, EntryOrigin.PROPOSED)
-        entries.append(PlanEntry(aid, offset, origin))
+    for aid in action_ids:
+        entries.append({"action": aid, "offset": offset, "origin": "proposed"})
         offset += (durations or {}).get(aid, 1)
-    return ExecutablePlan(entries=entries, roe_checked=True)
+    return entries
 
 
 def agent(mode=AgentMode.NORMAL, authority=Authority.AGENT, detectability=0.1):
@@ -62,7 +59,7 @@ def env_effect(target, attribute, operation, value):
 def test_observe_duration_one_done_same_tick_with_noise():
     env = make_env()
     state = agent(detectability=0.2)
-    pe = PlanExecution(plan=plan_of("look"))
+    pe = PlanExecution(plan_of("look"))
     rep = {"look": spec("look", noise=0.05)}
     updates = execute_step(pe, env, state, tick=4, repertoire=rep, rng=Random(1))
     assert len(updates) == 1
@@ -77,7 +74,7 @@ def test_multi_tick_action_completes_at_duration():
     env = make_env()
     state = agent()
     rep = {"slow": spec("slow", duration=3)}
-    pe = PlanExecution(plan=plan_of("slow", durations={"slow": 3}))
+    pe = PlanExecution(plan_of("slow", durations={"slow": 3}))
     first = execute_step(pe, env, state, 0, rep, Random(1))
     assert first[0].status is ActionStatus.IN_PROGRESS
     assert execute_step(pe, env, state, 1, rep, Random(1)) == []
@@ -89,7 +86,7 @@ def test_destructive_in_fail_safe_forbidden():
     env = make_env()
     state = agent(mode=AgentMode.FAIL_SAFE)
     rep = {"boom": spec("boom", category=ActionCategory.DESTRUCTIVE, risk=0.2)}
-    pe = PlanExecution(plan=plan_of("boom"))
+    pe = PlanExecution(plan_of("boom"))
     with pytest.raises(ModeForbidden):
         execute_step(pe, env, state, 0, rep, Random(1))
 
@@ -98,10 +95,10 @@ def test_camouflage_subtracts_with_clamp():
     env = make_env()
     state = agent(detectability=0.5)
     rep = {"hide": spec("hide", category=ActionCategory.CAMOUFLAGE, noise=0.3)}
-    pe = PlanExecution(plan=plan_of("hide"))
+    pe = PlanExecution(plan_of("hide"))
     execute_step(pe, env, state, 0, rep, Random(1))
     assert state.detectability == pytest.approx(0.2)
-    pe2 = PlanExecution(plan=plan_of("hide"))
+    pe2 = PlanExecution(plan_of("hide"))
     execute_step(pe2, env, state, 1, rep, Random(1))
     assert state.detectability == 0.0  # clamped
 
@@ -109,7 +106,7 @@ def test_camouflage_subtracts_with_clamp():
 def test_destroyed_agent_refuses_everything():
     env = make_env()
     state = agent(mode=AgentMode.DESTROYED)
-    pe = PlanExecution(plan=plan_of("look"))
+    pe = PlanExecution(plan_of("look"))
     with pytest.raises(ModeForbidden):
         execute_step(pe, env, state, 0, {"look": spec("look")}, Random(1))
 
@@ -117,7 +114,7 @@ def test_destroyed_agent_refuses_everything():
 def test_authority_not_held_blocks_execution():
     env = make_env()
     state = agent(authority=Authority.REMOTE_C2)
-    pe = PlanExecution(plan=plan_of("look"))
+    pe = PlanExecution(plan_of("look"))
     with pytest.raises(AuthorityNotHeld):
         execute_step(pe, env, state, 0, {"look": spec("look")}, Random(1))
 
@@ -127,7 +124,7 @@ def test_unknown_entity_marks_record_failed_and_halts_plan():
     state = agent()
     rep = {"kill_ghost": spec(
         "kill_ghost", effects=[env_effect("process:h1:ghost", "", "kill", None)])}
-    pe = PlanExecution(plan=plan_of("kill_ghost"))
+    pe = PlanExecution(plan_of("kill_ghost"))
     updates = execute_step(pe, env, state, 0, rep, Random(1))
     assert updates[0].status is ActionStatus.FAILED
     assert "error" in updates[0].observed_effects[0]
@@ -140,7 +137,7 @@ def test_self_placeholder_resolves_to_agent_host():
     env.apply_effect(EffectDescriptor("process:h1:mal", "", "spawn", {"owner": "malware"}))
     state = agent()
     rep = {"purge": spec("purge", effects=[env_effect("process:$self:@unknown", "", "kill", None)])}
-    pe = PlanExecution(plan=plan_of("purge"))
+    pe = PlanExecution(plan_of("purge"))
     updates = execute_step(pe, env, state, 0, rep, Random(1))
     assert updates[0].status is ActionStatus.DONE
     assert "mal" not in env.hosts["h1"].processes
@@ -155,7 +152,7 @@ def test_snapshot_and_restore_builtins_round_trip():
             env_effect("service:h1:web", "health", "set", 0.0)]),
         "roll_back": spec("roll_back", category=ActionCategory.RESTORE, builtin="restore"),
     }
-    pe = PlanExecution(plan=plan_of(SNAPSHOT_ACTION_ID, "wreck", "roll_back"))
+    pe = PlanExecution(plan_of(SNAPSHOT_ACTION_ID, "wreck", "roll_back"))
     for tick in range(3):
         execute_step(pe, env, state, tick, rep, Random(1), snapshot_store=store)
     assert env.hosts["h1"].services["web"].health == 1.0
@@ -166,7 +163,7 @@ def test_restore_without_snapshot_fails():
     env = make_env()
     state = agent()
     rep = {"roll_back": spec("roll_back", builtin="restore")}
-    pe = PlanExecution(plan=plan_of("roll_back"))
+    pe = PlanExecution(plan_of("roll_back"))
     updates = execute_step(pe, env, state, 0, rep, Random(1), snapshot_store=[])
     assert updates[0].status is ActionStatus.FAILED
 
@@ -181,7 +178,7 @@ def test_monitor_execution_all_done_is_quiet():
     env = make_env()
     state = agent()
     rep = {"look": spec("look")}
-    pe = PlanExecution(plan=plan_of("look"))
+    pe = PlanExecution(plan_of("look"))
     execute_step(pe, env, state, 0, rep, Random(1))
     assert monitor_execution(pe.records, 1, rep) == []
 
@@ -191,7 +188,7 @@ def test_monitor_execution_reports_failure():
     state = agent()
     rep = {"kill_ghost": spec(
         "kill_ghost", effects=[env_effect("process:h1:ghost", "", "kill", None)])}
-    pe = PlanExecution(plan=plan_of("kill_ghost"))
+    pe = PlanExecution(plan_of("kill_ghost"))
     execute_step(pe, env, state, 0, rep, Random(1))
     deviations = monitor_execution(pe.records, 1, rep)
     assert len(deviations) == 1 and deviations[0].kind == "failed"
@@ -213,12 +210,12 @@ def test_monitor_effects_met_and_unmet():
     rep = {"fix": spec("fix", effects=[ProbabilisticEffect(
         env_effect=None, feature_deltas=[], probability=0.7,
         expect=[("proc_gone", ">=", 1)])])}
-    pe = PlanExecution(plan=plan_of("fix"))
+    pe = PlanExecution(plan_of("fix"))
     execute_step(pe, env, state, 0, rep, Random(1))
     met_ws = WorldState(tick=1, features={"proc_gone": 1})
     assert monitor_effects(pe, met_ws, rep) == ([], [("fix", 0, True)])
     assert monitor_effects(pe, met_ws, rep) == ([], [])  # each record is checked once
-    pe2 = PlanExecution(plan=plan_of("fix"))
+    pe2 = PlanExecution(plan_of("fix"))
     execute_step(pe2, env, state, 0, rep, Random(1))
     unmet_ws = WorldState(tick=1, features={"proc_gone": 0})
     deviations, checks = monitor_effects(pe2, unmet_ws, rep)
@@ -234,7 +231,7 @@ def test_monitor_effects_waits_for_belief_refresh():
     rep = {"fix": spec("fix", effects=[ProbabilisticEffect(
         env_effect=None, feature_deltas=[], probability=1.0,
         expect=[("x", ">=", 1)])])}
-    pe = PlanExecution(plan=plan_of("fix"))
+    pe = PlanExecution(plan_of("fix"))
     execute_step(pe, env, state, 5, rep, Random(1))
     stale_ws = WorldState(tick=5, features={})
     assert monitor_effects(pe, stale_ws, rep) == ([], [])  # ws not refreshed yet
@@ -243,7 +240,7 @@ def test_monitor_effects_waits_for_belief_refresh():
 # -- adjustment ladder ---------------------------------------------------------------------
 
 def failing_pe(env, state, rep):
-    pe = PlanExecution(plan=plan_of("kill_ghost"))
+    pe = PlanExecution(plan_of("kill_ghost"))
     execute_step(pe, env, state, 0, rep, Random(1))
     return pe
 
@@ -264,7 +261,7 @@ def test_adjust_retries_first():
     assert counts["kill_ghost"] == 1
     assert pe.cursor == 0 and not pe.halted()
     # plan unchanged apart from the rescheduled entry
-    assert pe.plan.action_ids() == ["kill_ghost"]
+    assert [e["action"] for e in pe.entries] == ["kill_ghost"]
 
 
 def test_retry_count_never_exceeds_limit():
@@ -297,7 +294,7 @@ def test_adjust_substitutes_same_category_alternative():
     decision = adjust(pe, deviations, rep, counts, WorldState(), RulesOfEngagement())
     assert decision.kind == "substitute"
     assert decision.substitute_action_id == "quarantine"
-    assert pe.plan.entries[0].action_id == "quarantine"
+    assert pe.entries[0]["action"] == "quarantine"
 
 
 def test_adjust_replans_without_alternative():
@@ -329,7 +326,7 @@ def test_mode_walk_has_no_resurrection():
     with pytest.raises(ModeForbidden):
         fail_safe(state, "too late")
     with pytest.raises(ModeForbidden):
-        execute_step(PlanExecution(plan=plan_of("look")), env, state, 0,
+        execute_step(PlanExecution(plan_of("look")), env, state, 0,
                      {"look": spec("look")}, Random(1))
 
 
@@ -339,7 +336,7 @@ def test_detectability_non_decreasing_without_camouflage():
     rep = {"a": spec("a", noise=0.02), "b": spec("b", noise=0.0)}
     previous = state.detectability
     for tick, aid in enumerate(["a", "b", "a"]):
-        pe = PlanExecution(plan=plan_of(aid))
+        pe = PlanExecution(plan_of(aid))
         execute_step(pe, env, state, tick, rep, Random(1))
         assert state.detectability >= previous
         previous = state.detectability

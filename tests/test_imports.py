@@ -170,3 +170,55 @@ def test_checker_flags_an_unreferenced_function_and_accepts_used_ones():
 def test_every_function_is_referenced_in_the_package():
     sources = {path.name: path.read_text() for path in SOURCES}
     assert unreferenced_functions(sources) == sorted(KEPT_FUNCTIONS)
+
+
+# Dataclass fields that nothing in the package reads, kept for a reason outside it.
+KEPT_FIELDS = {
+    "envsim.py: Host.friendly": "a scenario input that the platform model carries",
+    "envsim.py: Process.image_hash": "a scenario input that the platform model carries",
+    "envsim.py: FileEntry.token": "a scenario input that the platform model carries",
+    "planning.py: PlanProposal.predicted_satisfaction":
+        "the planner parity test compares it with the oracle's",
+    "scenario.py: ScenarioConfig.raw":
+        "the acceptance tests and the perfbench tests read the scenario as written",
+}
+
+
+def dataclass_fields(tree: ast.Module) -> list[str]:
+    """The fields of the module-level dataclasses, as `Class.field`."""
+    fields = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list):
+            fields += [f"{node.name}.{item.target.id}" for item in node.body
+                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return fields
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """Dataclass fields whose name is loaded as an attribute nowhere in `sources`."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    loaded = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+              if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    return sorted(f"{name}: {qualname}"
+                  for name, tree in trees.items()
+                  for qualname in dataclass_fields(tree)
+                  if qualname.split(".")[1] not in loaded)
+
+
+def test_checker_flags_an_unread_field_and_accepts_read_ones():
+    sources = {
+        "a.py": "from dataclasses import dataclass, field\n"
+                "@dataclass\nclass P:\n    x: int\n    y: int = 0\n"
+                "    z: list = field(default_factory=list)\n"
+                "@dataclass(frozen=True)\nclass Q:\n    w: int\n"
+                "class Plain:\n    v: int\n"
+                "def f(p, q):\n    p.y = 1\n    return q.w\n",
+        "b.py": "from a import P\nprint(P(1).x)\n",
+    }
+    assert unread_fields(sources) == ["a.py: P.y", "a.py: P.z"]
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unread_fields(sources) == sorted(KEPT_FIELDS)

@@ -9,7 +9,6 @@ from defsim.planning import (
     ActionSpec,
     BUILTIN_ACTIONS,
     ConditionActionRule,
-    EntryOrigin,
     Goal,
     PlanProposal,
     PlannerConfig,
@@ -22,7 +21,6 @@ from defsim.planning import (
     expected_loss,
     fast_rule_select,
     normalize_goals,
-    plan_from_entries,
     plan_roe_violations,
     propose_plans,
     predict,
@@ -235,10 +233,10 @@ def test_all_roe_violating_proposals_yield_no_action():
                           effects=[effect([("x", "set", 1.0)])], risk=0.4,
                           scope=TargetScope.REMOTE)}
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    outcome = select(ws, rep, goals)
+    log = select(ws, rep, goals)
     # the destructive-remote plan is filtered; empty plan remains but fails the gate
-    assert outcome.no_action
-    filtered = [c for c in outcome.log["candidates"] if not c["roe_ok"]]
+    assert "released_entries" not in log
+    filtered = [c for c in log["candidates"] if not c["roe_ok"]]
     assert any("remote scope" in v for c in filtered for v in c["roe_violations"])
 
 
@@ -266,8 +264,8 @@ def test_risk_budget_filters_expensive_plans():
     rep = {"pricey": action("pricey", category=ActionCategory.DESTRUCTIVE,
                             effects=[effect([("x", "set", 1.0)])], risk=0.9)}
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    outcome = select(ws, rep, goals, roe(max_plan_risk=0.5))
-    assert outcome.no_action
+    log = select(ws, rep, goals, roe(max_plan_risk=0.5))
+    assert "released_entries" not in log
 
 
 def test_destructive_plan_gets_snapshot_and_verify():
@@ -275,13 +273,11 @@ def test_destructive_plan_gets_snapshot_and_verify():
     rep = {"boom": action("boom", category=ActionCategory.DESTRUCTIVE,
                           effects=[effect([("x", "set", 1.0)])], risk=0.2)}
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    outcome = select(ws, rep, goals)
-    assert outcome.plan is not None and outcome.plan.roe_checked
-    ids = outcome.plan.action_ids()
-    origins = [e.origin for e in outcome.plan.entries]
+    log = select(ws, rep, goals)
+    ids = [e["action"] for e in log["released_entries"]]
+    origins = [e["origin"] for e in log["released_entries"]]
     assert ids == [SNAPSHOT_ACTION_ID, "boom", VERIFY_ACTION_ID]
-    assert origins == [EntryOrigin.PRECAUTIONARY, EntryOrigin.PROPOSED,
-                       EntryOrigin.POST_EXECUTION]
+    assert origins == ["precautionary", "proposed", "post_execution"]
     assert ids.index(SNAPSHOT_ACTION_ID) < ids.index("boom")
 
 
@@ -289,9 +285,9 @@ def test_risk_gate_releases_when_plan_beats_inaction():
     ws = ws_with(x=0.0)
     rep = {"fix": action("fix", effects=[effect([("x", "set", 1.0)])])}
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    outcome = select(ws, rep, goals)
-    gate = outcome.log["gate"]
-    assert outcome.plan is not None
+    log = select(ws, rep, goals)
+    gate = log["gate"]
+    assert "released_entries" in log
     assert gate["inaction_loss"] == 1.0 and gate["plan_loss"] == 0.0
     assert gate["released"] is True
 
@@ -301,9 +297,9 @@ def test_risk_gate_withholds_useless_plan():
     ws = ws_with(x=0.0, y=0.0)
     rep = {"noop_ish": action("noop_ish", effects=[effect([("y", "set", 1.0)])], noise=0.1)}
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    outcome = select(ws, rep, goals)
-    assert outcome.no_action
-    gate = outcome.log["gate"]
+    log = select(ws, rep, goals)
+    assert "released_entries" not in log
+    gate = log["gate"]
     assert gate["inaction_loss"] - gate["plan_loss"] <= 0
 
 
@@ -323,10 +319,9 @@ def test_trim_drops_action_with_failing_precondition_without_provider():
     from defsim.planning import score_sequence
     bogus = score_sequence(ws, ("fix",), rep, goals, config)
     object.__setattr__(bogus, "actions", ("strike", "fix"))
-    outcome = select_action_plan([bogus], goals, roe(), ws, rep, config)
-    assert outcome.plan is not None
-    assert "strike" not in outcome.plan.action_ids()
-    assert outcome.log["trims"][0]["action"] == "strike"
+    log = select_action_plan([bogus], goals, roe(), ws, rep, config)
+    assert "strike" not in [e["action"] for e in log["released_entries"]]
+    assert log["trims"][0]["action"] == "strike"
 
 
 def test_unique_provider_inserted_as_prerequisite():
@@ -341,11 +336,10 @@ def test_unique_provider_inserted_as_prerequisite():
     from defsim.planning import score_sequence
     bogus = score_sequence(ws, (), rep, goals, config)
     object.__setattr__(bogus, "actions", ("strike",))
-    outcome = select_action_plan([bogus], goals, roe(), ws, rep, config)
-    assert outcome.plan is not None
-    entries = [(e.action_id, e.origin) for e in outcome.plan.entries]
-    assert entries[0] == ("arm", EntryOrigin.PREREQUISITE)
-    assert entries[1] == ("strike", EntryOrigin.PROPOSED)
+    log = select_action_plan([bogus], goals, roe(), ws, rep, config)
+    entries = [(e["action"], e["origin"]) for e in log["released_entries"]]
+    assert entries[0] == ("arm", "prerequisite")
+    assert entries[1] == ("strike", "proposed")
 
 
 def test_scenario_declared_preparation_inserted():
@@ -356,12 +350,11 @@ def test_scenario_declared_preparation_inserted():
                       preparation=["stage"]),
     }
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    outcome = select(ws, rep, goals)
-    assert outcome.plan is not None
-    entries = [(e.action_id, e.origin) for e in outcome.plan.entries]
-    assert (("stage", EntryOrigin.PREPARATORY) in entries)
-    assert entries.index(("stage", EntryOrigin.PREPARATORY)) < entries.index(
-        ("fix", EntryOrigin.PROPOSED))
+    log = select(ws, rep, goals)
+    entries = [(e["action"], e["origin"]) for e in log["released_entries"]]
+    assert (("stage", "preparatory") in entries)
+    assert entries.index(("stage", "preparatory")) < entries.index(
+        ("fix", "proposed"))
 
 
 def test_released_plan_never_scores_below_empty_plan():
@@ -370,10 +363,10 @@ def test_released_plan_never_scores_below_empty_plan():
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
     config = PlannerConfig(depth=2)
     proposals = propose_plans(ws, rep, goals, config)
-    outcome = select_action_plan(proposals, goals, roe(), ws, rep, config)
+    log = select_action_plan(proposals, goals, roe(), ws, rep, config)
     empty_utility = next(p.utility for p in proposals if p.actions == ())
-    if outcome.plan is not None:
-        winner = next(p for p in proposals if list(p.actions) == outcome.log["winner"])
+    if "released_entries" in log:
+        winner = next(p for p in proposals if list(p.actions) == log["winner"])
         assert winner.utility >= empty_utility
 
 
@@ -382,9 +375,9 @@ def test_tie_break_is_lexicographic_and_recorded():
     shared = [effect([("x", "set", 1.0)])]
     rep = {"b_fix": action("b_fix", effects=shared), "a_fix": action("a_fix", effects=shared)}
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    outcome = select(ws, rep, goals, config=PlannerConfig(depth=1))
-    assert outcome.log["winner"] == ["a_fix"]
-    assert outcome.log["tie_break"]["used"] is True
+    log = select(ws, rep, goals, config=PlannerConfig(depth=1))
+    assert log["winner"] == ["a_fix"]
+    assert log["tie_break"]["used"] is True
 
 
 def test_offsets_accumulate_durations():
@@ -395,9 +388,8 @@ def test_offsets_accumulate_durations():
                         effects=[effect([("y", "set", 1.0)])]),
     }
     goals = normalize_goals([goal("g", [("x", ">=", 1), ("y", ">=", 1)])])
-    outcome = select(ws, rep, goals)
-    assert outcome.plan is not None
-    offsets = {e.action_id: e.offset for e in outcome.plan.entries}
+    log = select(ws, rep, goals)
+    offsets = {e["action"]: e["offset"] for e in log["released_entries"]}
     assert offsets["slow"] == 0 and offsets["quick"] == 3
 
 
@@ -448,14 +440,14 @@ def test_released_entries_are_applicable_on_the_gate_walk(instance):
     config = PlannerConfig(depth=2, beam=4)
     proposals = propose_plans(ws, repertoire, goals, config)
     proposals += [score_sequence(ws, seq, repertoire, goals, config) for seq in sequences]
-    outcome = select_action_plan(proposals, goals, roe(), ws, repertoire, config, progression)
-    if outcome.plan is None:
+    log = select_action_plan(proposals, goals, roe(), ws, repertoire, config, progression)
+    if "released_entries" not in log:
         return
     walk = dict(ws.features)
     gate_walk = dict(ws.features)
     for delta in progression * config.depth:  # expected_loss's horizon is the depth
         apply_feature_delta(gate_walk, delta)
-    for aid in outcome.plan.action_ids():
+    for aid in (e["action"] for e in log["released_entries"]):
         if aid in BUILTIN_ACTIONS:
             continue
         spec = repertoire[aid]
@@ -502,14 +494,3 @@ def test_fast_path_falls_through_roe_forbidden_rule():
     assert aid == "fix"
     assert log[0]["roe_ok"] is False and log[1]["roe_ok"] is True
 
-
-def test_plan_from_entries_rebuilds_the_logged_entries():
-    logged = [{"action": SNAPSHOT_ACTION_ID, "offset": 0, "origin": "precautionary"},
-              {"action": "hide", "offset": 1, "origin": "proposed"}]
-    plan = plan_from_entries(logged)
-    assert plan.roe_checked
-    assert [(e.action_id, e.offset, e.origin) for e in plan.entries] == [
-        (SNAPSHOT_ACTION_ID, 0, EntryOrigin.PRECAUTIONARY), ("hide", 1, EntryOrigin.PROPOSED)]
-    # each call builds new entries, so an edit to one plan reaches no other
-    plan.entries[1].action_id = "substitute"
-    assert plan_from_entries(logged).entries[1].action_id == "hide"

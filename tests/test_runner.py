@@ -530,13 +530,13 @@ def test_a_list_valued_feature_deliberates_without_the_memo(search_calls):
 def deliberation_body(rt, progression):
     """The body _maybe_plan builds from a search."""
     proposals = planning.propose_plans(rt.ws, rt.repertoire, rt.kb.goals, rt.planner)
-    outcome = planning.select_action_plan(
+    log = planning.select_action_plan(
         proposals, rt.kb.goals, rt.roe, rt.ws, rt.repertoire, rt.planner, progression)
+    entries = log.get("released_entries")
     return {
-        "candidates": outcome.log["candidates"],
-        "chosen": ({"no_action": False, "entries": outcome.log["released_entries"]}
-                   if outcome.plan is not None else {"no_action": True, "entries": None}),
-        "rationale": {k: v for k, v in outcome.log.items() if k != "candidates"},
+        "candidates": log["candidates"],
+        "chosen": {"no_action": entries is None, "entries": entries},
+        "rationale": {k: v for k, v in log.items() if k != "candidates"},
     }
 
 
@@ -581,20 +581,54 @@ def _releasing_runtime(episode):
 
 
 def _entries(rt):
-    return [(e.action_id, e.offset, e.origin) for e in rt.plan_exec.plan.entries]
+    return [(e["action"], e["offset"], e["origin"]) for e in rt.plan_exec.entries]
 
 
-def test_a_memo_hit_releases_the_logged_entries_after_a_substitution(search_calls):
-    """execution.adjust edits a released plan in place; the memo must not
-    hand that edit to the next runtime the same outcome releases."""
+def _substitutable_scenario():
+    """Two interchangeable contain actions: adjust can substitute either."""
     purge = {"category": "contain", "effects": [
         {"features": [["unknown_proc_count", "set", 0]], "probability": 1.0}]}
-    config = quiet_scenario(
+    return quiet_scenario(
         repertoire=[{"action_id": "kill", **purge}, {"action_id": "purge", **purge}],
         goals=[{"goal_id": "g", "predicates": [["functionality_belief", ">=", 0.95]],
                 "weight": 1.0},
                {"goal_id": "g_clean", "predicates": [["unknown_proc_count", "<=", 0]],
                 "weight": 1.0}])
+
+
+def _substitute_proposed(rt):
+    """Substitute the plan's first proposed entry, as adjust does once retries
+    are spent; returns that entry's index and the action it replaced."""
+    proposed = next(i for i, e in enumerate(rt.plan_exec.entries)
+                    if e["origin"] == planning.EntryOrigin.PROPOSED.value)
+    action = rt.plan_exec.entries[proposed]["action"]
+    decision = execution.adjust(
+        rt.plan_exec, [execution.Deviation("effect_unmet", action, proposed)],
+        rt.repertoire, {}, rt.ws, rt.roe, max_retries=0)
+    assert decision.kind == "substitute" and decision.substitute_action_id != action
+    assert rt.plan_exec.entries[proposed]["action"] == decision.substitute_action_id
+    return proposed, action
+
+
+def test_a_substitution_leaves_the_logged_entries_unchanged():
+    """The released plan runs a copy of the logged entries: execution.adjust
+    edits the running plan, never the decision log or the trace."""
+    episode = Episode(_substitutable_scenario(), seed=1)
+    rt = _releasing_runtime(episode)
+    episode._maybe_plan(rt, threat("proc"), tick=0)
+    logged = json.loads(_dump(episode.decision_log[-1]["chosen"]["entries"]))
+    proposed, action = _substitute_proposed(rt)
+    assert logged[proposed]["action"] == action
+    decision, released = (next(e for e in episode.trace if e["kind"] == kind)
+                          for kind in ("agent.decision", "agent.plan_released"))
+    assert episode.decision_log[-1]["chosen"]["entries"] == logged
+    assert decision["chosen"]["entries"] == released["entries"] == logged
+
+
+def test_a_memo_hit_releases_the_logged_entries_after_a_substitution(search_calls):
+    """execution.adjust edits a released plan in place; the memo must not
+    hand that edit to the next runtime the same outcome releases."""
+    config = _substitutable_scenario()
     memo = {}
     first, second = Episode(config, seed=1, memo=memo), Episode(config, seed=2, memo=memo)
     rt1, rt2 = _releasing_runtime(first), _releasing_runtime(second)
@@ -603,13 +637,8 @@ def test_a_memo_hit_releases_the_logged_entries_after_a_substitution(search_call
     second._maybe_plan(rt2, threat("proc"), tick=0)  # a hit
     assert _entries(rt2) == released and len(search_calls) == 1
 
-    proposed = next(i for i, e in enumerate(rt2.plan_exec.plan.entries)
-                    if e.origin is planning.EntryOrigin.PROPOSED)
-    action = rt2.plan_exec.plan.entries[proposed].action_id
-    decision = execution.adjust(
-        rt2.plan_exec, [execution.Deviation("effect_unmet", action, proposed)],
-        rt2.repertoire, {}, rt2.ws, rt2.roe, max_retries=0)
-    assert decision.kind == "substitute" and _entries(rt2) != released
+    _substitute_proposed(rt2)
+    assert _entries(rt2) != released
 
     rt2.plan_exec = None  # the edited plan ran to its end
     second._maybe_plan(rt2, threat("proc"), tick=3)  # a hit again

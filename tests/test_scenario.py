@@ -194,6 +194,15 @@ def test_default_instance_validation_ignores_hash_seed():
         assert json.loads(proc.stdout) == [], f"PYTHONHASHSEED={hash_seed}"
 
 
+def _add_agents(*agent_ids):
+    return lambda raw: raw["agents"].extend({"agent_id": a, "host_id": "h1"} for a in agent_ids)
+
+
+def _add_instances(*instance_ids):
+    return lambda raw: raw.update(playbook={"instances": [
+        {"instance_id": i, "host_id": "h1"} for i in instance_ids]})
+
+
 @pytest.mark.parametrize("edit, problem", [
     (lambda r: r.update(collaboration={"threshold": "0.5"}), "collaboration.threshold"),
     (lambda r: r.update(collaboration={"report_interval": 0}), "collaboration.report_interval"),
@@ -226,18 +235,38 @@ def test_default_instance_validation_ignores_hash_seed():
     # plan entries name builtins by id, so a repertoire action may not reuse one
     (lambda r: r.update(repertoire=[{"action_id": "verify_effects", "category": "observe"}]),
      "action 'verify_effects': id is taken by a builtin action"),
+    # peers would read this agent's conclusion requests as the center's status requests
+    (lambda r: r["agents"][0].update(agent_id="c2"), "agent 'c2': id is taken by the remote center"),
+    # two runtimes would share the inbox of a1's first replica
+    (_add_agents("a1_r1"), "agent 'a1_r1': id is taken by a replica of agent 'a1'"),
+    (_add_agents("a1_r1_r12"), "agent 'a1_r1_r12': id is taken by a replica of agent 'a1'"),
+    # m1's lateral spawn would overwrite it
+    (_add_instances("m1", "m1_r1"), "instance 'm1_r1': id is taken by a replica of instance 'm1'"),
+    (_add_instances("m1", "m1_r3_r4"),
+     "instance 'm1_r3_r4': id is taken by a replica of instance 'm1'"),
 ], ids=["threshold_string", "report_interval_zero", "communicate_noise_negative",
         "fail_safe_streak_string", "duplicate_agent_id", "depth_string",
         "noise_weight_string", "trigger_threshold_string", "service_weight_string",
         "duration_string", "step_without_any_instance", "agent_entry_string",
         "agent_id_list", "topology_list", "host_entry_string", "unknown_preparation",
-        "malware_process_known_good_by_default", "action_id_shadows_builtin"])
+        "malware_process_known_good_by_default", "action_id_shadows_builtin", "agent_id_c2",
+        "agent_id_of_a_replica", "agent_id_of_a_replica_of_a_replica",
+        "instance_id_of_a_replica", "instance_id_of_a_replica_of_a_replica"])
 def test_mistyped_or_out_of_range_settings_are_config_invalid(edit, problem):
     raw = minimal_raw()
     edit(raw)
     with pytest.raises(ConfigInvalid) as err:
         parse_scenario(raw)
     assert any(problem in p for p in err.value.problems), err.value.problems
+
+
+@pytest.mark.parametrize("edit", [_add_agents("a1_rx"), _add_agents("a1_r"), _add_agents("b1_r1"),
+                                  _add_instances("m1", "m1_rx"), _add_instances("m1_r1")],
+                         ids=["a1_rx", "a1_r", "b1_r1", "m1_rx", "m1_r1_alone"])
+def test_an_id_that_no_replica_takes_is_accepted(edit):
+    raw = minimal_raw()
+    edit(raw)
+    parse_scenario(raw)
 
 
 # -- fuzzing: any document is either ConfigInvalid or runs ---------------------------
