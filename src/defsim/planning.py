@@ -167,7 +167,8 @@ def signed_noise(spec: ActionSpec) -> float:
 # -- prediction -----------------------------------------------------------------
 
 _ABSENT = object()  # the value of a goal feature that the features do not hold
-_Rows = list[tuple[float, tuple]]  # (probability, goal-feature values)
+_Rows = list[tuple[float, tuple, tuple[str, ...]]]  # (probability, goal-feature values, goal ids)
+_Effects = list[tuple[float, float, list[tuple[int, str, Any]]]]  # (p, 1 - p, slot moves)
 
 
 def _apply_optimistic(feats: dict[str, Any], spec: ActionSpec) -> dict[str, Any]:
@@ -183,102 +184,119 @@ def _apply_optimistic(feats: dict[str, Any], spec: ActionSpec) -> dict[str, Any]
 class _Outcomes:
     """Outcome distributions over the goal-predicate features.
 
-    A distribution is a list of (probability, values) rows; values holds
-    the features the goal predicates name, in `keys` order. Rows stay in
-    the order itertools.product((False, True), ...) enumerates the
-    uncertain effects, first effect slowest, so every probability is the
-    left-to-right product of its factors and every per-goal sum adds the
-    same terms in the same order, whether a sequence is scored in one go or
-    extended one action at a time. Identical rows are never merged, since
-    that would reorder the sums.
+    A distribution is a list of (probability, values, goal ids) rows: values
+    holds the features the goal predicates name, in `keys` order, and goal
+    ids the goals that hold on them. Rows stay in the order
+    itertools.product((False, True), ...) enumerates the uncertain effects,
+    first effect slowest, so every probability is the left-to-right product
+    of its factors and every per-goal sum adds the same terms in the same
+    order, whether a sequence is scored in one go or extended one action at
+    a time. Identical rows are never merged, since that would reorder the
+    sums.
 
-    Which goals hold on a values tuple is memoised: one instance serves a
-    whole search, whose goals are fixed.
+    One instance serves a whole search, whose repertoire and goals are
+    fixed. Each action's effects are prepared once, by _plan. Goal ids are
+    looked up, memoised, only when an effect makes a new values tuple; a row
+    that an effect leaves alone keeps its parent's.
     """
 
-    def __init__(self, goals: list[Goal], features: dict[str, Any]) -> None:
+    def __init__(self, goals: list[Goal], features: dict[str, Any],
+                 repertoire: dict[str, ActionSpec]) -> None:
         self.goals = goals
+        self.repertoire = repertoire
         self.keys = tuple(dict.fromkeys(pred[0] for g in goals for pred in g.predicates))
         self._slots = {key: i for i, key in enumerate(self.keys)}
         self._held: dict[tuple, tuple[str, ...]] = {}
-        self._base = tuple(features.get(key, _ABSENT) for key in self.keys)
-        self.start: _Rows = [(1.0, self._base)]
+        self._none_held = {g.goal_id: 0.0 for g in goals}
+        self._plans: dict[str, tuple[int, _Effects]] = {}
+        base = tuple(features.get(key, _ABSENT) for key in self.keys)
+        self.start: _Rows = [(1.0, base, self._goals_held(base))]
 
-    def _moves(self, eff: ProbabilisticEffect) -> list[tuple[int, str, Any]]:
-        return [(self._slots[key], op, value) for key, op, value in eff.feature_deltas
-                if key in self._slots]
-
-    @staticmethod
-    def _shift(values: tuple, moves: list[tuple[int, str, Any]]) -> tuple:
-        out = list(values)
-        for slot, op, value in moves:
-            current = out[slot]
-            out[slot] = feature_after_delta(0.0 if current is _ABSENT else current, op, value)
-        return tuple(out)
+    def _plan(self, aid: str) -> tuple[int, _Effects]:
+        """The count of `aid`'s uncertain effects, and the (p, 1 - p, slot
+        moves) of each effect that can change a row: an effect of
+        probability 0 never occurs, and a certain one that moves no slot
+        changes nothing."""
+        plan = self._plans.get(aid)
+        if plan is None:
+            uncertain, effects = 0, []
+            for eff in self.repertoire[aid].effects:
+                p = eff.probability
+                moves = [(self._slots[key], op, value) for key, op, value in eff.feature_deltas
+                         if key in self._slots]
+                if 0.0 < p < 1.0:
+                    uncertain += 1
+                if p > 0.0 and (p < 1.0 or moves):
+                    effects.append((p, 1.0 - p, moves))
+            plan = self._plans[aid] = (uncertain, effects)
+        return plan
 
     def extend(self, rows: Optional[_Rows], uncertain: int,
-               spec: ActionSpec) -> tuple[Optional[_Rows], int]:
-        """The distribution after `spec`'s effects, and the count of
-        uncertain effects so far. A certain effect updates every row; an
-        uncertain one with probability p splits each row into prob * (1 - p)
-        without it, then prob * p with it; an effect with probability 0
-        never occurs. Rows of probability 0 are dropped, as enumeration
-        skips them. Past EXACT_ENUM_LIMIT uncertain effects the rows are
-        None and the sequence is scored by sampling."""
-        uncertain += sum(1 for eff in spec.effects if 0.0 < eff.probability < 1.0)
+               aid: str) -> tuple[Optional[_Rows], int]:
+        """The distribution after `aid`'s effects, and the count of
+        uncertain effects so far. Only the rows an effect moves get new
+        values and goal ids. Past EXACT_ENUM_LIMIT uncertain effects the rows
+        are None and the sequence is scored by sampling."""
+        count, effects = self._plan(aid)
+        uncertain += count
         if rows is None or uncertain > EXACT_ENUM_LIMIT:
             return None, uncertain
-        shift = self._shift
-        for eff in spec.effects:
-            p = eff.probability
-            moves = self._moves(eff)
-            if p >= 1.0:
-                if moves:
-                    rows = [(prob, shift(values, moves)) for prob, values in rows]
-            elif p > 0.0:
-                q = 1.0 - p
-                split = []
-                for prob, values in rows:
-                    without, occurs = prob * q, prob * p
-                    if without > 0.0:
-                        split.append((without, values))
-                    if occurs > 0.0:
-                        split.append((occurs, shift(values, moves) if moves else values))
-                rows = split
-        return rows, uncertain
+        return self._apply(rows, effects), uncertain
 
-    def _sample(self, action_ids: Sequence[str],
-                repertoire: dict[str, ActionSpec]) -> _Rows:
-        """SAMPLE_COUNT equally weighted rows, drawn with a generator seeded
-        from the action ids."""
-        effects = [(eff.probability, self._moves(eff))
-                   for aid in action_ids for eff in repertoire[aid].effects]
-        rng = Random(zlib.crc32("|".join(action_ids).encode()) ^ 0x5EED)
-        share = 1.0 / SAMPLE_COUNT
-        rows = []
-        for _ in range(SAMPLE_COUNT):
-            values = self._base
-            for p, moves in effects:
-                if p >= 1.0 or (0.0 < p < 1.0 and rng.random() < p):
-                    values = self._shift(values, moves)
-            rows.append((share, values))
+    def _apply(self, rows: _Rows, effects: _Effects) -> _Rows:
+        """A certain effect updates every row; an uncertain one with
+        probability p splits each row into prob * (1 - p) without it, then
+        prob * p with it. Rows of probability 0 are dropped, as enumeration
+        skips them."""
+        held, goals_held = self._held, self._goals_held
+        for p, q, moves in effects:
+            split = []
+            add = split.append
+            for prob, values, goal_ids in rows:
+                if p < 1.0:
+                    without, prob = prob * q, prob * p
+                    if without > 0.0:
+                        add((without, values, goal_ids))
+                    if not prob > 0.0:
+                        continue
+                if moves:
+                    out = list(values)
+                    for slot, op, value in moves:
+                        current = out[slot]
+                        out[slot] = feature_after_delta(
+                            0.0 if current is _ABSENT else current, op, value)
+                    values = tuple(out)
+                    try:
+                        goal_ids = held[values]
+                    except KeyError:
+                        goal_ids = held[values] = goals_held(values)
+                    except TypeError:  # an unhashable feature value, such as a list
+                        goal_ids = goals_held(values)
+                add((prob, values, goal_ids))
+            rows = split
         return rows
 
-    def satisfaction(self, rows: Optional[_Rows], action_ids: Sequence[str],
-                     repertoire: dict[str, ActionSpec]) -> dict[str, float]:
-        """Per-goal probability mass of the rows that satisfy the goal; with
-        no rows, that of the sampled outcomes of `action_ids`."""
+    def _sample(self, action_ids: Sequence[str]) -> _Rows:
+        """SAMPLE_COUNT equally weighted rows, drawn with a generator seeded
+        from the action ids."""
+        effects = [eff for aid in action_ids for eff in self._plan(aid)[1]]
+        rng = Random(zlib.crc32("|".join(action_ids).encode()) ^ 0x5EED)
+        _, base, goal_ids = self.start[0]
+        start = [(1.0 / SAMPLE_COUNT, base, goal_ids)]
+        rows: _Rows = []
+        for _ in range(SAMPLE_COUNT):
+            rows += self._apply(start, [(1.0, 0.0, moves) for p, _, moves in effects
+                                        if p >= 1.0 or rng.random() < p])
+        return rows
+
+    def satisfaction(self, rows: Optional[_Rows], action_ids: Sequence[str]) -> dict[str, float]:
+        """Per-goal probability mass of the rows that satisfy the goal, added
+        up in row order from the goal ids each row carries; with no rows,
+        that of the sampled outcomes of `action_ids`."""
         if rows is None:
-            rows = self._sample(action_ids, repertoire)
-        satisfaction = {g.goal_id: 0.0 for g in self.goals}
-        held = self._held
-        for prob, values in rows:
-            try:
-                goal_ids = held[values]
-            except KeyError:
-                goal_ids = held[values] = self._goals_held(values)
-            except TypeError:  # an unhashable feature value, such as a list
-                goal_ids = self._goals_held(values)
+            rows = self._sample(action_ids)
+        satisfaction = self._none_held.copy()
+        for prob, _, goal_ids in rows:
             for goal_id in goal_ids:
                 satisfaction[goal_id] += prob
         return satisfaction
@@ -309,24 +327,23 @@ def predict(
     features = dict(ws.features)
     for delta in base_deltas:
         apply_feature_delta(features, delta)
-    outcomes = _Outcomes(goals, features)
+    outcomes = _Outcomes(goals, features, repertoire)
     rows: Optional[_Rows] = outcomes.start
     uncertain = 0
     for aid in action_ids:
-        rows, uncertain = outcomes.extend(rows, uncertain, repertoire[aid])
-    return outcomes.satisfaction(rows, action_ids, repertoire)
+        rows, uncertain = outcomes.extend(rows, uncertain, aid)
+    return outcomes.satisfaction(rows, action_ids)
 
 
 def _proposal(
     action_ids: tuple[str, ...],
     sat: dict[str, float],
-    repertoire: dict[str, ActionSpec],
     goals: list[Goal],
     config: PlannerConfig,
+    risk_total: float,
+    noise_total: float,
 ) -> PlanProposal:
     benefit = sum(g.weight * sat[g.goal_id] for g in goals)
-    risk_total = sum(repertoire[a].risk for a in action_ids)
-    noise_total = sum(signed_noise(repertoire[a]) for a in action_ids)
     utility = benefit - config.risk_weight * risk_total - config.noise_weight * noise_total
     return PlanProposal(action_ids, sat, utility, benefit, risk_total, noise_total)
 
@@ -339,7 +356,9 @@ def score_sequence(
     config: PlannerConfig,
 ) -> PlanProposal:
     sat = predict(ws, action_ids, repertoire, goals)
-    return _proposal(tuple(action_ids), sat, repertoire, goals, config)
+    return _proposal(tuple(action_ids), sat, goals, config,
+                     sum(repertoire[a].risk for a in action_ids),
+                     sum(signed_noise(repertoire[a]) for a in action_ids))
 
 
 # -- proposal search --------------------------------------------------------------
@@ -354,38 +373,45 @@ def propose_plans(
 
     An action extends a sequence iff its preconditions hold on the belief
     copy evolved by optimistically applying every prior effect (probability
-    ignored). Each node carries its outcome distribution, extended from its
-    parent's by the new action's effects alone, and is scored exactly as
-    score_sequence scores its sequence. The beam keeps the best `beam`
-    nodes per level by (utility desc, action-id sequence asc). Returns at
-    most `beam` proposals, best first, with the empty plan always included
-    as the baseline candidate.
+    ignored). The beam keeps the best `beam` nodes per level by (utility
+    desc, action-id sequence asc). Returns at most `beam` proposals, best
+    first, with the empty plan always included as the baseline candidate.
+
+    A node costs only its new action and is scored exactly as
+    score_sequence scores its sequence. Its rows extend its parent's by the
+    action's prepared effects (see _Outcomes). Its risk and noise totals add
+    the action's risk and signed noise to its parent's, from the root's int
+    0: the left-to-right additions sum() makes (on CPython up to 3.11; later
+    versions compensate float sums). Its evolved belief copy is built only
+    when it enters the next frontier, since only frontier nodes expand.
     """
-    outcomes = _Outcomes(goals, ws.features)
-    empty = _proposal((), outcomes.satisfaction(outcomes.start, (), repertoire),
-                      repertoire, goals, config)
+    outcomes = _Outcomes(goals, ws.features, repertoire)
+    empty = _proposal((), outcomes.satisfaction(outcomes.start, ()), goals, config, 0, 0)
     candidates: dict[tuple[str, ...], PlanProposal] = {(): empty}
-    # a node: (actions, optimistic features, outcome rows, uncertain effects)
-    frontier: list[tuple[tuple[str, ...], dict[str, Any], Optional[_Rows], int]] = [
-        ((), dict(ws.features), outcomes.start, 0)]
+    # a node: (its proposal, its parent's evolved features, its action, its
+    # outcome rows, its uncertain effects)
+    frontier: list[tuple[PlanProposal, dict[str, Any], Optional[ActionSpec],
+                         Optional[_Rows], int]] = [(empty, ws.features, None, outcomes.start, 0)]
     order = sorted(repertoire)
 
     for _ in range(config.depth):
-        level: list[tuple[PlanProposal, tuple]] = []
-        for seq, feats, rows, uncertain in frontier:
+        level = []
+        for parent, feats, last, rows, uncertain in frontier:
+            if last is not None:
+                feats = _apply_optimistic(feats, last)
             for aid in order:
                 spec = repertoire[aid]
-                if not all_hold(feats, spec.preconditions):
+                if spec.preconditions and not all_hold(feats, spec.preconditions):
                     continue
-                new_feats = _apply_optimistic(feats, spec)
-                new_seq = seq + (aid,)
-                new_rows, new_uncertain = outcomes.extend(rows, uncertain, spec)
-                sat = outcomes.satisfaction(new_rows, new_seq, repertoire)
-                proposal = _proposal(new_seq, sat, repertoire, goals, config)
-                candidates[new_seq] = proposal
-                level.append((proposal, (new_seq, new_feats, new_rows, new_uncertain)))
-        level.sort(key=lambda t: (-t[0].utility, t[0].actions))
-        frontier = [node for _, node in level[: config.beam]]
+                seq = parent.actions + (aid,)
+                new_rows, new_uncertain = outcomes.extend(rows, uncertain, aid)
+                proposal = _proposal(seq, outcomes.satisfaction(new_rows, seq), goals, config,
+                                     parent.risk_total + spec.risk,
+                                     parent.noise_total + signed_noise(spec))
+                candidates[seq] = proposal
+                level.append((proposal, feats, spec, new_rows, new_uncertain))
+        level.sort(key=lambda node: (-node[0].utility, node[0].actions))
+        frontier = level[: config.beam]
 
     ranked = sorted(candidates.values(), key=lambda p: (-p.utility, p.actions))
     top = ranked[: config.beam]

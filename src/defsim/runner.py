@@ -747,6 +747,7 @@ class Episode:
             status = self.env.deliver(channel, msg, self.rng, spoofer=self._spoof)
             self.emit("c2.sent", to=recipient, message_kind=entry["kind"],
                       status=status.value)
+        self.env.drain_inbox("c2")  # the center takes its status reports and acts on none
 
     # -- episode-end learning ------------------------------------------------------------------
 

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from defsim import planning
 from defsim.errors import ConfigInvalid
 from defsim.planning import (
     ActionCategory,
@@ -127,6 +128,20 @@ def test_preconditions_chain_under_optimistic_application():
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
     proposals = propose_plans(ws, rep, goals, PlannerConfig(depth=2))
     assert proposals[0].actions == ("enable", "fix")
+
+
+def test_only_frontier_nodes_get_evolved_features(monkeypatch):
+    # 4 actions, depth 3, beam 2: 4 + 8 + 8 children, of which the 2 best of
+    # levels 1 and 2 are expanded; the last level and beam-cut nodes never are
+    rep = {f"a{i}": action(f"a{i}", effects=[effect([("x", "add", 0.1 * (i + 1))], 0.5)])
+           for i in range(4)}
+    goals = normalize_goals([goal("g", [("x", ">=", 0.3)])])
+    evolved = []
+    real = planning._apply_optimistic
+    monkeypatch.setattr(planning, "_apply_optimistic",
+                        lambda feats, spec: evolved.append(spec.action_id) or real(feats, spec))
+    propose_plans(ws_with(x=0.0), rep, goals, PlannerConfig(depth=3, beam=2))
+    assert len(evolved) == 4
 
 
 def test_utility_decomposition_recomputes_exactly():

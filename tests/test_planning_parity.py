@@ -6,6 +6,9 @@ reference_propose_plans (tests/planning_oracle.py) on inputs that are not
 dyadic, so any change in the order of float operations shows.
 """
 
+import importlib.util
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 from defsim.planning import (
@@ -24,6 +27,11 @@ from defsim.sensing import WorldState
 
 from planning_oracle import reference_predict, reference_propose_plans
 
+_spec = importlib.util.spec_from_file_location(
+    "planner_probe", Path(__file__).resolve().parent.parent / "scripts" / "planner_probe.py")
+PROBE = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(PROBE)
+
 PRESENT = ("f0", "f1", "f2")
 KEYS = PRESENT + ("ghost",)  # "ghost" is absent from the beliefs, so "add" creates it
 
@@ -36,6 +44,9 @@ effects = st.builds(
     lambda ds, p: ProbabilisticEffect(env_effect=None, feature_deltas=ds, probability=p),
     st.lists(deltas, min_size=1, max_size=2), probabilities)
 predicates = st.tuples(st.sampled_from(KEYS), st.sampled_from([">=", "<=", ">", "<"]), values)
+# risks and noises that are not dyadic, so the order in which a plan's are added up shows
+costs = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1 / 3]),
+                  st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
 
 
 @st.composite
@@ -46,12 +57,14 @@ def instances(draw, max_effects=3):
         repertoire[f"a{i}"] = ActionSpec(
             f"a{i}",
             draw(st.sampled_from([ActionCategory.RESTORE, ActionCategory.CAMOUFLAGE])),
+            # a precondition on "ghost" holds only once an earlier action's
+            # effect has created it in the search's evolved beliefs
             preconditions=draw(st.lists(
-                st.tuples(st.sampled_from(PRESENT), st.sampled_from([">=", "<="]), values),
+                st.tuples(st.sampled_from(KEYS), st.sampled_from([">=", "<="]), values),
                 max_size=1)),
             effects=draw(st.lists(effects, max_size=max_effects)),
-            risk=draw(st.sampled_from([0.0, 0.1, 0.3])),
-            noise=draw(st.sampled_from([0.0, 0.05, 0.2])),
+            risk=draw(st.one_of(st.sampled_from([0.0, 0.1, 0.3]), costs)),
+            noise=draw(st.one_of(st.sampled_from([0.0, 0.05, 0.2]), costs)),
         )
     goals = normalize_goals([
         Goal(f"g{i}", draw(st.lists(predicates, min_size=1, max_size=2)),
@@ -102,6 +115,24 @@ def test_propose_plans_equals_reference_search(instance, depth, beam):
                      proposal_rows(reference_propose_plans(ws, repertoire, goals, config)))
 
 
+@given(st.lists(st.tuples(costs, costs, st.sampled_from([ActionCategory.RESTORE,
+                                                        ActionCategory.CAMOUFLAGE])),
+                min_size=2, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_every_plan_total_equals_reference_search(specs):
+    # the beam holds every node, so every sequence up to depth 3 is returned,
+    # (a0, a1, a2) beside (a2, a1, a0): totals added in any other order show
+    repertoire = {f"a{i}": ActionSpec(f"a{i}", category, risk=risk, noise=noise)
+                  for i, (risk, noise, category) in enumerate(specs)}
+    ws = WorldState(tick=0, features={"f0": 0.5})
+    goals = normalize_goals([Goal("g", [("f0", ">=", 0.2)], 1.0)])
+    config = PlannerConfig(risk_weight=0.7, noise_weight=0.3, depth=3, beam=40)
+    got = propose_plans(ws, repertoire, goals, config)
+    assert len(got) == sum(len(specs) ** n for n in range(4))
+    assert_bit_equal(proposal_rows(got),
+                     proposal_rows(reference_propose_plans(ws, repertoire, goals, config)))
+
+
 def test_search_crossing_the_enumeration_limit_equals_reference_search():
     # 5 and 7 uncertain effects per action: depth-2 nodes hold 10, 12 or 14,
     # so the search crosses EXACT_ENUM_LIMIT at depth 2 on one branch and at
@@ -144,3 +175,30 @@ def test_predict_with_an_unhashable_goal_feature_equals_reference():
     goals = normalize_goals([Goal("g", [("k", "==", [1, 2])], 1.0)])
     assert_bit_equal(predict(ws, ["a"], repertoire, goals),
                      reference_predict(ws, ["a"], repertoire, goals))
+
+
+def test_propose_plans_with_an_unhashable_goal_feature_equals_reference_search():
+    # every node's rows hold a list, so no goal lookup can be memoised
+    ws = WorldState(tick=0, features={"k": [0]})
+    repertoire = {
+        "a": ActionSpec("a", ActionCategory.RESTORE, risk=0.1, effects=[
+            ProbabilisticEffect(None, [("k", "set", [1, 2])], 0.3)]),
+        "b": ActionSpec("b", ActionCategory.CAMOUFLAGE, noise=0.2, effects=[
+            ProbabilisticEffect(None, [("k", "set", [0])], 0.6),
+            ProbabilisticEffect(None, [("k", "set", [1, 2])], 1.0)]),
+    }
+    goals = normalize_goals([Goal("g", [("k", "==", [1, 2])], 1.0),
+                             Goal("h", [("k", "==", [0])], 0.4)])
+    config = PlannerConfig(depth=2, beam=3)
+    got = propose_plans(ws, repertoire, goals, config)
+    assert_bit_equal(proposal_rows(got),
+                     proposal_rows(reference_propose_plans(ws, repertoire, goals, config)))
+    assert got[0].actions and got[0].predicted_satisfaction["g"] > 0.0
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+def test_planner_probe_smallest_instance_equals_reference_search(seed):
+    ws, repertoire, goals, config = PROBE.instance(seed, *min(PROBE.ROWS))
+    assert_bit_equal(proposal_rows(propose_plans(ws, repertoire, goals, config)),
+                     proposal_rows(reference_propose_plans(ws, repertoire, goals, config)))

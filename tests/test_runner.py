@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,8 @@ from defsim.scenario import parse_scenario
 from defsim.sensing import Assessment
 
 from conftest import BUNDLED
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def quiet_scenario(**overrides):
@@ -333,6 +337,22 @@ def test_remote_authority_suspends_execution(bundled_results):
                if e["kind"] == "agent.report" and e.get("agent") == "a1"
                and start < e["tick"] < end]
     assert reports  # it keeps reporting while supervised
+
+
+@pytest.mark.parametrize("name", ["s1_comms_spoof", "s3_partition"])
+def test_the_remote_center_takes_its_status_reports(name, bundled_configs, tmp_path):
+    """Status reports are addressed to `c2`; the center's phase takes them
+    each tick, so none is left in an inbox, and taking them moves no trace
+    byte."""
+    episode = Episode(bundled_configs[name], 1)
+    result = episode.run()
+    assert any(e["kind"] == "agent.report" and e["status"] != "dropped" for e in result.trace)
+    assert [m for inbox in episode.env.inboxes.values() for m in inbox
+            if m.get("recipient") == "c2"] == []
+    write_trace(result, tmp_path / "trace.jsonl")
+    golden = json.loads((GOLDEN_DIR / "agent_on_digests.json").read_text())
+    assert (hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()).hexdigest()
+            == golden[name]["digests_by_seed"]["1"]["trace"])
 
 
 def test_result_file_round_trip(bundled_configs, tmp_path):
