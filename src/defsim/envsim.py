@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .errors import (
     NoRequiredServices,
@@ -27,6 +27,15 @@ from .errors import (
 
 def clamp01(x: float) -> float:
     return max(0.0, min(1.0, x))
+
+
+def sum_in_order(values: Iterable[Any], start: Any = 0) -> Any:
+    """start + each value, left to right: the same bits on every CPython,
+    where builtin sum() compensates float rounding from 3.12 on."""
+    total = start
+    for value in values:
+        total += value
+    return total
 
 
 class ServiceState(str, Enum):
@@ -157,6 +166,12 @@ class Environment:
     Owned by a single episode loop; never shared mid-episode. The (tick, seq)
     pair totally orders every event; seq counters are handed out by this
     object so agent-level events merge into the same order.
+
+    The topology (hosts, channels and their endpoints) is fixed at
+    construction. Every change to a host, service, process, file or channel
+    state goes through apply_effect, restore, install_agent or remove_agent,
+    and each of them advances `mutations` first: a sensor read taken when
+    the counter last had its current value still holds.
     """
 
     def __init__(
@@ -177,6 +192,12 @@ class Environment:
         self._scheduled: dict[int, list[EnvEvent]] = {}
         self.inboxes: dict[str, list[dict[str, Any]]] = {}
         self._token_counter = itertools.count(1)
+        self.mutations = 0
+        adjacent: dict[str, list[CommsChannel]] = {}
+        for ch in sorted(channels.values(), key=lambda c: c.channel_id):
+            for host_id in dict.fromkeys(ch.endpoints):
+                adjacent.setdefault(host_id, []).append(ch)
+        self._adjacent = {host_id: tuple(chs) for host_id, chs in adjacent.items()}
         for host in self.hosts.values():
             for svc in host.services.values():
                 svc.refresh_state(up_threshold, down_threshold)
@@ -211,6 +232,7 @@ class Environment:
         (selectors may touch several); each change carries old and new values
         and, for services, the old and new derived state.
         """
+        self.mutations += 1
         changes = [self._apply_one(ref, effect) for ref in self._resolve(effect)]
         return {
             "cause": cause,
@@ -382,11 +404,9 @@ class Environment:
 
     # -- messaging ---------------------------------------------------------------
 
-    def channels_adjacent(self, host_id: str) -> list[CommsChannel]:
-        return sorted(
-            (c for c in self.channels.values() if host_id in c.endpoints),
-            key=lambda c: c.channel_id,
-        )
+    def channels_adjacent(self, host_id: str) -> tuple[CommsChannel, ...]:
+        """The channels with host_id as an endpoint, by channel id."""
+        return self._adjacent.get(host_id, ())
 
     def route(self, from_host: str, to_host: str) -> Optional[str]:
         """Direct, non-disabled channel between the hosts, or None."""
@@ -463,6 +483,7 @@ class Environment:
         host = self.hosts.get(token.host_id)
         if host is None:
             raise StaleToken(f"host {token.host_id!r} no longer exists")
+        self.mutations += 1
         host.services = copy.deepcopy(token.services)
         host.files = copy.deepcopy(token.files)
         kept = {
@@ -486,11 +507,13 @@ class Environment:
         host = self.hosts.get(host_id)
         if host is None:
             raise UnknownHost(f"no host {host_id!r}")
+        self.mutations += 1
         host.resident_agent = agent_id
         pid = f"agent_proc_{agent_id}"
         host.processes[pid] = Process(pid, image_hash=f"agent-{agent_id}", known_good=True, owner=Owner.AGENT)
 
     def remove_agent(self, agent_id: str) -> None:
+        self.mutations += 1
         for host in self.hosts.values():
             if host.resident_agent == agent_id:
                 host.resident_agent = None

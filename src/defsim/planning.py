@@ -22,7 +22,7 @@ from enum import Enum
 from random import Random
 from typing import Any, Optional, Sequence
 
-from .envsim import EffectDescriptor
+from .envsim import EffectDescriptor, sum_in_order
 from .errors import ConfigInvalid
 from .sensing import (
     FeatureDelta,
@@ -88,7 +88,7 @@ class Goal:
 
 
 def normalize_goals(goals: list[Goal]) -> list[Goal]:
-    total = sum(g.weight for g in goals)
+    total = sum_in_order(g.weight for g in goals)
     if goals and total <= 0:
         raise ConfigInvalid("goal weights must sum to a positive value")
     for g in goals:
@@ -343,7 +343,7 @@ def _proposal(
     risk_total: float,
     noise_total: float,
 ) -> PlanProposal:
-    benefit = sum(g.weight * sat[g.goal_id] for g in goals)
+    benefit = sum_in_order(g.weight * sat[g.goal_id] for g in goals)
     utility = benefit - config.risk_weight * risk_total - config.noise_weight * noise_total
     return PlanProposal(action_ids, sat, utility, benefit, risk_total, noise_total)
 
@@ -357,8 +357,8 @@ def score_sequence(
 ) -> PlanProposal:
     sat = predict(ws, action_ids, repertoire, goals)
     return _proposal(tuple(action_ids), sat, goals, config,
-                     sum(repertoire[a].risk for a in action_ids),
-                     sum(signed_noise(repertoire[a]) for a in action_ids))
+                     sum_in_order(repertoire[a].risk for a in action_ids),
+                     sum_in_order(signed_noise(repertoire[a]) for a in action_ids))
 
 
 # -- proposal search --------------------------------------------------------------
@@ -381,8 +381,7 @@ def propose_plans(
     score_sequence scores its sequence. Its rows extend its parent's by the
     action's prepared effects (see _Outcomes). Its risk and noise totals add
     the action's risk and signed noise to its parent's, from the root's int
-    0: the left-to-right additions sum() makes (on CPython up to 3.11; later
-    versions compensate float sums). Its evolved belief copy is built only
+    0: the additions sum_in_order makes. Its evolved belief copy is built only
     when it enters the next frontier, since only frontier nodes expand.
     """
     outcomes = _Outcomes(goals, ws.features, repertoire)
@@ -437,7 +436,7 @@ def expected_loss(
         base.extend(progression)
     ids = [a for a in (plan_action_ids or []) if a not in BUILTIN_ACTIONS]
     sat = predict(ws, ids, repertoire, goals, base_deltas=base)
-    loss = 1.0 - sum(g.weight * sat[g.goal_id] for g in goals)
+    loss = 1.0 - sum_in_order(g.weight * sat[g.goal_id] for g in goals)
     return max(0.0, min(1.0, loss))
 
 

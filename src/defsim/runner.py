@@ -20,7 +20,7 @@ from typing import Any, Optional
 
 from . import adversary, collaboration, execution, learning, planning, sensing
 from .adversary import MalwareController
-from .envsim import Environment, SnapshotToken, clamp01
+from .envsim import Environment, SnapshotToken, clamp01, sum_in_order
 from .errors import (
     AuthorityNotHeld,
     ConfigInvalid,
@@ -77,6 +77,7 @@ class AgentRuntime:
     identified_with: Optional[list] = None
     patterns_matched_episode: set[str] = field(default_factory=set)
     obs_counter: int = 0
+    sensed_at: int = -1  # the environment's mutation count at the last sense
 
     def next_observation_id(self, seed: int) -> str:
         self.obs_counter += 1
@@ -140,14 +141,14 @@ def _episode_metrics(events: list[dict[str, Any]], primary: Optional[str]) -> di
     series = [e["value"] for e in events if e["kind"] == "tick.functionality"]
     onsets = [e["tick"] for e in events if e["kind"] == "attack.onset"]
     harm_events = sum(1 for e in events if e["kind"] == "harm")
-    reward_total = sum((e["reward"] for e in events
-                        if e["kind"] == "agent.reward" and e.get("agent") == primary), 0.0)
+    reward_total = sum_in_order((e["reward"] for e in events
+                                 if e["kind"] == "agent.reward" and e.get("agent") == primary), 0.0)
     survived: Optional[bool] = None
     if primary is not None:
         survived = not any(e["kind"] == "agent.killed" and e.get("agent") == primary
                            for e in events)
     return {
-        "resilience_auc": sum(series) / len(series) if series else 0.0,
+        "resilience_auc": sum_in_order(series) / len(series) if series else 0.0,
         "time_to_recovery": time_to_recovery(series, onsets[0] if onsets else None),
         "agent_survived": survived,
         "harm_events": harm_events,
@@ -316,7 +317,13 @@ class Episode:
         if rt.state.mode is AgentMode.DESTROYED:
             return
 
-        rows = sensing.sense(self.env, rt.state.host_id, rt.sensors, self.rng)
+        # reads taken at the environment's current mutation count still hold;
+        # a noisy config reads every pass, so its draws keep their place
+        if rt.sensed_at == self.env.mutations and not rt.sensors.noise:
+            rows = rt.ws.rows
+        else:
+            rows = sensing.sense(self.env, rt.state.host_id, rt.sensors, self.rng)
+            rt.sensed_at = self.env.mutations
         changed = sensing.update_world_state(
             rt.ws, rows, rt.sensors, tick,
             {"detectability": rt.state.detectability, "replica_count": rt.replica_count})
@@ -771,7 +778,7 @@ class Episode:
     def _learn(self, rt: AgentRuntime, effect_feedback: list[EffectObservation],
                assessment_feedback: list[AssessmentObservation], kind: str) -> None:
         propositions = learning.learn(rt.kb, effect_feedback, assessment_feedback)
-        applied = sum(learning.apply_proposition(rt.kb, p) for p in propositions)
+        applied = sum(1 for p in propositions if learning.apply_proposition(rt.kb, p))
         if applied:
             self.emit("agent.learning", agent=rt.state.agent_id,
                       propositions=applied, proposition_kind=kind)
@@ -797,13 +804,13 @@ def run_batch(config: ScenarioConfig, seeds: list[int],
     aggregate: dict[str, Any] = {}
     for key in numeric_keys:
         values = [per_seed[s][key] for s in sorted(per_seed)]
-        aggregate[key] = {"mean": sum(values) / len(values),
+        aggregate[key] = {"mean": sum_in_order(values) / len(values),
                           "min": min(values), "max": max(values)}
     recoveries = [per_seed[s]["time_to_recovery"] for s in sorted(per_seed)
                   if per_seed[s]["time_to_recovery"] is not None]
     aggregate["time_to_recovery"] = {
         "recovered_runs": len(recoveries),
-        "mean": sum(recoveries) / len(recoveries) if recoveries else None,
+        "mean": sum_in_order(recoveries) / len(recoveries) if recoveries else None,
     }
     aggregate["agent_survived_rate"] = (
         sum(1 for s in per_seed if per_seed[s]["agent_survived"]) / len(per_seed)

@@ -11,25 +11,20 @@ threshold patterns against the derived features is what triggers planning.
 from __future__ import annotations
 
 import fnmatch
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
 from random import Random
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .envsim import ChannelState, Environment, ServiceState
+from .envsim import ChannelState, Environment, ServiceState, sum_in_order
 
 # A predicate is (feature key, comparator, threshold); conjunctions are lists.
 Predicate = tuple[str, str, Any]
 FeatureDelta = tuple[str, str, Any]  # (feature key, "set"|"add", value)
 
-_COMPARATORS = {
-    ">=": lambda a, b: a >= b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    "<": lambda a, b: a < b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
+_COMPARATORS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt,
+                "==": operator.eq, "!=": operator.ne}
 
 
 def predicate_holds(features: dict[str, Any], pred: Predicate) -> bool:
@@ -38,7 +33,10 @@ def predicate_holds(features: dict[str, Any], pred: Predicate) -> bool:
 
 
 def all_hold(features: dict[str, Any], preds: Sequence[Predicate]) -> bool:
-    return all(predicate_holds(features, p) for p in preds)
+    for key, cmp, threshold in preds:
+        if key not in features or not _COMPARATORS[cmp](features[key], threshold):
+            return False
+    return True
 
 
 def feature_after_delta(current: Any, op: str, value: Any) -> Any:
@@ -164,11 +162,11 @@ def _copy(*kinds: str) -> Callable[[Stage], list[Row]]:
 # -- stage 2: logical aggregations ---------------------------------------------
 
 def _log_unknown_proc_count(phys: Stage) -> list[Row]:
-    return [("unknown_proc_count", None, sum(phys.get("process_unknown", {}).values()))]
+    return [("unknown_proc_count", None, sum_in_order(phys.get("process_unknown", {}).values()))]
 
 
 def _log_foreign_file_count(phys: Stage) -> list[Row]:
-    return [("foreign_file_count", None, sum(phys.get("file_foreign", {}).values()))]
+    return [("foreign_file_count", None, sum_in_order(phys.get("file_foreign", {}).values()))]
 
 
 def _required_services(phys: Stage) -> list[str]:
@@ -184,7 +182,7 @@ def _log_required_down_count(phys: Stage) -> list[Row]:
 def _log_channel_counts(phys: Stage) -> list[Row]:
     healthy = phys.get("channel_healthy", {})
     return [("channel_count", None, len(healthy)),
-            ("channel_healthy_count", None, sum(healthy.values()))]
+            ("channel_healthy_count", None, sum_in_order(healthy.values()))]
 
 
 def _log_service_weights(phys: Stage) -> list[Row]:
@@ -290,12 +288,13 @@ def update_world_state(ws: WorldState, rows: list[Row], config: SensorConfig, ti
     value type (1, 1.0 and True differ; kinds and ids are the sensors' own
     strings and the environment's keys), beliefs and derived features
     already hold what this pass would write, and only `own` is written.
-    One world state is fed by one sensor config. Returns whether any
-    feature may have changed.
+    Rows that are `ws.rows` itself, a pass's reads reused, are unchanged
+    without comparing. One world state is fed by one sensor config.
+    Returns whether any feature may have changed.
     """
     ws.tick = tick
-    changed = not (rows == ws.rows
-                   and [type(r[2]) for r in rows] == [type(r[2]) for r in ws.rows])
+    changed = rows is not ws.rows and not (
+        rows == ws.rows and [type(r[2]) for r in rows] == [type(r[2]) for r in ws.rows])
     if changed:
         ws.rows = rows
         physical = _fold(rows, ws.beliefs)

@@ -15,9 +15,11 @@ must match them bit for bit on any input, dyadic or not.
 from __future__ import annotations
 
 import itertools
+import operator
 import zlib
+from functools import reduce
 from random import Random
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from defsim.planning import (
     EXACT_ENUM_LIMIT,
@@ -32,6 +34,13 @@ from defsim.planning import (
     signed_noise,
 )
 from defsim.sensing import FeatureDelta, WorldState, all_hold, apply_feature_delta
+
+
+def total(values: Iterable[Any]) -> Any:
+    """The left-to-right sum from int 0, as builtin sum() made it before
+    CPython 3.12 compensated float rounding."""
+    return reduce(operator.add, values, 0)
+
 
 DYADIC_PROBS = (0.25, 0.5, 0.75, 1.0)
 DYADIC_VALUES = (0.25, 0.5, 1.0)
@@ -63,8 +72,8 @@ def oracle_best(ws: WorldState, repertoire: dict[str, ActionSpec],
             for g in goals:
                 if all_hold(feats, g.predicates):
                     benefit += g.weight * prob
-        risk = sum(repertoire[a].risk for a in seq)
-        noise = sum(
+        risk = total(repertoire[a].risk for a in seq)
+        noise = total(
             -repertoire[a].noise if repertoire[a].category is ActionCategory.CAMOUFLAGE
             else repertoire[a].noise for a in seq)
         return benefit - config.risk_weight * risk - config.noise_weight * noise
@@ -152,9 +161,9 @@ def reference_score(ws: WorldState, action_ids: Sequence[str],
                     repertoire: dict[str, ActionSpec], goals: list[Goal],
                     config: PlannerConfig) -> PlanProposal:
     sat = reference_predict(ws, action_ids, repertoire, goals)
-    benefit = sum(g.weight * sat[g.goal_id] for g in goals)
-    risk_total = sum(repertoire[a].risk for a in action_ids)
-    noise_total = sum(signed_noise(repertoire[a]) for a in action_ids)
+    benefit = total(g.weight * sat[g.goal_id] for g in goals)
+    risk_total = total(repertoire[a].risk for a in action_ids)
+    noise_total = total(signed_noise(repertoire[a]) for a in action_ids)
     utility = benefit - config.risk_weight * risk_total - config.noise_weight * noise_total
     return PlanProposal(tuple(action_ids), sat, utility, benefit, risk_total, noise_total)
 

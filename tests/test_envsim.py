@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from defsim.envsim import (
     ChannelState,
+    CommsChannel,
     DeliveryStatus,
     EffectDescriptor,
     EnvEvent,
@@ -16,7 +17,7 @@ from defsim.envsim import (
 )
 from defsim.errors import NoRequiredServices, StaleToken, UnknownChannel, UnknownEntity
 
-from conftest import make_env, make_host, two_host_env
+from conftest import BUNDLED, make_env, make_host, two_host_env
 
 
 # -- step ----------------------------------------------------------------------
@@ -238,6 +239,61 @@ def test_restore_preserves_malware_and_agent_presence():
     assert "mal" in host.processes
     assert host.resident_agent == "a1"
     assert "agent_proc_a1" in host.processes
+
+
+# -- the mutation count and the fixed topology ------------------------------------------------
+
+_MUTATORS = {
+    "host": lambda env: env.apply_effect(EffectDescriptor("host:h1", "integrity", "set", 0.5)),
+    "service": lambda env: env.apply_effect(EffectDescriptor("service:h1:web", "health", "add", -0.1)),
+    "process": lambda env: env.apply_effect(
+        EffectDescriptor("process:h1:mal", "", "spawn", {"owner": "malware"})),
+    "file": lambda env: env.apply_effect(
+        EffectDescriptor("file:h1:drop", "", "spawn", {"owner": "malware"})),
+    "channel": lambda env: env.apply_effect(EffectDescriptor("channel:c1", "state", "set", "spoofed")),
+    "agent": lambda env: env.apply_effect(EffectDescriptor("agent:a1", "", "kill")),
+    "restore": lambda env: env.restore(env.snapshot("h1")),
+    "install_agent": lambda env: env.install_agent("a2", "h2"),
+    "remove_agent": lambda env: env.remove_agent("a1"),
+}
+
+
+@pytest.mark.parametrize("mutate", _MUTATORS.values(), ids=list(_MUTATORS))
+def test_each_mutator_advances_the_mutation_count(mutate):
+    env = two_host_env()
+    env.install_agent("a1", "h1")
+    before = env.mutations
+    mutate(env)
+    assert env.mutations > before
+
+
+def test_stepping_routing_messaging_and_snapshots_leave_the_mutation_count():
+    env = two_host_env("degraded", delay=1)
+    env.install_agent("a1", "h1")
+    before = env.mutations
+    env.step(0)
+    assert env.route("h1", "h2") == "c1"
+    assert env.deliver("c1", msg(), Random(1)) is DeliveryStatus.DELIVERED
+    assert env.step(1) and env.drain_inbox("a2") == [msg()]
+    env.snapshot("h1")
+    assert env.mutations == before
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_channels_adjacent_lists_each_hosts_channels_by_id(name, bundled_configs):
+    env = bundled_configs[name].build_environment()
+    for host_id in env.hosts:
+        want = sorted((c for c in env.channels.values() if host_id in c.endpoints),
+                      key=lambda c: c.channel_id)
+        got = env.channels_adjacent(host_id)
+        assert type(got) is tuple and len(got) == len(want), host_id
+        assert all(a is b for a, b in zip(got, want)), host_id  # the live channels
+
+
+def test_a_channel_from_a_host_to_itself_is_adjacent_once():
+    env = make_env(channels=[CommsChannel("c0", ("h1", "h1"))])
+    assert env.channels_adjacent("h1") == (env.channels["c0"],)
+    assert env.channels_adjacent("nowhere") == ()
 
 
 # -- properties -----------------------------------------------------------------------------

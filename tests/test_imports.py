@@ -222,3 +222,37 @@ def test_checker_flags_an_unread_field_and_accepts_read_ones():
 def test_every_dataclass_field_is_read_in_the_package():
     sources = {path.name: path.read_text() for path in SOURCES}
     assert unread_fields(sources) == sorted(KEPT_FIELDS)
+
+
+def builtin_sums(source: str) -> list[str]:
+    """Every use of builtin sum other than counting, `sum(1 for ...)`.
+
+    CPython 3.12 made sum() compensate float rounding, so a sum that can see
+    a float gives other bits there than on 3.10 and 3.11; defsim adds floats
+    with envsim.sum_in_order instead."""
+    tree = ast.parse(source)
+    counting = {id(node.func) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sum" and len(node.args) == 1 and not node.keywords
+                and isinstance(node.args[0], ast.GeneratorExp)
+                and isinstance(node.args[0].elt, ast.Constant)
+                and type(node.args[0].elt.value) is int and node.args[0].elt.value == 1}
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "sum" and id(node) not in counting)]
+
+
+def test_checker_flags_every_sum_but_counting():
+    source = ("a = sum(xs)\n"
+              "b = sum((x for x in xs), 0.0)\n"
+              "c = sum(x for x in xs)\n"
+              "d = sum(True for x in xs)\n"
+              "e = sum\n"
+              "f = sum(1 for x in xs if x)\n"
+              "g = sum_in_order(xs)\n")
+    assert builtin_sums(source) == ["line 1", "line 2", "line 3", "line 4", "line 5"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_sums_floats_in_order(path):
+    assert builtin_sums(path.read_text()) == []

@@ -25,7 +25,7 @@ from defsim.planning import (
 )
 from defsim.sensing import WorldState
 
-from planning_oracle import reference_predict, reference_propose_plans
+from planning_oracle import reference_predict, reference_propose_plans, total
 
 _spec = importlib.util.spec_from_file_location(
     "planner_probe", Path(__file__).resolve().parent.parent / "scripts" / "planner_probe.py")
@@ -164,7 +164,7 @@ def test_expected_loss_equals_reference(instance, data):
     progression = data.draw(st.lists(deltas, max_size=2))
     horizon = data.draw(st.integers(0, 3))
     sat = reference_predict(ws, ids, repertoire, goals, progression * horizon)
-    want = max(0.0, min(1.0, 1.0 - sum(g.weight * sat[g.goal_id] for g in goals)))
+    want = max(0.0, min(1.0, 1.0 - total(g.weight * sat[g.goal_id] for g in goals)))
     assert_bit_equal(expected_loss(ws, repertoire, goals, horizon, ids, progression), want)
 
 

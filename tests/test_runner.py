@@ -1,6 +1,7 @@
 import hashlib
 import json
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from defsim import execution, planning, sensing
 from defsim.errors import ConfigInvalid, CorruptTrace, IndexOutOfRange, SchemaMismatch
 from defsim.runner import (
+    AgentRuntime,
     Episode,
     _dump,
     explain,
@@ -747,7 +749,10 @@ def _pattern_example(number):
 
 
 def _defeat_sensing_skip(mp):
-    """Make every pass re-derive its features and re-run identify."""
+    """Make every pass read its sensors, re-derive its features and re-run
+    identify."""
+    # no runtime has read at the current mutation count, so none reuses its reads
+    mp.setattr(AgentRuntime, "sensed_at", property(lambda rt: -1, lambda rt, count: None))
     update = sensing.update_world_state
 
     def rederive(ws, rows, config, tick, own):
@@ -763,6 +768,49 @@ def _bytes_with_and_without_skip(config, seed, tmp_path_factory):
         _defeat_sensing_skip(mp)
         full = _artifact_bytes(run_episode(config, seed), tmp_path_factory.mktemp("full"))
     return skipped, full
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_reused_reads_equal_fresh_reads(name, bundled_configs, monkeypatch):
+    """A pass that reuses its last reads gets what reading now would return,
+    by value and by value type."""
+    sense, update = sensing.sense, sensing.update_world_state
+    sensed, reused = [], []
+
+    def counted_sense(*args):
+        sensed.append(args)
+        return sense(*args)
+
+    def checked_update(ws, rows, config, tick, own):
+        if not sensed:  # no read since the previous pass
+            runtime = next(rt for rt in episode.agents if rt.ws is ws)
+            fresh = sense(episode.env, runtime.state.host_id, config, Random(0))
+            assert rows == fresh and [type(r[2]) for r in rows] == [type(r[2]) for r in fresh]
+            reused.append(tick)
+        sensed.clear()
+        return update(ws, rows, config, tick, own)
+
+    monkeypatch.setattr(sensing, "sense", counted_sense)
+    monkeypatch.setattr(sensing, "update_world_state", checked_update)
+    for seed in range(1, 6):
+        episode = Episode(bundled_configs[name], seed)
+        episode.run()
+    assert reused
+
+
+def test_a_noisy_config_reads_on_every_pass(bundled_configs, monkeypatch, tmp_path_factory):
+    raw = json.loads(json.dumps(bundled_configs["s1_comms_spoof"].raw))
+    raw["sensors"]["noise"] = {"service_health:*": 0.05}
+    config = parse_scenario(raw)
+    calls = {"sense": 0, "update_world_state": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(sensing, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sensing, name, counted)
+    first = _artifact_bytes(run_episode(config, 1), tmp_path_factory.mktemp("first"))
+    assert calls["sense"] == calls["update_world_state"] > 0
+    assert _artifact_bytes(run_episode(config, 1), tmp_path_factory.mktemp("second")) == first
 
 
 def test_unchanged_sensing_passes_skip_identify(bundled_configs, monkeypatch):

@@ -13,9 +13,11 @@ from defsim.envsim import (
     Service,
 )
 from defsim.sensing import (
+    _COMPARATORS,
     Pattern,
     SensorConfig,
     WorldState,
+    all_hold,
     identify,
     predicate_holds,
     sense,
@@ -215,6 +217,59 @@ def test_own_values_are_written_on_every_pass(first, second):
     assert update_world_state(ws, [("host_integrity", None, 0.5)], INTEGRITY_ONLY, 1,
                               {"replica_count": second})
     assert type(ws.features["replica_count"]) is type(second)
+
+
+def test_reused_rows_are_unchanged_and_own_values_still_written():
+    ws = fold([("host_integrity", None, 0.5)], INTEGRITY_ONLY, replica_count=0)
+    assert update_world_state(ws, ws.rows, INTEGRITY_ONLY, 1, {"replica_count": 1})
+    assert not update_world_state(ws, ws.rows, INTEGRITY_ONLY, 2, {"replica_count": 1})
+    assert ws.tick == 2 and ws.features == {"host_integrity": 0.5, "replica_count": 1}
+
+
+# -- predicates -----------------------------------------------------------------------------
+
+# the predicate evaluation all_hold replaced, kept as its reference
+_REFERENCE_COMPARATORS = {
+    ">=": lambda a, b: a >= b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    "<": lambda a, b: a < b,
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+}
+
+
+def reference_predicate_holds(features, pred):
+    key, cmp, threshold = pred
+    return key in features and _REFERENCE_COMPARATORS[cmp](features[key], threshold)
+
+
+def reference_all_hold(features, preds):
+    return all(reference_predicate_holds(features, p) for p in preds)
+
+
+def outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except TypeError as exc:  # an order comparison of a str with a number
+        return "raises", str(exc)
+    return type(result), result
+
+
+_KEYS = ("a", "b", "c")
+_VALUES = st.one_of(st.sampled_from([0, 1, 0.5, 1.0, True, False, float("nan")]),
+                    st.integers(-3, 3), st.floats(allow_nan=True), st.booleans(),
+                    st.sampled_from(["healthy", "spoofed"]))
+_PREDICATES = st.tuples(st.sampled_from(_KEYS + ("absent",)), st.sampled_from(sorted(_COMPARATORS)),
+                        _VALUES)
+
+
+@given(st.dictionaries(st.sampled_from(_KEYS), _VALUES),
+       st.lists(st.one_of(_PREDICATES, _PREDICATES.map(list)), max_size=4))
+@settings(max_examples=500, deadline=None)
+def test_all_hold_equals_the_reference(features, preds):
+    assert sorted(_COMPARATORS) == sorted(_REFERENCE_COMPARATORS)
+    assert outcome(all_hold, features, preds) == outcome(reference_all_hold, features, preds)
 
 
 # -- identify ----------------------------------------------------------------------------
