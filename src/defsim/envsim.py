@@ -115,14 +115,6 @@ class CommsChannel:
             self.delay_ticks = 0
 
 
-@dataclass
-class EnvEvent:
-    tick: int
-    seq: int
-    kind: str
-    payload: dict[str, Any]
-
-
 @dataclass(frozen=True)
 class EffectDescriptor:
     """One mutation of the environment.
@@ -161,11 +153,8 @@ _COUNTER_ATTRS = {"delay_ticks"}
 
 
 class Environment:
-    """Topology plus the event schedule for one episode.
-
-    Owned by a single episode loop; never shared mid-episode. The (tick, seq)
-    pair totally orders every event; seq counters are handed out by this
-    object so agent-level events merge into the same order.
+    """Topology plus the delayed messages of one episode, owned by a single
+    episode loop and never shared mid-episode.
 
     The topology (hosts, channels and their endpoints) is fixed at
     construction. Every change to a host, service, process, file or channel
@@ -188,8 +177,8 @@ class Environment:
         self.down_threshold = down_threshold
         self.roster_token = roster_token
         self.tick = -1
-        self._seq: dict[int, itertools.count] = {}
-        self._scheduled: dict[int, list[EnvEvent]] = {}
+        # arrival tick -> (channel id, message) pairs, in the order they were sent
+        self._scheduled: dict[int, list[tuple[str, dict[str, Any]]]] = {}
         self.inboxes: dict[str, list[dict[str, Any]]] = {}
         self._token_counter = itertools.count(1)
         self.mutations = 0
@@ -204,23 +193,15 @@ class Environment:
         for ch in self.channels.values():
             ch.enforce_invariants()
 
-    # -- ordering ------------------------------------------------------------
-
-    def next_seq(self, tick: int) -> int:
-        if tick not in self._seq:
-            self._seq[tick] = itertools.count(0)
-        return next(self._seq[tick])
-
     # -- stepping ------------------------------------------------------------
 
-    def step(self, tick: int) -> list[EnvEvent]:
-        """Apply everything scheduled for tick, in (tick, seq) order."""
+    def step(self, tick: int) -> list[tuple[str, dict[str, Any]]]:
+        """Start tick: deliver the delayed messages due now in the order they
+        were sent, and return them as (channel id, message) pairs."""
         self.tick = tick
-        due = sorted(self._scheduled.pop(tick, []), key=lambda e: e.seq)
-        for event in due:
-            if event.kind == "message_delivered":
-                msg = event.payload["message"]
-                self.inboxes.setdefault(msg["recipient"], []).append(msg)
+        due = self._scheduled.pop(tick, [])
+        for _, message in due:
+            self.inboxes.setdefault(message["recipient"], []).append(message)
         return due
 
     # -- effects -------------------------------------------------------------
@@ -439,14 +420,7 @@ class Environment:
                 return DeliveryStatus.DROPPED
             delay = ch.delay_ticks
             if delay > 0:
-                arrival = self.tick + delay
-                event = EnvEvent(
-                    tick=arrival,
-                    seq=self.next_seq(arrival),
-                    kind="message_delivered",
-                    payload={"channel": channel_id, "message": message},
-                )
-                self._scheduled.setdefault(arrival, []).append(event)
+                self._scheduled.setdefault(self.tick + delay, []).append((channel_id, message))
                 return DeliveryStatus.DELIVERED
             self.inboxes.setdefault(message["recipient"], []).append(message)
             return DeliveryStatus.DELIVERED

@@ -30,6 +30,7 @@ class KnowledgeBase:
     goals: list[Goal] = field(default_factory=list)
     pattern_stats: dict[str, tuple[int, int]] = field(default_factory=dict)  # (confirmed, matched)
     applied_observations: set[str] = field(default_factory=set)
+    pattern_version: int = 0  # advanced by each write to a pattern
 
     def estimate(self, action_id: str, effect_index: int) -> float:
         """Laplace-smoothed success probability; 0.5 with zero trials."""
@@ -44,8 +45,9 @@ class KnowledgeBase:
         c, m = self.pattern_stats.get(pattern_id, (0, 0))
         c, m = c + int(confirmed), m + 1
         self.pattern_stats[pattern_id] = (c, m)
-        if pattern_id in self.patterns and m > 0:
+        if pattern_id in self.patterns:
             self.patterns[pattern_id].confidence = c / m
+            self.pattern_version += 1
 
     def copy(self) -> "KnowledgeBase":
         return copy.deepcopy(self)

@@ -1,12 +1,12 @@
 """Episode loop, metrics, decision log, replay and reporting.
 
-Tick order is fixed and canonical: (1) environment step, applying scheduled
-deliveries; (2) adversary instances in id order; (3) live agents in id order,
-each running inbox -> sense -> identify -> control boundary -> collaborate ->
-monitor/adjust -> plan -> execute -> report; (4) the scripted C2 sends for
-the tick. Messages sent mid-tick land in inboxes and are read at the
+Tick order is fixed and canonical: (1) environment step, delivering delayed
+messages in the order they were sent; (2) adversary instances in id order;
+(3) live agents in id order, each running inbox -> sense -> identify ->
+control boundary -> collaborate -> monitor/adjust -> plan -> execute ->
+report; (4) the scripted C2 sends for the tick. Messages sent mid-tick land in inboxes and are read at the
 recipient's next agent phase, so any (config, seed) pair replays to an
-identical trace.
+identical trace. Each event's seq is its 0-based position in its tick.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from random import Random
 from typing import Any, Optional
@@ -73,8 +74,7 @@ class AgentRuntime:
     no_action_streak: int = 0
     replica_count: int = 0
     assessment: Optional[Assessment] = None
-    # the patterns as the last identify read them
-    identified_with: Optional[list] = None
+    identified_at: int = -1  # the knowledge base's pattern version at the last identify
     patterns_matched_episode: set[str] = field(default_factory=set)
     obs_counter: int = 0
     sensed_at: int = -1  # the environment's mutation count at the last sense
@@ -173,8 +173,8 @@ class Episode:
         self.body_index: dict[str, int] = {}  # encoded decision body -> its first decision
         self.functionality_series: list[float] = []
         self.attacked = False
-        self.compromised_hosts: set[str] = set()
         self.tick = 0
+        self.seq = 0  # the next event's position in its tick
         self.memo = {} if memo is None else memo  # inputs -> body and bytes; run_batch shares one
 
         self.agents: list[AgentRuntime] = []
@@ -222,8 +222,8 @@ class Episode:
     # -- trace helpers -----------------------------------------------------------
 
     def emit(self, kind: str, **payload: Any) -> None:
-        self.trace.append({"tick": self.tick, "seq": self.env.next_seq(self.tick),
-                           "kind": kind, **payload})
+        self.trace.append({"tick": self.tick, "seq": self.seq, "kind": kind, **payload})
+        self.seq += 1
 
     def _record_effect_outcome(self, outcome: dict[str, Any]) -> None:
         self.emit("env.effect", **outcome)
@@ -252,20 +252,14 @@ class Episode:
 
     def run(self) -> EpisodeResult:
         for tick in range(self.config.duration_ticks):
-            self.tick = tick
-            for event in self.env.step(tick):
-                payload = dict(event.payload)
-                message = payload.pop("message", None)
-                if message is not None:
-                    payload["message_kind"] = message.get("kind")
-                    payload["recipient"] = message.get("recipient")
-                self.trace.append({"tick": event.tick, "seq": event.seq,
-                                   "kind": "env." + event.kind, **payload})
+            self.tick, self.seq = tick, 0
+            for channel, message in self.env.step(tick):
+                self.emit("env.message_delivered", channel=channel,
+                          message_kind=message.get("kind"), recipient=message.get("recipient"))
             self._adversary_phase(tick)
             for runtime in sorted(self.agents, key=lambda a: a.state.agent_id):
                 self._agent_phase(runtime, tick)
             self._c2_phase(tick)
-            self.compromised_hosts |= self.malware.reached_hosts()
             value = self.env.functionality()
             self.functionality_series.append(value)
             self.emit("tick.functionality", value=value)
@@ -327,14 +321,12 @@ class Episode:
         changed = sensing.update_world_state(
             rt.ws, rows, rt.sensors, tick,
             {"detectability": rt.state.detectability, "replica_count": rt.replica_count})
-        patterns = list(rt.kb.patterns.values())
         # an assessment stands while the features and the patterns do (C2's
-        # add_pattern_example moves a confidence); logged numbers keep their type
-        pattern_inputs = [(p.pattern_id, tuple(p.predicates), type(p.severity), p.severity,
-                           type(p.confidence), p.confidence) for p in patterns]
-        if changed or pattern_inputs != rt.identified_with:
-            rt.assessment = sensing.identify(rt.ws, patterns, self.config.trigger_threshold)
-            rt.identified_with = pattern_inputs
+        # add_pattern_example moves a confidence)
+        if changed or rt.kb.pattern_version != rt.identified_at:
+            rt.assessment = sensing.identify(rt.ws, list(rt.kb.patterns.values()),
+                                             self.config.trigger_threshold)
+            rt.identified_at = rt.kb.pattern_version
         assessment = rt.assessment
         for pid, _, _ in assessment.matched:
             rt.patterns_matched_episode.add(pid)
@@ -698,6 +690,9 @@ class Episode:
 
     def _report_summary(self, rt: AgentRuntime) -> dict[str, Any]:
         assessment = rt.assessment
+        # the agent's own last 3 decisions, oldest first
+        recent = list(islice((d for d in reversed(self.decision_log)
+                              if d["agent"] == rt.state.agent_id), 3))[::-1]
         return {
             "tick": self.tick,
             "assessment": self._trigger_summary(assessment) if assessment else None,
@@ -706,7 +701,7 @@ class Episode:
             "recent_decisions": [
                 {"tick": d["tick"], "path": d["path"],
                  "no_action": d["chosen"]["no_action"]}
-                for d in self.decision_log[-3:] if d["agent"] == rt.state.agent_id
+                for d in recent
             ],
         }
 
@@ -761,10 +756,12 @@ class Episode:
     def _end_of_episode_learning(self) -> None:
         if not self.config.training:
             return
+        # the hosts of every instance ever held: the controller drops none, none moves
+        compromised = {inst.host_id for inst in self.malware.instances.values()}
         for rt in sorted(self.agents, key=lambda a: a.state.agent_id):
             if not rt.patterns_matched_episode:
                 continue
-            confirmed = rt.state.host_id in self.compromised_hosts
+            confirmed = rt.state.host_id in compromised
             feedback = [
                 AssessmentObservation(
                     observation_id=rt.next_observation_id(self.seed),

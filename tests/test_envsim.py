@@ -8,7 +8,6 @@ from defsim.envsim import (
     CommsChannel,
     DeliveryStatus,
     EffectDescriptor,
-    EnvEvent,
     FileEntry,
     Owner,
     Process,
@@ -27,16 +26,19 @@ def test_step_empty_schedule_returns_nothing():
     assert env.step(5) == []
 
 
-def test_step_applies_scheduled_deliveries_in_seq_order():
-    env = two_host_env()
-    arrival = 3
-    for seq, tag in ((1, "second"), (0, "first")):
-        env._scheduled.setdefault(arrival, []).append(EnvEvent(
-            tick=arrival, seq=seq, kind="message_delivered",
-            payload={"channel": "c1", "message": {"recipient": "a1", "tag": tag}}))
-    events = env.step(3)
-    assert [e.seq for e in events] == [0, 1]
-    assert [m["tag"] for m in env.inboxes["a1"]] == ["first", "second"]
+def test_step_delivers_delayed_messages_in_the_order_they_were_sent():
+    # sent at ticks 1 and 2 over delays of 3 and 2: both arrive at tick 4
+    env = two_host_env("degraded", drop=0.0, delay=3)
+    env.step(1)
+    first = dict(msg("a1"), tag="first")
+    assert env.deliver("c1", first, Random(1)) is DeliveryStatus.DELIVERED
+    env.channels["c1"].delay_ticks = 2
+    env.step(2)
+    second = dict(msg("a1"), tag="second")
+    assert env.deliver("c1", second, Random(1)) is DeliveryStatus.DELIVERED
+    assert env.step(3) == [] and "a1" not in env.inboxes
+    assert env.step(4) == [("c1", first), ("c1", second)]
+    assert env.inboxes["a1"] == [first, second]
 
 
 # -- apply_effect ----------------------------------------------------------------
@@ -164,13 +166,13 @@ def test_deliver_degraded_certain_drop():
 def test_deliver_degraded_delay_schedules_arrival():
     env = two_host_env("degraded", drop=0.0, delay=2)
     env.step(4)
-    assert env.deliver("c1", msg(), Random(1)) is DeliveryStatus.DELIVERED
+    sent = msg()
+    assert env.deliver("c1", sent, Random(1)) is DeliveryStatus.DELIVERED
     assert "a2" not in env.inboxes
     env.step(5)  # t+1
     assert "a2" not in env.inboxes
-    events = env.step(6)  # t+2
-    assert [e.kind for e in events] == ["message_delivered"]
-    assert env.inboxes["a2"]
+    assert env.step(6) == [("c1", sent)]  # t+2
+    assert env.inboxes["a2"] == [sent]
 
 
 def test_deliver_spoofed_is_observed_and_substitutable():

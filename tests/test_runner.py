@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -6,7 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from defsim import execution, planning, sensing
+from defsim import collaboration, execution, planning, sensing
 from defsim.errors import ConfigInvalid, CorruptTrace, IndexOutOfRange, SchemaMismatch
 from defsim.runner import (
     AgentRuntime,
@@ -212,6 +213,24 @@ def test_replay_metrics_serialize_like_result_json(name, agent_enabled, bundled_
     assert json.dumps(replayed, sort_keys=True) == json.dumps(stored, sort_keys=True)
 
 
+def test_seq_is_the_position_of_an_event_in_its_tick(bundled_configs):
+    """Ticks never decrease, seq runs 0, 1, 2, ... within each tick, and a
+    tick's delayed deliveries open it."""
+    delivered = 0
+    for config in bundled_configs.values():
+        for agent_enabled in (True, False):
+            for seed in range(1, 21):
+                trace = run_episode(config, seed, agent_enabled).trace
+                for before, event in zip([None] + trace, trace):
+                    same_tick = before is not None and before["tick"] == event["tick"]
+                    assert before is None or before["tick"] <= event["tick"]
+                    assert event["seq"] == (before["seq"] + 1 if same_tick else 0)
+                    if event["kind"] == "env.message_delivered":
+                        assert not same_tick or before["kind"] == "env.message_delivered"
+                        delivered += 1
+    assert delivered
+
+
 # -- explain -----------------------------------------------------------------------------------
 
 def test_explain_index_out_of_range():
@@ -355,6 +374,69 @@ def test_the_remote_center_takes_its_status_reports(name, bundled_configs, tmp_p
     golden = json.loads((GOLDEN_DIR / "agent_on_digests.json").read_text())
     assert (hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()).hexdigest()
             == golden[name]["digests_by_seed"]["1"]["trace"])
+
+
+def test_a_status_report_carries_the_agents_own_last_three_decisions(bundled_configs,
+                                                                     monkeypatch):
+    report, summaries = collaboration.report, []
+
+    def captured(state, c2_host, summary, *args, **kwargs):
+        summaries.append((state.agent_id, copy.deepcopy(summary)))
+        return report(state, c2_host, summary, *args, **kwargs)
+    monkeypatch.setattr(collaboration, "report", captured)
+    full = 0
+    for seed in range(1, 21):
+        summaries.clear()
+        result = run_episode(bundled_configs["s3_partition"], seed)
+        decided: dict[str, list] = {}  # agent -> its decisions so far, as a report lists them
+        decisions, reports = iter(result.decision_log), iter(summaries)
+        for event in result.trace:
+            if event["kind"] == "agent.decision":
+                entry = next(decisions)
+                decided.setdefault(entry["agent"], []).append(
+                    {"tick": entry["tick"], "path": entry["path"],
+                     "no_action": entry["chosen"]["no_action"]})
+            elif event["kind"] in ("agent.report", "agent.report_skipped"):
+                agent, summary = next(reports)
+                assert agent == event["agent"]
+                assert summary["recent_decisions"] == decided.get(agent, [])[-3:]
+                full += len(summary["recent_decisions"]) == 3
+        assert next(reports, None) is None
+    assert full
+
+
+def test_training_sets_a_matched_patterns_confidence_to_its_confirmed_ratio(bundled_configs):
+    """At the end of a training episode each pattern an agent matched counts
+    one more match, confirmed when a malware instance was ever on the
+    agent's host: the scenario's instances and those the trace shows moving
+    laterally."""
+    outcomes = set()
+    for name in ("s2_lateral_hunt", "s3_partition"):
+        raw = json.loads(json.dumps(bundled_configs[name].raw))
+        raw["training"] = True
+        config = parse_scenario(raw)
+        for seed in range(1, 6):
+            untrained, trained = Episode(bundled_configs[name], seed), Episode(config, seed)
+            untrained.run()
+            trace = trained.run().trace
+            hosts = ({instance.host_id for instance in config.build_playbook()[0]}
+                     | {e["host"] for e in trace if e["kind"] == "adversary.lateral"})
+            matched: dict[str, set] = {}
+            for e in trace:
+                if e["kind"] == "agent.assessment":
+                    matched.setdefault(e["agent"], set()).update(m[0] for m in e["matched"])
+            for before, rt in zip(untrained.agents, trained.agents, strict=True):
+                assert before.state.agent_id == rt.state.agent_id
+                confirmed = rt.state.host_id in hosts
+                for pid, pattern in rt.kb.patterns.items():
+                    c, m = before.kb.pattern_stats.get(pid, (0, 0))
+                    if pid in matched.get(rt.state.agent_id, ()):
+                        c, m = c + confirmed, m + 1
+                        outcomes.add(confirmed)
+                    assert rt.kb.pattern_stats.get(pid, (0, 0)) == (c, m)
+                    assert pattern.confidence == (c / m if m else
+                                                  before.kb.patterns[pid].confidence)
+    assert outcomes == {True, False}
 
 
 def test_result_file_round_trip(bundled_configs, tmp_path):
