@@ -180,7 +180,6 @@ def share_and_request(
     rng: Random,
     key: str,
     communicate_noise: float = DEFAULT_COMMUNICATE_NOISE,
-    round_no: int = 0,
     spoofer: Optional[Callable[[str, dict[str, Any]], dict[str, Any]]] = None,
 ) -> list[dict[str, Any]]:
     """Send a conclusions request (carrying our own set) to each peer.
@@ -191,14 +190,14 @@ def share_and_request(
     """
     outcomes: list[dict[str, Any]] = []
     sent_any = False
+    payload = {"conclusions": [conclusions[s].to_dict() for s in sorted(conclusions)]}
     for peer_id, peer_host in peers:
         channel = env.route(agent_state.host_id, peer_host)
         if channel is None:
             outcomes.append({"peer": peer_id, "status": "no_route"})
             continue
-        payload = {"conclusions": [c.to_dict() for c in _sorted_conclusions(conclusions)]}
         msg = build_message(key, MessageKind.REQUEST_CONCLUSIONS,
-                            agent_state.agent_id, peer_id, payload, round_no)
+                            agent_state.agent_id, peer_id, payload)
         status = env.deliver(channel, msg, rng, spoofer=spoofer)
         agent_state.detectability = clamp01(agent_state.detectability + communicate_noise)
         sent_any = True
@@ -206,10 +205,6 @@ def share_and_request(
     if peers and not sent_any:
         raise NoRoute("no peer reachable; proceeding alone")
     return outcomes
-
-
-def _sorted_conclusions(conclusions: dict[str, Conclusion]) -> list[Conclusion]:
-    return [conclusions[s] for s in sorted(conclusions)]
 
 
 def report(

@@ -38,9 +38,9 @@ from .errors import (
 )
 from .execution import AgentMode, AgentState, Authority, PlanExecution
 from .learning import AssessmentObservation, EffectObservation, KnowledgeBase
-from .planning import ActionSpec, PlannerConfig, RulesOfEngagement
+from .planning import ActionSpec, RulesOfEngagement
 from .scenario import AgentSpec, ScenarioConfig
-from .sensing import Assessment, SensorConfig, WorldState
+from .sensing import Assessment, WorldState
 
 TRACE_SCHEMA_VERSION = 1
 RECOVERY_LEVEL = 0.95
@@ -57,14 +57,11 @@ _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 @dataclass
 class AgentRuntime:
-    spec: AgentSpec
     state: AgentState
     ws: WorldState
     kb: KnowledgeBase
     roe: RulesOfEngagement
-    planner: PlannerConfig
-    sensors: SensorConfig
-    repertoire: dict[str, ActionSpec]
+    initial_detectability: float  # a replica's start value
     plan_exec: Optional[PlanExecution] = None
     retry_counts: dict[str, int] = field(default_factory=dict)
     control_queue: list[dict[str, Any]] = field(default_factory=list)
@@ -75,7 +72,6 @@ class AgentRuntime:
     replica_count: int = 0
     assessment: Optional[Assessment] = None
     identified_at: int = -1  # the knowledge base's pattern version at the last identify
-    patterns_matched_episode: set[str] = field(default_factory=set)
     obs_counter: int = 0
     sensed_at: int = -1  # the environment's mutation count at the last sense
 
@@ -161,24 +157,20 @@ class Episode:
                  memo: Optional[dict[tuple, tuple[dict[str, Any], str]]] = None):
         self.config = config
         self.seed = seed
-        self.agent_enabled = agent_enabled
         self.rng = Random(seed)
         self.env: Environment = config.build_environment()
-        instances, playbook = config.build_playbook()
-        self.malware = MalwareController(instances, playbook)
-        self.playbook = playbook
+        self.malware = MalwareController(*config.build_playbook())
         self.auth_key = f"shared-key-{config.scenario_hash}"
         self.trace: list[dict[str, Any]] = []
         self.decision_log: list[dict[str, Any]] = []
         self.body_index: dict[str, int] = {}  # encoded decision body -> its first decision
-        self.functionality_series: list[float] = []
         self.attacked = False
         self.tick = 0
         self.seq = 0  # the next event's position in its tick
         self.memo = {} if memo is None else memo  # inputs -> body and bytes; run_batch shares one
 
-        self.agents: list[AgentRuntime] = []
-        self.agent_hosts: dict[str, str] = {}
+        # by agent id, in install order: scenario agents, then replicas
+        self.runtimes: dict[str, AgentRuntime] = {}
         if agent_enabled:
             # shared by every runtime, as nothing edits them (set_roe edits each runtime's ROE)
             self.planner = config.build_planner_config()
@@ -203,21 +195,14 @@ class Episode:
             goals=self.config.build_goals(),
         )
         self.env.install_agent(spec.agent_id, spec.host_id)
-        self._add_runtime(spec, state, kb)
+        self._add_runtime(state, kb, spec.detectability)
 
-    def _add_runtime(self, spec: AgentSpec, state: AgentState, kb: KnowledgeBase) -> None:
+    def _add_runtime(self, state: AgentState, kb: KnowledgeBase,
+                     initial_detectability: float) -> None:
         """Register an agent already installed on its host (scenario agent or replica)."""
-        self.agents.append(AgentRuntime(
-            spec=spec,
-            state=state,
-            ws=WorldState(),
-            kb=kb,
-            roe=self.config.build_roe(),
-            planner=self.planner,
-            sensors=self.sensors,
-            repertoire=self.repertoire,
-        ))
-        self.agent_hosts[spec.agent_id] = spec.host_id
+        self.runtimes[state.agent_id] = AgentRuntime(
+            state=state, ws=WorldState(), kb=kb, roe=self.config.build_roe(),
+            initial_detectability=initial_detectability)
 
     # -- trace helpers -----------------------------------------------------------
 
@@ -241,7 +226,7 @@ class Episode:
                 self._destroy_agent(agent_id, by=cause)
 
     def _destroy_agent(self, agent_id: str, by: str) -> None:
-        runtime = next((a for a in self.agents if a.state.agent_id == agent_id), None)
+        runtime = self.runtimes.get(agent_id)
         if runtime is None or runtime.state.mode is AgentMode.DESTROYED:
             return
         runtime.state.mode = AgentMode.DESTROYED
@@ -257,22 +242,21 @@ class Episode:
                 self.emit("env.message_delivered", channel=channel,
                           message_kind=message.get("kind"), recipient=message.get("recipient"))
             self._adversary_phase(tick)
-            for runtime in sorted(self.agents, key=lambda a: a.state.agent_id):
-                self._agent_phase(runtime, tick)
+            for agent_id in sorted(self.runtimes):
+                self._agent_phase(self.runtimes[agent_id], tick)
             self._c2_phase(tick)
-            value = self.env.functionality()
-            self.functionality_series.append(value)
-            self.emit("tick.functionality", value=value)
+            self.emit("tick.functionality", value=self.env.functionality())
         self._end_of_episode_learning()
         return EpisodeResult(
             scenario_name=self.config.name,
             scenario_hash=self.config.scenario_hash,
             seed=self.seed,
             metrics=_episode_metrics(self.trace, self.primary_agent),
-            functionality_series=self.functionality_series,
+            functionality_series=[e["value"] for e in self.trace
+                                  if e["kind"] == "tick.functionality"],
             decision_log=self.decision_log,
             trace=self.trace,
-            agents=[a.state.agent_id for a in self.agents],
+            agents=list(self.runtimes),
             primary_agent=self.primary_agent,
         )
 
@@ -282,7 +266,7 @@ class Episode:
         host = self.env.hosts.get(host_id)
         if host is None or host.resident_agent is None:
             return None
-        runtime = next((a for a in self.agents if a.state.agent_id == host.resident_agent), None)
+        runtime = self.runtimes.get(host.resident_agent)
         if runtime is None or runtime.state.mode is AgentMode.DESTROYED:
             return None
         return runtime.state.detectability
@@ -313,13 +297,13 @@ class Episode:
 
         # reads taken at the environment's current mutation count still hold;
         # a noisy config reads every pass, so its draws keep their place
-        if rt.sensed_at == self.env.mutations and not rt.sensors.noise:
+        if rt.sensed_at == self.env.mutations and not self.sensors.noise:
             rows = rt.ws.rows
         else:
-            rows = sensing.sense(self.env, rt.state.host_id, rt.sensors, self.rng)
+            rows = sensing.sense(self.env, rt.state.host_id, self.sensors, self.rng)
             rt.sensed_at = self.env.mutations
         changed = sensing.update_world_state(
-            rt.ws, rows, rt.sensors, tick,
+            rt.ws, rows, self.sensors, tick,
             {"detectability": rt.state.detectability, "replica_count": rt.replica_count})
         # an assessment stands while the features and the patterns do (C2's
         # add_pattern_example moves a confidence)
@@ -328,13 +312,9 @@ class Episode:
                                              self.config.trigger_threshold)
             rt.identified_at = rt.kb.pattern_version
         assessment = rt.assessment
-        for pid, _, _ in assessment.matched:
-            rt.patterns_matched_episode.add(pid)
         if assessment.matched:
             self.emit("agent.assessment", agent=rt.state.agent_id,
-                      matched=[list(m) for m in assessment.matched],
-                      top_severity=assessment.top_severity,
-                      problematic=assessment.problematic)
+                      **self._trigger_summary(assessment))
 
         self._apply_control_queue(rt)
         self._update_own_conclusion(rt, assessment)
@@ -396,7 +376,7 @@ class Episode:
                   round=msg.get("round", 0), changed=changed,
                   set_size=len(rt.conclusions))
         rounds_budget = self.config.collaboration.negotiation_rounds
-        if reply and sender in self.agent_hosts:
+        if reply and sender in self.runtimes:
             self._send_conclusions(rt, sender, collaboration.MessageKind.SHARE_CONCLUSIONS,
                                    msg.get("round", 0))
         elif changed and msg.get("round", 0) < rounds_budget:
@@ -406,10 +386,7 @@ class Episode:
 
     def _send_conclusions(self, rt: AgentRuntime, peer_id: str,
                           kind: collaboration.MessageKind, round_no: int) -> None:
-        peer_host = self.agent_hosts.get(peer_id)
-        if peer_host is None:
-            return
-        channel = self.env.route(rt.state.host_id, peer_host)
+        channel = self.env.route(rt.state.host_id, self.runtimes[peer_id].state.host_id)
         if channel is None:
             self.emit("agent.share_skipped", agent=rt.state.agent_id, peer=peer_id,
                       reason="no_route")
@@ -424,11 +401,9 @@ class Episode:
                   status=status.value, round=round_no)
 
     def _peers_of(self, rt: AgentRuntime) -> list[tuple[str, str]]:
-        return [
-            (a.state.agent_id, a.state.host_id)
-            for a in sorted(self.agents, key=lambda x: x.state.agent_id)
-            if a.state.agent_id != rt.state.agent_id and a.state.mode is not AgentMode.DESTROYED
-        ]
+        peers = (self.runtimes[agent_id].state for agent_id in sorted(self.runtimes))
+        return [(peer.agent_id, peer.host_id) for peer in peers
+                if peer.agent_id != rt.state.agent_id and peer.mode is not AgentMode.DESTROYED]
 
     def _apply_control_queue(self, rt: AgentRuntime) -> None:
         queue, rt.control_queue = rt.control_queue, []
@@ -491,7 +466,7 @@ class Episode:
             instance = self.malware.instances[iid]
             if instance.alive and instance.host_id in endpoints:
                 return adversary.spoof_payload(
-                    instance, message, self.playbook.spoof_probability, self.rng)
+                    instance, message, self.malware.playbook.spoof_probability, self.rng)
         return dict(message, observed=True)
 
     # -- monitoring, planning, execution -------------------------------------------------
@@ -500,12 +475,12 @@ class Episode:
         pe = rt.plan_exec
         if pe is None:
             return
-        unmet, checks = execution.monitor_effects(pe, rt.ws, rt.repertoire)
+        unmet, checks = execution.monitor_effects(pe, rt.ws, self.repertoire)
         if checks:
             feedback = [EffectObservation(rt.next_observation_id(self.seed), action_id, index,
                                           held) for action_id, index, held in checks]
             self._learn(rt, feedback, [], "effect_stat_update")
-        deviations = execution.monitor_execution(pe.records, tick, rt.repertoire) + unmet
+        deviations = execution.monitor_execution(pe.records, tick, self.repertoire) + unmet
         if not deviations:
             if pe.finished():
                 rt.plan_exec = None
@@ -514,7 +489,7 @@ class Episode:
             payload = dev.to_dict()
             payload["deviation_kind"] = payload.pop("kind")
             self.emit("agent.deviation", agent=rt.state.agent_id, **payload)
-        decision = execution.adjust(pe, deviations, rt.repertoire, rt.retry_counts,
+        decision = execution.adjust(pe, deviations, self.repertoire, rt.retry_counts,
                                     rt.ws, rt.roe)
         self.emit("agent.adjustment", agent=rt.state.agent_id, decision=decision.kind,
                   substitute=decision.substitute_action_id)
@@ -530,7 +505,7 @@ class Episode:
         deadline = sensing.effective_deadline(assessment, patterns)
         rules = list(rt.kb.rules.values())
         fast_action, fast_log = planning.fast_rule_select(
-            rt.ws, rules, deadline, rt.roe, rt.repertoire)
+            rt.ws, rules, deadline, rt.roe, self.repertoire)
         if fast_action is not None:
             body = {
                 "candidates": [],
@@ -550,9 +525,9 @@ class Episode:
         except TypeError:  # an unhashable input, such as a list feature: search, keep nothing
             key = found = None
         if found is None:
-            proposals = planning.propose_plans(rt.ws, rt.repertoire, rt.kb.goals, rt.planner)
+            proposals = planning.propose_plans(rt.ws, self.repertoire, rt.kb.goals, self.planner)
             log = planning.select_action_plan(
-                proposals, rt.kb.goals, rt.roe, rt.ws, rt.repertoire, rt.planner, progression)
+                proposals, rt.kb.goals, rt.roe, rt.ws, self.repertoire, self.planner, progression)
             entries = log.get("released_entries")
             body = {
                 "candidates": log["candidates"],
@@ -632,7 +607,7 @@ class Episode:
         handlers = {"propagate": self._make_propagate_handler(rt)}
         try:
             updates = execution.execute_step(
-                pe, self.env, rt.state, tick, rt.repertoire, self.rng,
+                pe, self.env, rt.state, tick, self.repertoire, self.rng,
                 snapshot_store=rt.snapshot_store, builtin_handlers=handlers)
         except (ModeForbidden, AuthorityNotHeld) as exc:
             self.emit("agent.plan_dropped", agent=rt.state.agent_id, reason=str(exc))
@@ -672,15 +647,13 @@ class Episode:
                     rt.state, target, self.config.roster, self.env,
                     integrity_belief, self.config.collaboration.propagation_threshold,
                     rt.kb.to_json(), self.rng, self.auth_key, new_id,
-                    initial_detectability=rt.spec.detectability)
+                    initial_detectability=rt.initial_detectability)
             except PropagationRefused as exc:
                 self.emit("agent.propagation", agent=rt.state.agent_id, target=target,
                           installed=False, refusal=type(exc).__name__, detail=str(exc))
                 return False, type(exc).__name__
             rt.replica_count += 1
-            replica_spec = AgentSpec(agent_id=new_id, host_id=target,
-                                     detectability=rt.spec.detectability)
-            self._add_runtime(replica_spec, replica_state, rt.kb.copy())
+            self._add_runtime(replica_state, rt.kb.copy(), rt.initial_detectability)
             self.emit("agent.propagation", agent=rt.state.agent_id, target=target,
                       installed=True, replica=new_id)
             return True, new_id
@@ -735,11 +708,11 @@ class Episode:
             if entry["tick"] != tick:
                 continue
             recipient = entry["to"]
-            target_host = self.agent_hosts.get(recipient)
-            if target_host is None:
+            target = self.runtimes.get(recipient)
+            if target is None:
                 self.emit("c2.send_failed", to=recipient, reason="unknown_agent")
                 continue
-            channel = self.env.route(self.config.c2_host, target_host)
+            channel = self.env.route(self.config.c2_host, target.state.host_id)
             if channel is None:
                 self.emit("c2.send_failed", to=recipient, reason="no_route")
                 continue
@@ -758,9 +731,13 @@ class Episode:
             return
         # the hosts of every instance ever held: the controller drops none, none moves
         compromised = {inst.host_id for inst in self.malware.instances.values()}
-        for rt in sorted(self.agents, key=lambda a: a.state.agent_id):
-            if not rt.patterns_matched_episode:
-                continue
+        # an agent's assessment events are exactly its passes that matched a pattern
+        matched: dict[str, set[str]] = {}
+        for event in self.trace:
+            if event["kind"] == "agent.assessment":
+                matched.setdefault(event["agent"], set()).update(m[0] for m in event["matched"])
+        for agent_id in sorted(matched):
+            rt = self.runtimes[agent_id]
             confirmed = rt.state.host_id in compromised
             feedback = [
                 AssessmentObservation(
@@ -768,7 +745,7 @@ class Episode:
                     pattern_id=pid,
                     confirmed=confirmed,
                 )
-                for pid in sorted(rt.patterns_matched_episode)
+                for pid in sorted(matched[agent_id])
             ]
             self._learn(rt, [], feedback, "pattern_confidence_update")
 
@@ -795,7 +772,7 @@ def run_batch(config: ScenarioConfig, seeds: list[int],
         raise ConfigInvalid("batch needs at least one seed")
     per_seed: dict[int, dict[str, Any]] = {}
     memo: dict[tuple, tuple[dict[str, Any], str]] = {}
-    for seed in sorted(seeds):
+    for seed in sorted(set(seeds)):
         per_seed[seed] = Episode(config, seed, agent_enabled, memo).run().metrics
     numeric_keys = ["resilience_auc", "harm_events", "reward_total"]
     aggregate: dict[str, Any] = {}

@@ -172,7 +172,8 @@ def test_every_function_is_referenced_in_the_package():
     assert unreferenced_functions(sources) == sorted(KEPT_FUNCTIONS)
 
 
-# Dataclass fields that nothing in the package reads, kept for a reason outside it.
+# Dataclass fields and instance attributes that nothing in the package reads,
+# kept for a reason outside it.
 KEPT_FIELDS = {
     "envsim.py: Host.friendly": "a scenario input that the platform model carries",
     "envsim.py: Process.image_hash": "a scenario input that the platform model carries",
@@ -195,15 +196,24 @@ def dataclass_fields(tree: ast.Module) -> list[str]:
     return fields
 
 
+def instance_attributes(tree: ast.Module) -> list[str]:
+    """The attributes the module-level classes assign on `self`, as `Class.attr`."""
+    return [f"{node.name}.{sub.attr}" for node in tree.body if isinstance(node, ast.ClassDef)
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name) and sub.value.id == "self"]
+
+
 def unread_fields(sources: dict[str, str]) -> list[str]:
-    """Dataclass fields whose name is loaded as an attribute nowhere in `sources`."""
+    """Dataclass fields and attributes assigned on `self` whose name is
+    loaded as an attribute nowhere in `sources`."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     loaded = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
               if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
-    return sorted(f"{name}: {qualname}"
-                  for name, tree in trees.items()
-                  for qualname in dataclass_fields(tree)
-                  if qualname.split(".")[1] not in loaded)
+    return sorted({f"{name}: {qualname}"
+                   for name, tree in trees.items()
+                   for qualname in dataclass_fields(tree) + instance_attributes(tree)
+                   if qualname.split(".")[1] not in loaded})
 
 
 def test_checker_flags_an_unread_field_and_accepts_read_ones():
@@ -213,10 +223,17 @@ def test_checker_flags_an_unread_field_and_accepts_read_ones():
                 "    z: list = field(default_factory=list)\n"
                 "@dataclass(frozen=True)\nclass Q:\n    w: int\n"
                 "class Plain:\n    v: int\n"
+                "    def __init__(self, other):\n"
+                "        self.kept, self.lost = 1, 2\n"
+                "        self.count: int = 0\n"
+                "        self.count += 1\n"
+                "        other.elsewhere = 3\n"
+                "    def get(self):\n        return self.kept\n"
                 "def f(p, q):\n    p.y = 1\n    return q.w\n",
         "b.py": "from a import P\nprint(P(1).x)\n",
     }
-    assert unread_fields(sources) == ["a.py: P.y", "a.py: P.z"]
+    assert unread_fields(sources) == ["a.py: P.y", "a.py: P.z",
+                                      "a.py: Plain.count", "a.py: Plain.lost"]
 
 
 def test_every_dataclass_field_is_read_in_the_package():

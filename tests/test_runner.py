@@ -107,6 +107,19 @@ def test_batch_order_insensitive():
     assert json.dumps(forward, sort_keys=True) == json.dumps(shuffled, sort_keys=True)
 
 
+def test_a_repeated_seed_runs_once(bundled_configs, monkeypatch):
+    config, run, runs = bundled_configs["s1_comms_spoof"], Episode.run, []
+
+    def counted_run(self):
+        runs.append(self.seed)
+        return run(self)
+
+    monkeypatch.setattr(Episode, "run", counted_run)
+    batch = run_batch(config, [1, 1, 2])
+    assert runs == [1, 2]
+    assert batch == run_batch(config, [1, 2])
+
+
 def test_batch_requires_seeds():
     with pytest.raises(ConfigInvalid):
         run_batch(quiet_scenario(), [])
@@ -425,7 +438,7 @@ def test_training_sets_a_matched_patterns_confidence_to_its_confirmed_ratio(bund
             for e in trace:
                 if e["kind"] == "agent.assessment":
                     matched.setdefault(e["agent"], set()).update(m[0] for m in e["matched"])
-            for before, rt in zip(untrained.agents, trained.agents, strict=True):
+            for before, rt in zip(untrained.runtimes.values(), trained.runtimes.values(), strict=True):
                 assert before.state.agent_id == rt.state.agent_id
                 confirmed = rt.state.host_id in hosts
                 for pid, pattern in rt.kb.patterns.items():
@@ -543,6 +556,32 @@ def test_episodes_sharing_one_memo_write_the_bytes_of_lone_episodes(name, bundle
     assert memo
 
 
+def test_agents_install_in_order_and_run_in_id_order(bundled_configs, monkeypatch):
+    """The header lists the agents in install order, scenario agents first,
+    then replicas; each tick runs them in id order, and a replica first runs
+    in the tick after its install."""
+    raw = json.loads(json.dumps(bundled_configs["s2_lateral_hunt"].raw))
+    raw["agents"].append({"agent_id": "a2", "host_id": "h3"})
+    config = parse_scenario(raw)
+    agent_phase, calls = Episode._agent_phase, []
+
+    def recorded_phase(self, rt, tick):
+        calls.append((tick, rt.state.agent_id))
+        return agent_phase(self, rt, tick)
+
+    monkeypatch.setattr(Episode, "_agent_phase", recorded_phase)
+    for seed in range(2, 6):
+        calls.clear()
+        result = run_episode(config, seed)
+        assert result.agents == ["a1", "a2", "a1_r1"]
+        assert [e["tick"] for e in result.trace
+                if e["kind"] == "agent.propagation" and e["installed"]] == [18]
+        for tick in range(config.duration_ticks):
+            ran = [agent for t, agent in calls if t == tick]
+            assert ran == sorted(ran)
+        assert min(t for t, agent in calls if agent == "a1_r1") == 19
+
+
 def withholding_agent():
     """An agent whose only action never beats inaction, so every deliberation
     withholds; an `urgent` match takes the fast path and releases it, and a
@@ -566,7 +605,7 @@ def withholding_agent():
         rules=[{"rule_id": "r", "condition": [], "action_id": "watch", "priority": 1}],
     )
     episode = Episode(config, seed=1)
-    rt = episode.agents[0]
+    rt = episode.runtimes["a1"]
     rt.ws.features.update(functionality_belief=1, unknown_proc_count=1, link_state=1,
                           process_count=3)
     return episode, rt
@@ -631,11 +670,11 @@ def test_a_list_valued_feature_deliberates_without_the_memo(search_calls):
     assert [d["chosen"]["no_action"] for d in episode.decision_log] == [True, True]
 
 
-def deliberation_body(rt, progression):
+def deliberation_body(episode, rt, progression):
     """The body _maybe_plan builds from a search."""
-    proposals = planning.propose_plans(rt.ws, rt.repertoire, rt.kb.goals, rt.planner)
+    proposals = planning.propose_plans(rt.ws, episode.repertoire, rt.kb.goals, episode.planner)
     log = planning.select_action_plan(
-        proposals, rt.kb.goals, rt.roe, rt.ws, rt.repertoire, rt.planner, progression)
+        proposals, rt.kb.goals, rt.roe, rt.ws, episode.repertoire, episode.planner, progression)
     entries = log.get("released_entries")
     return {
         "candidates": log["candidates"],
@@ -658,11 +697,11 @@ def test_features_outside_the_read_set_leave_the_deliberation_unchanged(bundled_
     """Two belief states that agree on every read key, in presence, type and
     value, and differ anywhere else give the same decision body."""
     episode = Episode(bundled_configs[name], seed=1)
-    rt, read_keys = episode.agents[0], episode.read_keys
+    rt, read_keys = episode.runtimes["a1"], episode.read_keys
     read = data.draw(st.dictionaries(st.sampled_from(read_keys), _NUMBERS))
     named = sorted({pred[0] for goal in rt.kb.goals for pred in goal.predicates}
-                   | {pred[0] for spec in rt.repertoire.values() for pred in spec.preconditions}
-                   | {delta[0] for spec in rt.repertoire.values() for effect in spec.effects
+                   | {pred[0] for spec in episode.repertoire.values() for pred in spec.preconditions}
+                   | {delta[0] for spec in episode.repertoire.values() for effect in spec.effects
                       for delta in effect.feature_deltas}
                    | {"host_integrity", "detectability", "replica_count", "process_count"})
     unread = st.dictionaries((st.sampled_from(named) | st.text(max_size=4))
@@ -674,12 +713,12 @@ def test_features_outside_the_read_set_leave_the_deliberation_unchanged(bundled_
     for _ in range(2):
         items = [*data.draw(unread).items(), *read.items()]
         rt.ws.features = dict(data.draw(st.permutations(items)))  # in any order
-        bodies.append(_dump(deliberation_body(rt, progression)))
+        bodies.append(_dump(deliberation_body(episode, rt, progression)))
     assert bodies[0] == bodies[1]
 
 
 def _releasing_runtime(episode):
-    rt = episode.agents[0]
+    rt = episode.runtimes["a1"]
     rt.ws.features.update(functionality_belief=1, unknown_proc_count=1)
     return rt
 
@@ -700,7 +739,7 @@ def _substitutable_scenario():
                 "weight": 1.0}])
 
 
-def _substitute_proposed(rt):
+def _substitute_proposed(episode, rt):
     """Substitute the plan's first proposed entry, as adjust does once retries
     are spent; returns that entry's index and the action it replaced."""
     proposed = next(i for i, e in enumerate(rt.plan_exec.entries)
@@ -708,7 +747,7 @@ def _substitute_proposed(rt):
     action = rt.plan_exec.entries[proposed]["action"]
     decision = execution.adjust(
         rt.plan_exec, [execution.Deviation("effect_unmet", action, proposed)],
-        rt.repertoire, {}, rt.ws, rt.roe, max_retries=0)
+        episode.repertoire, {}, rt.ws, rt.roe, max_retries=0)
     assert decision.kind == "substitute" and decision.substitute_action_id != action
     assert rt.plan_exec.entries[proposed]["action"] == decision.substitute_action_id
     return proposed, action
@@ -721,7 +760,7 @@ def test_a_substitution_leaves_the_logged_entries_unchanged():
     rt = _releasing_runtime(episode)
     episode._maybe_plan(rt, threat("proc"), tick=0)
     logged = json.loads(_dump(episode.decision_log[-1]["chosen"]["entries"]))
-    proposed, action = _substitute_proposed(rt)
+    proposed, action = _substitute_proposed(episode, rt)
     assert logged[proposed]["action"] == action
     decision, released = (next(e for e in episode.trace if e["kind"] == kind)
                           for kind in ("agent.decision", "agent.plan_released"))
@@ -741,7 +780,7 @@ def test_a_memo_hit_releases_the_logged_entries_after_a_substitution(search_call
     second._maybe_plan(rt2, threat("proc"), tick=0)  # a hit
     assert _entries(rt2) == released and len(search_calls) == 1
 
-    _substitute_proposed(rt2)
+    _substitute_proposed(second, rt2)
     assert _entries(rt2) != released
 
     rt2.plan_exec = None  # the edited plan ran to its end
@@ -865,7 +904,7 @@ def test_reused_reads_equal_fresh_reads(name, bundled_configs, monkeypatch):
 
     def checked_update(ws, rows, config, tick, own):
         if not sensed:  # no read since the previous pass
-            runtime = next(rt for rt in episode.agents if rt.ws is ws)
+            runtime = next(rt for rt in episode.runtimes.values() if rt.ws is ws)
             fresh = sense(episode.env, runtime.state.host_id, config, Random(0))
             assert rows == fresh and [type(r[2]) for r in rows] == [type(r[2]) for r in fresh]
             reused.append(tick)
