@@ -11,7 +11,6 @@ lexicographically smaller origin.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
@@ -27,6 +26,7 @@ from .errors import (
     RefusedNonFriendly,
     UnknownField,
     UnknownGoal,
+    canonical_json,
 )
 from .execution import AgentState, Authority
 from .learning import KnowledgeBase
@@ -89,11 +89,8 @@ class FriendlyRoster:
 
 # -- authentication ------------------------------------------------------------
 
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode
-
-
 def auth_tag(key: str, kind: str, sender: str, recipient: str, payload: Any) -> str:
-    canonical = _canonical(
+    canonical = canonical_json(
         {"kind": kind, "sender": sender, "recipient": recipient, "payload": payload})
     return hashlib.sha256((key + canonical).encode()).hexdigest()[:16]
 

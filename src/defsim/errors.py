@@ -1,9 +1,10 @@
-"""Exception hierarchy shared across the simulation kit, and the reader that
-maps a bad input file onto it."""
+"""Exception hierarchy shared across the simulation kit, the reader that
+maps a bad input file onto it, and the writer of canonical JSON."""
 
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -141,3 +142,24 @@ def read_json(path: str | Path, error: type[DefsimError], what: str,
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise error(f"cannot read {what}: {exc}") from exc
+
+
+# json.dumps(value, sort_keys=True, separators=(",", ":")) builds a C encoder
+# on every call; this one is built once. The markers dict keeps the circular
+# reference check, and JSONEncoder's default raises json.dumps' TypeError. The
+# markers are shared, so encodes must not run in two threads at once.
+_markers: dict[int, Any] = {}
+_encode = c_make_encoder(_markers, json.JSONEncoder().default, encode_basestring_ascii,
+                         None, ":", ",", True, False, True)
+
+
+def canonical_json(value: Any) -> str:
+    """`value` in the canonical form of traces, results and auth tags: keys
+    sorted, "," and ":" separators, non-ASCII as \\uXXXX, NaN and infinities
+    as Python's json writes them; the same text as json.dumps with
+    sort_keys=True and separators=(",", ":")."""
+    try:
+        return "".join(_encode(value, 0))
+    except BaseException:
+        _markers.clear()  # a failed encode leaves its containers marked
+        raise

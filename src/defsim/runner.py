@@ -12,7 +12,6 @@ identical trace. Each event's seq is its 0-based position in its tick.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -34,6 +33,7 @@ from .errors import (
     SchemaMismatch,
     UnknownField,
     UnknownGoal,
+    canonical_json,
     read_json,
 )
 from .execution import AgentMode, AgentState, Authority, PlanExecution
@@ -50,9 +50,6 @@ _HANDOVER_COMMANDS = {
     "request_handover": collaboration.MessageKind.HANDOVER_GRANT,
     "grant_return": collaboration.MessageKind.HANDOVER_RETURN,
 }
-
-
-_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass
@@ -372,28 +369,30 @@ class Episode:
         merged = collaboration.merge_conclusions(rt.conclusions, incoming)
         changed = merged != rt.conclusions
         rt.conclusions = merged
+        round_no = msg.get("round", 0)
         self.emit("agent.negotiation", agent=rt.state.agent_id, sender=sender,
-                  round=msg.get("round", 0), changed=changed,
-                  set_size=len(rt.conclusions))
-        rounds_budget = self.config.collaboration.negotiation_rounds
+                  round=round_no, changed=changed, set_size=len(rt.conclusions))
         if reply and sender in self.runtimes:
-            self._send_conclusions(rt, sender, collaboration.MessageKind.SHARE_CONCLUSIONS,
-                                   msg.get("round", 0))
-        elif changed and msg.get("round", 0) < rounds_budget:
-            for peer_id, _ in self._peers_of(rt):
-                self._send_conclusions(rt, peer_id, collaboration.MessageKind.SHARE_CONCLUSIONS,
-                                       msg.get("round", 0) + 1)
+            peers = [sender]
+        elif changed and round_no < self.config.collaboration.negotiation_rounds:
+            peers, round_no = [peer_id for peer_id, _ in self._peers_of(rt)], round_no + 1
+        else:
+            return
+        # one payload for every peer: recipients only read it
+        shared = {"conclusions": [rt.conclusions[s].to_dict() for s in sorted(rt.conclusions)]}
+        for peer_id in peers:
+            self._send_conclusions(rt, peer_id, shared, round_no)
 
-    def _send_conclusions(self, rt: AgentRuntime, peer_id: str,
-                          kind: collaboration.MessageKind, round_no: int) -> None:
+    def _send_conclusions(self, rt: AgentRuntime, peer_id: str, payload: dict[str, Any],
+                          round_no: int) -> None:
         channel = self.env.route(rt.state.host_id, self.runtimes[peer_id].state.host_id)
         if channel is None:
             self.emit("agent.share_skipped", agent=rt.state.agent_id, peer=peer_id,
                       reason="no_route")
             return
-        payload = {"conclusions": [c.to_dict() for _, c in sorted(rt.conclusions.items())]}
-        msg = collaboration.build_message(self.auth_key, kind, rt.state.agent_id,
-                                          peer_id, payload, round_no)
+        msg = collaboration.build_message(
+            self.auth_key, collaboration.MessageKind.SHARE_CONCLUSIONS, rt.state.agent_id,
+            peer_id, payload, round_no)
         status = self.env.deliver(channel, msg, self.rng, spoofer=self._spoof)
         rt.state.detectability = clamp01(
             rt.state.detectability + self.config.collaboration.communicate_noise)
@@ -515,7 +514,7 @@ class Episode:
                               "fast_deadline_ticks": rt.roe.fast_deadline_ticks,
                               "rules_evaluated": fast_log},
             }
-            self._decide(rt, tick, "fast", assessment, body, _dump(body))
+            self._decide(rt, tick, "fast", assessment, body, canonical_json(body))
             return
 
         progression = sensing.progression_deltas(assessment, patterns)
@@ -534,7 +533,7 @@ class Episode:
                 "chosen": {"no_action": entries is None, "entries": entries},
                 "rationale": {k: v for k, v in log.items() if k != "candidates"},
             }
-            found = body, _dump(body)
+            found = body, canonical_json(body)
             if key is not None:
                 self.memo[key] = found
         body, encoded = found
@@ -795,14 +794,15 @@ def run_batch(config: ScenarioConfig, seeds: list[int],
 
 
 def write_trace(result: EpisodeResult, path: str | Path) -> None:
-    lines = [_dump(result.header())]
-    lines += [_dump(event) for event in result.trace]
-    lines.append(_dump({"kind": "end", "events": len(result.trace), "metrics": result.metrics}))
+    lines = [canonical_json(result.header())]
+    lines += [canonical_json(event) for event in result.trace]
+    lines.append(canonical_json(
+        {"kind": "end", "events": len(result.trace), "metrics": result.metrics}))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_result(result: EpisodeResult, path: str | Path) -> None:
-    Path(path).write_text(_dump(result.to_json()) + "\n")
+    Path(path).write_text(canonical_json(result.to_json()) + "\n")
 
 
 def replay(trace_path: str | Path) -> dict[str, Any]:
@@ -852,7 +852,7 @@ def _holds_body(record: Any, what: str, number: int) -> bool:
 
 
 def _bad_reference(ref: Any, what: str, number: int) -> CorruptTrace:
-    return CorruptTrace(f"{what} {number}: same_as {_dump(ref)} names no "
+    return CorruptTrace(f"{what} {number}: same_as {canonical_json(ref)} names no "
                         "earlier decision that holds its body")
 
 

@@ -15,7 +15,6 @@ document with a problem.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 import sys
@@ -28,7 +27,7 @@ from .adversary import MalwareInstance, MalwarePhase, Playbook, PlaybookStep
 from .collaboration import FriendlyRoster
 from .envsim import (ChannelState, CommsChannel, EffectDescriptor, Environment, FileEntry, Host,
                      Owner, Process, Service)
-from .errors import ConfigInvalid, read_json
+from .errors import ConfigInvalid, canonical_json, read_json
 from .planning import (BUILTIN_ACTIONS, ActionCategory, ActionSpec, ConditionActionRule, Goal,
                        PlannerConfig, ProbabilisticEffect, RulesOfEngagement, TargetScope,
                        normalize_goals)
@@ -678,8 +677,7 @@ def parse_scenario(raw: dict[str, Any]) -> ScenarioConfig:
     c2 = doc["c2"]
     return ScenarioConfig(
         raw=raw,
-        scenario_hash=hashlib.sha256(
-            json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16],
+        scenario_hash=hashlib.sha256(canonical_json(raw).encode()).hexdigest()[:16],
         doc=doc,
         name=doc["name"],
         duration_ticks=doc["duration_ticks"],

@@ -69,6 +69,16 @@ def test_tag_depends_on_all_addressing_fields():
     assert base != auth_tag(KEY, "ControlCommand", "a1", "c2", {"x": 1})
 
 
+def test_tag_bytes_are_pinned():
+    # sha256 of the key and the canonical JSON of the addressed payload
+    assert auth_tag(KEY, "StatusReport", "a1", "c2", {"x": 1}) == "dd830cca3e73adb7"
+
+
+def test_tag_of_a_payload_json_cannot_write_raises():
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        auth_tag(KEY, "StatusReport", "a1", "c2", {"x": {1, 2}})
+
+
 # -- negotiation ---------------------------------------------------------------------------
 
 def test_single_agent_no_incoming_unchanged():

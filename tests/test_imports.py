@@ -273,3 +273,54 @@ def test_checker_flags_every_sum_but_counting():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_sums_floats_in_order(path):
     assert builtin_sums(path.read_text()) == []
+
+
+JSON_WRITERS = {"dump", "dumps", "JSONEncoder"}
+
+
+def canonical_encoders(source: str) -> list[str]:
+    """Every call that builds a canonical JSON writer: json.dump, json.dumps
+    or json.JSONEncoder given `separators=`, or `sort_keys` without `indent`
+    (indented output is for people), and every call of c_make_encoder.
+
+    errors.canonical_json is the one writer of the canonical form; a second
+    one could drift from it and change trace, result or auth-tag bytes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else (
+            func.attr if isinstance(func, ast.Attribute) else None)
+        keywords = {k.arg: k.value for k in node.keywords}
+        sorts = "sort_keys" in keywords and not (
+            isinstance(keywords["sort_keys"], ast.Constant) and keywords["sort_keys"].value is False)
+        if name == "c_make_encoder" or name in JSON_WRITERS and (
+                "separators" in keywords or sorts and "indent" not in keywords):
+            found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_checker_flags_every_canonical_encoder_but_indented_output():
+    source = ("import json\n"
+              "from json import JSONEncoder, dumps\n"
+              "from json.encoder import c_make_encoder\n"
+              "a = json.dumps(x, sort_keys=True, separators=(',', ':'))\n"
+              "b = json.JSONEncoder(sort_keys=True).encode\n"
+              "c = dumps(x, separators=(',', ':'))\n"
+              "d = c_make_encoder({}, None, None, None, ':', ',', True, False, True)\n"
+              "e = JSONEncoder(indent=2, separators=(',', ': '))\n"
+              "f = json.dump(x, out, sort_keys=flag)\n"
+              "g = json.dumps(x, sort_keys=True, indent=2)\n"
+              "h = json.dumps(x, sort_keys=False)\n"
+              "i = json.dumps(x)\n"
+              "j = canonical_json(x)\n")
+    assert canonical_encoders(source) == [
+        "line 4: dumps", "line 5: JSONEncoder", "line 6: dumps", "line 7: c_make_encoder",
+        "line 8: JSONEncoder", "line 9: dump"]
+
+
+def test_the_package_has_one_canonical_encoder():
+    found = {path.name: canonical_encoders(path.read_text()) for path in SOURCES}
+    assert [call.split(": ")[1] for call in found.pop("errors.py")] == ["c_make_encoder"]
+    assert found == {name: [] for name in found}

@@ -8,11 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defsim import collaboration, execution, planning, sensing
-from defsim.errors import ConfigInvalid, CorruptTrace, IndexOutOfRange, SchemaMismatch
+from defsim.errors import (
+    ConfigInvalid,
+    CorruptTrace,
+    IndexOutOfRange,
+    SchemaMismatch,
+    canonical_json,
+)
 from defsim.runner import (
     AgentRuntime,
     Episode,
-    _dump,
     explain,
     export_csv,
     replay,
@@ -118,6 +123,29 @@ def test_a_repeated_seed_runs_once(bundled_configs, monkeypatch):
     batch = run_batch(config, [1, 1, 2])
     assert runs == [1, 2]
     assert batch == run_batch(config, [1, 2])
+
+
+def test_a_forward_sends_one_payload_to_every_peer(bundled_configs, monkeypatch):
+    handle, send = Episode._handle_conclusions, Episode._send_conclusions
+    forwards: list[list] = []  # per _handle_conclusions call: each send's (payload, copy)
+
+    def recorded_handle(self, rt, msg, reply):
+        forwards.append([])
+        return handle(self, rt, msg, reply)
+
+    def recorded_send(self, rt, peer_id, payload, round_no):
+        forwards[-1].append((payload, copy.deepcopy(payload)))
+        return send(self, rt, peer_id, payload, round_no)
+
+    monkeypatch.setattr(Episode, "_handle_conclusions", recorded_handle)
+    monkeypatch.setattr(Episode, "_send_conclusions", recorded_send)
+    for seed in range(1, 21):
+        run_episode(bundled_configs["s3_partition"], seed)
+    assert max(len(sends) for sends in forwards) == 2
+    for sends in forwards:
+        assert all(payload is sends[0][0] for payload, _ in sends)
+        # recipients only read it: it still holds what was sent
+        assert all(payload == sent for payload, sent in sends)
 
 
 def test_batch_requires_seeds():
@@ -713,7 +741,7 @@ def test_features_outside_the_read_set_leave_the_deliberation_unchanged(bundled_
     for _ in range(2):
         items = [*data.draw(unread).items(), *read.items()]
         rt.ws.features = dict(data.draw(st.permutations(items)))  # in any order
-        bodies.append(_dump(deliberation_body(episode, rt, progression)))
+        bodies.append(canonical_json(deliberation_body(episode, rt, progression)))
     assert bodies[0] == bodies[1]
 
 
@@ -759,7 +787,7 @@ def test_a_substitution_leaves_the_logged_entries_unchanged():
     episode = Episode(_substitutable_scenario(), seed=1)
     rt = _releasing_runtime(episode)
     episode._maybe_plan(rt, threat("proc"), tick=0)
-    logged = json.loads(_dump(episode.decision_log[-1]["chosen"]["entries"]))
+    logged = json.loads(canonical_json(episode.decision_log[-1]["chosen"]["entries"]))
     proposed, action = _substitute_proposed(episode, rt)
     assert logged[proposed]["action"] == action
     decision, released = (next(e for e in episode.trace if e["kind"] == kind)
