@@ -16,7 +16,9 @@ under tight deadlines.
 
 from __future__ import annotations
 
+import math
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
@@ -438,6 +440,168 @@ def expected_loss(
     sat = predict(ws, ids, repertoire, goals, base_deltas=base)
     loss = 1.0 - sum_in_order(g.weight * sat[g.goal_id] for g in goals)
     return max(0.0, min(1.0, loss))
+
+
+# -- threshold cells ------------------------------------------------------------
+
+_CELL_RANGE = 2 ** 53  # every int within it converts to float exactly
+_SUM_LIMIT = 512  # past this many sums of its add deltas, a key keeps exact values
+
+
+def _cell_number(value: Any) -> bool:
+    """An int (not a bool) or a float within +-2**53: not NaN, no infinity."""
+    return (type(value) is float or type(value) is int) and -_CELL_RANGE <= value <= _CELL_RANGE
+
+
+def _sums(deltas: list[int], most: int) -> Optional[set[int]]:
+    """Every sum of 1 to `most` of `deltas`, repeats allowed, or None past
+    _SUM_LIMIT sums. A level that adds no new sum ends it: every later
+    level would add the deltas to sums already found."""
+    values = set(deltas)
+    sums: set[int] = set()
+    level = {0}
+    for _ in range(most if values else 0):
+        level = {s + d for s in level for d in values}
+        if level <= sums:
+            break
+        sums |= level
+        if len(sums) > _SUM_LIMIT:
+            return None
+    return sums
+
+
+def _scaled(value: Any, bits: int) -> int:
+    """`value` (an int or a float) times 2**bits, an int while 2**bits is a
+    multiple of the value's power-of-two denominator."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator << (bits + 1 - denominator.bit_length())
+
+
+def danger_intervals(
+    repertoire: dict[str, ActionSpec],
+    goals: list[Goal],
+    config: PlannerConfig,
+    progression: Sequence[FeatureDelta] = (),
+) -> dict[str, list[float]]:
+    """Per feature key, the start values near which some planner comparison
+    can change outcome, as sorted disjoint float intervals flattened to
+    [lo0, hi0, lo1, hi1, ...]. The gaps between them are the key's cells
+    (see cell_of): two values in one cell give every comparison that
+    propose_plans and select_action_plan, with this progression, make on
+    the key the same outcome. A key with a non-numeric threshold or add
+    delta, or past the limits below, gets no intervals: its values key
+    exactly.
+
+    The invariant: the planner reads a feature's start value x only by
+    comparing a value derived from it with a threshold t of a goal
+    predicate or an action precondition, and every field of the body
+    follows from those outcomes and from inputs keyed exactly. Deriving
+    adds, left to right, at most L_k = depth * (P + 2) * m_k of the
+    repertoire's add deltas on key k (P the longest preparation list, m_k
+    the most add deltas on k in one action): a search node applies at most
+    depth actions; _trim_and_augment applies, per proposed action, its
+    preparations, one prerequisite and the action, and _unique_provider's
+    trial of a candidate stands in for that prerequisite; expected_loss
+    applies the released entries, at most as many. In expected_loss alone,
+    goal predicates first see the progression applied depth times, which
+    adds its r_k add deltas on k depth times, start_k in all. A set delta
+    makes every later value independent of x.
+
+    So each interval is c +- eps, rounded outward to floats, for every
+    center c = t - s (every t) and c = t - start_k - s (goal thresholds, if
+    r_k > 0), with s any exact sum of 1 to L_k repertoire add deltas on k;
+    and [t, t] for every t, as a comparison with no addition before it is
+    exact.
+
+    The bound eps. Let n_k = depth * r_k + L_k, the most additions between
+    x and a comparison, A_k the largest |add delta| on k and T_k the
+    largest |t|. Each addition, and at most one conversion of an int
+    running value to float, rounds with relative error at most u = 2**-53,
+    so a result errs from x + S (S the exact sum added) by at most
+    ((1 + u)**(n_k + 1) - 1) * B <= (n_k + 1) * 2**-52 * B, with B = |x| +
+    the sum of the |deltas|, while (n_k + 1) * u <= 1/2. Every such chain
+    is non-decreasing in x for each type of x (int or float), as rounding
+    and int addition are monotone. So it suffices that the nearest value
+    x0 of x's type below c - eps compares below t, and the nearest above
+    c + eps above it. |x0| <= |c| + eps + 1, |c| <= T_k + n_k * A_k, so B
+    <= W_k + eps with W_k = T_k + 1 + 2 * n_k * A_k. eps_k = (n_k + 1) *
+    2**-51 * W_k is at least (n_k + 1) * 2**-52 * (W_k + eps_k), and x0 +
+    S < t - eps_k then gives a result below t. A key keeps exact values
+    where n_k >= 2**20 or W_k > 2**50, which keeps both conditions and
+    every value near an interval within +-2**53, where ints are floats.
+    """
+    preparations = max((len(spec.preparation) for spec in repertoire.values()), default=0)
+    reads: dict[str, list[tuple[Any, bool]]] = {}  # key -> (threshold, a goal's)
+    for goal in goals:
+        for key, _, threshold in goal.predicates:
+            reads.setdefault(key, []).append((threshold, True))
+    for spec in repertoire.values():
+        for key, _, threshold in spec.preconditions:
+            reads.setdefault(key, []).append((threshold, False))
+    adds: dict[str, list[Any]] = {}
+    most: dict[str, int] = {}  # key -> the most add deltas on it in one action
+    for spec in repertoire.values():
+        counts: dict[str, int] = {}
+        for eff in spec.effects:
+            for key, op, value in eff.feature_deltas:
+                if op == "add":
+                    adds.setdefault(key, []).append(value)
+                    counts[key] = counts.get(key, 0) + 1
+        for key, count in counts.items():
+            most[key] = max(most.get(key, 0), count)
+    drift: dict[str, list[Any]] = {}
+    for key, op, value in progression:
+        if op == "add":
+            drift.setdefault(key, []).append(value)
+
+    intervals: dict[str, list[float]] = {}
+    for key, thresholds in reads.items():
+        numbers = [t for t, _ in thresholds] + adds.get(key, []) + drift.get(key, [])
+        if not all(_cell_number(v) for v in numbers):
+            continue
+        # exact arithmetic on ints: every number is a multiple of 2**-bits
+        bits = max(v.as_integer_ratio()[1].bit_length() for v in numbers) - 1
+        tops = [(_scaled(t, bits), goal) for t, goal in thresholds]
+        deltas = [_scaled(d, bits) for d in adds.get(key, [])]
+        drifts = [_scaled(d, bits) for d in drift.get(key, [])]
+        steps = config.depth * (preparations + 2) * most.get(key, 0)
+        additions = config.depth * len(drifts) + steps
+        sums = _sums(deltas, steps)
+        width = (max(abs(t) for t, _ in tops) + (1 << bits)
+                 + 2 * additions * max((abs(d) for d in deltas + drifts), default=0))
+        if sums is None or additions >= 2 ** 20 or width > 2 ** (50 + bits):
+            continue
+        eps = (additions + 1) * width  # in units of 2**-(bits + 51), as is c << 51
+        centers = {t - s for t, _ in tops for s in sums}
+        if drifts:
+            start = config.depth * sum_in_order(drifts)
+            centers.update(t - start - s for t, goal in tops if goal for s in sums | {0})
+        # int / int rounds to nearest, so one step outward passes the exact end
+        unit = 1 << (bits + 51)
+        spans = [(float(t), float(t)) for t, _ in thresholds]
+        spans += [(math.nextafter(((c << 51) - eps) / unit, -math.inf),
+                   math.nextafter(((c << 51) + eps) / unit, math.inf)) for c in centers]
+        flat: list[float] = []
+        for lo, hi in sorted(spans):
+            if flat and lo <= math.nextafter(flat[-1], math.inf):  # no cell without a float
+                flat[-1] = max(flat[-1], hi)
+            else:
+                flat += [lo, hi]
+        intervals[key] = flat
+    return intervals
+
+
+def cell_of(intervals: Optional[list[float]], value: Any) -> Optional[int]:
+    """The index of the cell of a key's danger intervals that holds `value`;
+    None when the value must key exactly: the key has no intervals, the
+    value is not an int or float within +-2**53 (a bool, NaN, an
+    infinity), or it lies in an interval."""
+    if intervals is None or not _cell_number(value):
+        return None
+    pos = bisect_left(intervals, value)
+    if pos & 1 or pos < len(intervals) and intervals[pos] == value:
+        return None
+    return pos >> 1
 
 
 # -- rules of engagement -----------------------------------------------------------

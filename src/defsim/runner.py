@@ -168,15 +168,20 @@ class Episode:
 
         # by agent id, in install order: scenario agents, then replicas
         self.runtimes: dict[str, AgentRuntime] = {}
+        self.agent_ids: tuple[str, ...] = ()  # the same ids, sorted
         if agent_enabled:
             # shared by every runtime, as nothing edits them (set_roe edits each runtime's ROE)
             self.planner = config.build_planner_config()
             self.sensors = config.build_sensor_config()
             self.repertoire = config.build_repertoire()
-            # the features a deliberation reads; fixed, as set_goal_weight edits weights only
+            # every runtime's goal predicates: set_goal_weight edits weights only
+            self.goals = config.build_goals()
+            # the features a deliberation reads
             self.read_keys = tuple(sorted(
-                {pred[0] for goal in config.build_goals() for pred in goal.predicates}
+                {pred[0] for goal in self.goals for pred in goal.predicates}
                 | {pred[0] for spec in self.repertoire.values() for pred in spec.preconditions}))
+            # progression inputs -> planning.danger_intervals of that progression
+            self.cells: dict[tuple, dict[str, list[float]]] = {}
             for spec in config.agents:
                 self._add_agent(spec)
         self.primary_agent = config.agents[0].agent_id if (agent_enabled and config.agents) else None
@@ -200,6 +205,8 @@ class Episode:
         self.runtimes[state.agent_id] = AgentRuntime(
             state=state, ws=WorldState(), kb=kb, roe=self.config.build_roe(),
             initial_detectability=initial_detectability)
+        # a new tuple, so a tick's loop over the old one runs no replica it installs
+        self.agent_ids = tuple(sorted(self.runtimes))
 
     # -- trace helpers -----------------------------------------------------------
 
@@ -239,7 +246,7 @@ class Episode:
                 self.emit("env.message_delivered", channel=channel,
                           message_kind=message.get("kind"), recipient=message.get("recipient"))
             self._adversary_phase(tick)
-            for agent_id in sorted(self.runtimes):
+            for agent_id in self.agent_ids:
                 self._agent_phase(self.runtimes[agent_id], tick)
             self._c2_phase(tick)
             self.emit("tick.functionality", value=self.env.functionality())
@@ -400,7 +407,7 @@ class Episode:
                   status=status.value, round=round_no)
 
     def _peers_of(self, rt: AgentRuntime) -> list[tuple[str, str]]:
-        peers = (self.runtimes[agent_id].state for agent_id in sorted(self.runtimes))
+        peers = (self.runtimes[agent_id].state for agent_id in self.agent_ids)
         return [(peer.agent_id, peer.host_id) for peer in peers
                 if peer.agent_id != rt.state.agent_id and peer.mode is not AgentMode.DESTROYED]
 
@@ -518,8 +525,8 @@ class Episode:
             return
 
         progression = sensing.progression_deltas(assessment, patterns)
-        key = self._planner_inputs(rt, progression)
         try:
+            key = self._planner_inputs(rt, progression)
             found = self.memo.get(key)
         except TypeError:  # an unhashable input, such as a list feature: search, keep nothing
             key = found = None
@@ -549,25 +556,43 @@ class Episode:
 
     def _planner_inputs(self, rt: AgentRuntime, progression: list[sensing.FeatureDelta]) -> tuple:
         """The memo key: everything propose_plans and select_action_plan read
-        that differs between runtimes or deliberations; the repertoire and
-        planner settings are the config's. Of the features, only read_keys
-        count, by presence and value, as both read features only through goal
-        and precondition predicates: propose_plans checks preconditions and
-        scores the goal keys' outcomes; _apply_optimistic writes deltas read
-        back only by those predicates; _trim_and_augment and _unique_provider
-        check preconditions; expected_loss reads the goal keys after
-        progression. A new planner input, such as a learnt effect estimate,
-        must join the key. Values carry their type, so 1, 1.0 and True
-        differ. Hashing it raises TypeError on a list value of a read key."""
+        that differs between runtimes or deliberations; the repertoire, goal
+        predicates and planner settings are the episode's.
+
+        The planner reads a feature only by comparing a value derived from
+        it with a goal predicate's or an action precondition's threshold:
+        propose_plans checks preconditions and scores the goal keys'
+        outcomes; _apply_optimistic adds deltas read back only by those
+        predicates; _trim_and_augment and _unique_provider check
+        preconditions; expected_loss checks the goals after the progression.
+        So only read_keys count, by presence, and a numeric value by its cell
+        of planning.danger_intervals for this progression, inside which no
+        such comparison changes outcome. Any other value keys exactly, with
+        its type, as does every other input: goal weights, the ROE clauses
+        select_action_plan checks (fast_deadline_ticks is read only by the
+        fast path, before the memo) and the progression. A new planner
+        input, such as a learnt effect estimate, or a new way to read a
+        feature must join the key or the cell derivation. Hashing the key
+        raises TypeError on a list value."""
         roe, features = rt.roe, rt.ws.features
+        steps = tuple((key, op, type(value), value) for key, op, value in progression)
+        cells = self.cells.get(steps)
+        if cells is None:
+            cells = self.cells[steps] = planning.danger_intervals(
+                self.repertoire, self.goals, self.planner, progression)
+        reads = []
+        for key in self.read_keys:
+            if key in features:
+                value = features[key]
+                cell = planning.cell_of(cells.get(key), value)
+                reads.append((key, type(value), value) if cell is None else (key, cell))
         return (
-            tuple((key, type(features[key]), features[key])
-                  for key in self.read_keys if key in features),
+            tuple(reads),
             tuple((type(goal.weight), goal.weight) for goal in rt.kb.goals),
-            tuple((type(value), value) for value in (
-                roe.max_plan_risk, roe.destructive_only_on_residence, roe.fast_deadline_ticks)),
+            tuple((type(value), value)
+                  for value in (roe.max_plan_risk, roe.destructive_only_on_residence)),
             frozenset(roe.forbidden_categories),
-            tuple((key, op, type(value), value) for key, op, value in progression),
+            steps,
         )
 
     def _decide(self, rt: AgentRuntime, tick: int, path: str, assessment: Assessment,

@@ -1,6 +1,9 @@
 import copy
+import functools
 import hashlib
+import importlib.util
 import json
+import math
 from pathlib import Path
 from random import Random
 
@@ -27,10 +30,10 @@ from defsim.runner import (
     write_result,
     write_trace,
 )
-from defsim.scenario import parse_scenario
+from defsim.scenario import load_scenario, parse_scenario
 from defsim.sensing import Assessment
 
-from conftest import BUNDLED
+from conftest import BUNDLED, scenario_path
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -662,23 +665,32 @@ def _set_feature(key, value):
     return apply
 
 
-@pytest.mark.parametrize("between, searches", [
-    (lambda episode, rt: None, 1),
-    (_command(command="set_goal_weight", goal_id="g", weight=3.0), 2),
-    (_command(command="set_roe", field="max_plan_risk", value=0.5), 2),
-    (_command(command="set_roe", field="forbidden_categories", value=["contain"]), 2),
-    (_set_feature("functionality_belief", 1.0), 2),
-    (_set_feature("process_count", 4), 1),  # nothing reads it
-    (_set_feature("tags", ["a", "b"]), 1),  # nothing reads it, so it needs no hash
-    (_set_feature("link_state", 0), 2),  # only a precondition reads it
-    (_set_feature("backlog", 0.0), 2),
-    (_release_plan, 1),  # the memo outlives a released plan
-    (lambda episode, rt: "spreading", 2),
+@pytest.mark.parametrize("start, between, searches", [
+    ({}, lambda episode, rt: None, 1),
+    ({}, _command(command="set_goal_weight", goal_id="g", weight=3.0), 2),
+    ({}, _command(command="set_roe", field="max_plan_risk", value=0.5), 2),
+    ({}, _command(command="set_roe", field="forbidden_categories", value=["contain"]), 2),
+    # read only by the fast path, which runs before the memo
+    ({}, _command(command="set_roe", field="fast_deadline_ticks", value=0), 1),
+    ({}, _set_feature("functionality_belief", 1.0), 1),  # both in the >= 0.95 cell
+    ({}, _set_feature("functionality_belief", 0.99), 1),
+    ({}, _set_feature("functionality_belief", 0.9), 2),
+    # a value on a threshold keeps its exact key, type and all
+    ({"unknown_proc_count": 0}, _set_feature("unknown_proc_count", 0.0), 2),
+    ({}, _set_feature("process_count", 4), 1),  # nothing reads it
+    ({}, _set_feature("tags", ["a", "b"]), 1),  # nothing reads it, so it needs no hash
+    ({}, _set_feature("link_state", 0), 2),  # only a precondition reads it
+    ({}, _set_feature("backlog", 0.0), 2),
+    ({}, _release_plan, 1),  # the memo outlives a released plan
+    ({}, lambda episode, rt: "spreading", 2),
 ], ids=["nothing", "set_goal_weight", "set_roe", "set_roe_forbidden_categories",
-        "goal_feature_1_to_1.0", "unread_feature", "unread_list_feature", "precondition_feature",
-        "read_feature_absent_to_0.0", "released_plan", "threat_progression"])
-def test_what_forces_a_new_search(between, searches, search_calls):
+        "set_roe_fast_deadline_ticks", "goal_feature_1_to_1.0", "same_cell_value",
+        "crosses_a_threshold", "value_on_a_threshold_0_to_0.0", "unread_feature",
+        "unread_list_feature", "precondition_feature", "read_feature_absent_to_0.0",
+        "released_plan", "threat_progression"])
+def test_what_forces_a_new_search(start, between, searches, search_calls):
     episode, rt = withholding_agent()
+    rt.ws.features.update(start)
     episode._maybe_plan(rt, threat("proc"), tick=0)
     second = between(episode, rt) or "proc"
     episode._maybe_plan(rt, threat(second), tick=2)
@@ -743,6 +755,123 @@ def test_features_outside_the_read_set_leave_the_deliberation_unchanged(bundled_
         rt.ws.features = dict(data.draw(st.permutations(items)))  # in any order
         bodies.append(canonical_json(deliberation_body(episode, rt, progression)))
     assert bodies[0] == bodies[1]
+
+
+_generator_spec = importlib.util.spec_from_file_location(
+    "perfbench_generator",
+    Path(__file__).resolve().parent.parent / "perfbench" / "generator.py")
+GENERATOR = importlib.util.module_from_spec(_generator_spec)
+_generator_spec.loader.exec_module(GENERATOR)
+
+
+def _prerequisite_chain():
+    """A story that reaches the longest derivation danger_intervals allows,
+    depth * (P + 2) * m_k = 3 adds on `exposure`: `shield` needs exposure
+    >= 0.3 and prepares with `scan` (-0.2), after which only `boost` (+0.25)
+    can provide the precondition again; the gate then weighs scan, boost and
+    shield (-0.4) together, exposure - 0.35 <= 0."""
+    return quiet_scenario(
+        planner={"depth": 1},
+        repertoire=[
+            {"action_id": "shield", "category": "contain",
+             "preconditions": [["exposure", ">=", 0.3]], "preparation": ["scan"],
+             "effects": [{"features": [["exposure", "add", -0.4]]}]},
+            {"action_id": "scan", "category": "observe",
+             "effects": [{"features": [["exposure", "add", -0.2]]}]},
+            {"action_id": "boost", "category": "restore",
+             "effects": [{"features": [["exposure", "add", 0.25]]}]}],
+        goals=[{"goal_id": "g_hidden", "predicates": [["exposure", "<=", 0.0]], "weight": 1.0}])
+
+
+@functools.cache
+def _cell_episode(name):
+    """An episode of the scenario: the tests below only read it, and set the
+    agent's features."""
+    if name in BUNDLED:
+        config = load_scenario(scenario_path(name))
+    elif name == "prerequisite_chain":
+        config = _prerequisite_chain()
+    else:
+        base = json.loads(GENERATOR.base_path(Path(__file__).resolve().parent.parent / "src")
+                          .read_text())
+        config = GENERATOR.generate_configs(base, [int(name.rsplit("_", 1)[1])])[0][0]
+    return Episode(config, seed=1)
+
+
+_DRIFTS = st.one_of(st.sampled_from([-0.35, -0.1, -0.08, -0.05, 0.05, 0.1, 1, -1]),
+                    st.floats(-1, 1))
+
+
+def _cell_values(data, intervals, cell):
+    """Three values in the cell: its two ends, one step outside an interval
+    end or +-2**53, in either order, then an int or a float between them."""
+    low = math.nextafter(intervals[2 * cell - 1], math.inf) if cell else -2.0 ** 53
+    high = math.nextafter(intervals[2 * cell], -math.inf) if 2 * cell < len(intervals) else 2.0 ** 53
+    inside = st.floats(low, high)
+    if math.ceil(low) <= math.floor(high):
+        inside |= st.integers(math.ceil(low), math.floor(high))
+    return [*data.draw(st.permutations([low, high])), data.draw(inside)]
+
+
+def _progression(data, episode):
+    return data.draw(st.lists(st.tuples(st.sampled_from(episode.read_keys),
+                                        st.sampled_from(["set", "add"]), _DRIFTS), max_size=3))
+
+
+def _keys_and_bodies(episode, states, progression):
+    """The distinct memo keys and decision body bytes of the belief states."""
+    rt, keys, bodies = episode.runtimes["a1"], set(), set()
+    for state in states:
+        rt.ws.features = state
+        keys.add(episode._planner_inputs(rt, progression))
+        bodies.add(canonical_json(deliberation_body(episode, rt, progression)))
+    return keys, bodies
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+@pytest.mark.parametrize("name", [*BUNDLED, "wide_repertoire_1", "wide_repertoire_2"])
+def test_beliefs_with_one_memo_key_give_one_body(name, data):
+    """Belief states whose memo keys are equal give the same decision body
+    bytes, under any threat progression: each read key is absent in all,
+    or holds in each a value of one cell of its danger intervals (the
+    cell's two ends and a value inside), or one value where the key has no
+    cells."""
+    episode = _cell_episode(name)
+    progression = _progression(data, episode)
+    cells = planning.danger_intervals(episode.repertoire, episode.goals, episode.planner,
+                                      progression)
+    absent = data.draw(st.sets(st.sampled_from(episode.read_keys)))
+    states: list[dict] = [{}, {}, {}]
+    for key in episode.read_keys:
+        intervals = cells.get(key)
+        if key in absent:
+            continue
+        if intervals is None:
+            values = [data.draw(_NUMBERS)] * 3
+        else:
+            values = _cell_values(data, intervals, data.draw(st.integers(0, len(intervals) // 2)))
+        for state, value in zip(states, values):
+            state[key] = value
+    keys, bodies = _keys_and_bodies(episode, states, progression)
+    assert len(keys) == 1
+    assert len(bodies) == 1
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_cell_of_the_longest_derivation_gives_one_body(data):
+    """As above, for every cell of a story whose gate compares after
+    depth * (P + 2) * m_k adds, the most the cells allow for: a cell one
+    add short spans a released and a withheld plan."""
+    episode = _cell_episode("prerequisite_chain")
+    progression = _progression(data, episode)
+    intervals = planning.danger_intervals(episode.repertoire, episode.goals, episode.planner,
+                                          progression)["exposure"]
+    for cell in range(len(intervals) // 2 + 1):
+        states = [{"exposure": value} for value in _cell_values(data, intervals, cell)]
+        keys, bodies = _keys_and_bodies(episode, states, progression)
+        assert (len(keys), len(bodies)) == (1, 1), states
 
 
 def _releasing_runtime(episode):
