@@ -33,9 +33,6 @@ from .learning import KnowledgeBase
 from .planning import ConditionActionRule, RulesOfEngagement, normalize_goals
 from .sensing import all_hold
 
-DEFAULT_COMMUNICATE_NOISE = 0.05
-DEFAULT_NEGOTIATION_ROUNDS = 3
-
 
 class MessageKind(str, Enum):
     REQUEST_CONCLUSIONS = "RequestConclusions"
@@ -143,7 +140,7 @@ def merge_conclusions(
 def run_negotiation(
     initial: dict[str, dict[str, Conclusion]],
     adjacency: dict[str, set[str]],
-    max_rounds: int = DEFAULT_NEGOTIATION_ROUNDS,
+    max_rounds: int,
 ) -> tuple[dict[str, dict[str, Conclusion]], int]:
     """Simulate the exchange across a topology: each round every agent
     receives its neighbours' current sets and merges. Returns the final
@@ -176,7 +173,7 @@ def share_and_request(
     env: Environment,
     rng: Random,
     key: str,
-    communicate_noise: float = DEFAULT_COMMUNICATE_NOISE,
+    communicate_noise: float,
     spoofer: Optional[Callable[[str, dict[str, Any]], dict[str, Any]]] = None,
 ) -> list[dict[str, Any]]:
     """Send a conclusions request (carrying our own set) to each peer.
@@ -211,7 +208,7 @@ def report(
     env: Environment,
     rng: Random,
     key: str,
-    communicate_noise: float = DEFAULT_COMMUNICATE_NOISE,
+    communicate_noise: float,
     spoofer: Optional[Callable[[str, dict[str, Any]], dict[str, Any]]] = None,
 ) -> DeliveryStatus:
     """Status report to the remote center, subject to channel state."""

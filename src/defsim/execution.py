@@ -78,7 +78,7 @@ class Deviation:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "kind": self.kind,
+            "deviation_kind": self.kind,
             "action_id": self.action_id,
             "entry_index": self.entry_index,
             "detail": self.detail,

@@ -25,7 +25,7 @@ from random import Random
 from typing import Any, Optional, Sequence
 
 from .envsim import EffectDescriptor, sum_in_order
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, canonical_json
 from .sensing import (
     FeatureDelta,
     Predicate,
@@ -482,15 +482,15 @@ def danger_intervals(
     goals: list[Goal],
     config: PlannerConfig,
     progression: Sequence[FeatureDelta] = (),
-) -> dict[str, list[float]]:
-    """Per feature key, the start values near which some planner comparison
-    can change outcome, as sorted disjoint float intervals flattened to
-    [lo0, hi0, lo1, hi1, ...]. The gaps between them are the key's cells
-    (see cell_of): two values in one cell give every comparison that
-    propose_plans and select_action_plan, with this progression, make on
-    the key the same outcome. A key with a non-numeric threshold or add
-    delta, or past the limits below, gets no intervals: its values key
-    exactly.
+) -> dict[str, Optional[list[float]]]:
+    """Per read key (a feature a goal or precondition names), sorted, the
+    start values near which some planner comparison can change outcome, as
+    sorted disjoint float intervals flattened to [lo0, hi0, lo1, hi1, ...].
+    The gaps between them are the key's cells (see cell_of): two values in
+    one cell give every comparison that propose_plans and
+    select_action_plan, with this progression, make on the key the same
+    outcome. A key with a non-numeric threshold or add delta, or past the
+    limits below, gets None: its values key exactly.
 
     The invariant: the planner reads a feature's start value x only by
     comparing a value derived from it with a threshold t of a goal
@@ -554,7 +554,7 @@ def danger_intervals(
         if op == "add":
             drift.setdefault(key, []).append(value)
 
-    intervals: dict[str, list[float]] = {}
+    intervals: dict[str, Optional[list[float]]] = dict.fromkeys(sorted(reads))
     for key, thresholds in reads.items():
         numbers = [t for t, _ in thresholds] + adds.get(key, []) + drift.get(key, [])
         if not all(_cell_number(v) for v in numbers):
@@ -790,6 +790,72 @@ def select_action_plan(
         return log
     log["released_entries"] = released_entries
     return log
+
+
+# -- the deliberation memo ------------------------------------------------------------
+
+class Deliberations:
+    """Decision bodies by the inputs of their search, and cell tables by
+    progression, for a repertoire, goals and config that nothing edits."""
+
+    def __init__(self, repertoire: dict[str, ActionSpec], goals: list[Goal],
+                 config: PlannerConfig) -> None:
+        self.repertoire = repertoire
+        self.goals = goals  # their predicates; a runtime's own goals carry its weights
+        self.config = config
+        self.bodies: dict[tuple, tuple[dict[str, Any], str]] = {}  # key -> body and bytes
+        self._cells: dict[tuple, dict[str, Optional[list[float]]]] = {}  # progression -> table
+
+    def deliberate(self, ws: WorldState, goals: list[Goal], roe: RulesOfEngagement,
+                   progression: list[FeatureDelta]) -> tuple[dict[str, Any], str]:
+        """The body and canonical bytes the key finds, else a search's, kept if the key hashes."""
+        try:
+            key = self.key(ws, goals, roe, progression)
+            found = self.bodies.get(key)
+        except TypeError:
+            key = found = None
+        if found is None:
+            body = self.search(ws, goals, roe, progression)
+            found = body, canonical_json(body)
+            if key is not None:
+                self.bodies[key] = found
+        return found
+
+    def search(self, ws: WorldState, goals: list[Goal], roe: RulesOfEngagement,
+               progression: list[FeatureDelta]) -> dict[str, Any]:
+        """The decision body of a fresh search and selection."""
+        proposals = propose_plans(ws, self.repertoire, goals, self.config)
+        log = select_action_plan(proposals, goals, roe, ws, self.repertoire, self.config,
+                                 progression)
+        entries = log.get("released_entries")
+        return {
+            "candidates": log["candidates"],
+            "chosen": {"no_action": entries is None, "entries": entries},
+            "rationale": {k: v for k, v in log.items() if k != "candidates"},
+        }
+
+    def key(self, ws: WorldState, goals: list[Goal], roe: RulesOfEngagement,
+            progression: list[FeatureDelta]) -> tuple:
+        """Everything the search reads that differs between deliberations:
+        each read key of danger_intervals by presence and a value by its cell
+        (see there why that suffices) or else exactly, with its type, as
+        every other input: goal weights, the ROE clauses selection checks
+        and the progression. A new planner input must join the key."""
+        steps = tuple((key, op, type(value), value) for key, op, value in progression)
+        cells = self._cells.get(steps)
+        if cells is None:
+            cells = self._cells[steps] = danger_intervals(
+                self.repertoire, self.goals, self.config, progression)
+        features, reads = ws.features, []
+        for key, intervals in cells.items():
+            if key in features:
+                value = features[key]
+                cell = cell_of(intervals, value)
+                reads.append((key, type(value), value) if cell is None else (key, cell))
+        scalars = (roe.max_plan_risk, roe.destructive_only_on_residence)
+        return (tuple(reads), tuple((type(goal.weight), goal.weight) for goal in goals),
+                tuple((type(value), value) for value in scalars),
+                frozenset(roe.forbidden_categories), steps)
 
 
 # -- fast path ------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def _episode_metrics(events: list[dict[str, Any]], primary: Optional[str]) -> di
 
 class Episode:
     def __init__(self, config: ScenarioConfig, seed: int, agent_enabled: bool = True,
-                 memo: Optional[dict[tuple, tuple[dict[str, Any], str]]] = None):
+                 deliberations: Optional[planning.Deliberations] = None):
         self.config = config
         self.seed = seed
         self.rng = Random(seed)
@@ -164,24 +164,15 @@ class Episode:
         self.attacked = False
         self.tick = 0
         self.seq = 0  # the next event's position in its tick
-        self.memo = {} if memo is None else memo  # inputs -> body and bytes; run_batch shares one
 
         # by agent id, in install order: scenario agents, then replicas
         self.runtimes: dict[str, AgentRuntime] = {}
         self.agent_ids: tuple[str, ...] = ()  # the same ids, sorted
         if agent_enabled:
             # shared by every runtime, as nothing edits them (set_roe edits each runtime's ROE)
-            self.planner = config.build_planner_config()
             self.sensors = config.build_sensor_config()
-            self.repertoire = config.build_repertoire()
-            # every runtime's goal predicates: set_goal_weight edits weights only
-            self.goals = config.build_goals()
-            # the features a deliberation reads
-            self.read_keys = tuple(sorted(
-                {pred[0] for goal in self.goals for pred in goal.predicates}
-                | {pred[0] for spec in self.repertoire.values() for pred in spec.preconditions}))
-            # progression inputs -> planning.danger_intervals of that progression
-            self.cells: dict[tuple, dict[str, list[float]]] = {}
+            self.deliberations = deliberations or _deliberations(config)  # run_batch shares one
+            self.repertoire = self.deliberations.repertoire
             for spec in config.agents:
                 self._add_agent(spec)
         self.primary_agent = config.agents[0].agent_id if (agent_enabled and config.agents) else None
@@ -492,9 +483,7 @@ class Episode:
                 rt.plan_exec = None
             return
         for dev in deviations:
-            payload = dev.to_dict()
-            payload["deviation_kind"] = payload.pop("kind")
-            self.emit("agent.deviation", agent=rt.state.agent_id, **payload)
+            self.emit("agent.deviation", agent=rt.state.agent_id, **dev.to_dict())
         decision = execution.adjust(pe, deviations, self.repertoire, rt.retry_counts,
                                     rt.ws, rt.roe)
         self.emit("agent.adjustment", agent=rt.state.agent_id, decision=decision.kind,
@@ -525,25 +514,7 @@ class Episode:
             return
 
         progression = sensing.progression_deltas(assessment, patterns)
-        try:
-            key = self._planner_inputs(rt, progression)
-            found = self.memo.get(key)
-        except TypeError:  # an unhashable input, such as a list feature: search, keep nothing
-            key = found = None
-        if found is None:
-            proposals = planning.propose_plans(rt.ws, self.repertoire, rt.kb.goals, self.planner)
-            log = planning.select_action_plan(
-                proposals, rt.kb.goals, rt.roe, rt.ws, self.repertoire, self.planner, progression)
-            entries = log.get("released_entries")
-            body = {
-                "candidates": log["candidates"],
-                "chosen": {"no_action": entries is None, "entries": entries},
-                "rationale": {k: v for k, v in log.items() if k != "candidates"},
-            }
-            found = body, canonical_json(body)
-            if key is not None:
-                self.memo[key] = found
-        body, encoded = found
+        body, encoded = self.deliberations.deliberate(rt.ws, rt.kb.goals, rt.roe, progression)
         self._decide(rt, tick, "deliberative", assessment, body, encoded)
         if body["chosen"]["no_action"]:
             rt.no_action_streak += 1
@@ -553,47 +524,6 @@ class Episode:
                 self.emit("agent.fail_safe", agent=rt.state.agent_id,
                           reason="persistent_no_action")
                 self._attempt_report(rt, tick, reason="fail_safe")
-
-    def _planner_inputs(self, rt: AgentRuntime, progression: list[sensing.FeatureDelta]) -> tuple:
-        """The memo key: everything propose_plans and select_action_plan read
-        that differs between runtimes or deliberations; the repertoire, goal
-        predicates and planner settings are the episode's.
-
-        The planner reads a feature only by comparing a value derived from
-        it with a goal predicate's or an action precondition's threshold:
-        propose_plans checks preconditions and scores the goal keys'
-        outcomes; _apply_optimistic adds deltas read back only by those
-        predicates; _trim_and_augment and _unique_provider check
-        preconditions; expected_loss checks the goals after the progression.
-        So only read_keys count, by presence, and a numeric value by its cell
-        of planning.danger_intervals for this progression, inside which no
-        such comparison changes outcome. Any other value keys exactly, with
-        its type, as does every other input: goal weights, the ROE clauses
-        select_action_plan checks (fast_deadline_ticks is read only by the
-        fast path, before the memo) and the progression. A new planner
-        input, such as a learnt effect estimate, or a new way to read a
-        feature must join the key or the cell derivation. Hashing the key
-        raises TypeError on a list value."""
-        roe, features = rt.roe, rt.ws.features
-        steps = tuple((key, op, type(value), value) for key, op, value in progression)
-        cells = self.cells.get(steps)
-        if cells is None:
-            cells = self.cells[steps] = planning.danger_intervals(
-                self.repertoire, self.goals, self.planner, progression)
-        reads = []
-        for key in self.read_keys:
-            if key in features:
-                value = features[key]
-                cell = planning.cell_of(cells.get(key), value)
-                reads.append((key, type(value), value) if cell is None else (key, cell))
-        return (
-            tuple(reads),
-            tuple((type(goal.weight), goal.weight) for goal in rt.kb.goals),
-            tuple((type(value), value)
-                  for value in (roe.max_plan_risk, roe.destructive_only_on_residence)),
-            frozenset(roe.forbidden_categories),
-            steps,
-        )
 
     def _decide(self, rt: AgentRuntime, tick: int, path: str, assessment: Assessment,
                 body: dict[str, Any], encoded: str) -> None:
@@ -784,20 +714,25 @@ class Episode:
 
 # -- public entry points --------------------------------------------------------------------
 
+def _deliberations(config: ScenarioConfig) -> planning.Deliberations:
+    return planning.Deliberations(config.build_repertoire(), config.build_goals(),
+                                  config.build_planner_config())
+
+
 def run_episode(config: ScenarioConfig, seed: int, agent_enabled: bool = True) -> EpisodeResult:
     return Episode(config, seed, agent_enabled=agent_enabled).run()
 
 
 def run_batch(config: ScenarioConfig, seeds: list[int],
               agent_enabled: bool = True) -> dict[str, Any]:
-    """One episode per seed, all sharing one deliberation memo, which moves no
-    byte of them; aggregation is a pure fold over results sorted by seed."""
+    """One episode per seed, all sharing one planning.Deliberations, which moves
+    no byte of them; aggregation is a pure fold over results sorted by seed."""
     if not seeds:
         raise ConfigInvalid("batch needs at least one seed")
     per_seed: dict[int, dict[str, Any]] = {}
-    memo: dict[tuple, tuple[dict[str, Any], str]] = {}
+    deliberations = _deliberations(config) if agent_enabled else None
     for seed in sorted(set(seeds)):
-        per_seed[seed] = Episode(config, seed, agent_enabled, memo).run().metrics
+        per_seed[seed] = Episode(config, seed, agent_enabled, deliberations).run().metrics
     numeric_keys = ["resilience_auc", "harm_events", "reward_total"]
     aggregate: dict[str, Any] = {}
     for key in numeric_keys:

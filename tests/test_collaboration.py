@@ -155,7 +155,7 @@ def test_share_no_peers_no_noise():
     env = two_host_env()
     env.step(0)
     state = agent_on()
-    outcomes = share_and_request(state, [], {}, env, Random(1), KEY)
+    outcomes = share_and_request(state, [], {}, env, Random(1), KEY, 0.05)
     assert outcomes == []
     assert state.detectability == 0.1
 
@@ -165,8 +165,7 @@ def test_share_single_peer_delivers_and_raises_detectability():
     env.step(0)
     state = agent_on()
     conclusions = {"host:h1": concl("host:h1", "clean", 0.9, "a1")}
-    outcomes = share_and_request(state, [("a2", "h2")], conclusions, env, Random(1), KEY,
-                                 communicate_noise=0.05)
+    outcomes = share_and_request(state, [("a2", "h2")], conclusions, env, Random(1), KEY, 0.05)
     assert outcomes == [{"peer": "a2", "status": "delivered", "channel": "c1"}]
     assert state.detectability == pytest.approx(0.15)
     inbox = env.drain_inbox("a2")
@@ -179,14 +178,14 @@ def test_share_all_peers_unreachable_is_no_route():
     env.step(0)
     state = agent_on()
     with pytest.raises(NoRoute):
-        share_and_request(state, [("a2", "h2")], {}, env, Random(1), KEY)
+        share_and_request(state, [("a2", "h2")], {}, env, Random(1), KEY, 0.05)
     assert state.detectability == 0.1  # nothing sent, nothing revealed
 
 
 def test_report_delivered_on_healthy_channel():
     env = two_host_env()
     env.step(0)
-    status = report(agent_on(), "h2", {"mode": "normal"}, env, Random(1), KEY)
+    status = report(agent_on(), "h2", {"mode": "normal"}, env, Random(1), KEY, 0.05)
     assert status is DeliveryStatus.DELIVERED
 
 
@@ -194,7 +193,7 @@ def test_report_no_route_when_disabled():
     env = two_host_env("disabled")
     env.step(0)
     with pytest.raises(NoRoute):
-        report(agent_on(), "h2", {}, env, Random(1), KEY)
+        report(agent_on(), "h2", {}, env, Random(1), KEY, 0.05)
 
 
 # -- handover -----------------------------------------------------------------------------------

@@ -516,7 +516,17 @@ def test_fast_path_falls_through_roe_forbidden_rule():
 def _cells(repertoire, progression=(), depth=2):
     goals = [Goal("g", [("x", ">=", 0.5)], 1.0)]
     return planning.danger_intervals(repertoire, goals, PlannerConfig(depth=depth),
-                                     progression).get("x")
+                                     progression)["x"]
+
+
+def test_every_read_key_gets_an_entry_in_key_order():
+    """The read keys are the features a goal or a precondition names; one
+    that keys exactly, here by a string threshold, gets None."""
+    gate = ActionSpec("gate", ActionCategory.OBSERVE,
+                      preconditions=[("mode", "==", "up"), ("backlog", "<=", 2)])
+    goals = [Goal("g", [("x", ">=", 0.5)], 1.0)]
+    assert list(planning.danger_intervals({"gate": gate}, goals, PlannerConfig()).items()) == [
+        ("backlog", [2.0, 2.0]), ("mode", None), ("x", [0.5, 0.5])]
 
 
 def test_a_comparison_with_no_addition_is_exact_and_a_bool_or_nan_keys_exactly():

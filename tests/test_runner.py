@@ -548,6 +548,26 @@ def test_unchanged_no_action_deliberations_are_reused(bundled_configs, search_ca
     assert 0 < len(search_calls) - alone < alone
 
 
+def shared_deliberations(config):
+    """One memo for several episodes of the config, as run_batch shares one."""
+    return planning.Deliberations(config.build_repertoire(), config.build_goals(),
+                                  config.build_planner_config())
+
+
+def test_a_batch_builds_the_cell_table_of_each_progression_once(bundled_configs, monkeypatch):
+    """run_batch's episodes share the memo's cell tables, not only its
+    bodies: planning.danger_intervals runs once per distinct progression."""
+    build, progressions = planning.danger_intervals, []
+
+    def counted(repertoire, goals, config, progression=()):
+        progressions.append(tuple((key, op, type(value), value) for key, op, value in progression))
+        return build(repertoire, goals, config, progression)
+
+    monkeypatch.setattr(planning, "danger_intervals", counted)
+    run_batch(bundled_configs["s2_lateral_hunt"], list(range(1, 11)))
+    assert len(progressions) == len(set(progressions)) > 1
+
+
 _DECISION_BODY = ("candidates", "chosen", "rationale")
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -575,16 +595,17 @@ def test_episodes_sharing_one_memo_write_the_bytes_of_lone_episodes(name, bundle
     """Episodes through one memo write the bytes of lone episodes, and
     resolving each `same_as` gives back the full decision event's bytes:
     {tick, seq, kind} and the decision_log entry."""
-    config, memo = bundled_configs[name], {}
+    config = bundled_configs[name]
+    memo = shared_deliberations(config)
     for seed in range(1, 21):  # in seed order, as run_batch runs them
-        shared = _artifact_bytes(Episode(config, seed, memo=memo).run(), tmp_path)
+        shared = _artifact_bytes(Episode(config, seed, deliberations=memo).run(), tmp_path)
         lone = run_episode(config, seed)
         assert shared == _artifact_bytes(lone, tmp_path), seed
         resolved = resolve_same_as(decision_events(tmp_path / "trace.jsonl"))
         assert [_encode(event) for event in resolved] == [
             _encode({"tick": event["tick"], "seq": event["seq"], "kind": "agent.decision", **entry})
             for event, entry in zip(resolved, lone.decision_log, strict=True)], seed
-    assert memo
+    assert memo.bodies
 
 
 def test_agents_install_in_order_and_run_in_id_order(bundled_configs, monkeypatch):
@@ -706,21 +727,14 @@ def test_a_list_valued_feature_deliberates_without_the_memo(search_calls):
     rt.ws.features["link_state"] = ["a", "b"]  # a read key, unhashable: no key
     episode._maybe_plan(rt, threat("proc"), tick=0)
     episode._maybe_plan(rt, threat("proc"), tick=2)
-    assert len(search_calls) == 2 and episode.memo == {}
+    assert len(search_calls) == 2 and episode.deliberations.bodies == {}
     assert [d["chosen"]["no_action"] for d in episode.decision_log] == [True, True]
 
 
-def deliberation_body(episode, rt, progression):
-    """The body _maybe_plan builds from a search."""
-    proposals = planning.propose_plans(rt.ws, episode.repertoire, rt.kb.goals, episode.planner)
-    log = planning.select_action_plan(
-        proposals, rt.kb.goals, rt.roe, rt.ws, episode.repertoire, episode.planner, progression)
-    entries = log.get("released_entries")
-    return {
-        "candidates": log["candidates"],
-        "chosen": {"no_action": entries is None, "entries": entries},
-        "rationale": {k: v for k, v in log.items() if k != "candidates"},
-    }
+def cell_tables(episode, progression=()):
+    """The memo's danger intervals for the progression, one entry per read key."""
+    memo = episode.deliberations
+    return planning.danger_intervals(memo.repertoire, memo.goals, memo.config, progression)
 
 
 # values every predicate threshold compares with, and anything at all
@@ -737,7 +751,8 @@ def test_features_outside_the_read_set_leave_the_deliberation_unchanged(bundled_
     """Two belief states that agree on every read key, in presence, type and
     value, and differ anywhere else give the same decision body."""
     episode = Episode(bundled_configs[name], seed=1)
-    rt, read_keys = episode.runtimes["a1"], episode.read_keys
+    rt, memo = episode.runtimes["a1"], episode.deliberations
+    read_keys = tuple(cell_tables(episode))
     read = data.draw(st.dictionaries(st.sampled_from(read_keys), _NUMBERS))
     named = sorted({pred[0] for goal in rt.kb.goals for pred in goal.predicates}
                    | {pred[0] for spec in episode.repertoire.values() for pred in spec.preconditions}
@@ -753,7 +768,7 @@ def test_features_outside_the_read_set_leave_the_deliberation_unchanged(bundled_
     for _ in range(2):
         items = [*data.draw(unread).items(), *read.items()]
         rt.ws.features = dict(data.draw(st.permutations(items)))  # in any order
-        bodies.append(canonical_json(deliberation_body(episode, rt, progression)))
+        bodies.append(canonical_json(memo.search(rt.ws, rt.kb.goals, rt.roe, progression)))
     assert bodies[0] == bodies[1]
 
 
@@ -814,17 +829,17 @@ def _cell_values(data, intervals, cell):
 
 
 def _progression(data, episode):
-    return data.draw(st.lists(st.tuples(st.sampled_from(episode.read_keys),
+    return data.draw(st.lists(st.tuples(st.sampled_from(tuple(cell_tables(episode))),
                                         st.sampled_from(["set", "add"]), _DRIFTS), max_size=3))
 
 
 def _keys_and_bodies(episode, states, progression):
     """The distinct memo keys and decision body bytes of the belief states."""
-    rt, keys, bodies = episode.runtimes["a1"], set(), set()
+    rt, memo, keys, bodies = episode.runtimes["a1"], episode.deliberations, set(), set()
     for state in states:
         rt.ws.features = state
-        keys.add(episode._planner_inputs(rt, progression))
-        bodies.add(canonical_json(deliberation_body(episode, rt, progression)))
+        keys.add(memo.key(rt.ws, rt.kb.goals, rt.roe, progression))
+        bodies.add(canonical_json(memo.search(rt.ws, rt.kb.goals, rt.roe, progression)))
     return keys, bodies
 
 
@@ -839,12 +854,10 @@ def test_beliefs_with_one_memo_key_give_one_body(name, data):
     cells."""
     episode = _cell_episode(name)
     progression = _progression(data, episode)
-    cells = planning.danger_intervals(episode.repertoire, episode.goals, episode.planner,
-                                      progression)
-    absent = data.draw(st.sets(st.sampled_from(episode.read_keys)))
+    cells = cell_tables(episode, progression)
+    absent = data.draw(st.sets(st.sampled_from(tuple(cells))))
     states: list[dict] = [{}, {}, {}]
-    for key in episode.read_keys:
-        intervals = cells.get(key)
+    for key, intervals in cells.items():
         if key in absent:
             continue
         if intervals is None:
@@ -866,8 +879,7 @@ def test_every_cell_of_the_longest_derivation_gives_one_body(data):
     add short spans a released and a withheld plan."""
     episode = _cell_episode("prerequisite_chain")
     progression = _progression(data, episode)
-    intervals = planning.danger_intervals(episode.repertoire, episode.goals, episode.planner,
-                                          progression)["exposure"]
+    intervals = cell_tables(episode, progression)["exposure"]
     for cell in range(len(intervals) // 2 + 1):
         states = [{"exposure": value} for value in _cell_values(data, intervals, cell)]
         keys, bodies = _keys_and_bodies(episode, states, progression)
@@ -929,8 +941,9 @@ def test_a_memo_hit_releases_the_logged_entries_after_a_substitution(search_call
     """execution.adjust edits a released plan in place; the memo must not
     hand that edit to the next runtime the same outcome releases."""
     config = _substitutable_scenario()
-    memo = {}
-    first, second = Episode(config, seed=1, memo=memo), Episode(config, seed=2, memo=memo)
+    memo = shared_deliberations(config)
+    first = Episode(config, seed=1, deliberations=memo)
+    second = Episode(config, seed=2, deliberations=memo)
     rt1, rt2 = _releasing_runtime(first), _releasing_runtime(second)
     first._maybe_plan(rt1, threat("proc"), tick=0)
     released = _entries(rt1)
@@ -1001,12 +1014,12 @@ def test_reuse_leaves_artifacts_unchanged_under_c2_commands(name, bundled_config
                                "payload": _c2_commands(goal_ids)}),
         max_size=6))
     config = parse_scenario(raw)
-    seeds, memo = (seed, seed + 1, seed + 2), {}  # three episodes through one memo
-    reused = [_artifact_bytes(Episode(config, s, memo=memo).run(),
+    seeds, memo = (seed, seed + 1, seed + 2), shared_deliberations(config)  # one memo for three
+    reused = [_artifact_bytes(Episode(config, s, deliberations=memo).run(),
                               tmp_path_factory.mktemp("reused")) for s in seeds]
     with pytest.MonkeyPatch.context() as mp:
         # inputs that never compare equal: every deliberation searches afresh
-        mp.setattr(Episode, "_planner_inputs", lambda self, rt, progression: object())
+        mp.setattr(planning.Deliberations, "key", lambda self, *inputs: object())
         fresh = [_artifact_bytes(run_episode(config, s), tmp_path_factory.mktemp("fresh"))
                  for s in seeds]
     assert reused == fresh
