@@ -29,6 +29,7 @@ from defsim.runner import (
     time_to_recovery,
     write_result,
     write_trace,
+    _deliberations,
 )
 from defsim.scenario import load_scenario, parse_scenario
 from defsim.sensing import Assessment
@@ -548,12 +549,6 @@ def test_unchanged_no_action_deliberations_are_reused(bundled_configs, search_ca
     assert 0 < len(search_calls) - alone < alone
 
 
-def shared_deliberations(config):
-    """One memo for several episodes of the config, as run_batch shares one."""
-    return planning.Deliberations(config.build_repertoire(), config.build_goals(),
-                                  config.build_planner_config())
-
-
 def test_a_batch_builds_the_cell_table_of_each_progression_once(bundled_configs, monkeypatch):
     """run_batch's episodes share the memo's cell tables, not only its
     bodies: planning.danger_intervals runs once per distinct progression."""
@@ -596,7 +591,7 @@ def test_episodes_sharing_one_memo_write_the_bytes_of_lone_episodes(name, bundle
     resolving each `same_as` gives back the full decision event's bytes:
     {tick, seq, kind} and the decision_log entry."""
     config = bundled_configs[name]
-    memo = shared_deliberations(config)
+    memo = _deliberations(config)
     for seed in range(1, 21):  # in seed order, as run_batch runs them
         shared = _artifact_bytes(Episode(config, seed, deliberations=memo).run(), tmp_path)
         lone = run_episode(config, seed)
@@ -941,7 +936,7 @@ def test_a_memo_hit_releases_the_logged_entries_after_a_substitution(search_call
     """execution.adjust edits a released plan in place; the memo must not
     hand that edit to the next runtime the same outcome releases."""
     config = _substitutable_scenario()
-    memo = shared_deliberations(config)
+    memo = _deliberations(config)
     first = Episode(config, seed=1, deliberations=memo)
     second = Episode(config, seed=2, deliberations=memo)
     rt1, rt2 = _releasing_runtime(first), _releasing_runtime(second)
@@ -1014,7 +1009,7 @@ def test_reuse_leaves_artifacts_unchanged_under_c2_commands(name, bundled_config
                                "payload": _c2_commands(goal_ids)}),
         max_size=6))
     config = parse_scenario(raw)
-    seeds, memo = (seed, seed + 1, seed + 2), shared_deliberations(config)  # one memo for three
+    seeds, memo = (seed, seed + 1, seed + 2), _deliberations(config)  # one memo for three
     reused = [_artifact_bytes(Episode(config, s, deliberations=memo).run(),
                               tmp_path_factory.mktemp("reused")) for s in seeds]
     with pytest.MonkeyPatch.context() as mp:
