@@ -504,8 +504,11 @@ def danger_intervals(
     trial of a candidate stands in for that prerequisite; expected_loss
     applies the released entries, at most as many. In expected_loss alone,
     goal predicates first see the progression applied depth times, which
-    adds its r_k add deltas on k depth times, start_k in all. A set delta
-    makes every later value independent of x.
+    adds its r_k add deltas on k depth times, start_k in all. Only goal
+    predicates read a value the progression moved, so r_k counts only the
+    deltas on goal keys: Deliberations drops every other delta before it
+    builds a table, and counting one anyway would only widen the intervals.
+    A set delta makes every later value independent of x.
 
     So each interval is c +- eps, rounded outward to floats, for every
     center c = t - s (every t) and c = t - start_k - s (goal thresholds, if
@@ -805,10 +808,16 @@ class Deliberations:
         self.config = config
         self.bodies: dict[tuple, tuple[dict[str, Any], str]] = {}  # key -> body and bytes
         self._cells: dict[tuple, dict[str, Optional[list[float]]]] = {}  # progression -> table
+        self._goal_keys = frozenset(pred[0] for goal in goals for pred in goal.predicates)
 
     def deliberate(self, ws: WorldState, goals: list[Goal], roe: RulesOfEngagement,
                    progression: list[FeatureDelta]) -> tuple[dict[str, Any], str]:
-        """The body and canonical bytes the key finds, else a search's, kept if the key hashes."""
+        """The body and canonical bytes the key finds, else a search's, kept if
+        the key hashes. Only expected_loss applies the progression, and then
+        predict reads goal features alone, so a delta on a key no goal names
+        is dropped first: deltas on different keys commute, and the body is
+        the same without it."""
+        progression = [delta for delta in progression if delta[0] in self._goal_keys]
         try:
             key = self.key(ws, goals, roe, progression)
             found = self.bodies.get(key)
@@ -840,7 +849,10 @@ class Deliberations:
         each read key of danger_intervals by presence and a value by its cell
         (see there why that suffices) or else exactly, with its type, as
         every other input: goal weights, the ROE clauses selection checks
-        and the progression. A new planner input must join the key."""
+        and the progression, which deliberate has cut to the deltas on goal
+        keys. A new planner input must join the key, and must change only
+        through a C2 command or a change that re-runs identify: the runner
+        keeps an agent's last decision until one of them happens."""
         steps = tuple((key, op, type(value), value) for key, op, value in progression)
         cells = self._cells.get(steps)
         if cells is None:

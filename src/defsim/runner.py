@@ -71,6 +71,11 @@ class AgentRuntime:
     identified_at: int = -1  # the knowledge base's pattern version at the last identify
     obs_counter: int = 0
     sensed_at: int = -1  # the environment's mutation count at the last sense
+    # the last decision: (its assessment, path, body, canonical bytes). It
+    # stands while its assessment does: features and patterns change only
+    # through a sense or a write that re-runs identify, and goals, rules and
+    # ROE only through a C2 command, which drops it
+    decision: Optional[tuple[Assessment, str, dict[str, Any], str]] = None
 
     def next_observation_id(self, seed: int) -> str:
         self.obs_counter += 1
@@ -308,8 +313,7 @@ class Episode:
             rt.identified_at = rt.kb.pattern_version
         assessment = rt.assessment
         if assessment.matched:
-            self.emit("agent.assessment", agent=rt.state.agent_id,
-                      **self._trigger_summary(assessment))
+            self.emit("agent.assessment", agent=rt.state.agent_id, **assessment.summary)
 
         self._apply_control_queue(rt)
         self._update_own_conclusion(rt, assessment)
@@ -404,6 +408,8 @@ class Episode:
 
     def _apply_control_queue(self, rt: AgentRuntime) -> None:
         queue, rt.control_queue = rt.control_queue, []
+        if queue:  # a command may edit what the last decision read
+            rt.decision = None
         for command in queue:
             name = command.get("command")
             try:
@@ -496,6 +502,24 @@ class Episode:
             if not assessment.problematic:
                 rt.no_action_streak = 0
             return
+        # a decision stands while its assessment does: identify re-runs on any
+        # change of a feature or a pattern, and a command drops the decision
+        kept = rt.decision
+        if kept is None or kept[0] is not assessment:
+            kept = rt.decision = (assessment, *self._plan(rt, assessment))
+        _, path, body, encoded = kept
+        self._decide(rt, tick, path, assessment, body, encoded)
+        if body["chosen"]["no_action"]:
+            rt.no_action_streak += 1
+            if (rt.no_action_streak >= self.config.collaboration.fail_safe_streak
+                    and rt.state.mode is AgentMode.NORMAL):
+                execution.fail_safe(rt.state, reason="persistent_no_action")
+                self.emit("agent.fail_safe", agent=rt.state.agent_id,
+                          reason="persistent_no_action")
+                self._attempt_report(rt, tick, reason="fail_safe")
+
+    def _plan(self, rt: AgentRuntime, assessment: Assessment) -> tuple[str, dict[str, Any], str]:
+        """The path, body and canonical bytes of a decision on `assessment`."""
         patterns = list(rt.kb.patterns.values())
         deadline = sensing.effective_deadline(assessment, patterns)
         rules = list(rt.kb.rules.values())
@@ -510,20 +534,10 @@ class Episode:
                               "fast_deadline_ticks": rt.roe.fast_deadline_ticks,
                               "rules_evaluated": fast_log},
             }
-            self._decide(rt, tick, "fast", assessment, body, canonical_json(body))
-            return
-
+            return "fast", body, canonical_json(body)
         progression = sensing.progression_deltas(assessment, patterns)
-        body, encoded = self.deliberations.deliberate(rt.ws, rt.kb.goals, rt.roe, progression)
-        self._decide(rt, tick, "deliberative", assessment, body, encoded)
-        if body["chosen"]["no_action"]:
-            rt.no_action_streak += 1
-            if (rt.no_action_streak >= self.config.collaboration.fail_safe_streak
-                    and rt.state.mode is AgentMode.NORMAL):
-                execution.fail_safe(rt.state, reason="persistent_no_action")
-                self.emit("agent.fail_safe", agent=rt.state.agent_id,
-                          reason="persistent_no_action")
-                self._attempt_report(rt, tick, reason="fail_safe")
+        return ("deliberative",
+                *self.deliberations.deliberate(rt.ws, rt.kb.goals, rt.roe, progression))
 
     def _decide(self, rt: AgentRuntime, tick: int, path: str, assessment: Assessment,
                 body: dict[str, Any], encoded: str) -> None:
@@ -534,7 +548,7 @@ class Episode:
         encodes to the bytes of an earlier one in this episode is emitted as
         the index of the first, `same_as`."""
         envelope = {"tick": tick, "agent": rt.state.agent_id, "path": path,
-                    "trigger": self._trigger_summary(assessment)}
+                    "trigger": assessment.summary}
         first = self.body_index.setdefault(encoded, len(self.decision_log))
         reused = first < len(self.decision_log)
         self.decision_log.append({**envelope, **body})
@@ -545,14 +559,6 @@ class Episode:
                       entries=chosen["entries"], path=path)
             rt.plan_exec = PlanExecution([dict(e) for e in chosen["entries"]])
             rt.no_action_streak = 0
-
-    @staticmethod
-    def _trigger_summary(assessment: Assessment) -> dict[str, Any]:
-        return {
-            "matched": [list(m) for m in assessment.matched],
-            "top_severity": assessment.top_severity,
-            "problematic": assessment.problematic,
-        }
 
     def _execute(self, rt: AgentRuntime, tick: int) -> None:
         pe = rt.plan_exec
@@ -622,7 +628,7 @@ class Episode:
                               if d["agent"] == rt.state.agent_id), 3))[::-1]
         return {
             "tick": self.tick,
-            "assessment": self._trigger_summary(assessment) if assessment else None,
+            "assessment": assessment.summary if assessment else None,
             "detectability": rt.state.detectability,
             "mode": rt.state.mode.value,
             "recent_decisions": [

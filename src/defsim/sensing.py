@@ -13,6 +13,7 @@ from __future__ import annotations
 import fnmatch
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from random import Random
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -72,6 +73,13 @@ class Assessment:
     matched: list[tuple[str, float, float]]  # (pattern_id, severity, confidence)
     problematic: bool
     top_severity: float
+
+    @cached_property
+    def summary(self) -> dict[str, Any]:
+        """The trigger summary that assessment events, decisions and status
+        reports carry: built once, shared by all of them, read by each."""
+        return {"matched": [list(m) for m in self.matched], "top_severity": self.top_severity,
+                "problematic": self.problematic}
 
 
 @dataclass

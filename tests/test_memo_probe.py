@@ -12,18 +12,31 @@ _spec.loader.exec_module(PROBE)
 
 
 def test_memo_probe_counts_one_seed_and_restores_what_it_wraps(capsys):
-    wrapped = planning.propose_plans, planning.danger_intervals, runner.Episode.run
+    wrapped = (planning.Deliberations.key, planning.propose_plans, planning.danger_intervals,
+               runner.Episode.run)
     assert PROBE.main(["--seeds", "1"]) == 0
-    assert (planning.propose_plans, planning.danger_intervals, runner.Episode.run) == wrapped
+    assert (planning.Deliberations.key, planning.propose_plans, planning.danger_intervals,
+            runner.Episode.run) == wrapped
     table = [line.strip("| ").split(" | ") for line in capsys.readouterr().out.splitlines()
              if line.startswith("|")]
     rows = table[2:]  # after the header and its rule
     assert [(row[0], row[1]) for row in rows] == [
-        (name, run) for name in BUNDLED for run in ("lone", "batch")]
+        (name, run) for name in (*BUNDLED, "wide_repertoire") for run in ("lone", "batch")]
     for row in rows:
-        decisions, deliberative, searches, tables, distinct = (float(n) for n in row[2:7])
-        assert decisions >= deliberative >= searches >= distinct > 0
+        decisions, deliberative, keys, searches, tables, distinct = (float(n) for n in row[2:8])
+        # a deliberation keeps its agent's last decision, finds its key's body
+        # or searches, and one search finds each distinct body at least
+        assert decisions >= deliberative >= keys >= searches >= distinct > 0
         # a new progression is a new memo key, so each table build precedes a search
         assert searches >= tables > 0
     # with one seed, the batch is the lone episode
-    assert [row[2:] for row in rows[0::2]] == [row[2:] for row in rows[1::2]]
+    bundled = rows[:2 * len(BUNDLED)]
+    assert [row[2:] for row in bundled[0::2]] == [row[2:] for row in bundled[1::2]]
+
+
+def test_memo_probe_runs_the_wide_repertoire_workload_of_the_benchmark(tmp_path):
+    configs, seeds = PROBE.wide_repertoire()
+    prepared = PROBE.workloads.setup_wide_repertoire(
+        PROBE.WIDE_SEED, Path(__file__).resolve().parent.parent / "src", tmp_path)
+    assert {c.name: PROBE.generator.scenario_sha256(c.raw) for c in configs} == prepared.fingerprint
+    assert [op.key for op in prepared.ops] == [f"{c.name}/{s}" for c in configs for s in seeds]

@@ -631,10 +631,11 @@ def test_agents_install_in_order_and_run_in_id_order(bundled_configs, monkeypatc
 
 def withholding_agent():
     """An agent whose only action never beats inaction, so every deliberation
-    withholds; an `urgent` match takes the fast path and releases it, and a
-    `spreading` match adds threat progression. The action's preconditions
-    name two features no goal names: `link_state`, and `backlog`, which is
-    absent at first."""
+    withholds; an `urgent` match takes the fast path and releases it, a
+    `spreading` match adds threat progression on a goal feature and a
+    `relinking` match on `link_state`. The action's preconditions name two
+    features no goal names: `link_state`, and `backlog`, which is absent at
+    first."""
     config = quiet_scenario(
         repertoire=[{"action_id": "watch", "category": "observe",
                      "preconditions": [["link_state", "==", 1], ["backlog", "<=", 0]]}],
@@ -643,7 +644,9 @@ def withholding_agent():
                   {"id": "urgent", "predicates": [], "severity": 0.9, "confidence": 0.9,
                    "deadline_ticks": 0},
                   {"id": "spreading", "predicates": [], "severity": 0.9, "confidence": 0.9,
-                   "progression": [["unknown_proc_count", "add", 1]]}],
+                   "progression": [["unknown_proc_count", "add", 1]]},
+                  {"id": "relinking", "predicates": [], "severity": 0.9, "confidence": 0.9,
+                   "progression": [["link_state", "add", 1]]}],
         goals=[{"goal_id": "g", "predicates": [["functionality_belief", ">=", 0.95]],
                 "weight": 1.0},
                {"goal_id": "g_clean", "predicates": [["unknown_proc_count", "<=", 0]],
@@ -699,11 +702,13 @@ def _set_feature(key, value):
     ({}, _set_feature("backlog", 0.0), 2),
     ({}, _release_plan, 1),  # the memo outlives a released plan
     ({}, lambda episode, rt: "spreading", 2),
+    # only expected_loss applies a progression, and then reads goal features alone
+    ({}, lambda episode, rt: "relinking", 1),
 ], ids=["nothing", "set_goal_weight", "set_roe", "set_roe_forbidden_categories",
         "set_roe_fast_deadline_ticks", "goal_feature_1_to_1.0", "same_cell_value",
         "crosses_a_threshold", "value_on_a_threshold_0_to_0.0", "unread_feature",
         "unread_list_feature", "precondition_feature", "read_feature_absent_to_0.0",
-        "released_plan", "threat_progression"])
+        "released_plan", "threat_progression", "unread_progression"])
 def test_what_forces_a_new_search(start, between, searches, search_calls):
     episode, rt = withholding_agent()
     rt.ws.features.update(start)
@@ -724,6 +729,82 @@ def test_a_list_valued_feature_deliberates_without_the_memo(search_calls):
     episode._maybe_plan(rt, threat("proc"), tick=2)
     assert len(search_calls) == 2 and episode.deliberations.bodies == {}
     assert [d["chosen"]["no_action"] for d in episode.decision_log] == [True, True]
+
+
+@pytest.fixture
+def key_derivations(monkeypatch):
+    """Count the memo keys the episode loop derives: one per deliberation
+    that does not keep the agent's last decision."""
+    calls = []
+    key = planning.Deliberations.key
+
+    def counted(self, *inputs):
+        calls.append(1)
+        return key(self, *inputs)
+
+    monkeypatch.setattr(planning.Deliberations, "key", counted)
+    return calls
+
+
+def test_a_decision_stands_while_its_assessment_does(key_derivations):
+    episode, rt = withholding_agent()
+    assessment = threat("proc")
+    for tick in (0, 2, 4):
+        episode._maybe_plan(rt, assessment, tick)
+    assert len(key_derivations) == 1
+    # each pass still logs and emits its decision and counts the withheld streak
+    assert [d["tick"] for d in episode.decision_log] == [0, 2, 4]
+    assert [e["kind"] for e in episode.trace].count("agent.decision") == 3
+    assert rt.no_action_streak == 3
+
+
+def test_a_fast_decision_stands_while_its_assessment_does(monkeypatch):
+    episode, rt = withholding_agent()
+    calls = []
+    select = planning.fast_rule_select
+    monkeypatch.setattr(planning, "fast_rule_select",
+                        lambda *args: calls.append(1) or select(*args))
+    assessment = threat("urgent")
+    for tick in (0, 2):
+        episode._maybe_plan(rt, assessment, tick)
+        assert rt.plan_exec is not None
+        rt.plan_exec = None  # the plan ran to its end
+    assert len(calls) == 1
+    assert [(d["tick"], d["path"]) for d in episode.decision_log] == [(0, "fast"), (2, "fast")]
+
+
+@pytest.mark.parametrize("between", [
+    lambda episode, rt: threat("proc"),  # identify ran again
+    _command(command="set_goal_weight", goal_id="g", weight=3.0),
+    _command(command="set_roe", field="max_plan_risk", value=0.5),
+    _command(command="add_rule", rule={"rule_id": "r2", "condition": [],
+                                       "action_id": "watch", "priority": 0}),
+    _command(command="add_pattern_example", features={"unknown_proc_count": 1},
+             label="clean"),
+], ids=["new_assessment", "set_goal_weight", "set_roe", "add_rule", "add_pattern_example"])
+def test_what_drops_a_kept_decision(between, key_derivations):
+    episode, rt = withholding_agent()
+    assessment = threat("proc")
+    episode._maybe_plan(rt, assessment, tick=0)
+    assessment = between(episode, rt) or assessment
+    episode._maybe_plan(rt, assessment, tick=2)
+    assert len(key_derivations) == 2
+
+
+def test_no_consumer_edits_a_shared_trigger_summary(bundled_configs, monkeypatch):
+    """Assessment events, decisions and status reports share one summary per
+    assessment; after whole episodes each still equals a fresh one."""
+    assessments = []
+    identify = sensing.identify
+    monkeypatch.setattr(sensing, "identify",
+                        lambda *args: assessments.append(identify(*args)) or assessments[-1])
+    for name in ("s1_comms_spoof", "s3_partition"):
+        for seed in (1, 2):
+            run_episode(bundled_configs[name], seed)
+    shared = [a for a in assessments if "summary" in vars(a)]
+    assert shared
+    for a in shared:
+        assert a.summary == Assessment(a.matched, a.problematic, a.top_severity).summary
 
 
 def cell_tables(episode, progression=()):
@@ -864,6 +945,46 @@ def test_beliefs_with_one_memo_key_give_one_body(name, data):
     keys, bodies = _keys_and_bodies(episode, states, progression)
     assert len(keys) == 1
     assert len(bodies) == 1
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+@pytest.mark.parametrize("name", [*BUNDLED, "wide_repertoire_1", "wide_repertoire_2"])
+def test_progression_deltas_no_goal_names_leave_the_deliberation_unchanged(name, data):
+    """The matched patterns' deltas mixed in any order with deltas on keys
+    no goal names (read or not, present or absent) give the body bytes of
+    the deltas on goal keys alone, and deliberate keys them by those alone."""
+    episode = _cell_episode(name)
+    rt, memo = episode.runtimes["a1"], episode.deliberations
+    goal_keys = {pred[0] for goal in rt.kb.goals for pred in goal.predicates}
+    read_keys = tuple(cell_tables(episode))
+    rt.ws.features = data.draw(st.dictionaries(st.sampled_from(read_keys), _NUMBERS))
+    patterns = sorted({delta for p in rt.kb.patterns.values() for delta in p.progression})
+    others = (st.sampled_from(sorted(set(read_keys) - goal_keys) + ["host_integrity"])
+              | st.text(max_size=4)).filter(lambda key: key not in goal_keys)
+    progression = data.draw(st.permutations(
+        data.draw(st.lists(st.sampled_from(patterns), max_size=3))
+        + data.draw(st.lists(st.tuples(others, st.sampled_from(["set", "add"]), _NUMBERS),
+                             min_size=1, max_size=3))))
+    kept = [delta for delta in progression if delta[0] in goal_keys]
+    body = canonical_json(memo.search(rt.ws, rt.kb.goals, rt.roe, progression))
+    assert canonical_json(memo.search(rt.ws, rt.kb.goals, rt.roe, kept)) == body
+    fresh = planning.Deliberations(memo.repertoire, memo.goals, memo.config)
+    assert fresh.deliberate(rt.ws, rt.kb.goals, rt.roe, progression)[1] == body
+    assert list(fresh.bodies) == [fresh.key(rt.ws, rt.kb.goals, rt.roe, kept)]
+
+
+def test_an_add_delta_on_a_list_feature_no_goal_names_is_dropped():
+    """Applied, an `add` delta on a list-valued feature raises in the risk
+    gate's loss estimate; no goal names the feature, so deliberate drops the
+    delta and gives the body of the goal-key deltas."""
+    episode, rt = withholding_agent()
+    rt.ws.features["peers"] = [1, 2]
+    memo, kept = episode.deliberations, [("unknown_proc_count", "add", 1)]
+    with pytest.raises(TypeError):
+        memo.search(rt.ws, rt.kb.goals, rt.roe, [("peers", "add", 1), *kept])
+    _, encoded = memo.deliberate(rt.ws, rt.kb.goals, rt.roe, [("peers", "add", 1), *kept])
+    assert encoded == canonical_json(memo.search(rt.ws, rt.kb.goals, rt.roe, kept))
 
 
 @given(data=st.data())
@@ -1013,8 +1134,10 @@ def test_reuse_leaves_artifacts_unchanged_under_c2_commands(name, bundled_config
     reused = [_artifact_bytes(Episode(config, s, deliberations=memo).run(),
                               tmp_path_factory.mktemp("reused")) for s in seeds]
     with pytest.MonkeyPatch.context() as mp:
-        # inputs that never compare equal: every deliberation searches afresh
+        # inputs that never compare equal, and no decision kept: every
+        # deliberation searches afresh
         mp.setattr(planning.Deliberations, "key", lambda self, *inputs: object())
+        mp.setattr(AgentRuntime, "decision", property(lambda rt: None, lambda rt, kept: None))
         fresh = [_artifact_bytes(run_episode(config, s), tmp_path_factory.mktemp("fresh"))
                  for s in seeds]
     assert reused == fresh
