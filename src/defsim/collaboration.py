@@ -137,33 +137,6 @@ def merge_conclusions(
     return merged
 
 
-def run_negotiation(
-    initial: dict[str, dict[str, Conclusion]],
-    adjacency: dict[str, set[str]],
-    max_rounds: int,
-) -> tuple[dict[str, dict[str, Conclusion]], int]:
-    """Simulate the exchange across a topology: each round every agent
-    receives its neighbours' current sets and merges. Returns the final
-    sets and the number of rounds until no set changed."""
-    current = {agent: dict(conclusions) for agent, conclusions in initial.items()}
-    rounds_used = 0
-    for _ in range(max_rounds):
-        incoming = {
-            agent: [current[peer] for peer in sorted(adjacency.get(agent, set())) if peer in current]
-            for agent in current
-        }
-        nxt = {
-            agent: merge_conclusions(current[agent],
-                                     (c for peer_set in incoming[agent] for c in peer_set.values()))
-            for agent in sorted(current)
-        }
-        rounds_used += 1
-        if nxt == current:
-            break
-        current = nxt
-    return current, rounds_used
-
-
 # -- exchange over the simulated platform ----------------------------------------
 
 def share_and_request(
@@ -251,10 +224,8 @@ def apply_control(
     roe: RulesOfEngagement,
 ) -> dict[str, Any]:
     """Apply a knowledge/goals/constraints command at a decision boundary.
-
-    Handover-shaped commands (request_handover, grant_return) and fail_safe
-    are routed by the episode loop, not here.
-    """
+    The episode loop routes fail_safe itself; authority moves only by the
+    HandoverGrant and HandoverReturn messages."""
     name = command.get("command")
     if name == "set_goal_weight":
         goal_id = command["goal_id"]

@@ -88,7 +88,7 @@ class Deviation:
 
 @dataclass
 class AdjustmentDecision:
-    kind: str  # retry | substitute | replan | abort
+    kind: str  # retry | substitute | replan
     substitute_action_id: Optional[str] = None
 
 
@@ -139,8 +139,8 @@ def execute_step(
     tick: int,
     repertoire: dict[str, ActionSpec],
     rng: Random,
-    snapshot_store: Optional[list[SnapshotToken]] = None,
-    builtin_handlers: Optional[dict[str, Callable[[ActionSpec], tuple[bool, str]]]] = None,
+    snapshot_store: list[SnapshotToken],
+    propagate: Callable[[ActionSpec], tuple[bool, str]],
 ) -> list[ExecutionRecord]:
     """Start or advance the next scheduled entry; one entry per tick.
 
@@ -148,6 +148,9 @@ def execute_step(
     independently from the seeded stream; an UnknownEntity from a stale
     target marks the record failed. Detectability bookkeeping happens at
     start. A failed record halts the plan until the adjuster rules.
+    `snapshot_store` is the agent's snapshot tokens, which the snapshot
+    builtin appends to and restore reads; the propagate builtin calls
+    `propagate`, which returns whether it installed a replica and a detail.
     """
     if agent_state.mode is AgentMode.DESTROYED:
         raise ModeForbidden("agent destroyed")
@@ -181,7 +184,7 @@ def execute_step(
         spec = _lookup(rec.action_id, repertoire)
 
     if rec.status is ActionStatus.IN_PROGRESS and tick >= rec.started_tick + spec.duration - 1:
-        _complete(pe, rec, spec, env, agent_state, tick, rng, snapshot_store, builtin_handlers)
+        _complete(rec, spec, env, agent_state, tick, rng, snapshot_store, propagate)
         pe.cursor = rec.entry_index + 1 if rec.status is ActionStatus.DONE else rec.entry_index
         if rec not in updates:
             updates.append(rec)
@@ -189,31 +192,29 @@ def execute_step(
 
 
 def _complete(
-    pe: PlanExecution,
     rec: ExecutionRecord,
     spec: ActionSpec,
     env: Environment,
     agent_state: AgentState,
     tick: int,
     rng: Random,
-    snapshot_store: Optional[list[SnapshotToken]],
-    builtin_handlers: Optional[dict[str, Callable[[ActionSpec], tuple[bool, str]]]],
+    snapshot_store: list[SnapshotToken],
+    propagate: Callable[[ActionSpec], tuple[bool, str]],
 ) -> None:
     rec.finished_tick = tick
-    store = snapshot_store if snapshot_store is not None else []
 
     if spec.builtin == "snapshot":
         token = env.snapshot(agent_state.host_id)
-        store.append(token)
+        snapshot_store.append(token)
         rec.observed_effects.append({"builtin": "snapshot", "token": token.token_id})
         rec.status = ActionStatus.DONE
         return
     if spec.builtin == "restore":
-        if not store:
+        if not snapshot_store:
             rec.observed_effects.append({"builtin": "restore", "error": "no snapshot token"})
             rec.status = ActionStatus.FAILED
             return
-        outcome = env.restore(store[-1])
+        outcome = env.restore(snapshot_store[-1])
         rec.observed_effects.append({"builtin": "restore", "outcome": outcome})
         rec.status = ActionStatus.DONE
         return
@@ -221,13 +222,8 @@ def _complete(
         rec.observed_effects.append({"builtin": "verify"})
         rec.status = ActionStatus.DONE
         return
-    if spec.builtin is not None:
-        handler = (builtin_handlers or {}).get(spec.builtin)
-        if handler is None:
-            rec.observed_effects.append({"builtin": spec.builtin, "error": "no handler"})
-            rec.status = ActionStatus.FAILED
-            return
-        ok, detail = handler(spec)
+    if spec.builtin is not None:  # propagate: the scenario schema admits no other builtin
+        ok, detail = propagate(spec)
         rec.observed_effects.append({"builtin": spec.builtin, "ok": ok, "detail": detail})
         rec.status = ActionStatus.DONE if ok else ActionStatus.FAILED
         return

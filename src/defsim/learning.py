@@ -11,7 +11,6 @@ effect probabilities the scenario declares, not with these estimates.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -49,10 +48,9 @@ class KnowledgeBase:
             self.patterns[pattern_id].confidence = c / m
             self.pattern_version += 1
 
-    def copy(self) -> "KnowledgeBase":
-        return copy.deepcopy(self)
-
     def to_json(self) -> dict[str, Any]:
+        """Every field an episode reads, patterns and rules in the knowledge
+        base's own order: fast_rule_select keeps it between equal priorities."""
         return {
             "schema_version": KB_SCHEMA_VERSION,
             "patterns": [
@@ -64,12 +62,14 @@ class KnowledgeBase:
                     "progression": [list(x) for x in p.progression],
                     "deadline_ticks": p.deadline_ticks,
                 }
-                for p in (self.patterns[k] for k in sorted(self.patterns))
+                for p in self.patterns.values()
             ],
             "effect_stats": {
                 f"{aid}:{idx}": list(counts)
                 for (aid, idx), counts in sorted(self.effect_stats.items())
             },
+            "pattern_stats": {pid: list(counts)
+                              for pid, counts in sorted(self.pattern_stats.items())},
             "rules": [
                 {
                     "rule_id": r.rule_id,
@@ -77,7 +77,7 @@ class KnowledgeBase:
                     "action_id": r.action_id,
                     "priority": r.priority,
                 }
-                for r in (self.rules[k] for k in sorted(self.rules))
+                for r in self.rules.values()
             ],
             "goals": [
                 {"goal_id": g.goal_id, "predicates": [list(x) for x in g.predicates],
@@ -105,6 +105,8 @@ class KnowledgeBase:
         for key, counts in data.get("effect_stats", {}).items():
             aid, idx = key.rsplit(":", 1)
             kb.effect_stats[(aid, int(idx))] = (counts[0], counts[1])
+        for pid, counts in data.get("pattern_stats", {}).items():  # absent before it was written
+            kb.pattern_stats[pid] = (counts[0], counts[1])
         for spec in data.get("rules", []):
             kb.rules[spec["rule_id"]] = ConditionActionRule(
                 rule_id=spec["rule_id"],

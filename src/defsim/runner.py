@@ -45,11 +45,6 @@ from .sensing import Assessment, WorldState
 TRACE_SCHEMA_VERSION = 1
 RECOVERY_LEVEL = 0.95
 RECOVERY_SUSTAIN_TICKS = 10
-# supervisor commands that move authority, as the handover message they stand for
-_HANDOVER_COMMANDS = {
-    "request_handover": collaboration.MessageKind.HANDOVER_GRANT,
-    "grant_return": collaboration.MessageKind.HANDOVER_RETURN,
-}
 
 
 @dataclass
@@ -413,19 +408,12 @@ class Episode:
         for command in queue:
             name = command.get("command")
             try:
-                if name in _HANDOVER_COMMANDS:
-                    collaboration.handover(rt.state, {"kind": _HANDOVER_COMMANDS[name].value})
-                    self.emit("agent.handover", agent=rt.state.agent_id,
-                              authority=rt.state.authority.value)
-                elif name == "fail_safe":
-                    execution.fail_safe(rt.state, reason="supervisor_command")
-                    self.emit("agent.fail_safe", agent=rt.state.agent_id,
-                              reason="supervisor_command")
-                    self._attempt_report(rt, self.tick, reason="fail_safe")
+                if name == "fail_safe":
+                    self._fail_safe(rt, "supervisor_command")
                 else:
                     change = collaboration.apply_control(command, rt.kb, rt.roe)
                     self.emit("agent.control_applied", agent=rt.state.agent_id, **change)
-            except (UnknownGoal, UnknownField, InvalidTransition, ModeForbidden) as exc:
+            except (UnknownGoal, UnknownField, ModeForbidden) as exc:
                 self.emit("agent.control_rejected", agent=rt.state.agent_id,
                           command=name, reason=str(exc))
 
@@ -513,10 +501,13 @@ class Episode:
             rt.no_action_streak += 1
             if (rt.no_action_streak >= self.config.collaboration.fail_safe_streak
                     and rt.state.mode is AgentMode.NORMAL):
-                execution.fail_safe(rt.state, reason="persistent_no_action")
-                self.emit("agent.fail_safe", agent=rt.state.agent_id,
-                          reason="persistent_no_action")
-                self._attempt_report(rt, tick, reason="fail_safe")
+                self._fail_safe(rt, "persistent_no_action")
+
+    def _fail_safe(self, rt: AgentRuntime, reason: str) -> None:
+        """Degrade the agent to fail-safe, record why and report it."""
+        execution.fail_safe(rt.state, reason)
+        self.emit("agent.fail_safe", agent=rt.state.agent_id, reason=reason)
+        self._attempt_report(rt, self.tick, reason="fail_safe")
 
     def _plan(self, rt: AgentRuntime, assessment: Assessment) -> tuple[str, dict[str, Any], str]:
         """The path, body and canonical bytes of a decision on `assessment`."""
@@ -564,11 +555,10 @@ class Episode:
         pe = rt.plan_exec
         if pe is None or pe.halted():
             return
-        handlers = {"propagate": self._make_propagate_handler(rt)}
         try:
             updates = execution.execute_step(
                 pe, self.env, rt.state, tick, self.repertoire, self.rng,
-                snapshot_store=rt.snapshot_store, builtin_handlers=handlers)
+                rt.snapshot_store, lambda spec: self._propagate(rt, spec))
         except (ModeForbidden, AuthorityNotHeld) as exc:
             self.emit("agent.plan_dropped", agent=rt.state.agent_id, reason=str(exc))
             rt.plan_exec = None
@@ -597,27 +587,29 @@ class Episode:
         if pe.finished():
             rt.plan_exec = None
 
-    def _make_propagate_handler(self, rt: AgentRuntime):
-        def handler(spec: ActionSpec) -> tuple[bool, str]:
-            target = spec.target_host or ""
-            integrity_belief = rt.ws.features.get("host_integrity", 1.0)
-            new_id = f"{rt.state.agent_id}_r{rt.replica_count + 1}"
-            try:
-                replica_state = collaboration.propagate(
-                    rt.state, target, self.config.roster, self.env,
-                    integrity_belief, self.config.collaboration.propagation_threshold,
-                    rt.kb.to_json(), self.rng, self.auth_key, new_id,
-                    initial_detectability=rt.initial_detectability)
-            except PropagationRefused as exc:
-                self.emit("agent.propagation", agent=rt.state.agent_id, target=target,
-                          installed=False, refusal=type(exc).__name__, detail=str(exc))
-                return False, type(exc).__name__
-            rt.replica_count += 1
-            self._add_runtime(replica_state, rt.kb.copy(), rt.initial_detectability)
+    def _propagate(self, rt: AgentRuntime, spec: ActionSpec) -> tuple[bool, str]:
+        """The propagate builtin: install a replica on the action's target
+        host. The replica's knowledge base is read from the transfer's payload."""
+        target = spec.target_host or ""
+        integrity_belief = rt.ws.features.get("host_integrity", 1.0)
+        new_id = f"{rt.state.agent_id}_r{rt.replica_count + 1}"
+        knowledge = rt.kb.to_json()
+        try:
+            replica_state = collaboration.propagate(
+                rt.state, target, self.config.roster, self.env,
+                integrity_belief, self.config.collaboration.propagation_threshold,
+                knowledge, self.rng, self.auth_key, new_id,
+                initial_detectability=rt.initial_detectability)
+        except PropagationRefused as exc:
             self.emit("agent.propagation", agent=rt.state.agent_id, target=target,
-                      installed=True, replica=new_id)
-            return True, new_id
-        return handler
+                      installed=False, refusal=type(exc).__name__, detail=str(exc))
+            return False, type(exc).__name__
+        rt.replica_count += 1
+        self._add_runtime(replica_state, KnowledgeBase.from_json(knowledge),
+                          rt.initial_detectability)
+        self.emit("agent.propagation", agent=rt.state.agent_id, target=target,
+                  installed=True, replica=new_id)
+        return True, new_id
 
     # -- reporting -----------------------------------------------------------------------
 

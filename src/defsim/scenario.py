@@ -408,7 +408,7 @@ _COMMAND = Switch("command", "control command", {}, {
     "add_rule": {"rule": (Record({**_RULE_FIELDS, "rule_id": (STR, REQUIRED)}), REQUIRED)},
     "add_pattern_example": {"features": (Map(NUMBER), REQUIRED),
                             "label": (OneOf(("compromised", "clean"), "label"), REQUIRED)},
-    "request_handover": {}, "grant_return": {}, "fail_safe": {},
+    "fail_safe": {},
 })
 _C2_ENTRY = Switch("kind", "message kind", {
     "tick": (COUNT, REQUIRED), "to": (Ref("agent"), REQUIRED),

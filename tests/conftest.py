@@ -43,6 +43,16 @@ def bundled_results(bundled_configs) -> dict[tuple[str, int], EpisodeResult]:
     return out
 
 
+def assert_same_knowledge(kb, expected) -> None:
+    """Equal on every knowledge-base field an episode reads, in every order
+    it reads."""
+    assert list(kb.patterns.items()) == list(expected.patterns.items())  # confidence included
+    assert list(kb.rules.items()) == list(expected.rules.items())
+    assert kb.goals == expected.goals
+    assert kb.effect_stats == expected.effect_stats
+    assert kb.pattern_stats == expected.pattern_stats
+
+
 def make_host(host_id="h1", integrity=1.0, services=(), processes=(), files=(),
               resident_agent=None) -> Host:
     return Host(

@@ -14,7 +14,7 @@ from random import Random
 
 import pytest
 
-from defsim.collaboration import Conclusion, Verdict, run_negotiation
+from defsim.collaboration import Conclusion, Verdict
 from defsim.learning import EffectObservation, KnowledgeBase, learn, apply_proposition
 from defsim.adversary import HuntResult, MalwareInstance, MalwarePhase, hunt
 from defsim.planning import Goal, PlannerConfig, normalize_goals, propose_plans
@@ -24,6 +24,7 @@ from defsim.sensing import WorldState, all_hold
 from defsim.learning import reward
 
 from conftest import BUNDLED
+from negotiation_oracle import run_negotiation
 from planning_oracle import oracle_best, random_instance
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

@@ -14,7 +14,6 @@ from defsim.collaboration import (
     merge_conclusions,
     propagate,
     report,
-    run_negotiation,
     share_and_request,
     verify_message,
 )
@@ -35,6 +34,7 @@ from defsim.planning import Goal, RulesOfEngagement, normalize_goals
 from defsim.sensing import Pattern
 
 from conftest import two_host_env
+from negotiation_oracle import run_negotiation
 
 KEY = "episode-key"
 

@@ -36,6 +36,10 @@ def spec(aid, category=ActionCategory.OBSERVE, noise=0.0, duration=1, effects=()
                       risk=risk, noise=noise, duration=duration, builtin=builtin)
 
 
+def no_propagate(spec):
+    raise AssertionError(f"{spec.action_id} is not a propagate action")
+
+
 def plan_of(*action_ids, durations=None):
     """Released entries, as select_action_plan logs them."""
     entries = []
@@ -61,7 +65,8 @@ def test_observe_duration_one_done_same_tick_with_noise():
     state = agent(detectability=0.2)
     pe = PlanExecution(plan_of("look"))
     rep = {"look": spec("look", noise=0.05)}
-    updates = execute_step(pe, env, state, tick=4, repertoire=rep, rng=Random(1))
+    updates = execute_step(pe, env, state, tick=4, repertoire=rep, rng=Random(1),
+                           snapshot_store=[], propagate=no_propagate)
     assert len(updates) == 1
     rec = updates[0]
     assert rec.status is ActionStatus.DONE
@@ -75,10 +80,10 @@ def test_multi_tick_action_completes_at_duration():
     state = agent()
     rep = {"slow": spec("slow", duration=3)}
     pe = PlanExecution(plan_of("slow", durations={"slow": 3}))
-    first = execute_step(pe, env, state, 0, rep, Random(1))
+    first = execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
     assert first[0].status is ActionStatus.IN_PROGRESS
-    assert execute_step(pe, env, state, 1, rep, Random(1)) == []
-    final = execute_step(pe, env, state, 2, rep, Random(1))
+    assert execute_step(pe, env, state, 1, rep, Random(1), [], no_propagate) == []
+    final = execute_step(pe, env, state, 2, rep, Random(1), [], no_propagate)
     assert final[0].status is ActionStatus.DONE and final[0].finished_tick == 2
 
 
@@ -88,7 +93,7 @@ def test_destructive_in_fail_safe_forbidden():
     rep = {"boom": spec("boom", category=ActionCategory.DESTRUCTIVE, risk=0.2)}
     pe = PlanExecution(plan_of("boom"))
     with pytest.raises(ModeForbidden):
-        execute_step(pe, env, state, 0, rep, Random(1))
+        execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
 
 
 def test_camouflage_subtracts_with_clamp():
@@ -96,10 +101,10 @@ def test_camouflage_subtracts_with_clamp():
     state = agent(detectability=0.5)
     rep = {"hide": spec("hide", category=ActionCategory.CAMOUFLAGE, noise=0.3)}
     pe = PlanExecution(plan_of("hide"))
-    execute_step(pe, env, state, 0, rep, Random(1))
+    execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
     assert state.detectability == pytest.approx(0.2)
     pe2 = PlanExecution(plan_of("hide"))
-    execute_step(pe2, env, state, 1, rep, Random(1))
+    execute_step(pe2, env, state, 1, rep, Random(1), [], no_propagate)
     assert state.detectability == 0.0  # clamped
 
 
@@ -108,7 +113,7 @@ def test_destroyed_agent_refuses_everything():
     state = agent(mode=AgentMode.DESTROYED)
     pe = PlanExecution(plan_of("look"))
     with pytest.raises(ModeForbidden):
-        execute_step(pe, env, state, 0, {"look": spec("look")}, Random(1))
+        execute_step(pe, env, state, 0, {"look": spec("look")}, Random(1), [], no_propagate)
 
 
 def test_authority_not_held_blocks_execution():
@@ -116,7 +121,7 @@ def test_authority_not_held_blocks_execution():
     state = agent(authority=Authority.REMOTE_C2)
     pe = PlanExecution(plan_of("look"))
     with pytest.raises(AuthorityNotHeld):
-        execute_step(pe, env, state, 0, {"look": spec("look")}, Random(1))
+        execute_step(pe, env, state, 0, {"look": spec("look")}, Random(1), [], no_propagate)
 
 
 def test_unknown_entity_marks_record_failed_and_halts_plan():
@@ -125,11 +130,11 @@ def test_unknown_entity_marks_record_failed_and_halts_plan():
     rep = {"kill_ghost": spec(
         "kill_ghost", effects=[env_effect("process:h1:ghost", "", "kill", None)])}
     pe = PlanExecution(plan_of("kill_ghost"))
-    updates = execute_step(pe, env, state, 0, rep, Random(1))
+    updates = execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
     assert updates[0].status is ActionStatus.FAILED
     assert "error" in updates[0].observed_effects[0]
     assert pe.halted()
-    assert execute_step(pe, env, state, 1, rep, Random(1)) == []
+    assert execute_step(pe, env, state, 1, rep, Random(1), [], no_propagate) == []
 
 
 def test_self_placeholder_resolves_to_agent_host():
@@ -138,7 +143,7 @@ def test_self_placeholder_resolves_to_agent_host():
     state = agent()
     rep = {"purge": spec("purge", effects=[env_effect("process:$self:@unknown", "", "kill", None)])}
     pe = PlanExecution(plan_of("purge"))
-    updates = execute_step(pe, env, state, 0, rep, Random(1))
+    updates = execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
     assert updates[0].status is ActionStatus.DONE
     assert "mal" not in env.hosts["h1"].processes
 
@@ -154,7 +159,7 @@ def test_snapshot_and_restore_builtins_round_trip():
     }
     pe = PlanExecution(plan_of(SNAPSHOT_ACTION_ID, "wreck", "roll_back"))
     for tick in range(3):
-        execute_step(pe, env, state, tick, rep, Random(1), snapshot_store=store)
+        execute_step(pe, env, state, tick, rep, Random(1), store, no_propagate)
     assert env.hosts["h1"].services["web"].health == 1.0
     assert [r.status for r in pe.records] == [ActionStatus.DONE] * 3
 
@@ -164,8 +169,27 @@ def test_restore_without_snapshot_fails():
     state = agent()
     rep = {"roll_back": spec("roll_back", builtin="restore")}
     pe = PlanExecution(plan_of("roll_back"))
-    updates = execute_step(pe, env, state, 0, rep, Random(1), snapshot_store=[])
+    updates = execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
     assert updates[0].status is ActionStatus.FAILED
+
+
+@pytest.mark.parametrize("ok, status", [(True, ActionStatus.DONE), (False, ActionStatus.FAILED)])
+def test_propagate_builtin_calls_its_callback_once_and_records_the_result(ok, status):
+    env = make_env()
+    state = agent()
+    calls = []
+
+    def propagate(action):
+        calls.append(action.action_id)
+        return ok, "a1_r1" if ok else "RefusedNoTrigger"
+
+    rep = {"replicate": spec("replicate", category=ActionCategory.PROPAGATE, builtin="propagate")}
+    pe = PlanExecution(plan_of("replicate"))
+    updates = execute_step(pe, env, state, 0, rep, Random(1), [], propagate)
+    assert calls == ["replicate"]
+    assert updates[0].status is status
+    assert updates[0].observed_effects == [
+        {"builtin": "propagate", "ok": ok, "detail": "a1_r1" if ok else "RefusedNoTrigger"}]
 
 
 # -- monitoring --------------------------------------------------------------------------
@@ -179,7 +203,7 @@ def test_monitor_execution_all_done_is_quiet():
     state = agent()
     rep = {"look": spec("look")}
     pe = PlanExecution(plan_of("look"))
-    execute_step(pe, env, state, 0, rep, Random(1))
+    execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
     assert monitor_execution(pe.records, 1, rep) == []
 
 
@@ -189,7 +213,7 @@ def test_monitor_execution_reports_failure():
     rep = {"kill_ghost": spec(
         "kill_ghost", effects=[env_effect("process:h1:ghost", "", "kill", None)])}
     pe = PlanExecution(plan_of("kill_ghost"))
-    execute_step(pe, env, state, 0, rep, Random(1))
+    execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
     deviations = monitor_execution(pe.records, 1, rep)
     assert len(deviations) == 1 and deviations[0].kind == "failed"
     assert deviations[0].action_id == "kill_ghost"
@@ -211,12 +235,12 @@ def test_monitor_effects_met_and_unmet():
         env_effect=None, feature_deltas=[], probability=0.7,
         expect=[("proc_gone", ">=", 1)])])}
     pe = PlanExecution(plan_of("fix"))
-    execute_step(pe, env, state, 0, rep, Random(1))
+    execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
     met_ws = WorldState(tick=1, features={"proc_gone": 1})
     assert monitor_effects(pe, met_ws, rep) == ([], [("fix", 0, True)])
     assert monitor_effects(pe, met_ws, rep) == ([], [])  # each record is checked once
     pe2 = PlanExecution(plan_of("fix"))
-    execute_step(pe2, env, state, 0, rep, Random(1))
+    execute_step(pe2, env, state, 0, rep, Random(1), [], no_propagate)
     unmet_ws = WorldState(tick=1, features={"proc_gone": 0})
     deviations, checks = monitor_effects(pe2, unmet_ws, rep)
     assert checks == [("fix", 0, False)]
@@ -232,7 +256,7 @@ def test_monitor_effects_waits_for_belief_refresh():
         env_effect=None, feature_deltas=[], probability=1.0,
         expect=[("x", ">=", 1)])])}
     pe = PlanExecution(plan_of("fix"))
-    execute_step(pe, env, state, 5, rep, Random(1))
+    execute_step(pe, env, state, 5, rep, Random(1), [], no_propagate)
     stale_ws = WorldState(tick=5, features={})
     assert monitor_effects(pe, stale_ws, rep) == ([], [])  # ws not refreshed yet
 
@@ -241,7 +265,7 @@ def test_monitor_effects_waits_for_belief_refresh():
 
 def failing_pe(env, state, rep):
     pe = PlanExecution(plan_of("kill_ghost"))
-    execute_step(pe, env, state, 0, rep, Random(1))
+    execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
     return pe
 
 
@@ -278,7 +302,7 @@ def test_retry_count_never_exceeds_limit():
                           max_retries=2)
         if decision.kind != "retry":
             break
-        execute_step(pe, env, state, attempt + 1, rep, Random(1))
+        execute_step(pe, env, state, attempt + 1, rep, Random(1), [], no_propagate)
     assert counts["kill_ghost"] <= 2
     assert decision.kind == "replan"
 
@@ -327,7 +351,7 @@ def test_mode_walk_has_no_resurrection():
         fail_safe(state, "too late")
     with pytest.raises(ModeForbidden):
         execute_step(PlanExecution(plan_of("look")), env, state, 0,
-                     {"look": spec("look")}, Random(1))
+                     {"look": spec("look")}, Random(1), [], no_propagate)
 
 
 def test_detectability_non_decreasing_without_camouflage():
@@ -337,6 +361,6 @@ def test_detectability_non_decreasing_without_camouflage():
     previous = state.detectability
     for tick, aid in enumerate(["a", "b", "a"]):
         pe = PlanExecution(plan_of(aid))
-        execute_step(pe, env, state, tick, rep, Random(1))
+        execute_step(pe, env, state, tick, rep, Random(1), [], no_propagate)
         assert state.detectability >= previous
         previous = state.detectability

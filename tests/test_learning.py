@@ -3,6 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from defsim.collaboration import apply_control
 from defsim.errors import SchemaMismatch
 from defsim.learning import (
     AssessmentObservation,
@@ -14,7 +15,10 @@ from defsim.learning import (
     reward,
 )
 from defsim.planning import ConditionActionRule, Goal, normalize_goals
+from defsim.scenario import load_scenario
 from defsim.sensing import Pattern, WorldState
+
+from conftest import assert_same_knowledge, scenario_path
 
 
 def ws_with(**features):
@@ -128,6 +132,58 @@ def test_knowledge_base_round_trip():
     data = kb.to_json()
     back = KnowledgeBase.from_json(data)
     assert back.to_json() == data
+
+
+def s2_knowledge():
+    """A knowledge base as an episode builds one from s2's config."""
+    config = load_scenario(scenario_path("s2_lateral_hunt"))
+    kb = KnowledgeBase(patterns={p.pattern_id: p for p in config.build_patterns()},
+                       rules=config.build_rules(), goals=config.build_goals())
+    return kb, config.build_roe()
+
+
+S2_KB, _ = s2_knowledge()
+S2_ACTIONS = sorted({rule.action_id for rule in S2_KB.rules.values()})
+RULE_EDIT = st.builds(
+    lambda rule_id, priority, action_id, value: {"command": "add_rule", "rule": {
+        "rule_id": rule_id, "condition": [["host_integrity", "<=", value]],
+        "action_id": action_id, "priority": priority}},
+    st.sampled_from(["r_new", "a_first", *sorted(S2_KB.rules)]), st.integers(0, 3),
+    st.sampled_from(S2_ACTIONS), st.sampled_from([0.25, 0.5]))
+GOAL_EDIT = st.builds(lambda goal_id, weight: {"command": "set_goal_weight", "goal_id": goal_id,
+                                               "weight": weight},
+                      st.sampled_from([g.goal_id for g in S2_KB.goals]),
+                      st.floats(0.01, 10, allow_nan=False))
+PATTERN_NOTE = st.tuples(st.just("pattern"), st.sampled_from(sorted(S2_KB.patterns)),
+                         st.booleans())
+EFFECT_NOTE = st.tuples(st.just("effect"), st.sampled_from(S2_ACTIONS), st.integers(0, 2),
+                        st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(RULE_EDIT, GOAL_EDIT, PATTERN_NOTE, EFFECT_NOTE), max_size=12))
+def test_a_knowledge_base_an_episode_edited_survives_its_json(edits):
+    kb, roe = s2_knowledge()
+    # two rules of one priority, added out of id order, then one replaced:
+    # fast_rule_select tries the two in the knowledge base's order
+    for rule_id, value in (("z_tie", 0.5), ("b_tie", 0.5), ("z_tie", 0.25)):
+        apply_control({"command": "add_rule", "rule": {
+            "rule_id": rule_id, "condition": [["host_integrity", "<=", value]],
+            "action_id": S2_ACTIONS[0], "priority": 1}}, kb, roe)
+    for edit in edits:
+        if isinstance(edit, dict):  # a C2 command, as the episode applies it
+            apply_control(edit, kb, roe)
+        elif edit[0] == "pattern":
+            kb.note_pattern_outcome(edit[1], edit[2])
+        else:
+            kb.note_effect_outcome(*edit[1:])
+    assert_same_knowledge(KnowledgeBase.from_json(kb.to_json()), kb)
+
+
+def test_a_knowledge_base_without_pattern_stats_loads_with_none():
+    data = S2_KB.to_json()
+    del data["pattern_stats"]  # as written before the field was
+    assert KnowledgeBase.from_json(data).pattern_stats == {}
 
 
 def test_knowledge_schema_mismatch():

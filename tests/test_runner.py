@@ -34,7 +34,7 @@ from defsim.runner import (
 from defsim.scenario import load_scenario, parse_scenario
 from defsim.sensing import Assessment
 
-from conftest import BUNDLED, scenario_path
+from conftest import BUNDLED, assert_same_knowledge, scenario_path
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -627,6 +627,25 @@ def test_agents_install_in_order_and_run_in_id_order(bundled_configs, monkeypatc
             ran = [agent for t, agent in calls if t == tick]
             assert ran == sorted(ran)
         assert min(t for t, agent in calls if agent == "a1_r1") == 19
+
+
+def test_a_replica_starts_from_its_parents_knowledge(bundled_configs, monkeypatch):
+    """A replica's knowledge base, read from the transfer's payload, equals
+    its parent's at install, over s2 seeds 1-20."""
+    add_runtime, installs = Episode._add_runtime, []
+
+    def recorded_add(self, state, kb, initial_detectability):
+        parent = state.agent_id.rpartition("_r")[0]
+        if parent in self.runtimes:  # a replica: scenario agents have no parent
+            assert kb is not self.runtimes[parent].kb
+            assert_same_knowledge(kb, self.runtimes[parent].kb)
+            installs.append(state.agent_id)
+        return add_runtime(self, state, kb, initial_detectability)
+
+    monkeypatch.setattr(Episode, "_add_runtime", recorded_add)
+    for seed in range(1, 21):
+        run_episode(bundled_configs["s2_lateral_hunt"], seed)
+    assert installs
 
 
 def withholding_agent():

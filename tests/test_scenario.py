@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from defsim.cli import main
 from defsim.errors import ConfigInvalid, DefsimError
 from defsim.runner import run_episode
 from defsim.scenario import load_scenario, parse_scenario
@@ -121,6 +122,19 @@ def test_c2_script_unknown_agent_rejected():
     raw["c2"] = {"host_id": "h1",
                  "script": [{"tick": 1, "kind": "HandoverGrant", "to": "ghost"}]}
     assert any("unknown agent 'ghost'" in p for p in problems_of(raw))
+
+
+@pytest.mark.parametrize("command", ["request_handover", "grant_return"])
+def test_a_handover_control_command_is_an_unknown_command(command, tmp_path):
+    # authority moves only by the HandoverGrant and HandoverReturn messages
+    raw = minimal_raw()
+    raw["c2"] = {"host_id": "h1", "script": [
+        {"tick": 1, "kind": "ControlCommand", "to": "a1", "payload": {"command": command}}]}
+    assert any(f"unknown control command {command!r}" in p for p in problems_of(raw))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--scenario", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 def test_roster_unknown_host_rejected():
