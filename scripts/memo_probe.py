@@ -9,15 +9,14 @@ episodes, then as one run_batch, whose episodes share one memo. Then it
 runs the `wide_repertoire` benchmark workload of workload seed 7, as
 perfbench/workloads.py draws it: its 12 generated scenarios times the
 first N of its 9 episode seeds as lone episodes, then each scenario's
-seeds as one run_batch. It prints one row for each: decisions
-(all, and deliberative), key derivations (calls of
-planning.Deliberations.key, one per deliberation an agent could not take
-over from its last decision), searches (calls of planning.propose_plans),
-cell tables (calls of planning.danger_intervals, which the memo makes once
-per distinct threat progression) and distinct bodies (distinct encoded
-bodies of the deliberative decisions). A lone row gives the mean per
-episode, a batch row the total of its batches. Searches above distinct
-bodies are searches whose result an earlier one had already given.
+seeds as one run_batch. It prints one row for each: decisions (all, and
+deliberative), key derivations (calls of planning.Deliberations.key, one
+per deliberation an agent could not take over from its last decision),
+searches (calls of planning.propose_plans) and distinct bodies (distinct
+encoded bodies of the deliberative decisions). A lone row gives the mean
+per episode, a batch row the total of its batches. Searches above
+distinct bodies are searches whose result an earlier one had already
+given.
 """
 
 from __future__ import annotations
@@ -39,11 +38,9 @@ from perfbench import generator, workloads  # noqa: E402  (read only: the benchm
 
 BUNDLED = ("s1_comms_spoof", "s2_lateral_hunt", "s3_partition")
 WIDE_SEED = 7  # the wide_repertoire workload seed
-COLUMNS = ("decisions", "deliberative", "key derivations", "searches", "cell tables",
-           "distinct bodies")
+COLUMNS = ("decisions", "deliberative", "key derivations", "searches", "distinct bodies")
 # what each counted column counts: (owner, attribute)
-COUNTED = ((planning.Deliberations, "key"), (planning, "propose_plans"),
-           (planning, "danger_intervals"))
+COUNTED = ((planning.Deliberations, "key"), (planning, "propose_plans"))
 
 
 @contextmanager

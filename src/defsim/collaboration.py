@@ -196,7 +196,7 @@ def report(
 
 # -- authority handover ---------------------------------------------------------
 
-def handover(agent_state: AgentState, message: dict[str, Any]) -> AgentState:
+def handover(agent_state: AgentState, message: dict[str, Any]) -> None:
     """Flip the authority holder; exactly one side holds it at any tick.
 
     The caller authenticates messages first; this guards only the
@@ -213,7 +213,6 @@ def handover(agent_state: AgentState, message: dict[str, Any]) -> AgentState:
         agent_state.authority = Authority.AGENT
     else:
         raise InvalidTransition(f"not a handover message: {kind!r}")
-    return agent_state
 
 
 # -- supervisor control -----------------------------------------------------------

@@ -336,11 +336,10 @@ def adjust(
     return AdjustmentDecision("replan")
 
 
-def fail_safe(agent_state: AgentState, reason: str) -> AgentState:
+def fail_safe(agent_state: AgentState) -> None:
     """Degrade to fail-safe: destructive actions are forbidden from here on.
     The caller is expected to attempt a status report."""
     if agent_state.mode is AgentMode.DESTROYED:
         raise ModeForbidden("agent destroyed")
     agent_state.mode = AgentMode.FAIL_SAFE
-    return agent_state
 

@@ -121,12 +121,6 @@ class KnowledgeBase:
 
 
 @dataclass(frozen=True)
-class RewardSample:
-    tick: int
-    reward: float
-
-
-@dataclass(frozen=True)
 class EffectObservation:
     observation_id: str
     action_id: str
@@ -148,7 +142,7 @@ class Proposition:
     payload: dict[str, Any]
 
 
-def reward(goals: list[Goal], ws: WorldState) -> RewardSample:
+def reward(goals: list[Goal], ws: WorldState) -> float:
     """Distance between goals and achievements: 0 when every goal predicate
     holds, -1 when none does, weighted in between. Normalized weights can
     accumulate a few ulps past 1, so the sum is clamped to the domain."""
@@ -156,7 +150,7 @@ def reward(goals: list[Goal], ws: WorldState) -> RewardSample:
     for g in goals:
         if not all_hold(ws.features, g.predicates):
             value -= g.weight
-    return RewardSample(tick=ws.tick, reward=max(-1.0, value))
+    return max(-1.0, value)
 
 
 def learn(

@@ -16,9 +16,7 @@ under tight deadlines.
 
 from __future__ import annotations
 
-import math
 import zlib
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
@@ -27,6 +25,7 @@ from typing import Any, Optional, Sequence
 from .envsim import EffectDescriptor, sum_in_order
 from .errors import ConfigInvalid, canonical_json
 from .sensing import (
+    _COMPARATORS,
     FeatureDelta,
     Predicate,
     WorldState,
@@ -365,11 +364,23 @@ def score_sequence(
 
 # -- proposal search --------------------------------------------------------------
 
+@dataclass
+class Visits:
+    """The action sequences after which a search and its selection read
+    features, each standing for the belief copy or outcome rows it evolves;
+    Deliberations derives their comparisons from them."""
+
+    expanded: list[tuple[str, ...]] = field(default_factory=list)  # the search's frontier nodes
+    walked: tuple[str, ...] = ()  # the trim walk's applied entries, which the gate weighs
+    trials: list[tuple[str, ...]] = field(default_factory=list)  # walk prefixes a provider was tried at
+
+
 def propose_plans(
     ws: WorldState,
     repertoire: dict[str, ActionSpec],
     goals: list[Goal],
     config: PlannerConfig,
+    visits: Optional[Visits] = None,
 ) -> list[PlanProposal]:
     """Bounded best-first search over action sequences of length <= depth.
 
@@ -385,6 +396,7 @@ def propose_plans(
     the action's risk and signed noise to its parent's, from the root's int
     0: the additions sum_in_order makes. Its evolved belief copy is built only
     when it enters the next frontier, since only frontier nodes expand.
+    `visits`, if given, gets the sequence of every node expanded.
     """
     outcomes = _Outcomes(goals, ws.features, repertoire)
     empty = _proposal((), outcomes.satisfaction(outcomes.start, ()), goals, config, 0, 0)
@@ -396,6 +408,8 @@ def propose_plans(
     order = sorted(repertoire)
 
     for _ in range(config.depth):
+        if visits is not None:
+            visits.expanded += [node[0].actions for node in frontier]
         level = []
         for parent, feats, last, rows, uncertain in frontier:
             if last is not None:
@@ -440,171 +454,6 @@ def expected_loss(
     sat = predict(ws, ids, repertoire, goals, base_deltas=base)
     loss = 1.0 - sum_in_order(g.weight * sat[g.goal_id] for g in goals)
     return max(0.0, min(1.0, loss))
-
-
-# -- threshold cells ------------------------------------------------------------
-
-_CELL_RANGE = 2 ** 53  # every int within it converts to float exactly
-_SUM_LIMIT = 512  # past this many sums of its add deltas, a key keeps exact values
-
-
-def _cell_number(value: Any) -> bool:
-    """An int (not a bool) or a float within +-2**53: not NaN, no infinity."""
-    return (type(value) is float or type(value) is int) and -_CELL_RANGE <= value <= _CELL_RANGE
-
-
-def _sums(deltas: list[int], most: int) -> Optional[set[int]]:
-    """Every sum of 1 to `most` of `deltas`, repeats allowed, or None past
-    _SUM_LIMIT sums. A level that adds no new sum ends it: every later
-    level would add the deltas to sums already found."""
-    values = set(deltas)
-    sums: set[int] = set()
-    level = {0}
-    for _ in range(most if values else 0):
-        level = {s + d for s in level for d in values}
-        if level <= sums:
-            break
-        sums |= level
-        if len(sums) > _SUM_LIMIT:
-            return None
-    return sums
-
-
-def _scaled(value: Any, bits: int) -> int:
-    """`value` (an int or a float) times 2**bits, an int while 2**bits is a
-    multiple of the value's power-of-two denominator."""
-    numerator, denominator = value.as_integer_ratio()
-    return numerator << (bits + 1 - denominator.bit_length())
-
-
-def danger_intervals(
-    repertoire: dict[str, ActionSpec],
-    goals: list[Goal],
-    config: PlannerConfig,
-    progression: Sequence[FeatureDelta] = (),
-) -> dict[str, Optional[list[float]]]:
-    """Per read key (a feature a goal or precondition names), sorted, the
-    start values near which some planner comparison can change outcome, as
-    sorted disjoint float intervals flattened to [lo0, hi0, lo1, hi1, ...].
-    The gaps between them are the key's cells (see cell_of): two values in
-    one cell give every comparison that propose_plans and
-    select_action_plan, with this progression, make on the key the same
-    outcome. A key with a non-numeric threshold or add delta, or past the
-    limits below, gets None: its values key exactly.
-
-    The invariant: the planner reads a feature's start value x only by
-    comparing a value derived from it with a threshold t of a goal
-    predicate or an action precondition, and every field of the body
-    follows from those outcomes and from inputs keyed exactly. Deriving
-    adds, left to right, at most L_k = depth * (P + 2) * m_k of the
-    repertoire's add deltas on key k (P the longest preparation list, m_k
-    the most add deltas on k in one action): a search node applies at most
-    depth actions; _trim_and_augment applies, per proposed action, its
-    preparations, one prerequisite and the action, and _unique_provider's
-    trial of a candidate stands in for that prerequisite; expected_loss
-    applies the released entries, at most as many. In expected_loss alone,
-    goal predicates first see the progression applied depth times, which
-    adds its r_k add deltas on k depth times, start_k in all. Only goal
-    predicates read a value the progression moved, so r_k counts only the
-    deltas on goal keys: Deliberations drops every other delta before it
-    builds a table, and counting one anyway would only widen the intervals.
-    A set delta makes every later value independent of x.
-
-    So each interval is c +- eps, rounded outward to floats, for every
-    center c = t - s (every t) and c = t - start_k - s (goal thresholds, if
-    r_k > 0), with s any exact sum of 1 to L_k repertoire add deltas on k;
-    and [t, t] for every t, as a comparison with no addition before it is
-    exact.
-
-    The bound eps. Let n_k = depth * r_k + L_k, the most additions between
-    x and a comparison, A_k the largest |add delta| on k and T_k the
-    largest |t|. Each addition, and at most one conversion of an int
-    running value to float, rounds with relative error at most u = 2**-53,
-    so a result errs from x + S (S the exact sum added) by at most
-    ((1 + u)**(n_k + 1) - 1) * B <= (n_k + 1) * 2**-52 * B, with B = |x| +
-    the sum of the |deltas|, while (n_k + 1) * u <= 1/2. Every such chain
-    is non-decreasing in x for each type of x (int or float), as rounding
-    and int addition are monotone. So it suffices that the nearest value
-    x0 of x's type below c - eps compares below t, and the nearest above
-    c + eps above it. |x0| <= |c| + eps + 1, |c| <= T_k + n_k * A_k, so B
-    <= W_k + eps with W_k = T_k + 1 + 2 * n_k * A_k. eps_k = (n_k + 1) *
-    2**-51 * W_k is at least (n_k + 1) * 2**-52 * (W_k + eps_k), and x0 +
-    S < t - eps_k then gives a result below t. A key keeps exact values
-    where n_k >= 2**20 or W_k > 2**50, which keeps both conditions and
-    every value near an interval within +-2**53, where ints are floats.
-    """
-    preparations = max((len(spec.preparation) for spec in repertoire.values()), default=0)
-    reads: dict[str, list[tuple[Any, bool]]] = {}  # key -> (threshold, a goal's)
-    for goal in goals:
-        for key, _, threshold in goal.predicates:
-            reads.setdefault(key, []).append((threshold, True))
-    for spec in repertoire.values():
-        for key, _, threshold in spec.preconditions:
-            reads.setdefault(key, []).append((threshold, False))
-    adds: dict[str, list[Any]] = {}
-    most: dict[str, int] = {}  # key -> the most add deltas on it in one action
-    for spec in repertoire.values():
-        counts: dict[str, int] = {}
-        for eff in spec.effects:
-            for key, op, value in eff.feature_deltas:
-                if op == "add":
-                    adds.setdefault(key, []).append(value)
-                    counts[key] = counts.get(key, 0) + 1
-        for key, count in counts.items():
-            most[key] = max(most.get(key, 0), count)
-    drift: dict[str, list[Any]] = {}
-    for key, op, value in progression:
-        if op == "add":
-            drift.setdefault(key, []).append(value)
-
-    intervals: dict[str, Optional[list[float]]] = dict.fromkeys(sorted(reads))
-    for key, thresholds in reads.items():
-        numbers = [t for t, _ in thresholds] + adds.get(key, []) + drift.get(key, [])
-        if not all(_cell_number(v) for v in numbers):
-            continue
-        # exact arithmetic on ints: every number is a multiple of 2**-bits
-        bits = max(v.as_integer_ratio()[1].bit_length() for v in numbers) - 1
-        tops = [(_scaled(t, bits), goal) for t, goal in thresholds]
-        deltas = [_scaled(d, bits) for d in adds.get(key, [])]
-        drifts = [_scaled(d, bits) for d in drift.get(key, [])]
-        steps = config.depth * (preparations + 2) * most.get(key, 0)
-        additions = config.depth * len(drifts) + steps
-        sums = _sums(deltas, steps)
-        width = (max(abs(t) for t, _ in tops) + (1 << bits)
-                 + 2 * additions * max((abs(d) for d in deltas + drifts), default=0))
-        if sums is None or additions >= 2 ** 20 or width > 2 ** (50 + bits):
-            continue
-        eps = (additions + 1) * width  # in units of 2**-(bits + 51), as is c << 51
-        centers = {t - s for t, _ in tops for s in sums}
-        if drifts:
-            start = config.depth * sum_in_order(drifts)
-            centers.update(t - start - s for t, goal in tops if goal for s in sums | {0})
-        # int / int rounds to nearest, so one step outward passes the exact end
-        unit = 1 << (bits + 51)
-        spans = [(float(t), float(t)) for t, _ in thresholds]
-        spans += [(math.nextafter(((c << 51) - eps) / unit, -math.inf),
-                   math.nextafter(((c << 51) + eps) / unit, math.inf)) for c in centers]
-        flat: list[float] = []
-        for lo, hi in sorted(spans):
-            if flat and lo <= math.nextafter(flat[-1], math.inf):  # no cell without a float
-                flat[-1] = max(flat[-1], hi)
-            else:
-                flat += [lo, hi]
-        intervals[key] = flat
-    return intervals
-
-
-def cell_of(intervals: Optional[list[float]], value: Any) -> Optional[int]:
-    """The index of the cell of a key's danger intervals that holds `value`;
-    None when the value must key exactly: the key has no intervals, the
-    value is not an int or float within +-2**53 (a bool, NaN, an
-    infinity), or it lies in an interval."""
-    if intervals is None or not _cell_number(value):
-        return None
-    pos = bisect_left(intervals, value)
-    if pos & 1 or pos < len(intervals) and intervals[pos] == value:
-        return None
-    return pos >> 1
 
 
 # -- rules of engagement -----------------------------------------------------------
@@ -672,6 +521,7 @@ def _trim_and_augment(
     repertoire: dict[str, ActionSpec],
     roe: RulesOfEngagement,
     ws: WorldState,
+    visits: Optional[Visits],
 ) -> tuple[list[tuple[str, EntryOrigin]], list[dict[str, Any]], list[dict[str, Any]]]:
     feats = ws.features
     entries: list[tuple[str, EntryOrigin]] = []
@@ -690,6 +540,8 @@ def _trim_and_augment(
                 insertions.append({"action": prep_id, "origin": "preparatory", "before": aid})
                 feats = _apply_optimistic(feats, prep)
         if not all_hold(feats, spec.preconditions):
+            if visits is not None:
+                visits.trials.append(tuple(a for a, _ in entries if a not in BUILTIN_ACTIONS))
             failing = [list(p) for p in spec.preconditions if not predicate_holds(feats, p)]
             provider = _unique_provider(
                 [tuple(p) for p in failing], repertoire, roe, feats, exclude=aid)
@@ -724,11 +576,13 @@ def select_action_plan(
     repertoire: dict[str, ActionSpec],
     config: PlannerConfig,
     progression: Sequence[FeatureDelta] = (),
+    visits: Optional[Visits] = None,
 ) -> dict[str, Any]:
     """Pick, trim, augment and gate a plan. The returned log carries every
     number needed to recompute the decision; a plan is released when the log
     has `released_entries`, each {action, offset, origin} with the offset the
-    sum of the earlier entries' durations."""
+    sum of the earlier entries' durations. `visits`, if given, gets the trim
+    walk's applied entries, which the gate weighs, and its provider trials."""
     log: dict[str, Any] = {
         "candidates": [],
         "filters": [],
@@ -763,11 +617,13 @@ def select_action_plan(
         }
     log["winner"] = list(best.actions)
 
-    entries, trims, insertions = _trim_and_augment(best, repertoire, roe, ws)
+    entries, trims, insertions = _trim_and_augment(best, repertoire, roe, ws, visits)
     log["trims"] = trims
     log["insertions"] = insertions
 
     plan_ids = [aid for aid, _ in entries if aid not in BUILTIN_ACTIONS]
+    if visits is not None:
+        visits.walked = tuple(plan_ids)
     inaction_loss = expected_loss(ws, repertoire, goals, config.depth, None, progression)
     plan_loss = expected_loss(ws, repertoire, goals, config.depth, plan_ids, progression)
     released = bool(entries) and (inaction_loss - plan_loss) > 0.0
@@ -797,45 +653,109 @@ def select_action_plan(
 
 # -- the deliberation memo ------------------------------------------------------------
 
+_Chain = tuple[tuple[str, type, Any], ...]  # (op, type, value) of each delta, in order applied
+_Chains = frozenset[_Chain]
+
+
+@dataclass
+class _Entry:
+    """A decision body, its bytes and what its search compared: each read
+    key holding an int, a float or nothing, by its start value and each
+    threshold's outcome on it; per key, the outcomes after a delta, derived
+    from the visits when a lookup first needs them; and the ROE categories
+    tested, with the forbidden ones among them."""
+
+    body: dict[str, Any]
+    encoded: str
+    starts: dict[str, tuple[Any, list[bool]]]
+    tested: frozenset[str]
+    forbidden: frozenset[str]
+    visits: Visits
+    drift: dict[str, _Chain]  # the gate's progression, `depth` times, per key
+    reads: dict[str, list[tuple[_Chain, list[bool]]]] = field(default_factory=dict)
+
+
 class Deliberations:
-    """Decision bodies by the inputs of their search, and cell tables by
-    progression, for a repertoire, goals and config that nothing edits."""
+    """Decision bodies by the comparisons their search made, for a
+    repertoire, goals and config that nothing edits.
+
+    The search reads a feature holding an int or a float, or none, only by
+    comparing it with a goal or precondition threshold after a chain of
+    deltas: a sequence's optimistic effects (propose_plans,
+    _trim_and_augment) or an outcome row's effects after the gate's
+    progression (_Outcomes). An entry keeps its search's Visits, from which
+    the memo derives every (key, chain) the search may have compared, with
+    each threshold's outcome. A lookup replays them on new features by the
+    same operations; if every outcome repeats, the search would take every
+    branch it took and give the same body. The rest of what the search reads
+    keys a bucket exactly: goal weights, the ROE scalars, the progression
+    and each read value that is not an int or a float (bools included); the
+    ROE categories selection tested are replayed too. A new planner read
+    must be derived here or join the bucket, and must change only through a
+    C2 command or a change that re-runs identify: the runner keeps an
+    agent's last decision until one of them happens."""
 
     def __init__(self, repertoire: dict[str, ActionSpec], goals: list[Goal],
                  config: PlannerConfig) -> None:
         self.repertoire = repertoire
-        self.goals = goals  # their predicates; a runtime's own goals carry its weights
         self.config = config
-        self.bodies: dict[tuple, tuple[dict[str, Any], str]] = {}  # key -> body and bytes
-        self._cells: dict[tuple, dict[str, Optional[list[float]]]] = {}  # progression -> table
-        self._goal_keys = frozenset(pred[0] for goal in goals for pred in goal.predicates)
+        self.bodies: dict[tuple, list[_Entry]] = {}  # bucket -> entries, oldest first
+        # the goals' predicates; a runtime's own goals carry its weights
+        reads = [pred for goal in goals for pred in goal.predicates]
+        self._goal_keys = {pred[0] for pred in reads}
+        reads += [pred for spec in repertoire.values() for pred in spec.preconditions]
+        self.thresholds: dict[str, dict[tuple[str, Any], None]] = {}  # key -> (cmp, threshold)
+        for key, cmp, threshold in reads:
+            self.thresholds.setdefault(key, {})[cmp, threshold] = None
+        self._read_keys = sorted(self.thresholds)
+        self._compares = {key: [(_COMPARATORS[cmp], t) for cmp, t in known]
+                          for key, known in self.thresholds.items()}
+        self._chains: dict[tuple[str, ...], dict[str, _Chains]] = {(): {}}  # see _chains_of
+        self._moves: dict[str, _Chains] = {}  # key -> the chains of each action alone
 
     def deliberate(self, ws: WorldState, goals: list[Goal], roe: RulesOfEngagement,
                    progression: list[FeatureDelta]) -> tuple[dict[str, Any], str]:
-        """The body and canonical bytes the key finds, else a search's, kept if
-        the key hashes. Only expected_loss applies the progression, and then
-        predict reads goal features alone, so a delta on a key no goal names
-        is dropped first: deltas on different keys commute, and the body is
-        the same without it."""
+        """The body and canonical bytes of the newest entry of the bucket
+        that replays, else a search's, kept if the bucket hashes. Only
+        expected_loss applies the progression, and then predict reads goal
+        features alone, so a delta on a key no goal names is dropped first:
+        deltas on different keys commute, and the body is the same without
+        it."""
         progression = [delta for delta in progression if delta[0] in self._goal_keys]
         try:
-            key = self.key(ws, goals, roe, progression)
-            found = self.bodies.get(key)
-        except TypeError:
-            key = found = None
-        if found is None:
-            body = self.search(ws, goals, roe, progression)
-            found = body, canonical_json(body)
-            if key is not None:
-                self.bodies[key] = found
-        return found
+            bucket = self.bodies.setdefault(self.key(ws, goals, roe, progression), [])
+        except TypeError:  # an unhashable read value
+            bucket = None
+        for entry in reversed(bucket or ()):
+            if self._replays(entry, ws.features, roe):
+                return entry.body, entry.encoded
+        visits = None if bucket is None else Visits()
+        body = self.search(ws, goals, roe, progression, visits)
+        encoded = canonical_json(body)
+        if visits is not None:
+            # selection tested the ROE categories of every candidate's
+            # actions, of the winner's preparations and, after a provider
+            # trial, of every action
+            tested = {aid for proposal in body["candidates"] for aid in proposal["actions"]}
+            tested.update(prep for aid in body["rationale"].get("winner", ())
+                          for prep in self.repertoire[aid].preparation if prep in self.repertoire)
+            tested = {self.repertoire[aid].category.value
+                      for aid in (self.repertoire if visits.trials else tested)}
+            starts = {key: (value, self._outcomes(key, value, ())) for key in self._read_keys
+                      if (value := ws.features.get(key, _ABSENT)) is _ABSENT
+                      or type(value) is int or type(value) is float}
+            bucket.append(_Entry(body, encoded, starts, frozenset(tested),
+                                 frozenset(tested & roe.forbidden_categories), visits,
+                                 _runs(progression * self.config.depth)))
+        return body, encoded
 
     def search(self, ws: WorldState, goals: list[Goal], roe: RulesOfEngagement,
-               progression: list[FeatureDelta]) -> dict[str, Any]:
+               progression: list[FeatureDelta],
+               visits: Optional[Visits] = None) -> dict[str, Any]:
         """The decision body of a fresh search and selection."""
-        proposals = propose_plans(ws, self.repertoire, goals, self.config)
+        proposals = propose_plans(ws, self.repertoire, goals, self.config, visits)
         log = select_action_plan(proposals, goals, roe, ws, self.repertoire, self.config,
-                                 progression)
+                                 progression, visits)
         entries = log.get("released_entries")
         return {
             "candidates": log["candidates"],
@@ -845,29 +765,110 @@ class Deliberations:
 
     def key(self, ws: WorldState, goals: list[Goal], roe: RulesOfEngagement,
             progression: list[FeatureDelta]) -> tuple:
-        """Everything the search reads that differs between deliberations:
-        each read key of danger_intervals by presence and a value by its cell
-        (see there why that suffices) or else exactly, with its type, as
-        every other input: goal weights, the ROE clauses selection checks
-        and the progression, which deliberate has cut to the deltas on goal
-        keys. A new planner input must join the key, and must change only
-        through a C2 command or a change that re-runs identify: the runner
-        keeps an agent's last decision until one of them happens."""
-        steps = tuple((key, op, type(value), value) for key, op, value in progression)
-        cells = self._cells.get(steps)
-        if cells is None:
-            cells = self._cells[steps] = danger_intervals(
-                self.repertoire, self.goals, self.config, progression)
-        features, reads = ws.features, []
-        for key, intervals in cells.items():
-            if key in features:
-                value = features[key]
-                cell = cell_of(intervals, value)
-                reads.append((key, type(value), value) if cell is None else (key, cell))
+        """The bucket: what the search reads exactly, each with its type. That
+        is each read key's value that is not an int or a float, goal weights,
+        the ROE clauses selection checks but its categories, and the
+        progression, which deliberate has cut to the deltas on goal keys."""
+        exact = [(key, type(value), value) for key in self._read_keys
+                 if (value := ws.features.get(key, _ABSENT)) is not _ABSENT
+                 and type(value) is not int and type(value) is not float]
         scalars = (roe.max_plan_risk, roe.destructive_only_on_residence)
-        return (tuple(reads), tuple((type(goal.weight), goal.weight) for goal in goals),
+        return (tuple(exact), tuple((type(goal.weight), goal.weight) for goal in goals),
                 tuple((type(value), value) for value in scalars),
-                frozenset(roe.forbidden_categories), steps)
+                tuple((key, op, type(value), value) for key, op, value in progression))
+
+    def _replays(self, entry: _Entry, features: dict[str, Any], roe: RulesOfEngagement) -> bool:
+        """Whether every comparison of the entry gives its outcome on
+        `features`: those on the start values first, then, derived only if
+        they all repeat, those after a delta. A value equal to the start,
+        type and all, repeats them all: only a zero's sign can differ, and no
+        comparison tells it, nor after adds."""
+        if entry.tested & roe.forbidden_categories != entry.forbidden:
+            return False
+        changed = [(key, value) for key, (start, _) in entry.starts.items()
+                   if not ((value := features.get(key, _ABSENT)) is start
+                           or (type(value) is type(start) and value == start))]
+        try:
+            if any(self._outcomes(key, value, ()) != entry.starts[key][1]
+                   for key, value in changed):
+                return False
+            return all(self._outcomes(key, value, chain) == outcomes for key, value in changed
+                       for chain, outcomes in self.comparisons(entry, key))
+        except ArithmeticError:  # too many chains, or an int too large to add a float to
+            return False
+
+    def comparisons(self, entry: _Entry, key: str) -> list[tuple[_Chain, list[bool]]]:
+        """The entry's comparisons on `key` after a delta, derived once: the
+        chains of each one-step extension of an expanded node (so of every
+        scored sequence), of the walk (so of its prefixes), of each provider
+        trial's one-step extensions, and of the walk after the gate's drift.
+        Each chain meets every threshold on the key."""
+        found = entry.reads.get(key)
+        if found is None:
+            visits, moves = entry.visits, self._moves.get(key)
+            if moves is None:
+                moves = self._moves[key] = frozenset().union(
+                    *(self._chains_of((aid,)).get(key, _EMPTY) for aid in self.repertoire))
+            chains = set(self._chains_of(visits.walked).get(key, _EMPTY))
+            for seq in visits.expanded + visits.trials:
+                chains |= _product(self._chains_of(seq).get(key, _EMPTY), moves)
+            if key in entry.drift:
+                chains |= _product(_product(_EMPTY, (entry.drift[key],)),
+                                   self._chains_of(visits.walked).get(key, _EMPTY))
+            start = entry.starts[key][0]
+            found = entry.reads[key] = [(chain, self._outcomes(key, start, chain))
+                                        for chain in sorted(chains - _EMPTY, key=len)]
+        return found
+
+    def _outcomes(self, key: str, value: Any, chain: _Chain) -> list[bool]:
+        """Each threshold's outcome on `key`'s value after `chain`, by the
+        operations the planner applies: an absent key fails every comparison
+        if the chain is empty, and else starts at 0.0, as in
+        apply_feature_delta and _Outcomes."""
+        compares = self._compares[key]
+        if value is _ABSENT:
+            if not chain:
+                return [False] * len(compares)
+            value = 0.0
+        for op, _, delta in chain:
+            value = feature_after_delta(value, op, delta)
+        return [compare(value, threshold) for compare, threshold in compares]
+
+    def _chains_of(self, seq: tuple[str, ...]) -> dict[str, _Chains]:
+        """On each key, every chain an optimistic copy or an outcome row of
+        `seq` can pass through: every ordered subset of its effects' runs on
+        the key, whatever their probabilities."""
+        found = self._chains.get(seq)
+        if found is None:
+            found = dict(self._chains_of(seq[:-1]))
+            for eff in self.repertoire[seq[-1]].effects:
+                for key, run in _runs(eff.feature_deltas).items():
+                    chains = found.get(key, _EMPTY)
+                    found[key] = chains | _product(chains, (run,))
+            self._chains[seq] = found
+        return found
+
+
+_EMPTY: _Chains = frozenset({()})
+
+
+def _runs(deltas: Sequence[FeatureDelta]) -> dict[str, _Chain]:
+    """Each key the deltas move, with its deltas in order."""
+    runs: dict[str, _Chain] = {}
+    for key, op, value in deltas:
+        runs[key] = runs.get(key, ()) + ((op, type(value), value),)
+    return runs
+
+
+def _product(chains: _Chains, runs: Sequence[_Chain] | _Chains) -> _Chains:
+    """Every chain followed by every run but one with a `set` delta, past
+    which no value hangs on the start; more than the exact enumeration's
+    rows are too many."""
+    product = frozenset(chain + run for run in runs if all(op != "set" for op, _, _ in run)
+                        for chain in chains)
+    if len(product) > 2 ** EXACT_ENUM_LIMIT:
+        raise OverflowError("too many outcome chains")
+    return product
 
 
 # -- fast path ------------------------------------------------------------------------

@@ -326,7 +326,7 @@ class Episode:
         if rt.state.mode is not AgentMode.DESTROYED:
             if rt.state.agent_id == self.primary_agent:
                 self.emit("agent.reward", agent=rt.state.agent_id,
-                          reward=learning.reward(rt.kb.goals, rt.ws).reward)
+                          reward=learning.reward(rt.kb.goals, rt.ws))
             self._periodic_report(rt, tick)
 
     def _process_inbox(self, rt: AgentRuntime) -> None:
@@ -505,7 +505,7 @@ class Episode:
 
     def _fail_safe(self, rt: AgentRuntime, reason: str) -> None:
         """Degrade the agent to fail-safe, record why and report it."""
-        execution.fail_safe(rt.state, reason)
+        execution.fail_safe(rt.state)
         self.emit("agent.fail_safe", agent=rt.state.agent_id, reason=reason)
         self._attempt_report(rt, self.tick, reason="fail_safe")
 

@@ -384,17 +384,17 @@ def test_criterion_8_reward_bounds():
                 for i in range(n)])
             ws = WorldState(tick=0, features={f"f{i}": rng.choice([0.0, 0.5, 1.0])
                                               for i in range(4)})
-            sample = reward(goals, ws)
-            assert -1.0 <= sample.reward <= 0.0
+            value = reward(goals, ws)
+            assert -1.0 <= value <= 0.0
             if all(all_hold(ws.features, g.predicates) for g in goals):
-                assert sample.reward == 0.0
+                assert value == 0.0
             else:
-                assert sample.reward < 0.0
+                assert value < 0.0
         # hand-computed weighted case: 0.25/0.75 split, only 0.75 satisfied
         goals = normalize_goals([Goal("g25", [("a", ">=", 1)], 0.25),
                                  Goal("g75", [("b", ">=", 1)], 0.75)])
-        sample = reward(goals, WorldState(tick=0, features={"a": 0, "b": 1}))
-        assert sample.reward == pytest.approx(-0.25)
+        value = reward(goals, WorldState(tick=0, features={"a": 0, "b": 1}))
+        assert value == pytest.approx(-0.25)
 
 
 # -- 9. authority mutual exclusion and forged-message immunity ------------------------------------------

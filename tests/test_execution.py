@@ -335,20 +335,20 @@ def test_adjust_replans_without_alternative():
 
 def test_fail_safe_transition():
     state = agent()
-    fail_safe(state, "test")
+    fail_safe(state)
     assert state.mode is AgentMode.FAIL_SAFE
 
 
 def test_mode_walk_has_no_resurrection():
     state = agent()
-    fail_safe(state, "x")
+    fail_safe(state)
     env = make_env()
     env.install_agent("a1", "h1")
     # malware killed the agent: the episode marks it destroyed and removes it
     state.mode = AgentMode.DESTROYED
     env.remove_agent("a1")
     with pytest.raises(ModeForbidden):
-        fail_safe(state, "too late")
+        fail_safe(state)
     with pytest.raises(ModeForbidden):
         execute_step(PlanExecution(plan_of("look")), env, state, 0,
                      {"look": spec("look")}, Random(1), [], no_propagate)

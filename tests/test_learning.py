@@ -33,20 +33,18 @@ def goals_of(*specs):
 
 def test_reward_zero_when_all_goals_hold():
     goals = goals_of((("x", ">=", 1), 1.0), (("y", "<=", 0), 3.0))
-    sample = reward(goals, ws_with(x=1, y=0))
-    assert sample.reward == 0.0
-    assert sample.tick == 7
+    assert reward(goals, ws_with(x=1, y=0)) == 0.0
 
 
 def test_reward_minus_one_when_nothing_holds():
     goals = goals_of((("x", ">=", 1), 1.0), (("y", "<=", 0), 1.0))
-    assert reward(goals, ws_with(x=0, y=5)).reward == -1.0
+    assert reward(goals, ws_with(x=0, y=5)) == -1.0
 
 
 def test_reward_weighted_quarter_split():
     # weights 0.25/0.75, only the 0.75 goal satisfied: reward -0.25
     goals = goals_of((("x", ">=", 1), 0.25), (("y", ">=", 1), 0.75))
-    assert reward(goals, ws_with(x=0, y=1)).reward == pytest.approx(-0.25)
+    assert reward(goals, ws_with(x=0, y=1)) == pytest.approx(-0.25)
 
 
 @given(st.lists(st.tuples(st.booleans(), st.floats(min_value=0.05, max_value=5,
@@ -57,12 +55,12 @@ def test_reward_bounds_and_zero_iff_all_hold(spec):
     goals = normalize_goals(
         [Goal(f"g{i}", [("sat", ">=", 1)] if holds else [("sat", ">=", 2)], w)
          for i, (holds, w) in enumerate(spec)])
-    sample = reward(goals, ws_with(sat=1))
-    assert -1.0 <= sample.reward <= 0.0
+    value = reward(goals, ws_with(sat=1))
+    assert -1.0 <= value <= 0.0
     if all(holds for holds, _ in spec):
-        assert sample.reward == 0.0
+        assert value == 0.0
     else:
-        assert sample.reward < 0.0
+        assert value < 0.0
 
 
 # -- effect statistics ------------------------------------------------------------------------

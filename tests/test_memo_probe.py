@@ -12,23 +12,19 @@ _spec.loader.exec_module(PROBE)
 
 
 def test_memo_probe_counts_one_seed_and_restores_what_it_wraps(capsys):
-    wrapped = (planning.Deliberations.key, planning.propose_plans, planning.danger_intervals,
-               runner.Episode.run)
+    wrapped = (planning.Deliberations.key, planning.propose_plans, runner.Episode.run)
     assert PROBE.main(["--seeds", "1"]) == 0
-    assert (planning.Deliberations.key, planning.propose_plans, planning.danger_intervals,
-            runner.Episode.run) == wrapped
+    assert (planning.Deliberations.key, planning.propose_plans, runner.Episode.run) == wrapped
     table = [line.strip("| ").split(" | ") for line in capsys.readouterr().out.splitlines()
              if line.startswith("|")]
     rows = table[2:]  # after the header and its rule
     assert [(row[0], row[1]) for row in rows] == [
         (name, run) for name in (*BUNDLED, "wide_repertoire") for run in ("lone", "batch")]
     for row in rows:
-        decisions, deliberative, keys, searches, tables, distinct = (float(n) for n in row[2:8])
-        # a deliberation keeps its agent's last decision, finds its key's body
-        # or searches, and one search finds each distinct body at least
+        decisions, deliberative, keys, searches, distinct = (float(n) for n in row[2:7])
+        # a deliberation keeps its agent's last decision, finds a body its
+        # bucket holds or searches, and one search finds each distinct body at least
         assert decisions >= deliberative >= keys >= searches >= distinct > 0
-        # a new progression is a new memo key, so each table build precedes a search
-        assert searches >= tables > 0
     # with one seed, the batch is the lone episode
     bundled = rows[:2 * len(BUNDLED)]
     assert [row[2:] for row in bundled[0::2]] == [row[2:] for row in bundled[1::2]]

@@ -509,48 +509,3 @@ def test_fast_path_falls_through_roe_forbidden_rule():
     assert aid == "fix"
     assert log[0]["roe_ok"] is False and log[1]["roe_ok"] is True
 
-
-
-# -- threshold cells ------------------------------------------------------------------
-
-def _cells(repertoire, progression=(), depth=2):
-    goals = [Goal("g", [("x", ">=", 0.5)], 1.0)]
-    return planning.danger_intervals(repertoire, goals, PlannerConfig(depth=depth),
-                                     progression)["x"]
-
-
-def test_every_read_key_gets_an_entry_in_key_order():
-    """The read keys are the features a goal or a precondition names; one
-    that keys exactly, here by a string threshold, gets None."""
-    gate = ActionSpec("gate", ActionCategory.OBSERVE,
-                      preconditions=[("mode", "==", "up"), ("backlog", "<=", 2)])
-    goals = [Goal("g", [("x", ">=", 0.5)], 1.0)]
-    assert list(planning.danger_intervals({"gate": gate}, goals, PlannerConfig()).items()) == [
-        ("backlog", [2.0, 2.0]), ("mode", None), ("x", [0.5, 0.5])]
-
-
-def test_a_comparison_with_no_addition_is_exact_and_a_bool_or_nan_keys_exactly():
-    intervals = _cells({})
-    assert intervals == [0.5, 0.5]
-    assert [planning.cell_of(intervals, v) for v in (0.4, 0, 0.5, 0.6, 1, 2 ** 53)] == [
-        0, 0, None, 1, 1, 1]
-    for value in (True, float("nan"), float("inf"), 2 ** 53 + 1, "0.6", None):
-        assert planning.cell_of(intervals, value) is None
-    assert planning.cell_of(None, 0.6) is None
-
-
-def test_add_deltas_and_a_progression_move_the_centers_and_widen_them():
-    """Centers t - s for sums s of 1 to depth * (P + 2) * m adds, and for
-    the goal, t - start - s with the progression's start; each widened by a
-    rounding margin far below the gap between centers."""
-    step = ActionSpec("step", ActionCategory.RESTORE, effects=[
-        ProbabilisticEffect(None, [("x", "add", 0.25)], 0.5)])
-    intervals = _cells({"step": step}, depth=1)  # 1 * (0 + 2) * 1 = 2 adds
-    centers = [(lo + hi) / 2 for lo, hi in zip(intervals[::2], intervals[1::2])]
-    assert centers == pytest.approx([0.0, 0.25, 0.5])
-    assert all(0 < hi - lo < 1e-12 for lo, hi in zip(intervals[::2], intervals[1::2])
-               if lo != 0.5)
-    drifted = _cells({"step": step}, [("x", "add", -0.1), ("y", "add", 1)], depth=1)
-    centers = [(lo + hi) / 2 for lo, hi in zip(drifted[::2], drifted[1::2])]
-    assert centers == pytest.approx([0.0, 0.1, 0.25, 0.35, 0.5, 0.6])
-    assert _cells({"step": step}, [("x", "add", "a lot")], depth=1) is None

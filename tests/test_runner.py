@@ -2,6 +2,7 @@ import copy
 import functools
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 from pathlib import Path
@@ -35,6 +36,7 @@ from defsim.scenario import load_scenario, parse_scenario
 from defsim.sensing import Assessment
 
 from conftest import BUNDLED, assert_same_knowledge, scenario_path
+from memo_oracle import check_reads, episode_inputs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -549,20 +551,6 @@ def test_unchanged_no_action_deliberations_are_reused(bundled_configs, search_ca
     assert 0 < len(search_calls) - alone < alone
 
 
-def test_a_batch_builds_the_cell_table_of_each_progression_once(bundled_configs, monkeypatch):
-    """run_batch's episodes share the memo's cell tables, not only its
-    bodies: planning.danger_intervals runs once per distinct progression."""
-    build, progressions = planning.danger_intervals, []
-
-    def counted(repertoire, goals, config, progression=()):
-        progressions.append(tuple((key, op, type(value), value) for key, op, value in progression))
-        return build(repertoire, goals, config, progression)
-
-    monkeypatch.setattr(planning, "danger_intervals", counted)
-    run_batch(bundled_configs["s2_lateral_hunt"], list(range(1, 11)))
-    assert len(progressions) == len(set(progressions)) > 1
-
-
 _DECISION_BODY = ("candidates", "chosen", "rationale")
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -707,14 +695,17 @@ def _set_feature(key, value):
     ({}, lambda episode, rt: None, 1),
     ({}, _command(command="set_goal_weight", goal_id="g", weight=3.0), 2),
     ({}, _command(command="set_roe", field="max_plan_risk", value=0.5), 2),
-    ({}, _command(command="set_roe", field="forbidden_categories", value=["contain"]), 2),
+    # selection tests no category: `watch`'s precondition fails, so no
+    # candidate holds an action
+    ({}, _command(command="set_roe", field="forbidden_categories", value=["contain"]), 1),
     # read only by the fast path, which runs before the memo
     ({}, _command(command="set_roe", field="fast_deadline_ticks", value=0), 1),
-    ({}, _set_feature("functionality_belief", 1.0), 1),  # both in the >= 0.95 cell
+    # every comparison on it gives the same outcome
+    ({}, _set_feature("functionality_belief", 1.0), 1),
     ({}, _set_feature("functionality_belief", 0.99), 1),
     ({}, _set_feature("functionality_belief", 0.9), 2),
-    # a value on a threshold keeps its exact key, type and all
-    ({"unknown_proc_count": 0}, _set_feature("unknown_proc_count", 0.0), 2),
+    # 0 and 0.0 give every comparison the same outcome, type aside
+    ({"unknown_proc_count": 0}, _set_feature("unknown_proc_count", 0.0), 1),
     ({}, _set_feature("process_count", 4), 1),  # nothing reads it
     ({}, _set_feature("tags", ["a", "b"]), 1),  # nothing reads it, so it needs no hash
     ({}, _set_feature("link_state", 0), 2),  # only a precondition reads it
@@ -826,10 +817,9 @@ def test_no_consumer_edits_a_shared_trigger_summary(bundled_configs, monkeypatch
         assert a.summary == Assessment(a.matched, a.problematic, a.top_severity).summary
 
 
-def cell_tables(episode, progression=()):
-    """The memo's danger intervals for the progression, one entry per read key."""
-    memo = episode.deliberations
-    return planning.danger_intervals(memo.repertoire, memo.goals, memo.config, progression)
+def read_keys(episode):
+    """The features a goal or a precondition names, sorted: all the memo reads."""
+    return tuple(sorted(episode.deliberations.thresholds))
 
 
 # values every predicate threshold compares with, and anything at all
@@ -847,16 +837,16 @@ def test_features_outside_the_read_set_leave_the_deliberation_unchanged(bundled_
     value, and differ anywhere else give the same decision body."""
     episode = Episode(bundled_configs[name], seed=1)
     rt, memo = episode.runtimes["a1"], episode.deliberations
-    read_keys = tuple(cell_tables(episode))
-    read = data.draw(st.dictionaries(st.sampled_from(read_keys), _NUMBERS))
+    keys = read_keys(episode)
+    read = data.draw(st.dictionaries(st.sampled_from(keys), _NUMBERS))
     named = sorted({pred[0] for goal in rt.kb.goals for pred in goal.predicates}
                    | {pred[0] for spec in episode.repertoire.values() for pred in spec.preconditions}
                    | {delta[0] for spec in episode.repertoire.values() for effect in spec.effects
                       for delta in effect.feature_deltas}
                    | {"host_integrity", "detectability", "replica_count", "process_count"})
     unread = st.dictionaries((st.sampled_from(named) | st.text(max_size=4))
-                             .filter(lambda key: key not in read_keys), _ANYTHING, max_size=6)
-    progression = data.draw(st.lists(st.tuples(st.sampled_from(read_keys),
+                             .filter(lambda key: key not in keys), _ANYTHING, max_size=6)
+    progression = data.draw(st.lists(st.tuples(st.sampled_from(keys),
                                                st.sampled_from(["set", "add"]), _NUMBERS),
                                      max_size=3))
     bodies = []
@@ -875,10 +865,10 @@ _generator_spec.loader.exec_module(GENERATOR)
 
 
 def _prerequisite_chain():
-    """A story that reaches the longest derivation danger_intervals allows,
-    depth * (P + 2) * m_k = 3 adds on `exposure`: `shield` needs exposure
-    >= 0.3 and prepares with `scan` (-0.2), after which only `boost` (+0.25)
-    can provide the precondition again; the gate then weighs scan, boost and
+    """A story whose risk gate compares after the longest chain of adds a
+    deliberation makes, three on `exposure`: `shield` needs exposure >= 0.3
+    and prepares with `scan` (-0.2), after which only `boost` (+0.25) can
+    provide the precondition again; the gate then weighs scan, boost and
     shield (-0.4) together, exposure - 0.35 <= 0."""
     return quiet_scenario(
         planner={"depth": 1},
@@ -894,7 +884,7 @@ def _prerequisite_chain():
 
 
 @functools.cache
-def _cell_episode(name):
+def _memo_episode(name):
     """An episode of the scenario: the tests below only read it, and set the
     agent's features."""
     if name in BUNDLED:
@@ -912,58 +902,91 @@ _DRIFTS = st.one_of(st.sampled_from([-0.35, -0.1, -0.08, -0.05, 0.05, 0.1, 1, -1
                     st.floats(-1, 1))
 
 
-def _cell_values(data, intervals, cell):
-    """Three values in the cell: its two ends, one step outside an interval
-    end or +-2**53, in either order, then an int or a float between them."""
-    low = math.nextafter(intervals[2 * cell - 1], math.inf) if cell else -2.0 ** 53
-    high = math.nextafter(intervals[2 * cell], -math.inf) if 2 * cell < len(intervals) else 2.0 ** 53
-    inside = st.floats(low, high)
-    if math.ceil(low) <= math.floor(high):
-        inside |= st.integers(math.ceil(low), math.floor(high))
-    return [*data.draw(st.permutations([low, high])), data.draw(inside)]
-
-
 def _progression(data, episode):
-    return data.draw(st.lists(st.tuples(st.sampled_from(tuple(cell_tables(episode))),
+    return data.draw(st.lists(st.tuples(st.sampled_from(read_keys(episode)),
                                         st.sampled_from(["set", "add"]), _DRIFTS), max_size=3))
 
 
-def _keys_and_bodies(episode, states, progression):
-    """The distinct memo keys and decision body bytes of the belief states."""
-    rt, memo, keys, bodies = episode.runtimes["a1"], episode.deliberations, set(), set()
+def _near(*values):
+    """Each int or float of `values`, the floats next to it, and it in the
+    other numeric type where that is exact."""
+    near = []
+    for value in values:
+        if type(value) in (int, float) and math.isfinite(value):
+            near += [value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf)]
+            near.append(float(value) if type(value) is int else int(value)
+                        if value.is_integer() else value)
+    return near
+
+
+def _replayed_bodies(episode, states, progression):
+    """Deliberate each belief state in turn on one fresh memo; for each that
+    found an entry instead of searching, the bytes it gave and those of a
+    fresh search."""
+    rt, memo = episode.runtimes["a1"], _deliberations(episode.config)
+    search, searches, found = memo.search, [], []
+    memo.search = lambda *inputs: searches.append(1) or search(*inputs)
     for state in states:
         rt.ws.features = state
-        keys.add(memo.key(rt.ws, rt.kb.goals, rt.roe, progression))
-        bodies.add(canonical_json(memo.search(rt.ws, rt.kb.goals, rt.roe, progression)))
-    return keys, bodies
+        before = len(searches)
+        _, encoded = memo.deliberate(rt.ws, rt.kb.goals, rt.roe, progression)
+        if len(searches) == before:
+            found.append((encoded, canonical_json(search(rt.ws, rt.kb.goals, rt.roe,
+                                                         progression))))
+    return found
 
 
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 @pytest.mark.parametrize("name", [*BUNDLED, "wide_repertoire_1", "wide_repertoire_2"])
 def test_beliefs_with_one_memo_key_give_one_body(name, data):
-    """Belief states whose memo keys are equal give the same decision body
-    bytes, under any threat progression: each read key is absent in all,
-    or holds in each a value of one cell of its danger intervals (the
-    cell's two ends and a value inside), or one value where the key has no
-    cells."""
-    episode = _cell_episode(name)
+    """Belief states that replay an entry's comparisons get its body, the
+    bytes a fresh search gives them, under any threat progression. Each
+    state after the first moves up to two read keys of the first: next to
+    its value or a threshold on the key, to the other numeric type, to any
+    number, or away."""
+    episode = _memo_episode(name)
     progression = _progression(data, episode)
-    cells = cell_tables(episode, progression)
-    absent = data.draw(st.sets(st.sampled_from(tuple(cells))))
-    states: list[dict] = [{}, {}, {}]
-    for key, intervals in cells.items():
-        if key in absent:
-            continue
-        if intervals is None:
-            values = [data.draw(_NUMBERS)] * 3
-        else:
-            values = _cell_values(data, intervals, data.draw(st.integers(0, len(intervals) // 2)))
-        for state, value in zip(states, values):
-            state[key] = value
-    keys, bodies = _keys_and_bodies(episode, states, progression)
-    assert len(keys) == 1
-    assert len(bodies) == 1
+    keys = read_keys(episode)
+    first = data.draw(st.dictionaries(st.sampled_from(keys), _NUMBERS))
+    states = [first]
+    for _ in range(4):
+        state = dict(first)
+        for key in data.draw(st.sets(st.sampled_from(keys), max_size=2)):
+            near = _near(state.get(key), *(t for _, t in episode.deliberations.thresholds[key]))
+            moved = data.draw(st.sampled_from(near + [None]) | _NUMBERS)
+            if moved is None:
+                state.pop(key, None)
+            else:
+                state[key] = moved
+        states.append(state)
+    for encoded, fresh in _replayed_bodies(episode, states, progression):
+        assert encoded == fresh
+
+
+def _last_start(adds, threshold, strict):
+    """The largest float start in [-2, 2] below `threshold` (or at most it,
+    if not `strict`) after `adds`, added left to right as the planner adds."""
+    def below(value):
+        for add in adds:
+            value += add
+        return value < threshold if strict else value <= threshold
+    low, high = -2.0, 2.0
+    while math.nextafter(low, high) != high:
+        middle = (low + high) / 2
+        if middle in (low, high):
+            middle = math.nextafter(low, high)
+        low, high = (middle, high) if below(middle) else (low, middle)
+    return low
+
+
+# the two floats on either side of each start value where a comparison of the
+# prerequisite chain turns: each threshold after up to three of its adds
+_TURNS = sorted({(start, math.nextafter(start, math.inf))
+                 for count in range(4) for adds in itertools.product((-0.2, 0.25, -0.4),
+                                                                     repeat=count)
+                 for threshold in (0.3, 0.0) for strict in (True, False)
+                 for start in [_last_start(adds, threshold, strict)]})
 
 
 @given(data=st.data())
@@ -972,14 +995,14 @@ def test_beliefs_with_one_memo_key_give_one_body(name, data):
 def test_progression_deltas_no_goal_names_leave_the_deliberation_unchanged(name, data):
     """The matched patterns' deltas mixed in any order with deltas on keys
     no goal names (read or not, present or absent) give the body bytes of
-    the deltas on goal keys alone, and deliberate keys them by those alone."""
-    episode = _cell_episode(name)
+    the deltas on goal keys alone, and deliberate buckets them by those alone."""
+    episode = _memo_episode(name)
     rt, memo = episode.runtimes["a1"], episode.deliberations
     goal_keys = {pred[0] for goal in rt.kb.goals for pred in goal.predicates}
-    read_keys = tuple(cell_tables(episode))
-    rt.ws.features = data.draw(st.dictionaries(st.sampled_from(read_keys), _NUMBERS))
+    keys = read_keys(episode)
+    rt.ws.features = data.draw(st.dictionaries(st.sampled_from(keys), _NUMBERS))
     patterns = sorted({delta for p in rt.kb.patterns.values() for delta in p.progression})
-    others = (st.sampled_from(sorted(set(read_keys) - goal_keys) + ["host_integrity"])
+    others = (st.sampled_from(sorted(set(keys) - goal_keys) + ["host_integrity"])
               | st.text(max_size=4)).filter(lambda key: key not in goal_keys)
     progression = data.draw(st.permutations(
         data.draw(st.lists(st.sampled_from(patterns), max_size=3))
@@ -988,9 +1011,28 @@ def test_progression_deltas_no_goal_names_leave_the_deliberation_unchanged(name,
     kept = [delta for delta in progression if delta[0] in goal_keys]
     body = canonical_json(memo.search(rt.ws, rt.kb.goals, rt.roe, progression))
     assert canonical_json(memo.search(rt.ws, rt.kb.goals, rt.roe, kept)) == body
-    fresh = planning.Deliberations(memo.repertoire, memo.goals, memo.config)
+    fresh = _deliberations(episode.config)
     assert fresh.deliberate(rt.ws, rt.kb.goals, rt.roe, progression)[1] == body
     assert list(fresh.bodies) == [fresh.key(rt.ws, rt.kb.goals, rt.roe, kept)]
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "wide_repertoire_1", "wide_repertoire_2"])
+def test_every_deliberation_reads_only_comparisons_the_memo_derives(name):
+    """Every deliberation of seeds 1-20 (1-9 for a generated scenario)."""
+    config = _memo_episode(name).config
+    seeds = range(1, 21) if name in BUNDLED else range(1, 10)
+    assert check_reads(config, episode_inputs(config, seeds)) > 0
+
+
+def test_the_longest_derivation_reads_only_comparisons_the_memo_derives():
+    """The prerequisite chain's story on and next to each start value where
+    one of its comparisons turns, with exposure absent, under progressions."""
+    episode = _memo_episode("prerequisite_chain")
+    rt = episode.runtimes["a1"]
+    states = [{}] + [{"exposure": value} for turn in _TURNS for value in _near(*turn)]
+    inputs = [(state, rt.kb.goals, rt.roe, progression) for state in states
+              for progression in ([], [("exposure", "add", -0.1)], [("exposure", "set", 0.5)])]
+    assert check_reads(episode.config, inputs) > 0
 
 
 def test_an_add_delta_on_a_list_feature_no_goal_names_is_dropped():
@@ -1007,18 +1049,20 @@ def test_an_add_delta_on_a_list_feature_no_goal_names_is_dropped():
 
 
 @given(data=st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=25, deadline=None)
 def test_every_cell_of_the_longest_derivation_gives_one_body(data):
-    """As above, for every cell of a story whose gate compares after
-    depth * (P + 2) * m_k adds, the most the cells allow for: a cell one
-    add short spans a released and a withheld plan."""
-    episode = _cell_episode("prerequisite_chain")
-    progression = _progression(data, episode)
-    intervals = cell_tables(episode, progression)["exposure"]
-    for cell in range(len(intervals) // 2 + 1):
-        states = [{"exposure": value} for value in _cell_values(data, intervals, cell)]
-        keys, bodies = _keys_and_bodies(episode, states, progression)
-        assert (len(keys), len(bodies)) == (1, 1), states
+    """As above, on the story whose gate compares after the longest chain
+    of adds: the two exposure values on either side of every start value
+    where one of its comparisons turns, in either order, and any others,
+    with no progression and then any."""
+    episode = _memo_episode("prerequisite_chain")
+    progression = [] if data.draw(st.booleans()) else _progression(data, episode)
+    pairs = [*_TURNS, *(pair[::-1] for pair in _TURNS),
+             data.draw(st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=4))]
+    for values in pairs:
+        found = _replayed_bodies(episode, [{"exposure": value} for value in values], progression)
+        for encoded, fresh in found:
+            assert encoded == fresh, values
 
 
 def _releasing_runtime(episode):
