@@ -4,8 +4,9 @@
 
 Runs `scripts/generate_golden.py --check` with each interpreter found under
 pyenv's versions directory ($PYENV_ROOT/versions, by default
-~/.pyenv/versions), importing defsim from this checkout's src/, and prints
-one line per interpreter: its version and the last line the check printed
+~/.pyenv/versions), importing defsim from this checkout's src/, once under
+each string-hash seed of HASH_SEEDS. It prints one line per (interpreter,
+hash seed): the version, the seed and the last line the check printed
 ("unchanged" when the bytes match; on a failure, also the exit code and the
 number of lines, one per differing file). Exits 1 if any check fails or no
 interpreter is found. Needs only the standard library.
@@ -22,6 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VERSIONS = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
 MINIMUM = (3, 10)
+HASH_SEEDS = ("0", "12345")  # PYTHONHASHSEED values: no byte may depend on set order
 
 
 def interpreters() -> list[tuple[str, Path]]:
@@ -40,16 +42,19 @@ def main() -> int:
     if not found:
         print(f"no CPython >= {'.'.join(map(str, MINIMUM))} under {VERSIONS}")
         return 1
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     failed = False
     for name, python in found:
-        done = subprocess.run([str(python), str(ROOT / "scripts" / "generate_golden.py"), "--check"],
-                              capture_output=True, text=True, env=env, cwd=ROOT)
-        lines = (done.stdout + done.stderr).strip().splitlines()
-        last = lines[-1] if lines else "no output"
-        print(f"{name}: {last}" if done.returncode == 0 else
-              f"{name}: exit {done.returncode}, {len(lines)} lines, the last: {last}")
-        failed |= done.returncode != 0
+        for hash_seed in HASH_SEEDS:
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed)
+            done = subprocess.run(
+                [str(python), str(ROOT / "scripts" / "generate_golden.py"), "--check"],
+                capture_output=True, text=True, env=env, cwd=ROOT)
+            lines = (done.stdout + done.stderr).strip().splitlines()
+            last = lines[-1] if lines else "no output"
+            label = f"{name} PYTHONHASHSEED={hash_seed}"
+            print(f"{label}: {last}" if done.returncode == 0 else
+                  f"{label}: exit {done.returncode}, {len(lines)} lines, the last: {last}")
+            failed |= done.returncode != 0
     return 1 if failed else 0
 
 

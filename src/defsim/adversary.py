@@ -106,25 +106,13 @@ def spoof_payload(
 
 
 def _trigger_holds(trigger: Optional[dict[str, Any]], env: Environment) -> bool:
-    if trigger is None:
-        return True
-    kind = trigger["kind"]
-    if kind == "host_integrity_below":
-        host = env.hosts.get(trigger["host"])
-        return host is not None and host.integrity < trigger["value"]
-    if kind == "service_health_below":
-        host = env.hosts.get(trigger["host"])
-        svc = host.services.get(trigger["service"]) if host else None
-        return svc is not None and svc.health < trigger["value"]
-    if kind == "channel_state_is":
-        ch = env.channels.get(trigger["channel"])
-        return ch is not None and ch.state.value == trigger["state"]
-    return False
+    """No trigger, or host_integrity_below: the one trigger kind of the
+    scenario format."""
+    return trigger is None or env.hosts[trigger["host"]].integrity < trigger["value"]
 
 
 def _scripted_effects(
     instance: MalwareInstance,
-    env: Environment,
     step: PlaybookStep,
     playbook: Playbook,
 ) -> list[EffectDescriptor]:
@@ -134,21 +122,11 @@ def _scripted_effects(
     if act == "advance_phase":
         instance.phase = next_phase(instance.phase)
         return []
-    if act == "spawn_process":
-        pid = params.get("process_id") or _next_pid(instance)
-        instance.footprint.add(pid)
-        return [EffectDescriptor(f"process:{host}:{pid}", "", "spawn",
-                                 {"image_hash": params.get("image_hash", f"mal-{instance.instance_id}"),
-                                  "known_good": False, "owner": "malware"})]
     if act == "create_file":
         fid = params.get("file_id", f"drop_{instance.instance_id}")
         return [EffectDescriptor(f"file:{host}:{fid}", "", "spawn", {"owner": "malware"})]
     if act == "set_channel":
-        effects = [EffectDescriptor(f"channel:{params['channel']}", "state", "set", params["state"])]
-        for attr in ("drop_probability", "delay_ticks"):
-            if attr in params:
-                effects.append(EffectDescriptor(f"channel:{params['channel']}", attr, "set", params[attr]))
-        return effects
+        return [EffectDescriptor(f"channel:{params['channel']}", "state", "set", params["state"])]
     if act == "degrade_service":
         amount = params.get("amount", playbook.degradation_amount)
         return [EffectDescriptor(f"service:{host}:{params['service']}", "health", "add", -amount)]
@@ -157,9 +135,6 @@ def _scripted_effects(
         return [EffectDescriptor(f"host:{host}", "integrity", "add", -amount)]
     if act == "move_lateral":
         instance.lateral_target = params["target_host"]
-        return []
-    if act == "set_hunt_intensity":
-        instance.hunt_intensity = float(params["value"])
         return []
     raise ValueError(f"unknown playbook action {act!r}")
 
@@ -261,7 +236,7 @@ def malware_step(
         if not _trigger_holds(step.trigger, env):
             continue
         ran_script = True
-        effects.extend(_scripted_effects(instance, env, step, playbook))
+        effects.extend(_scripted_effects(instance, step, playbook))
     if not ran_script and playbook.fallback:
         effects.extend(_fallback_effects(instance, env, playbook, rng, detectability, instance_count))
     return effects

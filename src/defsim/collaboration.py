@@ -197,22 +197,20 @@ def report(
 # -- authority handover ---------------------------------------------------------
 
 def handover(agent_state: AgentState, message: dict[str, Any]) -> None:
-    """Flip the authority holder; exactly one side holds it at any tick.
+    """Flip the authority holder on a HandoverGrant or a HandoverReturn;
+    exactly one side holds it at any tick.
 
     The caller authenticates messages first; this guards only the
     transition direction.
     """
-    kind = message.get("kind")
-    if kind == MessageKind.HANDOVER_GRANT.value:
+    if message.get("kind") == MessageKind.HANDOVER_GRANT.value:
         if agent_state.authority is not Authority.AGENT:
             raise InvalidTransition("grant while authority already remote")
         agent_state.authority = Authority.REMOTE_C2
-    elif kind == MessageKind.HANDOVER_RETURN.value:
-        if agent_state.authority is not Authority.REMOTE_C2:
-            raise InvalidTransition("return while agent already holds authority")
-        agent_state.authority = Authority.AGENT
+    elif agent_state.authority is not Authority.REMOTE_C2:  # a HandoverReturn
+        raise InvalidTransition("return while agent already holds authority")
     else:
-        raise InvalidTransition(f"not a handover message: {kind!r}")
+        agent_state.authority = Authority.AGENT
 
 
 # -- supervisor control -----------------------------------------------------------

@@ -128,7 +128,7 @@ class EffectDescriptor:
 
     target: str
     attribute: str
-    operation: str  # set | add | remove | spawn | kill | clamp
+    operation: str  # set | add | remove | spawn | kill
     value: Any = None
 
 
@@ -145,11 +145,6 @@ class DeliveryStatus(str, Enum):
     DELIVERED = "delivered"
     DROPPED = "dropped"
     OBSERVED_AND_DELIVERED = "observed_and_delivered"
-
-
-# numeric attribute domains; fractions clamp to [0,1], counters floor at 0
-_FRACTION_ATTRS = {"integrity", "health", "drop_probability", "detectability"}
-_COUNTER_ATTRS = {"delay_ticks"}
 
 
 class Environment:
@@ -214,7 +209,8 @@ class Environment:
         and, for services, the old and new derived state.
         """
         self.mutations += 1
-        changes = [self._apply_one(ref, effect) for ref in self._resolve(effect)]
+        changes = [self._apply_one(kind, host, name, effect)
+                   for kind, host, name in self._resolve(effect)]
         return {
             "cause": cause,
             "target": effect.target,
@@ -223,49 +219,47 @@ class Environment:
             "changes": changes,
         }
 
-    def _resolve(self, effect: EffectDescriptor) -> list[tuple[str, ...]]:
-        parts = effect.target.split(":")
-        kind = parts[0]
-        if kind in ("host", "channel", "agent"):
-            if len(parts) != 2:
+    def _resolve(self, effect: EffectDescriptor) -> list[tuple[str, Optional[Host], str]]:
+        """(kind, host, name) for each entity the target names. A host
+        target's host is itself; a service, process or file lives on its host
+        under its name; channels and agents have no host."""
+        kind, *names = effect.target.split(":")
+        if kind in ("channel", "agent"):
+            if len(names) != 1:
                 raise UnknownEntity(f"malformed target {effect.target!r}")
-            return [tuple(parts)]
-        if kind in ("service", "process", "file"):
-            if len(parts) != 3:
-                raise UnknownEntity(f"malformed target {effect.target!r}")
-            host = self.hosts.get(parts[1])
-            if host is None:
-                raise UnknownEntity(f"no host {parts[1]!r}")
-            if parts[2] == "@unknown" and kind == "process":
-                pids = sorted(p.process_id for p in host.processes.values() if not p.known_good)
-                return [("process", parts[1], pid) for pid in pids]
-            if parts[2] == "@foreign" and kind == "file":
-                fids = sorted(f.file_id for f in host.files.values() if f.owner is Owner.MALWARE)
-                return [("file", parts[1], fid) for fid in fids]
-            return [tuple(parts)]
-        raise UnknownEntity(f"unknown target kind {kind!r}")
+            return [(kind, None, names[0])]
+        if kind not in ("host", "service", "process", "file"):
+            raise UnknownEntity(f"unknown target kind {kind!r}")
+        if len(names) != (1 if kind == "host" else 2):
+            raise UnknownEntity(f"malformed target {effect.target!r}")
+        host = self.hosts.get(names[0])
+        if host is None:
+            raise UnknownEntity(f"no host {names[0]!r}")
+        name = names[-1]
+        if name == "@unknown" and kind == "process":
+            return [(kind, host, pid) for pid in sorted(
+                p.process_id for p in host.processes.values() if not p.known_good)]
+        if name == "@foreign" and kind == "file":
+            return [(kind, host, fid) for fid in sorted(
+                f.file_id for f in host.files.values() if f.owner is Owner.MALWARE)]
+        return [(kind, host, name)]
 
-    def _apply_one(self, ref: tuple[str, ...], effect: EffectDescriptor) -> dict[str, Any]:
-        kind = ref[0]
-        op = effect.operation
+    def _apply_one(self, kind: str, host: Optional[Host], name: str,
+                   effect: EffectDescriptor) -> dict[str, Any]:
         if kind == "host":
-            host = self.hosts.get(ref[1])
-            if host is None:
-                raise UnknownEntity(f"no host {ref[1]!r}")
-            return self._mutate_numeric(host, effect, entity=f"host:{ref[1]}")
+            return self._mutate_numeric(host, effect, entity=f"host:{name}")
         if kind == "channel":
-            return self._apply_channel(ref[1], effect)
+            return self._apply_channel(name, effect)
         if kind == "agent":
-            return self._apply_agent(ref[1], op)
+            return self._apply_agent(name, effect.operation)
         if kind == "service":
-            return self._apply_service(ref[1], ref[2], effect)
+            return self._apply_service(host, name, effect)
         if kind == "process":
-            return self._apply_process(ref[1], ref[2], effect)
-        if kind == "file":
-            return self._apply_file(ref[1], ref[2], effect)
-        raise UnknownEntity(f"unknown target kind {kind!r}")
+            return self._apply_process(host, name, effect)
+        return self._apply_file(host, name, effect)
 
     def _mutate_numeric(self, obj: Any, effect: EffectDescriptor, entity: str) -> dict[str, Any]:
+        """Set or add to a host's integrity or a service's health, clamped to [0, 1]."""
         attr = effect.attribute
         if not hasattr(obj, attr):
             raise UnknownEntity(f"{entity} has no attribute {attr!r}")
@@ -274,15 +268,9 @@ class Environment:
             new = effect.value
         elif effect.operation == "add":
             new = old + effect.value
-        elif effect.operation == "clamp":
-            lo, hi = effect.value
-            new = max(lo, min(hi, old))
         else:
             raise UnknownEntity(f"operation {effect.operation!r} not valid for {entity}")
-        if attr in _FRACTION_ATTRS:
-            new = clamp01(float(new))
-        elif attr in _COUNTER_ATTRS:
-            new = max(0, int(new))
+        new = clamp01(float(new))
         setattr(obj, attr, new)
         return {"entity": entity, "attribute": attr, "old": old, "new": new}
 
@@ -290,15 +278,10 @@ class Environment:
         ch = self.channels.get(cid)
         if ch is None:
             raise UnknownEntity(f"no channel {cid!r}")
-        if effect.attribute == "state":
-            old = ch.state.value
-            ch.state = ChannelState(effect.value)
-            ch.enforce_invariants()
-            return {"entity": f"channel:{cid}", "attribute": "state", "old": old, "new": ch.state.value}
-        change = self._mutate_numeric(ch, effect, entity=f"channel:{cid}")
+        old = ch.state.value
+        ch.state = ChannelState(effect.value)
         ch.enforce_invariants()
-        change["new"] = getattr(ch, effect.attribute)
-        return change
+        return {"entity": f"channel:{cid}", "attribute": "state", "old": old, "new": ch.state.value}
 
     def _apply_agent(self, agent_id: str, op: str) -> dict[str, Any]:
         if op != "kill":
@@ -309,10 +292,8 @@ class Environment:
                 return {"entity": f"agent:{agent_id}", "attribute": "resident", "old": host.host_id, "new": None}
         raise UnknownEntity(f"agent {agent_id!r} not resident anywhere")
 
-    def _apply_service(self, hid: str, sid: str, effect: EffectDescriptor) -> dict[str, Any]:
-        host = self.hosts.get(hid)
-        if host is None:
-            raise UnknownEntity(f"no host {hid!r}")
+    def _apply_service(self, host: Host, sid: str, effect: EffectDescriptor) -> dict[str, Any]:
+        hid = host.host_id
         svc = host.services.get(sid)
         if svc is None:
             raise UnknownEntity(f"no service {sid!r} on host {hid!r}")
@@ -327,10 +308,8 @@ class Environment:
         change["required"] = svc.required
         return change
 
-    def _apply_process(self, hid: str, pid: str, effect: EffectDescriptor) -> dict[str, Any]:
-        host = self.hosts.get(hid)
-        if host is None:
-            raise UnknownEntity(f"no host {hid!r}")
+    def _apply_process(self, host: Host, pid: str, effect: EffectDescriptor) -> dict[str, Any]:
+        hid = host.host_id
         if effect.operation == "spawn":
             spec = effect.value or {}
             host.processes[pid] = Process(
@@ -347,10 +326,8 @@ class Environment:
             return {"entity": f"process:{hid}:{pid}", "attribute": "", "old": "present", "new": "killed"}
         raise UnknownEntity(f"operation {effect.operation!r} not valid for processes")
 
-    def _apply_file(self, hid: str, fid: str, effect: EffectDescriptor) -> dict[str, Any]:
-        host = self.hosts.get(hid)
-        if host is None:
-            raise UnknownEntity(f"no host {hid!r}")
+    def _apply_file(self, host: Host, fid: str, effect: EffectDescriptor) -> dict[str, Any]:
+        hid = host.host_id
         if effect.operation == "spawn":
             spec = effect.value or {}
             host.files[fid] = FileEntry(

@@ -282,8 +282,8 @@ def monitor_effects(
         if rec.finished_tick is None or rec.finished_tick >= ws.tick:
             continue  # beliefs not refreshed since completion yet
         rec.effects_checked = True
-        spec = BUILTIN_ACTIONS.get(rec.action_id) or repertoire.get(rec.action_id)
-        if spec is None or spec.builtin is not None:
+        spec = _lookup(rec.action_id, repertoire)
+        if spec.builtin is not None:
             continue
         for index, eff in enumerate(spec.effects):
             if eff.expect:

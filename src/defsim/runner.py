@@ -341,6 +341,12 @@ class Episode:
                 self._handle_conclusions(rt, msg, reply=True)
             elif kind == collaboration.MessageKind.SHARE_CONCLUSIONS.value:
                 self._handle_conclusions(rt, msg, reply=False)
+            elif kind == collaboration.MessageKind.REPLICA_TRANSFER.value:
+                # the knowledge the replica's parent sent at install. A pass
+                # before it arrived matched no pattern, so none decided; this
+                # pass identifies again, which also drops any kept decision
+                rt.kb = KnowledgeBase.from_json(msg["payload"]["knowledge"])
+                rt.identified_at = -1
             elif kind == collaboration.MessageKind.CONTROL_COMMAND.value:
                 rt.control_queue.append(msg.get("payload") or {})
                 self.emit("agent.control_queued", agent=rt.state.agent_id,
@@ -589,24 +595,23 @@ class Episode:
 
     def _propagate(self, rt: AgentRuntime, spec: ActionSpec) -> tuple[bool, str]:
         """The propagate builtin: install a replica on the action's target
-        host. The replica's knowledge base is read from the transfer's payload."""
+        host. The replica starts with no knowledge and reads its parent's
+        from the ReplicaTransfer in its inbox."""
         target = spec.target_host or ""
         integrity_belief = rt.ws.features.get("host_integrity", 1.0)
         new_id = f"{rt.state.agent_id}_r{rt.replica_count + 1}"
-        knowledge = rt.kb.to_json()
         try:
             replica_state = collaboration.propagate(
                 rt.state, target, self.config.roster, self.env,
                 integrity_belief, self.config.collaboration.propagation_threshold,
-                knowledge, self.rng, self.auth_key, new_id,
+                rt.kb.to_json(), self.rng, self.auth_key, new_id,
                 initial_detectability=rt.initial_detectability)
         except PropagationRefused as exc:
             self.emit("agent.propagation", agent=rt.state.agent_id, target=target,
                       installed=False, refusal=type(exc).__name__, detail=str(exc))
             return False, type(exc).__name__
         rt.replica_count += 1
-        self._add_runtime(replica_state, KnowledgeBase.from_json(knowledge),
-                          rt.initial_detectability)
+        self._add_runtime(replica_state, KnowledgeBase(), rt.initial_detectability)
         self.emit("agent.propagation", agent=rt.state.agent_id, target=target,
                   installed=True, replica=new_id)
         return True, new_id

@@ -327,7 +327,7 @@ _ENV_FIELDS = Record({"target": (STR, REQUIRED), "attribute": (STR, ""),
 _TARGET_NAMES: dict[str, tuple[Optional[str], ...]] = {
     "host": ("host",), "service": ("host", "service"), "process": ("host", None),
     "file": ("host", None), "channel": ("channel",), "agent": ("agent",)}
-_NUMERIC = {"set": NUMBER, "add": NUMBER, "clamp": Tuple("a [low, high] list", NUMBER, NUMBER)}
+_NUMERIC = {"set": NUMBER, "add": NUMBER}  # the result clamps to [0, 1]
 # (target kind, attribute) -> {operation: value}
 _ENV_OPERATIONS: dict[tuple[str, str], dict[str, Spec]] = {
     ("host", "integrity"): _NUMERIC,
@@ -338,8 +338,6 @@ _ENV_OPERATIONS: dict[tuple[str, str], dict[str, Spec]] = {
     ("file", ""): {"remove": NULL, "spawn": Maybe(Record({
         "owner": (OWNER, OMITTED), "token": (STR, OMITTED)}))},
     ("channel", "state"): {"set": CHANNEL_STATE},
-    ("channel", "drop_probability"): _NUMERIC,
-    ("channel", "delay_ticks"): _NUMERIC,
     ("agent", ""): {"kill": NULL},
 }
 
@@ -369,29 +367,22 @@ TOPOLOGY = Record({
 })
 
 _STEP_HOST = {"host": (HOST, OMITTED)}  # absent: the instance's host
+# the kinds adversary._trigger_holds reads
+_TRIGGER = Switch("kind", "trigger", {}, {
+    "host_integrity_below": {"host": (HOST, REQUIRED), "value": (NUMBER, REQUIRED)}})
 _STEP = Switch("action", "action", {
     "tick": (COUNT, REQUIRED),
     "instance_id": (Maybe(Ref("instance")), None),  # null: the first listed instance
-    "trigger": (Maybe(Switch("kind", "trigger", {}, {
-        "host_integrity_below": {"host": (HOST, REQUIRED), "value": (NUMBER, REQUIRED)},
-        "service_health_below": {"host": (HOST, REQUIRED), "service": (STR, REQUIRED),
-                                 "value": (NUMBER, REQUIRED)},
-        "channel_state_is": {"channel": (Ref("channel"), REQUIRED),
-                             "state": (CHANNEL_STATE, REQUIRED)},
-    })), None),
+    "trigger": (Maybe(_TRIGGER), None),
 }, {  # an absent amount is the playbook's degradation_amount
     "advance_phase": {"params": (Record({}), {})},
-    "spawn_process": {"params": (Record({"process_id": (STR, OMITTED),
-                                         "image_hash": (STR, OMITTED), **_STEP_HOST}), {})},
     "create_file": {"params": (Record({"file_id": (STR, OMITTED), **_STEP_HOST}), {})},
     "set_channel": {"params": (Record({
-        "channel": (Ref("channel"), REQUIRED), "state": (CHANNEL_STATE, REQUIRED),
-        "drop_probability": (FRACTION, OMITTED), "delay_ticks": (COUNT, OMITTED)}), REQUIRED)},
+        "channel": (Ref("channel"), REQUIRED), "state": (CHANNEL_STATE, REQUIRED)}), REQUIRED)},
     "degrade_service": {"params": (Record({
         "service": (STR, REQUIRED), "amount": (FRACTION, OMITTED), **_STEP_HOST}), REQUIRED)},
     "degrade_host": {"params": (Record({"amount": (FRACTION, OMITTED), **_STEP_HOST}), {})},
     "move_lateral": {"params": (Record({"target_host": (HOST, REQUIRED)}), REQUIRED)},
-    "set_hunt_intensity": {"params": (Record({"value": (FRACTION, REQUIRED)}), REQUIRED)},
 })
 
 _RULE_FIELDS: dict[str, Field] = {

@@ -177,16 +177,6 @@ def _log_foreign_file_count(phys: Stage) -> list[Row]:
     return [("foreign_file_count", None, sum_in_order(phys.get("file_foreign", {}).values()))]
 
 
-def _required_services(phys: Stage) -> list[str]:
-    return [sid for sid, req in phys.get("service_required", {}).items() if req]
-
-
-def _log_required_down_count(phys: Stage) -> list[Row]:
-    up = phys.get("service_up", {})
-    return [("required_down_count", None,
-             sum(1 for sid in _required_services(phys) if not up.get(sid, 0)))]
-
-
 def _log_channel_counts(phys: Stage) -> list[Row]:
     healthy = phys.get("channel_healthy", {})
     return [("channel_count", None, len(healthy)),
@@ -198,7 +188,9 @@ def _log_service_weights(phys: Stage) -> list[Row]:
     weights = phys.get("service_weight", {})
     total = 0.0
     up_weight = 0.0
-    for sid in _required_services(phys):
+    for sid, required in phys.get("service_required", {}).items():
+        if not required:
+            continue
         weight = weights.get(sid, 0.0)
         total += weight
         if up.get(sid, 0):
@@ -209,7 +201,6 @@ def _log_service_weights(phys: Stage) -> list[Row]:
 _LOGICAL_SENSORS = {
     "unknown_proc_count": _log_unknown_proc_count,
     "foreign_file_count": _log_foreign_file_count,
-    "required_down_count": _log_required_down_count,
     "channel_counts": _log_channel_counts,
     "service_weights": _log_service_weights,
     "host_integrity": _copy("host_integrity"),
@@ -239,7 +230,7 @@ _TRANSFORMERS = {
     "functionality_belief": _tf_functionality_belief,
     "host_integrity": _copy("host_integrity"),
     "service_health": _copy("service_health"),
-    "counts": _copy("unknown_proc_count", "foreign_file_count", "required_down_count"),
+    "counts": _copy("unknown_proc_count", "foreign_file_count"),
     "channel_health": _copy("channel_healthy"),
 }
 

@@ -17,6 +17,7 @@ from defsim.adversary import (
 )
 from defsim.envsim import Service
 from defsim.errors import ConfigInvalid, NoResidentAgent
+from defsim.scenario import _TRIGGER
 
 from conftest import make_env, make_host, two_host_env
 
@@ -50,6 +51,25 @@ def test_scripted_trigger_gates_step():
     assert malware_step(inst(), env, pb, Random(1), 2) == []
     env.hosts["h1"].integrity = 0.2
     assert len(malware_step(inst(), env, pb, Random(1), 2)) == 1
+
+
+# trigger kind -> (its fields, an edit of make_env()'s platform that makes it hold)
+TRIGGERS = {
+    "host_integrity_below": ({"host": "h1", "value": 0.5},
+                             lambda env: setattr(env.hosts["h1"], "integrity", 0.2)),
+}
+
+
+def test_the_playbook_reads_every_trigger_kind_of_the_format():
+    assert set(_TRIGGER.cases) == set(TRIGGERS)
+    for kind, (fields, make_hold) in TRIGGERS.items():
+        env = make_env()
+        step = PlaybookStep(2, "create_file", {"file_id": "f"}, instance_id="m1",
+                            trigger={"kind": kind, **fields})
+        pb = Playbook(steps=[step], fallback=False)
+        assert malware_step(inst(), env, pb, Random(1), 2) == []
+        make_hold(env)
+        assert len(malware_step(inst(), env, pb, Random(1), 2)) == 1
 
 
 def test_fallback_degradation_targets_lowest_health_required_service():

@@ -368,6 +368,85 @@ def test_forbidding_destructive_actions_forces_zero_harm(bundled_configs):
         assert not any(e["kind"] == "harm" for e in result.trace)
 
 
+def risk_loop_scenario(script=()):
+    """Instance m1 spawns a process on h1 at tick 0. The agent purges every
+    unknown process with a destructive action that also takes h1's required
+    service down, and a restore action, which the planner predicts brings
+    functionality back, rolls h1 back to the precautionary snapshot. The
+    remote center on c2host sends `script`."""
+    return parse_scenario({
+        "schema_version": 1, "name": "risk_loop", "duration_ticks": 8,
+        "topology": {"hosts": [{"host_id": "h1",
+                                "services": [{"service_id": "svc", "required": True}]},
+                               {"host_id": "c2host"}],
+                     "channels": [{"channel_id": "cc", "endpoints": ["h1", "c2host"]}]},
+        "playbook": {"instances": [{"instance_id": "m1", "host_id": "h1", "phase": "Foothold"}]},
+        "sensors": {"physical": ["service_table", "process_table"],
+                    "logical": ["unknown_proc_count", "service_weights"],
+                    "transformers": ["functionality_belief", "counts"]},
+        "patterns": [{"id": "proc", "predicates": [["unknown_proc_count", ">=", 1]],
+                      "severity": 0.9, "confidence": 0.9},
+                     {"id": "down", "predicates": [["functionality_belief", "<", 0.95]],
+                      "severity": 0.9, "confidence": 0.9}],
+        "repertoire": [
+            {"action_id": "purge", "category": "destructive", "risk": 0.1,
+             "effects": [{"env": {"target": "process:$self:@unknown", "operation": "kill"},
+                          "features": [["unknown_proc_count", "set", 0]]},
+                         {"env": {"target": "service:$self:svc", "attribute": "health",
+                                  "operation": "set", "value": 0.0}}]},
+            {"action_id": "roll_back", "category": "restore", "builtin": "restore",
+             "effects": [{"features": [["functionality_belief", "set", 1.0]]}]}],
+        "goals": [{"goal_id": "clean", "predicates": [["unknown_proc_count", "<=", 0]],
+                   "weight": 1.0},
+                  {"goal_id": "up", "predicates": [["functionality_belief", ">=", 0.95]],
+                   "weight": 1.0}],
+        "c2": {"host_id": "c2host", "script": [{"to": "a1", **entry} for entry in script]},
+        "agents": [{"agent_id": "a1", "host_id": "h1"}],
+    })
+
+
+def test_harm_then_a_restore_closes_the_risk_loop(tmp_path):
+    result = run_episode(risk_loop_scenario(), 1)
+    events = [(e["tick"], e["kind"]) for e in result.trace
+              if e["kind"] in ("env.snapshot", "harm", "env.restore")]
+    assert events == [(0, "env.snapshot"), (1, "harm"), (3, "env.restore")]
+    harm = next(e for e in result.trace if e["kind"] == "harm")
+    assert (harm["entity"], harm["cause"]) == ("service:h1:svc", "agent:a1:purge")
+    assert result.functionality_series[1:4] == [0.0, 0.0, 1.0]
+    assert result.metrics["harm_events"] == 1
+    write_trace(result, tmp_path / "trace.jsonl")
+    assert replay(tmp_path / "trace.jsonl")["harm_events"] == 1
+
+
+def test_an_instance_whose_processes_are_killed_is_evicted():
+    result = run_episode(risk_loop_scenario(), 1)
+    evicted = [e for e in result.trace if e["kind"] == "adversary.evicted"]
+    assert [(e["tick"], e["instance"]) for e in evicted] == [(2, "m1")]
+    assert not any(e.get("cause") == "malware:m1" for e in result.trace if e["tick"] >= 2)
+
+
+def test_a_fail_safe_command_forbids_the_destructive_step():
+    script = [{"tick": 0, "kind": "ControlCommand", "payload": {"command": "fail_safe"}}]
+    result = run_episode(risk_loop_scenario(script), 1)
+    fail_safe = [(e["tick"], e["reason"]) for e in result.trace if e["kind"] == "agent.fail_safe"]
+    assert fail_safe == [(1, "supervisor_command")]
+    dropped = [e for e in result.trace if e["kind"] == "agent.plan_dropped"]
+    assert dropped and "destructive action 'purge' forbidden in fail_safe" in dropped[0]["reason"]
+    assert result.metrics["harm_events"] == 0
+
+
+def test_a_second_handover_grant_is_discarded():
+    script = [{"tick": tick, "kind": "HandoverGrant"} for tick in (0, 1)]
+    result = run_episode(risk_loop_scenario(script), 1)
+    handovers = [(e["tick"], e["kind"], e.get("authority") or e.get("reason"))
+                 for e in result.trace if e["kind"] in ("agent.handover",
+                                                        "agent.message_discarded")]
+    assert handovers == [
+        (1, "agent.handover", "remote_c2"),
+        (2, "agent.message_discarded",
+         "invalid_transition: grant while authority already remote")]
+
+
 def test_decision_log_complete_for_released_plans(bundled_results):
     for result in bundled_results.values():
         released_events = [e for e in result.trace if e["kind"] == "agent.plan_released"]
@@ -618,22 +697,76 @@ def test_agents_install_in_order_and_run_in_id_order(bundled_configs, monkeypatc
 
 
 def test_a_replica_starts_from_its_parents_knowledge(bundled_configs, monkeypatch):
-    """A replica's knowledge base, read from the transfer's payload, equals
-    its parent's at install, over s2 seeds 1-20."""
-    add_runtime, installs = Episode._add_runtime, []
+    """After its first pass, a replica's knowledge base equals the one its
+    parent sent at install, over s2 seeds 1-20."""
+    add_runtime, agent_phase = Episode._add_runtime, Episode._agent_phase
+    sent, checked = {}, []
 
     def recorded_add(self, state, kb, initial_detectability):
         parent = state.agent_id.rpartition("_r")[0]
         if parent in self.runtimes:  # a replica: scenario agents have no parent
-            assert kb is not self.runtimes[parent].kb
-            assert_same_knowledge(kb, self.runtimes[parent].kb)
-            installs.append(state.agent_id)
+            sent[state.agent_id] = (self.runtimes[parent].kb,
+                                    copy.deepcopy(self.runtimes[parent].kb))
         return add_runtime(self, state, kb, initial_detectability)
 
+    def first_pass_checked(self, rt, tick):
+        agent_phase(self, rt, tick)
+        if rt.state.agent_id in sent:
+            parents, knowledge = sent.pop(rt.state.agent_id)
+            assert rt.kb is not parents
+            assert_same_knowledge(rt.kb, knowledge)
+            checked.append(rt.state.agent_id)
+
     monkeypatch.setattr(Episode, "_add_runtime", recorded_add)
+    monkeypatch.setattr(Episode, "_agent_phase", first_pass_checked)
     for seed in range(1, 21):
+        sent.clear()
         run_episode(bundled_configs["s2_lateral_hunt"], seed)
-    assert installs
+    assert checked
+
+
+def replica_scenario(channel):
+    """a1 on h1, whose integrity is low, replicates to h2 over `channel`; a
+    pattern with no predicates always matches."""
+    return parse_scenario({
+        "schema_version": 1, "name": "replica", "duration_ticks": 6,
+        "topology": {"hosts": [{"host_id": "h1", "integrity": 0.2,
+                                "services": [{"service_id": "svc", "required": True}]},
+                               {"host_id": "h2"}],
+                     "channels": [{"channel_id": "c12", "endpoints": ["h1", "h2"], **channel}]},
+        "sensors": {"physical": ["host_integrity"], "logical": ["host_integrity"],
+                    "transformers": ["host_integrity"]},
+        "patterns": [{"id": "always", "severity": 0.9, "confidence": 0.9}],
+        "repertoire": [{"action_id": "replicate", "category": "propagate",
+                        "builtin": "propagate", "target_host": "h2", "target_scope": "remote",
+                        "preconditions": [["host_integrity", "<=", 0.3]],
+                        "effects": [{"features": [["replica_count", "add", 1]]}]}],
+        "goals": [{"goal_id": "spread", "predicates": [["replica_count", ">=", 1]],
+                   "weight": 1.0}],
+        "roster": {"hosts": ["h1", "h2"], "authorization_token": "tok"},
+        "agents": [{"agent_id": "a1", "host_id": "h1"}],
+    })
+
+
+def test_a_replica_identifies_on_the_pass_its_delayed_knowledge_arrives(monkeypatch):
+    agent_phase, passes = Episode._agent_phase, []
+
+    def recorded(self, rt, tick):
+        agent_phase(self, rt, tick)
+        if rt.state.agent_id == "a1_r1":
+            passes.append((tick, len(rt.kb.patterns), [m[0] for m in rt.assessment.matched]))
+
+    monkeypatch.setattr(Episode, "_agent_phase", recorded)
+    result = run_episode(replica_scenario({"state": "degraded", "delay_ticks": 2}), 1)
+    installed = [e["tick"] for e in result.trace
+                 if e["kind"] == "agent.propagation" and e["installed"]]
+    arrived = [e["tick"] for e in result.trace if e["kind"] == "env.message_delivered"
+               and e["message_kind"] == "ReplicaTransfer"]
+    assert installed == [0] and arrived == [2]
+    # the pass before the transfer matches no pattern; the one it arrives in does
+    assert passes[:2] == [(1, 0, []), (2, 1, ["always"])]
+    assert [e["tick"] for e in result.trace
+            if e["kind"] == "agent.assessment" and e["agent"] == "a1_r1"][0] == 2
 
 
 def withholding_agent():

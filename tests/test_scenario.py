@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defsim.cli import main
+from defsim.envsim import EffectDescriptor
 from defsim.errors import ConfigInvalid, DefsimError
 from defsim.runner import run_episode
-from defsim.scenario import load_scenario, parse_scenario
+from defsim.scenario import _ENV_OPERATIONS, load_scenario, parse_scenario
 
 from conftest import BUNDLED, run_python, scenario_path
 
@@ -137,6 +138,24 @@ def test_a_handover_control_command_is_an_unknown_command(command, tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+def test_every_numeric_effect_attribute_is_a_fraction():
+    """apply_effect clamps every numeric result to [0, 1], so each attribute
+    an effect may set or add to is a fraction in the topology as well."""
+    records = {"host": ("host:h1", lambda host: host),  # (target, record in a host's entry)
+               "service": ("service:h1:svc", lambda host: host["services"][0])}
+    numeric = [key for key, operations in _ENV_OPERATIONS.items() if "add" in operations]
+    assert {kind for kind, _ in numeric} == set(records)
+    for kind, attribute in numeric:
+        target, record = records[kind]
+        raw = minimal_raw()
+        record(raw["topology"]["hosts"][0])[attribute] = 1.5
+        assert any(f".{attribute} must be a fraction in [0, 1]" in p for p in problems_of(raw))
+        env = parse_scenario(minimal_raw()).build_environment()
+        for value, clamped in ((5, 1.0), (-5, 0.0)):
+            change = env.apply_effect(EffectDescriptor(target, attribute, "add", value))
+            assert change["changes"][0]["new"] == clamped
+
+
 def test_roster_unknown_host_rejected():
     raw = minimal_raw()
     raw["roster"] = {"hosts": ["ghost"], "authorization_token": "t"}
@@ -217,6 +236,69 @@ def _add_instances(*instance_ids):
         {"instance_id": i, "host_id": "h1"} for i in instance_ids]})
 
 
+def _two_hosts(raw):
+    raw["topology"]["hosts"].append({"host_id": "h2"})
+    raw["topology"]["channels"] = [{"channel_id": "c", "endpoints": ["h1", "h2"]}]
+
+
+def _step(**step):
+    """A playbook of one step for instance m1 on h1; h1 and h2 share channel c."""
+    def edit(raw):
+        _two_hosts(raw)
+        raw["playbook"] = {"instances": [{"instance_id": "m1", "host_id": "h1"}],
+                           "steps": [{"tick": 1, "action": "advance_phase", **step}]}
+    return edit
+
+
+def _env_effect(**env):
+    """An action of one effect on the platform; h1 and h2 share channel c."""
+    def edit(raw):
+        _two_hosts(raw)
+        raw["repertoire"] = [{"action_id": "a", "category": "observe", "effects": [{"env": env}]}]
+    return edit
+
+
+# options the format no longer has: nothing reached them
+DELETED_OPTIONS = {
+    "trigger_service_health_below": (
+        _step(trigger={"kind": "service_health_below", "host": "h1", "service": "svc",
+                       "value": 0.5}),
+        "scenario.playbook.steps[0].trigger: unknown trigger 'service_health_below'"),
+    "trigger_channel_state_is": (
+        _step(trigger={"kind": "channel_state_is", "channel": "c", "state": "disabled"}),
+        "scenario.playbook.steps[0].trigger: unknown trigger 'channel_state_is'"),
+    "step_spawn_process": (_step(action="spawn_process", params={}),
+                           "scenario.playbook.steps[0]: unknown action 'spawn_process'"),
+    "set_channel_drop_probability": (
+        _step(action="set_channel",
+              params={"channel": "c", "state": "degraded", "drop_probability": 0.5}),
+        "scenario.playbook.steps[0].params: unknown field 'drop_probability'"),
+    "set_channel_delay_ticks": (
+        _step(action="set_channel", params={"channel": "c", "state": "degraded", "delay_ticks": 2}),
+        "scenario.playbook.steps[0].params: unknown field 'delay_ticks'"),
+    "step_set_hunt_intensity": (_step(action="set_hunt_intensity", params={"value": 0.9}),
+                                "scenario.playbook.steps[0]: unknown action 'set_hunt_intensity'"),
+    "clamp_host_integrity": (
+        _env_effect(target="host:h1", attribute="integrity", operation="clamp", value=[0, 1]),
+        "action 'a'.effects[0].env.operation: unknown operation 'clamp' of host attribute "
+        "'integrity'"),
+    "clamp_service_health": (
+        _env_effect(target="service:h1:svc", attribute="health", operation="clamp", value=[0, 1]),
+        "action 'a'.effects[0].env.operation: unknown operation 'clamp' of service attribute "
+        "'health'"),
+    "channel_drop_probability_effect": (
+        _env_effect(target="channel:c", attribute="drop_probability", operation="set", value=0.5),
+        "action 'a'.effects[0].env.attribute: unknown attribute 'drop_probability' of channel "
+        "targets"),
+    "channel_delay_ticks_effect": (
+        _env_effect(target="channel:c", attribute="delay_ticks", operation="add", value=1),
+        "action 'a'.effects[0].env.attribute: unknown attribute 'delay_ticks' of channel targets"),
+    "sensor_required_down_count": (
+        lambda r: r.update(sensors={"logical": ["required_down_count"]}),
+        "scenario.sensors.logical[0]: unknown sensor 'required_down_count'"),
+}
+
+
 @pytest.mark.parametrize("edit, problem", [
     (lambda r: r.update(collaboration={"threshold": "0.5"}), "collaboration.threshold"),
     (lambda r: r.update(collaboration={"report_interval": 0}), "collaboration.report_interval"),
@@ -258,6 +340,7 @@ def _add_instances(*instance_ids):
     (_add_instances("m1", "m1_r1"), "instance 'm1_r1': id is taken by a replica of instance 'm1'"),
     (_add_instances("m1", "m1_r3_r4"),
      "instance 'm1_r3_r4': id is taken by a replica of instance 'm1'"),
+    *DELETED_OPTIONS.values(),
 ], ids=["threshold_string", "report_interval_zero", "communicate_noise_negative",
         "fail_safe_streak_string", "duplicate_agent_id", "depth_string",
         "noise_weight_string", "trigger_threshold_string", "service_weight_string",
@@ -265,13 +348,25 @@ def _add_instances(*instance_ids):
         "agent_id_list", "topology_list", "host_entry_string", "unknown_preparation",
         "malware_process_known_good_by_default", "action_id_shadows_builtin", "agent_id_c2",
         "agent_id_of_a_replica", "agent_id_of_a_replica_of_a_replica",
-        "instance_id_of_a_replica", "instance_id_of_a_replica_of_a_replica"])
+        "instance_id_of_a_replica", "instance_id_of_a_replica_of_a_replica",
+        *DELETED_OPTIONS])
 def test_mistyped_or_out_of_range_settings_are_config_invalid(edit, problem):
     raw = minimal_raw()
     edit(raw)
     with pytest.raises(ConfigInvalid) as err:
         parse_scenario(raw)
     assert any(problem in p for p in err.value.problems), err.value.problems
+
+
+@pytest.mark.parametrize("name", sorted(DELETED_OPTIONS))
+def test_run_exits_2_on_a_deleted_option(name, tmp_path, capsys):
+    raw = minimal_raw()
+    DELETED_OPTIONS[name][0](raw)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--scenario", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert DELETED_OPTIONS[name][1] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit", [_add_agents("a1_rx"), _add_agents("a1_r"), _add_agents("b1_r1"),
