@@ -15,7 +15,7 @@ from random import Random
 from typing import Any, Callable, Optional
 
 from .envsim import ChannelState, EffectDescriptor, Environment
-from .errors import ConfigInvalid, NoResidentAgent
+from .errors import ConfigInvalid
 
 
 class MalwarePhase(str, Enum):
@@ -72,14 +72,12 @@ class HuntResult(str, Enum):
     FOUND = "found"
 
 
-def hunt(instance: MalwareInstance, agent_detectability: Optional[float], rng: Random) -> HuntResult:
-    """Search the instance's host for the agent.
+def hunt(instance: MalwareInstance, agent_detectability: float, rng: Random) -> HuntResult:
+    """Search the instance's host for its resident agent.
 
     Succeeds with probability min(1, detectability * hunt_intensity); a find
     translates into a kill-agent effect by the caller.
     """
-    if agent_detectability is None:
-        raise NoResidentAgent(f"no agent resident on {instance.host_id!r}")
     p = min(1.0, agent_detectability * instance.hunt_intensity)
     return HuntResult.FOUND if rng.random() < p else HuntResult.NOT_FOUND
 
@@ -154,9 +152,7 @@ def _fallback_effects(
 ) -> list[EffectDescriptor]:
     """One phase-appropriate action, then advance the chain one step."""
     phase = instance.phase
-    host = env.hosts.get(instance.host_id)
-    if host is None:
-        return []
+    host = env.hosts[instance.host_id]
     effects: list[EffectDescriptor] = []
     advance = True
 
@@ -261,8 +257,7 @@ class MalwareController:
         for inst in self.instances.values():
             if not inst.alive or not inst.footprint:
                 continue
-            host = env.hosts.get(inst.host_id)
-            if host is None or not (inst.footprint & set(host.processes)):
+            if not inst.footprint & set(env.hosts[inst.host_id].processes):
                 inst.alive = False
                 evicted.append(inst.instance_id)
         return evicted
@@ -279,10 +274,12 @@ class MalwareController:
 
         notes records evictions, phase changes and lateral spawns for the
         episode trace. Effects targeting hosts the malware has not reached
-        are filtered out, which keeps scripted playbooks honest.
+        are filtered out, which keeps scripted playbooks honest; so is a
+        second find of an agent that another instance kills this tick.
         """
         notes: dict[str, Any] = {"evicted": self._check_evictions(env), "lateral": [], "phases": {}}
         effects: list[tuple[str, EffectDescriptor]] = []
+        hunted: set[str] = set()  # the agent targets killed this tick
         for iid in sorted(self.instances):
             inst = self.instances[iid]
             if not inst.alive:
@@ -295,8 +292,11 @@ class MalwareController:
             )
             reached = self.reached_hosts()
             for eff in emitted:
-                if self._effect_reachable(eff, env, reached):
-                    effects.append((iid, eff))
+                if eff.target in hunted or not self._effect_reachable(eff, env, reached):
+                    continue
+                if eff.target.startswith("agent:"):
+                    hunted.add(eff.target)
+                effects.append((iid, eff))
             if inst.phase is not before:
                 notes["phases"][iid] = inst.phase.value
             if inst.lateral_target is not None:
@@ -317,12 +317,9 @@ class MalwareController:
 
     @staticmethod
     def _effect_reachable(effect: EffectDescriptor, env: Environment, reached: set[str]) -> bool:
-        parts = effect.target.split(":")
-        if parts[0] in ("host", "service", "process", "file"):
-            return parts[1] in reached
-        if parts[0] == "channel":
-            ch = env.channels.get(parts[1])
-            return ch is not None and bool(set(ch.endpoints) & reached)
-        if parts[0] == "agent":
-            return any(env.hosts[h].resident_agent == parts[1] for h in reached if h in env.hosts)
-        return False
+        kind, name = effect.target.split(":")[:2]
+        if kind == "channel":
+            return bool(set(env.channels[name].endpoints) & reached)
+        if kind == "agent":
+            return any(env.hosts[h].resident_agent == name for h in reached)
+        return name in reached  # a host, or an entity on one

@@ -16,13 +16,7 @@ from enum import Enum
 from random import Random
 from typing import Any, Callable, Iterable, Optional
 
-from .errors import (
-    NoRequiredServices,
-    StaleToken,
-    UnknownChannel,
-    UnknownEntity,
-    UnknownHost,
-)
+from .errors import NoRequiredServices, UnknownEntity
 
 
 def clamp01(x: float) -> float:
@@ -123,7 +117,8 @@ class EffectDescriptor:
       host:<hid> | service:<hid>:<sid> | process:<hid>:<pid> |
       file:<hid>:<fid> | channel:<cid> | agent:<aid>
     Process/file positions accept the selectors @unknown (known_good=False
-    processes) and @foreign (malware-owned files).
+    processes) and @foreign (malware-owned files). Agent actions do what
+    scenario._ENV_OPERATIONS admits; the adversary adds spawns and agent kills.
     """
 
     target: str
@@ -206,7 +201,8 @@ class Environment:
 
         Returns an outcome record with one change entry per affected entity
         (selectors may touch several); each change carries old and new values
-        and, for services, the old and new derived state.
+        and, for services, the old and new derived state. UnknownEntity: a
+        named process or file, or a service on the agent's own host, is gone.
         """
         self.mutations += 1
         changes = [self._apply_one(kind, host, name, effect)
@@ -225,16 +221,8 @@ class Environment:
         under its name; channels and agents have no host."""
         kind, *names = effect.target.split(":")
         if kind in ("channel", "agent"):
-            if len(names) != 1:
-                raise UnknownEntity(f"malformed target {effect.target!r}")
             return [(kind, None, names[0])]
-        if kind not in ("host", "service", "process", "file"):
-            raise UnknownEntity(f"unknown target kind {kind!r}")
-        if len(names) != (1 if kind == "host" else 2):
-            raise UnknownEntity(f"malformed target {effect.target!r}")
-        host = self.hosts.get(names[0])
-        if host is None:
-            raise UnknownEntity(f"no host {names[0]!r}")
+        host = self.hosts[names[0]]
         name = names[-1]
         if name == "@unknown" and kind == "process":
             return [(kind, host, pid) for pid in sorted(
@@ -251,7 +239,7 @@ class Environment:
         if kind == "channel":
             return self._apply_channel(name, effect)
         if kind == "agent":
-            return self._apply_agent(name, effect.operation)
+            return self._apply_agent(name)
         if kind == "service":
             return self._apply_service(host, name, effect)
         if kind == "process":
@@ -261,45 +249,29 @@ class Environment:
     def _mutate_numeric(self, obj: Any, effect: EffectDescriptor, entity: str) -> dict[str, Any]:
         """Set or add to a host's integrity or a service's health, clamped to [0, 1]."""
         attr = effect.attribute
-        if not hasattr(obj, attr):
-            raise UnknownEntity(f"{entity} has no attribute {attr!r}")
         old = getattr(obj, attr)
-        if effect.operation == "set":
-            new = effect.value
-        elif effect.operation == "add":
-            new = old + effect.value
-        else:
-            raise UnknownEntity(f"operation {effect.operation!r} not valid for {entity}")
-        new = clamp01(float(new))
+        new = clamp01(float(effect.value if effect.operation == "set" else old + effect.value))
         setattr(obj, attr, new)
         return {"entity": entity, "attribute": attr, "old": old, "new": new}
 
     def _apply_channel(self, cid: str, effect: EffectDescriptor) -> dict[str, Any]:
-        ch = self.channels.get(cid)
-        if ch is None:
-            raise UnknownEntity(f"no channel {cid!r}")
+        ch = self.channels[cid]
         old = ch.state.value
         ch.state = ChannelState(effect.value)
         ch.enforce_invariants()
         return {"entity": f"channel:{cid}", "attribute": "state", "old": old, "new": ch.state.value}
 
-    def _apply_agent(self, agent_id: str, op: str) -> dict[str, Any]:
-        if op != "kill":
-            raise UnknownEntity(f"operation {op!r} not valid for agent targets")
-        for host in sorted(self.hosts.values(), key=lambda h: h.host_id):
-            if host.resident_agent == agent_id:
-                host.resident_agent = None
-                return {"entity": f"agent:{agent_id}", "attribute": "resident", "old": host.host_id, "new": None}
-        raise UnknownEntity(f"agent {agent_id!r} not resident anywhere")
+    def _apply_agent(self, agent_id: str) -> dict[str, Any]:
+        host = min((h for h in self.hosts.values() if h.resident_agent == agent_id),
+                   key=lambda h: h.host_id)
+        host.resident_agent = None
+        return {"entity": f"agent:{agent_id}", "attribute": "resident", "old": host.host_id, "new": None}
 
     def _apply_service(self, host: Host, sid: str, effect: EffectDescriptor) -> dict[str, Any]:
         hid = host.host_id
         svc = host.services.get(sid)
         if svc is None:
             raise UnknownEntity(f"no service {sid!r} on host {hid!r}")
-        if effect.operation == "remove":
-            del host.services[sid]
-            return {"entity": f"service:{hid}:{sid}", "attribute": "", "old": "present", "new": "removed"}
         old_state = svc.state.value
         change = self._mutate_numeric(svc, effect, entity=f"service:{hid}:{sid}")
         svc.refresh_state(self.up_threshold, self.down_threshold)
@@ -319,12 +291,10 @@ class Environment:
                 owner=Owner(spec.get("owner", "malware")),
             )
             return {"entity": f"process:{hid}:{pid}", "attribute": "", "old": None, "new": "spawned"}
-        if effect.operation in ("kill", "remove"):
-            if pid not in host.processes:
-                raise UnknownEntity(f"no process {pid!r} on host {hid!r}")
-            del host.processes[pid]
-            return {"entity": f"process:{hid}:{pid}", "attribute": "", "old": "present", "new": "killed"}
-        raise UnknownEntity(f"operation {effect.operation!r} not valid for processes")
+        if pid not in host.processes:  # kill
+            raise UnknownEntity(f"no process {pid!r} on host {hid!r}")
+        del host.processes[pid]
+        return {"entity": f"process:{hid}:{pid}", "attribute": "", "old": "present", "new": "killed"}
 
     def _apply_file(self, host: Host, fid: str, effect: EffectDescriptor) -> dict[str, Any]:
         hid = host.host_id
@@ -336,12 +306,10 @@ class Environment:
                 token=spec.get("token", ""),
             )
             return {"entity": f"file:{hid}:{fid}", "attribute": "", "old": None, "new": "created"}
-        if effect.operation == "remove":
-            if fid not in host.files:
-                raise UnknownEntity(f"no file {fid!r} on host {hid!r}")
-            del host.files[fid]
-            return {"entity": f"file:{hid}:{fid}", "attribute": "", "old": "present", "new": "removed"}
-        raise UnknownEntity(f"operation {effect.operation!r} not valid for files")
+        if fid not in host.files:  # remove
+            raise UnknownEntity(f"no file {fid!r} on host {hid!r}")
+        del host.files[fid]
+        return {"entity": f"file:{hid}:{fid}", "attribute": "", "old": "present", "new": "removed"}
 
     # -- aggregate measures ----------------------------------------------------
 
@@ -380,16 +348,14 @@ class Environment:
         rng: Random,
         spoofer: Optional[Callable[[str, dict[str, Any]], dict[str, Any]]] = None,
     ) -> DeliveryStatus:
-        """Push one message through a channel.
+        """Push one message through a channel that route() returned.
 
         Disabled drops always; degraded drops with drop_probability, else
         arrives after delay_ticks; spoofed delivers but is observed by the
         adversary (spoofer hook may substitute the payload); healthy delivers
         immediately. Draws come from the caller's seeded stream.
         """
-        ch = self.channels.get(channel_id)
-        if ch is None:
-            raise UnknownChannel(f"no channel {channel_id!r}")
+        ch = self.channels[channel_id]
         if ch.state is ChannelState.DISABLED:
             return DeliveryStatus.DROPPED
         if ch.state is ChannelState.DEGRADED:
@@ -414,9 +380,7 @@ class Environment:
     # -- snapshot / restore ---------------------------------------------------
 
     def snapshot(self, host_id: str) -> SnapshotToken:
-        host = self.hosts.get(host_id)
-        if host is None:
-            raise UnknownHost(f"no host {host_id!r}")
+        host = self.hosts[host_id]
         return SnapshotToken(
             token_id=next(self._token_counter),
             host_id=host_id,
@@ -431,9 +395,7 @@ class Environment:
         Malware- and agent-owned processes present now are preserved, and
         resident_agent is untouched: recovering data does not evict anyone.
         """
-        host = self.hosts.get(token.host_id)
-        if host is None:
-            raise StaleToken(f"host {token.host_id!r} no longer exists")
+        host = self.hosts[token.host_id]
         self.mutations += 1
         host.services = copy.deepcopy(token.services)
         host.files = copy.deepcopy(token.files)
@@ -455,9 +417,7 @@ class Environment:
     # -- agent footprint helpers ------------------------------------------------
 
     def install_agent(self, agent_id: str, host_id: str) -> None:
-        host = self.hosts.get(host_id)
-        if host is None:
-            raise UnknownHost(f"no host {host_id!r}")
+        host = self.hosts[host_id]
         self.mutations += 1
         host.resident_agent = agent_id
         pid = f"agent_proc_{agent_id}"

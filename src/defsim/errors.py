@@ -26,29 +26,11 @@ class ConfigInvalid(DefsimError):
 # -- environment ------------------------------------------------------------
 
 class UnknownEntity(DefsimError):
-    """Effect target does not exist (stale plan; execution treats as failure)."""
-
-
-class UnknownChannel(DefsimError):
-    pass
-
-
-class UnknownHost(DefsimError):
-    pass
-
-
-class StaleToken(DefsimError):
-    """Snapshot token refers to a host that no longer exists."""
+    """An agent action's target is gone (stale plan; execution treats as failure)."""
 
 
 class NoRequiredServices(DefsimError):
     """Functionality is undefined when the scenario declares no required service."""
-
-
-# -- adversary --------------------------------------------------------------
-
-class NoResidentAgent(DefsimError):
-    """Hunt invoked on a host with no resident agent."""
 
 
 # -- execution --------------------------------------------------------------

@@ -127,8 +127,10 @@ def _lookup(action_id: str, repertoire: dict[str, ActionSpec]) -> ActionSpec:
 
 
 def resolve_self(effect: EffectDescriptor, host_id: str) -> EffectDescriptor:
-    if "$self" in effect.target:
-        return replace(effect, target=effect.target.replace("$self", host_id))
+    """The effect with the host name `$self`, not an id like `h$self`, as `host_id`."""
+    kind, *names = effect.target.split(":")
+    if names[0] == "$self":
+        return replace(effect, target=":".join((kind, host_id, *names[1:])))
     return effect
 
 

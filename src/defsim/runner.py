@@ -207,26 +207,17 @@ class Episode:
 
     def _record_effect_outcome(self, outcome: dict[str, Any]) -> None:
         self.emit("env.effect", **outcome)
-        cause = outcome.get("cause", "")
-        for change in outcome.get("changes", []):
-            if (
-                cause.startswith("agent:")
-                and change.get("required")
-                and change.get("new_state") == "down"
-                and change.get("old_state") != "down"
-            ):
+        cause = outcome["cause"]
+        for change in outcome["changes"]:
+            if (cause.startswith("agent:") and change.get("required")
+                    and change["new_state"] == "down" and change["old_state"] != "down"):
                 self.emit("harm", entity=change["entity"], cause=cause)
-            if change.get("entity", "").startswith("agent:") and cause.startswith("malware:"):
-                agent_id = change["entity"].split(":", 1)[1]
-                self._destroy_agent(agent_id, by=cause)
-
-    def _destroy_agent(self, agent_id: str, by: str) -> None:
-        runtime = self.runtimes.get(agent_id)
-        if runtime is None or runtime.state.mode is AgentMode.DESTROYED:
-            return
-        runtime.state.mode = AgentMode.DESTROYED
-        self.env.remove_agent(agent_id)
-        self.emit("agent.killed", agent=agent_id, by=by)
+            elif change["entity"].startswith("agent:"):
+                # only the adversary kills agents, and only a live resident one
+                agent_id = change["entity"][len("agent:"):]
+                self.runtimes[agent_id].state.mode = AgentMode.DESTROYED
+                self.env.remove_agent(agent_id)
+                self.emit("agent.killed", agent=agent_id, by=cause)
 
     # -- episode loop ---------------------------------------------------------------
 

@@ -189,6 +189,23 @@ class Map(Spec):
 Field = tuple[Spec, Any]  # (spec, default); a list or object default is walked like a value
 
 
+# An id is one name of a target string (envsim.EffectDescriptor): it holds no
+# ":" and is none of the names that a target gives a meaning.
+_TARGET_WORDS = ("$self", "@unknown", "@foreign")
+_ID_DESC = "a string without ':' other than '$self', '@unknown' and '@foreign'"
+
+
+def _is_id(value: Any) -> bool:
+    return type(value) is str and ":" not in value and value not in _TARGET_WORDS
+
+
+class Name(Spec):
+    """An id that names no record, such as the file a playbook step creates."""
+
+    def check(self, value: Any, parent: Any, key: Any, walk: _Walk) -> Any:
+        return value if _is_id(value) else walk.bad((parent, key), value, _ID_DESC)
+
+
 class Record(Spec):
     """An object with the given fields. A record of a `kind` is named by its
     field `id`, a string unique among the records of that kind (per host when
@@ -227,8 +244,8 @@ class Record(Spec):
         return out
 
     def _name(self, ident: Any, path: Any, walk: _Walk) -> Any:
-        if type(ident) is not str:
-            walk.problem(path, f"{self.id} {ident!r} must be a string")
+        if not _is_id(ident):
+            walk.problem(path, f"{self.id} {ident!r} must be {_ID_DESC}")
             return path
         key = (walk.scope, ident) if self.scoped else ident
         if key in walk.ids[self.kind]:
@@ -323,22 +340,19 @@ HOST = Ref("host")
 
 _ENV_FIELDS = Record({"target": (STR, REQUIRED), "attribute": (STR, ""),
                       "operation": (STR, REQUIRED), "value": (ANY, None)})
+# what an agent action may do to the platform; the adversary builds its own effects
 # target kind -> namespace of each name after the kind; None: any name
 _TARGET_NAMES: dict[str, tuple[Optional[str], ...]] = {
     "host": ("host",), "service": ("host", "service"), "process": ("host", None),
-    "file": ("host", None), "channel": ("channel",), "agent": ("agent",)}
+    "file": ("host", None), "channel": ("channel",)}
 _NUMERIC = {"set": NUMBER, "add": NUMBER}  # the result clamps to [0, 1]
 # (target kind, attribute) -> {operation: value}
 _ENV_OPERATIONS: dict[tuple[str, str], dict[str, Spec]] = {
     ("host", "integrity"): _NUMERIC,
     ("service", "health"): _NUMERIC,
-    ("service", ""): {"remove": NULL},
-    ("process", ""): {"kill": NULL, "remove": NULL, "spawn": Maybe(Record({
-        "image_hash": (STR, OMITTED), "known_good": (BOOL, OMITTED), "owner": (OWNER, OMITTED)}))},
-    ("file", ""): {"remove": NULL, "spawn": Maybe(Record({
-        "owner": (OWNER, OMITTED), "token": (STR, OMITTED)}))},
+    ("process", ""): {"kill": NULL},  # a named pid or @unknown
+    ("file", ""): {"remove": NULL},  # a named fid or @foreign
     ("channel", "state"): {"set": CHANNEL_STATE},
-    ("agent", ""): {"kill": NULL},
 }
 
 TOPOLOGY = Record({
@@ -376,7 +390,7 @@ _STEP = Switch("action", "action", {
     "trigger": (Maybe(_TRIGGER), None),
 }, {  # an absent amount is the playbook's degradation_amount
     "advance_phase": {"params": (Record({}), {})},
-    "create_file": {"params": (Record({"file_id": (STR, OMITTED), **_STEP_HOST}), {})},
+    "create_file": {"params": (Record({"file_id": (Name(), OMITTED), **_STEP_HOST}), {})},
     "set_channel": {"params": (Record({
         "channel": (Ref("channel"), REQUIRED), "state": (CHANNEL_STATE, REQUIRED)}), REQUIRED)},
     "degrade_service": {"params": (Record({

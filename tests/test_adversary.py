@@ -16,7 +16,7 @@ from defsim.adversary import (
     spoof_payload,
 )
 from defsim.envsim import Service
-from defsim.errors import ConfigInvalid, NoResidentAgent
+from defsim.errors import ConfigInvalid
 from defsim.scenario import _TRIGGER
 
 from conftest import make_env, make_host, two_host_env
@@ -119,11 +119,6 @@ def test_hunt_certain_detection():
     assert all(hunt(instance, 1.0, Random(s)) is HuntResult.FOUND for s in range(50))
 
 
-def test_hunt_requires_resident_agent():
-    with pytest.raises(NoResidentAgent):
-        hunt(inst(MalwarePhase.AGENT_HUNT), None, Random(1))
-
-
 def test_hunt_frequency_matches_closed_form():
     # detectability 0.5 x intensity 0.5 -> 0.25 +/- 0.02 over 10000 trials
     instance = inst(MalwarePhase.AGENT_HUNT, intensity=0.5)
@@ -163,6 +158,16 @@ def test_controller_filters_effects_on_unreached_hosts():
     ctrl = MalwareController([inst(MalwarePhase.DEGRADATION, host="h1")], pb)
     effects, _ = ctrl.step(env, Random(1), 0, lambda h: None)
     assert effects == []  # h2 was never reached
+
+
+def test_two_instances_that_find_one_agent_kill_it_once():
+    env = make_env(hosts=[make_host("h1", resident_agent="a1")])
+    pb = Playbook(fallback=True)
+    ctrl = MalwareController([MalwareInstance(iid, "h1", phase=MalwarePhase.AGENT_HUNT,
+                                              hunt_intensity=1.0) for iid in ("m1", "m2")], pb)
+    effects, _ = ctrl.step(env, Random(1), 0, lambda h: 1.0)
+    assert [(iid, eff.target, eff.operation) for iid, eff in effects] == [
+        ("m1", "agent:a1", "kill")]
 
 
 def test_controller_rejects_a_step_without_an_instance():

@@ -246,6 +246,51 @@ def test_every_dataclass_field_is_read_in_the_package():
     assert unread_fields(sources) == sorted(KEPT_FIELDS)
 
 
+def unraised_errors(sources: dict[str, str]) -> list[str]:
+    """The classes of errors.py that nothing in `sources` raises or catches
+    by name and that are no base of one that is."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)}
+    named = []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                named.append(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named += node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    live = {n.id if isinstance(n, ast.Name) else getattr(n, "attr", None) for n in named}
+    todo = list(live & set(bases))
+    while todo:
+        for base in bases[todo.pop()]:
+            if base in bases and base not in live:
+                live.add(base)
+                todo.append(base)
+    return sorted(set(bases) - live)
+
+
+def test_checker_flags_an_error_class_that_nothing_raises_or_catches():
+    sources = {
+        "errors.py": "class Base(Exception):\n    pass\n"
+                     "class Mid(Base):\n    pass\n"
+                     "class Leaf(Mid):\n    pass\n"
+                     "class Lost(Base):\n    pass\n"
+                     "class Caught(Exception):\n    pass\n"
+                     "class Named(Exception):\n    pass\n"
+                     "def f():\n    raise errors.Leaf\n",
+        "a.py": "from errors import Caught, Named\n"
+                "try:\n    pass\nexcept (Caught, KeyError):\n    pass\n"
+                "print(Named)\n",
+    }
+    assert unraised_errors(sources) == ["Lost", "Named"]
+
+
+def test_every_error_class_is_raised_or_caught():
+    # a class whose last raise goes would otherwise stay behind as dead code
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unraised_errors(sources) == []
+
+
 def builtin_sums(source: str) -> list[str]:
     """Every use of builtin sum other than counting, `sum(1 for ...)`.
 

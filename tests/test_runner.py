@@ -425,6 +425,21 @@ def test_an_instance_whose_processes_are_killed_is_evicted():
     assert not any(e.get("cause") == "malware:m1" for e in result.trace if e["tick"] >= 2)
 
 
+def test_two_hunts_that_find_the_agent_in_one_tick_kill_it_once(tmp_path):
+    raw = json.loads(Path(scenario_path("s2_lateral_hunt")).read_text())
+    raw["playbook"]["instances"] = [
+        {"instance_id": iid, "host_id": "h1", "phase": "AgentHunt", "hunt_intensity": 1.0}
+        for iid in ("m1", "m2")]
+    raw["playbook"]["steps"] = []
+    raw["agents"][0]["detectability"] = 1.0
+    result = run_episode(parse_scenario(raw), 1)
+    killed = [(e["tick"], e["agent"], e["by"]) for e in result.trace if e["kind"] == "agent.killed"]
+    assert killed == [(0, "a1", "malware:m1")]
+    assert result.trace[-1]["tick"] == raw["duration_ticks"] - 1
+    write_trace(result, tmp_path / "trace.jsonl")
+    assert replay(tmp_path / "trace.jsonl") == result.metrics
+
+
 def test_a_fail_safe_command_forbids_the_destructive_step():
     script = [{"tick": 0, "kind": "ControlCommand", "payload": {"command": "fail_safe"}}]
     result = run_episode(risk_loop_scenario(script), 1)

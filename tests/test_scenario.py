@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from defsim.cli import main
 from defsim.envsim import EffectDescriptor
+from defsim.execution import resolve_self
 from defsim.errors import ConfigInvalid, DefsimError
 from defsim.runner import run_episode
-from defsim.scenario import _ENV_OPERATIONS, load_scenario, parse_scenario
+from defsim.scenario import (CHANNEL_STATE, NULL, NUMBER, _ENV_OPERATIONS, load_scenario,
+                             parse_scenario)
 
 from conftest import BUNDLED, run_python, scenario_path
 
@@ -296,6 +298,45 @@ DELETED_OPTIONS = {
     "sensor_required_down_count": (
         lambda r: r.update(sensors={"logical": ["required_down_count"]}),
         "scenario.sensors.logical[0]: unknown sensor 'required_down_count'"),
+    # agent-action effects: the adversary builds its own spawns and agent kills
+    "service_remove_effect": (
+        _env_effect(target="service:h1:svc", operation="remove"),
+        "action 'a'.effects[0].env.attribute: unknown attribute '' of service targets"),
+    "process_remove_effect": (
+        _env_effect(target="process:h1:p", operation="remove"),
+        "action 'a'.effects[0].env.operation: unknown operation 'remove' of process attribute ''"),
+    "process_spawn_effect": (
+        _env_effect(target="process:h1:p", operation="spawn"),
+        "action 'a'.effects[0].env.operation: unknown operation 'spawn' of process attribute ''"),
+    "file_spawn_effect": (
+        _env_effect(target="file:h1:f", operation="spawn"),
+        "action 'a'.effects[0].env.operation: unknown operation 'spawn' of file attribute ''"),
+    "agent_kill_effect": (
+        _env_effect(target="agent:a1", operation="kill"),
+        "action 'a'.effects[0].env.target must be a target such as host:<host id>, "
+        "service:<host id>:<service id> or channel:<channel id>, not 'agent:a1'"),
+}
+
+# ids that would break a target string or read as one of its selectors
+BAD_IDS = {
+    "instance_id_with_a_colon": (
+        _add_instances("m:1"),
+        "scenario.playbook.instances[0]: instance_id 'm:1' must be a string without ':' other "
+        "than '$self', '@unknown' and '@foreign'"),
+    "create_file_id_with_a_colon": (
+        _step(action="create_file", params={"file_id": "drop:x"}),
+        "scenario.playbook.steps[0].params.file_id must be a string without ':' other than "
+        "'$self', '@unknown' and '@foreign', not 'drop:x'"),
+    "process_id_unknown_selector": (
+        lambda r: r["topology"]["hosts"][0].update(processes=[{"process_id": "@unknown"}]),
+        "host 'h1'.processes[0]: process_id '@unknown' must be a string without ':'"),
+    "file_id_foreign_selector": (
+        lambda r: r["topology"]["hosts"][0].update(files=[{"file_id": "@foreign"}]),
+        "host 'h1'.files[0]: file_id '@foreign' must be a string without ':'"),
+    "host_id_self": (lambda r: r["topology"]["hosts"].append({"host_id": "$self"}),
+                     "topology.hosts[1]: host_id '$self' must be a string without ':'"),
+    "agent_id_with_a_colon": (_add_agents("a:2"),
+                              "scenario.agents[1]: agent_id 'a:2' must be a string without ':'"),
 }
 
 
@@ -341,6 +382,7 @@ DELETED_OPTIONS = {
     (_add_instances("m1", "m1_r3_r4"),
      "instance 'm1_r3_r4': id is taken by a replica of instance 'm1'"),
     *DELETED_OPTIONS.values(),
+    *BAD_IDS.values(),
 ], ids=["threshold_string", "report_interval_zero", "communicate_noise_negative",
         "fail_safe_streak_string", "duplicate_agent_id", "depth_string",
         "noise_weight_string", "trigger_threshold_string", "service_weight_string",
@@ -349,7 +391,7 @@ DELETED_OPTIONS = {
         "malware_process_known_good_by_default", "action_id_shadows_builtin", "agent_id_c2",
         "agent_id_of_a_replica", "agent_id_of_a_replica_of_a_replica",
         "instance_id_of_a_replica", "instance_id_of_a_replica_of_a_replica",
-        *DELETED_OPTIONS])
+        *DELETED_OPTIONS, *BAD_IDS])
 def test_mistyped_or_out_of_range_settings_are_config_invalid(edit, problem):
     raw = minimal_raw()
     edit(raw)
@@ -367,6 +409,43 @@ def test_run_exits_2_on_a_deleted_option(name, tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--seed", "1",
                  "--out", str(tmp_path / "out")]) == 2
     assert DELETED_OPTIONS[name][1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(BAD_IDS))
+def test_run_exits_2_on_an_id_that_breaks_a_target(name, tmp_path, capsys):
+    raw = minimal_raw()
+    BAD_IDS[name][0](raw)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--scenario", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert BAD_IDS[name][1] in capsys.readouterr().err
+
+
+def test_every_effect_of_the_table_applies_to_the_platform():
+    """Each operation the table admits on each (kind, attribute) parses in a
+    one-action scenario and applies to its platform, touching an entity."""
+    targets = {"host": ["host:h1"], "service": ["service:h1:svc", "service:$self:svc"],
+               "process": ["process:h1:p", "process:$self:@unknown"],
+               "file": ["file:h1:f", "file:$self:@foreign"], "channel": ["channel:c"]}
+    values = {NUMBER: 0.5, NULL: None, CHANNEL_STATE: "spoofed"}
+    assert {kind for kind, _ in _ENV_OPERATIONS} == set(targets)
+    for (kind, attribute), operations in _ENV_OPERATIONS.items():
+        for operation, spec in operations.items():
+            for target in targets[kind]:
+                raw = minimal_raw()
+                _env_effect(target=target, attribute=attribute, operation=operation,
+                            value=values[spec])(raw)
+                raw["topology"]["hosts"][0].update(
+                    processes=[{"process_id": "p"},
+                               {"process_id": "u", "known_good": False, "owner": "malware"}],
+                    files=[{"file_id": "f"}, {"file_id": "x", "owner": "malware"}])
+                config = parse_scenario(raw)
+                env = config.build_environment()
+                effect = config.build_repertoire()["a"].effects[0].env_effect
+                before = env.mutations
+                outcome = env.apply_effect(resolve_self(effect, "h1"))
+                assert env.mutations > before and len(outcome["changes"]) == 1, target
 
 
 @pytest.mark.parametrize("edit", [_add_agents("a1_rx"), _add_agents("a1_r"), _add_agents("b1_r1"),
@@ -474,3 +553,70 @@ def several_edits(draw):
 @settings(max_examples=80, deadline=None)
 def test_several_edits_at_once_are_config_invalid_or_run(edits):
     parse_and_run(edited(S1, edits))
+
+
+def id_scenario(h1="h1", h2="h2", svc="svc", proc="p", file="f", chan="c", agent="a1",
+                inst="m1", drop="drop"):
+    """A 9-tick story that writes each id into the targets it forms. m1 spawns
+    a process at tick 0, creates `drop`, degrades `svc`, spoofs `chan`, moves
+    to h2 and kills the agent at tick 7. From tick 0 on the agent's `sweep`
+    kills and removes named entities and selected ones, sets and adds to
+    numbers, and sets the channel's state."""
+    effects = [(f"process:{h1}:{proc}", "", "kill", None),
+               (f"file:{h1}:{file}", "", "remove", None),
+               (f"process:{h2}:@unknown", "", "kill", None),
+               (f"file:{h2}:@foreign", "", "remove", None),
+               (f"service:{h2}:{svc}", "health", "set", 1.0),
+               (f"service:$self:{svc}", "health", "add", 0.1),
+               (f"host:{h2}", "integrity", "add", -0.1),
+               (f"channel:{chan}", "state", "set", "healthy")]
+    step = {"tick": 2, "instance_id": inst}
+    return {
+        "schema_version": 1, "duration_ticks": 9,
+        "topology": {
+            "hosts": [{"host_id": h1, "services": [{"service_id": svc, "required": True}],
+                       "processes": [{"process_id": proc}], "files": [{"file_id": file}]},
+                      {"host_id": h2, "services": [{"service_id": svc, "required": True}],
+                       "processes": [{"process_id": proc, "known_good": False, "owner": "malware"}],
+                       "files": [{"file_id": file, "owner": "malware"}]}],
+            "channels": [{"channel_id": chan, "endpoints": [h1, h2]}]},
+        "playbook": {
+            "instances": [{"instance_id": inst, "host_id": h1, "phase": "Foothold",
+                           "hunt_intensity": 1.0}],
+            "steps": [{**step, "tick": 1, "action": "create_file", "params": {"file_id": drop}},
+                      {**step, "action": "degrade_service", "params": {"service": svc, "host": h1}},
+                      {**step, "action": "set_channel",
+                       "params": {"channel": chan, "state": "spoofed"}}]},
+        "patterns": [{"id": "always", "severity": 1.0, "confidence": 1.0, "deadline_ticks": 0}],
+        "repertoire": [{"action_id": "sweep", "category": "contain", "effects": [
+            {"env": dict(zip(("target", "attribute", "operation", "value"), effect))}
+            for effect in effects]}],
+        "roe": {"fast_deadline_ticks": 1},
+        "rules": [{"rule_id": "r", "action_id": "sweep", "priority": 1}],
+        "agents": [{"agent_id": agent, "host_id": h1, "detectability": 1.0}],
+    }
+
+
+def test_the_id_story_reaches_every_target_it_forms():
+    result = run_episode(parse_scenario(id_scenario()), 1)
+    effects = {(e["tick"], e["target"]) for e in result.trace if e["kind"] == "env.effect"}
+    assert {(0, "process:h1:mal_m1_1"), (1, "file:h1:drop"), (2, "service:h1:svc"),
+            (2, "channel:c"), (0, "process:h1:p"), (0, "file:h1:f"), (0, "process:h2:@unknown"),
+            (0, "file:h2:@foreign"), (0, "service:h1:svc"), (7, "agent:a1")} <= effects
+    assert [e["tick"] for e in result.trace if e["kind"] == "adversary.lateral"] == [5]
+
+
+# ids from text, with the characters and names that a target reads
+ID_TEXT = st.one_of(st.text(max_size=3), st.text(alphabet="h1:$@", max_size=4),
+                    st.sampled_from(["$self", "@unknown", "@foreign", "h$self"]))
+
+
+@given(ids=st.fixed_dictionaries({slot: ID_TEXT for slot in (
+    "h1", "h2", "svc", "proc", "file", "chan", "agent", "inst", "drop")}))
+@settings(max_examples=200, deadline=None)
+def test_any_ids_are_config_invalid_or_run_to_the_end(ids):
+    try:
+        config = parse_scenario(id_scenario(**ids))
+    except ConfigInvalid:
+        return
+    assert run_episode(config, 1).trace[-1]["tick"] == config.duration_ticks - 1
