@@ -15,7 +15,6 @@ from random import Random
 from typing import Any, Callable, Optional
 
 from .envsim import ChannelState, EffectDescriptor, Environment
-from .errors import ConfigInvalid
 
 
 class MalwarePhase(str, Enum):
@@ -53,7 +52,7 @@ class PlaybookStep:
     tick: int
     action: str
     params: dict[str, Any] = field(default_factory=dict)
-    instance_id: Optional[str] = None
+    instance_id: str = field(kw_only=True)  # the instance that runs the step
     trigger: Optional[dict[str, Any]] = None
 
 
@@ -131,10 +130,8 @@ def _scripted_effects(
     if act == "degrade_host":
         amount = params.get("amount", playbook.degradation_amount)
         return [EffectDescriptor(f"host:{host}", "integrity", "add", -amount)]
-    if act == "move_lateral":
-        instance.lateral_target = params["target_host"]
-        return []
-    raise ValueError(f"unknown playbook action {act!r}")
+    instance.lateral_target = params["target_host"]  # move_lateral, the last action of _STEP
+    return []
 
 
 def _next_pid(instance: MalwareInstance) -> str:
@@ -242,9 +239,6 @@ class MalwareController:
     """Owns every instance in an episode and routes the playbook to them."""
 
     def __init__(self, instances: list[MalwareInstance], playbook: Playbook):
-        unrouted = [step.tick for step in playbook.steps if step.instance_id is None]
-        if unrouted:
-            raise ConfigInvalid(f"playbook steps at ticks {unrouted} name no instance")
         self.instances: dict[str, MalwareInstance] = {i.instance_id: i for i in instances}
         self.playbook = playbook
         self._replica_counter = 0
@@ -300,9 +294,9 @@ class MalwareController:
             if inst.phase is not before:
                 notes["phases"][iid] = inst.phase.value
             if inst.lateral_target is not None:
-                target = inst.lateral_target
-                inst.lateral_target = None
-                if target in env.hosts and len(self.instances) < self.playbook.max_instances:
+                # a validated host: a move_lateral step's or an adjacent channel's endpoint
+                target, inst.lateral_target = inst.lateral_target, None
+                if len(self.instances) < self.playbook.max_instances:
                     self._replica_counter += 1
                     new_id = f"{iid}_r{self._replica_counter}"
                     child = MalwareInstance(

@@ -24,7 +24,7 @@ from .errors import (
     RefusedNoRoute,
     RefusedNoTrigger,
     RefusedNonFriendly,
-    UnknownField,
+    RefusedOccupied,
     UnknownGoal,
     canonical_json,
 )
@@ -235,8 +235,6 @@ def apply_control(
                 "weights": {g.goal_id: g.weight for g in kb.goals}}
     if name == "set_roe":
         fld = command["field"]
-        if not hasattr(roe, fld):
-            raise UnknownField(f"no ROE field {fld!r}")
         value = command["value"]
         if fld == "forbidden_categories":
             value = set(value)
@@ -252,16 +250,14 @@ def apply_control(
         )
         kb.rules[rule.rule_id] = rule
         return {"command": name, "rule_id": rule.rule_id}
-    if name == "add_pattern_example":
-        features = command["features"]
-        confirmed = command["label"] == "compromised"
-        touched = []
-        for pid in sorted(kb.patterns):
-            if all_hold(features, kb.patterns[pid].predicates):
-                kb.note_pattern_outcome(pid, confirmed)
-                touched.append(pid)
-        return {"command": name, "patterns_updated": touched}
-    raise UnknownField(f"unknown control command {name!r}")
+    # add_pattern_example, the one case of the scenario's _COMMAND left (fail_safe is routed)
+    confirmed = command["label"] == "compromised"
+    touched = []
+    for pid in sorted(kb.patterns):
+        if all_hold(command["features"], kb.patterns[pid].predicates):
+            kb.note_pattern_outcome(pid, confirmed)
+            touched.append(pid)
+    return {"command": name, "patterns_updated": touched}
 
 
 # -- conditional propagation --------------------------------------------------------
@@ -280,15 +276,19 @@ def propagate(
     initial_detectability: float = 0.1,
 ) -> AgentState:
     """Install a replica on a friendly host, only when every condition holds:
-    roster membership, valid authorization, the low-integrity trigger, and a
-    usable channel. The first failed condition names the refusal."""
+    roster membership, a nonempty authorization token, the low-integrity
+    trigger, a host with no live agent, and a usable channel. The first
+    failed condition names the refusal."""
     if target_host not in roster.hosts:
         raise RefusedNonFriendly(f"{target_host!r} not in friendly roster")
-    if not roster.authorization_token or roster.authorization_token != env.roster_token:
+    if not roster.authorization_token:
         raise RefusedNoAuthorization("roster authorization token invalid")
     if not local_integrity < threshold:
         raise RefusedNoTrigger(
             f"local integrity {local_integrity:.2f} not below trigger {threshold:.2f}")
+    occupant = env.hosts[target_host].resident_agent
+    if occupant is not None:  # a host holds one agent; a kill clears its residence
+        raise RefusedOccupied(f"{target_host!r} holds live agent {occupant!r}")
     channel = env.route(agent_state.host_id, target_host)
     if channel is None:
         raise RefusedNoRoute(f"no usable channel to {target_host!r}")

@@ -16,7 +16,7 @@ from enum import Enum
 from random import Random
 from typing import Any, Callable, Iterable, Optional
 
-from .errors import NoRequiredServices, UnknownEntity
+from .errors import UnknownEntity
 
 
 def clamp01(x: float) -> float:
@@ -153,19 +153,12 @@ class Environment:
     the counter last had its current value still holds.
     """
 
-    def __init__(
-        self,
-        hosts: dict[str, Host],
-        channels: dict[str, CommsChannel],
-        up_threshold: float = 0.8,
-        down_threshold: float = 0.3,
-        roster_token: str = "",
-    ):
+    def __init__(self, hosts: dict[str, Host], channels: dict[str, CommsChannel],
+                 up_threshold: float = 0.8, down_threshold: float = 0.3):
         self.hosts = hosts
         self.channels = channels
         self.up_threshold = up_threshold
         self.down_threshold = down_threshold
-        self.roster_token = roster_token
         self.tick = -1
         # arrival tick -> (channel id, message) pairs, in the order they were sent
         self._scheduled: dict[int, list[tuple[str, dict[str, Any]]]] = {}
@@ -262,8 +255,7 @@ class Environment:
         return {"entity": f"channel:{cid}", "attribute": "state", "old": old, "new": ch.state.value}
 
     def _apply_agent(self, agent_id: str) -> dict[str, Any]:
-        host = min((h for h in self.hosts.values() if h.resident_agent == agent_id),
-                   key=lambda h: h.host_id)
+        host = next(h for h in self.hosts.values() if h.resident_agent == agent_id)  # the one
         host.resident_agent = None
         return {"entity": f"agent:{agent_id}", "attribute": "resident", "old": host.host_id, "new": None}
 
@@ -314,7 +306,8 @@ class Environment:
     # -- aggregate measures ----------------------------------------------------
 
     def functionality(self) -> float:
-        """Weighted fraction of required services currently up, in [0, 1]."""
+        """Weighted fraction of required services currently up, in [0, 1]. A
+        scenario holds a required service, and a weight is positive."""
         total = 0.0
         up = 0.0
         for host in self.hosts.values():
@@ -324,8 +317,6 @@ class Environment:
                 total += svc.weight
                 if svc.state is ServiceState.UP:
                     up += svc.weight
-        if total == 0.0:
-            raise NoRequiredServices("scenario defines no required services")
         return up / total
 
     # -- messaging ---------------------------------------------------------------

@@ -29,10 +29,6 @@ class UnknownEntity(DefsimError):
     """An agent action's target is gone (stale plan; execution treats as failure)."""
 
 
-class NoRequiredServices(DefsimError):
-    """Functionality is undefined when the scenario declares no required service."""
-
-
 # -- execution --------------------------------------------------------------
 
 class AuthorityNotHeld(DefsimError):
@@ -57,10 +53,6 @@ class UnknownGoal(DefsimError):
     pass
 
 
-class UnknownField(DefsimError):
-    pass
-
-
 class PropagationRefused(DefsimError):
     """Base for replica installation refusals; names the first failed condition."""
 
@@ -79,6 +71,10 @@ class RefusedNoTrigger(PropagationRefused):
 
 class RefusedNoRoute(PropagationRefused):
     pass
+
+
+class RefusedOccupied(PropagationRefused):
+    """The target host holds a live agent, and a host holds one."""
 
 
 # -- runner -----------------------------------------------------------------

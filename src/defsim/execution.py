@@ -120,10 +120,8 @@ class PlanExecution:
 
 
 def _lookup(action_id: str, repertoire: dict[str, ActionSpec]) -> ActionSpec:
-    spec = BUILTIN_ACTIONS.get(action_id) or repertoire.get(action_id)
-    if spec is None:
-        raise KeyError(f"no action spec for {action_id!r}")
-    return spec
+    """A plan entry's spec: every entry names a builtin or a repertoire action."""
+    return BUILTIN_ACTIONS.get(action_id) or repertoire[action_id]
 
 
 def resolve_self(effect: EffectDescriptor, host_id: str) -> EffectDescriptor:

@@ -184,9 +184,7 @@ def apply_proposition(kb: KnowledgeBase, proposition: Proposition) -> bool:
     payload = proposition.payload
     if proposition.kind == "effect_stat_update":
         kb.note_effect_outcome(payload["action_id"], payload["effect_index"], payload["observed"])
-        return True
-    if proposition.kind == "pattern_confidence_update":
+    else:  # pattern_confidence_update, the other kind learn makes
         kb.note_pattern_outcome(payload["pattern_id"], payload["confirmed"])
-        return True
-    raise ValueError(f"unknown proposition kind {proposition.kind!r}")
+    return True
 

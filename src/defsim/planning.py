@@ -23,7 +23,7 @@ from random import Random
 from typing import Any, Optional, Sequence
 
 from .envsim import EffectDescriptor, sum_in_order
-from .errors import ConfigInvalid, canonical_json
+from .errors import canonical_json
 from .sensing import (
     _COMPARATORS,
     FeatureDelta,
@@ -89,9 +89,7 @@ class Goal:
 
 
 def normalize_goals(goals: list[Goal]) -> list[Goal]:
-    total = sum_in_order(g.weight for g in goals)
-    if goals and total <= 0:
-        raise ConfigInvalid("goal weights must sum to a positive value")
+    total = sum_in_order(g.weight for g in goals)  # > 0: the table admits positive weights only
     for g in goals:
         g.weight = g.weight / total
     return goals
@@ -890,8 +888,7 @@ def fast_rule_select(
         return None, evaluated
     for rule in sorted(rules, key=lambda r: r.priority):
         held = all_hold(ws.features, rule.condition)
-        spec = repertoire.get(rule.action_id)
-        roe_ok = spec is not None and action_roe_ok(spec, roe)
+        roe_ok = action_roe_ok(repertoire[rule.action_id], roe)  # a rule names a repertoire action
         evaluated.append({"rule": rule.rule_id, "priority": rule.priority,
                           "condition_held": held, "roe_ok": roe_ok})
         if held and roe_ok:

@@ -31,7 +31,6 @@ from .errors import (
     NoRoute,
     PropagationRefused,
     SchemaMismatch,
-    UnknownField,
     UnknownGoal,
     canonical_json,
     read_json,
@@ -249,13 +248,9 @@ class Episode:
     # -- adversary phase ---------------------------------------------------------------
 
     def _detectability_of(self, host_id: str) -> Optional[float]:
-        host = self.env.hosts.get(host_id)
-        if host is None or host.resident_agent is None:
-            return None
-        runtime = self.runtimes.get(host.resident_agent)
-        if runtime is None or runtime.state.mode is AgentMode.DESTROYED:
-            return None
-        return runtime.state.detectability
+        # only install_agent sets residence, right before the runtime joins; a kill clears it
+        agent_id = self.env.hosts[host_id].resident_agent
+        return None if agent_id is None else self.runtimes[agent_id].state.detectability
 
     def _adversary_phase(self, tick: int) -> None:
         effects, notes = self.malware.step(self.env, self.rng, tick, self._detectability_of)
@@ -339,9 +334,9 @@ class Episode:
                 rt.kb = KnowledgeBase.from_json(msg["payload"]["knowledge"])
                 rt.identified_at = -1
             elif kind == collaboration.MessageKind.CONTROL_COMMAND.value:
-                rt.control_queue.append(msg.get("payload") or {})
+                rt.control_queue.append(msg["payload"])  # a C2 script's _COMMAND
                 self.emit("agent.control_queued", agent=rt.state.agent_id,
-                          command=(msg.get("payload") or {}).get("command"))
+                          command=msg["payload"]["command"])
             elif kind in (collaboration.MessageKind.HANDOVER_GRANT.value,
                           collaboration.MessageKind.HANDOVER_RETURN.value):
                 try:
@@ -403,14 +398,14 @@ class Episode:
         if queue:  # a command may edit what the last decision read
             rt.decision = None
         for command in queue:
-            name = command.get("command")
+            name = command["command"]
             try:
                 if name == "fail_safe":
                     self._fail_safe(rt, "supervisor_command")
                 else:
                     change = collaboration.apply_control(command, rt.kb, rt.roe)
                     self.emit("agent.control_applied", agent=rt.state.agent_id, **change)
-            except (UnknownGoal, UnknownField, ModeForbidden) as exc:
+            except (UnknownGoal, ModeForbidden) as exc:
                 self.emit("agent.control_rejected", agent=rt.state.agent_id,
                           command=name, reason=str(exc))
 
@@ -657,7 +652,7 @@ class Episode:
                 continue
             recipient = entry["to"]
             target = self.runtimes.get(recipient)
-            if target is None:
+            if target is None:  # the agent is off: a scripted recipient is a scenario agent
                 self.emit("c2.send_failed", to=recipient, reason="unknown_agent")
                 continue
             channel = self.env.route(self.config.c2_host, target.state.host_id)
@@ -778,7 +773,7 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
         if event["kind"] == "agent.decision":
             full, ref = _holds_body(event, "trace line", number), event.get("same_as")
             if not (full or type(ref) is int and 0 <= ref < len(holds_body) and holds_body[ref]):
-                raise _bad_reference(ref, "trace line", number)
+                raise CorruptTrace(_bad_reference(ref, "trace line", number))
             holds_body.append(full)
     if not events or events[-1].get("kind") != "end":
         raise CorruptTrace("trace missing end record")
@@ -805,23 +800,24 @@ def _holds_body(record: Any, what: str, number: int) -> bool:
     return full
 
 
-def _bad_reference(ref: Any, what: str, number: int) -> CorruptTrace:
-    return CorruptTrace(f"{what} {number}: same_as {canonical_json(ref)} names no "
-                        "earlier decision that holds its body")
+def _bad_reference(ref: Any, what: str, number: int) -> str:
+    return (f"{what} {number}: same_as {canonical_json(ref)} names no earlier decision that "
+            "holds its body")
 
 
 def explain(decision_log: list[dict[str, Any]], index: int) -> str:
     """Human-readable rendering of one decision, derived solely from the
     recorded log entry and, for a repeated body, the entry its `same_as`
     names, which must be an earlier entry that holds its body."""
-    if index < 0 or index >= len(decision_log):
-        raise IndexOutOfRange(f"decision index {index} outside 0..{len(decision_log) - 1}")
+    if not 0 <= index < len(decision_log):
+        raise IndexOutOfRange(f"decision index {index} outside 0..{len(decision_log) - 1}"
+                              if decision_log else "the result holds no decisions")
     entry = body = decision_log[index]
     if not _holds_body(entry, "decision", index):
         ref = entry["same_as"]
         if not (type(ref) is int and 0 <= ref < index
                 and _holds_body(decision_log[ref], "decision", ref)):
-            raise _bad_reference(ref, "decision", index)
+            raise CorruptTrace(_bad_reference(ref, "decision", index))
         body = decision_log[ref]
     try:
         return _render_decision(entry, body, index)

@@ -368,7 +368,6 @@ TOPOLOGY = Record({
             "owner": (OWNER, "system")}, "process", "process_id", scoped=True)), []),
         "files": (List(Record({"file_id": ID, "owner": (OWNER, "system")},
                               "file", "file_id", scoped=True)), []),
-        "resident_agent": (Maybe(STR), None),
     }, "host", "host_id")), REQUIRED),
     "channels": (List(Record({
         "channel_id": ID,
@@ -507,9 +506,11 @@ def _cross_rules(doc: dict[str, Any], ids: dict[str, set[Any]], problems: list[s
             if p["owner"] == "malware" and p["known_good"]:
                 problems.append(f"process {p['process_id']!r}: malware owner requires "
                                 "known_good=false")
-        if h["resident_agent"] is not None and h["resident_agent"] not in ids["agent"]:
-            problems.append(f"host {h['host_id']!r}: resident_agent {h['resident_agent']!r} "
-                            "not in agents")
+    held: dict[str, str] = {}  # host -> its agent: the adversary hunts a host's one resident
+    for a in doc["agents"]:
+        if held.setdefault(a["host_id"], a["agent_id"]) != a["agent_id"]:
+            problems.append(f"agent {a['agent_id']!r}: host {a['host_id']!r} already holds "
+                            f"agent {held[a['host_id']]!r}")
     # messages from the remote center carry the sender "c2"
     if "c2" in ids["agent"]:
         problems.append("agent 'c2': id is taken by the remote center")
@@ -619,8 +620,7 @@ class ScenarioConfig:
             c, endpoints=tuple(c["endpoints"]), state=ChannelState(c["state"])))
             for c in topo["channels"]}
         return Environment(hosts, channels, topo["thresholds"]["up_threshold"],
-                           topo["thresholds"]["down_threshold"],
-                           self.doc["roster"]["authorization_token"])
+                           topo["thresholds"]["down_threshold"])
 
     def build_playbook(self) -> tuple[list[MalwareInstance], Playbook]:
         pb = dict(self.doc["playbook"])
@@ -628,10 +628,9 @@ class ScenarioConfig:
             i, phase=MalwarePhase(i["phase"]),
             hunt_intensity=i.get("hunt_intensity", pb["hunt_intensity"])))
             for i in pb.pop("instances")]
-        default_instance = instances[0].instance_id if instances else None
-        pb["steps"] = [PlaybookStep(**dict(
-            s, instance_id=s["instance_id"] if s["instance_id"] is not None else default_instance))
-            for s in pb["steps"]]
+        pb["steps"] = [PlaybookStep(**dict(s, instance_id=s["instance_id"] if s["instance_id"]
+                                           is not None else instances[0].instance_id))
+                       for s in pb["steps"]]  # _cross_rules: then an instance is listed
         return instances, Playbook(**pb)
 
     def build_sensor_config(self) -> SensorConfig:

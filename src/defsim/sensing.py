@@ -43,11 +43,7 @@ def all_hold(features: dict[str, Any], preds: Sequence[Predicate]) -> bool:
 def feature_after_delta(current: Any, op: str, value: Any) -> Any:
     """A feature's value after one delta; `current` is 0.0 for a feature
     that is absent."""
-    if op == "set":
-        return value
-    if op == "add":
-        return current + value
-    raise ValueError(f"unknown feature delta op {op!r}")
+    return value if op == "set" else current + value  # the other op is add
 
 
 def apply_feature_delta(features: dict[str, Any], delta: FeatureDelta) -> None:

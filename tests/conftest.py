@@ -65,7 +65,7 @@ def make_host(host_id="h1", integrity=1.0, services=(), processes=(), files=(),
     )
 
 
-def make_env(hosts=None, channels=None, up=0.8, down=0.3, roster_token="tok") -> Environment:
+def make_env(hosts=None, channels=None, up=0.8, down=0.3) -> Environment:
     if hosts is None:
         hosts = [make_host("h1", services=[Service("web", True, 1.0, 1.0)],
                            processes=[Process("sys", "sys-1", True, Owner.SYSTEM)])]
@@ -76,7 +76,6 @@ def make_env(hosts=None, channels=None, up=0.8, down=0.3, roster_token="tok") ->
         channels={c.channel_id: c for c in channels},
         up_threshold=up,
         down_threshold=down,
-        roster_token=roster_token,
     )
 
 

@@ -1,7 +1,5 @@
 from random import Random
 
-import pytest
-
 from defsim.adversary import (
     HuntResult,
     MalwareController,
@@ -15,9 +13,8 @@ from defsim.adversary import (
     next_phase,
     spoof_payload,
 )
-from defsim.envsim import Service
-from defsim.errors import ConfigInvalid
-from defsim.scenario import _TRIGGER
+from defsim.envsim import EffectDescriptor, Service
+from defsim.scenario import _STEP, _TRIGGER
 
 from conftest import make_env, make_host, two_host_env
 
@@ -70,6 +67,34 @@ def test_the_playbook_reads_every_trigger_kind_of_the_format():
         assert malware_step(inst(), env, pb, Random(1), 2) == []
         make_hold(env)
         assert len(malware_step(inst(), env, pb, Random(1), 2)) == 1
+
+
+# step action -> (its params on two_host_env(), the effects it emits, the instance's
+# phase and lateral target after it); the instance m1 starts in Foothold on h1
+STEPS = {
+    "advance_phase": ({}, [], MalwarePhase.PERSISTENCE, None),
+    "create_file": ({"file_id": "f"}, [EffectDescriptor("file:h1:f", "", "spawn",
+                                                        {"owner": "malware"})],
+                    MalwarePhase.FOOTHOLD, None),
+    "set_channel": ({"channel": "c1", "state": "disabled"},
+                    [EffectDescriptor("channel:c1", "state", "set", "disabled")],
+                    MalwarePhase.FOOTHOLD, None),
+    "degrade_service": ({"service": "db", "host": "h2", "amount": 0.5},
+                        [EffectDescriptor("service:h2:db", "health", "add", -0.5)],
+                        MalwarePhase.FOOTHOLD, None),
+    "degrade_host": ({"amount": 0.25}, [EffectDescriptor("host:h1", "integrity", "add", -0.25)],
+                     MalwarePhase.FOOTHOLD, None),
+    "move_lateral": ({"target_host": "h2"}, [], MalwarePhase.FOOTHOLD, "h2"),
+}
+
+
+def test_the_playbook_runs_every_step_action_of_the_format_in_its_own_branch():
+    assert set(_STEP.cases) == set(STEPS)
+    for action, (params, effects, phase, lateral_target) in STEPS.items():
+        instance = inst(MalwarePhase.FOOTHOLD)
+        pb = Playbook(steps=[PlaybookStep(3, action, params, instance_id="m1")], fallback=False)
+        assert malware_step(instance, two_host_env(), pb, Random(1), 3) == effects, action
+        assert (instance.phase, instance.lateral_target) == (phase, lateral_target), action
 
 
 def test_fallback_degradation_targets_lowest_health_required_service():
@@ -168,14 +193,6 @@ def test_two_instances_that_find_one_agent_kill_it_once():
     effects, _ = ctrl.step(env, Random(1), 0, lambda h: 1.0)
     assert [(iid, eff.target, eff.operation) for iid, eff in effects] == [
         ("m1", "agent:a1", "kill")]
-
-
-def test_controller_rejects_a_step_without_an_instance():
-    # such a step would otherwise match no instance and never run
-    pb = Playbook(steps=[PlaybookStep(0, "create_file", instance_id="m1"),
-                         PlaybookStep(3, "create_file")])
-    with pytest.raises(ConfigInvalid, match=r"ticks \[3\]"):
-        MalwareController([inst()], pb)
 
 
 def test_controller_lateral_creates_instance_and_respects_cap():

@@ -96,6 +96,16 @@ def test_explain_bad_index_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_explain_of_a_result_with_no_decisions_says_so(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "--scenario", scenario_path("s1_comms_spoof"),
+          "--seed", "1", "--out", str(out), "--agent-off"])
+    capsys.readouterr()
+    rc = main(["explain", "--result", str(out / "result.json"), "--decision", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: the result holds no decisions\n"
+
+
 S1 = scenario_path("s1_comms_spoof")
 END_ONE = '{"kind": "end", "events": 1}\n'
 TOO_LARGE = "1" + "0" * 400  # a JSON integer no float can hold

@@ -14,7 +14,7 @@ from defsim.envsim import (
     Service,
     ServiceState,
 )
-from defsim.errors import NoRequiredServices, UnknownEntity
+from defsim.errors import UnknownEntity
 
 from conftest import BUNDLED, make_env, make_host, two_host_env
 
@@ -120,12 +120,6 @@ def test_functionality_weighted_three_quarters():
         Service("big", True, 3.0, 1.0),
     ])])
     assert env.functionality() == 0.75
-
-
-def test_functionality_requires_a_required_service():
-    env = make_env(hosts=[make_host("h1", services=[Service("opt", False, 1.0, 1.0)])])
-    with pytest.raises(NoRequiredServices):
-        env.functionality()
 
 
 def test_functionality_monotone_in_service_state():

@@ -374,3 +374,70 @@ def test_the_package_has_one_canonical_encoder():
     found = {path.name: canonical_encoders(path.read_text()) for path in SOURCES}
     assert [call.split(": ")[1] for call in found.pop("errors.py")] == ["c_make_encoder"]
     assert found == {name: [] for name in found}
+
+
+# raises that name no class of errors.py: (module, function, exception) -> why it stays
+KEPT_RAISES = {
+    ("planning.py", "_product", "OverflowError"):
+        "Deliberations._replays catches it, as an ArithmeticError, and gives up the replay",
+}
+
+
+def _types_an_error(annotation, classes: set[str]) -> bool:
+    """Whether an annotation reads type[<a class of errors.py>]."""
+    return (isinstance(annotation, ast.Subscript) and isinstance(annotation.value, ast.Name)
+            and annotation.value.id == "type" and isinstance(annotation.slice, ast.Name)
+            and annotation.slice.id in classes)
+
+
+def stray_raises(source: str, classes: set[str]) -> list[tuple[str, str]]:
+    """(function, raised name) of every raise in `source` that does not name
+    one of `classes`, does not raise a parameter typed as one of them, and is
+    no bare re-raise. A function is named by its innermost def."""
+    found: list[tuple[str, str]] = []
+
+    def visit(node, function: str, typed: set[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                typed_here = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+                              if _types_an_error(a.annotation, classes)}
+                visit(child, child.name, typed_here)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", ast.unparse(exc))
+                if name not in classes and not (isinstance(exc, ast.Name) and name in typed):
+                    found.append((function, name))
+            visit(child, function, typed)
+
+    visit(ast.parse(source), "<module>", set())
+    return found
+
+
+def test_checker_flags_a_raise_of_no_error_class():
+    source = ("def f(error: type[Bad], other: type[ValueError], *, kw: type[Bad]):\n"
+              "    raise Bad('x')\n"
+              "    raise errors.Bad\n"
+              "    raise error('x') from None\n"
+              "    raise kw\n"
+              "    raise other('x')\n"
+              "    raise ValueError('x')\n"
+              "    try:\n        pass\n    except KeyError:\n        raise\n"
+              "    def g():\n        raise error('x')\n"
+              "class C:\n    def m(self):\n        raise make_bad()\n"
+              "raise KeyError\n")
+    assert stray_raises(source, {"Bad"}) == [
+        ("f", "other"), ("f", "ValueError"), ("g", "error"), ("m", "make_bad"),
+        ("<module>", "KeyError")]
+
+
+def test_every_raise_names_an_error_class():
+    # a runtime raise of a builtin exception is either a re-check of what the
+    # scenario's validation guarantees or an error that escapes the CLI's exit codes
+    sources = {path.name: path.read_text() for path in SOURCES}
+    classes = {node.name for node in ast.parse(sources["errors.py"]).body
+               if isinstance(node, ast.ClassDef)}
+    found = {(module, function, name) for module, source in sources.items()
+             for function, name in stray_raises(source, classes)}
+    assert found == set(KEPT_RAISES)

@@ -32,7 +32,7 @@ from defsim.runner import (
     write_trace,
     _deliberations,
 )
-from defsim.scenario import load_scenario, parse_scenario
+from defsim.scenario import _COMMAND, load_scenario, parse_scenario
 from defsim.sensing import Assessment
 
 from conftest import BUNDLED, assert_same_knowledge, scenario_path
@@ -440,6 +440,18 @@ def test_two_hunts_that_find_the_agent_in_one_tick_kill_it_once(tmp_path):
     assert replay(tmp_path / "trace.jsonl") == result.metrics
 
 
+def test_a_replica_is_refused_a_host_that_holds_a_live_agent(tmp_path):
+    raw = json.loads(Path(scenario_path("s2_lateral_hunt")).read_text())
+    raw["agents"].append({"agent_id": "a2", "host_id": "h2"})  # a1's replicate_backup target
+    result = run_episode(parse_scenario(raw), 2)
+    propagations = [e for e in result.trace if e["kind"] == "agent.propagation"]
+    assert propagations and {(e["installed"], e["refusal"]) for e in propagations} == {
+        (False, "RefusedOccupied")}
+    assert result.agents == ["a1", "a2"]
+    write_trace(result, tmp_path / "trace.jsonl")
+    assert replay(tmp_path / "trace.jsonl") == result.metrics
+
+
 def test_a_fail_safe_command_forbids_the_destructive_step():
     script = [{"tick": 0, "kind": "ControlCommand", "payload": {"command": "fail_safe"}}]
     result = run_episode(risk_loop_scenario(script), 1)
@@ -460,6 +472,49 @@ def test_a_second_handover_grant_is_discarded():
         (1, "agent.handover", "remote_c2"),
         (2, "agent.message_discarded",
          "invalid_transition: grant while authority already remote")]
+
+
+# set_roe field -> (the value the command sends, the value the agent's ROE then holds)
+ROE_VALUES = {"max_plan_risk": (0.25, 0.25), "destructive_only_on_residence": (False, False),
+              "forbidden_categories": (["contain"], {"contain"}), "fast_deadline_ticks": (7, 7)}
+# control command -> (its fields, what the agent holds after it)
+COMMANDS = {
+    "set_goal_weight": ({"goal_id": "g", "weight": 1.5},
+                        lambda rt: [g.weight for g in rt.kb.goals] == [0.75, 0.25]),
+    "set_roe": ({}, None),  # one command per field of ROE_VALUES
+    "add_rule": ({"rule": {"rule_id": "r9", "condition": [], "action_id": "watch",
+                           "priority": 9}},
+                 lambda rt: "r9" in rt.kb.rules and rt.kb.rules["r9"].action_id == "watch"),
+    "add_pattern_example": ({"features": {"unknown_proc_count": 2}, "label": "compromised"},
+                            lambda rt: rt.kb.patterns["proc"].confidence == 1.0),
+    "fail_safe": ({}, lambda rt: rt.state.mode is execution.AgentMode.FAIL_SAFE),
+}
+
+
+def test_the_agent_applies_every_control_command_of_the_format_in_its_own_branch():
+    assert set(_COMMAND.cases) == set(COMMANDS)
+    assert set(_COMMAND.cases["set_roe"].cases) == set(ROE_VALUES)
+    cases = [(name, {"command": name, **fields}, check) for name, (fields, check)
+             in COMMANDS.items() if name != "set_roe"]
+    cases += [(f"set_roe {field}", {"command": "set_roe", "field": field, "value": sent},
+               lambda rt, field=field, held=held: getattr(rt.roe, field) == held)
+              for field, (sent, held) in ROE_VALUES.items()]
+    script = [{"tick": 0, "kind": "ControlCommand", "to": "a1", "payload": command}
+              for _, command, _ in cases]
+    config = quiet_scenario(  # the script shows that the format accepts every command
+        goals=[{"goal_id": "g", "predicates": [], "weight": 1.0},
+               {"goal_id": "g2", "predicates": [], "weight": 1.0}],
+        c2={"host_id": "h1", "script": script})
+    for name, command, check in cases:
+        episode = Episode(config, seed=1)
+        rt = episode.runtimes["a1"]
+        assert not check(rt), name
+        rt.control_queue.append(command)
+        episode._apply_control_queue(rt)
+        assert check(rt), name
+        applied = [e.get("command") for e in episode.trace
+                   if e["kind"] in ("agent.control_applied", "agent.fail_safe")]
+        assert applied == [None if name == "fail_safe" else command["command"]], name
 
 
 def test_decision_log_complete_for_released_plans(bundled_results):

@@ -1,5 +1,6 @@
 import copy
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,9 @@ from defsim.cli import main
 from defsim.envsim import EffectDescriptor
 from defsim.execution import resolve_self
 from defsim.errors import ConfigInvalid, DefsimError
-from defsim.runner import run_episode
-from defsim.scenario import (CHANNEL_STATE, NULL, NUMBER, _ENV_OPERATIONS, load_scenario,
-                             parse_scenario)
+from defsim.runner import replay, run_episode, write_trace
+from defsim.scenario import (CHANNEL_STATE, NULL, NUMBER, _COMMAND, _ENV_OPERATIONS, _STEP,
+                             load_scenario, parse_scenario)
 
 from conftest import BUNDLED, run_python, scenario_path
 
@@ -178,12 +179,6 @@ def test_healthy_channel_with_delay_rejected():
     assert any("healthy implies" in p for p in problems_of(raw))
 
 
-def test_resident_agent_consistency_checked():
-    raw = minimal_raw()
-    raw["topology"]["hosts"][0]["resident_agent"] = "ghost"
-    assert any("resident_agent 'ghost'" in p for p in problems_of(raw))
-
-
 def test_config_invalid_lists_all_problems():
     raw = minimal_raw()
     raw["surprise"] = 1
@@ -230,7 +225,12 @@ def test_default_instance_validation_ignores_hash_seed():
 
 
 def _add_agents(*agent_ids):
-    return lambda raw: raw["agents"].extend({"agent_id": a, "host_id": "h1"} for a in agent_ids)
+    """The agents, each on a host of its own, as a host holds one agent."""
+    def edit(raw):
+        for index, a in enumerate(agent_ids, start=2):
+            raw["topology"]["hosts"].append({"host_id": f"h{index}"})
+            raw["agents"].append({"agent_id": a, "host_id": f"h{index}"})
+    return edit
 
 
 def _add_instances(*instance_ids):
@@ -298,6 +298,10 @@ DELETED_OPTIONS = {
     "sensor_required_down_count": (
         lambda r: r.update(sensors={"logical": ["required_down_count"]}),
         "scenario.sensors.logical[0]: unknown sensor 'required_down_count'"),
+    # an agent resides on its agents[].host_id, and only there
+    "topology_resident_agent": (
+        lambda r: r["topology"]["hosts"][0].update(resident_agent="a1"),
+        "host 'h1': unknown field 'resident_agent'"),
     # agent-action effects: the adversary builds its own spawns and agent kills
     "service_remove_effect": (
         _env_effect(target="service:h1:svc", operation="remove"),
@@ -381,6 +385,9 @@ BAD_IDS = {
     (_add_instances("m1", "m1_r1"), "instance 'm1_r1': id is taken by a replica of instance 'm1'"),
     (_add_instances("m1", "m1_r3_r4"),
      "instance 'm1_r3_r4': id is taken by a replica of instance 'm1'"),
+    # the adversary hunts a host's one resident agent
+    (lambda r: r["agents"].append({"agent_id": "a2", "host_id": "h1"}),
+     "agent 'a2': host 'h1' already holds agent 'a1'"),
     *DELETED_OPTIONS.values(),
     *BAD_IDS.values(),
 ], ids=["threshold_string", "report_interval_zero", "communicate_noise_negative",
@@ -391,7 +398,7 @@ BAD_IDS = {
         "malware_process_known_good_by_default", "action_id_shadows_builtin", "agent_id_c2",
         "agent_id_of_a_replica", "agent_id_of_a_replica_of_a_replica",
         "instance_id_of_a_replica", "instance_id_of_a_replica_of_a_replica",
-        *DELETED_OPTIONS, *BAD_IDS])
+        "two_agents_on_one_host", *DELETED_OPTIONS, *BAD_IDS])
 def test_mistyped_or_out_of_range_settings_are_config_invalid(edit, problem):
     raw = minimal_raw()
     edit(raw)
@@ -620,3 +627,109 @@ def test_any_ids_are_config_invalid_or_run_to_the_end(ids):
     except ConfigInvalid:
         return
     assert run_episode(config, 1).trace[-1]["tick"] == config.duration_ticks - 1
+
+
+# -- fuzzing: what validation guarantees, the runtime does not check again ------------
+
+WEIGHT = st.floats(min_value=5e-324, max_value=1e308)  # the table's positive weights
+DELTA_VALUE = st.one_of(st.floats(min_value=-1e308, max_value=1e308),
+                        st.integers(min_value=-3, max_value=3))
+DELTAS = st.lists(st.tuples(st.sampled_from(["threat", "health"]), st.sampled_from(["set", "add"]),
+                            DELTA_VALUE).map(list), max_size=2)
+HOSTS = ["h1", "h2"]
+
+
+@st.composite
+def playbook_steps(draw):
+    """A step of each action of the format, on a listed instance or on null
+    (the first listed), with params that may name what the platform lacks."""
+    action = draw(st.sampled_from(sorted(_STEP.cases)))
+    host = draw(st.one_of(st.just({}), st.sampled_from(HOSTS).map(lambda h: {"host": h})))
+    amount = draw(st.one_of(st.just({}), st.floats(0.0, 1.0).map(lambda a: {"amount": a})))
+    params = {
+        "advance_phase": {},
+        "create_file": {**host, "file_id": draw(st.sampled_from(["f", "drop"]))},
+        "set_channel": {"channel": "c", "state": draw(st.sampled_from(sorted(CHANNEL_STATE.values)))},
+        "degrade_service": {**host, **amount, "service": draw(st.sampled_from(["svc", "db"]))},
+        "degrade_host": {**host, **amount},
+        "move_lateral": {"target_host": draw(st.sampled_from(HOSTS))},
+    }[action]
+    trigger = draw(st.one_of(st.none(), st.fixed_dictionaries({
+        "kind": st.just("host_integrity_below"), "host": st.sampled_from(HOSTS),
+        "value": st.floats(0.0, 1.0)})))
+    return {"tick": draw(st.integers(0, 8)), "action": action, "params": params,
+            "instance_id": draw(st.sampled_from(["m1", "m2", None])), "trigger": trigger}
+
+
+ROE_VALUE = {"max_plan_risk": st.floats(0.0, 1.0), "destructive_only_on_residence": st.booleans(),
+             "forbidden_categories": st.lists(st.sampled_from(["destructive", "contain"]),
+                                              max_size=2),
+             "fast_deadline_ticks": st.integers(0, 3)}
+
+
+@st.composite
+def control_commands(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND.cases)))
+    if command == "set_goal_weight":
+        fields = {"goal_id": draw(st.sampled_from(["g1", "g2"])), "weight": draw(WEIGHT)}
+    elif command == "set_roe":
+        field = draw(st.sampled_from(sorted(ROE_VALUE)))
+        fields = {"field": field, "value": draw(ROE_VALUE[field])}
+    elif command == "add_rule":
+        fields = {"rule": {"rule_id": "r2", "action_id": draw(st.sampled_from(["watch", "purge"])),
+                           "priority": 0}}
+    elif command == "add_pattern_example":
+        fields = {"features": {"threat": draw(DELTA_VALUE)},
+                  "label": draw(st.sampled_from(["compromised", "clean"]))}
+    else:
+        fields = {}
+    return {"tick": draw(st.integers(0, 8)), "kind": "ControlCommand", "to": "a1",
+            "payload": {"command": command, **fields}}
+
+
+def slot_scenario(goal_weights, steps, commands, progression, effects):
+    """A 9-tick story of two hosts on channel c: instances m1 on h1 and m2
+    on h2 run `steps`; the center on h2 sends `commands` to a1 on h1; the
+    `always` pattern adds `progression`, and the actions `watch` and `purge`
+    make `effects`, to the features `threat` and `health` that goals read."""
+    def host(host_id, service):
+        return {"host_id": host_id, "services": [{"service_id": service, "required": True}]}
+    return {
+        "schema_version": 1, "duration_ticks": 9,
+        "topology": {"hosts": [host("h1", "svc"), host("h2", "db")],
+                     "channels": [{"channel_id": "c", "endpoints": HOSTS}]},
+        "playbook": {"instances": [{"instance_id": "m1", "host_id": "h1", "phase": "Foothold"},
+                                   {"instance_id": "m2", "host_id": "h2"}],
+                     "steps": steps},
+        "patterns": [{"id": "always", "severity": 0.9, "confidence": 0.9, "deadline_ticks": 0,
+                      "progression": progression}],
+        "repertoire": [
+            {"action_id": "watch", "category": "contain", "effects": [{"features": effects}]},
+            {"action_id": "purge", "category": "destructive", "risk": 0.2, "effects": [
+                {"env": {"target": "process:$self:@unknown", "operation": "kill"},
+                 "features": [["threat", "set", 0]]}]}],
+        "goals": [{"goal_id": f"g{i}", "predicates": [[key, "<=", 0.5]], "weight": weight}
+                  for i, (key, weight) in enumerate(zip(("threat", "health"), goal_weights), 1)],
+        "roe": {"fast_deadline_ticks": 1},
+        "rules": [{"rule_id": "r1", "action_id": "watch", "priority": 1,
+                   "condition": [["threat", ">=", 1]]}],
+        "c2": {"host_id": "h2", "script": commands},
+        "agents": [{"agent_id": "a1", "host_id": "h1", "detectability": 0.5}],
+    }
+
+
+@given(goal_weights=st.lists(WEIGHT, min_size=1, max_size=2),
+       steps=st.lists(playbook_steps(), max_size=4),
+       commands=st.lists(control_commands(), max_size=4), progression=DELTAS, effects=DELTAS)
+@settings(max_examples=100, deadline=None)
+def test_what_validation_accepts_runs_to_its_end(goal_weights, steps, commands, progression,
+                                                 effects):
+    try:
+        config = parse_scenario(slot_scenario(goal_weights, steps, commands, progression, effects))
+    except ConfigInvalid:
+        return
+    result = run_episode(config, 1)
+    assert result.trace[-1]["tick"] == config.duration_ticks - 1
+    with tempfile.TemporaryDirectory() as tmp:
+        write_trace(result, Path(tmp) / "trace.jsonl")
+        assert replay(Path(tmp) / "trace.jsonl") == result.metrics
