@@ -230,6 +230,7 @@ def apply_control(
         if target is None:
             raise UnknownGoal(f"no goal {goal_id!r}")
         target.weight = float(command["weight"])
+        # finite: the other weights sum to at most 1, as normalised before
         normalize_goals(kb.goals)
         return {"command": name, "goal_id": goal_id,
                 "weights": {g.goal_id: g.weight for g in kb.goals}}

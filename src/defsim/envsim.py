@@ -148,9 +148,9 @@ class Environment:
 
     The topology (hosts, channels and their endpoints) is fixed at
     construction. Every change to a host, service, process, file or channel
-    state goes through apply_effect, restore, install_agent or remove_agent,
-    and each of them advances `mutations` first: a sensor read taken when
-    the counter last had its current value still holds.
+    state goes through apply_effect, restore or install_agent, and each of
+    them advances `mutations` first: a sensor read taken when the counter
+    last had its current value still holds.
     """
 
     def __init__(self, hosts: dict[str, Host], channels: dict[str, CommsChannel],
@@ -257,6 +257,7 @@ class Environment:
     def _apply_agent(self, agent_id: str) -> dict[str, Any]:
         host = next(h for h in self.hosts.values() if h.resident_agent == agent_id)  # the one
         host.resident_agent = None
+        host.processes.pop(f"agent_proc_{agent_id}", None)  # its own action may have killed it
         return {"entity": f"agent:{agent_id}", "attribute": "resident", "old": host.host_id, "new": None}
 
     def _apply_service(self, host: Host, sid: str, effect: EffectDescriptor) -> dict[str, Any]:
@@ -405,7 +406,7 @@ class Environment:
             svc.refresh_state(self.up_threshold, self.down_threshold)
         return {"host": token.host_id, "token": token.token_id, "restored": True}
 
-    # -- agent footprint helpers ------------------------------------------------
+    # -- agent footprint ------------------------------------------------------
 
     def install_agent(self, agent_id: str, host_id: str) -> None:
         host = self.hosts[host_id]
@@ -413,14 +414,3 @@ class Environment:
         host.resident_agent = agent_id
         pid = f"agent_proc_{agent_id}"
         host.processes[pid] = Process(pid, image_hash=f"agent-{agent_id}", known_good=True, owner=Owner.AGENT)
-
-    def remove_agent(self, agent_id: str) -> None:
-        self.mutations += 1
-        for host in self.hosts.values():
-            if host.resident_agent == agent_id:
-                host.resident_agent = None
-            host.processes = {
-                pid: p
-                for pid, p in host.processes.items()
-                if not (p.owner is Owner.AGENT and pid == f"agent_proc_{agent_id}")
-            }

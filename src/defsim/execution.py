@@ -54,6 +54,11 @@ class AgentState:
     detectability: float = 0.1
     mode: AgentMode = AgentMode.NORMAL
     authority: Authority = Authority.AGENT
+    snapshot: Optional[SnapshotToken] = None  # the latest, which the restore builtin rolls back to
+
+
+# a trace event of the tick: its kind and payload
+Event = tuple[str, dict[str, Any]]
 
 
 @dataclass
@@ -63,7 +68,6 @@ class ExecutionRecord:
     status: ActionStatus
     started_tick: int
     finished_tick: Optional[int] = None
-    observed_effects: list[dict[str, Any]] = field(default_factory=list)
     effects_checked: bool = False
     adjusted: bool = False
 
@@ -139,18 +143,19 @@ def execute_step(
     tick: int,
     repertoire: dict[str, ActionSpec],
     rng: Random,
-    snapshot_store: list[SnapshotToken],
-    propagate: Callable[[ActionSpec], tuple[bool, str]],
-) -> list[ExecutionRecord]:
+    propagate: Callable[[ActionSpec], bool],
+) -> list[Event]:
     """Start or advance the next scheduled entry; one entry per tick.
 
     Effects apply on completion through env.apply_effect, each drawn
     independently from the seeded stream; an UnknownEntity from a stale
     target marks the record failed. Detectability bookkeeping happens at
-    start. A failed record halts the plan until the adjuster rules.
-    `snapshot_store` is the agent's snapshot tokens, which the snapshot
-    builtin appends to and restore reads; the propagate builtin calls
-    `propagate`, which returns whether it installed a replica and a detail.
+    start. A failed record halts the plan until the adjuster rules. The
+    propagate builtin calls `propagate`, which says whether it installed a
+    replica. Returns the tick's trace events in trace order:
+    agent.action_started, then agent.action_done or agent.action_failed,
+    then the completion's changes: env.snapshot, env.restore, or an
+    env.effect, whose payload is the apply_effect outcome, per applied effect.
     """
     if agent_state.mode is AgentMode.DESTROYED:
         raise ModeForbidden("agent destroyed")
@@ -159,7 +164,7 @@ def execute_step(
     if pe.halted():
         return []
 
-    updates: list[ExecutionRecord] = []
+    events: list[Event] = []
     rec = pe.active_record()
     if rec is None:
         if pe.cursor >= len(pe.entries):
@@ -168,27 +173,23 @@ def execute_step(
         spec = _lookup(action_id, repertoire)
         if spec.category is ActionCategory.DESTRUCTIVE and agent_state.mode is AgentMode.FAIL_SAFE:
             raise ModeForbidden(f"destructive action {action_id!r} forbidden in fail_safe")
-        rec = ExecutionRecord(
-            action_id=action_id,
-            entry_index=pe.cursor,
-            status=ActionStatus.IN_PROGRESS,
-            started_tick=tick,
-        )
+        rec = ExecutionRecord(action_id, pe.cursor, ActionStatus.IN_PROGRESS, started_tick=tick)
         pe.records.append(rec)
-        updates.append(rec)
-        if spec.category is ActionCategory.CAMOUFLAGE:
-            agent_state.detectability = clamp01(agent_state.detectability - spec.noise)
-        else:
-            agent_state.detectability = clamp01(agent_state.detectability + spec.noise)
+        noise = -spec.noise if spec.category is ActionCategory.CAMOUFLAGE else spec.noise
+        agent_state.detectability = clamp01(agent_state.detectability + noise)
+        events.append(("agent.action_started", {"action": action_id, "entry_index": rec.entry_index,
+                                                "detectability": agent_state.detectability}))
     else:
         spec = _lookup(rec.action_id, repertoire)
 
-    if rec.status is ActionStatus.IN_PROGRESS and tick >= rec.started_tick + spec.duration - 1:
-        _complete(rec, spec, env, agent_state, tick, rng, snapshot_store, propagate)
+    if tick >= rec.started_tick + spec.duration - 1:
+        changes = _complete(rec, spec, env, agent_state, tick, rng, propagate)
         pe.cursor = rec.entry_index + 1 if rec.status is ActionStatus.DONE else rec.entry_index
-        if rec not in updates:
-            updates.append(rec)
-    return updates
+        # the status values name the events: agent.action_done, agent.action_failed
+        events.append((f"agent.action_{rec.status.value}",
+                       {"action": rec.action_id, "entry_index": rec.entry_index}))
+        events += changes
+    return events
 
 
 def _complete(
@@ -198,50 +199,35 @@ def _complete(
     agent_state: AgentState,
     tick: int,
     rng: Random,
-    snapshot_store: list[SnapshotToken],
-    propagate: Callable[[ActionSpec], tuple[bool, str]],
-) -> None:
+    propagate: Callable[[ActionSpec], bool],
+) -> list[Event]:
+    """Finish `rec`, set its status and return the changes it made."""
     rec.finished_tick = tick
-
+    rec.status = ActionStatus.DONE
     if spec.builtin == "snapshot":
-        token = env.snapshot(agent_state.host_id)
-        snapshot_store.append(token)
-        rec.observed_effects.append({"builtin": "snapshot", "token": token.token_id})
-        rec.status = ActionStatus.DONE
-        return
+        agent_state.snapshot = token = env.snapshot(agent_state.host_id)
+        return [("env.snapshot", {"host": token.host_id, "token": token.token_id})]
     if spec.builtin == "restore":
-        if not snapshot_store:
-            rec.observed_effects.append({"builtin": "restore", "error": "no snapshot token"})
+        if agent_state.snapshot is None:
             rec.status = ActionStatus.FAILED
-            return
-        outcome = env.restore(snapshot_store[-1])
-        rec.observed_effects.append({"builtin": "restore", "outcome": outcome})
-        rec.status = ActionStatus.DONE
-        return
-    if spec.builtin == "verify":
-        rec.observed_effects.append({"builtin": "verify"})
-        rec.status = ActionStatus.DONE
-        return
-    if spec.builtin is not None:  # propagate: the scenario schema admits no other builtin
-        ok, detail = propagate(spec)
-        rec.observed_effects.append({"builtin": spec.builtin, "ok": ok, "detail": detail})
-        rec.status = ActionStatus.DONE if ok else ActionStatus.FAILED
-        return
+            return []
+        return [("env.restore", env.restore(agent_state.snapshot))]
+    if spec.builtin is not None:  # verify or propagate: the schema admits no other builtin
+        if spec.builtin == "propagate" and not propagate(spec):
+            rec.status = ActionStatus.FAILED
+        return []
 
-    status = ActionStatus.DONE
-    for idx, eff in enumerate(spec.effects):
-        occurred = rng.random() < eff.probability
-        entry: dict[str, Any] = {"effect_index": idx, "occurred": occurred}
-        if occurred and eff.env_effect is not None:
+    changes: list[Event] = []
+    for eff in spec.effects:
+        # every effect draws, so the stream keeps its place whatever an effect holds
+        if rng.random() < eff.probability and eff.env_effect is not None:
             concrete = resolve_self(eff.env_effect, agent_state.host_id)
             try:
-                entry["outcome"] = env.apply_effect(
-                    concrete, cause=f"agent:{agent_state.agent_id}:{spec.action_id}")
-            except UnknownEntity as exc:
-                entry["error"] = str(exc)
-                status = ActionStatus.FAILED
-        rec.observed_effects.append(entry)
-    rec.status = status
+                changes.append(("env.effect", env.apply_effect(
+                    concrete, cause=f"agent:{agent_state.agent_id}:{spec.action_id}")))
+            except UnknownEntity:
+                rec.status = ActionStatus.FAILED
+    return changes
 
 
 def monitor_execution(

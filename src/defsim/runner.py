@@ -20,7 +20,7 @@ from typing import Any, Optional
 
 from . import adversary, collaboration, execution, learning, planning, sensing
 from .adversary import MalwareController
-from .envsim import Environment, SnapshotToken, clamp01, sum_in_order
+from .envsim import Environment, clamp01, sum_in_order
 from .errors import (
     AuthorityNotHeld,
     ConfigInvalid,
@@ -57,7 +57,6 @@ class AgentRuntime:
     retry_counts: dict[str, int] = field(default_factory=dict)
     control_queue: list[dict[str, Any]] = field(default_factory=list)
     conclusions: dict[str, collaboration.Conclusion] = field(default_factory=dict)
-    snapshot_store: list[SnapshotToken] = field(default_factory=list)
     last_report_tick: int = -(10 ** 9)
     no_action_streak: int = 0
     replica_count: int = 0
@@ -215,7 +214,6 @@ class Episode:
                 # only the adversary kills agents, and only a live resident one
                 agent_id = change["entity"][len("agent:"):]
                 self.runtimes[agent_id].state.mode = AgentMode.DESTROYED
-                self.env.remove_agent(agent_id)
                 self.emit("agent.killed", agent=agent_id, by=cause)
 
     # -- episode loop ---------------------------------------------------------------
@@ -545,41 +543,24 @@ class Episode:
 
     def _execute(self, rt: AgentRuntime, tick: int) -> None:
         pe = rt.plan_exec
-        if pe is None or pe.halted():
+        if pe is None:
             return
         try:
-            updates = execution.execute_step(
-                pe, self.env, rt.state, tick, self.repertoire, self.rng,
-                rt.snapshot_store, lambda spec: self._propagate(rt, spec))
+            events = execution.execute_step(pe, self.env, rt.state, tick, self.repertoire,
+                                            self.rng, lambda spec: self._propagate(rt, spec))
         except (ModeForbidden, AuthorityNotHeld) as exc:
             self.emit("agent.plan_dropped", agent=rt.state.agent_id, reason=str(exc))
             rt.plan_exec = None
             return
-        for rec in updates:
-            if rec.started_tick == tick:
-                self.emit("agent.action_started", agent=rt.state.agent_id,
-                          action=rec.action_id, entry_index=rec.entry_index,
-                          detectability=rt.state.detectability)
-            if rec.status is execution.ActionStatus.DONE:
-                self.emit("agent.action_done", agent=rt.state.agent_id,
-                          action=rec.action_id, entry_index=rec.entry_index)
-            elif rec.status is execution.ActionStatus.FAILED:
-                self.emit("agent.action_failed", agent=rt.state.agent_id,
-                          action=rec.action_id, entry_index=rec.entry_index)
-            for observed in rec.observed_effects:
-                outcome = observed.get("outcome")
-                if outcome is not None and "changes" in outcome:
-                    self._record_effect_outcome(outcome)
-                elif observed.get("builtin") == "snapshot":
-                    self.emit("env.snapshot", agent=rt.state.agent_id,
-                              host=rt.state.host_id, token=observed.get("token"))
-                elif observed.get("builtin") == "restore" and "outcome" in observed:
-                    self.emit("env.restore", agent=rt.state.agent_id,
-                              **observed["outcome"])
+        for kind, payload in events:
+            if kind == "env.effect":
+                self._record_effect_outcome(payload)
+            else:
+                self.emit(kind, agent=rt.state.agent_id, **payload)
         if pe.finished():
             rt.plan_exec = None
 
-    def _propagate(self, rt: AgentRuntime, spec: ActionSpec) -> tuple[bool, str]:
+    def _propagate(self, rt: AgentRuntime, spec: ActionSpec) -> bool:
         """The propagate builtin: install a replica on the action's target
         host. The replica starts with no knowledge and reads its parent's
         from the ReplicaTransfer in its inbox."""
@@ -595,12 +576,12 @@ class Episode:
         except PropagationRefused as exc:
             self.emit("agent.propagation", agent=rt.state.agent_id, target=target,
                       installed=False, refusal=type(exc).__name__, detail=str(exc))
-            return False, type(exc).__name__
+            return False
         rt.replica_count += 1
         self._add_runtime(replica_state, KnowledgeBase(), rt.initial_detectability)
         self.emit("agent.propagation", agent=rt.state.agent_id, target=target,
                   installed=True, replica=new_id)
-        return True, new_id
+        return True
 
     # -- reporting -----------------------------------------------------------------------
 

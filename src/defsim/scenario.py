@@ -26,7 +26,7 @@ from typing import Any, Optional
 from .adversary import MalwareInstance, MalwarePhase, Playbook, PlaybookStep
 from .collaboration import FriendlyRoster
 from .envsim import (ChannelState, CommsChannel, EffectDescriptor, Environment, FileEntry, Host,
-                     Owner, Process, Service)
+                     Owner, Process, Service, sum_in_order)
 from .errors import ConfigInvalid, canonical_json, read_json
 from .planning import (BUILTIN_ACTIONS, ActionCategory, ActionSpec, ConditionActionRule, Goal,
                        PlannerConfig, ProbabilisticEffect, RulesOfEngagement, TargetScope,
@@ -501,6 +501,13 @@ def _cross_rules(doc: dict[str, Any], ids: dict[str, set[Any]], problems: list[s
         problems.append("topology.thresholds: require 0 <= down_threshold < up_threshold <= 1")
     if not any(s["required"] for h in topo["hosts"] for s in h["services"]):
         problems.append("topology: at least one required service is needed for functionality")
+    # weights are positive, so a finite total keeps each partial sum finite: this covers
+    # functionality, functionality_belief and normalize_goals
+    for where, weights in (("topology.hosts", [s["weight"] for h in topo["hosts"]
+                                               for s in h["services"] if s["required"]]),
+                           ("scenario.goals", [g["weight"] for g in doc["goals"]])):
+        if not math.isfinite(sum_in_order(weights)):
+            problems.append(f"{where}: the weights sum past the largest float")
     for h in topo["hosts"]:
         for p in h["processes"]:
             if p["owner"] == "malware" and p["known_good"]:

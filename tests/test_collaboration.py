@@ -316,7 +316,6 @@ def test_propagate_refuses_a_host_that_holds_a_live_agent_and_draws_nothing():
     assert rng.getstate() == Random(1).getstate()
     assert env.hosts["h2"].resident_agent == "a2" and env.inboxes == {}
     env.apply_effect(EffectDescriptor("agent:a2", "", "kill"))  # a kill frees the host
-    env.remove_agent("a2")
     env.apply_effect(EffectDescriptor("channel:c1", "state", "set", "healthy"))
     assert try_propagate(env).host_id == "h2"
 

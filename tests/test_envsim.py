@@ -198,13 +198,15 @@ def test_restore_returns_service_fields_to_snapshot_values():
     assert svc.health == 1.0 and svc.state is ServiceState.UP and svc.required and svc.weight == 1.0
 
 
-def test_remove_agent_clears_residence_and_agent_process():
+def test_a_kill_clears_residence_and_the_agents_process():
     env = two_host_env()
     env.install_agent("a1", "h1")
     env.install_agent("a2", "h2")
     assert env.hosts["h1"].resident_agent == "a1"
     assert "agent_proc_a1" in env.hosts["h1"].processes
-    env.remove_agent("a1")
+    outcome = env.apply_effect(EffectDescriptor("agent:a1", "", "kill"))
+    assert outcome["changes"] == [
+        {"entity": "agent:a1", "attribute": "resident", "old": "h1", "new": None}]
     assert env.hosts["h1"].resident_agent is None
     assert "agent_proc_a1" not in env.hosts["h1"].processes
     assert env.hosts["h2"].resident_agent == "a2"
@@ -236,7 +238,6 @@ _MUTATORS = {
     "agent": lambda env: env.apply_effect(EffectDescriptor("agent:a1", "", "kill")),
     "restore": lambda env: env.restore(env.snapshot("h1")),
     "install_agent": lambda env: env.install_agent("a2", "h2"),
-    "remove_agent": lambda env: env.remove_agent("a1"),
 }
 
 

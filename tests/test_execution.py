@@ -60,15 +60,22 @@ def env_effect(target, attribute, operation, value):
         feature_deltas=[], probability=1.0)
 
 
+def kinds(events):
+    return [kind for kind, _ in events]
+
+
 def test_observe_duration_one_done_same_tick_with_noise():
     env = make_env()
     state = agent(detectability=0.2)
     pe = PlanExecution(plan_of("look"))
     rep = {"look": spec("look", noise=0.05)}
-    updates = execute_step(pe, env, state, tick=4, repertoire=rep, rng=Random(1),
-                           snapshot_store=[], propagate=no_propagate)
-    assert len(updates) == 1
-    rec = updates[0]
+    events = execute_step(pe, env, state, tick=4, repertoire=rep, rng=Random(1),
+                          propagate=no_propagate)
+    assert events == [
+        ("agent.action_started",
+         {"action": "look", "entry_index": 0, "detectability": state.detectability}),
+        ("agent.action_done", {"action": "look", "entry_index": 0})]
+    [rec] = pe.records
     assert rec.status is ActionStatus.DONE
     assert rec.started_tick == 4 and rec.finished_tick == 4
     assert state.detectability == pytest.approx(0.25)
@@ -80,11 +87,13 @@ def test_multi_tick_action_completes_at_duration():
     state = agent()
     rep = {"slow": spec("slow", duration=3)}
     pe = PlanExecution(plan_of("slow", durations={"slow": 3}))
-    first = execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
-    assert first[0].status is ActionStatus.IN_PROGRESS
-    assert execute_step(pe, env, state, 1, rep, Random(1), [], no_propagate) == []
-    final = execute_step(pe, env, state, 2, rep, Random(1), [], no_propagate)
-    assert final[0].status is ActionStatus.DONE and final[0].finished_tick == 2
+    first = execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
+    assert kinds(first) == ["agent.action_started"]
+    assert pe.records[0].status is ActionStatus.IN_PROGRESS
+    assert execute_step(pe, env, state, 1, rep, Random(1), no_propagate) == []
+    final = execute_step(pe, env, state, 2, rep, Random(1), no_propagate)
+    assert final == [("agent.action_done", {"action": "slow", "entry_index": 0})]
+    assert pe.records[0].status is ActionStatus.DONE and pe.records[0].finished_tick == 2
 
 
 def test_destructive_in_fail_safe_forbidden():
@@ -93,7 +102,7 @@ def test_destructive_in_fail_safe_forbidden():
     rep = {"boom": spec("boom", category=ActionCategory.DESTRUCTIVE, risk=0.2)}
     pe = PlanExecution(plan_of("boom"))
     with pytest.raises(ModeForbidden):
-        execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
+        execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
 
 
 def test_camouflage_subtracts_with_clamp():
@@ -101,10 +110,10 @@ def test_camouflage_subtracts_with_clamp():
     state = agent(detectability=0.5)
     rep = {"hide": spec("hide", category=ActionCategory.CAMOUFLAGE, noise=0.3)}
     pe = PlanExecution(plan_of("hide"))
-    execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
+    execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
     assert state.detectability == pytest.approx(0.2)
     pe2 = PlanExecution(plan_of("hide"))
-    execute_step(pe2, env, state, 1, rep, Random(1), [], no_propagate)
+    execute_step(pe2, env, state, 1, rep, Random(1), no_propagate)
     assert state.detectability == 0.0  # clamped
 
 
@@ -113,7 +122,7 @@ def test_destroyed_agent_refuses_everything():
     state = agent(mode=AgentMode.DESTROYED)
     pe = PlanExecution(plan_of("look"))
     with pytest.raises(ModeForbidden):
-        execute_step(pe, env, state, 0, {"look": spec("look")}, Random(1), [], no_propagate)
+        execute_step(pe, env, state, 0, {"look": spec("look")}, Random(1), no_propagate)
 
 
 def test_authority_not_held_blocks_execution():
@@ -121,7 +130,7 @@ def test_authority_not_held_blocks_execution():
     state = agent(authority=Authority.REMOTE_C2)
     pe = PlanExecution(plan_of("look"))
     with pytest.raises(AuthorityNotHeld):
-        execute_step(pe, env, state, 0, {"look": spec("look")}, Random(1), [], no_propagate)
+        execute_step(pe, env, state, 0, {"look": spec("look")}, Random(1), no_propagate)
 
 
 def test_unknown_entity_marks_record_failed_and_halts_plan():
@@ -130,11 +139,11 @@ def test_unknown_entity_marks_record_failed_and_halts_plan():
     rep = {"kill_ghost": spec(
         "kill_ghost", effects=[env_effect("process:h1:ghost", "", "kill", None)])}
     pe = PlanExecution(plan_of("kill_ghost"))
-    updates = execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
-    assert updates[0].status is ActionStatus.FAILED
-    assert "error" in updates[0].observed_effects[0]
+    events = execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
+    assert kinds(events) == ["agent.action_started", "agent.action_failed"]
+    assert pe.records[0].status is ActionStatus.FAILED
     assert pe.halted()
-    assert execute_step(pe, env, state, 1, rep, Random(1), [], no_propagate) == []
+    assert execute_step(pe, env, state, 1, rep, Random(1), no_propagate) == []
 
 
 def test_self_placeholder_resolves_to_agent_host():
@@ -143,15 +152,14 @@ def test_self_placeholder_resolves_to_agent_host():
     state = agent()
     rep = {"purge": spec("purge", effects=[env_effect("process:$self:@unknown", "", "kill", None)])}
     pe = PlanExecution(plan_of("purge"))
-    updates = execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
-    assert updates[0].status is ActionStatus.DONE
+    execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
+    assert pe.records[0].status is ActionStatus.DONE
     assert "mal" not in env.hosts["h1"].processes
 
 
 def test_snapshot_and_restore_builtins_round_trip():
     env = make_env()
     state = agent()
-    store = []
     rep = {
         "wreck": spec("wreck", effects=[
             env_effect("service:h1:web", "health", "set", 0.0)]),
@@ -159,9 +167,91 @@ def test_snapshot_and_restore_builtins_round_trip():
     }
     pe = PlanExecution(plan_of(SNAPSHOT_ACTION_ID, "wreck", "roll_back"))
     for tick in range(3):
-        execute_step(pe, env, state, tick, rep, Random(1), store, no_propagate)
+        execute_step(pe, env, state, tick, rep, Random(1), no_propagate)
     assert env.hosts["h1"].services["web"].health == 1.0
     assert [r.status for r in pe.records] == [ActionStatus.DONE] * 3
+
+
+def test_an_agent_holds_its_latest_snapshot_and_restore_rolls_back_to_it():
+    env = make_env()
+    state = agent()
+    rep = {
+        "dent": spec("dent", effects=[env_effect("service:h1:web", "health", "add", -0.25)]),
+        "roll_back": spec("roll_back", category=ActionCategory.RESTORE, builtin="restore"),
+    }
+    pe = PlanExecution(plan_of(SNAPSHOT_ACTION_ID, "dent", SNAPSHOT_ACTION_ID, "dent",
+                               "roll_back"))
+    for tick in range(5):
+        execute_step(pe, env, state, tick, rep, Random(1), no_propagate)
+    assert state.snapshot.token_id == 2
+    assert env.hosts["h1"].services["web"].health == 0.75  # as at the second snapshot
+    assert [r.status for r in pe.records] == [ActionStatus.DONE] * 5
+
+
+# -- the events execute_step returns ---------------------------------------------------------
+
+def test_an_effect_action_returns_start_then_done_then_each_change():
+    env = make_env()
+    env.apply_effect(EffectDescriptor("process:h1:mal", "", "spawn", {"owner": "malware"}))
+    state = agent()
+    rep = {"purge": spec("purge", effects=[
+        env_effect("process:$self:@unknown", "", "kill", None),
+        env_effect("service:h1:web", "health", "add", -0.1)])}
+    pe = PlanExecution(plan_of("purge"))
+    events = execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
+    assert kinds(events) == ["agent.action_started", "agent.action_done",
+                             "env.effect", "env.effect"]
+    assert [payload["target"] for _, payload in events[2:]] == [
+        "process:h1:@unknown", "service:h1:web"]
+    assert events[2][1]["cause"] == "agent:a1:purge"
+    assert events[2][1]["changes"] == [
+        {"entity": "process:h1:mal", "attribute": "", "old": "present", "new": "killed"}]
+
+
+def test_an_effect_whose_target_is_gone_fails_the_action_and_returns_no_change():
+    env = make_env()
+    state = agent()
+    rep = {"sweep": spec("sweep", effects=[
+        env_effect("process:h1:ghost", "", "kill", None),
+        env_effect("service:h1:web", "health", "add", -0.1)])}
+    pe = PlanExecution(plan_of("sweep"))
+    events = execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
+    assert kinds(events) == ["agent.action_started", "agent.action_failed", "env.effect"]
+    assert events[2][1]["target"] == "service:h1:web"  # the ghost's kill records nothing
+
+
+def test_every_effect_draws_whether_or_not_it_acts_on_the_platform():
+    env = make_env()
+    state = agent()
+    rep = {"think": spec("think", effects=[
+        ProbabilisticEffect(env_effect=None, feature_deltas=[], probability=0.5)] * 3)}
+    rng = Random(7)
+    execute_step(PlanExecution(plan_of("think")), env, state, 0, rep, rng, no_propagate)
+    expected = Random(7)
+    for _ in range(3):
+        expected.random()
+    assert rng.getstate() == expected.getstate()
+
+
+def test_the_snapshot_builtin_returns_its_token():
+    env = make_env()
+    state = agent()
+    pe = PlanExecution(plan_of(SNAPSHOT_ACTION_ID))
+    events = execute_step(pe, env, state, 0, {}, Random(1), no_propagate)
+    assert events[1:] == [
+        ("agent.action_done", {"action": SNAPSHOT_ACTION_ID, "entry_index": 0}),
+        ("env.snapshot", {"host": "h1", "token": state.snapshot.token_id})]
+
+
+def test_the_restore_builtin_with_a_snapshot_returns_the_restore():
+    env = make_env()
+    state = agent()
+    state.snapshot = env.snapshot("h1")
+    rep = {"roll_back": spec("roll_back", builtin="restore")}
+    events = execute_step(PlanExecution(plan_of("roll_back")), env, state, 0, rep, Random(1),
+                          no_propagate)
+    assert kinds(events) == ["agent.action_started", "agent.action_done", "env.restore"]
+    assert events[2][1] == {"host": "h1", "token": state.snapshot.token_id, "restored": True}
 
 
 def test_restore_without_snapshot_fails():
@@ -169,8 +259,18 @@ def test_restore_without_snapshot_fails():
     state = agent()
     rep = {"roll_back": spec("roll_back", builtin="restore")}
     pe = PlanExecution(plan_of("roll_back"))
-    updates = execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
-    assert updates[0].status is ActionStatus.FAILED
+    events = execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
+    assert kinds(events) == ["agent.action_started", "agent.action_failed"]
+    assert pe.records[0].status is ActionStatus.FAILED
+
+
+def test_the_verify_builtin_changes_nothing():
+    env = make_env()
+    state = agent()
+    rep = {"check": spec("check", builtin="verify")}
+    events = execute_step(PlanExecution(plan_of("check")), env, state, 0, rep, Random(1),
+                          no_propagate)
+    assert kinds(events) == ["agent.action_started", "agent.action_done"]
 
 
 @pytest.mark.parametrize("ok, status", [(True, ActionStatus.DONE), (False, ActionStatus.FAILED)])
@@ -181,15 +281,15 @@ def test_propagate_builtin_calls_its_callback_once_and_records_the_result(ok, st
 
     def propagate(action):
         calls.append(action.action_id)
-        return ok, "a1_r1" if ok else "RefusedNoTrigger"
+        return ok
 
     rep = {"replicate": spec("replicate", category=ActionCategory.PROPAGATE, builtin="propagate")}
     pe = PlanExecution(plan_of("replicate"))
-    updates = execute_step(pe, env, state, 0, rep, Random(1), [], propagate)
+    events = execute_step(pe, env, state, 0, rep, Random(1), propagate)
     assert calls == ["replicate"]
-    assert updates[0].status is status
-    assert updates[0].observed_effects == [
-        {"builtin": "propagate", "ok": ok, "detail": "a1_r1" if ok else "RefusedNoTrigger"}]
+    assert pe.records[0].status is status
+    assert events[1:] == [(f"agent.action_{status.value}",
+                           {"action": "replicate", "entry_index": 0})]
 
 
 # -- monitoring --------------------------------------------------------------------------
@@ -203,7 +303,7 @@ def test_monitor_execution_all_done_is_quiet():
     state = agent()
     rep = {"look": spec("look")}
     pe = PlanExecution(plan_of("look"))
-    execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
+    execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
     assert monitor_execution(pe.records, 1, rep) == []
 
 
@@ -213,7 +313,7 @@ def test_monitor_execution_reports_failure():
     rep = {"kill_ghost": spec(
         "kill_ghost", effects=[env_effect("process:h1:ghost", "", "kill", None)])}
     pe = PlanExecution(plan_of("kill_ghost"))
-    execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
+    execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
     deviations = monitor_execution(pe.records, 1, rep)
     assert len(deviations) == 1 and deviations[0].kind == "failed"
     assert deviations[0].action_id == "kill_ghost"
@@ -235,12 +335,12 @@ def test_monitor_effects_met_and_unmet():
         env_effect=None, feature_deltas=[], probability=0.7,
         expect=[("proc_gone", ">=", 1)])])}
     pe = PlanExecution(plan_of("fix"))
-    execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
+    execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
     met_ws = WorldState(tick=1, features={"proc_gone": 1})
     assert monitor_effects(pe, met_ws, rep) == ([], [("fix", 0, True)])
     assert monitor_effects(pe, met_ws, rep) == ([], [])  # each record is checked once
     pe2 = PlanExecution(plan_of("fix"))
-    execute_step(pe2, env, state, 0, rep, Random(1), [], no_propagate)
+    execute_step(pe2, env, state, 0, rep, Random(1), no_propagate)
     unmet_ws = WorldState(tick=1, features={"proc_gone": 0})
     deviations, checks = monitor_effects(pe2, unmet_ws, rep)
     assert checks == [("fix", 0, False)]
@@ -256,7 +356,7 @@ def test_monitor_effects_waits_for_belief_refresh():
         env_effect=None, feature_deltas=[], probability=1.0,
         expect=[("x", ">=", 1)])])}
     pe = PlanExecution(plan_of("fix"))
-    execute_step(pe, env, state, 5, rep, Random(1), [], no_propagate)
+    execute_step(pe, env, state, 5, rep, Random(1), no_propagate)
     stale_ws = WorldState(tick=5, features={})
     assert monitor_effects(pe, stale_ws, rep) == ([], [])  # ws not refreshed yet
 
@@ -265,7 +365,7 @@ def test_monitor_effects_waits_for_belief_refresh():
 
 def failing_pe(env, state, rep):
     pe = PlanExecution(plan_of("kill_ghost"))
-    execute_step(pe, env, state, 0, rep, Random(1), [], no_propagate)
+    execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
     return pe
 
 
@@ -302,7 +402,7 @@ def test_retry_count_never_exceeds_limit():
                           max_retries=2)
         if decision.kind != "retry":
             break
-        execute_step(pe, env, state, attempt + 1, rep, Random(1), [], no_propagate)
+        execute_step(pe, env, state, attempt + 1, rep, Random(1), no_propagate)
     assert counts["kill_ghost"] <= 2
     assert decision.kind == "replan"
 
@@ -344,14 +444,14 @@ def test_mode_walk_has_no_resurrection():
     fail_safe(state)
     env = make_env()
     env.install_agent("a1", "h1")
-    # malware killed the agent: the episode marks it destroyed and removes it
+    # malware killed the agent: the kill removes it, and the episode marks it destroyed
+    env.apply_effect(EffectDescriptor("agent:a1", "", "kill"))
     state.mode = AgentMode.DESTROYED
-    env.remove_agent("a1")
     with pytest.raises(ModeForbidden):
         fail_safe(state)
     with pytest.raises(ModeForbidden):
         execute_step(PlanExecution(plan_of("look")), env, state, 0,
-                     {"look": spec("look")}, Random(1), [], no_propagate)
+                     {"look": spec("look")}, Random(1), no_propagate)
 
 
 def test_detectability_non_decreasing_without_camouflage():
@@ -361,6 +461,6 @@ def test_detectability_non_decreasing_without_camouflage():
     previous = state.detectability
     for tick, aid in enumerate(["a", "b", "a"]):
         pe = PlanExecution(plan_of(aid))
-        execute_step(pe, env, state, tick, rep, Random(1), [], no_propagate)
+        execute_step(pe, env, state, tick, rep, Random(1), no_propagate)
         assert state.detectability >= previous
         previous = state.detectability

@@ -440,6 +440,34 @@ def test_two_hunts_that_find_the_agent_in_one_tick_kill_it_once(tmp_path):
     assert replay(tmp_path / "trace.jsonl") == result.metrics
 
 
+def test_a_hunt_kills_an_agent_whose_own_action_killed_its_process(tmp_path):
+    """a1 starts unseen, then a fast rule's self_kill (noise 1.0) kills a1's
+    own process at tick 0; m1's certain hunt finds a1 at tick 1, and the kill
+    clears a residence whose process is already gone."""
+    config = quiet_scenario(
+        duration_ticks=6,
+        playbook={"instances": [{"instance_id": "m1", "host_id": "h1", "phase": "AgentHunt",
+                                 "hunt_intensity": 1.0}]},
+        patterns=[{"id": "always", "predicates": [["functionality_belief", ">=", 0.0]],
+                   "severity": 0.9, "confidence": 0.9, "deadline_ticks": 0}],
+        repertoire=[{"action_id": "self_kill", "category": "contain", "noise": 1.0,
+                     "effects": [{"env": {"target": "process:$self:agent_proc_a1",
+                                          "operation": "kill"}}]}],
+        rules=[{"rule_id": "r", "action_id": "self_kill", "priority": 1}],
+        roe={"fast_deadline_ticks": 1},
+        agents=[{"agent_id": "a1", "host_id": "h1", "detectability": 0.0}])
+    result = run_episode(config, 1)
+    effects = [(e["tick"], e["cause"], e["changes"][0]["entity"])
+               for e in result.trace if e["kind"] == "env.effect"]
+    assert effects == [(0, "agent:a1:self_kill", "process:h1:agent_proc_a1"),
+                       (1, "malware:m1", "agent:a1")]
+    killed = [(e["tick"], e["agent"]) for e in result.trace if e["kind"] == "agent.killed"]
+    assert killed == [(1, "a1")]
+    assert result.trace[-1]["tick"] == 5 and result.metrics["agent_survived"] is False
+    write_trace(result, tmp_path / "trace.jsonl")
+    assert replay(tmp_path / "trace.jsonl") == result.metrics
+
+
 def test_a_replica_is_refused_a_host_that_holds_a_live_agent(tmp_path):
     raw = json.loads(Path(scenario_path("s2_lateral_hunt")).read_text())
     raw["agents"].append({"agent_id": "a2", "host_id": "h2"})  # a1's replicate_backup target

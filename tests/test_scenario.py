@@ -388,6 +388,12 @@ BAD_IDS = {
     # the adversary hunts a host's one resident agent
     (lambda r: r["agents"].append({"agent_id": "a2", "host_id": "h1"}),
      "agent 'a2': host 'h1' already holds agent 'a1'"),
+    # a total of inf makes functionality NaN, and every normalised goal weight 0
+    (lambda r: r["topology"]["hosts"][0].update(services=[
+        {"service_id": sid, "required": True, "weight": 1e308} for sid in ("s1", "s2")]),
+     "topology.hosts: the weights sum past the largest float"),
+    (lambda r: r.update(goals=[{"goal_id": gid, "weight": 1e308} for gid in ("g1", "g2")]),
+     "scenario.goals: the weights sum past the largest float"),
     *DELETED_OPTIONS.values(),
     *BAD_IDS.values(),
 ], ids=["threshold_string", "report_interval_zero", "communicate_noise_negative",
@@ -398,7 +404,8 @@ BAD_IDS = {
         "malware_process_known_good_by_default", "action_id_shadows_builtin", "agent_id_c2",
         "agent_id_of_a_replica", "agent_id_of_a_replica_of_a_replica",
         "instance_id_of_a_replica", "instance_id_of_a_replica_of_a_replica",
-        "two_agents_on_one_host", *DELETED_OPTIONS, *BAD_IDS])
+        "two_agents_on_one_host", "service_weights_past_max_float",
+        "goal_weights_past_max_float", *DELETED_OPTIONS, *BAD_IDS])
 def test_mistyped_or_out_of_range_settings_are_config_invalid(edit, problem):
     raw = minimal_raw()
     edit(raw)
