@@ -48,7 +48,9 @@ from pathlib import Path
 from defsim.runner import EpisodeResult, run_batch, run_episode, write_result, write_trace
 from defsim.scenario import load_scenario
 
-BUNDLED = ("s1_comms_spoof", "s2_lateral_hunt", "s3_partition")
+# the stories shipped in the package, one JSON file each
+BUNDLED = tuple(sorted(path.stem for path in
+                       Path(str(files("defsim") / "scenarios")).glob("*.json")))
 SEEDS = range(1, 21)
 OUT = Path(__file__).resolve().parent.parent / "tests" / "golden"
 DIGESTS = OUT / "agent_on_digests.json"

@@ -36,7 +36,9 @@ from defsim.scenario import ScenarioConfig, load_scenario
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench import generator, workloads  # noqa: E402  (read only: the benchmark's inputs)
 
-BUNDLED = ("s1_comms_spoof", "s2_lateral_hunt", "s3_partition")
+# the stories shipped in the package, one JSON file each
+BUNDLED = tuple(sorted(path.stem for path in
+                       Path(str(files("defsim") / "scenarios")).glob("*.json")))
 WIDE_SEED = 7  # the wide_repertoire workload seed
 COLUMNS = ("decisions", "deliberative", "key derivations", "searches", "distinct bodies")
 # what each counted column counts: (owner, attribute)

@@ -35,7 +35,9 @@ from typing import Any, Callable, Optional
 
 from defsim import cli
 
-BUNDLED = ("s1_comms_spoof", "s2_lateral_hunt", "s3_partition")
+# the stories shipped in the package, one JSON file each
+BUNDLED = tuple(sorted(path.stem for path in
+                       Path(str(files("defsim") / "scenarios")).glob("*.json")))
 MODULES = sorted(path.stem for path in Path(cli.__file__).parent.glob("*.py"))
 
 

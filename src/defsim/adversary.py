@@ -89,17 +89,15 @@ def spoof_payload(
 ) -> dict[str, Any]:
     """Intercept a message on a spoofed channel.
 
-    With spoof_probability the payload is replaced by a forgery carrying no
-    valid authentication tag (the malware cannot forge tags); otherwise the
-    message passes through, flagged observed.
+    With spoof_probability the payload is replaced, in a copy, by a forgery
+    carrying no valid authentication tag (the malware cannot forge tags);
+    otherwise the message passes through as it is.
     """
-    out = dict(message, observed=True)
     if rng.random() < spoof_probability:
-        out["kind"] = "ControlCommand"
-        out["payload"] = {"command": "set_roe", "field": "max_plan_risk", "value": 1.0}
-        out["auth_tag"] = f"forged-{instance.instance_id}"
-        out["forged"] = True
-    return out
+        return dict(message, kind="ControlCommand", auth_tag=f"forged-{instance.instance_id}",
+                    payload={"command": "set_roe", "field": "max_plan_risk", "value": 1.0},
+                    forged=True)
+    return message
 
 
 def _trigger_holds(trigger: Optional[dict[str, Any]], env: Environment) -> bool:
@@ -145,7 +143,6 @@ def _fallback_effects(
     playbook: Playbook,
     rng: Random,
     detectability: Optional[float],
-    instance_count: int,
 ) -> list[EffectDescriptor]:
     """One phase-appropriate action, then advance the chain one step."""
     phase = instance.phase
@@ -172,14 +169,13 @@ def _fallback_effects(
             # the disabled variant
             effects.append(EffectDescriptor(f"channel:{clean[0].channel_id}", "state", "set", "spoofed"))
     elif phase is MalwarePhase.LATERAL_MOVEMENT:
-        if instance_count < playbook.max_instances:
-            reachable = sorted(
-                {ep for c in env.channels_adjacent(instance.host_id)
-                 if c.state is not ChannelState.DISABLED
-                 for ep in c.endpoints if ep != instance.host_id}
-            )
-            if reachable:
-                instance.lateral_target = reachable[0]
+        reachable = sorted(
+            {ep for c in env.channels_adjacent(instance.host_id)
+             if c.state is not ChannelState.DISABLED
+             for ep in c.endpoints if ep != instance.host_id}
+        )
+        if reachable:  # the controller spawns there while the instance cap allows
+            instance.lateral_target = reachable[0]
     elif phase is MalwarePhase.DEGRADATION:
         candidates = sorted(
             (s for s in host.services.values() if s.required and s.health > 0.0),
@@ -209,16 +205,12 @@ def malware_step(
     rng: Random,
     tick: int,
     detectability: Optional[float] = None,
-    instance_count: int = 1,
 ) -> list[EffectDescriptor]:
-    """Emit this tick's effects for one instance.
+    """Emit this tick's effects for one live instance.
 
     Scripted steps for the tick run in list order; with none scheduled and
-    fallback enabled, one phase-appropriate action runs instead. Dead
-    instances do nothing.
+    fallback enabled, one phase-appropriate action runs instead.
     """
-    if not instance.alive:
-        return []
     scripted = [
         s for s in playbook.steps
         if s.tick == tick and s.instance_id == instance.instance_id
@@ -231,7 +223,7 @@ def malware_step(
         ran_script = True
         effects.extend(_scripted_effects(instance, step, playbook))
     if not ran_script and playbook.fallback:
-        effects.extend(_fallback_effects(instance, env, playbook, rng, detectability, instance_count))
+        effects.extend(_fallback_effects(instance, env, playbook, rng, detectability))
     return effects
 
 
@@ -242,9 +234,14 @@ class MalwareController:
         self.instances: dict[str, MalwareInstance] = {i.instance_id: i for i in instances}
         self.playbook = playbook
         self._replica_counter = 0
+        self.attacked = False  # whether an effect has applied: attack.onset precedes the first
 
     def reached_hosts(self) -> set[str]:
         return {i.host_id for i in self.instances.values() if i.alive}
+
+    def held_hosts(self) -> set[str]:
+        """The hosts of every instance ever held: the controller drops none, none moves."""
+        return {i.host_id for i in self.instances.values()}
 
     def _check_evictions(self, env: Environment) -> list[str]:
         evicted = []
@@ -262,16 +259,20 @@ class MalwareController:
         rng: Random,
         tick: int,
         detectability_of: Callable[[str], Optional[float]],
-    ) -> tuple[list[tuple[str, EffectDescriptor]], dict[str, Any]]:
-        """Advance every instance in id order; returns ((instance, effect)
-        pairs, notes).
+    ) -> list[tuple[str, dict[str, Any]]]:
+        """Advance every live instance in id order, then apply their effects
+        in the order they were collected.
 
-        notes records evictions, phase changes and lateral spawns for the
-        episode trace. Effects targeting hosts the malware has not reached
-        are filtered out, which keeps scripted playbooks honest; so is a
-        second find of an agent that another instance kills this tick.
+        Returns the phase's trace events in trace order: adversary.evicted,
+        adversary.phase by instance id, adversary.lateral, then attack.onset
+        before the episode's first effect and one env.effect per effect, whose
+        payload is the apply_effect outcome. Effects targeting hosts the
+        malware has not reached are filtered out, which keeps scripted
+        playbooks honest; so is a second find of an agent that another
+        instance kills this tick.
         """
-        notes: dict[str, Any] = {"evicted": self._check_evictions(env), "lateral": [], "phases": {}}
+        events = [("adversary.evicted", {"instance": iid}) for iid in self._check_evictions(env)]
+        lateral: list[tuple[str, dict[str, Any]]] = []
         effects: list[tuple[str, EffectDescriptor]] = []
         hunted: set[str] = set()  # the agent targets killed this tick
         for iid in sorted(self.instances):
@@ -279,11 +280,8 @@ class MalwareController:
             if not inst.alive:
                 continue
             before = inst.phase
-            det = detectability_of(inst.host_id)
-            emitted = malware_step(
-                inst, env, self.playbook, rng, tick,
-                detectability=det, instance_count=len(self.instances),
-            )
+            emitted = malware_step(inst, env, self.playbook, rng, tick,
+                                   detectability=detectability_of(inst.host_id))
             reached = self.reached_hosts()
             for eff in emitted:
                 if eff.target in hunted or not self._effect_reachable(eff, env, reached):
@@ -292,22 +290,36 @@ class MalwareController:
                     hunted.add(eff.target)
                 effects.append((iid, eff))
             if inst.phase is not before:
-                notes["phases"][iid] = inst.phase.value
+                events.append(("adversary.phase", {"instance": iid, "phase": inst.phase.value}))
             if inst.lateral_target is not None:
                 # a validated host: a move_lateral step's or an adjacent channel's endpoint
                 target, inst.lateral_target = inst.lateral_target, None
                 if len(self.instances) < self.playbook.max_instances:
                     self._replica_counter += 1
                     new_id = f"{iid}_r{self._replica_counter}"
-                    child = MalwareInstance(
-                        instance_id=new_id,
-                        host_id=target,
-                        phase=MalwarePhase.FOOTHOLD,
-                        hunt_intensity=inst.hunt_intensity,
-                    )
-                    self.instances[new_id] = child
-                    notes["lateral"].append({"parent": iid, "instance": new_id, "host": target})
-        return effects, notes
+                    self.instances[new_id] = MalwareInstance(
+                        new_id, target, MalwarePhase.FOOTHOLD, inst.hunt_intensity)
+                    lateral.append(("adversary.lateral",
+                                    {"parent": iid, "instance": new_id, "host": target}))
+        events += lateral
+        for iid, eff in effects:
+            if not self.attacked:
+                self.attacked = True
+                events.append(("attack.onset", {}))
+            events.append(("env.effect", env.apply_effect(eff, cause=f"malware:{iid}")))
+        return events
+
+    def intercept(self, env: Environment, rng: Random, channel_id: str,
+                  message: dict[str, Any]) -> dict[str, Any]:
+        """A spoofed channel's view of a message: the first live instance (by
+        id) on one of its endpoints forges it or lets it pass; with none there
+        it passes as it is."""
+        endpoints = env.channels[channel_id].endpoints
+        for iid in sorted(self.instances):
+            instance = self.instances[iid]
+            if instance.alive and instance.host_id in endpoints:
+                return spoof_payload(instance, message, self.playbook.spoof_probability, rng)
+        return message
 
     @staticmethod
     def _effect_reachable(effect: EffectDescriptor, env: Environment, reached: set[str]) -> bool:

@@ -80,7 +80,6 @@ class Process:
 class FileEntry:
     file_id: str
     owner: Owner = Owner.SYSTEM
-    token: str = ""
 
 
 @dataclass
@@ -173,8 +172,6 @@ class Environment:
         for host in self.hosts.values():
             for svc in host.services.values():
                 svc.refresh_state(up_threshold, down_threshold)
-        for ch in self.channels.values():
-            ch.enforce_invariants()
 
     # -- stepping ------------------------------------------------------------
 
@@ -293,11 +290,7 @@ class Environment:
         hid = host.host_id
         if effect.operation == "spawn":
             spec = effect.value or {}
-            host.files[fid] = FileEntry(
-                file_id=fid,
-                owner=Owner(spec.get("owner", "malware")),
-                token=spec.get("token", ""),
-            )
+            host.files[fid] = FileEntry(file_id=fid, owner=Owner(spec.get("owner", "malware")))
             return {"entity": f"file:{hid}:{fid}", "attribute": "", "old": None, "new": "created"}
         if fid not in host.files:  # remove
             raise UnknownEntity(f"no file {fid!r} on host {hid!r}")
@@ -343,9 +336,10 @@ class Environment:
         """Push one message through a channel that route() returned.
 
         Disabled drops always; degraded drops with drop_probability, else
-        arrives after delay_ticks; spoofed delivers but is observed by the
-        adversary (spoofer hook may substitute the payload); healthy delivers
-        immediately. Draws come from the caller's seeded stream.
+        arrives after delay_ticks; spoofed delivers what the spoofer hook
+        makes of the message (a forgery, or the message as it is) and
+        returns OBSERVED_AND_DELIVERED; healthy delivers immediately. Draws
+        come from the caller's seeded stream.
         """
         ch = self.channels[channel_id]
         if ch.state is ChannelState.DISABLED:
@@ -360,7 +354,7 @@ class Environment:
             self.inboxes.setdefault(message["recipient"], []).append(message)
             return DeliveryStatus.DELIVERED
         if ch.state is ChannelState.SPOOFED:
-            out = spoofer(channel_id, message) if spoofer else dict(message, observed=True)
+            out = spoofer(channel_id, message) if spoofer else message
             self.inboxes.setdefault(out["recipient"], []).append(out)
             return DeliveryStatus.OBSERVED_AND_DELIVERED
         self.inboxes.setdefault(message["recipient"], []).append(message)

@@ -24,6 +24,7 @@ from .planning import (
     BUILTIN_ACTIONS,
     RulesOfEngagement,
     action_roe_ok,
+    signed_noise,
 )
 from .sensing import WorldState, all_hold
 
@@ -175,8 +176,7 @@ def execute_step(
             raise ModeForbidden(f"destructive action {action_id!r} forbidden in fail_safe")
         rec = ExecutionRecord(action_id, pe.cursor, ActionStatus.IN_PROGRESS, started_tick=tick)
         pe.records.append(rec)
-        noise = -spec.noise if spec.category is ActionCategory.CAMOUFLAGE else spec.noise
-        agent_state.detectability = clamp01(agent_state.detectability + noise)
+        agent_state.detectability = clamp01(agent_state.detectability + signed_noise(spec))
         events.append(("agent.action_started", {"action": action_id, "entry_index": rec.entry_index,
                                                 "detectability": agent_state.detectability}))
     else:

@@ -1,24 +1,27 @@
 """Episode loop, metrics, decision log, replay and reporting.
 
 Tick order is fixed and canonical: (1) environment step, delivering delayed
-messages in the order they were sent; (2) adversary instances in id order;
-(3) live agents in id order, each running inbox -> sense -> identify ->
-control boundary -> collaborate -> monitor/adjust -> plan -> execute ->
-report; (4) the scripted C2 sends for the tick. Messages sent mid-tick land in inboxes and are read at the
-recipient's next agent phase, so any (config, seed) pair replays to an
-identical trace. Each event's seq is its 0-based position in its tick.
+messages in the order they were sent; (2) adversary instances in id order,
+then their effects in that order; (3) live agents in id order, each running
+inbox -> sense -> identify -> control boundary -> collaborate ->
+monitor/adjust -> plan -> execute -> report; (4) the scripted C2 sends for
+the tick. Both actors return their trace events, which the loop emits.
+Messages sent mid-tick land in inboxes and are read at the recipient's next
+agent phase, so any (config, seed) pair replays to an identical trace. Each
+event's seq is its 0-based position in its tick.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from random import Random
 from typing import Any, Optional
 
-from . import adversary, collaboration, execution, learning, planning, sensing
+from . import collaboration, execution, learning, planning, sensing
 from .adversary import MalwareController
 from .envsim import Environment, clamp01, sum_in_order
 from .errors import (
@@ -155,11 +158,11 @@ class Episode:
         self.rng = Random(seed)
         self.env: Environment = config.build_environment()
         self.malware = MalwareController(*config.build_playbook())
+        self.spoofer = partial(self.malware.intercept, self.env, self.rng)
         self.auth_key = f"shared-key-{config.scenario_hash}"
         self.trace: list[dict[str, Any]] = []
         self.decision_log: list[dict[str, Any]] = []
         self.body_index: dict[str, int] = {}  # encoded decision body -> its first decision
-        self.attacked = False
         self.tick = 0
         self.seq = 0  # the next event's position in its tick
 
@@ -203,6 +206,15 @@ class Episode:
         self.trace.append({"tick": self.tick, "seq": self.seq, "kind": kind, **payload})
         self.seq += 1
 
+    def _emit_events(self, events: list[tuple[str, dict[str, Any]]], **agent: str) -> None:
+        """Emit a phase's trace events, the acting agent's id on each but an
+        env.effect, which also records the harm or kill it makes."""
+        for kind, payload in events:
+            if kind == "env.effect":
+                self._record_effect_outcome(payload)
+            else:
+                self.emit(kind, **agent, **payload)
+
     def _record_effect_outcome(self, outcome: dict[str, Any]) -> None:
         self.emit("env.effect", **outcome)
         cause = outcome["cause"]
@@ -224,7 +236,7 @@ class Episode:
             for channel, message in self.env.step(tick):
                 self.emit("env.message_delivered", channel=channel,
                           message_kind=message.get("kind"), recipient=message.get("recipient"))
-            self._adversary_phase(tick)
+            self._emit_events(self.malware.step(self.env, self.rng, tick, self._detectability_of))
             for agent_id in self.agent_ids:
                 self._agent_phase(self.runtimes[agent_id], tick)
             self._c2_phase(tick)
@@ -243,27 +255,10 @@ class Episode:
             primary_agent=self.primary_agent,
         )
 
-    # -- adversary phase ---------------------------------------------------------------
-
     def _detectability_of(self, host_id: str) -> Optional[float]:
         # only install_agent sets residence, right before the runtime joins; a kill clears it
         agent_id = self.env.hosts[host_id].resident_agent
         return None if agent_id is None else self.runtimes[agent_id].state.detectability
-
-    def _adversary_phase(self, tick: int) -> None:
-        effects, notes = self.malware.step(self.env, self.rng, tick, self._detectability_of)
-        for iid in notes["evicted"]:
-            self.emit("adversary.evicted", instance=iid)
-        for iid, phase in sorted(notes["phases"].items()):
-            self.emit("adversary.phase", instance=iid, phase=phase)
-        for move in notes["lateral"]:
-            self.emit("adversary.lateral", **move)
-        for iid, effect in effects:
-            outcome = self.env.apply_effect(effect, cause=f"malware:{iid}")
-            if not self.attacked:
-                self.attacked = True
-                self.emit("attack.onset")
-            self._record_effect_outcome(outcome)
 
     # -- agent phase ----------------------------------------------------------------------
 
@@ -271,8 +266,6 @@ class Episode:
         if rt.state.mode is AgentMode.DESTROYED:
             return
         self._process_inbox(rt)
-        if rt.state.mode is AgentMode.DESTROYED:
-            return
 
         # reads taken at the environment's current mutation count still hold;
         # a noisy config reads every pass, so its draws keep their place
@@ -307,11 +300,10 @@ class Episode:
         self._monitor_and_adjust(rt, tick)
         self._maybe_plan(rt, assessment, tick)
         self._execute(rt, tick)
-        if rt.state.mode is not AgentMode.DESTROYED:
-            if rt.state.agent_id == self.primary_agent:
-                self.emit("agent.reward", agent=rt.state.agent_id,
-                          reward=learning.reward(rt.kb.goals, rt.ws))
-            self._periodic_report(rt, tick)
+        if rt.state.agent_id == self.primary_agent:
+            self.emit("agent.reward", agent=rt.state.agent_id,
+                      reward=learning.reward(rt.kb.goals, rt.ws))
+        self._periodic_report(rt, tick)
 
     def _process_inbox(self, rt: AgentRuntime) -> None:
         for msg in self.env.drain_inbox(rt.state.agent_id):
@@ -380,7 +372,7 @@ class Episode:
         msg = collaboration.build_message(
             self.auth_key, collaboration.MessageKind.SHARE_CONCLUSIONS, rt.state.agent_id,
             peer_id, payload, round_no)
-        status = self.env.deliver(channel, msg, self.rng, spoofer=self._spoof)
+        status = self.env.deliver(channel, msg, self.rng, spoofer=self.spoofer)
         rt.state.detectability = clamp01(
             rt.state.detectability + self.config.collaboration.communicate_noise)
         self.emit("agent.conclusions_shared", agent=rt.state.agent_id, peer=peer_id,
@@ -431,24 +423,12 @@ class Episode:
         try:
             outcomes = collaboration.share_and_request(
                 rt.state, peers, rt.conclusions, self.env, self.rng, self.auth_key,
-                self.config.collaboration.communicate_noise, spoofer=self._spoof)
+                self.config.collaboration.communicate_noise, spoofer=self.spoofer)
             for outcome in outcomes:
                 self.emit("agent.conclusions_requested", agent=rt.state.agent_id, **outcome)
         except NoRoute:
             self.emit("agent.collaboration_solo", agent=rt.state.agent_id,
                       reason="no_peer_reachable")
-
-    def _spoof(self, channel_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        """The spoofed channel's view of a message: the first live instance
-        (by id) on one of its endpoints intercepts it; with none there it
-        passes through, flagged observed."""
-        endpoints = self.env.channels[channel_id].endpoints
-        for iid in sorted(self.malware.instances):
-            instance = self.malware.instances[iid]
-            if instance.alive and instance.host_id in endpoints:
-                return adversary.spoof_payload(
-                    instance, message, self.malware.playbook.spoof_probability, self.rng)
-        return dict(message, observed=True)
 
     # -- monitoring, planning, execution -------------------------------------------------
 
@@ -463,8 +443,6 @@ class Episode:
             self._learn(rt, feedback, [], "effect_stat_update")
         deviations = execution.monitor_execution(pe.records, tick, self.repertoire) + unmet
         if not deviations:
-            if pe.finished():
-                rt.plan_exec = None
             return
         for dev in deviations:
             self.emit("agent.deviation", agent=rt.state.agent_id, **dev.to_dict())
@@ -552,11 +530,7 @@ class Episode:
             self.emit("agent.plan_dropped", agent=rt.state.agent_id, reason=str(exc))
             rt.plan_exec = None
             return
-        for kind, payload in events:
-            if kind == "env.effect":
-                self._record_effect_outcome(payload)
-            else:
-                self.emit(kind, agent=rt.state.agent_id, **payload)
+        self._emit_events(events, agent=rt.state.agent_id)
         if pe.finished():
             rt.plan_exec = None
 
@@ -610,7 +584,7 @@ class Episode:
             status = collaboration.report(
                 rt.state, self.config.c2_host, self._report_summary(rt), self.env,
                 self.rng, self.auth_key, self.config.collaboration.communicate_noise,
-                spoofer=self._spoof)
+                spoofer=self.spoofer)
             self.emit("agent.report", agent=rt.state.agent_id,
                       status=status.value, reason=reason)
         except NoRoute:
@@ -618,16 +592,12 @@ class Episode:
                       reason="no_route", trigger=reason)
 
     def _periodic_report(self, rt: AgentRuntime, tick: int) -> None:
-        if self.config.c2_host is None or rt.state.mode is AgentMode.DESTROYED:
-            return
         if tick - rt.last_report_tick >= self.config.collaboration.report_interval:
             self._attempt_report(rt, tick, reason="interval")
 
     # -- C2 control phase -------------------------------------------------------------------
 
     def _c2_phase(self, tick: int) -> None:
-        if self.config.c2_host is None:
-            return
         for entry in self.config.c2_script:
             if entry["tick"] != tick:
                 continue
@@ -643,7 +613,7 @@ class Episode:
             msg = collaboration.build_message(
                 self.auth_key, collaboration.MessageKind(entry["kind"]),
                 "c2", recipient, entry["payload"])
-            status = self.env.deliver(channel, msg, self.rng, spoofer=self._spoof)
+            status = self.env.deliver(channel, msg, self.rng, spoofer=self.spoofer)
             self.emit("c2.sent", to=recipient, message_kind=entry["kind"],
                       status=status.value)
         self.env.drain_inbox("c2")  # the center takes its status reports and acts on none
@@ -653,8 +623,7 @@ class Episode:
     def _end_of_episode_learning(self) -> None:
         if not self.config.training:
             return
-        # the hosts of every instance ever held: the controller drops none, none moves
-        compromised = {inst.host_id for inst in self.malware.instances.values()}
+        compromised = self.malware.held_hosts()
         # an agent's assessment events are exactly its passes that matched a pattern
         matched: dict[str, set[str]] = {}
         for event in self.trace:

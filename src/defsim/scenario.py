@@ -509,10 +509,13 @@ def _cross_rules(doc: dict[str, Any], ids: dict[str, set[Any]], problems: list[s
         if not math.isfinite(sum_in_order(weights)):
             problems.append(f"{where}: the weights sum past the largest float")
     for h in topo["hosts"]:
-        for p in h["processes"]:
+        for index, p in enumerate(h["processes"]):
             if p["owner"] == "malware" and p["known_good"]:
                 problems.append(f"process {p['process_id']!r}: malware owner requires "
                                 "known_good=false")
+            if p["process_id"].startswith("agent_proc_"):  # install_agent would replace it
+                problems.append(f"host {h['host_id']!r}.processes[{index}]: the prefix 'agent_proc_' "
+                                f"of process_id {p['process_id']!r} is taken by agents' processes")
     held: dict[str, str] = {}  # host -> its agent: the adversary hunts a host's one resident
     for a in doc["agents"]:
         if held.setdefault(a["host_id"], a["agent_id"]) != a["agent_id"]:

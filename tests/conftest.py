@@ -13,7 +13,9 @@ from defsim.envsim import CommsChannel, Environment, Host, Owner, Process, Servi
 from defsim.runner import EpisodeResult, run_episode
 from defsim.scenario import ScenarioConfig, load_scenario
 
-BUNDLED = ("s1_comms_spoof", "s2_lateral_hunt", "s3_partition")
+# the stories shipped in the package, one JSON file each
+BUNDLED = tuple(sorted(path.stem for path in
+                       Path(str(files("defsim") / "scenarios")).glob("*.json")))
 
 
 def scenario_path(name: str) -> str:

@@ -1,4 +1,7 @@
+from itertools import product
 from random import Random
+
+import pytest
 
 from defsim.adversary import (
     HuntResult,
@@ -13,20 +16,15 @@ from defsim.adversary import (
     next_phase,
     spoof_payload,
 )
-from defsim.envsim import EffectDescriptor, Service
+from defsim.envsim import CommsChannel, EffectDescriptor, Service
+from defsim.runner import run_episode
 from defsim.scenario import _STEP, _TRIGGER
 
-from conftest import make_env, make_host, two_host_env
+from conftest import BUNDLED, make_env, make_host, two_host_env
 
 
-def inst(phase=MalwarePhase.DORMANT, host="h1", intensity=0.5, alive=True):
-    return MalwareInstance("m1", host, phase=phase, hunt_intensity=intensity, alive=alive)
-
-
-def test_dead_instance_emits_nothing():
-    env = make_env()
-    pb = Playbook(steps=[PlaybookStep(0, "create_file", instance_id="m1")], fallback=True)
-    assert malware_step(inst(alive=False), env, pb, Random(1), 0) == []
+def inst(phase=MalwarePhase.DORMANT, host="h1", intensity=0.5):
+    return MalwareInstance("m1", host, phase=phase, hunt_intensity=intensity)
 
 
 def test_scripted_step_passthrough():
@@ -154,13 +152,13 @@ def test_hunt_frequency_matches_closed_form():
 
 # -- spoof_payload -------------------------------------------------------------------
 
-def test_spoof_probability_zero_passthrough_observed():
+def test_spoof_probability_zero_passes_the_message_as_it_is():
     message = {"kind": "StatusReport", "sender": "a1", "recipient": "c2",
                "payload": {"x": 1}, "auth_tag": "t"}
     out = spoof_payload(inst(), message, 0.0, Random(1))
-    assert out["observed"] is True
-    assert out["payload"] == {"x": 1} and out["auth_tag"] == "t"
-    assert "forged" not in out
+    assert out is message
+    assert message == {"kind": "StatusReport", "sender": "a1", "recipient": "c2",
+                       "payload": {"x": 1}, "auth_tag": "t"}
 
 
 def test_spoof_probability_one_forges_with_invalid_tag():
@@ -170,9 +168,14 @@ def test_spoof_probability_one_forges_with_invalid_tag():
     assert out["forged"] is True
     assert out["auth_tag"].startswith("forged-")
     assert out["kind"] == "ControlCommand"
+    assert message["auth_tag"] == "t" and "forged" not in message  # a copy is forged
 
 
 # -- controller -----------------------------------------------------------------------
+
+def kinds(events):
+    return [kind for kind, _ in events]
+
 
 def test_controller_filters_effects_on_unreached_hosts():
     env = two_host_env()
@@ -181,8 +184,8 @@ def test_controller_filters_effects_on_unreached_hosts():
                      instance_id="m1"),
     ], fallback=False)
     ctrl = MalwareController([inst(MalwarePhase.DEGRADATION, host="h1")], pb)
-    effects, _ = ctrl.step(env, Random(1), 0, lambda h: None)
-    assert effects == []  # h2 was never reached
+    assert ctrl.step(env, Random(1), 0, lambda h: None) == []  # h2 was never reached
+    assert env.hosts["h2"].services["db"].health == 1.0 and not ctrl.attacked
 
 
 def test_two_instances_that_find_one_agent_kill_it_once():
@@ -190,9 +193,12 @@ def test_two_instances_that_find_one_agent_kill_it_once():
     pb = Playbook(fallback=True)
     ctrl = MalwareController([MalwareInstance(iid, "h1", phase=MalwarePhase.AGENT_HUNT,
                                               hunt_intensity=1.0) for iid in ("m1", "m2")], pb)
-    effects, _ = ctrl.step(env, Random(1), 0, lambda h: 1.0)
-    assert [(iid, eff.target, eff.operation) for iid, eff in effects] == [
-        ("m1", "agent:a1", "kill")]
+    events = ctrl.step(env, Random(1), 0, lambda h: 1.0)
+    assert kinds(events) == ["attack.onset", "env.effect"]
+    outcome = events[1][1]
+    assert (outcome["cause"], outcome["target"], outcome["operation"]) == (
+        "malware:m1", "agent:a1", "kill")
+    assert env.hosts["h1"].resident_agent is None
 
 
 def test_controller_lateral_creates_instance_and_respects_cap():
@@ -200,24 +206,71 @@ def test_controller_lateral_creates_instance_and_respects_cap():
     pb = Playbook(steps=[PlaybookStep(0, "move_lateral", {"target_host": "h2"}, instance_id="m1")],
                   fallback=False, max_instances=2)
     ctrl = MalwareController([inst(MalwarePhase.LATERAL_MOVEMENT)], pb)
-    _, notes = ctrl.step(env, Random(1), 0, lambda h: None)
-    assert notes["lateral"] == [{"parent": "m1", "instance": "m1_r1", "host": "h2"}]
+    events = ctrl.step(env, Random(1), 0, lambda h: None)
+    assert events == [("adversary.lateral", {"parent": "m1", "instance": "m1_r1", "host": "h2"})]
     assert ctrl.instances["m1_r1"].phase is MalwarePhase.FOOTHOLD
     assert ctrl.reached_hosts() == {"h1", "h2"}
+    # at the cap, a move makes no instance
+    pb.steps[0] = PlaybookStep(1, "move_lateral", {"target_host": "h2"}, instance_id="m1")
+    assert ctrl.step(env, Random(1), 1, lambda h: None) == []
+    assert sorted(ctrl.instances) == ["m1", "m1_r1"]
 
 
 def test_controller_evicts_instance_when_footprint_removed():
     env = make_env()
     pb = Playbook(fallback=True)
     ctrl = MalwareController([inst(MalwarePhase.FOOTHOLD)], pb)
-    effects, _ = ctrl.step(env, Random(1), 0, lambda h: None)
-    for _, eff in effects:
-        env.apply_effect(eff)
+    assert kinds(ctrl.step(env, Random(1), 0, lambda h: None)) == [
+        "adversary.phase", "attack.onset", "env.effect"]
     pid = next(iter(ctrl.instances["m1"].footprint))
+    assert pid in env.hosts["h1"].processes  # the step applied its effect
     del env.hosts["h1"].processes[pid]
-    _, notes = ctrl.step(env, Random(1), 1, lambda h: None)
-    assert notes["evicted"] == ["m1"]
+    assert ctrl.step(env, Random(1), 1, lambda h: None) == [("adversary.evicted", {"instance": "m1"})]
     assert not ctrl.instances["m1"].alive
+
+
+def test_an_evicted_instance_emits_nothing_in_later_ticks():
+    env = make_env()
+    pb = Playbook(steps=[PlaybookStep(tick, "create_file", instance_id="m1") for tick in (1, 2)],
+                  fallback=True)
+    ctrl = MalwareController([MalwareInstance("m1", "h1", MalwarePhase.PERSISTENCE,
+                                              footprint={"mal_m1_1"})], pb)
+    rng = Random(1)
+    assert ctrl.step(env, rng, 0, lambda h: None) == [("adversary.evicted", {"instance": "m1"})]
+    before = (env.mutations, rng.getstate())
+    for tick in (1, 2, 3):
+        assert ctrl.step(env, rng, tick, lambda h: None) == []
+    assert (env.mutations, rng.getstate()) == before
+    assert "drop_m1" not in env.hosts["h1"].files
+
+
+def test_step_returns_eviction_phase_lateral_onset_then_each_effect_once_an_episode():
+    env = two_host_env()
+    pb = Playbook(steps=[PlaybookStep(0, "move_lateral", {"target_host": "h2"}, instance_id="m2"),
+                         PlaybookStep(0, "degrade_host", {"amount": 0.25}, instance_id="m2")],
+                  fallback=True)
+    ctrl = MalwareController([
+        MalwareInstance("m0", "h1", MalwarePhase.FOOTHOLD, footprint={"mal_gone"}),
+        MalwareInstance("m1", "h1", MalwarePhase.FOOTHOLD),
+        MalwareInstance("m2", "h1"),
+    ], pb)
+    rng = Random(1)
+    events = ctrl.step(env, rng, 0, lambda h: None)
+    assert events[:4] == [
+        ("adversary.evicted", {"instance": "m0"}),
+        ("adversary.phase", {"instance": "m1", "phase": "Persistence"}),
+        ("adversary.lateral", {"parent": "m2", "instance": "m2_r1", "host": "h2"}),
+        ("attack.onset", {}),
+    ]
+    # the effects apply after every instance has stepped, in the order collected
+    assert [(kind, p["cause"], p["target"]) for kind, p in events[4:]] == [
+        ("env.effect", "malware:m1", "process:h1:mal_m1_1"),
+        ("env.effect", "malware:m2", "host:h1")]
+    assert env.hosts["h1"].integrity == 0.75
+    # the next tick has effects too, and no second onset
+    events = ctrl.step(env, rng, 1, lambda h: None)
+    assert kinds(events) == ["adversary.phase"] * 3 + ["env.effect"] * 2
+    assert [p["cause"] for _, p in events[3:]] == ["malware:m1", "malware:m2_r1"]
 
 
 def test_phase_walk_is_forward_only_one_step_per_tick():
@@ -228,14 +281,67 @@ def test_phase_walk_is_forward_only_one_step_per_tick():
     rng = Random(7)
     seen = [ctrl.instances["m1"].phase]
     for tick in range(12):
-        effects, _ = ctrl.step(env, rng, tick, lambda h: 0.0)
-        for _, eff in effects:
-            env.apply_effect(eff)
+        ctrl.step(env, rng, tick, lambda h: 0.0)
         seen.append(ctrl.instances["m1"].phase)
     indices = [PHASE_ORDER.index(p) for p in seen]
     assert all(0 <= b - a <= 1 for a, b in zip(indices, indices[1:]))
     assert indices == sorted(indices)
     assert seen[-1] is MalwarePhase.AGENT_HUNT
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_attack_onset_comes_once_just_before_the_first_malware_effect(bundled_configs, name):
+    for seed, agent_enabled in product(range(1, 21), (True, False)):
+        trace = run_episode(bundled_configs[name], seed, agent_enabled).trace
+        onsets = [i for i, e in enumerate(trace) if e["kind"] == "attack.onset"]
+        first = next((i for i, e in enumerate(trace) if e["kind"] == "env.effect"
+                      and e["cause"].startswith("malware:")), None)
+        assert onsets == ([] if first is None else [first - 1]), (seed, agent_enabled)
+
+
+# -- intercept ------------------------------------------------------------------------
+
+def three_host_env():
+    """h1 and h2 share channel c1; h3 is on no channel."""
+    return make_env(hosts=[make_host(h) for h in ("h1", "h2", "h3")],
+                    channels=[CommsChannel("c1", ("h1", "h2"))])
+
+
+def message():
+    return {"kind": "StatusReport", "sender": "a1", "recipient": "c2",
+            "payload": {"x": 1}, "auth_tag": "t"}
+
+
+@pytest.mark.parametrize("probability", [1.0, 0.0], ids=["forges", "passes"])
+def test_the_lowest_id_live_instance_on_an_endpoint_intercepts(probability):
+    env = three_host_env()
+    ctrl = MalwareController([MalwareInstance(iid, host) for iid, host in
+                              (("m2", "h1"), ("m1", "h2"), ("m3", "h1"))],
+                             Playbook(spoof_probability=probability))
+    sent, rng = message(), Random(1)
+    out = ctrl.intercept(env, rng, "c1", sent)
+    assert rng.getstate() != Random(1).getstate()  # the interceptor drew
+    if probability:
+        assert out["auth_tag"] == "forged-m1" and out["forged"] is True
+    else:
+        assert out is sent
+
+
+def test_a_dead_instance_and_one_off_the_endpoints_do_not_intercept():
+    env = three_host_env()
+    ctrl = MalwareController([MalwareInstance("m0", "h1", alive=False),
+                              MalwareInstance("m1", "h3"), MalwareInstance("m2", "h2")],
+                             Playbook(spoof_probability=1.0))
+    assert ctrl.intercept(env, Random(1), "c1", message())["auth_tag"] == "forged-m2"
+
+
+def test_with_no_instance_there_intercept_returns_the_message_itself():
+    env = three_host_env()
+    ctrl = MalwareController([MalwareInstance("m0", "h1", alive=False),
+                              MalwareInstance("m1", "h3")], Playbook(spoof_probability=1.0))
+    sent, rng = message(), Random(1)
+    assert ctrl.intercept(env, rng, "c1", sent) is sent
+    assert rng.getstate() == Random(1).getstate()
 
 
 def test_next_phase_saturates_at_hunt():

@@ -171,8 +171,9 @@ def test_every_function_is_referenced_in_the_package():
 
 
 def test_two_functions_are_kept_for_a_caller_outside_the_package():
-    # criterion 6's negotiation model lives in tests/negotiation_oracle.py, and
-    # a replica's install reads its knowledge base with KnowledgeBase.from_json
+    # criterion 7 calls KnowledgeBase.estimate until the planner reads the learnt
+    # estimates, and perfbench/spans.py wraps score_sequence until the traced
+    # benchmark drops it, so that the planning oracle can take it
     assert sorted(KEPT_FUNCTIONS) == ["learning.py: KnowledgeBase.estimate",
                                       "planning.py: score_sequence"]
 
@@ -182,7 +183,6 @@ def test_two_functions_are_kept_for_a_caller_outside_the_package():
 KEPT_FIELDS = {
     "envsim.py: Host.friendly": "a scenario input that the platform model carries",
     "envsim.py: Process.image_hash": "a scenario input that the platform model carries",
-    "envsim.py: FileEntry.token": "a scenario input that the platform model carries",
     "planning.py: PlanProposal.predicted_satisfaction":
         "the planner parity test compares it with the oracle's",
     "scenario.py: ScenarioConfig.raw":

@@ -321,7 +321,16 @@ DELETED_OPTIONS = {
         "service:<host id>:<service id> or channel:<channel id>, not 'agent:a1'"),
 }
 
-# ids that would break a target string or read as one of its selectors
+def _roster_host_with_process(process_id):
+    """A roster host h2, where a1's first replica would install, holding the process."""
+    def edit(raw):
+        raw["topology"]["hosts"].append({"host_id": "h2", "processes": [{"process_id": process_id}]})
+        raw["roster"] = {"hosts": ["h2"], "authorization_token": "tok"}
+    return edit
+
+
+# ids that would break a target string or read as one of its selectors, or
+# that the platform gives its own entities
 BAD_IDS = {
     "instance_id_with_a_colon": (
         _add_instances("m:1"),
@@ -341,6 +350,17 @@ BAD_IDS = {
                      "topology.hosts[1]: host_id '$self' must be a string without ':'"),
     "agent_id_with_a_colon": (_add_agents("a:2"),
                               "scenario.agents[1]: agent_id 'a:2' must be a string without ':'"),
+    # the platform names an agent's process agent_proc_<agent id>, and install
+    # would replace a topology process of that name
+    "process_id_of_an_agent": (
+        lambda r: r["topology"]["hosts"][0].update(
+            processes=[{"process_id": "agent_proc_a1", "image_hash": "db"}]),
+        "host 'h1'.processes[0]: the prefix 'agent_proc_' of process_id 'agent_proc_a1' is taken by "
+        "agents' processes"),
+    "process_id_of_a_replica": (
+        _roster_host_with_process("agent_proc_a1_r1"),
+        "host 'h2'.processes[0]: the prefix 'agent_proc_' of process_id 'agent_proc_a1_r1' is taken by "
+        "agents' processes"),
 }
 
 
