@@ -60,7 +60,6 @@ class PlaybookStep:
 class Playbook:
     steps: list[PlaybookStep] = field(default_factory=list)
     fallback: bool = True
-    hunt_intensity: float = 0.5
     spoof_probability: float = 0.5
     degradation_amount: float = 0.2
     max_instances: int = 8

@@ -80,7 +80,7 @@ class RefusedOccupied(PropagationRefused):
 # -- runner -----------------------------------------------------------------
 
 class SchemaMismatch(DefsimError):
-    """Trace or knowledge file written under a different schema version."""
+    """Trace file or replica knowledge written under a different schema version."""
 
 
 class CorruptTrace(DefsimError):

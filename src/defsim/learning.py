@@ -1,12 +1,12 @@
 """Reward computation, count-based effect statistics and pattern-confidence
 reweighting.
 
-Feedback becomes propositions, each applied to the knowledge base once per
-observation id, with no validation gate: effect outcomes update
-success/trial counts (read back as Laplace-smoothed estimates), and
-end-of-episode assessment outcomes of a training scenario set a pattern's
-confidence to its confirmed/matched ratio. The planner still plans with the
-effect probabilities the scenario declares, not with these estimates.
+Feedback becomes propositions, each applied to the knowledge base as it
+comes, with no validation gate: effect checks update success/trial counts
+(read back as Laplace-smoothed estimates), and end-of-episode assessment
+outcomes of a training scenario set a pattern's confidence to its
+confirmed/matched ratio. The planner still plans with the effect
+probabilities the scenario declares, not with these estimates.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class KnowledgeBase:
     rules: dict[str, ConditionActionRule] = field(default_factory=dict)
     goals: list[Goal] = field(default_factory=list)
     pattern_stats: dict[str, tuple[int, int]] = field(default_factory=dict)  # (confirmed, matched)
-    applied_observations: set[str] = field(default_factory=set)
     pattern_version: int = 0  # advanced by each write to a pattern
 
     def estimate(self, action_id: str, effect_index: int) -> float:
@@ -93,53 +92,38 @@ class KnowledgeBase:
             raise SchemaMismatch(
                 f"knowledge base schema_version {version!r}, expected {KB_SCHEMA_VERSION}")
         kb = KnowledgeBase()
-        for spec in data.get("patterns", []):
+        for spec in data["patterns"]:
             kb.patterns[spec["id"]] = Pattern(
                 pattern_id=spec["id"],
                 predicates=[tuple(x) for x in spec["predicates"]],
                 severity=spec["severity"],
                 confidence=spec["confidence"],
-                progression=[tuple(x) for x in spec.get("progression", [])],
-                deadline_ticks=spec.get("deadline_ticks"),
+                progression=[tuple(x) for x in spec["progression"]],
+                deadline_ticks=spec["deadline_ticks"],
             )
-        for key, counts in data.get("effect_stats", {}).items():
+        for key, counts in data["effect_stats"].items():
             aid, idx = key.rsplit(":", 1)
             kb.effect_stats[(aid, int(idx))] = (counts[0], counts[1])
-        for pid, counts in data.get("pattern_stats", {}).items():  # absent before it was written
+        for pid, counts in data["pattern_stats"].items():
             kb.pattern_stats[pid] = (counts[0], counts[1])
-        for spec in data.get("rules", []):
+        for spec in data["rules"]:
             kb.rules[spec["rule_id"]] = ConditionActionRule(
                 rule_id=spec["rule_id"],
                 condition=[tuple(x) for x in spec["condition"]],
                 action_id=spec["action_id"],
                 priority=spec["priority"],
             )
-        for spec in data.get("goals", []):
+        for spec in data["goals"]:
             kb.goals.append(Goal(spec["goal_id"], [tuple(x) for x in spec["predicates"]],
                                  spec["weight"]))
         return kb
 
 
 @dataclass(frozen=True)
-class EffectObservation:
-    observation_id: str
-    action_id: str
-    effect_index: int
-    observed: bool
-
-
-@dataclass(frozen=True)
-class AssessmentObservation:
-    observation_id: str
-    pattern_id: str
-    confirmed: bool
-
-
-@dataclass(frozen=True)
 class Proposition:
     kind: str  # effect_stat_update | pattern_confidence_update
-    observation_id: str
-    payload: dict[str, Any]
+    subject: tuple[str, int] | str  # (action id, effect index) | pattern id
+    held: bool  # the effect was observed | the pattern was confirmed
 
 
 def reward(goals: list[Goal], ws: WorldState) -> float:
@@ -153,38 +137,18 @@ def reward(goals: list[Goal], ws: WorldState) -> float:
     return max(-1.0, value)
 
 
-def learn(
-    kb: KnowledgeBase,
-    execution_feedback: list[EffectObservation],
-    assessment_feedback: list[AssessmentObservation],
-) -> list[Proposition]:
-    """Turn feedback into idempotent propositions (one per observation id)."""
-    propositions: list[Proposition] = []
-    for obs in execution_feedback:
-        propositions.append(Proposition(
-            kind="effect_stat_update",
-            observation_id=obs.observation_id,
-            payload={"action_id": obs.action_id, "effect_index": obs.effect_index,
-                     "observed": obs.observed},
-        ))
-    for obs in assessment_feedback:
-        propositions.append(Proposition(
-            kind="pattern_confidence_update",
-            observation_id=obs.observation_id,
-            payload={"pattern_id": obs.pattern_id, "confirmed": obs.confirmed},
-        ))
-    return propositions
+def learn(effect_checks: list[tuple[str, int, bool]],
+          assessment_outcomes: list[tuple[str, bool]]) -> list[Proposition]:
+    """Turn (action id, effect index, held) checks and (pattern id, confirmed)
+    outcomes into propositions."""
+    return ([Proposition("effect_stat_update", (action_id, index), held)
+             for action_id, index, held in effect_checks]
+            + [Proposition("pattern_confidence_update", pattern_id, confirmed)
+               for pattern_id, confirmed in assessment_outcomes])
 
 
-def apply_proposition(kb: KnowledgeBase, proposition: Proposition) -> bool:
-    """Apply once per observation id; a repeat application is a no-op."""
-    if proposition.observation_id in kb.applied_observations:
-        return False
-    kb.applied_observations.add(proposition.observation_id)
-    payload = proposition.payload
+def apply_proposition(kb: KnowledgeBase, proposition: Proposition) -> None:
     if proposition.kind == "effect_stat_update":
-        kb.note_effect_outcome(payload["action_id"], payload["effect_index"], payload["observed"])
+        kb.note_effect_outcome(*proposition.subject, proposition.held)
     else:  # pattern_confidence_update, the other kind learn makes
-        kb.note_pattern_outcome(payload["pattern_id"], payload["confirmed"])
-    return True
-
+        kb.note_pattern_outcome(proposition.subject, proposition.held)

@@ -39,7 +39,7 @@ from .errors import (
     read_json,
 )
 from .execution import AgentMode, AgentState, Authority, PlanExecution
-from .learning import AssessmentObservation, EffectObservation, KnowledgeBase
+from .learning import KnowledgeBase
 from .planning import ActionSpec, RulesOfEngagement
 from .scenario import AgentSpec, ScenarioConfig
 from .sensing import Assessment, WorldState
@@ -58,24 +58,18 @@ class AgentRuntime:
     initial_detectability: float  # a replica's start value
     plan_exec: Optional[PlanExecution] = None
     retry_counts: dict[str, int] = field(default_factory=dict)
-    control_queue: list[dict[str, Any]] = field(default_factory=list)
     conclusions: dict[str, collaboration.Conclusion] = field(default_factory=dict)
     last_report_tick: int = -(10 ** 9)
     no_action_streak: int = 0
     replica_count: int = 0
     assessment: Optional[Assessment] = None
     identified_at: int = -1  # the knowledge base's pattern version at the last identify
-    obs_counter: int = 0
     sensed_at: int = -1  # the environment's mutation count at the last sense
     # the last decision: (its assessment, path, body, canonical bytes). It
     # stands while its assessment does: features and patterns change only
     # through a sense or a write that re-runs identify, and goals, rules and
     # ROE only through a C2 command, which drops it
     decision: Optional[tuple[Assessment, str, dict[str, Any], str]] = None
-
-    def next_observation_id(self, seed: int) -> str:
-        self.obs_counter += 1
-        return f"{self.state.agent_id}:{seed}:{self.obs_counter}"
 
 
 @dataclass
@@ -265,7 +259,7 @@ class Episode:
     def _agent_phase(self, rt: AgentRuntime, tick: int) -> None:
         if rt.state.mode is AgentMode.DESTROYED:
             return
-        self._process_inbox(rt)
+        commands = self._process_inbox(rt)
 
         # reads taken at the environment's current mutation count still hold;
         # a noisy config reads every pass, so its draws keep their place
@@ -287,7 +281,7 @@ class Episode:
         if assessment.matched:
             self.emit("agent.assessment", agent=rt.state.agent_id, **assessment.summary)
 
-        self._apply_control_queue(rt)
+        self._apply_control_queue(rt, commands)
         self._update_own_conclusion(rt, assessment)
         self._maybe_collaborate(rt, assessment)
 
@@ -305,7 +299,10 @@ class Episode:
                       reward=learning.reward(rt.kb.goals, rt.ws))
         self._periodic_report(rt, tick)
 
-    def _process_inbox(self, rt: AgentRuntime) -> None:
+    def _process_inbox(self, rt: AgentRuntime) -> list[dict[str, Any]]:
+        """Handle the agent's messages; return the control commands among them,
+        which apply after this pass's identify."""
+        commands: list[dict[str, Any]] = []
         for msg in self.env.drain_inbox(rt.state.agent_id):
             if not collaboration.verify_message(self.auth_key, msg):
                 self.emit("agent.message_discarded", agent=rt.state.agent_id,
@@ -324,7 +321,7 @@ class Episode:
                 rt.kb = KnowledgeBase.from_json(msg["payload"]["knowledge"])
                 rt.identified_at = -1
             elif kind == collaboration.MessageKind.CONTROL_COMMAND.value:
-                rt.control_queue.append(msg["payload"])  # a C2 script's _COMMAND
+                commands.append(msg["payload"])  # a C2 script's _COMMAND
                 self.emit("agent.control_queued", agent=rt.state.agent_id,
                           command=msg["payload"]["command"])
             elif kind in (collaboration.MessageKind.HANDOVER_GRANT.value,
@@ -337,6 +334,7 @@ class Episode:
                     self.emit("agent.message_discarded", agent=rt.state.agent_id,
                               message_kind=kind, sender=msg.get("sender"),
                               reason=f"invalid_transition: {exc}")
+        return commands
 
     def _handle_conclusions(self, rt: AgentRuntime, msg: dict[str, Any], reply: bool) -> None:
         sender = msg.get("sender", "")
@@ -383,11 +381,10 @@ class Episode:
         return [(peer.agent_id, peer.host_id) for peer in peers
                 if peer.agent_id != rt.state.agent_id and peer.mode is not AgentMode.DESTROYED]
 
-    def _apply_control_queue(self, rt: AgentRuntime) -> None:
-        queue, rt.control_queue = rt.control_queue, []
-        if queue:  # a command may edit what the last decision read
+    def _apply_control_queue(self, rt: AgentRuntime, commands: list[dict[str, Any]]) -> None:
+        if commands:  # a command may edit what the last decision read
             rt.decision = None
-        for command in queue:
+        for command in commands:
             name = command["command"]
             try:
                 if name == "fail_safe":
@@ -438,9 +435,7 @@ class Episode:
             return
         unmet, checks = execution.monitor_effects(pe, rt.ws, self.repertoire)
         if checks:
-            feedback = [EffectObservation(rt.next_observation_id(self.seed), action_id, index,
-                                          held) for action_id, index, held in checks]
-            self._learn(rt, feedback, [], "effect_stat_update")
+            self._learn(rt, learning.learn(checks, []))
         deviations = execution.monitor_execution(pe.records, tick, self.repertoire) + unmet
         if not deviations:
             return
@@ -632,23 +627,15 @@ class Episode:
         for agent_id in sorted(matched):
             rt = self.runtimes[agent_id]
             confirmed = rt.state.host_id in compromised
-            feedback = [
-                AssessmentObservation(
-                    observation_id=rt.next_observation_id(self.seed),
-                    pattern_id=pid,
-                    confirmed=confirmed,
-                )
-                for pid in sorted(matched[agent_id])
-            ]
-            self._learn(rt, [], feedback, "pattern_confidence_update")
+            self._learn(rt, learning.learn(
+                [], [(pid, confirmed) for pid in sorted(matched[agent_id])]))
 
-    def _learn(self, rt: AgentRuntime, effect_feedback: list[EffectObservation],
-               assessment_feedback: list[AssessmentObservation], kind: str) -> None:
-        propositions = learning.learn(rt.kb, effect_feedback, assessment_feedback)
-        applied = sum(1 for p in propositions if learning.apply_proposition(rt.kb, p))
-        if applied:
-            self.emit("agent.learning", agent=rt.state.agent_id,
-                      propositions=applied, proposition_kind=kind)
+    def _learn(self, rt: AgentRuntime, propositions: list[learning.Proposition]) -> None:
+        """Apply a non-empty list of propositions of one kind."""
+        for proposition in propositions:
+            learning.apply_proposition(rt.kb, proposition)
+        self.emit("agent.learning", agent=rt.state.agent_id,
+                  propositions=len(propositions), proposition_kind=propositions[0].kind)
 
 
 # -- public entry points --------------------------------------------------------------------

@@ -634,9 +634,10 @@ class ScenarioConfig:
 
     def build_playbook(self) -> tuple[list[MalwareInstance], Playbook]:
         pb = dict(self.doc["playbook"])
+        hunt_intensity = pb.pop("hunt_intensity")  # each instance's unless it sets its own
         instances = [MalwareInstance(**dict(
             i, phase=MalwarePhase(i["phase"]),
-            hunt_intensity=i.get("hunt_intensity", pb["hunt_intensity"])))
+            hunt_intensity=i.get("hunt_intensity", hunt_intensity)))
             for i in pb.pop("instances")]
         pb["steps"] = [PlaybookStep(**dict(s, instance_id=s["instance_id"] if s["instance_id"]
                                            is not None else instances[0].instance_id))

@@ -15,7 +15,7 @@ from random import Random
 import pytest
 
 from defsim.collaboration import Conclusion, Verdict
-from defsim.learning import EffectObservation, KnowledgeBase, learn, apply_proposition
+from defsim.learning import KnowledgeBase, learn, apply_proposition
 from defsim.adversary import HuntResult, MalwareInstance, MalwarePhase, hunt
 from defsim.planning import Goal, PlannerConfig, normalize_goals, propose_plans
 from defsim.runner import replay, run_episode, write_result, write_trace
@@ -356,9 +356,8 @@ def test_criterion_7_learning_convergence():
     with criterion(7, "learning convergence"):
         kb = KnowledgeBase()
         rng = Random(777)
-        feedback = [EffectObservation(f"o{i}", "act", 0, observed=rng.random() < 0.7)
-                    for i in range(1000)]
-        for proposition in learn(kb, feedback, []):
+        feedback = [("act", 0, rng.random() < 0.7) for _ in range(1000)]
+        for proposition in learn(feedback, []):
             apply_proposition(kb, proposition)
         estimate = kb.estimate("act", 0)
         assert 0.65 <= estimate <= 0.75, estimate

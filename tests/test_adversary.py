@@ -276,11 +276,11 @@ def test_step_returns_eviction_phase_lateral_onset_then_each_effect_once_an_epis
 def test_phase_walk_is_forward_only_one_step_per_tick():
     env = make_env(hosts=[make_host("h1", services=[Service("web", True, 1.0, 1.0)],
                                     resident_agent="a1")])
-    pb = Playbook(fallback=True, hunt_intensity=0.0)
-    ctrl = MalwareController([inst()], pb)
+    ctrl = MalwareController([inst()], Playbook(fallback=True))
     rng = Random(7)
     seen = [ctrl.instances["m1"].phase]
     for tick in range(12):
+        # detectability 0.0: a hunt never finds the agent, so the walk ends in AgentHunt
         ctrl.step(env, rng, tick, lambda h: 0.0)
         seen.append(ctrl.instances["m1"].phase)
     indices = [PHASE_ORDER.index(p) for p in seen]

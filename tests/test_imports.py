@@ -185,9 +185,15 @@ KEPT_FIELDS = {
     "envsim.py: Process.image_hash": "a scenario input that the platform model carries",
     "planning.py: PlanProposal.predicted_satisfaction":
         "the planner parity test compares it with the oracle's",
+    "runner.py: EpisodeResult.decision_log":
+        "perfbench and the explain tests render the decisions of an episode in memory",
     "scenario.py: ScenarioConfig.raw":
         "the acceptance tests and the perfbench tests read the scenario as written",
 }
+# Kept fields whose name the package reads on another class (Episode.decision_log):
+# the check below matches by name, so only the class-aware field probe of
+# scripts/scenario_coverage.py sees them.
+READ_ON_ANOTHER_CLASS = {"runner.py: EpisodeResult.decision_log"}
 
 
 def dataclass_fields(tree: ast.Module) -> list[str]:
@@ -243,7 +249,7 @@ def test_checker_flags_an_unread_field_and_accepts_read_ones():
 
 def test_every_dataclass_field_is_read_in_the_package():
     sources = {path.name: path.read_text() for path in SOURCES}
-    assert unread_fields(sources) == sorted(KEPT_FIELDS)
+    assert unread_fields(sources) == sorted(KEPT_FIELDS.keys() - READ_ON_ANOTHER_CLASS)
 
 
 def unraised_errors(sources: dict[str, str]) -> list[str]:

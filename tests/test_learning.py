@@ -5,15 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from defsim.collaboration import apply_control
 from defsim.errors import SchemaMismatch
-from defsim.learning import (
-    AssessmentObservation,
-    EffectObservation,
-    KnowledgeBase,
-    Proposition,
-    apply_proposition,
-    learn,
-    reward,
-)
+from defsim.learning import KnowledgeBase, apply_proposition, learn, reward
 from defsim.planning import ConditionActionRule, Goal, normalize_goals
 from defsim.scenario import load_scenario
 from defsim.sensing import Pattern, WorldState
@@ -71,11 +63,7 @@ def test_zero_trials_estimate_is_half():
 
 def test_learn_counts_observed_and_missed():
     kb = KnowledgeBase()
-    feedback = [
-        EffectObservation("o1", "act", 0, observed=True),
-        EffectObservation("o2", "act", 0, observed=False),
-    ]
-    for proposition in learn(kb, feedback, []):
+    for proposition in learn([("act", 0, True), ("act", 0, False)], []):
         assert proposition.kind == "effect_stat_update"
         apply_proposition(kb, proposition)
     assert kb.effect_stats[("act", 0)] == (1, 2)
@@ -87,9 +75,8 @@ def test_estimate_converges_to_ground_truth():
     # after 1000 seeded trials
     kb = KnowledgeBase()
     rng = Random(99)
-    feedback = [EffectObservation(f"o{i}", "act", 0, observed=rng.random() < 0.7)
-                for i in range(1000)]
-    for proposition in learn(kb, feedback, []):
+    feedback = [("act", 0, rng.random() < 0.7) for _ in range(1000)]
+    for proposition in learn(feedback, []):
         apply_proposition(kb, proposition)
     assert 0.65 <= kb.estimate("act", 0) <= 0.75
 
@@ -97,25 +84,11 @@ def test_estimate_converges_to_ground_truth():
 def test_pattern_confidence_is_confirmed_over_matched():
     kb = KnowledgeBase()
     kb.patterns["p"] = Pattern("p", [("x", ">=", 1)], 0.8, confidence=0.9)
-    feedback = [
-        AssessmentObservation("a1", "p", confirmed=True),
-        AssessmentObservation("a2", "p", confirmed=False),
-        AssessmentObservation("a3", "p", confirmed=True),
-    ]
-    for proposition in learn(kb, [], feedback):
+    for proposition in learn([], [("p", True), ("p", False), ("p", True)]):
         assert proposition.kind == "pattern_confidence_update"
         apply_proposition(kb, proposition)
     assert kb.pattern_stats["p"] == (2, 3)
     assert kb.patterns["p"].confidence == pytest.approx(2 / 3)
-
-
-def test_proposition_application_is_idempotent_per_observation():
-    kb = KnowledgeBase()
-    proposition = Proposition("effect_stat_update", "obs-1",
-                              {"action_id": "act", "effect_index": 0, "observed": True})
-    assert apply_proposition(kb, proposition) is True
-    assert apply_proposition(kb, proposition) is False
-    assert kb.effect_stats[("act", 0)] == (1, 1)
 
 
 # -- serialization ---------------------------------------------------------------------------------
@@ -176,12 +149,6 @@ def test_a_knowledge_base_an_episode_edited_survives_its_json(edits):
         else:
             kb.note_effect_outcome(*edit[1:])
     assert_same_knowledge(KnowledgeBase.from_json(kb.to_json()), kb)
-
-
-def test_a_knowledge_base_without_pattern_stats_loads_with_none():
-    data = S2_KB.to_json()
-    del data["pattern_stats"]  # as written before the field was
-    assert KnowledgeBase.from_json(data).pattern_stats == {}
 
 
 def test_knowledge_schema_mismatch():

@@ -368,41 +368,18 @@ def test_forbidding_destructive_actions_forces_zero_harm(bundled_configs):
         assert not any(e["kind"] == "harm" for e in result.trace)
 
 
+RISK_LOOP = Path(__file__).parent / "data" / "risk_loop.json"
+
+
 def risk_loop_scenario(script=()):
     """Instance m1 spawns a process on h1 at tick 0. The agent purges every
     unknown process with a destructive action that also takes h1's required
     service down, and a restore action, which the planner predicts brings
     functionality back, rolls h1 back to the precautionary snapshot. The
     remote center on c2host sends `script`."""
-    return parse_scenario({
-        "schema_version": 1, "name": "risk_loop", "duration_ticks": 8,
-        "topology": {"hosts": [{"host_id": "h1",
-                                "services": [{"service_id": "svc", "required": True}]},
-                               {"host_id": "c2host"}],
-                     "channels": [{"channel_id": "cc", "endpoints": ["h1", "c2host"]}]},
-        "playbook": {"instances": [{"instance_id": "m1", "host_id": "h1", "phase": "Foothold"}]},
-        "sensors": {"physical": ["service_table", "process_table"],
-                    "logical": ["unknown_proc_count", "service_weights"],
-                    "transformers": ["functionality_belief", "counts"]},
-        "patterns": [{"id": "proc", "predicates": [["unknown_proc_count", ">=", 1]],
-                      "severity": 0.9, "confidence": 0.9},
-                     {"id": "down", "predicates": [["functionality_belief", "<", 0.95]],
-                      "severity": 0.9, "confidence": 0.9}],
-        "repertoire": [
-            {"action_id": "purge", "category": "destructive", "risk": 0.1,
-             "effects": [{"env": {"target": "process:$self:@unknown", "operation": "kill"},
-                          "features": [["unknown_proc_count", "set", 0]]},
-                         {"env": {"target": "service:$self:svc", "attribute": "health",
-                                  "operation": "set", "value": 0.0}}]},
-            {"action_id": "roll_back", "category": "restore", "builtin": "restore",
-             "effects": [{"features": [["functionality_belief", "set", 1.0]]}]}],
-        "goals": [{"goal_id": "clean", "predicates": [["unknown_proc_count", "<=", 0]],
-                   "weight": 1.0},
-                  {"goal_id": "up", "predicates": [["functionality_belief", ">=", 0.95]],
-                   "weight": 1.0}],
-        "c2": {"host_id": "c2host", "script": [{"to": "a1", **entry} for entry in script]},
-        "agents": [{"agent_id": "a1", "host_id": "h1"}],
-    })
+    doc = json.loads(RISK_LOOP.read_text())
+    doc["c2"]["script"] = [{"to": "a1", **entry} for entry in script]
+    return parse_scenario(doc)
 
 
 def test_harm_then_a_restore_closes_the_risk_loop(tmp_path):
@@ -537,8 +514,7 @@ def test_the_agent_applies_every_control_command_of_the_format_in_its_own_branch
         episode = Episode(config, seed=1)
         rt = episode.runtimes["a1"]
         assert not check(rt), name
-        rt.control_queue.append(command)
-        episode._apply_control_queue(rt)
+        episode._apply_control_queue(rt, [command])
         assert check(rt), name
         applied = [e.get("command") for e in episode.trace
                    if e["kind"] in ("agent.control_applied", "agent.fail_safe")]
@@ -905,8 +881,7 @@ def threat(pattern_id):
 
 def _command(**command):
     def apply(episode, rt):
-        rt.control_queue.append(command)
-        episode._apply_control_queue(rt)
+        episode._apply_control_queue(rt, [command])
     return apply
 
 

@@ -3,6 +3,9 @@ import sys
 from pathlib import Path
 
 import defsim
+from defsim.runner import Episode, EpisodeResult
+
+from test_imports import KEPT_FIELDS
 
 _spec = importlib.util.spec_from_file_location(
     "scenario_coverage",
@@ -34,3 +37,13 @@ def test_scenario_coverage_counts_one_seed_and_restores_the_trace_function(capsy
     # a story runs the episode loop, so most of the runner is reached
     runner_body, runner_unreached = counts[modules.index("runner.py")]
     assert runner_unreached < runner_body / 2
+
+
+def test_every_field_is_read_on_its_own_class_but_the_kept_ones(capsys):
+    # seed 1 alone reaches no replication and no fast-path decision, so
+    # seed 2 runs too
+    assert COVERAGE.main(["--seeds", "2", "--fields"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == sorted(KEPT_FIELDS)
+    # and the classes are as they were
+    assert not {"__getattribute__", "__setattr__"} & (vars(Episode).keys()
+                                                      | vars(EpisodeResult).keys())
