@@ -274,7 +274,7 @@ def propagate(
     rng: Random,
     key: str,
     new_agent_id: str,
-    initial_detectability: float = 0.1,
+    initial_detectability: float,
 ) -> AgentState:
     """Install a replica on a friendly host, only when every condition holds:
     roster membership, a nonempty authorization token, the low-integrity

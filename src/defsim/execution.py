@@ -167,9 +167,7 @@ def execute_step(
 
     events: list[Event] = []
     rec = pe.active_record()
-    if rec is None:
-        if pe.cursor >= len(pe.entries):
-            return []
+    if rec is None:  # the runner drops a finished plan, so an entry is left
         action_id = pe.entries[pe.cursor]["action"]
         spec = _lookup(action_id, repertoire)
         if spec.category is ActionCategory.DESTRUCTIVE and agent_state.mode is AgentMode.FAIL_SAFE:
@@ -290,7 +288,6 @@ def adjust(
     retry_counts: dict[str, int],
     ws: WorldState,
     roe: RulesOfEngagement,
-    max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> AdjustmentDecision:
     """Policy ladder for the first deviation: retry while attempts remain,
     else substitute a same-category applicable action, else replan."""
@@ -300,7 +297,7 @@ def adjust(
             rec.adjusted = True
 
     aid = dev.action_id
-    if retry_counts.get(aid, 0) < max_retries:
+    if retry_counts.get(aid, 0) < DEFAULT_MAX_RETRIES:
         retry_counts[aid] = retry_counts.get(aid, 0) + 1
         pe.cursor = dev.entry_index
         return AdjustmentDecision("retry")

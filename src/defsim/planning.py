@@ -11,7 +11,8 @@ by the rules of engagement, trims and augments the winner (prerequisite,
 preparatory, precautionary, post-execution entries) and releases it only if
 it beats inaction through the risk gate, which predicts with the same
 distribution code. A condition-action fast path bypasses search entirely
-under tight deadlines.
+under tight deadlines. Selection and the fast path each return the decision
+body that the trace logs; Deliberations memoises selection's bodies.
 """
 
 from __future__ import annotations
@@ -269,8 +270,6 @@ class _Outcomes:
                         goal_ids = held[values]
                     except KeyError:
                         goal_ids = held[values] = goals_held(values)
-                    except TypeError:  # an unhashable feature value, such as a list
-                        goal_ids = goals_held(values)
                 add((prob, values, goal_ids))
             rows = split
         return rows
@@ -529,9 +528,9 @@ def _trim_and_augment(
 
     for aid in proposal.actions:
         spec = repertoire[aid]
-        for prep_id in spec.preparation:
-            prep = repertoire.get(prep_id)
-            if prep is None or not action_roe_ok(prep, roe):
+        for prep_id in spec.preparation:  # _cross_rules admits repertoire actions only
+            prep = repertoire[prep_id]
+            if not action_roe_ok(prep, roe):
                 continue
             if all_hold(feats, prep.preconditions):
                 entries.append((prep_id, EntryOrigin.PREPARATORY))
@@ -576,62 +575,56 @@ def select_action_plan(
     progression: Sequence[FeatureDelta] = (),
     visits: Optional[Visits] = None,
 ) -> dict[str, Any]:
-    """Pick, trim, augment and gate a plan. The returned log carries every
-    number needed to recompute the decision; a plan is released when the log
-    has `released_entries`, each {action, offset, origin} with the offset the
-    sum of the earlier entries' durations. `visits`, if given, gets the trim
-    walk's applied entries, which the gate weighs, and its provider trials."""
-    log: dict[str, Any] = {
-        "candidates": [],
+    """Pick, trim, augment and gate a plan; return the decision body the
+    trace logs: the candidates, what was chosen and a rationale that carries
+    every number needed to recompute the choice. A released plan's entries,
+    each {action, offset, origin} with the offset the sum of the earlier
+    entries' durations, are `chosen.entries` and the rationale's
+    `released_entries`. The empty plan is always among the proposals (see
+    propose_plans) and always passes the ROE, so there is always a winner
+    and a gate. `visits`, if given, gets the trim walk's applied entries,
+    which the gate weighs, and its provider trials."""
+    candidates: list[dict[str, Any]] = []
+    rationale: dict[str, Any] = {
         "filters": [],
-        "trims": [],
-        "insertions": [],
         "tie_break": {"used": False},
-        "gate": None,
         "risk_weight": config.risk_weight,
         "noise_weight": config.noise_weight,
     }
+    body = {"candidates": candidates, "chosen": {"no_action": True, "entries": None},
+            "rationale": rationale}
     survivors: list[PlanProposal] = []
     for prop in proposals:
         violations = plan_roe_violations(prop, repertoire, roe)
-        log["candidates"].append({**prop.to_dict(), "roe_ok": not violations, "roe_violations": violations})
+        candidates.append({**prop.to_dict(), "roe_ok": not violations, "roe_violations": violations})
         if violations:
-            log["filters"].append({"actions": list(prop.actions), "violations": violations})
+            rationale["filters"].append({"actions": list(prop.actions), "violations": violations})
         else:
             survivors.append(prop)
-
-    if not survivors:
-        log["gate"] = {"released": False, "reason": "all_candidates_roe_filtered"}
-        return log
 
     survivors.sort(key=lambda p: (-p.utility, p.actions))
     best = survivors[0]
     if len(survivors) > 1 and survivors[1].utility == best.utility:
-        log["tie_break"] = {
+        rationale["tie_break"] = {
             "used": True,
             "kept": list(best.actions),
             "over": list(survivors[1].actions),
             "rule": "lexicographic_action_ids",
         }
-    log["winner"] = list(best.actions)
+    rationale["winner"] = list(best.actions)
 
-    entries, trims, insertions = _trim_and_augment(best, repertoire, roe, ws, visits)
-    log["trims"] = trims
-    log["insertions"] = insertions
-
+    entries, rationale["trims"], rationale["insertions"] = _trim_and_augment(
+        best, repertoire, roe, ws, visits)
     plan_ids = [aid for aid, _ in entries if aid not in BUILTIN_ACTIONS]
     if visits is not None:
         visits.walked = tuple(plan_ids)
     inaction_loss = expected_loss(ws, repertoire, goals, config.depth, None, progression)
     plan_loss = expected_loss(ws, repertoire, goals, config.depth, plan_ids, progression)
-    released = bool(entries) and (inaction_loss - plan_loss) > 0.0
-    log["gate"] = {
-        "inaction_loss": inaction_loss,
-        "plan_loss": plan_loss,
-        "released": released,
-    }
-    if not released:
-        return log
+    # with no entries the two losses are the same float
+    gate = rationale["gate"] = {"inaction_loss": inaction_loss, "plan_loss": plan_loss,
+                                "released": (inaction_loss - plan_loss) > 0.0}
+    if not gate["released"]:
+        return body
 
     released_entries = []
     offset = final_risk = 0
@@ -642,11 +635,12 @@ def select_action_plan(
         final_risk += spec.risk
     # re-verify every ROE clause on the augmented plan before release
     if final_risk > roe.max_plan_risk:
-        log["gate"]["released"] = False
-        log["gate"]["reason"] = "augmented_plan_exceeds_risk_budget"
-        return log
-    log["released_entries"] = released_entries
-    return log
+        gate["released"] = False
+        gate["reason"] = "augmented_plan_exceeds_risk_budget"
+        return body
+    body["chosen"] = {"no_action": False, "entries": released_entries}
+    rationale["released_entries"] = released_entries
+    return body
 
 
 # -- the deliberation memo ------------------------------------------------------------
@@ -658,10 +652,10 @@ _Chains = frozenset[_Chain]
 @dataclass
 class _Entry:
     """A decision body, its bytes and what its search compared: each read
-    key holding an int, a float or nothing, by its start value and each
-    threshold's outcome on it; per key, the outcomes after a delta, derived
-    from the visits when a lookup first needs them; and the ROE categories
-    tested, with the forbidden ones among them."""
+    key by its start value, or its absence, and each threshold's outcome on
+    it; per key, the outcomes after a delta, derived from the visits when a
+    lookup first needs them; and the ROE categories tested, with the
+    forbidden ones among them."""
 
     body: dict[str, Any]
     encoded: str
@@ -677,7 +671,8 @@ class Deliberations:
     """Decision bodies by the comparisons their search made, for a
     repertoire, goals and config that nothing edits.
 
-    The search reads a feature holding an int or a float, or none, only by
+    Every feature is an int or a float (sensing.update_world_state writes
+    numbers only), and the search reads one, or its absence, only by
     comparing it with a goal or precondition threshold after a chain of
     deltas: a sequence's optimistic effects (propose_plans,
     _trim_and_augment) or an outcome row's effects after the gate's
@@ -686,12 +681,11 @@ class Deliberations:
     each threshold's outcome. A lookup replays them on new features by the
     same operations; if every outcome repeats, the search would take every
     branch it took and give the same body. The rest of what the search reads
-    keys a bucket exactly: goal weights, the ROE scalars, the progression
-    and each read value that is not an int or a float (bools included); the
-    ROE categories selection tested are replayed too. A new planner read
-    must be derived here or join the bucket, and must change only through a
-    C2 command or a change that re-runs identify: the runner keeps an
-    agent's last decision until one of them happens."""
+    keys a bucket exactly: goal weights, the ROE scalars and the
+    progression; the ROE categories selection tested are replayed too. A
+    new planner read must be derived here or join the bucket, and must
+    change only through a C2 command or a change that re-runs identify: the
+    runner keeps an agent's last decision until one of them happens."""
 
     def __init__(self, repertoire: dict[str, ActionSpec], goals: list[Goal],
                  config: PlannerConfig) -> None:
@@ -714,37 +708,32 @@ class Deliberations:
     def deliberate(self, ws: WorldState, goals: list[Goal], roe: RulesOfEngagement,
                    progression: list[FeatureDelta]) -> tuple[dict[str, Any], str]:
         """The body and canonical bytes of the newest entry of the bucket
-        that replays, else a search's, kept if the bucket hashes. Only
+        that replays, else a search's, which joins the bucket. Only
         expected_loss applies the progression, and then predict reads goal
         features alone, so a delta on a key no goal names is dropped first:
         deltas on different keys commute, and the body is the same without
         it."""
         progression = [delta for delta in progression if delta[0] in self._goal_keys]
-        try:
-            bucket = self.bodies.setdefault(self.key(ws, goals, roe, progression), [])
-        except TypeError:  # an unhashable read value
-            bucket = None
-        for entry in reversed(bucket or ()):
+        bucket = self.bodies.setdefault(self.key(goals, roe, progression), [])
+        for entry in reversed(bucket):
             if self._replays(entry, ws.features, roe):
                 return entry.body, entry.encoded
-        visits = None if bucket is None else Visits()
+        visits = Visits()
         body = self.search(ws, goals, roe, progression, visits)
         encoded = canonical_json(body)
-        if visits is not None:
-            # selection tested the ROE categories of every candidate's
-            # actions, of the winner's preparations and, after a provider
-            # trial, of every action
-            tested = {aid for proposal in body["candidates"] for aid in proposal["actions"]}
-            tested.update(prep for aid in body["rationale"].get("winner", ())
-                          for prep in self.repertoire[aid].preparation if prep in self.repertoire)
-            tested = {self.repertoire[aid].category.value
-                      for aid in (self.repertoire if visits.trials else tested)}
-            starts = {key: (value, self._outcomes(key, value, ())) for key in self._read_keys
-                      if (value := ws.features.get(key, _ABSENT)) is _ABSENT
-                      or type(value) is int or type(value) is float}
-            bucket.append(_Entry(body, encoded, starts, frozenset(tested),
-                                 frozenset(tested & roe.forbidden_categories), visits,
-                                 _runs(progression * self.config.depth)))
+        # selection tested the ROE categories of every candidate's actions,
+        # of the winner's preparations and, after a provider trial, of every
+        # action
+        tested = {aid for proposal in body["candidates"] for aid in proposal["actions"]}
+        tested.update(prep for aid in body["rationale"]["winner"]
+                      for prep in self.repertoire[aid].preparation)
+        tested = {self.repertoire[aid].category.value
+                  for aid in (self.repertoire if visits.trials else tested)}
+        starts = {key: (value, self._outcomes(key, value, ())) for key in self._read_keys
+                  for value in [ws.features.get(key, _ABSENT)]}
+        bucket.append(_Entry(body, encoded, starts, frozenset(tested),
+                             frozenset(tested & roe.forbidden_categories), visits,
+                             _runs(progression * self.config.depth)))
         return body, encoded
 
     def search(self, ws: WorldState, goals: list[Goal], roe: RulesOfEngagement,
@@ -752,26 +741,17 @@ class Deliberations:
                visits: Optional[Visits] = None) -> dict[str, Any]:
         """The decision body of a fresh search and selection."""
         proposals = propose_plans(ws, self.repertoire, goals, self.config, visits)
-        log = select_action_plan(proposals, goals, roe, ws, self.repertoire, self.config,
-                                 progression, visits)
-        entries = log.get("released_entries")
-        return {
-            "candidates": log["candidates"],
-            "chosen": {"no_action": entries is None, "entries": entries},
-            "rationale": {k: v for k, v in log.items() if k != "candidates"},
-        }
+        return select_action_plan(proposals, goals, roe, ws, self.repertoire, self.config,
+                                  progression, visits)
 
-    def key(self, ws: WorldState, goals: list[Goal], roe: RulesOfEngagement,
+    def key(self, goals: list[Goal], roe: RulesOfEngagement,
             progression: list[FeatureDelta]) -> tuple:
-        """The bucket: what the search reads exactly, each with its type. That
-        is each read key's value that is not an int or a float, goal weights,
-        the ROE clauses selection checks but its categories, and the
-        progression, which deliberate has cut to the deltas on goal keys."""
-        exact = [(key, type(value), value) for key in self._read_keys
-                 if (value := ws.features.get(key, _ABSENT)) is not _ABSENT
-                 and type(value) is not int and type(value) is not float]
+        """The bucket: what the search reads exactly, each with its type.
+        That is goal weights, the ROE clauses selection checks but its
+        categories, and the progression, which deliberate has cut to the
+        deltas on goal keys."""
         scalars = (roe.max_plan_risk, roe.destructive_only_on_residence)
-        return (tuple(exact), tuple((type(goal.weight), goal.weight) for goal in goals),
+        return (tuple((type(goal.weight), goal.weight) for goal in goals),
                 tuple((type(value), value) for value in scalars),
                 tuple((key, op, type(value), value) for key, op, value in progression))
 
@@ -877,20 +857,27 @@ def fast_rule_select(
     deadline_ticks: Optional[int],
     roe: RulesOfEngagement,
     repertoire: dict[str, ActionSpec],
-) -> tuple[Optional[str], list[dict[str, Any]]]:
-    """First matching, ROE-legal rule action under a tight deadline.
+) -> Optional[dict[str, Any]]:
+    """The decision body of the first matching, ROE-legal rule action under
+    a tight deadline, or None if no rule fires.
 
-    Returns (action_id or None, evaluation log). No search expansions are
-    performed; rules are tried in ascending priority order.
+    No search expansions are performed; rules are tried in ascending
+    priority order, and the body's rationale logs each one tried.
     """
-    evaluated: list[dict[str, Any]] = []
     if deadline_ticks is None or deadline_ticks >= roe.fast_deadline_ticks:
-        return None, evaluated
+        return None
+    evaluated: list[dict[str, Any]] = []
     for rule in sorted(rules, key=lambda r: r.priority):
         held = all_hold(ws.features, rule.condition)
         roe_ok = action_roe_ok(repertoire[rule.action_id], roe)  # a rule names a repertoire action
         evaluated.append({"rule": rule.rule_id, "priority": rule.priority,
                           "condition_held": held, "roe_ok": roe_ok})
         if held and roe_ok:
-            return rule.action_id, evaluated
-    return None, evaluated
+            aid = rule.action_id
+            entry = {"action": aid, "offset": 0, "origin": EntryOrigin.PROPOSED.value}
+            return {"candidates": [],
+                    "chosen": {"no_action": False, "action_id": aid, "entries": [entry]},
+                    "rationale": {"deadline_ticks": deadline_ticks,
+                                  "fast_deadline_ticks": roe.fast_deadline_ticks,
+                                  "rules_evaluated": evaluated}}
+    return None

@@ -474,22 +474,15 @@ class Episode:
 
     def _plan(self, rt: AgentRuntime, assessment: Assessment) -> tuple[str, dict[str, Any], str]:
         """The path, body and canonical bytes of a decision on `assessment`."""
-        patterns = list(rt.kb.patterns.values())
-        deadline = sensing.effective_deadline(assessment, patterns)
-        rules = list(rt.kb.rules.values())
-        fast_action, fast_log = planning.fast_rule_select(
-            rt.ws, rules, deadline, rt.roe, self.repertoire)
-        if fast_action is not None:
-            body = {
-                "candidates": [],
-                "chosen": {"no_action": False, "action_id": fast_action,
-                           "entries": [{"action": fast_action, "offset": 0, "origin": "proposed"}]},
-                "rationale": {"deadline_ticks": deadline,
-                              "fast_deadline_ticks": rt.roe.fast_deadline_ticks,
-                              "rules_evaluated": fast_log},
-            }
+        # identify matched these in this knowledge base: a ReplicaTransfer that
+        # replaces it re-runs identify, and no pattern is ever removed
+        patterns = [rt.kb.patterns[pattern_id] for pattern_id, _, _ in assessment.matched]
+        body = planning.fast_rule_select(rt.ws, list(rt.kb.rules.values()),
+                                         sensing.effective_deadline(patterns), rt.roe,
+                                         self.repertoire)
+        if body is not None:
             return "fast", body, canonical_json(body)
-        progression = sensing.progression_deltas(assessment, patterns)
+        progression = [delta for p in patterns for delta in p.progression]
         return ("deliberative",
                 *self.deliberations.deliberate(rt.ws, rt.kb.goals, rt.roe, progression))
 
@@ -777,7 +770,7 @@ def _render_decision(entry: dict[str, Any], body: dict[str, Any], index: int) ->
     if entry.get("path") == "fast":
         lines.append(f"  Fast path taken: deadline {rationale['deadline_ticks']} tick(s) "
                      f"< fast threshold {rationale['fast_deadline_ticks']}")
-        for ev in rationale.get("rules_evaluated", []):
+        for ev in rationale["rules_evaluated"]:
             lines.append(f"    rule {ev['rule']} (priority {ev['priority']}): "
                          f"condition_held={ev['condition_held']}, roe_ok={ev['roe_ok']}")
         lines.append(f"  Chosen action: {body['chosen']['action_id']}")
@@ -791,23 +784,22 @@ def _render_decision(entry: dict[str, Any], body: dict[str, Any], index: int) ->
         lines.append(f"    [{actions}] utility {cand['utility']:.4f} = "
                      f"{cand['benefit']:.4f} - {rationale['risk_weight']}*{cand['risk_total']:.4f}"
                      f" - {rationale['noise_weight']}*{cand['noise_total']:.4f} (ROE {verdict})")
-    tie = rationale.get("tie_break", {})
-    if tie.get("used"):
+    tie = rationale["tie_break"]
+    if tie["used"]:
         lines.append(f"  Tie break: kept {tie['kept']} over {tie['over']} ({tie['rule']})")
-    for trim in rationale.get("trims", []):
-        lines.append(f"  Trimmed {trim['action']}: {trim['reason']} {trim.get('failing')}")
-    for ins in rationale.get("insertions", []):
+    for trim in rationale["trims"]:
+        lines.append(f"  Trimmed {trim['action']}: {trim['reason']} {trim['failing']}")
+    for ins in rationale["insertions"]:
         lines.append(f"  Inserted {ins['action']} ({ins['origin']})"
-                     + (f" before {ins['before']}" if ins.get("before") else ""))
-    gate = rationale.get("gate") or {}
-    if "inaction_loss" in gate:
-        relation = ">" if gate["released"] else "<="
-        lines.append(
-            f"  Risk gate: inaction loss {gate['inaction_loss']:.4f} - plan loss "
-            f"{gate['plan_loss']:.4f} {relation} 0 -> "
-            + ("released" if gate["released"] else "no action"))
-    elif gate.get("reason"):
-        lines.append(f"  Risk gate: {gate['reason']}")
+                     + (f" before {ins['before']}" if ins["before"] else ""))
+    gate = rationale["gate"]
+    # a plan that beats inaction is still withheld if the gate names a reason
+    relation = ">" if gate["inaction_loss"] - gate["plan_loss"] > 0.0 else "<="
+    lines.append(
+        f"  Risk gate: inaction loss {gate['inaction_loss']:.4f} - plan loss "
+        f"{gate['plan_loss']:.4f} {relation} 0 -> "
+        + ("released" if gate["released"] else "no action")
+        + (f" ({gate['reason']})" if "reason" in gate else ""))
     chosen = body["chosen"]
     if chosen["no_action"]:
         lines.append("  Chosen: no action")

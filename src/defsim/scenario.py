@@ -557,7 +557,7 @@ def _cross_rules(doc: dict[str, Any], ids: dict[str, set[Any]], problems: list[s
             problems.append(f"action {a['action_id']!r}: destructive actions must declare risk > 0")
         if a["builtin"] == "propagate" and not a["target_host"]:
             problems.append(f"action {a['action_id']!r}: propagate actions need a target_host")
-        # the planner only inserts a preparation step it finds in the repertoire
+        # the planner looks each preparation step up in the repertoire
         for prep in a["preparation"]:
             if prep not in ids["action"]:
                 problems.append(f"action {a['action_id']!r}.preparation: unknown action {prep!r}")

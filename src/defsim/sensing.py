@@ -319,21 +319,8 @@ def identify(ws: WorldState, patterns: list[Pattern], trigger_threshold: float) 
                       top_severity=top)
 
 
-def matched_patterns(assessment: Assessment, patterns: list[Pattern]) -> list[Pattern]:
-    by_id = {p.pattern_id: p for p in patterns}
-    return [by_id[m[0]] for m in assessment.matched if m[0] in by_id]
-
-
-def progression_deltas(assessment: Assessment, patterns: list[Pattern]) -> list[FeatureDelta]:
-    """Per-tick threat drift implied by the matched patterns."""
-    deltas: list[FeatureDelta] = []
-    for p in matched_patterns(assessment, patterns):
-        deltas.extend(p.progression)
-    return deltas
-
-
-def effective_deadline(assessment: Assessment, patterns: list[Pattern]) -> Optional[int]:
-    """Most urgent deadline among matched patterns; None means no time pressure."""
-    deadlines = [p.deadline_ticks for p in matched_patterns(assessment, patterns)
-                 if p.deadline_ticks is not None]
+def effective_deadline(patterns: list[Pattern]) -> Optional[int]:
+    """Most urgent deadline among the matched patterns; None means no time
+    pressure."""
+    deadlines = [p.deadline_ticks for p in patterns if p.deadline_ticks is not None]
     return min(deadlines) if deadlines else None

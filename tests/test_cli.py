@@ -141,7 +141,9 @@ def trace_text(*events: str) -> str:
 ENVELOPE = ('"kind": "agent.decision", "tick": 0, "agent": "a1", "path": "deliberative", '
             '"trigger": {"matched": [], "top_severity": 0.5, "problematic": true}')
 DECISION = ('{' + ENVELOPE + ', "candidates": [], "chosen": {"no_action": true, "entries": null}, '
-            '"rationale": {"risk_weight": 1, "noise_weight": 1}}')
+            '"rationale": {"risk_weight": 1, "noise_weight": 1, "tie_break": {"used": false}, '
+            '"trims": [], "insertions": [], '
+            '"gate": {"inaction_loss": 0, "plan_loss": 0, "released": false}}}')
 
 
 def same_as(value: str) -> str:

@@ -288,7 +288,8 @@ def roster(hosts=("h2",), token="tok"):
 def try_propagate(env, target="h2", roster_=None, integrity=0.1, threshold=0.3):
     return propagate(agent_on("h1"), target, roster_ or roster(), env,
                      local_integrity=integrity, threshold=threshold,
-                     kb_payload={}, rng=Random(1), key=KEY, new_agent_id="a1_r1")
+                     kb_payload={}, rng=Random(1), key=KEY, new_agent_id="a1_r1",
+                     initial_detectability=0.1)
 
 
 def test_propagate_refuses_non_roster_host():
@@ -312,7 +313,8 @@ def test_propagate_refuses_a_host_that_holds_a_live_agent_and_draws_nothing():
     rng = Random(1)
     with pytest.raises(RefusedOccupied, match="'h2' holds live agent 'a2'"):
         propagate(agent_on("h1"), "h2", roster(), env, local_integrity=0.1, threshold=0.3,
-                  kb_payload={}, rng=rng, key=KEY, new_agent_id="a1_r1")
+                  kb_payload={}, rng=rng, key=KEY, new_agent_id="a1_r1",
+                  initial_detectability=0.1)
     assert rng.getstate() == Random(1).getstate()
     assert env.hosts["h2"].resident_agent == "a2" and env.inboxes == {}
     env.apply_effect(EffectDescriptor("agent:a2", "", "kill"))  # a kill frees the host

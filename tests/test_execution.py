@@ -9,6 +9,7 @@ from defsim.execution import (
     AgentMode,
     AgentState,
     Authority,
+    DEFAULT_MAX_RETRIES,
     Deviation,
     PlanExecution,
     adjust,
@@ -398,12 +399,11 @@ def test_retry_count_never_exceeds_limit():
         deviations = monitor_execution(pe.records, attempt + 1, rep)
         if not deviations:
             break
-        decision = adjust(pe, deviations, rep, counts, WorldState(), RulesOfEngagement(),
-                          max_retries=2)
+        decision = adjust(pe, deviations, rep, counts, WorldState(), RulesOfEngagement())
         if decision.kind != "retry":
             break
         execute_step(pe, env, state, attempt + 1, rep, Random(1), no_propagate)
-    assert counts["kill_ghost"] <= 2
+    assert counts["kill_ghost"] == DEFAULT_MAX_RETRIES
     assert decision.kind == "replan"
 
 

@@ -242,10 +242,11 @@ def test_all_roe_violating_proposals_yield_no_action():
                           effects=[effect([("x", "set", 1.0)])], risk=0.4,
                           scope=TargetScope.REMOTE)}
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    log = select(ws, rep, goals)
+    body = select(ws, rep, goals)
     # the destructive-remote plan is filtered; empty plan remains but fails the gate
-    assert "released_entries" not in log
-    filtered = [c for c in log["candidates"] if not c["roe_ok"]]
+    assert body["chosen"] == {"no_action": True, "entries": None}
+    assert "released_entries" not in body["rationale"]
+    filtered = [c for c in body["candidates"] if not c["roe_ok"]]
     assert any("remote scope" in v for c in filtered for v in c["roe_violations"])
 
 
@@ -273,8 +274,8 @@ def test_risk_budget_filters_expensive_plans():
     rep = {"pricey": action("pricey", category=ActionCategory.DESTRUCTIVE,
                             effects=[effect([("x", "set", 1.0)])], risk=0.9)}
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    log = select(ws, rep, goals, roe(max_plan_risk=0.5))
-    assert "released_entries" not in log
+    body = select(ws, rep, goals, roe(max_plan_risk=0.5))
+    assert body["chosen"]["no_action"] and "released_entries" not in body["rationale"]
 
 
 def test_destructive_plan_gets_snapshot_and_verify():
@@ -282,9 +283,9 @@ def test_destructive_plan_gets_snapshot_and_verify():
     rep = {"boom": action("boom", category=ActionCategory.DESTRUCTIVE,
                           effects=[effect([("x", "set", 1.0)])], risk=0.2)}
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    log = select(ws, rep, goals)
-    ids = [e["action"] for e in log["released_entries"]]
-    origins = [e["origin"] for e in log["released_entries"]]
+    body = select(ws, rep, goals)
+    ids = [e["action"] for e in body["chosen"]["entries"]]
+    origins = [e["origin"] for e in body["chosen"]["entries"]]
     assert ids == [SNAPSHOT_ACTION_ID, "boom", VERIFY_ACTION_ID]
     assert origins == ["precautionary", "proposed", "post_execution"]
     assert ids.index(SNAPSHOT_ACTION_ID) < ids.index("boom")
@@ -294,9 +295,9 @@ def test_risk_gate_releases_when_plan_beats_inaction():
     ws = ws_with(x=0.0)
     rep = {"fix": action("fix", effects=[effect([("x", "set", 1.0)])])}
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    log = select(ws, rep, goals)
-    gate = log["gate"]
-    assert "released_entries" in log
+    body = select(ws, rep, goals)
+    gate = body["rationale"]["gate"]
+    assert body["chosen"]["entries"] == body["rationale"]["released_entries"]
     assert gate["inaction_loss"] == 1.0 and gate["plan_loss"] == 0.0
     assert gate["released"] is True
 
@@ -306,9 +307,9 @@ def test_risk_gate_withholds_useless_plan():
     ws = ws_with(x=0.0, y=0.0)
     rep = {"noop_ish": action("noop_ish", effects=[effect([("y", "set", 1.0)])], noise=0.1)}
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    log = select(ws, rep, goals)
-    assert "released_entries" not in log
-    gate = log["gate"]
+    body = select(ws, rep, goals)
+    assert body["chosen"]["no_action"] and "released_entries" not in body["rationale"]
+    gate = body["rationale"]["gate"]
     assert gate["inaction_loss"] - gate["plan_loss"] <= 0
 
 
@@ -328,9 +329,9 @@ def test_trim_drops_action_with_failing_precondition_without_provider():
     from defsim.planning import score_sequence
     bogus = score_sequence(ws, ("fix",), rep, goals, config)
     object.__setattr__(bogus, "actions", ("strike", "fix"))
-    log = select_action_plan([bogus], goals, roe(), ws, rep, config)
-    assert "strike" not in [e["action"] for e in log["released_entries"]]
-    assert log["trims"][0]["action"] == "strike"
+    body = select_action_plan([bogus], goals, roe(), ws, rep, config)
+    assert "strike" not in [e["action"] for e in body["chosen"]["entries"]]
+    assert body["rationale"]["trims"][0]["action"] == "strike"
 
 
 def test_unique_provider_inserted_as_prerequisite():
@@ -345,8 +346,8 @@ def test_unique_provider_inserted_as_prerequisite():
     from defsim.planning import score_sequence
     bogus = score_sequence(ws, (), rep, goals, config)
     object.__setattr__(bogus, "actions", ("strike",))
-    log = select_action_plan([bogus], goals, roe(), ws, rep, config)
-    entries = [(e["action"], e["origin"]) for e in log["released_entries"]]
+    body = select_action_plan([bogus], goals, roe(), ws, rep, config)
+    entries = [(e["action"], e["origin"]) for e in body["chosen"]["entries"]]
     assert entries[0] == ("arm", "prerequisite")
     assert entries[1] == ("strike", "proposed")
 
@@ -359,8 +360,8 @@ def test_scenario_declared_preparation_inserted():
                       preparation=["stage"]),
     }
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    log = select(ws, rep, goals)
-    entries = [(e["action"], e["origin"]) for e in log["released_entries"]]
+    body = select(ws, rep, goals)
+    entries = [(e["action"], e["origin"]) for e in body["chosen"]["entries"]]
     assert (("stage", "preparatory") in entries)
     assert entries.index(("stage", "preparatory")) < entries.index(
         ("fix", "proposed"))
@@ -372,10 +373,10 @@ def test_released_plan_never_scores_below_empty_plan():
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
     config = PlannerConfig(depth=2)
     proposals = propose_plans(ws, rep, goals, config)
-    log = select_action_plan(proposals, goals, roe(), ws, rep, config)
+    body = select_action_plan(proposals, goals, roe(), ws, rep, config)
     empty_utility = next(p.utility for p in proposals if p.actions == ())
-    if "released_entries" in log:
-        winner = next(p for p in proposals if list(p.actions) == log["winner"])
+    if not body["chosen"]["no_action"]:
+        winner = next(p for p in proposals if list(p.actions) == body["rationale"]["winner"])
         assert winner.utility >= empty_utility
 
 
@@ -384,9 +385,9 @@ def test_tie_break_is_lexicographic_and_recorded():
     shared = [effect([("x", "set", 1.0)])]
     rep = {"b_fix": action("b_fix", effects=shared), "a_fix": action("a_fix", effects=shared)}
     goals = normalize_goals([goal("g", [("x", ">=", 1)])])
-    log = select(ws, rep, goals, config=PlannerConfig(depth=1))
-    assert log["winner"] == ["a_fix"]
-    assert log["tie_break"]["used"] is True
+    rationale = select(ws, rep, goals, config=PlannerConfig(depth=1))["rationale"]
+    assert rationale["winner"] == ["a_fix"]
+    assert rationale["tie_break"]["used"] is True
 
 
 def test_offsets_accumulate_durations():
@@ -397,8 +398,8 @@ def test_offsets_accumulate_durations():
                         effects=[effect([("y", "set", 1.0)])]),
     }
     goals = normalize_goals([goal("g", [("x", ">=", 1), ("y", ">=", 1)])])
-    log = select(ws, rep, goals)
-    offsets = {e["action"]: e["offset"] for e in log["released_entries"]}
+    body = select(ws, rep, goals)
+    offsets = {e["action"]: e["offset"] for e in body["chosen"]["entries"]}
     assert offsets["slow"] == 0 and offsets["quick"] == 3
 
 
@@ -449,14 +450,14 @@ def test_released_entries_are_applicable_on_the_gate_walk(instance):
     config = PlannerConfig(depth=2, beam=4)
     proposals = propose_plans(ws, repertoire, goals, config)
     proposals += [score_sequence(ws, seq, repertoire, goals, config) for seq in sequences]
-    log = select_action_plan(proposals, goals, roe(), ws, repertoire, config, progression)
-    if "released_entries" not in log:
+    body = select_action_plan(proposals, goals, roe(), ws, repertoire, config, progression)
+    if body["chosen"]["no_action"]:
         return
     walk = dict(ws.features)
     gate_walk = dict(ws.features)
     for delta in progression * config.depth:  # expected_loss's horizon is the depth
         apply_feature_delta(gate_walk, delta)
-    for aid in (e["action"] for e in log["released_entries"]):
+    for aid in (e["action"] for e in body["chosen"]["entries"]):
         if aid in BUILTIN_ACTIONS:
             continue
         spec = repertoire[aid]
@@ -483,23 +484,30 @@ FAST_REP = {
 
 
 def test_fast_path_not_taken_without_deadline_pressure():
-    aid, _ = fast_rule_select(ws_with(alert=1.0), rules(), None, roe(), FAST_REP)
-    assert aid is None
-    aid, _ = fast_rule_select(ws_with(alert=1.0), rules(), 5, roe(fast_deadline_ticks=2), FAST_REP)
-    assert aid is None
+    assert fast_rule_select(ws_with(alert=1.0), rules(), None, roe(), FAST_REP) is None
+    assert fast_rule_select(ws_with(alert=1.0), rules(), 5, roe(fast_deadline_ticks=2),
+                            FAST_REP) is None
 
 
 def test_fast_path_priority_order():
-    aid, log = fast_rule_select(ws_with(alert=1.0), rules(), 1,
-                                roe(fast_deadline_ticks=2), FAST_REP)
-    assert aid == "hide"
-    assert log[0]["rule"] == "r1"
+    body = fast_rule_select(ws_with(alert=1.0), rules(), 1, roe(fast_deadline_ticks=2), FAST_REP)
+    assert body == {
+        "candidates": [],
+        "chosen": {"no_action": False, "action_id": "hide",
+                   "entries": [{"action": "hide", "offset": 0, "origin": "proposed"}]},
+        "rationale": {"deadline_ticks": 1, "fast_deadline_ticks": 2, "rules_evaluated": [
+            {"rule": "r1", "priority": 1, "condition_held": True, "roe_ok": True}]},
+    }
 
 
 def test_fast_path_falls_through_roe_forbidden_rule():
-    aid, log = fast_rule_select(
+    body = fast_rule_select(
         ws_with(alert=1.0), rules(), 1,
         roe(fast_deadline_ticks=2, forbidden_categories={"camouflage"}), FAST_REP)
-    assert aid == "fix"
-    assert log[0]["roe_ok"] is False and log[1]["roe_ok"] is True
+    assert body["chosen"]["action_id"] == "fix"
+    evaluated = body["rationale"]["rules_evaluated"]
+    assert evaluated[0]["roe_ok"] is False and evaluated[1]["roe_ok"] is True
+    # no rule whose condition holds: no body
+    assert fast_rule_select(ws_with(alert=0.0), rules(), 1, roe(fast_deadline_ticks=2),
+                            FAST_REP) is None
 

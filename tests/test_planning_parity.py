@@ -168,34 +168,6 @@ def test_expected_loss_equals_reference(instance, data):
     assert_bit_equal(expected_loss(ws, repertoire, goals, horizon, ids, progression), want)
 
 
-def test_predict_with_an_unhashable_goal_feature_equals_reference():
-    ws = WorldState(tick=0, features={"k": [0]})
-    repertoire = {"a": ActionSpec("a", ActionCategory.RESTORE, effects=[
-        ProbabilisticEffect(None, [("k", "set", [1, 2])], 0.3)])}
-    goals = normalize_goals([Goal("g", [("k", "==", [1, 2])], 1.0)])
-    assert_bit_equal(predict(ws, ["a"], repertoire, goals),
-                     reference_predict(ws, ["a"], repertoire, goals))
-
-
-def test_propose_plans_with_an_unhashable_goal_feature_equals_reference_search():
-    # every node's rows hold a list, so no goal lookup can be memoised
-    ws = WorldState(tick=0, features={"k": [0]})
-    repertoire = {
-        "a": ActionSpec("a", ActionCategory.RESTORE, risk=0.1, effects=[
-            ProbabilisticEffect(None, [("k", "set", [1, 2])], 0.3)]),
-        "b": ActionSpec("b", ActionCategory.CAMOUFLAGE, noise=0.2, effects=[
-            ProbabilisticEffect(None, [("k", "set", [0])], 0.6),
-            ProbabilisticEffect(None, [("k", "set", [1, 2])], 1.0)]),
-    }
-    goals = normalize_goals([Goal("g", [("k", "==", [1, 2])], 1.0),
-                             Goal("h", [("k", "==", [0])], 0.4)])
-    config = PlannerConfig(depth=2, beam=3)
-    got = propose_plans(ws, repertoire, goals, config)
-    assert_bit_equal(proposal_rows(got),
-                     proposal_rows(reference_propose_plans(ws, repertoire, goals, config)))
-    assert got[0].actions and got[0].predicted_satisfaction["g"] > 0.0
-
-
 @given(st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_planner_probe_smallest_instance_equals_reference_search(seed):

@@ -336,6 +336,27 @@ def test_explain_names_tie_break():
     assert "lexicographic_action_ids" in text
 
 
+def test_explain_names_the_reason_a_plan_that_beats_inaction_is_withheld():
+    """`fix` beats inaction, but its preparation `stage` takes the plan's
+    risk past the budget, so the gate withholds it and says why."""
+    fix = planning.ProbabilisticEffect(None, [("x", "set", 1.0)], 0.9)
+    repertoire = {
+        "fix": planning.ActionSpec("fix", planning.ActionCategory.RESTORE, effects=[fix],
+                                   risk=0.3, preparation=["stage"]),
+        "stage": planning.ActionSpec("stage", planning.ActionCategory.RESTORE, risk=0.3),
+    }
+    goals = planning.normalize_goals([planning.Goal("g", [("x", ">=", 1)], 1.0)])
+    ws, config = sensing.WorldState(features={"x": 0.0}), planning.PlannerConfig(depth=2)
+    body = planning.select_action_plan(
+        planning.propose_plans(ws, repertoire, goals, config), goals,
+        planning.RulesOfEngagement(max_plan_risk=0.5), ws, repertoire, config)
+    assert body["chosen"]["no_action"] and body["rationale"]["winner"] == ["fix"]
+    entry = {"tick": 1, "agent": "a1", "path": "deliberative",
+             "trigger": {"matched": [], "top_severity": 0.9, "problematic": True}, **body}
+    assert ("  Risk gate: inaction loss 1.0000 - plan loss 0.1000 > 0 -> no action "
+            "(augmented_plan_exceeds_risk_budget)") in explain([entry], 0).splitlines()
+
+
 def test_explain_fast_decision_renders_rules(bundled_results):
     for seed in range(1, 6):
         result = bundled_results[("s2_lateral_hunt", seed)]
@@ -913,7 +934,6 @@ def _set_feature(key, value):
     # 0 and 0.0 give every comparison the same outcome, type aside
     ({"unknown_proc_count": 0}, _set_feature("unknown_proc_count", 0.0), 1),
     ({}, _set_feature("process_count", 4), 1),  # nothing reads it
-    ({}, _set_feature("tags", ["a", "b"]), 1),  # nothing reads it, so it needs no hash
     ({}, _set_feature("link_state", 0), 2),  # only a precondition reads it
     ({}, _set_feature("backlog", 0.0), 2),
     ({}, _release_plan, 1),  # the memo outlives a released plan
@@ -923,7 +943,7 @@ def _set_feature(key, value):
 ], ids=["nothing", "set_goal_weight", "set_roe", "set_roe_forbidden_categories",
         "set_roe_fast_deadline_ticks", "goal_feature_1_to_1.0", "same_cell_value",
         "crosses_a_threshold", "value_on_a_threshold_0_to_0.0", "unread_feature",
-        "unread_list_feature", "precondition_feature", "read_feature_absent_to_0.0",
+        "precondition_feature", "read_feature_absent_to_0.0",
         "released_plan", "threat_progression", "unread_progression"])
 def test_what_forces_a_new_search(start, between, searches, search_calls):
     episode, rt = withholding_agent()
@@ -936,15 +956,6 @@ def test_what_forces_a_new_search(start, between, searches, search_calls):
     assert [d["tick"] for d in withheld] == [0, 2]
     assert all(d["chosen"]["no_action"] for d in withheld)
     assert rt.no_action_streak == (1 if between is _release_plan else 2)
-
-
-def test_a_list_valued_feature_deliberates_without_the_memo(search_calls):
-    episode, rt = withholding_agent()
-    rt.ws.features["link_state"] = ["a", "b"]  # a read key, unhashable: no key
-    episode._maybe_plan(rt, threat("proc"), tick=0)
-    episode._maybe_plan(rt, threat("proc"), tick=2)
-    assert len(search_calls) == 2 and episode.deliberations.bodies == {}
-    assert [d["chosen"]["no_action"] for d in episode.decision_log] == [True, True]
 
 
 @pytest.fixture
@@ -1219,7 +1230,7 @@ def test_progression_deltas_no_goal_names_leave_the_deliberation_unchanged(name,
     assert canonical_json(memo.search(rt.ws, rt.kb.goals, rt.roe, kept)) == body
     fresh = _deliberations(episode.config)
     assert fresh.deliberate(rt.ws, rt.kb.goals, rt.roe, progression)[1] == body
-    assert list(fresh.bodies) == [fresh.key(rt.ws, rt.kb.goals, rt.roe, kept)]
+    assert list(fresh.bodies) == [fresh.key(rt.kb.goals, rt.roe, kept)]
 
 
 @pytest.mark.parametrize("name", [*BUNDLED, "wide_repertoire_1", "wide_repertoire_2"])
@@ -1239,19 +1250,6 @@ def test_the_longest_derivation_reads_only_comparisons_the_memo_derives():
     inputs = [(state, rt.kb.goals, rt.roe, progression) for state in states
               for progression in ([], [("exposure", "add", -0.1)], [("exposure", "set", 0.5)])]
     assert check_reads(episode.config, inputs) > 0
-
-
-def test_an_add_delta_on_a_list_feature_no_goal_names_is_dropped():
-    """Applied, an `add` delta on a list-valued feature raises in the risk
-    gate's loss estimate; no goal names the feature, so deliberate drops the
-    delta and gives the body of the goal-key deltas."""
-    episode, rt = withholding_agent()
-    rt.ws.features["peers"] = [1, 2]
-    memo, kept = episode.deliberations, [("unknown_proc_count", "add", 1)]
-    with pytest.raises(TypeError):
-        memo.search(rt.ws, rt.kb.goals, rt.roe, [("peers", "add", 1), *kept])
-    _, encoded = memo.deliberate(rt.ws, rt.kb.goals, rt.roe, [("peers", "add", 1), *kept])
-    assert encoded == canonical_json(memo.search(rt.ws, rt.kb.goals, rt.roe, kept))
 
 
 @given(data=st.data())
@@ -1301,7 +1299,7 @@ def _substitute_proposed(episode, rt):
     action = rt.plan_exec.entries[proposed]["action"]
     decision = execution.adjust(
         rt.plan_exec, [execution.Deviation("effect_unmet", action, proposed)],
-        episode.repertoire, {}, rt.ws, rt.roe, max_retries=0)
+        episode.repertoire, {action: execution.DEFAULT_MAX_RETRIES}, rt.ws, rt.roe)
     assert decision.kind == "substitute" and decision.substitute_action_id != action
     assert rt.plan_exec.entries[proposed]["action"] == decision.substitute_action_id
     return proposed, action

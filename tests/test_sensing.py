@@ -11,9 +11,13 @@ from defsim.envsim import (
     Owner,
     Process,
     Service,
+    ServiceState,
 )
 from defsim.sensing import (
     _COMPARATORS,
+    _LOGICAL_SENSORS,
+    _PHYSICAL_SENSORS,
+    _TRANSFORMERS,
     Pattern,
     SensorConfig,
     WorldState,
@@ -224,6 +228,45 @@ def test_reused_rows_are_unchanged_and_own_values_still_written():
     assert update_world_state(ws, ws.rows, INTEGRITY_ONLY, 1, {"replica_count": 1})
     assert not update_world_state(ws, ws.rows, INTEGRITY_ONLY, 2, {"replica_count": 1})
     assert ws.tick == 2 and ws.features == {"host_integrity": 0.5, "replica_count": 1}
+
+
+# numbers as the scenario table admits them: ints and floats, never bools
+_STATE_NUMBERS = st.integers(-2, 2) | st.floats(-2.0, 2.0)
+
+
+@st.composite
+def platform_states(draw):
+    """A host h1 with any integrity, services, processes and files of any
+    owner, linked to other hosts by channels in any state."""
+    def some(build):
+        return [build(i) for i in range(draw(st.integers(0, 3)))]
+
+    services = some(lambda i: Service(f"s{i}", draw(st.booleans()), draw(_STATE_NUMBERS),
+                                      draw(_STATE_NUMBERS), draw(st.sampled_from(ServiceState))))
+    processes = some(lambda i: Process(f"p{i}", f"hash{i}", draw(st.booleans()),
+                                       draw(st.sampled_from(Owner))))
+    files = some(lambda i: FileEntry(f"f{i}", draw(st.sampled_from(Owner))))
+    peers = some(lambda i: make_host(f"h{i + 2}"))
+    channels = [CommsChannel(f"c{i}", ("h1", peer.host_id), draw(st.sampled_from(ChannelState)))
+                for i, peer in enumerate(peers)]
+    h1 = make_host("h1", draw(_STATE_NUMBERS), services, processes, files)
+    return make_env(hosts=[h1, *peers], channels=channels)
+
+
+@given(platform_states(), st.sampled_from([0.0, 0.05, 0.5]), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.0, 1.0), st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_every_feature_is_a_number(env, noise, seed, detectability, replica_count):
+    """Every sensor and transformer on, with and without noise, and the
+    agent's own values as AgentState and AgentRuntime type them: every
+    feature is an int or a float, never a bool. The deliberation memo keys
+    features by their comparisons alone, which rests on this."""
+    config = SensorConfig(list(_PHYSICAL_SENSORS), list(_LOGICAL_SENSORS), list(_TRANSFORMERS),
+                          {"*": noise} if noise else {})
+    ws = fold(sense(env, "h1", config, Random(seed)), config,
+              detectability=detectability, replica_count=replica_count)
+    assert {"detectability", "replica_count", "comms_integrity"} <= ws.features.keys()
+    assert all(type(value) in (int, float) for value in ws.features.values()), ws.features
 
 
 # -- predicates -----------------------------------------------------------------------------
