@@ -31,10 +31,6 @@ class UnknownEntity(DefsimError):
 
 # -- execution --------------------------------------------------------------
 
-class AuthorityNotHeld(DefsimError):
-    """Agent asked to execute while authority rests with the remote center."""
-
-
 class ModeForbidden(DefsimError):
     """Operation not permitted in the agent's current mode."""
 

@@ -1,23 +1,26 @@
 """Plan execution: effector, execution/effects monitoring, adjustment, and
-the agent's own lifecycle state (detectability, fail-safe). An agent reaches
-the destroyed mode only when malware kills it; the episode loop records that.
+the agent's own lifecycle state (detectability, mode, authority). The
+episode loop sets the mode: fail-safe on a command or a streak of no-action
+decisions, destroyed when malware kills the agent.
 
-Plans run strictly sequentially. Every action's noise raises detectability
-(camouflage lowers it by its configured reduction); failures and unmet
-effect expectations surface as deviations, which the adjustment ladder
-handles: retry while retries remain, then substitute a same-category
-action, then hand control back to planning.
+Plans run strictly sequentially, one attempt at a time: a plan holds the one
+attempt that monitoring has not yet ruled on. Every action's noise raises
+detectability (camouflage lowers it by its configured reduction); a failed
+or overdue attempt, or an unmet effect expectation of a done one, surfaces
+as a deviation, which the adjustment ladder handles: retry while retries
+remain, then substitute a same-category action, then hand control back to
+planning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
 from typing import Any, Callable, Optional
 
 from .envsim import EffectDescriptor, Environment, SnapshotToken, clamp01
-from .errors import AuthorityNotHeld, ModeForbidden, UnknownEntity
+from .errors import ModeForbidden, UnknownEntity
 from .planning import (
     ActionCategory,
     ActionSpec,
@@ -68,9 +71,6 @@ class ExecutionRecord:
     entry_index: int
     status: ActionStatus
     started_tick: int
-    finished_tick: Optional[int] = None
-    effects_checked: bool = False
-    adjusted: bool = False
 
 
 @dataclass
@@ -100,28 +100,9 @@ class AdjustmentDecision:
 @dataclass
 class PlanExecution:
     entries: list[dict[str, Any]]  # the released entries: action, offset, origin
-    records: list[ExecutionRecord] = field(default_factory=list)
     cursor: int = 0
-
-    def active_record(self) -> Optional[ExecutionRecord]:
-        if self.records and self.records[-1].status is ActionStatus.IN_PROGRESS:
-            return self.records[-1]
-        return None
-
-    def halted(self) -> bool:
-        """A failed record awaits the adjuster."""
-        return bool(
-            self.records
-            and self.records[-1].status is ActionStatus.FAILED
-            and not self.records[-1].adjusted
-        )
-
-    def finished(self) -> bool:
-        return (
-            self.cursor >= len(self.entries)
-            and self.active_record() is None
-            and not self.halted()
-        )
+    # in progress, failed, or done with its effects unchecked
+    attempt: Optional[ExecutionRecord] = None
 
 
 def _lookup(action_id: str, repertoire: dict[str, ActionSpec]) -> ActionSpec:
@@ -146,34 +127,30 @@ def execute_step(
     rng: Random,
     propagate: Callable[[ActionSpec], bool],
 ) -> list[Event]:
-    """Start or advance the next scheduled entry; one entry per tick.
+    """Start the entry at the cursor, or advance the attempt in progress; one
+    entry per tick.
 
-    Effects apply on completion through env.apply_effect, each drawn
-    independently from the seeded stream; an UnknownEntity from a stale
-    target marks the record failed. Detectability bookkeeping happens at
-    start. A failed record halts the plan until the adjuster rules. The
-    propagate builtin calls `propagate`, which says whether it installed a
-    replica. Returns the tick's trace events in trace order:
-    agent.action_started, then agent.action_done or agent.action_failed,
-    then the completion's changes: env.snapshot, env.restore, or an
-    env.effect, whose payload is the apply_effect outcome, per applied effect.
+    The runner calls this only for a live agent that holds authority, after
+    monitoring has ruled on a failed or done attempt. A destructive entry
+    raises ModeForbidden in fail-safe mode. Effects apply on completion
+    through env.apply_effect, each drawn independently from the seeded
+    stream; an UnknownEntity from a stale target fails the attempt.
+    Detectability bookkeeping happens at start. The propagate builtin calls
+    `propagate`, which says whether it installed a replica. Returns the
+    tick's trace events in trace order: agent.action_started, then
+    agent.action_done or agent.action_failed, then the completion's changes:
+    env.snapshot, env.restore, or an env.effect, whose payload is the
+    apply_effect outcome, per applied effect.
     """
-    if agent_state.mode is AgentMode.DESTROYED:
-        raise ModeForbidden("agent destroyed")
-    if agent_state.authority is not Authority.AGENT:
-        raise AuthorityNotHeld("authority held by remote center")
-    if pe.halted():
-        return []
-
     events: list[Event] = []
-    rec = pe.active_record()
-    if rec is None:  # the runner drops a finished plan, so an entry is left
+    rec = pe.attempt
+    if rec is None:
         action_id = pe.entries[pe.cursor]["action"]
         spec = _lookup(action_id, repertoire)
         if spec.category is ActionCategory.DESTRUCTIVE and agent_state.mode is AgentMode.FAIL_SAFE:
             raise ModeForbidden(f"destructive action {action_id!r} forbidden in fail_safe")
-        rec = ExecutionRecord(action_id, pe.cursor, ActionStatus.IN_PROGRESS, started_tick=tick)
-        pe.records.append(rec)
+        rec = pe.attempt = ExecutionRecord(action_id, pe.cursor, ActionStatus.IN_PROGRESS,
+                                           started_tick=tick)
         agent_state.detectability = clamp01(agent_state.detectability + signed_noise(spec))
         events.append(("agent.action_started", {"action": action_id, "entry_index": rec.entry_index,
                                                 "detectability": agent_state.detectability}))
@@ -181,8 +158,9 @@ def execute_step(
         spec = _lookup(rec.action_id, repertoire)
 
     if tick >= rec.started_tick + spec.duration - 1:
-        changes = _complete(rec, spec, env, agent_state, tick, rng, propagate)
-        pe.cursor = rec.entry_index + 1 if rec.status is ActionStatus.DONE else rec.entry_index
+        changes = _complete(rec, spec, env, agent_state, rng, propagate)
+        if rec.status is ActionStatus.DONE:
+            pe.cursor += 1
         # the status values name the events: agent.action_done, agent.action_failed
         events.append((f"agent.action_{rec.status.value}",
                        {"action": rec.action_id, "entry_index": rec.entry_index}))
@@ -195,12 +173,10 @@ def _complete(
     spec: ActionSpec,
     env: Environment,
     agent_state: AgentState,
-    tick: int,
     rng: Random,
     propagate: Callable[[ActionSpec], bool],
 ) -> list[Event]:
     """Finish `rec`, set its status and return the changes it made."""
-    rec.finished_tick = tick
     rec.status = ActionStatus.DONE
     if spec.builtin == "snapshot":
         agent_state.snapshot = token = env.snapshot(agent_state.host_id)
@@ -229,25 +205,24 @@ def _complete(
 
 
 def monitor_execution(
-    records: list[ExecutionRecord],
+    pe: PlanExecution,
     tick: int,
     repertoire: dict[str, ActionSpec],
 ) -> list[Deviation]:
-    """A deviation per record whose terminal-or-overdue status is not done."""
-    deviations: list[Deviation] = []
-    for rec in records:
-        if rec.adjusted:
-            continue
-        if rec.status is ActionStatus.FAILED:
-            deviations.append(Deviation("failed", rec.action_id, rec.entry_index,
-                                        detail="action failed"))
-        elif rec.status is ActionStatus.IN_PROGRESS:
-            spec = _lookup(rec.action_id, repertoire)
-            if tick >= rec.started_tick + spec.duration:
-                deviations.append(Deviation(
-                    "overdue", rec.action_id, rec.entry_index,
-                    detail=f"in_progress past tick {rec.started_tick + spec.duration - 1}"))
-    return deviations
+    """The attempt's deviation, if it failed or is in progress past its
+    duration: zero or one."""
+    rec = pe.attempt
+    if rec is None:
+        return []
+    if rec.status is ActionStatus.FAILED:
+        return [Deviation("failed", rec.action_id, rec.entry_index, detail="action failed")]
+    if rec.status is ActionStatus.IN_PROGRESS:
+        spec = _lookup(rec.action_id, repertoire)
+        if tick >= rec.started_tick + spec.duration:
+            return [Deviation(
+                "overdue", rec.action_id, rec.entry_index,
+                detail=f"in_progress past tick {rec.started_tick + spec.duration - 1}")]
+    return []
 
 
 def monitor_effects(
@@ -255,29 +230,29 @@ def monitor_effects(
     ws: WorldState,
     repertoire: dict[str, ActionSpec],
 ) -> tuple[list[Deviation], list[tuple[str, int, bool]]]:
-    """Compare each done action's expected-effect predicates against the
-    refreshed beliefs; unmet expectations are the warning signs. Returns the
-    deviations and every check made, as (action id, effect index, held)."""
+    """Check a done attempt's expected-effect predicates against the beliefs,
+    which monitoring reads after they are refreshed and before the next
+    execute, and clear the attempt; unmet expectations are the warning
+    signs. A builtin's expectations go unchecked. Returns the deviations and
+    every check made, as (action id, effect index, held)."""
+    rec = pe.attempt
+    if rec is None or rec.status is not ActionStatus.DONE:
+        return [], []
+    pe.attempt = None
+    spec = _lookup(rec.action_id, repertoire)
+    if spec.builtin is not None:
+        return [], []
     deviations: list[Deviation] = []
     checks: list[tuple[str, int, bool]] = []
-    for rec in pe.records:
-        if rec.status is not ActionStatus.DONE or rec.effects_checked or rec.adjusted:
-            continue
-        if rec.finished_tick is None or rec.finished_tick >= ws.tick:
-            continue  # beliefs not refreshed since completion yet
-        rec.effects_checked = True
-        spec = _lookup(rec.action_id, repertoire)
-        if spec.builtin is not None:
-            continue
-        for index, eff in enumerate(spec.effects):
-            if eff.expect:
-                held = all_hold(ws.features, eff.expect)
-                checks.append((rec.action_id, index, held))
-                if not held:
-                    deviations.append(Deviation(
-                        "effect_unmet", rec.action_id, rec.entry_index,
-                        detail=f"expected {eff.expect} not observed",
-                        probability=eff.probability))
+    for index, eff in enumerate(spec.effects):
+        if eff.expect:
+            held = all_hold(ws.features, eff.expect)
+            checks.append((rec.action_id, index, held))
+            if not held:
+                deviations.append(Deviation(
+                    "effect_unmet", rec.action_id, rec.entry_index,
+                    detail=f"expected {eff.expect} not observed",
+                    probability=eff.probability))
     return deviations, checks
 
 
@@ -289,40 +264,31 @@ def adjust(
     ws: WorldState,
     roe: RulesOfEngagement,
 ) -> AdjustmentDecision:
-    """Policy ladder for the first deviation: retry while attempts remain,
-    else substitute a same-category applicable action, else replan."""
-    dev = sorted(deviations, key=lambda d: (d.entry_index, d.kind))[0]
-    for rec in pe.records:
-        if rec.entry_index == dev.entry_index and not rec.adjusted:
-            rec.adjusted = True
-
+    """Rule on the attempt that every deviation comes from, and clear it:
+    retry its entry while attempts remain, else substitute a same-category
+    applicable action, else replan. A retry or a substitute moves the cursor
+    back to the entry, which starts afresh at the next execute."""
+    dev = deviations[0]
+    pe.attempt = None
     aid = dev.action_id
     if retry_counts.get(aid, 0) < DEFAULT_MAX_RETRIES:
         retry_counts[aid] = retry_counts.get(aid, 0) + 1
         pe.cursor = dev.entry_index
         return AdjustmentDecision("retry")
 
-    spec = repertoire.get(aid)
-    if spec is not None:
-        alternatives = [
-            other for other in sorted(repertoire)
-            if other != aid
-            and repertoire[other].category is spec.category
-            and all_hold(ws.features, repertoire[other].preconditions)
-            and action_roe_ok(repertoire[other], roe)
-        ]
-        if alternatives:
-            substitute = alternatives[0]
-            pe.entries[dev.entry_index]["action"] = substitute
-            pe.cursor = dev.entry_index
-            return AdjustmentDecision("substitute", substitute_action_id=substitute)
+    # snapshot and verify, the builtins outside the repertoire, never fail,
+    # expect nothing and take one tick, so they never deviate
+    spec = repertoire[aid]
+    alternatives = [
+        other for other in sorted(repertoire)
+        if other != aid
+        and repertoire[other].category is spec.category
+        and all_hold(ws.features, repertoire[other].preconditions)
+        and action_roe_ok(repertoire[other], roe)
+    ]
+    if alternatives:
+        substitute = alternatives[0]
+        pe.entries[dev.entry_index]["action"] = substitute
+        pe.cursor = dev.entry_index
+        return AdjustmentDecision("substitute", substitute_action_id=substitute)
     return AdjustmentDecision("replan")
-
-
-def fail_safe(agent_state: AgentState) -> None:
-    """Degrade to fail-safe: destructive actions are forbidden from here on.
-    The caller is expected to attempt a status report."""
-    if agent_state.mode is AgentMode.DESTROYED:
-        raise ModeForbidden("agent destroyed")
-    agent_state.mode = AgentMode.FAIL_SAFE
-

@@ -25,7 +25,6 @@ from . import collaboration, execution, learning, planning, sensing
 from .adversary import MalwareController
 from .envsim import Environment, clamp01, sum_in_order
 from .errors import (
-    AuthorityNotHeld,
     ConfigInvalid,
     CorruptTrace,
     IndexOutOfRange,
@@ -392,7 +391,7 @@ class Episode:
                 else:
                     change = collaboration.apply_control(command, rt.kb, rt.roe)
                     self.emit("agent.control_applied", agent=rt.state.agent_id, **change)
-            except (UnknownGoal, ModeForbidden) as exc:
+            except UnknownGoal as exc:
                 self.emit("agent.control_rejected", agent=rt.state.agent_id,
                           command=name, reason=str(exc))
 
@@ -436,8 +435,10 @@ class Episode:
         unmet, checks = execution.monitor_effects(pe, rt.ws, self.repertoire)
         if checks:
             self._learn(rt, learning.learn(checks, []))
-        deviations = execution.monitor_execution(pe.records, tick, self.repertoire) + unmet
+        deviations = execution.monitor_execution(pe, tick, self.repertoire) + unmet
         if not deviations:
+            if pe.attempt is None and pe.cursor >= len(pe.entries):
+                rt.plan_exec = None  # the plan's last attempt is ruled on
             return
         for dev in deviations:
             self.emit("agent.deviation", agent=rt.state.agent_id, **dev.to_dict())
@@ -468,7 +469,7 @@ class Episode:
 
     def _fail_safe(self, rt: AgentRuntime, reason: str) -> None:
         """Degrade the agent to fail-safe, record why and report it."""
-        execution.fail_safe(rt.state)
+        rt.state.mode = AgentMode.FAIL_SAFE
         self.emit("agent.fail_safe", agent=rt.state.agent_id, reason=reason)
         self._attempt_report(rt, self.tick, reason="fail_safe")
 
@@ -514,13 +515,11 @@ class Episode:
         try:
             events = execution.execute_step(pe, self.env, rt.state, tick, self.repertoire,
                                             self.rng, lambda spec: self._propagate(rt, spec))
-        except (ModeForbidden, AuthorityNotHeld) as exc:
+        except ModeForbidden as exc:
             self.emit("agent.plan_dropped", agent=rt.state.agent_id, reason=str(exc))
             rt.plan_exec = None
             return
         self._emit_events(events, agent=rt.state.agent_id)
-        if pe.finished():
-            rt.plan_exec = None
 
     def _propagate(self, rt: AgentRuntime, spec: ActionSpec) -> bool:
         """The propagate builtin: install a replica on the action's target

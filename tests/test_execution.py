@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from defsim.envsim import EffectDescriptor
-from defsim.errors import AuthorityNotHeld, ModeForbidden
+from defsim.errors import ModeForbidden
 from defsim.execution import (
     ActionStatus,
     AgentMode,
@@ -14,7 +14,6 @@ from defsim.execution import (
     PlanExecution,
     adjust,
     execute_step,
-    fail_safe,
     monitor_effects,
     monitor_execution,
 )
@@ -65,6 +64,16 @@ def kinds(events):
     return [kind for kind, _ in events]
 
 
+def run_plan(pe, env, state, rep, ticks):
+    """Monitor, then execute, on each of `ticks` ticks, as the runner does
+    for a plan whose effects expect nothing; return the events executed."""
+    events = []
+    for tick in range(ticks):
+        assert monitor_effects(pe, WorldState(tick=tick), rep) == ([], [])
+        events += execute_step(pe, env, state, tick, rep, Random(1), no_propagate)
+    return events
+
+
 def test_observe_duration_one_done_same_tick_with_noise():
     env = make_env()
     state = agent(detectability=0.2)
@@ -76,11 +85,9 @@ def test_observe_duration_one_done_same_tick_with_noise():
         ("agent.action_started",
          {"action": "look", "entry_index": 0, "detectability": state.detectability}),
         ("agent.action_done", {"action": "look", "entry_index": 0})]
-    [rec] = pe.records
-    assert rec.status is ActionStatus.DONE
-    assert rec.started_tick == 4 and rec.finished_tick == 4
+    assert pe.attempt.status is ActionStatus.DONE and pe.attempt.started_tick == 4
     assert state.detectability == pytest.approx(0.25)
-    assert pe.finished()
+    assert pe.cursor == len(pe.entries)
 
 
 def test_multi_tick_action_completes_at_duration():
@@ -90,11 +97,11 @@ def test_multi_tick_action_completes_at_duration():
     pe = PlanExecution(plan_of("slow", durations={"slow": 3}))
     first = execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
     assert kinds(first) == ["agent.action_started"]
-    assert pe.records[0].status is ActionStatus.IN_PROGRESS
+    assert pe.attempt.status is ActionStatus.IN_PROGRESS and pe.cursor == 0
     assert execute_step(pe, env, state, 1, rep, Random(1), no_propagate) == []
     final = execute_step(pe, env, state, 2, rep, Random(1), no_propagate)
     assert final == [("agent.action_done", {"action": "slow", "entry_index": 0})]
-    assert pe.records[0].status is ActionStatus.DONE and pe.records[0].finished_tick == 2
+    assert pe.attempt.status is ActionStatus.DONE and pe.cursor == 1
 
 
 def test_destructive_in_fail_safe_forbidden():
@@ -118,22 +125,6 @@ def test_camouflage_subtracts_with_clamp():
     assert state.detectability == 0.0  # clamped
 
 
-def test_destroyed_agent_refuses_everything():
-    env = make_env()
-    state = agent(mode=AgentMode.DESTROYED)
-    pe = PlanExecution(plan_of("look"))
-    with pytest.raises(ModeForbidden):
-        execute_step(pe, env, state, 0, {"look": spec("look")}, Random(1), no_propagate)
-
-
-def test_authority_not_held_blocks_execution():
-    env = make_env()
-    state = agent(authority=Authority.REMOTE_C2)
-    pe = PlanExecution(plan_of("look"))
-    with pytest.raises(AuthorityNotHeld):
-        execute_step(pe, env, state, 0, {"look": spec("look")}, Random(1), no_propagate)
-
-
 def test_unknown_entity_marks_record_failed_and_halts_plan():
     env = make_env()
     state = agent()
@@ -142,9 +133,8 @@ def test_unknown_entity_marks_record_failed_and_halts_plan():
     pe = PlanExecution(plan_of("kill_ghost"))
     events = execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
     assert kinds(events) == ["agent.action_started", "agent.action_failed"]
-    assert pe.records[0].status is ActionStatus.FAILED
-    assert pe.halted()
-    assert execute_step(pe, env, state, 1, rep, Random(1), no_propagate) == []
+    assert pe.attempt.status is ActionStatus.FAILED
+    assert pe.cursor == 0  # the entry awaits the adjuster's ruling
 
 
 def test_self_placeholder_resolves_to_agent_host():
@@ -154,7 +144,7 @@ def test_self_placeholder_resolves_to_agent_host():
     rep = {"purge": spec("purge", effects=[env_effect("process:$self:@unknown", "", "kill", None)])}
     pe = PlanExecution(plan_of("purge"))
     execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
-    assert pe.records[0].status is ActionStatus.DONE
+    assert pe.attempt.status is ActionStatus.DONE
     assert "mal" not in env.hosts["h1"].processes
 
 
@@ -167,10 +157,10 @@ def test_snapshot_and_restore_builtins_round_trip():
         "roll_back": spec("roll_back", category=ActionCategory.RESTORE, builtin="restore"),
     }
     pe = PlanExecution(plan_of(SNAPSHOT_ACTION_ID, "wreck", "roll_back"))
-    for tick in range(3):
-        execute_step(pe, env, state, tick, rep, Random(1), no_propagate)
+    events = run_plan(pe, env, state, rep, 3)
     assert env.hosts["h1"].services["web"].health == 1.0
-    assert [r.status for r in pe.records] == [ActionStatus.DONE] * 3
+    assert kinds(events) == [kind for change in ("env.snapshot", "env.effect", "env.restore")
+                             for kind in ("agent.action_started", "agent.action_done", change)]
 
 
 def test_an_agent_holds_its_latest_snapshot_and_restore_rolls_back_to_it():
@@ -182,11 +172,13 @@ def test_an_agent_holds_its_latest_snapshot_and_restore_rolls_back_to_it():
     }
     pe = PlanExecution(plan_of(SNAPSHOT_ACTION_ID, "dent", SNAPSHOT_ACTION_ID, "dent",
                                "roll_back"))
-    for tick in range(5):
-        execute_step(pe, env, state, tick, rep, Random(1), no_propagate)
+    events = run_plan(pe, env, state, rep, 5)
     assert state.snapshot.token_id == 2
     assert env.hosts["h1"].services["web"].health == 0.75  # as at the second snapshot
-    assert [r.status for r in pe.records] == [ActionStatus.DONE] * 5
+    assert kinds(events) == [
+        kind for change in ("env.snapshot", "env.effect", "env.snapshot", "env.effect",
+                            "env.restore")
+        for kind in ("agent.action_started", "agent.action_done", change)]
 
 
 # -- the events execute_step returns ---------------------------------------------------------
@@ -262,7 +254,7 @@ def test_restore_without_snapshot_fails():
     pe = PlanExecution(plan_of("roll_back"))
     events = execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
     assert kinds(events) == ["agent.action_started", "agent.action_failed"]
-    assert pe.records[0].status is ActionStatus.FAILED
+    assert pe.attempt.status is ActionStatus.FAILED
 
 
 def test_the_verify_builtin_changes_nothing():
@@ -288,16 +280,12 @@ def test_propagate_builtin_calls_its_callback_once_and_records_the_result(ok, st
     pe = PlanExecution(plan_of("replicate"))
     events = execute_step(pe, env, state, 0, rep, Random(1), propagate)
     assert calls == ["replicate"]
-    assert pe.records[0].status is status
+    assert pe.attempt.status is status
     assert events[1:] == [(f"agent.action_{status.value}",
                            {"action": "replicate", "entry_index": 0})]
 
 
 # -- monitoring --------------------------------------------------------------------------
-
-def done_record(pe):
-    return pe.records[-1]
-
 
 def test_monitor_execution_all_done_is_quiet():
     env = make_env()
@@ -305,7 +293,7 @@ def test_monitor_execution_all_done_is_quiet():
     rep = {"look": spec("look")}
     pe = PlanExecution(plan_of("look"))
     execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
-    assert monitor_execution(pe.records, 1, rep) == []
+    assert monitor_execution(pe, 1, rep) == []
 
 
 def test_monitor_execution_reports_failure():
@@ -315,7 +303,7 @@ def test_monitor_execution_reports_failure():
         "kill_ghost", effects=[env_effect("process:h1:ghost", "", "kill", None)])}
     pe = PlanExecution(plan_of("kill_ghost"))
     execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
-    deviations = monitor_execution(pe.records, 1, rep)
+    deviations = monitor_execution(pe, 1, rep)
     assert len(deviations) == 1 and deviations[0].kind == "failed"
     assert deviations[0].action_id == "kill_ghost"
 
@@ -323,9 +311,10 @@ def test_monitor_execution_reports_failure():
 def test_monitor_execution_flags_overdue():
     rep = {"slow": spec("slow", duration=2)}
     from defsim.execution import ExecutionRecord
-    stuck = ExecutionRecord("slow", 0, ActionStatus.IN_PROGRESS, started_tick=3)
-    assert monitor_execution([stuck], 4, rep) == []  # still on schedule at 3+2-1
-    overdue = monitor_execution([stuck], 6, rep)     # started+duration+1
+    pe = PlanExecution(plan_of("slow", durations={"slow": 2}),
+                       attempt=ExecutionRecord("slow", 0, ActionStatus.IN_PROGRESS, started_tick=3))
+    assert monitor_execution(pe, 4, rep) == []  # still on schedule at 3+2-1
+    overdue = monitor_execution(pe, 6, rep)     # started+duration+1
     assert len(overdue) == 1 and overdue[0].kind == "overdue"
 
 
@@ -339,7 +328,8 @@ def test_monitor_effects_met_and_unmet():
     execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
     met_ws = WorldState(tick=1, features={"proc_gone": 1})
     assert monitor_effects(pe, met_ws, rep) == ([], [("fix", 0, True)])
-    assert monitor_effects(pe, met_ws, rep) == ([], [])  # each record is checked once
+    assert pe.attempt is None  # checked, so ruled on
+    assert monitor_effects(pe, met_ws, rep) == ([], [])
     pe2 = PlanExecution(plan_of("fix"))
     execute_step(pe2, env, state, 0, rep, Random(1), no_propagate)
     unmet_ws = WorldState(tick=1, features={"proc_gone": 0})
@@ -348,18 +338,6 @@ def test_monitor_effects_met_and_unmet():
     assert len(deviations) == 1
     assert deviations[0].kind == "effect_unmet"
     assert deviations[0].probability == 0.7  # retry heuristic input
-
-
-def test_monitor_effects_waits_for_belief_refresh():
-    env = make_env()
-    state = agent()
-    rep = {"fix": spec("fix", effects=[ProbabilisticEffect(
-        env_effect=None, feature_deltas=[], probability=1.0,
-        expect=[("x", ">=", 1)])])}
-    pe = PlanExecution(plan_of("fix"))
-    execute_step(pe, env, state, 5, rep, Random(1), no_propagate)
-    stale_ws = WorldState(tick=5, features={})
-    assert monitor_effects(pe, stale_ws, rep) == ([], [])  # ws not refreshed yet
 
 
 # -- adjustment ladder ---------------------------------------------------------------------
@@ -379,12 +357,12 @@ def test_adjust_retries_first():
     env = make_env()
     state = agent()
     pe = failing_pe(env, state, GHOST_REP)
-    deviations = monitor_execution(pe.records, 1, GHOST_REP)
+    deviations = monitor_execution(pe, 1, GHOST_REP)
     counts = {}
     decision = adjust(pe, deviations, GHOST_REP, counts, WorldState(), RulesOfEngagement())
     assert decision.kind == "retry"
     assert counts["kill_ghost"] == 1
-    assert pe.cursor == 0 and not pe.halted()
+    assert pe.cursor == 0 and pe.attempt is None  # the next execute starts it afresh
     # plan unchanged apart from the rescheduled entry
     assert [e["action"] for e in pe.entries] == ["kill_ghost"]
 
@@ -396,7 +374,7 @@ def test_retry_count_never_exceeds_limit():
     rep = GHOST_REP
     pe = failing_pe(env, state, rep)
     for attempt in range(4):
-        deviations = monitor_execution(pe.records, attempt + 1, rep)
+        deviations = monitor_execution(pe, attempt + 1, rep)
         if not deviations:
             break
         decision = adjust(pe, deviations, rep, counts, WorldState(), RulesOfEngagement())
@@ -413,7 +391,7 @@ def test_adjust_substitutes_same_category_alternative():
     rep = dict(GHOST_REP)
     rep["quarantine"] = spec("quarantine", category=ActionCategory.CONTAIN)
     pe = failing_pe(env, state, rep)
-    deviations = monitor_execution(pe.records, 1, rep)
+    deviations = monitor_execution(pe, 1, rep)
     counts = {"kill_ghost": 2}  # retries already spent
     decision = adjust(pe, deviations, rep, counts, WorldState(), RulesOfEngagement())
     assert decision.kind == "substitute"
@@ -425,33 +403,10 @@ def test_adjust_replans_without_alternative():
     env = make_env()
     state = agent()
     pe = failing_pe(env, state, GHOST_REP)
-    deviations = monitor_execution(pe.records, 1, GHOST_REP)
+    deviations = monitor_execution(pe, 1, GHOST_REP)
     counts = {"kill_ghost": 2}
     decision = adjust(pe, deviations, GHOST_REP, counts, WorldState(), RulesOfEngagement())
     assert decision.kind == "replan"
-
-
-# -- lifecycle ------------------------------------------------------------------------------
-
-def test_fail_safe_transition():
-    state = agent()
-    fail_safe(state)
-    assert state.mode is AgentMode.FAIL_SAFE
-
-
-def test_mode_walk_has_no_resurrection():
-    state = agent()
-    fail_safe(state)
-    env = make_env()
-    env.install_agent("a1", "h1")
-    # malware killed the agent: the kill removes it, and the episode marks it destroyed
-    env.apply_effect(EffectDescriptor("agent:a1", "", "kill"))
-    state.mode = AgentMode.DESTROYED
-    with pytest.raises(ModeForbidden):
-        fail_safe(state)
-    with pytest.raises(ModeForbidden):
-        execute_step(PlanExecution(plan_of("look")), env, state, 0,
-                     {"look": spec("look")}, Random(1), no_propagate)
 
 
 def test_detectability_non_decreasing_without_camouflage():

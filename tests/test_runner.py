@@ -9,7 +9,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from defsim import collaboration, execution, planning, sensing
 from defsim.errors import (
@@ -392,14 +392,17 @@ def test_forbidding_destructive_actions_forces_zero_harm(bundled_configs):
 RISK_LOOP = Path(__file__).parent / "data" / "risk_loop.json"
 
 
-def risk_loop_scenario(script=()):
+def risk_loop_scenario(script=(), edit=None):
     """Instance m1 spawns a process on h1 at tick 0. The agent purges every
     unknown process with a destructive action that also takes h1's required
     service down, and a restore action, which the planner predicts brings
     functionality back, rolls h1 back to the precautionary snapshot. The
-    remote center on c2host sends `script`."""
+    remote center on c2host sends `script`. `edit`, if given, changes the
+    document first."""
     doc = json.loads(RISK_LOOP.read_text())
     doc["c2"]["script"] = [{"to": "a1", **entry} for entry in script]
+    if edit is not None:
+        edit(doc)
     return parse_scenario(doc)
 
 
@@ -498,6 +501,119 @@ def test_a_second_handover_grant_is_discarded():
         (1, "agent.handover", "remote_c2"),
         (2, "agent.message_discarded",
          "invalid_transition: grant while authority already remote")]
+
+
+def handover_script(grant, give_back):
+    return [{"tick": grant, "kind": "HandoverGrant"}, {"tick": give_back, "kind": "HandoverReturn"}]
+
+
+def slow_purge(doc, purge=3, roll_back=1):
+    doc["duration_ticks"] = 14
+    doc["repertoire"][0]["duration"] = purge
+    doc["repertoire"][1]["duration"] = roll_back
+
+
+def fast_wipe(doc):
+    """Every match of `proc` takes the fast path, whose one rule releases
+    `wipe` alone. wipe changes beliefs only, so its expectation, no unknown
+    process, stays unmet."""
+    doc["patterns"][0]["deadline_ticks"] = 0
+    doc.setdefault("roe", {})["fast_deadline_ticks"] = 5
+    doc["repertoire"].append({"action_id": "wipe", "category": "contain", "effects": [
+        {"features": [["unknown_proc_count", "set", 0]],
+         "expect": [["unknown_proc_count", "<=", 0]]}]})
+    doc["rules"] = [{"rule_id": "r", "action_id": "wipe", "priority": 1}]
+
+
+def steps(result, kinds):
+    """(tick, kind, what) of each event of `kinds`: the action, deviation or
+    adjustment it names."""
+    return [(e["tick"], e["kind"], e.get("action") or e.get("deviation_kind") or e.get("decision"))
+            for e in result.trace if e["kind"] in kinds]
+
+
+def test_a_retry_of_an_overdue_action_starts_it_afresh():
+    """a1 starts its three-tick purge at tick 1 and hands authority over at
+    tick 2. It holds authority again at tick 5, with the purge overdue, and
+    the retry starts the purge anew."""
+    def edit(doc):
+        slow_purge(doc)
+        doc["playbook"].update(hunt_intensity=0, spoof_probability=0)
+
+    result = run_episode(risk_loop_scenario(handover_script(1, 4), edit), 1)
+    kinds = ("agent.deviation", "agent.adjustment", "agent.action_started", "agent.action_done")
+    assert [step for step in steps(result, kinds) if 5 <= step[0] <= 7] == [
+        (5, "agent.deviation", "overdue"), (5, "agent.adjustment", "retry"),
+        (5, "agent.action_started", "purge"), (7, "agent.action_done", "purge")]
+
+
+def test_the_expected_effects_of_a_plans_last_action_are_checked():
+    """wipe is its plan's last action, and each next pass checks its
+    expectation, learns from the check and adjusts."""
+    def edit(doc):
+        doc["duration_ticks"] = 4
+        fast_wipe(doc)
+
+    result = run_episode(risk_loop_scenario(edit=edit), 1)
+    assert steps(result, ("agent.learning", "agent.deviation", "agent.adjustment")) == [
+        (tick, kind, what) for tick, decision in ((1, "retry"), (2, "retry"), (3, "replan"))
+        for kind, what in (("agent.learning", None), ("agent.deviation", "effect_unmet"),
+                           ("agent.adjustment", decision))]
+
+
+ACTION_EVENTS = ("agent.action_started", "agent.action_done", "agent.action_failed")
+
+
+@example(durations=(3, 1), handover=(1, 4), ghost=False, fast=False, seed=3)  # an overdue purge
+@given(durations=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       handover=st.none() | st.tuples(st.integers(0, 8), st.integers(1, 5)).map(
+           lambda grant_for: (grant_for[0], sum(grant_for))),
+       ghost=st.booleans(), fast=st.booleans(), seed=st.integers(1, 20))
+@settings(max_examples=100, deadline=None)
+def test_an_agent_runs_one_attempt_at_a_time(durations, handover, ghost, fast, seed):
+    """On risk_loop variants, each agent's action events alternate a start
+    and its ruling on one entry, where an overdue deviation rules in place of
+    a done or failed event; a retry or a substitute starts its entry in
+    its tick, unless the plan is dropped; no action runs under the remote
+    center's authority; and no event names an agent after its kill."""
+    def edit(doc):
+        slow_purge(doc, *durations)
+        if ghost:  # purge also kills a process that is not there, so it fails
+            purge = doc["repertoire"][0]
+            doc["repertoire"].append(dict(purge, action_id="scrub"))  # its stand-in
+            purge["effects"] = [*purge["effects"],
+                                {"env": {"target": "process:$self:ghost", "operation": "kill"}}]
+        if fast:
+            fast_wipe(doc)
+
+    result = run_episode(risk_loop_scenario(handover_script(*handover) if handover else (),
+                                            edit), seed)
+    for agent_id in result.agents:
+        events = [e for e in result.trace if e.get("agent") == agent_id]
+        killed = [i for i, e in enumerate(events) if e["kind"] == "agent.killed"]
+        assert killed in ([], [len(events) - 1])
+        # (kind, action, entry) of each start and each ruling: done, failed, or overdue
+        lifecycle = [(e["kind"], e["action"], e["entry_index"]) if e["kind"] in ACTION_EVENTS
+                     else ("overdue", e["action_id"], e["entry_index"]) for e in events
+                     if e["kind"] in ACTION_EVENTS or e.get("deviation_kind") == "overdue"]
+        starts, rulings = lifecycle[::2], lifecycle[1::2]
+        assert {kind for kind, _, _ in starts} <= {"agent.action_started"}
+        assert [ruled[1:] for ruled in rulings] == [started[1:] for started in starts[:len(rulings)]]
+        assert "agent.action_started" not in {kind for kind, _, _ in rulings}
+        remote = False
+        for i, e in enumerate(events):
+            if e["kind"] == "agent.handover":
+                remote = e["authority"] == "remote_c2"
+            assert not (remote and e["kind"] in ACTION_EVENTS)
+            if e["kind"] == "agent.adjustment" and e["decision"] != "replan":
+                deviation = events[i - 1]
+                assert deviation["kind"] == "agent.deviation"
+                then = next((later for later in events[i + 1:] if later["kind"] in (
+                    "agent.action_started", "agent.plan_dropped")), None)
+                assert then is not None and then["tick"] == e["tick"]
+                if then["kind"] == "agent.action_started":
+                    assert then["entry_index"] == deviation["entry_index"]
+                    assert then["action"] == (e["substitute"] or deviation["action_id"])
 
 
 # set_roe field -> (the value the command sends, the value the agent's ROE then holds)
