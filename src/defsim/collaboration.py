@@ -3,9 +3,12 @@ handover and conditional propagation.
 
 Every message carries an authentication tag derived from the shared episode
 key; receivers discard anything with an invalid tag, so a spoofing adversary
-can observe and deny but never inject state. Negotiation is a bounded-round
-merge: union by subject, conflicts to the higher confidence, ties to the
-lexicographically smaller origin.
+can observe and deny but never inject state. An episode sends every message
+through one `Post`, which routes, tags, passes the spoofer and charges the
+sending agent its noise; only the replica transfer in `propagate` bypasses
+it. The exchanges return their trace events, which the episode emits.
+Negotiation is a bounded-round merge: union by subject, conflicts to the
+higher confidence, ties to the lexicographically smaller origin.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from typing import Any, Callable, Iterable, Optional
 from .envsim import DeliveryStatus, Environment, clamp01
 from .errors import (
     InvalidTransition,
-    NoRoute,
     RefusedNoAuthorization,
     RefusedNoRoute,
     RefusedNoTrigger,
@@ -28,7 +30,7 @@ from .errors import (
     UnknownGoal,
     canonical_json,
 )
-from .execution import AgentState, Authority
+from .execution import AgentState, Authority, Event
 from .learning import KnowledgeBase
 from .planning import ConditionActionRule, RulesOfEngagement, normalize_goals
 from .sensing import all_hold
@@ -139,59 +141,64 @@ def merge_conclusions(
 
 # -- exchange over the simulated platform ----------------------------------------
 
-def share_and_request(
-    agent_state: AgentState,
-    peers: list[tuple[str, str]],
-    conclusions: dict[str, Conclusion],
-    env: Environment,
-    rng: Random,
-    key: str,
-    communicate_noise: float,
-    spoofer: Optional[Callable[[str, dict[str, Any]], dict[str, Any]]] = None,
-) -> list[dict[str, Any]]:
-    """Send a conclusions request (carrying our own set) to each peer.
+@dataclass(frozen=True)
+class Post:
+    """An episode's one send: every message that an agent or the remote
+    center sends goes through `send`, except the replica transfer (see
+    `propagate`)."""
+    env: Environment
+    rng: Random
+    key: str
+    spoofer: Callable[[str, dict[str, Any]], dict[str, Any]]
+    communicate_noise: float
+    c2_host: Optional[str]
 
-    Every send is noisy: collaboration reveals presence. Peers behind
-    disabled or missing channels are skipped; if no peer at all was
-    reachable, NoRoute tells the caller to proceed alone.
-    """
+    def send(self, agent: Optional[AgentState], to_host: str, kind: MessageKind,
+             recipient: str, payload: Any, round_no: int = 0
+             ) -> Optional[tuple[str, DeliveryStatus]]:
+        """Route from the agent's host, or from `c2_host` as `c2` when `agent`
+        is None; tag the message, deliver it through the spoofer and raise the
+        agent's detectability by the noise of a send (the center is never
+        charged). Returns the channel and the delivery status, or None when no
+        channel connects the hosts, having sent and charged nothing."""
+        channel = self.env.route(self.c2_host if agent is None else agent.host_id, to_host)
+        if channel is None:
+            return None
+        message = build_message(self.key, kind, "c2" if agent is None else agent.agent_id,
+                                recipient, payload, round_no)
+        status = self.env.deliver(channel, message, self.rng, spoofer=self.spoofer)
+        if agent is not None:
+            agent.detectability = clamp01(agent.detectability + self.communicate_noise)
+        return channel, status
+
+
+def share_and_request(agent_state: AgentState, peers: list[tuple[str, str]],
+                      conclusions: dict[str, Conclusion], post: Post) -> list[Event]:
+    """Send a conclusions request, carrying our own set, to each (peer id,
+    host) and return the trace events: one agent.conclusions_requested per
+    peer, or, when no peer had a route, the single agent.collaboration_solo.
+    Every send is noisy: collaboration reveals presence."""
     outcomes: list[dict[str, Any]] = []
-    sent_any = False
     payload = {"conclusions": [conclusions[s].to_dict() for s in sorted(conclusions)]}
     for peer_id, peer_host in peers:
-        channel = env.route(agent_state.host_id, peer_host)
-        if channel is None:
-            outcomes.append({"peer": peer_id, "status": "no_route"})
-            continue
-        msg = build_message(key, MessageKind.REQUEST_CONCLUSIONS,
-                            agent_state.agent_id, peer_id, payload)
-        status = env.deliver(channel, msg, rng, spoofer=spoofer)
-        agent_state.detectability = clamp01(agent_state.detectability + communicate_noise)
-        sent_any = True
-        outcomes.append({"peer": peer_id, "status": status.value, "channel": channel})
-    if peers and not sent_any:
-        raise NoRoute("no peer reachable; proceeding alone")
-    return outcomes
+        sent = post.send(agent_state, peer_host, MessageKind.REQUEST_CONCLUSIONS, peer_id,
+                         payload)
+        outcomes.append({"peer": peer_id, "status": "no_route"} if sent is None
+                        else {"peer": peer_id, "status": sent[1].value, "channel": sent[0]})
+    if peers and all(outcome["status"] == "no_route" for outcome in outcomes):
+        return [("agent.collaboration_solo", {"reason": "no_peer_reachable"})]
+    return [("agent.conclusions_requested", outcome) for outcome in outcomes]
 
 
-def report(
-    agent_state: AgentState,
-    c2_host: str,
-    summary: dict[str, Any],
-    env: Environment,
-    rng: Random,
-    key: str,
-    communicate_noise: float,
-    spoofer: Optional[Callable[[str, dict[str, Any]], dict[str, Any]]] = None,
-) -> DeliveryStatus:
-    """Status report to the remote center, subject to channel state."""
-    channel = env.route(agent_state.host_id, c2_host)
-    if channel is None:
-        raise NoRoute(f"no channel from {agent_state.host_id!r} to {c2_host!r}")
-    msg = build_message(key, MessageKind.STATUS_REPORT, agent_state.agent_id, "c2", summary)
-    status = env.deliver(channel, msg, rng, spoofer=spoofer)
-    agent_state.detectability = clamp01(agent_state.detectability + communicate_noise)
-    return status
+def report(agent_state: AgentState, summary: dict[str, Any], post: Post,
+           reason: str) -> list[Event]:
+    """Send a status report to the remote center and return its trace
+    event: agent.report, or agent.report_skipped when no channel reaches
+    the center's host."""
+    sent = post.send(agent_state, post.c2_host, MessageKind.STATUS_REPORT, "c2", summary)
+    if sent is None:
+        return [("agent.report_skipped", {"reason": "no_route", "trigger": reason})]
+    return [("agent.report", {"status": sent[1].value, "reason": reason})]
 
 
 # -- authority handover ---------------------------------------------------------
@@ -267,19 +274,20 @@ def propagate(
     agent_state: AgentState,
     target_host: str,
     roster: FriendlyRoster,
-    env: Environment,
+    post: Post,
     local_integrity: float,
     threshold: float,
     kb_payload: dict[str, Any],
-    rng: Random,
-    key: str,
     new_agent_id: str,
     initial_detectability: float,
 ) -> AgentState:
     """Install a replica on a friendly host, only when every condition holds:
     roster membership, a nonempty authorization token, the low-integrity
     trigger, a host with no live agent, and a usable channel. The first
-    failed condition names the refusal."""
+    failed condition names the refusal. The ReplicaTransfer is the one
+    message sent past `Post.send`: it is delivered without the spoofer and
+    charges no noise (ROADMAP item 14)."""
+    env = post.env
     if target_host not in roster.hosts:
         raise RefusedNonFriendly(f"{target_host!r} not in friendly roster")
     if not roster.authorization_token:
@@ -293,9 +301,9 @@ def propagate(
     channel = env.route(agent_state.host_id, target_host)
     if channel is None:
         raise RefusedNoRoute(f"no usable channel to {target_host!r}")
-    msg = build_message(key, MessageKind.REPLICA_TRANSFER, agent_state.agent_id,
+    msg = build_message(post.key, MessageKind.REPLICA_TRANSFER, agent_state.agent_id,
                         new_agent_id, {"knowledge": kb_payload})
-    if env.deliver(channel, msg, rng) is DeliveryStatus.DROPPED:
+    if env.deliver(channel, msg, post.rng) is DeliveryStatus.DROPPED:
         raise RefusedNoRoute(f"replica transfer dropped on {channel!r}")
     replica = AgentState(
         agent_id=new_agent_id,

@@ -37,10 +37,6 @@ class ModeForbidden(DefsimError):
 
 # -- collaboration ----------------------------------------------------------
 
-class NoRoute(DefsimError):
-    """No usable channel connects the two hosts."""
-
-
 class InvalidTransition(DefsimError):
     """Handover message does not match the current authority holder."""
 

@@ -5,7 +5,9 @@ messages in the order they were sent; (2) adversary instances in id order,
 then their effects in that order; (3) live agents in id order, each running
 inbox -> sense -> identify -> control boundary -> collaborate ->
 monitor/adjust -> plan -> execute -> report; (4) the scripted C2 sends for
-the tick. Both actors return their trace events, which the loop emits.
+the tick. The adversary, execution and the collaboration exchanges return
+their trace events, which the loop emits; every message but the replica
+transfer goes through the episode's one `collaboration.Post`.
 Messages sent mid-tick land in inboxes and are read at the recipient's next
 agent phase, so any (config, seed) pair replays to an identical trace. Each
 event's seq is its 0-based position in its tick.
@@ -23,14 +25,13 @@ from typing import Any, Optional
 
 from . import collaboration, execution, learning, planning, sensing
 from .adversary import MalwareController
-from .envsim import Environment, clamp01, sum_in_order
+from .envsim import Environment, sum_in_order
 from .errors import (
     ConfigInvalid,
     CorruptTrace,
     IndexOutOfRange,
     InvalidTransition,
     ModeForbidden,
-    NoRoute,
     PropagationRefused,
     SchemaMismatch,
     UnknownGoal,
@@ -151,8 +152,10 @@ class Episode:
         self.rng = Random(seed)
         self.env: Environment = config.build_environment()
         self.malware = MalwareController(*config.build_playbook())
-        self.spoofer = partial(self.malware.intercept, self.env, self.rng)
-        self.auth_key = f"shared-key-{config.scenario_hash}"
+        self.post = collaboration.Post(
+            self.env, self.rng, f"shared-key-{config.scenario_hash}",
+            partial(self.malware.intercept, self.env, self.rng),
+            config.collaboration.communicate_noise, config.c2_host)
         self.trace: list[dict[str, Any]] = []
         self.decision_log: list[dict[str, Any]] = []
         self.body_index: dict[str, int] = {}  # encoded decision body -> its first decision
@@ -303,7 +306,7 @@ class Episode:
         which apply after this pass's identify."""
         commands: list[dict[str, Any]] = []
         for msg in self.env.drain_inbox(rt.state.agent_id):
-            if not collaboration.verify_message(self.auth_key, msg):
+            if not collaboration.verify_message(self.post.key, msg):
                 self.emit("agent.message_discarded", agent=rt.state.agent_id,
                           message_kind=msg.get("kind"), sender=msg.get("sender"),
                           reason="invalid_auth_tag", forged=bool(msg.get("forged")))
@@ -349,31 +352,22 @@ class Episode:
         self.emit("agent.negotiation", agent=rt.state.agent_id, sender=sender,
                   round=round_no, changed=changed, set_size=len(rt.conclusions))
         if reply and sender in self.runtimes:
-            peers = [sender]
+            peers = [(sender, self.runtimes[sender].state.host_id)]
         elif changed and round_no < self.config.collaboration.negotiation_rounds:
-            peers, round_no = [peer_id for peer_id, _ in self._peers_of(rt)], round_no + 1
+            peers, round_no = self._peers_of(rt), round_no + 1
         else:
             return
         # one payload for every peer: recipients only read it
         shared = {"conclusions": [rt.conclusions[s].to_dict() for s in sorted(rt.conclusions)]}
-        for peer_id in peers:
-            self._send_conclusions(rt, peer_id, shared, round_no)
-
-    def _send_conclusions(self, rt: AgentRuntime, peer_id: str, payload: dict[str, Any],
-                          round_no: int) -> None:
-        channel = self.env.route(rt.state.host_id, self.runtimes[peer_id].state.host_id)
-        if channel is None:
-            self.emit("agent.share_skipped", agent=rt.state.agent_id, peer=peer_id,
-                      reason="no_route")
-            return
-        msg = collaboration.build_message(
-            self.auth_key, collaboration.MessageKind.SHARE_CONCLUSIONS, rt.state.agent_id,
-            peer_id, payload, round_no)
-        status = self.env.deliver(channel, msg, self.rng, spoofer=self.spoofer)
-        rt.state.detectability = clamp01(
-            rt.state.detectability + self.config.collaboration.communicate_noise)
-        self.emit("agent.conclusions_shared", agent=rt.state.agent_id, peer=peer_id,
-                  status=status.value, round=round_no)
+        for peer_id, peer_host in peers:
+            sent = self.post.send(rt.state, peer_host, collaboration.MessageKind.SHARE_CONCLUSIONS,
+                                  peer_id, shared, round_no)
+            if sent is None:
+                self.emit("agent.share_skipped", agent=rt.state.agent_id, peer=peer_id,
+                          reason="no_route")
+            else:
+                self.emit("agent.conclusions_shared", agent=rt.state.agent_id, peer=peer_id,
+                          status=sent[1].value, round=round_no)
 
     def _peers_of(self, rt: AgentRuntime) -> list[tuple[str, str]]:
         peers = (self.runtimes[agent_id].state for agent_id in self.agent_ids)
@@ -416,15 +410,8 @@ class Episode:
         peers = self._peers_of(rt)
         if not peers:
             return
-        try:
-            outcomes = collaboration.share_and_request(
-                rt.state, peers, rt.conclusions, self.env, self.rng, self.auth_key,
-                self.config.collaboration.communicate_noise, spoofer=self.spoofer)
-            for outcome in outcomes:
-                self.emit("agent.conclusions_requested", agent=rt.state.agent_id, **outcome)
-        except NoRoute:
-            self.emit("agent.collaboration_solo", agent=rt.state.agent_id,
-                      reason="no_peer_reachable")
+        events = collaboration.share_and_request(rt.state, peers, rt.conclusions, self.post)
+        self._emit_events(events, agent=rt.state.agent_id)
 
     # -- monitoring, planning, execution -------------------------------------------------
 
@@ -530,9 +517,9 @@ class Episode:
         new_id = f"{rt.state.agent_id}_r{rt.replica_count + 1}"
         try:
             replica_state = collaboration.propagate(
-                rt.state, target, self.config.roster, self.env,
+                rt.state, target, self.config.roster, self.post,
                 integrity_belief, self.config.collaboration.propagation_threshold,
-                rt.kb.to_json(), self.rng, self.auth_key, new_id,
+                rt.kb.to_json(), new_id,
                 initial_detectability=rt.initial_detectability)
         except PropagationRefused as exc:
             self.emit("agent.propagation", agent=rt.state.agent_id, target=target,
@@ -567,16 +554,8 @@ class Episode:
         if self.config.c2_host is None:
             return
         rt.last_report_tick = tick  # skipped reports retry next interval
-        try:
-            status = collaboration.report(
-                rt.state, self.config.c2_host, self._report_summary(rt), self.env,
-                self.rng, self.auth_key, self.config.collaboration.communicate_noise,
-                spoofer=self.spoofer)
-            self.emit("agent.report", agent=rt.state.agent_id,
-                      status=status.value, reason=reason)
-        except NoRoute:
-            self.emit("agent.report_skipped", agent=rt.state.agent_id,
-                      reason="no_route", trigger=reason)
+        events = collaboration.report(rt.state, self._report_summary(rt), self.post, reason)
+        self._emit_events(events, agent=rt.state.agent_id)
 
     def _periodic_report(self, rt: AgentRuntime, tick: int) -> None:
         if tick - rt.last_report_tick >= self.config.collaboration.report_interval:
@@ -593,16 +572,14 @@ class Episode:
             if target is None:  # the agent is off: a scripted recipient is a scenario agent
                 self.emit("c2.send_failed", to=recipient, reason="unknown_agent")
                 continue
-            channel = self.env.route(self.config.c2_host, target.state.host_id)
-            if channel is None:
+            sent = self.post.send(None, target.state.host_id,
+                                  collaboration.MessageKind(entry["kind"]), recipient,
+                                  entry["payload"])
+            if sent is None:
                 self.emit("c2.send_failed", to=recipient, reason="no_route")
-                continue
-            msg = collaboration.build_message(
-                self.auth_key, collaboration.MessageKind(entry["kind"]),
-                "c2", recipient, entry["payload"])
-            status = self.env.deliver(channel, msg, self.rng, spoofer=self.spoofer)
-            self.emit("c2.sent", to=recipient, message_kind=entry["kind"],
-                      status=status.value)
+            else:
+                self.emit("c2.sent", to=recipient, message_kind=entry["kind"],
+                          status=sent[1].value)
         self.env.drain_inbox("c2")  # the center takes its status reports and acts on none
 
     # -- episode-end learning ------------------------------------------------------------------

@@ -524,6 +524,13 @@ def _cross_rules(doc: dict[str, Any], ids: dict[str, set[Any]], problems: list[s
     # messages from the remote center carry the sender "c2"
     if "c2" in ids["agent"]:
         problems.append("agent 'c2': id is taken by the remote center")
+    # the center is remote: an agent or a replica on its host would send to it over a link
+    center = doc["c2"] and doc["c2"]["host_id"]
+    for where, host in ([(f"agent {a['agent_id']!r}", a["host_id"]) for a in doc["agents"]]
+                        + [(f"scenario.roster.hosts[{index}]", host)
+                           for index, host in enumerate(doc["roster"]["hosts"])]):
+        if host == center:
+            problems.append(f"{where}: host {host!r} is the remote center's c2.host_id")
     for kind, records, key in (("agent", doc["agents"], "agent_id"),
                                ("instance", pb["instances"], "instance_id")):
         for record in records:

@@ -6,6 +6,7 @@ from defsim.collaboration import (
     Conclusion,
     FriendlyRoster,
     MessageKind,
+    Post,
     Verdict,
     apply_control,
     auth_tag,
@@ -20,7 +21,6 @@ from defsim.collaboration import (
 from defsim.envsim import DeliveryStatus, EffectDescriptor
 from defsim.errors import (
     InvalidTransition,
-    NoRoute,
     RefusedNoAuthorization,
     RefusedNoRoute,
     RefusedNoTrigger,
@@ -151,12 +151,24 @@ def agent_on(host="h1"):
     return AgentState("a1", host, detectability=0.1)
 
 
+def passes(channel, message):
+    return message
+
+
+def forge(channel, message):
+    return dict(message, payload={"forged": True})
+
+
+def post_on(env, rng=None, spoofer=passes, c2_host="h2"):
+    return Post(env, rng or Random(1), KEY, spoofer, 0.05, c2_host)
+
+
 def test_share_no_peers_no_noise():
     env = two_host_env()
     env.step(0)
     state = agent_on()
-    outcomes = share_and_request(state, [], {}, env, Random(1), KEY, 0.05)
-    assert outcomes == []
+    events = share_and_request(state, [], {}, post_on(env))
+    assert events == []
     assert state.detectability == 0.1
 
 
@@ -165,8 +177,9 @@ def test_share_single_peer_delivers_and_raises_detectability():
     env.step(0)
     state = agent_on()
     conclusions = {"host:h1": concl("host:h1", "clean", 0.9, "a1")}
-    outcomes = share_and_request(state, [("a2", "h2")], conclusions, env, Random(1), KEY, 0.05)
-    assert outcomes == [{"peer": "a2", "status": "delivered", "channel": "c1"}]
+    events = share_and_request(state, [("a2", "h2")], conclusions, post_on(env))
+    assert events == [("agent.conclusions_requested",
+                       {"peer": "a2", "status": "delivered", "channel": "c1"})]
     assert state.detectability == pytest.approx(0.15)
     inbox = env.drain_inbox("a2")
     assert inbox[0]["kind"] == "RequestConclusions"
@@ -177,23 +190,61 @@ def test_share_all_peers_unreachable_is_no_route():
     env = two_host_env("disabled")
     env.step(0)
     state = agent_on()
-    with pytest.raises(NoRoute):
-        share_and_request(state, [("a2", "h2")], {}, env, Random(1), KEY, 0.05)
+    events = share_and_request(state, [("a2", "h2")], {}, post_on(env))
+    assert events == [("agent.collaboration_solo", {"reason": "no_peer_reachable"})]
     assert state.detectability == 0.1  # nothing sent, nothing revealed
 
 
 def test_report_delivered_on_healthy_channel():
     env = two_host_env()
     env.step(0)
-    status = report(agent_on(), "h2", {"mode": "normal"}, env, Random(1), KEY, 0.05)
-    assert status is DeliveryStatus.DELIVERED
+    events = report(agent_on(), {"mode": "normal"}, post_on(env), "interval")
+    assert events == [("agent.report", {"status": "delivered", "reason": "interval"})]
+    assert env.drain_inbox("c2")[0]["kind"] == "StatusReport"
 
 
 def test_report_no_route_when_disabled():
     env = two_host_env("disabled")
     env.step(0)
-    with pytest.raises(NoRoute):
-        report(agent_on(), "h2", {}, env, Random(1), KEY, 0.05)
+    state = agent_on()
+    events = report(state, {}, post_on(env), "interval")
+    assert events == [("agent.report_skipped", {"reason": "no_route", "trigger": "interval"})]
+    assert state.detectability == 0.1
+
+
+def test_a_center_send_comes_from_c2_and_charges_no_one():
+    env = two_host_env()
+    env.step(0)
+    state = AgentState("a2", "h2", detectability=0.1)
+    sent = post_on(env, c2_host="h1").send(None, state.host_id, MessageKind.HANDOVER_GRANT,
+                                           "a2", {})
+    assert sent == ("c1", DeliveryStatus.DELIVERED)
+    message = env.drain_inbox("a2")[0]
+    assert message["sender"] == "c2" and verify_message(KEY, message)
+    assert state.detectability == 0.1
+
+
+def test_a_send_with_no_route_sends_and_charges_nothing():
+    env = two_host_env("disabled")
+    env.step(0)
+    state, rng = agent_on(), Random(1)
+    assert post_on(env, rng).send(state, "h2", MessageKind.SHARE_CONCLUSIONS, "a2", {}) is None
+    assert env.inboxes == {}
+    assert state.detectability == 0.1
+    assert rng.getstate() == Random(1).getstate()
+
+
+def test_a_spoofed_channel_delivers_what_the_spoofer_returns():
+    env = two_host_env("spoofed")
+    env.step(0)
+    state = agent_on()
+    sent = post_on(env, spoofer=forge).send(state, "h2", MessageKind.SHARE_CONCLUSIONS, "a2",
+                                            {"conclusions": []}, round_no=2)
+    assert sent == ("c1", DeliveryStatus.OBSERVED_AND_DELIVERED)
+    message = env.drain_inbox("a2")[0]
+    assert message["payload"] == {"forged": True} and message["round"] == 2
+    assert not verify_message(KEY, message)  # the receiver discards the forgery
+    assert state.detectability == pytest.approx(0.15)
 
 
 # -- handover -----------------------------------------------------------------------------------
@@ -286,10 +337,9 @@ def roster(hosts=("h2",), token="tok"):
 
 
 def try_propagate(env, target="h2", roster_=None, integrity=0.1, threshold=0.3):
-    return propagate(agent_on("h1"), target, roster_ or roster(), env,
+    return propagate(agent_on("h1"), target, roster_ or roster(), post_on(env),
                      local_integrity=integrity, threshold=threshold,
-                     kb_payload={}, rng=Random(1), key=KEY, new_agent_id="a1_r1",
-                     initial_detectability=0.1)
+                     kb_payload={}, new_agent_id="a1_r1", initial_detectability=0.1)
 
 
 def test_propagate_refuses_non_roster_host():
@@ -312,9 +362,8 @@ def test_propagate_refuses_a_host_that_holds_a_live_agent_and_draws_nothing():
     env.install_agent("a2", "h2")
     rng = Random(1)
     with pytest.raises(RefusedOccupied, match="'h2' holds live agent 'a2'"):
-        propagate(agent_on("h1"), "h2", roster(), env, local_integrity=0.1, threshold=0.3,
-                  kb_payload={}, rng=rng, key=KEY, new_agent_id="a1_r1",
-                  initial_detectability=0.1)
+        propagate(agent_on("h1"), "h2", roster(), post_on(env, rng), local_integrity=0.1,
+                  threshold=0.3, kb_payload={}, new_agent_id="a1_r1", initial_detectability=0.1)
     assert rng.getstate() == Random(1).getstate()
     assert env.hosts["h2"].resident_agent == "a2" and env.inboxes == {}
     env.apply_effect(EffectDescriptor("agent:a2", "", "kill"))  # a kill frees the host
@@ -355,3 +404,15 @@ def test_refusal_order_names_first_failed_condition():
     # non-roster beats every later condition
     with pytest.raises(RefusedNonFriendly):
         try_propagate(env, roster_=roster(hosts=()), integrity=0.9)
+
+
+def test_the_replica_transfer_passes_no_spoofer_and_charges_no_noise():
+    # the one message sent past Post.send (ROADMAP item 14)
+    env = two_host_env("spoofed")
+    env.step(0)
+    state = agent_on("h1")
+    propagate(state, "h2", roster(), post_on(env, spoofer=forge), local_integrity=0.1,
+              threshold=0.3, kb_payload={}, new_agent_id="a1_r1", initial_detectability=0.1)
+    transfer = env.drain_inbox("a1_r1")[0]
+    assert transfer["payload"] == {"knowledge": {}} and verify_message(KEY, transfer)
+    assert state.detectability == 0.1

@@ -382,6 +382,48 @@ def test_the_package_has_one_canonical_encoder():
     assert found == {name: [] for name in found}
 
 
+SEND_CALLS = {"route", "deliver", "build_message"}
+
+
+def send_calls(source: str) -> list[str]:
+    """`function: name` of each call of route, deliver or build_message in
+    `source`, by the module-level function or method that makes it
+    (`<module>` for any other place)."""
+    tree = ast.parse(source)
+    owner = {id(sub): qualname for qualname, node in module_functions(tree)
+             for sub in ast.walk(node)}
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in SEND_CALLS:
+                calls.append(f"{owner.get(id(node), '<module>')}: {name}")
+    return sorted(calls)
+
+
+def test_checker_names_each_send_call_by_its_function():
+    source = ("def f(env):\n    return env.route('h1', 'h2')\n"
+              "class P:\n"
+              "    def send(self):\n"
+              "        m = build_message(k)\n"
+              "        return self.env.deliver(c, m)\n"
+              "deliver(x)\n"
+              "def g():\n    return routes(), env.deliver\n")
+    assert send_calls(source) == ["<module>: deliver", "P.send: build_message",
+                                  "P.send: deliver", "f: route"]
+
+
+def test_every_message_is_sent_in_collaboration():
+    # Post.send routes, tags and delivers every message; propagate sends the
+    # replica transfer itself, past the spoofer
+    calls = {path.name: send_calls(path.read_text()) for path in SOURCES}
+    assert calls.pop("collaboration.py") == [
+        "Post.send: build_message", "Post.send: deliver", "Post.send: route",
+        "propagate: build_message", "propagate: deliver", "propagate: route"]
+    assert calls == {name: [] for name in calls}
+
+
 # raises that name no class of errors.py: (module, function, exception) -> why it stays
 KEPT_RAISES = {
     ("planning.py", "_product", "OverflowError"):

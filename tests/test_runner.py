@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from defsim import collaboration, execution, planning, sensing
+from defsim.envsim import clamp01
 from defsim.errors import (
     ConfigInvalid,
     CorruptTrace,
@@ -132,19 +133,20 @@ def test_a_repeated_seed_runs_once(bundled_configs, monkeypatch):
 
 
 def test_a_forward_sends_one_payload_to_every_peer(bundled_configs, monkeypatch):
-    handle, send = Episode._handle_conclusions, Episode._send_conclusions
-    forwards: list[list] = []  # per _handle_conclusions call: each send's (payload, copy)
+    handle, send = Episode._handle_conclusions, collaboration.Post.send
+    forwards: list[list] = []  # per _handle_conclusions call: each share's (payload, copy)
 
     def recorded_handle(self, rt, msg, reply):
         forwards.append([])
         return handle(self, rt, msg, reply)
 
-    def recorded_send(self, rt, peer_id, payload, round_no):
-        forwards[-1].append((payload, copy.deepcopy(payload)))
-        return send(self, rt, peer_id, payload, round_no)
+    def recorded_send(self, agent, to_host, kind, recipient, payload, *args):
+        if kind is collaboration.MessageKind.SHARE_CONCLUSIONS:
+            forwards[-1].append((payload, copy.deepcopy(payload)))
+        return send(self, agent, to_host, kind, recipient, payload, *args)
 
     monkeypatch.setattr(Episode, "_handle_conclusions", recorded_handle)
-    monkeypatch.setattr(Episode, "_send_conclusions", recorded_send)
+    monkeypatch.setattr(collaboration.Post, "send", recorded_send)
     for seed in range(1, 21):
         run_episode(bundled_configs["s3_partition"], seed)
     assert max(len(sends) for sends in forwards) == 2
@@ -643,10 +645,13 @@ def test_the_agent_applies_every_control_command_of_the_format_in_its_own_branch
               for field, (sent, held) in ROE_VALUES.items()]
     script = [{"tick": 0, "kind": "ControlCommand", "to": "a1", "payload": command}
               for _, command, _ in cases]
+    topology = copy.deepcopy(quiet_scenario().raw["topology"])
+    topology["hosts"].append({"host_id": "c2host"})  # the center's host holds no agent
     config = quiet_scenario(  # the script shows that the format accepts every command
+        topology=topology,
         goals=[{"goal_id": "g", "predicates": [], "weight": 1.0},
                {"goal_id": "g2", "predicates": [], "weight": 1.0}],
-        c2={"host_id": "h1", "script": script})
+        c2={"host_id": "c2host", "script": script})
     for name, command, check in cases:
         episode = Episode(config, seed=1)
         rt = episode.runtimes["a1"]
@@ -677,6 +682,39 @@ def test_control_commands_apply_at_decision_boundary(bundled_results):
         # execution within the tick happens only after the boundary
         for act in action_events:
             assert act["seq"] > event["seq"]
+
+
+def test_an_agents_detectability_is_a_ledger_of_what_it_did(bundled_configs):
+    """An agent starts at its scenario value, a replica at its parent's
+    start value. Each send it makes (a conclusions request that had a route,
+    a share, a report, a dropped one too) adds communicate_noise, and each
+    action it starts adds the action's signed noise, which the start logs.
+    Center sends, skipped sends and the replica transfer add nothing."""
+    started = 0
+    for name in ("s1_comms_spoof", "s2_lateral_hunt", "s3_partition"):
+        config = bundled_configs[name]
+        noise = config.collaboration.communicate_noise
+        repertoire = config.build_repertoire()
+        for seed in range(1, 6):
+            episode = Episode(config, seed)
+            trace = episode.run().trace
+            initial = {spec.agent_id: spec.detectability for spec in config.agents}
+            held = dict(initial)
+            for event in trace:
+                kind, agent = event["kind"], event.get("agent")
+                if kind == "agent.propagation" and event["installed"]:
+                    initial[event["replica"]] = held[event["replica"]] = initial[agent]
+                elif (kind in ("agent.conclusions_shared", "agent.report")
+                      or kind == "agent.conclusions_requested" and event["status"] != "no_route"):
+                    held[agent] = clamp01(held[agent] + noise)
+                elif kind == "agent.action_started":
+                    spec = execution._lookup(event["action"], repertoire)
+                    held[agent] = clamp01(held[agent] + planning.signed_noise(spec))
+                    assert event["detectability"] == held[agent], (name, seed, event)
+                    started += 1
+            assert held == {agent_id: rt.state.detectability
+                            for agent_id, rt in episode.runtimes.items()}, (name, seed)
+    assert started
 
 
 def test_remote_authority_suspends_execution(bundled_results):
@@ -717,9 +755,9 @@ def test_a_status_report_carries_the_agents_own_last_three_decisions(bundled_con
                                                                      monkeypatch):
     report, summaries = collaboration.report, []
 
-    def captured(state, c2_host, summary, *args, **kwargs):
+    def captured(state, summary, *args, **kwargs):
         summaries.append((state.agent_id, copy.deepcopy(summary)))
-        return report(state, c2_host, summary, *args, **kwargs)
+        return report(state, summary, *args, **kwargs)
     monkeypatch.setattr(collaboration, "report", captured)
     full = 0
     for seed in range(1, 21):

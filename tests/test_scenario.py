@@ -165,6 +165,25 @@ def test_roster_unknown_host_rejected():
     assert any("roster: unknown host" in p for p in problems_of(raw))
 
 
+def test_the_remote_centers_host_holds_no_agent_and_no_replica(tmp_path):
+    """The center is remote: an agent on its host, or a replica installed
+    there, would send to it over a link to some other host, where a spoofer
+    can read or forge what it sends."""
+    raw = json.loads((Path(__file__).parent / "data" / "risk_loop.json").read_text())
+    on_center = copy.deepcopy(raw)
+    on_center["agents"][0]["host_id"] = "c2host"
+    assert problems_of(on_center) == [
+        "agent 'a1': host 'c2host' is the remote center's c2.host_id"]
+    in_roster = copy.deepcopy(raw)
+    in_roster["roster"] = {"hosts": ["h1", "c2host"], "authorization_token": "tok"}
+    assert problems_of(in_roster) == [
+        "scenario.roster.hosts[1]: host 'c2host' is the remote center's c2.host_id"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(on_center))
+    assert main(["run", "--scenario", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def test_thresholds_ordering_enforced():
     raw = minimal_raw()
     raw["topology"]["thresholds"] = {"up_threshold": 0.3, "down_threshold": 0.8}
