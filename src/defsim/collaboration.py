@@ -7,6 +7,9 @@ can observe and deny but never inject state. An episode sends every message
 through one `Post`, which routes, tags, passes the spoofer and charges the
 sending agent its noise; only the replica transfer in `propagate` bypasses
 it. The exchanges return their trace events, which the episode emits.
+A conclusions payload, `{"conclusions": [...]}`, carries the sender's
+`Conclusion` tuples by subject as they are, and the tag covers each field
+of each, in order: the tuples encode as JSON arrays.
 Negotiation is a bounded-round merge: union by subject, conflicts to the
 higher confidence, ties to the lexicographically smaller origin.
 """
@@ -17,7 +20,7 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .envsim import DeliveryStatus, Environment, clamp01
 from .errors import (
@@ -52,32 +55,12 @@ class Verdict(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Conclusion:
+class Conclusion(NamedTuple):
     subject: str
     verdict: Verdict
     confidence: float
     origin: str
     tick: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "subject": self.subject,
-            "verdict": self.verdict.value,
-            "confidence": self.confidence,
-            "origin": self.origin,
-            "tick": self.tick,
-        }
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "Conclusion":
-        return Conclusion(
-            subject=data["subject"],
-            verdict=Verdict(data["verdict"]),
-            confidence=data["confidence"],
-            origin=data["origin"],
-            tick=data["tick"],
-        )
 
 
 @dataclass(frozen=True)
@@ -103,12 +86,12 @@ def build_message(
     round_no: int = 0,
 ) -> dict[str, Any]:
     return {
-        "kind": kind.value,
+        "kind": kind,
         "sender": sender,
         "recipient": recipient,
         "payload": payload,
         "round": round_no,
-        "auth_tag": auth_tag(key, kind.value, sender, recipient, payload),
+        "auth_tag": auth_tag(key, kind, sender, recipient, payload),
     }
 
 
@@ -123,8 +106,8 @@ def verify_message(key: str, message: dict[str, Any]) -> bool:
 def _prefer(a: Conclusion, b: Conclusion) -> Conclusion:
     """Deterministic total preference: higher confidence, then smaller
     origin id, then verdict value, then newer tick."""
-    ka = (-a.confidence, a.origin, a.verdict.value, -a.tick)
-    kb = (-b.confidence, b.origin, b.verdict.value, -b.tick)
+    ka = (-a.confidence, a.origin, a.verdict, -a.tick)
+    kb = (-b.confidence, b.origin, b.verdict, -b.tick)
     return a if ka <= kb else b
 
 
@@ -179,7 +162,7 @@ def share_and_request(agent_state: AgentState, peers: list[tuple[str, str]],
     peer, or, when no peer had a route, the single agent.collaboration_solo.
     Every send is noisy: collaboration reveals presence."""
     outcomes: list[dict[str, Any]] = []
-    payload = {"conclusions": [conclusions[s].to_dict() for s in sorted(conclusions)]}
+    payload = {"conclusions": [conclusions[s] for s in sorted(conclusions)]}
     for peer_id, peer_host in peers:
         sent = post.send(agent_state, peer_host, MessageKind.REQUEST_CONCLUSIONS, peer_id,
                          payload)
@@ -210,7 +193,7 @@ def handover(agent_state: AgentState, message: dict[str, Any]) -> None:
     The caller authenticates messages first; this guards only the
     transition direction.
     """
-    if message.get("kind") == MessageKind.HANDOVER_GRANT.value:
+    if message.get("kind") == MessageKind.HANDOVER_GRANT:
         if agent_state.authority is not Authority.AGENT:
             raise InvalidTransition("grant while authority already remote")
         agent_state.authority = Authority.REMOTE_C2

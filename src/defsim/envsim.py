@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import copy
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from random import Random
 from typing import Any, Callable, Iterable, Optional
 
@@ -26,10 +28,7 @@ def clamp01(x: float) -> float:
 def sum_in_order(values: Iterable[Any], start: Any = 0) -> Any:
     """start + each value, left to right: the same bits on every CPython,
     where builtin sum() compensates float rounding from 3.12 on."""
-    total = start
-    for value in values:
-        total += value
-    return total
+    return reduce(operator.add, values, start)
 
 
 class ServiceState(str, Enum):
@@ -148,8 +147,9 @@ class Environment:
     The topology (hosts, channels and their endpoints) is fixed at
     construction. Every change to a host, service, process, file or channel
     state goes through apply_effect, restore or install_agent, and each of
-    them advances `mutations` first: a sensor read taken when the counter
-    last had its current value still holds.
+    them advances `host_changes` of every host whose sensors read what it
+    changed: a channel's two endpoints, or the one host of anything else.
+    Rows read on a host when its count last had its current value still hold.
     """
 
     def __init__(self, hosts: dict[str, Host], channels: dict[str, CommsChannel],
@@ -163,7 +163,7 @@ class Environment:
         self._scheduled: dict[int, list[tuple[str, dict[str, Any]]]] = {}
         self.inboxes: dict[str, list[dict[str, Any]]] = {}
         self._token_counter = itertools.count(1)
-        self.mutations = 0
+        self.host_changes = dict.fromkeys(hosts, 0)
         adjacent: dict[str, list[CommsChannel]] = {}
         for ch in sorted(channels.values(), key=lambda c: c.channel_id):
             for host_id in dict.fromkeys(ch.endpoints):
@@ -194,9 +194,12 @@ class Environment:
         and, for services, the old and new derived state. UnknownEntity: a
         named process or file, or a service on the agent's own host, is gone.
         """
-        self.mutations += 1
-        changes = [self._apply_one(kind, host, name, effect)
-                   for kind, host, name in self._resolve(effect)]
+        changes = []
+        for kind, host, name in self._resolve(effect):
+            changes.append(self._apply_one(kind, host, name, effect))
+            # then the count of each host whose sensors read the entity
+            for host_id in self.channels[name].endpoints if host is None else (host.host_id,):
+                self.host_changes[host_id] += 1
         return {
             "cause": cause,
             "target": effect.target,
@@ -208,10 +211,13 @@ class Environment:
     def _resolve(self, effect: EffectDescriptor) -> list[tuple[str, Optional[Host], str]]:
         """(kind, host, name) for each entity the target names. A host
         target's host is itself; a service, process or file lives on its host
-        under its name; channels and agents have no host."""
+        under its name; an agent resides on its host; a channel has none."""
         kind, *names = effect.target.split(":")
-        if kind in ("channel", "agent"):
+        if kind == "channel":
             return [(kind, None, names[0])]
+        if kind == "agent":  # the one host it resides on
+            return [(kind, next(h for h in self.hosts.values() if h.resident_agent == names[0]),
+                     names[0])]
         host = self.hosts[names[0]]
         name = names[-1]
         if name == "@unknown" and kind == "process":
@@ -229,7 +235,7 @@ class Environment:
         if kind == "channel":
             return self._apply_channel(name, effect)
         if kind == "agent":
-            return self._apply_agent(name)
+            return self._apply_agent(host, name)
         if kind == "service":
             return self._apply_service(host, name, effect)
         if kind == "process":
@@ -251,8 +257,7 @@ class Environment:
         ch.enforce_invariants()
         return {"entity": f"channel:{cid}", "attribute": "state", "old": old, "new": ch.state.value}
 
-    def _apply_agent(self, agent_id: str) -> dict[str, Any]:
-        host = next(h for h in self.hosts.values() if h.resident_agent == agent_id)  # the one
+    def _apply_agent(self, host: Host, agent_id: str) -> dict[str, Any]:
         host.resident_agent = None
         host.processes.pop(f"agent_proc_{agent_id}", None)  # its own action may have killed it
         return {"entity": f"agent:{agent_id}", "attribute": "resident", "old": host.host_id, "new": None}
@@ -382,7 +387,7 @@ class Environment:
         resident_agent is untouched: recovering data does not evict anyone.
         """
         host = self.hosts[token.host_id]
-        self.mutations += 1
+        self.host_changes[token.host_id] += 1
         host.services = copy.deepcopy(token.services)
         host.files = copy.deepcopy(token.files)
         kept = {
@@ -404,7 +409,7 @@ class Environment:
 
     def install_agent(self, agent_id: str, host_id: str) -> None:
         host = self.hosts[host_id]
-        self.mutations += 1
+        self.host_changes[host_id] += 1
         host.resident_agent = agent_id
         pid = f"agent_proc_{agent_id}"
         host.processes[pid] = Process(pid, image_hash=f"agent-{agent_id}", known_good=True, owner=Owner.AGENT)

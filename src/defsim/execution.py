@@ -230,11 +230,11 @@ def monitor_effects(
     ws: WorldState,
     repertoire: dict[str, ActionSpec],
 ) -> tuple[list[Deviation], list[tuple[str, int, bool]]]:
-    """Check a done attempt's expected-effect predicates against the beliefs,
-    which monitoring reads after they are refreshed and before the next
-    execute, and clear the attempt; unmet expectations are the warning
-    signs. A builtin's expectations go unchecked. Returns the deviations and
-    every check made, as (action id, effect index, held)."""
+    """Check a done attempt's expected-effect predicates against the
+    features, which monitoring reads after this pass's sense refreshed them
+    and before the next execute, and clear the attempt; unmet expectations
+    are the warning signs. A builtin's expectations go unchecked. Returns
+    the deviations and every check made, as (action id, effect index, held)."""
     rec = pe.attempt
     if rec is None or rec.status is not ActionStatus.DONE:
         return [], []

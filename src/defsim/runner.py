@@ -64,7 +64,7 @@ class AgentRuntime:
     replica_count: int = 0
     assessment: Optional[Assessment] = None
     identified_at: int = -1  # the knowledge base's pattern version at the last identify
-    sensed_at: int = -1  # the environment's mutation count at the last sense
+    sensed_at: int = -1  # its host's change count at the last sense
     # the last decision: (its assessment, path, body, canonical bytes). It
     # stands while its assessment does: features and patterns change only
     # through a sense or a write that re-runs identify, and goals, rules and
@@ -263,13 +263,14 @@ class Episode:
             return
         commands = self._process_inbox(rt)
 
-        # reads taken at the environment's current mutation count still hold;
-        # a noisy config reads every pass, so its draws keep their place
-        if rt.sensed_at == self.env.mutations and not self.sensors.noise:
+        # reads taken at the host's current change count still hold; a noisy
+        # config reads every pass, so its draws keep their place
+        count = self.env.host_changes[rt.state.host_id]
+        if rt.sensed_at == count and not self.sensors.noise:
             rows = rt.ws.rows
         else:
             rows = sensing.sense(self.env, rt.state.host_id, self.sensors, self.rng)
-            rt.sensed_at = self.env.mutations
+            rt.sensed_at = count
         changed = sensing.update_world_state(
             rt.ws, rows, self.sensors, tick,
             {"detectability": rt.state.detectability, "replica_count": rt.replica_count})
@@ -312,22 +313,22 @@ class Episode:
                           reason="invalid_auth_tag", forged=bool(msg.get("forged")))
                 continue
             kind = msg.get("kind")
-            if kind == collaboration.MessageKind.REQUEST_CONCLUSIONS.value:
+            if kind == collaboration.MessageKind.REQUEST_CONCLUSIONS:
                 self._handle_conclusions(rt, msg, reply=True)
-            elif kind == collaboration.MessageKind.SHARE_CONCLUSIONS.value:
+            elif kind == collaboration.MessageKind.SHARE_CONCLUSIONS:
                 self._handle_conclusions(rt, msg, reply=False)
-            elif kind == collaboration.MessageKind.REPLICA_TRANSFER.value:
+            elif kind == collaboration.MessageKind.REPLICA_TRANSFER:
                 # the knowledge the replica's parent sent at install. A pass
                 # before it arrived matched no pattern, so none decided; this
                 # pass identifies again, which also drops any kept decision
                 rt.kb = KnowledgeBase.from_json(msg["payload"]["knowledge"])
                 rt.identified_at = -1
-            elif kind == collaboration.MessageKind.CONTROL_COMMAND.value:
+            elif kind == collaboration.MessageKind.CONTROL_COMMAND:
                 commands.append(msg["payload"])  # a C2 script's _COMMAND
                 self.emit("agent.control_queued", agent=rt.state.agent_id,
                           command=msg["payload"]["command"])
-            elif kind in (collaboration.MessageKind.HANDOVER_GRANT.value,
-                          collaboration.MessageKind.HANDOVER_RETURN.value):
+            elif kind in (collaboration.MessageKind.HANDOVER_GRANT,
+                          collaboration.MessageKind.HANDOVER_RETURN):
                 try:
                     collaboration.handover(rt.state, msg)
                     self.emit("agent.handover", agent=rt.state.agent_id,
@@ -344,8 +345,7 @@ class Episode:
             self._attempt_report(rt, self.tick, reason="on_demand")
             return
         payload = msg.get("payload") or {}
-        incoming = [collaboration.Conclusion.from_dict(c) for c in payload.get("conclusions", [])]
-        merged = collaboration.merge_conclusions(rt.conclusions, incoming)
+        merged = collaboration.merge_conclusions(rt.conclusions, payload.get("conclusions", []))
         changed = merged != rt.conclusions
         rt.conclusions = merged
         round_no = msg.get("round", 0)
@@ -358,7 +358,7 @@ class Episode:
         else:
             return
         # one payload for every peer: recipients only read it
-        shared = {"conclusions": [rt.conclusions[s].to_dict() for s in sorted(rt.conclusions)]}
+        shared = {"conclusions": [rt.conclusions[s] for s in sorted(rt.conclusions)]}
         for peer_id, peer_host in peers:
             sent = self.post.send(rt.state, peer_host, collaboration.MessageKind.SHARE_CONCLUSIONS,
                                   peer_id, shared, round_no)

@@ -4,8 +4,9 @@ The agent never reads the environment directly: everything it believes comes
 through a three-stage pipeline (physical reads, logical aggregations,
 normalizing transformers) where each stage consumes only the previous
 stage's output. sense() takes the physical reads; update_world_state()
-folds them into beliefs and derives the rest into features. Matching learned
-threshold patterns against the derived features is what triggers planning.
+keeps them as the world state's rows and derives features from them.
+Matching learned threshold patterns against the features is what triggers
+planning.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ class Assessment:
 
 @dataclass
 class WorldState:
+    """What an agent knows of its host: the physical rows of its last read
+    and the features derived from them, plus its own values."""
     tick: int = 0
-    beliefs: dict[str, Any] = field(default_factory=dict)
     features: dict[str, Any] = field(default_factory=dict)
     # the physical rows last folded in; None until the first pass
     rows: Optional[list[Row]] = None
@@ -241,6 +243,17 @@ def _perturb(key: str, value: Any, noise: dict[str, float], rng: Random) -> Any:
     return value
 
 
+def _by_kind(rows: Iterable[Row]) -> Stage:
+    """The physical rows keyed by kind for the logical stage, last writer wins."""
+    stage: Stage = {}
+    for kind, ident, value in rows:
+        if ident is None:
+            stage[kind] = value
+        else:
+            stage.setdefault(kind, {})[ident] = value
+    return stage
+
+
 def _fold(rows: Iterable[Row], out: dict[str, Any]) -> Stage:
     """Write each row to `out` under its key, last writer wins, and key the
     rows by kind for the next stage."""
@@ -276,13 +289,13 @@ def update_world_state(ws: WorldState, rows: list[Row], config: SensorConfig, ti
                        own: dict[str, Any]) -> bool:
     """Fold one pass of physical rows into the world state at `tick`.
 
-    Physical rows land in beliefs; the logical and transformer stages derive
+    The rows become `ws.rows`; the logical and transformer stages derive
     features from them, then the agent's own values (`own`) are written to
     features, last writer wins per key. Each stage reads only the one
     before it, so when the rows equal the previous pass's by value and by
     value type (1, 1.0 and True differ; kinds and ids are the sensors' own
-    strings and the environment's keys), beliefs and derived features
-    already hold what this pass would write, and only `own` is written.
+    strings and the environment's keys), the derived features already hold
+    what this pass would write, and only `own` is written.
     Rows that are `ws.rows` itself, a pass's reads reused, are unchanged
     without comparing. One world state is fed by one sensor config.
     Returns whether any feature may have changed.
@@ -292,8 +305,7 @@ def update_world_state(ws: WorldState, rows: list[Row], config: SensorConfig, ti
         rows == ws.rows and [type(r[2]) for r in rows] == [type(r[2]) for r in ws.rows])
     if changed:
         ws.rows = rows
-        physical = _fold(rows, ws.beliefs)
-        logical = _run_stage(_LOGICAL_SENSORS, config.logical, physical, ws.features)
+        logical = _run_stage(_LOGICAL_SENSORS, config.logical, _by_kind(rows), ws.features)
         _run_stage(_TRANSFORMERS, config.transformers, logical, ws.features)
     features = ws.features
     for key, value in own.items():

@@ -237,10 +237,10 @@ def test_an_evicted_instance_emits_nothing_in_later_ticks():
                                               footprint={"mal_m1_1"})], pb)
     rng = Random(1)
     assert ctrl.step(env, rng, 0, lambda h: None) == [("adversary.evicted", {"instance": "m1"})]
-    before = (env.mutations, rng.getstate())
+    before = (dict(env.host_changes), rng.getstate())
     for tick in (1, 2, 3):
         assert ctrl.step(env, rng, tick, lambda h: None) == []
-    assert (env.mutations, rng.getstate()) == before
+    assert (env.host_changes, rng.getstate()) == before
     assert "drop_m1" not in env.hosts["h1"].files
 
 

@@ -195,6 +195,28 @@ def test_share_all_peers_unreachable_is_no_route():
     assert state.detectability == 0.1  # nothing sent, nothing revealed
 
 
+def test_the_tag_binds_each_field_of_each_conclusion_and_their_order():
+    env = two_host_env()
+    env.step(0)
+    conclusions = [concl("host:h1", "compromised", 0.7, "a1", 3),
+                   concl("host:h2", "clean", 0.9, "a2", 4)]
+    post_on(env).send(agent_on(), "h2", MessageKind.SHARE_CONCLUSIONS, "a2",
+                      {"conclusions": conclusions}, round_no=1)
+    sent, = env.drain_inbox("a2")
+    assert sent["payload"]["conclusions"] == conclusions and verify_message(KEY, sent)
+    # a value for each field that no conclusion above holds
+    other = {"subject": "host:h9", "verdict": Verdict.UNKNOWN, "confidence": 0.71,
+             "origin": "a9", "tick": 5}
+    assert Conclusion._fields == tuple(other)
+    for index, held in enumerate(conclusions):
+        for name, value in other.items():
+            edited = list(conclusions)
+            edited[index] = held._replace(**{name: value})
+            assert not verify_message(KEY, {**sent, "payload": {"conclusions": edited}}), name
+    reordered = {**sent, "payload": {"conclusions": conclusions[::-1]}}
+    assert not verify_message(KEY, reordered)
+
+
 def test_report_delivered_on_healthy_channel():
     env = two_host_env()
     env.step(0)

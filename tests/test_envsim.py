@@ -13,6 +13,7 @@ from defsim.envsim import (
     Process,
     Service,
     ServiceState,
+    sum_in_order,
 )
 from defsim.errors import UnknownEntity
 
@@ -225,41 +226,61 @@ def test_restore_preserves_malware_and_agent_presence():
     assert "agent_proc_a1" in host.processes
 
 
-# -- the mutation count and the fixed topology ------------------------------------------------
+# -- the per-host change counts and the fixed topology ------------------------------------------
 
+def three_host_env(channel_state="healthy", delay=0):
+    """two_host_env's hosts and channel c1 (h1-h2), plus h3 on channel c2 to h2."""
+    env = two_host_env(channel_state, delay=delay)
+    hosts = [*env.hosts.values(), make_host("h3")]
+    return make_env(hosts=hosts, channels=[*env.channels.values(),
+                                           CommsChannel("c2", ("h2", "h3"))])
+
+
+# each mutator, and the hosts whose sensors read what it changes
 _MUTATORS = {
-    "host": lambda env: env.apply_effect(EffectDescriptor("host:h1", "integrity", "set", 0.5)),
-    "service": lambda env: env.apply_effect(EffectDescriptor("service:h1:web", "health", "add", -0.1)),
-    "process": lambda env: env.apply_effect(
-        EffectDescriptor("process:h1:mal", "", "spawn", {"owner": "malware"})),
-    "file": lambda env: env.apply_effect(
-        EffectDescriptor("file:h1:drop", "", "spawn", {"owner": "malware"})),
-    "channel": lambda env: env.apply_effect(EffectDescriptor("channel:c1", "state", "set", "spoofed")),
-    "agent": lambda env: env.apply_effect(EffectDescriptor("agent:a1", "", "kill")),
-    "restore": lambda env: env.restore(env.snapshot("h1")),
-    "install_agent": lambda env: env.install_agent("a2", "h2"),
+    "host": (lambda env: env.apply_effect(EffectDescriptor("host:h1", "integrity", "set", 0.5)),
+             {"h1"}),
+    "service": (lambda env: env.apply_effect(
+        EffectDescriptor("service:h1:web", "health", "add", -0.1)), {"h1"}),
+    "process": (lambda env: env.apply_effect(
+        EffectDescriptor("process:h1:mal", "", "spawn", {"owner": "malware"})), {"h1"}),
+    "file": (lambda env: env.apply_effect(
+        EffectDescriptor("file:h1:drop", "", "spawn", {"owner": "malware"})), {"h1"}),
+    "channel": (lambda env: env.apply_effect(
+        EffectDescriptor("channel:c1", "state", "set", "spoofed")), {"h1", "h2"}),
+    "agent": (lambda env: env.apply_effect(EffectDescriptor("agent:a1", "", "kill")), {"h1"}),
+    "restore": (lambda env: env.restore(env.snapshot("h1")), {"h1"}),
+    "install_agent": (lambda env: env.install_agent("a2", "h2"), {"h2"}),
+    # a selector that matches nothing changes nothing
+    "no_match": (lambda env: env.apply_effect(
+        EffectDescriptor("process:h2:@unknown", "", "kill")), set()),
 }
 
 
-@pytest.mark.parametrize("mutate", _MUTATORS.values(), ids=list(_MUTATORS))
-def test_each_mutator_advances_the_mutation_count(mutate):
-    env = two_host_env()
+@pytest.mark.parametrize("name", list(_MUTATORS))
+def test_each_mutator_advances_the_mutation_count(name):
+    """A mutator advances the change count of exactly the hosts whose
+    sensors read what it changed, and of no other host."""
+    mutate, touched = _MUTATORS[name]
+    env = three_host_env()
     env.install_agent("a1", "h1")
-    before = env.mutations
+    before = dict(env.host_changes)
     mutate(env)
-    assert env.mutations > before
+    assert {h for h in env.hosts if env.host_changes[h] != before[h]} == touched
+    assert all(env.host_changes[h] > before[h] for h in touched)
 
 
 def test_stepping_routing_messaging_and_snapshots_leave_the_mutation_count():
-    env = two_host_env("degraded", delay=1)
+    env = three_host_env("degraded", delay=1)
     env.install_agent("a1", "h1")
-    before = env.mutations
+    before = dict(env.host_changes)
     env.step(0)
     assert env.route("h1", "h2") == "c1"
     assert env.deliver("c1", msg(), Random(1)) is DeliveryStatus.DELIVERED
     assert env.step(1) and env.drain_inbox("a2") == [msg()]
     env.snapshot("h1")
-    assert env.mutations == before
+    env.functionality()
+    assert env.host_changes == before
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -299,3 +320,14 @@ def test_fractions_stay_in_unit_interval(ops):
 def test_disabled_channel_never_delivers_any_seed(seed):
     env = two_host_env("disabled")
     assert env.deliver("c1", msg(), Random(seed)) is DeliveryStatus.DROPPED
+
+
+@given(st.lists(st.one_of(st.integers(), st.floats(), st.booleans())),
+       st.sampled_from([0, 0.0, -0.0, 1]))
+@settings(max_examples=200, deadline=None)
+def test_sum_in_order_adds_left_to_right(values, start):
+    total = start
+    for value in values:  # the loop it stands for
+        total += value
+    assert repr(sum_in_order(values, start)) == repr(total)
+    assert repr(sum_in_order(iter(values), start)) == repr(total)

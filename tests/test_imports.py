@@ -11,6 +11,7 @@ import ast
 import re
 from collections import Counter
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -489,3 +490,105 @@ def test_every_raise_names_an_error_class():
     found = {(module, function, name) for module, source in sources.items()
              for function, name in stray_raises(source, classes)}
     assert found == set(KEPT_RAISES)
+
+
+
+# the classes of the platform model: an agent senses their fields, so each write
+# to one goes through an Environment method, which advances its host's change count
+PLATFORM_CLASSES = {"Host", "Service", "Process", "FileEntry", "CommsChannel"}
+# what reaches a platform object: the environment's tables and a host's
+PLATFORM_TABLES = {"hosts", "channels", "channels_adjacent", "services", "processes", "files"}
+MUTATING_METHODS = {"pop", "popitem", "clear", "update", "setdefault"}
+
+
+def class_fields(source: str) -> dict[str, set[str]]:
+    """Class name -> its annotated fields and the attributes it assigns on `self`."""
+    return {node.name: {item.target.id for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+            | {attr.split(".")[1] for attr in instance_attributes(ast.Module([node], []))}
+            for node in ast.parse(source).body if isinstance(node, ast.ClassDef)}
+
+
+def _reaches_platform(node: ast.AST, names: set[str]) -> bool:
+    return any(isinstance(sub, ast.Attribute) and sub.attr in PLATFORM_TABLES
+               or isinstance(sub, ast.Name) and sub.id in names for sub in ast.walk(node))
+
+
+def _written_attribute(node: ast.AST) -> Optional[ast.Attribute]:
+    """The attribute `node` writes: by assignment or deletion of it or of an
+    item of it, by a mutating method call on it, or by setattr."""
+    if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+        return node
+    if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+        return node.value if isinstance(node.value, ast.Attribute) else None
+    if not isinstance(node, ast.Call):
+        return None
+    if isinstance(node.func, ast.Attribute) and node.func.attr in MUTATING_METHODS:
+        return node.func.value if isinstance(node.func.value, ast.Attribute) else None
+    if (isinstance(node.func, ast.Name) and node.func.id == "setattr" and len(node.args) == 3
+            and isinstance(node.args[1], ast.Constant)):
+        return ast.Attribute(node.args[0], node.args[1].value, ast.Store())
+    return None
+
+
+def platform_writes(source: str, fields: set[str], shared: set[str]) -> list[str]:
+    """`line N: field` of each write to one of `fields` in `source`. A field
+    that another class also declares (in `shared`) counts only on a receiver
+    that a platform table reaches, or on a name that the same top-level
+    statement binds from a table or types as a platform class."""
+    found = []
+    for statement in ast.parse(source).body:
+        names = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.arg) and node.annotation is not None:
+                if any(isinstance(sub, ast.Name) and sub.id in PLATFORM_CLASSES
+                       or isinstance(sub, ast.Constant) and sub.value in PLATFORM_CLASSES
+                       for sub in ast.walk(node.annotation)):
+                    names.add(node.arg)
+            elif isinstance(node, (ast.Assign, ast.For, ast.comprehension)):
+                targets, value = ((node.targets, node.value) if isinstance(node, ast.Assign)
+                                  else ([node.target], node.iter))
+                if _reaches_platform(value, set()):
+                    names |= {sub.id for target in targets for sub in ast.walk(target)
+                              if isinstance(sub, ast.Name)}
+        for node in ast.walk(statement):
+            written = _written_attribute(node)
+            if written is not None and written.attr in fields and (
+                    written.attr not in shared or _reaches_platform(written.value, names)):
+                found.append((node.lineno, written.attr))
+    return [f"line {line}: {attr}" for line, attr in sorted(found)]
+
+
+def test_checker_flags_each_write_to_a_platform_field():
+    source = ("def f(env, host: Host, goal, roe, ch: 'CommsChannel'):\n"
+              "    host.integrity = 0.5\n"
+              "    env.channels['c'].state = 'disabled'\n"
+              "    del env.hosts['h'].processes['p']\n"
+              "    host.files.pop('f')\n"
+              "    setattr(host, 'resident_agent', None)\n"
+              "    goal.weight = 1.0\n"
+              "    roe.state = 'x'\n"
+              "    for svc in host.services.values():\n"
+              "        svc.weight += 1\n"
+              "    ch.state = 'spoofed'\n"
+              "    return host.health, env.hosts['h'].services.get('s')\n"
+              "class C:\n"
+              "    def __init__(self, rt):\n"
+              "        self.health = 1.0\n"
+              "        rt.state = None\n")
+    assert platform_writes(source, {"integrity", "state", "processes", "files", "resident_agent",
+                                    "weight", "health"}, {"state", "weight"}) == [
+        "line 2: integrity", "line 3: state", "line 4: processes", "line 5: files",
+        "line 6: resident_agent", "line 10: weight", "line 11: state", "line 15: health"]
+
+
+def test_only_envsim_writes_a_platform_field():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    classes = class_fields(sources["envsim.py"])
+    fields = set().union(*(classes[name] for name in PLATFORM_CLASSES))
+    others = [names for source in sources.values() for name, names in class_fields(source).items()
+              if name not in PLATFORM_CLASSES]
+    shared = fields & set().union(*others)
+    found = {name: platform_writes(source, fields, shared) for name, source in sources.items()}
+    assert found.pop("envsim.py")  # the checker sees the environment's own writes
+    assert found == {name: [] for name in found}

@@ -1581,7 +1581,7 @@ def _pattern_example(number):
 def _defeat_sensing_skip(mp):
     """Make every pass read its sensors, re-derive its features and re-run
     identify."""
-    # no runtime has read at the current mutation count, so none reuses its reads
+    # no runtime has read at its host's current change count, so none reuses its reads
     mp.setattr(AgentRuntime, "sensed_at", property(lambda rt: -1, lambda rt, count: None))
     update = sensing.update_world_state
 
@@ -1600,10 +1600,52 @@ def _bytes_with_and_without_skip(config, seed, tmp_path_factory):
     return skipped, full
 
 
-@pytest.mark.parametrize("name", BUNDLED)
+def _s3_cut_and_kill(configs):
+    """s3 with channel ab, between a1's host and a2's, disabled where the
+    story spoofs it, and the playbook's fallback on, so that m1 goes on to
+    hunt a2 at full intensity: a channel change reaches two agents' hosts,
+    and a kill one."""
+    raw = json.loads(json.dumps(configs["s3_partition"].raw))
+    playbook = raw["playbook"]
+    for step in playbook["steps"]:
+        if step.get("params", {}).get("channel") == "ab":
+            step["params"]["state"] = "disabled"
+    playbook["fallback"] = True
+    playbook["instances"][0]["hunt_intensity"] = 1.0
+    return parse_scenario(raw)
+
+
+def _per_host_changes(trace):
+    """The kinds of per-host change that a trace shows, beyond effects on a
+    host, a service, a process or a file."""
+    found = set()
+    for event in trace:
+        if event["kind"] in ("env.restore", "agent.killed"):
+            found.add(event["kind"])
+        elif event["kind"] == "agent.propagation" and event["installed"]:
+            found.add("install")
+        elif event["kind"] == "env.effect" and event["target"].startswith("channel:"):
+            found.add("channel")
+    return found
+
+
+# each input of the reuse check, and the per-host changes it must reach
+REUSE_INPUTS = {
+    **{name: (lambda configs, name=name: configs[name], set()) for name in BUNDLED},
+    "s2_lateral_hunt": (lambda configs: configs["s2_lateral_hunt"], {"install"}),
+    "s3_partition": (lambda configs: configs["s3_partition"], {"channel"}),
+    "risk_loop": (lambda configs: risk_loop_scenario(), {"env.restore"}),
+    "s3_cut_and_kill": (_s3_cut_and_kill, {"channel", "agent.killed"}),
+}
+
+
+@pytest.mark.parametrize("name", list(REUSE_INPUTS))
 def test_reused_reads_equal_fresh_reads(name, bundled_configs, monkeypatch):
     """A pass that reuses its last reads gets what reading now would return,
-    by value and by value type."""
+    by value and by value type, also after a restore, a replica's install, a
+    kill and a change of a channel between two agents' hosts."""
+    build, changes = REUSE_INPUTS[name]
+    config = build(bundled_configs)
     sense, update = sensing.sense, sensing.update_world_state
     sensed, reused = [], []
 
@@ -1622,10 +1664,12 @@ def test_reused_reads_equal_fresh_reads(name, bundled_configs, monkeypatch):
 
     monkeypatch.setattr(sensing, "sense", counted_sense)
     monkeypatch.setattr(sensing, "update_world_state", checked_update)
+    reached = set()
     for seed in range(1, 6):
-        episode = Episode(bundled_configs[name], seed)
-        episode.run()
+        episode = Episode(config, seed)
+        reached |= _per_host_changes(episode.run().trace)
     assert reused
+    assert reached >= changes
 
 
 def test_a_noisy_config_reads_on_every_pass(bundled_configs, monkeypatch, tmp_path_factory):

@@ -496,9 +496,13 @@ def test_every_effect_of_the_table_applies_to_the_platform():
                 config = parse_scenario(raw)
                 env = config.build_environment()
                 effect = config.build_repertoire()["a"].effects[0].env_effect
-                before = env.mutations
+                before = dict(env.host_changes)
                 outcome = env.apply_effect(resolve_self(effect, "h1"))
-                assert env.mutations > before and len(outcome["changes"]) == 1, target
+                assert len(outcome["changes"]) == 1, target
+                # the hosts that read the entity: channel c's endpoints, or h1
+                touched = {"h1", "h2"} if kind == "channel" else {"h1"}
+                assert {h: env.host_changes[h] - before[h] for h in env.hosts} == {
+                    h: int(h in touched) for h in env.hosts}, target
 
 
 @pytest.mark.parametrize("edit", [_add_agents("a1_rx"), _add_agents("a1_r"), _add_agents("b1_r1"),

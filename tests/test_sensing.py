@@ -84,11 +84,11 @@ def test_comms_integrity_three_of_four_channels_healthy():
 
 
 def test_pipeline_stages_feed_forward_only():
-    # physical reads land in beliefs, derived values in features
+    # physical reads land in the rows, derived values in features
     env = make_env()
     env.step(0)
     ws = fold(sense(env, "h1", FULL_CONFIG, Random(1)))
-    assert "service_health:web" in ws.beliefs
+    assert ("service_up", "web", 1) in ws.rows and "service_up:web" not in ws.features
     assert "functionality_belief" in ws.features
     assert "service_table" not in ws.features
 
@@ -175,7 +175,7 @@ def test_noisy_pass_draws_the_pinned_values():
 def test_empty_update_only_advances_the_tick():
     ws = WorldState(tick=3, features={"x": 1.0})
     update_world_state(ws, [], SensorConfig(), 4, {})
-    assert ws.features == {"x": 1.0} and ws.beliefs == {}
+    assert ws.features == {"x": 1.0} and ws.rows == []
     assert ws.tick == 4
 
 
@@ -210,9 +210,10 @@ def test_unchanged_rows_and_own_values_report_no_change():
 def test_rows_of_another_value_or_type_are_rederived(first, second):
     ws = fold([("host_integrity", None, first)], INTEGRITY_ONLY)
     assert update_world_state(ws, [("host_integrity", None, second)], INTEGRITY_ONLY, 1, {})
-    for values in (ws.beliefs, ws.features):
-        assert type(values["host_integrity"]) is type(second)
-        assert values["host_integrity"] == second
+    (_, _, value), = ws.rows
+    for value in (value, ws.features["host_integrity"]):
+        assert type(value) is type(second)
+        assert value == second
 
 
 @pytest.mark.parametrize("first, second", [(0, 0.0), (0, 1)])
@@ -388,13 +389,14 @@ def test_unsensed_ground_truth_never_reaches_beliefs():
     config = SensorConfig(physical=["service_table"], logical=["service_weights"],
                           transformers=["functionality_belief"])
     ws = fold(sense(env, "h1", config, Random(1)), config)
-    baseline_beliefs = dict(ws.beliefs)
+    baseline_rows = list(ws.rows)
     baseline_features = dict(ws.features)
     # corrupt ground truth outside sensor coverage
     env.hosts["h1"].integrity = 0.01
     env.apply_effect(EffectDescriptor("process:h1:mal", "", "spawn", {"owner": "malware"}))
     env.step(1)
     fold(sense(env, "h1", config, Random(1)), config, ws, tick=1)
-    assert ws.beliefs == baseline_beliefs
+    assert ws.rows == baseline_rows
     assert ws.features == baseline_features
-    assert "host_integrity" not in ws.beliefs
+    assert not {"host_integrity", "process_unknown"} & {kind for kind, _, _ in ws.rows}
+    assert not {"host_integrity", "unknown_proc_count"} & ws.features.keys()
