@@ -4,12 +4,15 @@ Run from the repository root:
 
     PYTHONPATH=src python3 scripts/memo_probe.py [--seeds N]
 
-For each bundled scenario it runs seeds 1..N (default 20) as lone
-episodes, then as one run_batch, whose episodes share one memo. Then it
-runs the `wide_repertoire` benchmark workload of workload seed 7, as
-perfbench/workloads.py draws it: its 12 generated scenarios times the
-first N of its 9 episode seeds as lone episodes, then each scenario's
-seeds as one run_batch. It prints one row for each: decisions (all, and
+Every episode run on one parsed scenario shares that config's memo. For
+each bundled scenario the probe runs seeds 1..N (default 20) as lone
+episodes, each on a config parsed for it alone, as one `defsim run`
+process sees it; then as one run_batch on another freshly parsed config,
+whose episodes share its memo. Then it runs the `wide_repertoire`
+benchmark workload of workload seed 7, as perfbench/workloads.py draws
+it, the same way: its 12 generated scenarios times the first N of its 9
+episode seeds as lone episodes, then each scenario's seeds as one
+run_batch. It prints one row for each: decisions (all, and
 deliberative), key derivations (calls of planning.Deliberations.key, one
 per deliberation an agent could not take over from its last decision),
 searches (calls of planning.propose_plans) and distinct bodies (distinct
@@ -22,6 +25,7 @@ given.
 from __future__ import annotations
 
 import argparse
+import copy
 import random
 import sys
 from contextlib import contextmanager
@@ -31,7 +35,7 @@ from typing import Any, Iterator, Optional
 
 from defsim import planning, runner
 from defsim.errors import canonical_json
-from defsim.scenario import ScenarioConfig, load_scenario
+from defsim.scenario import ScenarioConfig, load_scenario, parse_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench import generator, workloads  # noqa: E402  (read only: the benchmark's inputs)
@@ -85,6 +89,11 @@ def counts(results: list[runner.EpisodeResult], calls: dict[str, int],
             *(calls[name] for _, name in COUNTED), distinct)
 
 
+def parsed_again(config: ScenarioConfig) -> ScenarioConfig:
+    """The config parsed from a copy of its document, with an empty memo."""
+    return parse_scenario(copy.deepcopy(config.raw))
+
+
 def probe(name: str, configs: list[ScenarioConfig],
           seeds: list[int]) -> list[tuple[str, str, tuple[float, ...]]]:
     """The lone row (mean per episode) and the batch row (total of one
@@ -93,11 +102,11 @@ def probe(name: str, configs: list[ScenarioConfig],
     for config in configs:
         for seed in seeds:
             with counting() as (calls, results):
-                runner.run_episode(config, seed)
+                runner.run_episode(parsed_again(config), seed)
             for i, n in enumerate(counts(results, calls, len(set(bodies(results[0]))))):
                 lone[i] += n
         with counting() as (calls, results):
-            runner.run_batch(config, seeds)
+            runner.run_batch(parsed_again(config), seeds)
         distinct = len({body for result in results for body in bodies(result)})
         for i, n in enumerate(counts(results, calls, distinct)):
             batch[i] += n

@@ -145,8 +145,7 @@ def _episode_metrics(events: list[dict[str, Any]], primary: Optional[str]) -> di
 
 
 class Episode:
-    def __init__(self, config: ScenarioConfig, seed: int, agent_enabled: bool = True,
-                 deliberations: Optional[planning.Deliberations] = None):
+    def __init__(self, config: ScenarioConfig, seed: int, agent_enabled: bool = True):
         self.config = config
         self.seed = seed
         self.rng = Random(seed)
@@ -168,8 +167,7 @@ class Episode:
         if agent_enabled:
             # shared by every runtime, as nothing edits them (set_roe edits each runtime's ROE)
             self.sensors = config.build_sensor_config()
-            self.deliberations = deliberations or _deliberations(config)  # run_batch shares one
-            self.repertoire = self.deliberations.repertoire
+            self.repertoire = config.deliberations.repertoire
             for spec in config.agents:
                 self._add_agent(spec)
         self.primary_agent = config.agents[0].agent_id if (agent_enabled and config.agents) else None
@@ -472,7 +470,7 @@ class Episode:
             return "fast", body, canonical_json(body)
         progression = [delta for p in patterns for delta in p.progression]
         return ("deliberative",
-                *self.deliberations.deliberate(rt.ws, rt.kb.goals, rt.roe, progression))
+                *self.config.deliberations.deliberate(rt.ws, rt.kb.goals, rt.roe, progression))
 
     def _decide(self, rt: AgentRuntime, tick: int, path: str, assessment: Assessment,
                 body: dict[str, Any], encoded: str) -> None:
@@ -609,25 +607,19 @@ class Episode:
 
 # -- public entry points --------------------------------------------------------------------
 
-def _deliberations(config: ScenarioConfig) -> planning.Deliberations:
-    return planning.Deliberations(config.build_repertoire(), config.build_goals(),
-                                  config.build_planner_config())
-
-
 def run_episode(config: ScenarioConfig, seed: int, agent_enabled: bool = True) -> EpisodeResult:
     return Episode(config, seed, agent_enabled=agent_enabled).run()
 
 
 def run_batch(config: ScenarioConfig, seeds: list[int],
               agent_enabled: bool = True) -> dict[str, Any]:
-    """One episode per seed, all sharing one planning.Deliberations, which moves
-    no byte of them; aggregation is a pure fold over results sorted by seed."""
+    """One episode per seed; like every episode of the config they share its
+    memo, which moves no byte. Aggregation is a pure fold over results by seed."""
     if not seeds:
         raise ConfigInvalid("batch needs at least one seed")
     per_seed: dict[int, dict[str, Any]] = {}
-    deliberations = _deliberations(config) if agent_enabled else None
     for seed in sorted(set(seeds)):
-        per_seed[seed] = Episode(config, seed, agent_enabled, deliberations).run().metrics
+        per_seed[seed] = Episode(config, seed, agent_enabled).run().metrics
     numeric_keys = ["resilience_auc", "harm_events", "reward_total"]
     aggregate: dict[str, Any] = {}
     for key in numeric_keys:

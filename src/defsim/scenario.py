@@ -20,6 +20,7 @@ import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Optional
 
@@ -28,9 +29,9 @@ from .collaboration import FriendlyRoster
 from .envsim import (ChannelState, CommsChannel, EffectDescriptor, Environment, FileEntry, Host,
                      Owner, Process, Service, sum_in_order)
 from .errors import ConfigInvalid, canonical_json, read_json
-from .planning import (BUILTIN_ACTIONS, ActionCategory, ActionSpec, ConditionActionRule, Goal,
-                       PlannerConfig, ProbabilisticEffect, RulesOfEngagement, TargetScope,
-                       normalize_goals)
+from .planning import (BUILTIN_ACTIONS, ActionCategory, ActionSpec, ConditionActionRule,
+                       Deliberations, Goal, PlannerConfig, ProbabilisticEffect, RulesOfEngagement,
+                       TargetScope, normalize_goals)
 from .sensing import _LOGICAL_SENSORS, _PHYSICAL_SENSORS, _TRANSFORMERS, Pattern, SensorConfig
 
 
@@ -623,8 +624,15 @@ class ScenarioConfig:
     c2_script: list[dict[str, Any]]
     roster: FriendlyRoster
 
-    # fresh, mutable objects per episode; episodes must not share state. The
-    # table's keys are the dataclasses' field names where the two agree.
+    @cached_property
+    def deliberations(self) -> Deliberations:
+        return Deliberations(self.build_repertoire(), self.build_goals(),
+                             self.build_planner_config())
+
+    # the memo above is the one object the config's episodes share: a hit gives
+    # the body its own search would, and nothing edits its repertoire, goals or
+    # planner config. Below, fresh mutable objects per episode; the table's keys
+    # are the dataclasses' field names where the two agree.
     def build_environment(self) -> Environment:
         topo = self.doc["topology"]
         hosts = {h["host_id"]: Host(**dict(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import defsim
 from defsim.envsim import CommsChannel, Environment, Host, Owner, Process, Service
 from defsim.runner import EpisodeResult, run_episode
-from defsim.scenario import ScenarioConfig, load_scenario
+from defsim.scenario import ScenarioConfig, load_scenario, parse_scenario
 
 # the stories shipped in the package, one JSON file each
 BUNDLED = tuple(sorted(path.stem for path in
@@ -28,6 +29,12 @@ def run_python(args: list[str], **env: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path, **env))
+
+
+def fresh_config(config: ScenarioConfig) -> ScenarioConfig:
+    """The config parsed again from a copy of its document, with a
+    deliberation memo of its own that no earlier episode has filled."""
+    return parse_scenario(copy.deepcopy(config.raw))
 
 
 @pytest.fixture(scope="session")

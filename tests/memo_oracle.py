@@ -24,6 +24,8 @@ from defsim import planning, runner
 from defsim.errors import canonical_json
 from defsim.scenario import ScenarioConfig
 
+from conftest import fresh_config
+
 _COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
             ">": operator.gt, ">=": operator.ge}
 
@@ -89,7 +91,7 @@ def check_reads(config: ScenarioConfig, inputs: list[tuple]) -> int:
     Returns the count of comparisons recorded."""
     recorded = 0
     for features, goals, roe, progression in inputs:
-        memo = runner._deliberations(config)
+        memo = fresh_config(config).deliberations
         ws = planning.WorldState(tick=0, features=features)
         _, encoded = memo.deliberate(ws, goals, roe, progression)
         [[entry]] = memo.bodies.values()
@@ -105,8 +107,9 @@ def check_reads(config: ScenarioConfig, inputs: list[tuple]) -> int:
 
 
 def episode_inputs(config: ScenarioConfig, seeds: range) -> list[tuple]:
-    """The distinct inputs of every deliberation of the episodes."""
-    inputs, deliberate = {}, planning.Deliberations.deliberate
+    """The distinct inputs of every deliberation of the episodes, run on a
+    config of their own."""
+    inputs, deliberate, config = {}, planning.Deliberations.deliberate, fresh_config(config)
 
     def recorded(self, ws, goals, roe, progression):
         snapshot = copy.deepcopy((ws.features, goals, roe, progression))

@@ -31,12 +31,11 @@ from defsim.runner import (
     time_to_recovery,
     write_result,
     write_trace,
-    _deliberations,
 )
 from defsim.scenario import _COMMAND, load_scenario, parse_scenario
 from defsim.sensing import Assessment
 
-from conftest import BUNDLED, assert_same_knowledge, scenario_path
+from conftest import BUNDLED, assert_same_knowledge, fresh_config, scenario_path
 from memo_oracle import check_reads, episode_inputs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -868,15 +867,39 @@ def search_calls(monkeypatch):
 
 
 def test_unchanged_no_action_deliberations_are_reused(bundled_configs, search_calls):
-    config, seeds = bundled_configs["s3_partition"], list(range(1, 11))
+    """Every episode of a config shares its memo: ten run_episode calls
+    search fewer times than they deliberate, and a batch of the same seeds
+    after them searches no more."""
+    config, seeds = fresh_config(bundled_configs["s3_partition"]), list(range(1, 11))
     deliberations = 0
     for seed in seeds:
         result = run_episode(config, seed)
         deliberations += sum(1 for d in result.decision_log if d["path"] == "deliberative")
-    alone = len(search_calls)
-    assert 0 < alone < deliberations
-    run_batch(config, seeds)  # one memo for all ten episodes
-    assert 0 < len(search_calls) - alone < alone
+    searched = len(search_calls)
+    assert 0 < searched < deliberations
+    run_batch(config, seeds)
+    assert len(search_calls) == searched
+
+
+def test_configs_parsed_from_one_document_hold_distinct_memos(bundled_configs):
+    raw = bundled_configs["s1_comms_spoof"].raw
+    first, second = parse_scenario(copy.deepcopy(raw)), parse_scenario(copy.deepcopy(raw))
+    assert first.deliberations is first.deliberations is not second.deliberations
+    run_episode(first, 1)
+    assert first.deliberations.bodies and not second.deliberations.bodies
+
+
+def test_an_agent_off_episode_never_builds_a_memo(bundled_configs, monkeypatch):
+    built, init = [], planning.Deliberations.__init__
+    monkeypatch.setattr(planning.Deliberations, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    config = fresh_config(bundled_configs["s3_partition"])
+    run_episode(config, 1, agent_enabled=False)
+    run_batch(config, [1, 2], agent_enabled=False)
+    assert built == []
+    run_episode(config, 1)
+    run_batch(config, [1, 2])
+    assert built == [1]
 
 
 _DECISION_BODY = ("candidates", "chosen", "rationale")
@@ -903,20 +926,23 @@ def resolve_same_as(decisions):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_episodes_sharing_one_memo_write_the_bytes_of_lone_episodes(name, bundled_configs,
                                                                     tmp_path):
-    """Episodes through one memo write the bytes of lone episodes, and
-    resolving each `same_as` gives back the full decision event's bytes:
-    {tick, seq, kind} and the decision_log entry."""
-    config = bundled_configs[name]
-    memo = _deliberations(config)
-    for seed in range(1, 21):  # in seed order, as run_batch runs them
-        shared = _artifact_bytes(Episode(config, seed, deliberations=memo).run(), tmp_path)
-        lone = run_episode(config, seed)
-        assert shared == _artifact_bytes(lone, tmp_path), seed
+    """Seeds 1-20 run forward through one config and in reverse through a
+    second each write the bytes of the seed run on a config parsed for it
+    alone, and resolving each `same_as` gives back the full decision event's
+    bytes: {tick, seq, kind} and the decision_log entry."""
+    forward, reverse = fresh_config(bundled_configs[name]), fresh_config(bundled_configs[name])
+    seeds = range(1, 21)
+    shared = {seed: _artifact_bytes(run_episode(forward, seed), tmp_path) for seed in seeds}
+    for seed in reversed(seeds):
+        assert _artifact_bytes(run_episode(reverse, seed), tmp_path) == shared[seed], seed
+    for seed in seeds:
+        lone = run_episode(fresh_config(bundled_configs[name]), seed)
+        assert _artifact_bytes(lone, tmp_path) == shared[seed], seed
         resolved = resolve_same_as(decision_events(tmp_path / "trace.jsonl"))
         assert [_encode(event) for event in resolved] == [
             _encode({"tick": event["tick"], "seq": event["seq"], "kind": "agent.decision", **entry})
             for event, entry in zip(resolved, lone.decision_log, strict=True)], seed
-    assert memo.bodies
+    assert forward.deliberations.bodies and reverse.deliberations.bodies
 
 
 def test_agents_install_in_order_and_run_in_id_order(bundled_configs, monkeypatch):
@@ -1190,7 +1216,7 @@ def test_no_consumer_edits_a_shared_trigger_summary(bundled_configs, monkeypatch
 
 def read_keys(episode):
     """The features a goal or a precondition names, sorted: all the memo reads."""
-    return tuple(sorted(episode.deliberations.thresholds))
+    return tuple(sorted(episode.config.deliberations.thresholds))
 
 
 # values every predicate threshold compares with, and anything at all
@@ -1207,7 +1233,7 @@ def test_features_outside_the_read_set_leave_the_deliberation_unchanged(bundled_
     """Two belief states that agree on every read key, in presence, type and
     value, and differ anywhere else give the same decision body."""
     episode = Episode(bundled_configs[name], seed=1)
-    rt, memo = episode.runtimes["a1"], episode.deliberations
+    rt, memo = episode.runtimes["a1"], episode.config.deliberations
     keys = read_keys(episode)
     read = data.draw(st.dictionaries(st.sampled_from(keys), _NUMBERS))
     named = sorted({pred[0] for goal in rt.kb.goals for pred in goal.predicates}
@@ -1294,7 +1320,7 @@ def _replayed_bodies(episode, states, progression):
     """Deliberate each belief state in turn on one fresh memo; for each that
     found an entry instead of searching, the bytes it gave and those of a
     fresh search."""
-    rt, memo = episode.runtimes["a1"], _deliberations(episode.config)
+    rt, memo = episode.runtimes["a1"], fresh_config(episode.config).deliberations
     search, searches, found = memo.search, [], []
     memo.search = lambda *inputs: searches.append(1) or search(*inputs)
     for state in states:
@@ -1318,13 +1344,13 @@ def test_beliefs_with_one_memo_key_give_one_body(name, data):
     number, or away."""
     episode = _memo_episode(name)
     progression = _progression(data, episode)
-    keys = read_keys(episode)
+    keys, thresholds = read_keys(episode), episode.config.deliberations.thresholds
     first = data.draw(st.dictionaries(st.sampled_from(keys), _NUMBERS))
     states = [first]
     for _ in range(4):
         state = dict(first)
         for key in data.draw(st.sets(st.sampled_from(keys), max_size=2)):
-            near = _near(state.get(key), *(t for _, t in episode.deliberations.thresholds[key]))
+            near = _near(state.get(key), *(t for _, t in thresholds[key]))
             moved = data.draw(st.sampled_from(near + [None]) | _NUMBERS)
             if moved is None:
                 state.pop(key, None)
@@ -1368,7 +1394,7 @@ def test_progression_deltas_no_goal_names_leave_the_deliberation_unchanged(name,
     no goal names (read or not, present or absent) give the body bytes of
     the deltas on goal keys alone, and deliberate buckets them by those alone."""
     episode = _memo_episode(name)
-    rt, memo = episode.runtimes["a1"], episode.deliberations
+    rt, memo = episode.runtimes["a1"], episode.config.deliberations
     goal_keys = {pred[0] for goal in rt.kb.goals for pred in goal.predicates}
     keys = read_keys(episode)
     rt.ws.features = data.draw(st.dictionaries(st.sampled_from(keys), _NUMBERS))
@@ -1382,7 +1408,7 @@ def test_progression_deltas_no_goal_names_leave_the_deliberation_unchanged(name,
     kept = [delta for delta in progression if delta[0] in goal_keys]
     body = canonical_json(memo.search(rt.ws, rt.kb.goals, rt.roe, progression))
     assert canonical_json(memo.search(rt.ws, rt.kb.goals, rt.roe, kept)) == body
-    fresh = _deliberations(episode.config)
+    fresh = fresh_config(episode.config).deliberations
     assert fresh.deliberate(rt.ws, rt.kb.goals, rt.roe, progression)[1] == body
     assert list(fresh.bodies) == [fresh.key(rt.kb.goals, rt.roe, kept)]
 
@@ -1477,10 +1503,8 @@ def test_a_substitution_leaves_the_logged_entries_unchanged():
 def test_a_memo_hit_releases_the_logged_entries_after_a_substitution(search_calls):
     """execution.adjust edits a released plan in place; the memo must not
     hand that edit to the next runtime the same outcome releases."""
-    config = _substitutable_scenario()
-    memo = _deliberations(config)
-    first = Episode(config, seed=1, deliberations=memo)
-    second = Episode(config, seed=2, deliberations=memo)
+    config = _substitutable_scenario()  # freshly parsed: its memo is empty
+    first, second = Episode(config, seed=1), Episode(config, seed=2)  # share the config's memo
     rt1, rt2 = _releasing_runtime(first), _releasing_runtime(second)
     first._maybe_plan(rt1, threat("proc"), tick=0)
     released = _entries(rt1)
@@ -1551,16 +1575,16 @@ def test_reuse_leaves_artifacts_unchanged_under_c2_commands(name, bundled_config
                                "payload": _c2_commands(goal_ids)}),
         max_size=6))
     config = parse_scenario(raw)
-    seeds, memo = (seed, seed + 1, seed + 2), _deliberations(config)  # one memo for three
-    reused = [_artifact_bytes(Episode(config, s, deliberations=memo).run(),
-                              tmp_path_factory.mktemp("reused")) for s in seeds]
+    seeds = (seed, seed + 1, seed + 2)  # one memo, the new config's, for three
+    reused = [_artifact_bytes(run_episode(config, s), tmp_path_factory.mktemp("reused"))
+              for s in seeds]
     with pytest.MonkeyPatch.context() as mp:
         # inputs that never compare equal, and no decision kept: every
         # deliberation searches afresh
         mp.setattr(planning.Deliberations, "key", lambda self, *inputs: object())
         mp.setattr(AgentRuntime, "decision", property(lambda rt: None, lambda rt, kept: None))
-        fresh = [_artifact_bytes(run_episode(config, s), tmp_path_factory.mktemp("fresh"))
-                 for s in seeds]
+        fresh = [_artifact_bytes(run_episode(fresh_config(config), s),
+                                 tmp_path_factory.mktemp("fresh")) for s in seeds]
     assert reused == fresh
 
 
