@@ -1,23 +1,26 @@
-"""Count how often the deliberation memo saves a search.
+"""Count how often the deliberation memo saves a search, and the sensor
+memo a derivation.
 
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/memo_probe.py [--seeds N]
 
-Every episode run on one parsed scenario shares that config's memo. For
+Every episode run on one parsed scenario shares that config's memos. For
 each bundled scenario the probe runs seeds 1..N (default 20) as lone
 episodes, each on a config parsed for it alone, as one `defsim run`
 process sees it; then as one run_batch on another freshly parsed config,
-whose episodes share its memo. Then it runs the `wide_repertoire`
+whose episodes share its memos. Then it runs the `wide_repertoire`
 benchmark workload of workload seed 7, as perfbench/workloads.py draws
 it, the same way: its 12 generated scenarios times the first N of its 9
 episode seeds as lone episodes, then each scenario's seeds as one
 run_batch. It prints one row for each: decisions (all, and
 deliberative), key derivations (calls of planning.Deliberations.key, one
 per deliberation an agent could not take over from its last decision),
-searches (calls of planning.propose_plans) and distinct bodies (distinct
-encoded bodies of the deliberative decisions). A lone row gives the mean
-per episode, a batch row the total of its batches. Searches above
+searches (calls of planning.propose_plans), distinct bodies (distinct
+encoded bodies of the deliberative decisions), re-reads (calls of
+sensing.sense) and derivations (runs of the logical and transformer stages,
+one per folded row set the sensor memo did not hold). A lone row gives the
+mean per episode, a batch row the total of its batches. Searches above
 distinct bodies are searches whose result an earlier one had already
 given.
 """
@@ -33,7 +36,7 @@ from importlib.resources import files
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
-from defsim import planning, runner
+from defsim import planning, runner, sensing
 from defsim.errors import canonical_json
 from defsim.scenario import ScenarioConfig, load_scenario, parse_scenario
 
@@ -44,9 +47,12 @@ from perfbench import generator, workloads  # noqa: E402  (read only: the benchm
 BUNDLED = tuple(sorted(path.stem for path in
                        Path(str(files("defsim") / "scenarios")).glob("*.json")))
 WIDE_SEED = 7  # the wide_repertoire workload seed
-COLUMNS = ("decisions", "deliberative", "key derivations", "searches", "distinct bodies")
-# what each counted column counts: (owner, attribute)
-COUNTED = ((planning.Deliberations, "key"), (planning, "propose_plans"))
+COLUMNS = ("decisions", "deliberative", "key derivations", "searches", "distinct bodies",
+           "re-reads", "derivations")
+# what each counted column counts: (owner, attribute); update_world_state
+# calls sensing._by_kind once per derivation
+COUNTED = ((planning.Deliberations, "key"), (planning, "propose_plans"), (sensing, "sense"),
+           (sensing, "_by_kind"))
 
 
 @contextmanager
@@ -85,12 +91,13 @@ def bodies(result: runner.EpisodeResult) -> list[str]:
 
 def counts(results: list[runner.EpisodeResult], calls: dict[str, int],
            distinct: int) -> tuple[int, ...]:
+    keys, searches, reads, derivations = (calls[name] for _, name in COUNTED)
     return (sum(len(r.decision_log) for r in results), sum(len(bodies(r)) for r in results),
-            *(calls[name] for _, name in COUNTED), distinct)
+            keys, searches, distinct, reads, derivations)
 
 
 def parsed_again(config: ScenarioConfig) -> ScenarioConfig:
-    """The config parsed from a copy of its document, with an empty memo."""
+    """The config parsed from a copy of its document, with empty memos."""
     return parse_scenario(copy.deepcopy(config.raw))
 
 

@@ -165,8 +165,9 @@ class Episode:
         self.runtimes: dict[str, AgentRuntime] = {}
         self.agent_ids: tuple[str, ...] = ()  # the same ids, sorted
         if agent_enabled:
-            # shared by every runtime, as nothing edits them (set_roe edits each runtime's ROE)
-            self.sensors = config.build_sensor_config()
+            # the config's, shared by every runtime of its episodes: nothing edits
+            # them (set_roe edits each runtime's ROE)
+            self.sensors = config.sensors
             self.repertoire = config.deliberations.repertoire
             for spec in config.agents:
                 self._add_agent(spec)

@@ -629,10 +629,15 @@ class ScenarioConfig:
         return Deliberations(self.build_repertoire(), self.build_goals(),
                              self.build_planner_config())
 
-    # the memo above is the one object the config's episodes share: a hit gives
-    # the body its own search would, and nothing edits its repertoire, goals or
-    # planner config. Below, fresh mutable objects per episode; the table's keys
-    # are the dataclasses' field names where the two agree.
+    @cached_property
+    def sensors(self) -> SensorConfig:
+        return self.build_sensor_config()
+
+    # the two memos above are the objects the config's episodes share: a hit
+    # gives the body its own search would, or the features the sensor stages
+    # would derive, and nothing edits the repertoire, goals, planner config or
+    # sensor lists they hold. Below, fresh mutable objects per episode; the
+    # table's keys are the dataclasses' field names where the two agree.
     def build_environment(self) -> Environment:
         topo = self.doc["topology"]
         hosts = {h["host_id"]: Host(**dict(

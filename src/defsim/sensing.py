@@ -4,7 +4,8 @@ The agent never reads the environment directly: everything it believes comes
 through a three-stage pipeline (physical reads, logical aggregations,
 normalizing transformers) where each stage consumes only the previous
 stage's output. sense() takes the physical reads; update_world_state()
-keeps them as the world state's rows and derives features from them.
+keeps them as the world state's rows and derives features from them, once
+per distinct set of rows a sensor config sees.
 Matching learned threshold patterns against the features is what triggers
 planning.
 """
@@ -16,6 +17,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from math import copysign
 from random import Random
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -95,6 +97,10 @@ class SensorConfig:
     logical: list[str] = field(default_factory=list)
     transformers: list[str] = field(default_factory=list)
     noise: dict[str, float] = field(default_factory=dict)  # key glob -> half width
+    # typed rows -> the features the logical and transformer stages derive
+    # from them; a noisy config's rows are fresh draws, so it holds none
+    derived: dict[tuple[Any, ...], dict[str, Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
 
 # A sensor emits (kind, entity id or None, value) rows; a row's key is the
@@ -292,12 +298,17 @@ def update_world_state(ws: WorldState, rows: list[Row], config: SensorConfig, ti
     The rows become `ws.rows`; the logical and transformer stages derive
     features from them, then the agent's own values (`own`) are written to
     features, last writer wins per key. Each stage reads only the one
-    before it, so when the rows equal the previous pass's by value and by
-    value type (1, 1.0 and True differ; kinds and ids are the sensors' own
-    strings and the environment's keys), the derived features already hold
-    what this pass would write, and only `own` is written.
-    Rows that are `ws.rows` itself, a pass's reads reused, are unchanged
-    without comparing. One world state is fed by one sensor config.
+    before it, so the derived features depend on the rows alone: when the
+    rows equal the previous pass's by value and by value type (1, 1.0 and
+    True differ; kinds and ids are the sensors' own strings and the
+    environment's keys), the features already hold what this pass would
+    write, and only `own` is written. Rows that are `ws.rows` itself, a
+    pass's reads reused, are unchanged without comparing. One world state is
+    fed by one sensor config. Other rows are looked up in `config.derived`,
+    which every world state fed by the config shares; the stages run only on
+    a miss, and a noiseless config stores what they derived. The derived
+    pairs are written in the order the stages write them, so keys and values
+    are what the stages would leave.
     Returns whether any feature may have changed.
     """
     ws.tick = tick
@@ -305,8 +316,18 @@ def update_world_state(ws: WorldState, rows: list[Row], config: SensorConfig, ti
         rows == ws.rows and [type(r[2]) for r in rows] == [type(r[2]) for r in ws.rows])
     if changed:
         ws.rows = rows
-        logical = _run_stage(_LOGICAL_SENSORS, config.logical, _by_kind(rows), ws.features)
-        _run_stage(_TRANSFORMERS, config.transformers, logical, ws.features)
+        # the rows and their values' types, -0.0 apart from 0.0: the one pair
+        # of finite values of one type that compare equal
+        typed = None if config.noise else (tuple(rows), tuple([
+            type(v) if v != 0 or copysign(1.0, v) > 0 else "-0.0" for _, _, v in rows]))
+        derived = config.derived.get(typed)
+        if derived is None:
+            derived = {}
+            logical = _run_stage(_LOGICAL_SENSORS, config.logical, _by_kind(rows), derived)
+            _run_stage(_TRANSFORMERS, config.transformers, logical, derived)
+            if typed is not None:
+                config.derived[typed] = derived
+        ws.features.update(derived)
     features = ws.features
     for key, value in own.items():
         if key not in features or type(features[key]) is not type(value) or features[key] != value:

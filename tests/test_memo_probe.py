@@ -1,7 +1,7 @@
 import importlib.util
 from pathlib import Path
 
-from defsim import planning, runner
+from defsim import planning, runner, sensing
 
 from conftest import BUNDLED
 
@@ -12,19 +12,25 @@ _spec.loader.exec_module(PROBE)
 
 
 def test_memo_probe_counts_one_seed_and_restores_what_it_wraps(capsys):
-    wrapped = (planning.Deliberations.key, planning.propose_plans, runner.Episode.run)
+    def wrappable():
+        return (planning.Deliberations.key, planning.propose_plans, sensing.sense,
+                sensing._by_kind, runner.Episode.run)
+    wrapped = wrappable()
     assert PROBE.main(["--seeds", "1"]) == 0
-    assert (planning.Deliberations.key, planning.propose_plans, runner.Episode.run) == wrapped
+    assert wrappable() == wrapped
     table = [line.strip("| ").split(" | ") for line in capsys.readouterr().out.splitlines()
              if line.startswith("|")]
     rows = table[2:]  # after the header and its rule
     assert [(row[0], row[1]) for row in rows] == [
         (name, run) for name in (*BUNDLED, "wide_repertoire") for run in ("lone", "batch")]
     for row in rows:
-        decisions, deliberative, keys, searches, distinct = (float(n) for n in row[2:7])
+        decisions, deliberative, keys, searches, distinct, reads, derivations = (
+            float(n) for n in row[2:9])
         # a deliberation keeps its agent's last decision, finds a body its
         # bucket holds or searches, and one search finds each distinct body at least
         assert decisions >= deliberative >= keys >= searches >= distinct > 0
+        # a pass that reuses its reads derives nothing, and the first pass derives
+        assert reads >= derivations > 0
     # with one seed, the batch is the lone episode
     bundled = rows[:2 * len(BUNDLED)]
     assert [row[2:] for row in bundled[0::2]] == [row[2:] for row in bundled[1::2]]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import hashlib
 import importlib.util
@@ -929,7 +930,9 @@ def test_episodes_sharing_one_memo_write_the_bytes_of_lone_episodes(name, bundle
     """Seeds 1-20 run forward through one config and in reverse through a
     second each write the bytes of the seed run on a config parsed for it
     alone, and resolving each `same_as` gives back the full decision event's
-    bytes: {tick, seq, kind} and the decision_log entry."""
+    bytes: {tick, seq, kind} and the decision_log entry. This guards both
+    memos a config's episodes share: its deliberations and the features its
+    sensor config derived from each typed row set."""
     forward, reverse = fresh_config(bundled_configs[name]), fresh_config(bundled_configs[name])
     seeds = range(1, 21)
     shared = {seed: _artifact_bytes(run_episode(forward, seed), tmp_path) for seed in seeds}
@@ -943,6 +946,7 @@ def test_episodes_sharing_one_memo_write_the_bytes_of_lone_episodes(name, bundle
             _encode({"tick": event["tick"], "seq": event["seq"], "kind": "agent.decision", **entry})
             for event, entry in zip(resolved, lone.decision_log, strict=True)], seed
     assert forward.deliberations.bodies and reverse.deliberations.bodies
+    assert forward.sensors.derived and reverse.sensors.derived
 
 
 def test_agents_install_in_order_and_run_in_id_order(bundled_configs, monkeypatch):
@@ -1611,7 +1615,7 @@ def _defeat_sensing_skip(mp):
 
     def rederive(ws, rows, config, tick, own):
         ws.rows = None  # no previous pass to compare with
-        update(ws, rows, config, tick, own)
+        update(ws, rows, dataclasses.replace(config), tick, own)  # with an empty memo
         return True
     mp.setattr(sensing, "update_world_state", rederive)
 
@@ -1709,6 +1713,30 @@ def test_a_noisy_config_reads_on_every_pass(bundled_configs, monkeypatch, tmp_pa
     first = _artifact_bytes(run_episode(config, 1), tmp_path_factory.mktemp("first"))
     assert calls["sense"] == calls["update_world_state"] > 0
     assert _artifact_bytes(run_episode(config, 1), tmp_path_factory.mktemp("second")) == first
+    assert not config.sensors.derived  # its rows are fresh draws
+
+
+def test_a_config_derives_each_distinct_typed_row_set_once(bundled_configs, monkeypatch):
+    """Every episode of a config shares its sensor memo: a 20-seed batch
+    leaves at most one entry per distinct typed row set its agents folded,
+    and derives features fewer times than its agents read their sensors."""
+    config = fresh_config(bundled_configs["s1_comms_spoof"])
+    calls, folded = {"sense": 0, "_by_kind": 0}, set()
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(sensing, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sensing, name, counted)
+    update = sensing.update_world_state
+
+    def recorded_update(ws, rows, *args):
+        folded.add(repr(rows))  # repr tells 1, 1.0 and True apart, and -0.0 from 0.0
+        return update(ws, rows, *args)
+    monkeypatch.setattr(sensing, "update_world_state", recorded_update)
+    run_batch(config, list(range(1, 21)))
+    assert 0 < len(config.sensors.derived) <= len(folded)
+    # _by_kind runs once per derivation, and a noiseless config stores each
+    assert calls["_by_kind"] == len(config.sensors.derived) < calls["sense"]
 
 
 def test_unchanged_sensing_passes_skip_identify(bundled_configs, monkeypatch):

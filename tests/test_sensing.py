@@ -1,7 +1,7 @@
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from defsim.envsim import (
     ChannelState,
@@ -268,6 +268,52 @@ def test_every_feature_is_a_number(env, noise, seed, detectability, replica_coun
               detectability=detectability, replica_count=replica_count)
     assert {"detectability", "replica_count", "comms_integrity"} <= ws.features.keys()
     assert all(type(value) in (int, float) for value in ws.features.values()), ws.features
+
+
+def _exact(features):
+    """Features as (key, type, repr) in key order: 1, 1.0 and True apart,
+    and -0.0 apart from 0.0."""
+    return [(key, type(value), repr(value)) for key, value in features.items()]
+
+
+# one row that equals the others by value, not by type or by the sign of zero
+_TYPED_ROWS = st.sampled_from([1, 1.0, True, 0, 0.0, -0.0]).map(
+    lambda value: [("host_integrity", None, value)])
+_ZEROS = [[("host_integrity", None, 0.0)], [("host_integrity", None, -0.0)],
+          [("host_integrity", None, 1)]]
+
+
+@given(st.lists(platform_states() | _TYPED_ROWS, min_size=1, max_size=3),
+       st.lists(st.integers(0, 3), min_size=1, max_size=8), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@example(_ZEROS, [0, 2, 1], False, 0)
+@settings(max_examples=200, deadline=None)
+def test_one_shared_config_derives_what_a_fresh_config_per_pass_derives(pool, order, noisy,
+                                                                       seed):
+    """Passes drawn from a pool of platform states and typed rows (index 3
+    reuses the previous pass's rows) folded through one SensorConfig, whose
+    memo every pass shares, leave the features (values, types and key order)
+    and return on every pass what a fresh config per pass does. The memo
+    holds at most one entry per distinct typed row set, and none for a
+    noisy config."""
+    def config():
+        return SensorConfig(list(_PHYSICAL_SENSORS), list(_LOGICAL_SENSORS),
+                            list(_TRANSFORMERS), {"*": 0.05} if noisy else {})
+    shared, rng, seen = config(), Random(seed), set()
+    memo_ws, fresh_ws = WorldState(), WorldState()
+    for tick, index in enumerate(order):
+        if index == 3 and memo_ws.rows is not None:
+            memo_rows, fresh_rows = memo_ws.rows, fresh_ws.rows
+        else:
+            item = pool[index % len(pool)]
+            memo_rows = item if isinstance(item, list) else sense(item, "h1", shared, rng)
+            fresh_rows = list(memo_rows)
+        seen.add(repr(memo_rows))
+        own = {"detectability": 0.5, "replica_count": tick % 2}
+        assert (update_world_state(memo_ws, memo_rows, shared, tick, own)
+                == update_world_state(fresh_ws, fresh_rows, config(), tick, own))
+        assert _exact(memo_ws.features) == _exact(fresh_ws.features)
+    assert len(shared.derived) <= (0 if noisy else len(seen))
 
 
 # -- predicates -----------------------------------------------------------------------------
