@@ -173,12 +173,11 @@ def share_and_request(agent_state: AgentState, peers: list[tuple[str, str]],
     return [("agent.conclusions_requested", outcome) for outcome in outcomes]
 
 
-def report(agent_state: AgentState, summary: dict[str, Any], post: Post,
-           reason: str) -> list[Event]:
+def report(agent_state: AgentState, post: Post, reason: str) -> list[Event]:
     """Send a status report to the remote center and return its trace
     event: agent.report, or agent.report_skipped when no channel reaches
-    the center's host."""
-    sent = post.send(agent_state, post.c2_host, MessageKind.STATUS_REPORT, "c2", summary)
+    the center's host. The center reads nothing, so the payload is empty."""
+    sent = post.send(agent_state, post.c2_host, MessageKind.STATUS_REPORT, "c2", {})
     if sent is None:
         return [("agent.report_skipped", {"reason": "no_route", "trigger": reason})]
     return [("agent.report", {"status": sent[1].value, "reason": reason})]

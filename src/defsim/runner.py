@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 from pathlib import Path
 from random import Random
 from typing import Any, Optional
@@ -262,12 +261,11 @@ class Episode:
             return
         commands = self._process_inbox(rt)
 
-        # reads taken at the host's current change count still hold; a noisy
-        # config reads every pass, so its draws keep their place
+        # features derived at the host's current change count still hold; a
+        # noisy config reads every pass, so its draws keep their place
         count = self.env.host_changes[rt.state.host_id]
-        if rt.sensed_at == count and not self.sensors.noise:
-            rows = rt.ws.rows
-        else:
+        rows = None
+        if rt.sensed_at != count or self.sensors.noise:
             rows = sensing.sense(self.env, rt.state.host_id, self.sensors, self.rng)
             rt.sensed_at = count
         changed = sensing.update_world_state(
@@ -532,28 +530,11 @@ class Episode:
 
     # -- reporting -----------------------------------------------------------------------
 
-    def _report_summary(self, rt: AgentRuntime) -> dict[str, Any]:
-        assessment = rt.assessment
-        # the agent's own last 3 decisions, oldest first
-        recent = list(islice((d for d in reversed(self.decision_log)
-                              if d["agent"] == rt.state.agent_id), 3))[::-1]
-        return {
-            "tick": self.tick,
-            "assessment": assessment.summary if assessment else None,
-            "detectability": rt.state.detectability,
-            "mode": rt.state.mode.value,
-            "recent_decisions": [
-                {"tick": d["tick"], "path": d["path"],
-                 "no_action": d["chosen"]["no_action"]}
-                for d in recent
-            ],
-        }
-
     def _attempt_report(self, rt: AgentRuntime, tick: int, reason: str) -> None:
         if self.config.c2_host is None:
             return
         rt.last_report_tick = tick  # skipped reports retry next interval
-        events = collaboration.report(rt.state, self._report_summary(rt), self.post, reason)
+        events = collaboration.report(rt.state, self.post, reason)
         self._emit_events(events, agent=rt.state.agent_id)
 
     def _periodic_report(self, rt: AgentRuntime, tick: int) -> None:

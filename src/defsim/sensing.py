@@ -4,8 +4,8 @@ The agent never reads the environment directly: everything it believes comes
 through a three-stage pipeline (physical reads, logical aggregations,
 normalizing transformers) where each stage consumes only the previous
 stage's output. sense() takes the physical reads; update_world_state()
-keeps them as the world state's rows and derives features from them, once
-per distinct set of rows a sensor config sees.
+derives features from a fresh read, once per distinct set of rows a sensor
+config sees, and is handed no rows when the agent has not read again.
 Matching learned threshold patterns against the features is what triggers
 planning.
 """
@@ -75,20 +75,18 @@ class Assessment:
 
     @cached_property
     def summary(self) -> dict[str, Any]:
-        """The trigger summary that assessment events, decisions and status
-        reports carry: built once, shared by all of them, read by each."""
+        """The trigger summary that assessment events and decisions carry:
+        built once, shared by both, read by each."""
         return {"matched": [list(m) for m in self.matched], "top_severity": self.top_severity,
                 "problematic": self.problematic}
 
 
 @dataclass
 class WorldState:
-    """What an agent knows of its host: the physical rows of its last read
-    and the features derived from them, plus its own values."""
+    """What an agent knows of its host: the features derived from its last
+    read, plus its own values."""
     tick: int = 0
     features: dict[str, Any] = field(default_factory=dict)
-    # the physical rows last folded in; None until the first pass
-    rows: Optional[list[Row]] = None
 
 
 @dataclass
@@ -291,31 +289,25 @@ def sense(env: Environment, host_id: str, config: SensorConfig, rng: Random) -> 
     return rows
 
 
-def update_world_state(ws: WorldState, rows: list[Row], config: SensorConfig, tick: int,
-                       own: dict[str, Any]) -> bool:
-    """Fold one pass of physical rows into the world state at `tick`.
+def update_world_state(ws: WorldState, rows: Optional[list[Row]], config: SensorConfig,
+                       tick: int, own: dict[str, Any]) -> bool:
+    """Fold one pass into the world state at `tick`.
 
-    The rows become `ws.rows`; the logical and transformer stages derive
-    features from them, then the agent's own values (`own`) are written to
-    features, last writer wins per key. Each stage reads only the one
-    before it, so the derived features depend on the rows alone: when the
-    rows equal the previous pass's by value and by value type (1, 1.0 and
-    True differ; kinds and ids are the sensors' own strings and the
-    environment's keys), the features already hold what this pass would
-    write, and only `own` is written. Rows that are `ws.rows` itself, a
-    pass's reads reused, are unchanged without comparing. One world state is
-    fed by one sensor config. Other rows are looked up in `config.derived`,
-    which every world state fed by the config shares; the stages run only on
-    a miss, and a noiseless config stores what they derived. The derived
-    pairs are written in the order the stages write them, so keys and values
-    are what the stages would leave.
+    `rows` is a fresh read, which counts as a change, or None when the
+    agent's host has not changed since its last read, so the features still
+    hold what that read derived. The logical and transformer stages derive
+    features from the rows, then the agent's own values (`own`) are written
+    to features, last writer wins per key. Each stage reads only the one
+    before it, so the derived features depend on the rows alone. Rows are
+    looked up in `config.derived`, which every world state fed by the config
+    shares; the stages run only on a miss, and a noiseless config stores
+    what they derived. The derived pairs are written in the order the stages
+    write them, so keys and values are what the stages would leave.
     Returns whether any feature may have changed.
     """
     ws.tick = tick
-    changed = rows is not ws.rows and not (
-        rows == ws.rows and [type(r[2]) for r in rows] == [type(r[2]) for r in ws.rows])
+    changed = rows is not None
     if changed:
-        ws.rows = rows
         # the rows and their values' types, -0.0 apart from 0.0: the one pair
         # of finite values of one type that compare equal
         typed = None if config.noise else (tuple(rows), tuple([

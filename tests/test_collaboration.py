@@ -220,16 +220,18 @@ def test_the_tag_binds_each_field_of_each_conclusion_and_their_order():
 def test_report_delivered_on_healthy_channel():
     env = two_host_env()
     env.step(0)
-    events = report(agent_on(), {"mode": "normal"}, post_on(env), "interval")
+    events = report(agent_on(), post_on(env), "interval")
     assert events == [("agent.report", {"status": "delivered", "reason": "interval"})]
-    assert env.drain_inbox("c2")[0]["kind"] == "StatusReport"
+    message, = env.drain_inbox("c2")
+    assert message["kind"] == "StatusReport" and message["payload"] == {}
+    assert verify_message(KEY, message)
 
 
 def test_report_no_route_when_disabled():
     env = two_host_env("disabled")
     env.step(0)
     state = agent_on()
-    events = report(state, {}, post_on(env), "interval")
+    events = report(state, post_on(env), "interval")
     assert events == [("agent.report_skipped", {"reason": "no_route", "trigger": "interval"})]
     assert state.detectability == 0.1
 

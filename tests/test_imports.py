@@ -383,6 +383,13 @@ def test_the_package_has_one_canonical_encoder():
     assert found == {name: [] for name in found}
 
 
+def function_owners(tree: ast.Module) -> dict[int, str]:
+    """The id of each node inside a module-level function or method -> its
+    `name` or `Class.name`."""
+    return {id(sub): qualname for qualname, node in module_functions(tree)
+            for sub in ast.walk(node)}
+
+
 SEND_CALLS = {"route", "deliver", "build_message"}
 
 
@@ -391,8 +398,7 @@ def send_calls(source: str) -> list[str]:
     `source`, by the module-level function or method that makes it
     (`<module>` for any other place)."""
     tree = ast.parse(source)
-    owner = {id(sub): qualname for qualname, node in module_functions(tree)
-             for sub in ast.walk(node)}
+    owner = function_owners(tree)
     calls = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -423,6 +429,37 @@ def test_every_message_is_sent_in_collaboration():
         "Post.send: build_message", "Post.send: deliver", "Post.send: route",
         "propagate: build_message", "propagate: deliver", "propagate: route"]
     assert calls == {name: [] for name in calls}
+
+
+def attribute_reads(source: str, attr: str) -> list[str]:
+    """The function or method (`<module>` for any other place) of each read
+    of the attribute `attr` in `source`: a load that is not the table of an
+    item write such as `x.attr[k] += 1`."""
+    tree = ast.parse(source)
+    owner = function_owners(tree)
+    tables = {id(node.value) for node in ast.walk(tree)
+              if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)}
+    return sorted(owner.get(id(node), "<module>") for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == attr
+                  and isinstance(node.ctx, ast.Load) and id(node) not in tables)
+
+
+def test_checker_names_each_read_of_an_attribute_by_its_function():
+    source = ("class E:\n"
+              "    def __init__(self):\n        self.n = {}\n"
+              "    def bump(self, k):\n        self.n[k] += 1\n        del self.n[k]\n"
+              "    def peek(self, k):\n        return self.n[k], self.n.get(k)\n"
+              "def f(env):\n    env.n = {}\n    return env.n, env.m\n"
+              "print(E().n)\n")
+    assert attribute_reads(source, "n") == ["<module>", "E.peek", "E.peek", "f"]
+
+
+def test_only_the_agent_phase_reads_a_hosts_change_count():
+    # the change count is the one signal that a host's reads are stale: an
+    # agent reads its sensors again exactly when its host's count moved
+    reads = {path.name: attribute_reads(path.read_text(), "host_changes") for path in SOURCES}
+    assert {name: found for name, found in reads.items() if found} == {
+        "runner.py": ["Episode._agent_phase"]}
 
 
 # raises that name no class of errors.py: (module, function, exception) -> why it stays

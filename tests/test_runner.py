@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from defsim import collaboration, execution, planning, sensing
-from defsim.envsim import clamp01
+from defsim.envsim import Environment, clamp01
 from defsim.errors import (
     ConfigInvalid,
     CorruptTrace,
@@ -751,33 +751,34 @@ def test_the_remote_center_takes_its_status_reports(name, bundled_configs, tmp_p
             == golden[name]["digests_by_seed"]["1"]["trace"])
 
 
-def test_a_status_report_carries_the_agents_own_last_three_decisions(bundled_configs,
-                                                                     monkeypatch):
-    report, summaries = collaboration.report, []
+def test_the_center_drains_only_empty_reports_and_flagged_forgeries(bundled_configs,
+                                                                   monkeypatch):
+    """A status report carries nothing: every message the center takes is
+    an authentic StatusReport with an empty payload, or a forgery that the
+    spoofer flagged and whose tag fails."""
+    drain, drained = Environment.drain_inbox, []
 
-    def captured(state, summary, *args, **kwargs):
-        summaries.append((state.agent_id, copy.deepcopy(summary)))
-        return report(state, summary, *args, **kwargs)
-    monkeypatch.setattr(collaboration, "report", captured)
-    full = 0
-    for seed in range(1, 21):
-        summaries.clear()
-        result = run_episode(bundled_configs["s3_partition"], seed)
-        decided: dict[str, list] = {}  # agent -> its decisions so far, as a report lists them
-        decisions, reports = iter(result.decision_log), iter(summaries)
-        for event in result.trace:
-            if event["kind"] == "agent.decision":
-                entry = next(decisions)
-                decided.setdefault(entry["agent"], []).append(
-                    {"tick": entry["tick"], "path": entry["path"],
-                     "no_action": entry["chosen"]["no_action"]})
-            elif event["kind"] in ("agent.report", "agent.report_skipped"):
-                agent, summary = next(reports)
-                assert agent == event["agent"]
-                assert summary["recent_decisions"] == decided.get(agent, [])[-3:]
-                full += len(summary["recent_decisions"]) == 3
-        assert next(reports, None) is None
-    assert full
+    def recorded(env, recipient):
+        messages = drain(env, recipient)
+        if recipient == "c2":
+            drained.extend(messages)
+        return messages
+    monkeypatch.setattr(Environment, "drain_inbox", recorded)
+    authentic = forged = 0
+    for name in BUNDLED:
+        for seed in range(1, 21):
+            drained.clear()
+            episode = Episode(bundled_configs[name], seed)
+            episode.run()
+            for message in drained:
+                if collaboration.verify_message(episode.post.key, message):
+                    assert message["kind"] == "StatusReport" and message["payload"] == {}
+                    assert "forged" not in message
+                    authentic += 1
+                else:
+                    assert message["forged"] is True
+                    forged += 1
+    assert authentic and forged
 
 
 def test_training_sets_a_matched_patterns_confidence_to_its_confirmed_ratio(bundled_configs):
@@ -1203,8 +1204,8 @@ def test_what_drops_a_kept_decision(between, key_derivations):
 
 
 def test_no_consumer_edits_a_shared_trigger_summary(bundled_configs, monkeypatch):
-    """Assessment events, decisions and status reports share one summary per
-    assessment; after whole episodes each still equals a fresh one."""
+    """Assessment events and decisions share one summary per assessment;
+    after whole episodes each still equals a fresh one."""
     assessments = []
     identify = sensing.identify
     monkeypatch.setattr(sensing, "identify",
@@ -1614,7 +1615,6 @@ def _defeat_sensing_skip(mp):
     update = sensing.update_world_state
 
     def rederive(ws, rows, config, tick, own):
-        ws.rows = None  # no previous pass to compare with
         update(ws, rows, dataclasses.replace(config), tick, own)  # with an empty memo
         return True
     mp.setattr(sensing, "update_world_state", rederive)
@@ -1669,28 +1669,33 @@ REUSE_INPUTS = {
 
 @pytest.mark.parametrize("name", list(REUSE_INPUTS))
 def test_reused_reads_equal_fresh_reads(name, bundled_configs, monkeypatch):
-    """A pass that reuses its last reads gets what reading now would return,
-    by value and by value type, also after a restore, a replica's install, a
-    kill and a change of a channel between two agents' hosts."""
+    """A pass that does not read again would read what the runtime last
+    read, by value and by value type, also after a restore, a replica's
+    install, a kill and a change of a channel between two agents' hosts."""
     build, changes = REUSE_INPUTS[name]
     config = build(bundled_configs)
     sense, update = sensing.sense, sensing.update_world_state
-    sensed, reused = [], []
+    sensed, last_read, reused = [], {}, []
 
-    def counted_sense(*args):
-        sensed.append(args)
-        return sense(*args)
+    def recorded_sense(*args):
+        sensed.append(sense(*args))
+        return sensed[-1]
 
     def checked_update(ws, rows, config, tick, own):
-        if not sensed:  # no read since the previous pass
+        if sensed:
+            assert rows is sensed[-1]
+            last_read[id(ws)] = rows
+        else:  # no read since the previous pass
+            assert rows is None
             runtime = next(rt for rt in episode.runtimes.values() if rt.ws is ws)
             fresh = sense(episode.env, runtime.state.host_id, config, Random(0))
-            assert rows == fresh and [type(r[2]) for r in rows] == [type(r[2]) for r in fresh]
+            read = last_read[id(ws)]
+            assert read == fresh and [type(r[2]) for r in read] == [type(r[2]) for r in fresh]
             reused.append(tick)
         sensed.clear()
         return update(ws, rows, config, tick, own)
 
-    monkeypatch.setattr(sensing, "sense", counted_sense)
+    monkeypatch.setattr(sensing, "sense", recorded_sense)
     monkeypatch.setattr(sensing, "update_world_state", checked_update)
     reached = set()
     for seed in range(1, 6):
@@ -1730,7 +1735,8 @@ def test_a_config_derives_each_distinct_typed_row_set_once(bundled_configs, monk
     update = sensing.update_world_state
 
     def recorded_update(ws, rows, *args):
-        folded.add(repr(rows))  # repr tells 1, 1.0 and True apart, and -0.0 from 0.0
+        if rows is not None:  # None folds no rows
+            folded.add(repr(rows))  # repr tells 1, 1.0 and True apart, and -0.0 from 0.0
         return update(ws, rows, *args)
     monkeypatch.setattr(sensing, "update_world_state", recorded_update)
     run_batch(config, list(range(1, 21)))

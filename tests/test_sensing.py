@@ -1,3 +1,4 @@
+import dataclasses
 from random import Random
 
 import pytest
@@ -87,8 +88,9 @@ def test_pipeline_stages_feed_forward_only():
     # physical reads land in the rows, derived values in features
     env = make_env()
     env.step(0)
-    ws = fold(sense(env, "h1", FULL_CONFIG, Random(1)))
-    assert ("service_up", "web", 1) in ws.rows and "service_up:web" not in ws.features
+    rows = sense(env, "h1", FULL_CONFIG, Random(1))
+    ws = fold(rows)
+    assert ("service_up", "web", 1) in rows and "service_up:web" not in ws.features
     assert "functionality_belief" in ws.features
     assert "service_table" not in ws.features
 
@@ -173,9 +175,9 @@ def test_noisy_pass_draws_the_pinned_values():
 # -- update_world_state ---------------------------------------------------------------
 
 def test_empty_update_only_advances_the_tick():
-    ws = WorldState(tick=3, features={"x": 1.0})
-    update_world_state(ws, [], SensorConfig(), 4, {})
-    assert ws.features == {"x": 1.0} and ws.rows == []
+    ws, config = WorldState(tick=3, features={"x": 1.0}), SensorConfig()
+    update_world_state(ws, [], config, 4, {})
+    assert ws.features == {"x": 1.0} and config.derived == {((), ()): {}}
     assert ws.tick == 4
 
 
@@ -198,36 +200,30 @@ def test_first_pass_derives_even_without_rows():
     assert ws.features == {"comms_integrity": 1.0}
 
 
-def test_unchanged_rows_and_own_values_report_no_change():
-    ws = fold([("host_integrity", None, 0.5)], INTEGRITY_ONLY, detectability=0.1)
-    assert not update_world_state(ws, [("host_integrity", None, 0.5)], INTEGRITY_ONLY, 1,
-                                  {"detectability": 0.1})
-    assert ws.tick == 1
-    assert ws.features == {"host_integrity": 0.5, "detectability": 0.1}
-
-
 @pytest.mark.parametrize("first, second", [(1, 1.0), (1.0, 1), (1, True), (0.5, 0.25)])
 def test_rows_of_another_value_or_type_are_rederived(first, second):
-    ws = fold([("host_integrity", None, first)], INTEGRITY_ONLY)
-    assert update_world_state(ws, [("host_integrity", None, second)], INTEGRITY_ONLY, 1, {})
-    (_, _, value), = ws.rows
-    for value in (value, ws.features["host_integrity"]):
-        assert type(value) is type(second)
-        assert value == second
+    """Rows equal by value but not by type key their own memo entry."""
+    config = dataclasses.replace(INTEGRITY_ONLY)  # with an empty memo
+    ws = fold([("host_integrity", None, first)], config)
+    assert update_world_state(ws, [("host_integrity", None, second)], config, 1, {})
+    assert [(type(value), value) for value in
+            (derived["host_integrity"] for derived in config.derived.values())] == [
+        (type(first), first), (type(second), second)]
+    value = ws.features["host_integrity"]
+    assert type(value) is type(second) and value == second
 
 
 @pytest.mark.parametrize("first, second", [(0, 0.0), (0, 1)])
 def test_own_values_are_written_on_every_pass(first, second):
     ws = fold([("host_integrity", None, 0.5)], INTEGRITY_ONLY, replica_count=first)
-    assert update_world_state(ws, [("host_integrity", None, 0.5)], INTEGRITY_ONLY, 1,
-                              {"replica_count": second})
+    assert update_world_state(ws, None, INTEGRITY_ONLY, 1, {"replica_count": second})
     assert type(ws.features["replica_count"]) is type(second)
 
 
 def test_reused_rows_are_unchanged_and_own_values_still_written():
     ws = fold([("host_integrity", None, 0.5)], INTEGRITY_ONLY, replica_count=0)
-    assert update_world_state(ws, ws.rows, INTEGRITY_ONLY, 1, {"replica_count": 1})
-    assert not update_world_state(ws, ws.rows, INTEGRITY_ONLY, 2, {"replica_count": 1})
+    assert update_world_state(ws, None, INTEGRITY_ONLY, 1, {"replica_count": 1})
+    assert not update_world_state(ws, None, INTEGRITY_ONLY, 2, {"replica_count": 1})
     assert ws.tick == 2 and ws.features == {"host_integrity": 0.5, "replica_count": 1}
 
 
@@ -290,25 +286,25 @@ _ZEROS = [[("host_integrity", None, 0.0)], [("host_integrity", None, -0.0)],
 @settings(max_examples=200, deadline=None)
 def test_one_shared_config_derives_what_a_fresh_config_per_pass_derives(pool, order, noisy,
                                                                        seed):
-    """Passes drawn from a pool of platform states and typed rows (index 3
-    reuses the previous pass's rows) folded through one SensorConfig, whose
-    memo every pass shares, leave the features (values, types and key order)
-    and return on every pass what a fresh config per pass does. The memo
-    holds at most one entry per distinct typed row set, and none for a
-    noisy config."""
+    """Passes drawn from a pool of platform states and typed rows (index 3,
+    after a first pass, reads nothing again) folded through one
+    SensorConfig, whose memo every pass shares, leave the features (values,
+    types and key order) and return on every pass what a fresh config per
+    pass does. The memo holds at most one entry per distinct typed row set,
+    and none for a noisy config."""
     def config():
         return SensorConfig(list(_PHYSICAL_SENSORS), list(_LOGICAL_SENSORS),
                             list(_TRANSFORMERS), {"*": 0.05} if noisy else {})
     shared, rng, seen = config(), Random(seed), set()
     memo_ws, fresh_ws = WorldState(), WorldState()
     for tick, index in enumerate(order):
-        if index == 3 and memo_ws.rows is not None:
-            memo_rows, fresh_rows = memo_ws.rows, fresh_ws.rows
+        if index == 3 and seen:
+            memo_rows = fresh_rows = None
         else:
             item = pool[index % len(pool)]
             memo_rows = item if isinstance(item, list) else sense(item, "h1", shared, rng)
             fresh_rows = list(memo_rows)
-        seen.add(repr(memo_rows))
+            seen.add(repr(memo_rows))
         own = {"detectability": 0.5, "replica_count": tick % 2}
         assert (update_world_state(memo_ws, memo_rows, shared, tick, own)
                 == update_world_state(fresh_ws, fresh_rows, config(), tick, own))
@@ -434,15 +430,16 @@ def test_unsensed_ground_truth_never_reaches_beliefs():
     env.step(0)
     config = SensorConfig(physical=["service_table"], logical=["service_weights"],
                           transformers=["functionality_belief"])
-    ws = fold(sense(env, "h1", config, Random(1)), config)
-    baseline_rows = list(ws.rows)
+    baseline_rows = sense(env, "h1", config, Random(1))
+    ws = fold(baseline_rows, config)
     baseline_features = dict(ws.features)
     # corrupt ground truth outside sensor coverage
     env.hosts["h1"].integrity = 0.01
     env.apply_effect(EffectDescriptor("process:h1:mal", "", "spawn", {"owner": "malware"}))
     env.step(1)
-    fold(sense(env, "h1", config, Random(1)), config, ws, tick=1)
-    assert ws.rows == baseline_rows
+    rows = sense(env, "h1", config, Random(1))
+    fold(rows, config, ws, tick=1)
+    assert rows == baseline_rows
     assert ws.features == baseline_features
-    assert not {"host_integrity", "process_unknown"} & {kind for kind, _, _ in ws.rows}
+    assert not {"host_integrity", "process_unknown"} & {kind for kind, _, _ in rows}
     assert not {"host_integrity", "unknown_proc_count"} & ws.features.keys()
