@@ -1,7 +1,7 @@
 """Command line interface: run, batch, replay, explain.
 
 Exit codes: 0 success, 2 validation problems (bad scenario, bad trace,
-bad index), 1 runtime errors.
+bad index), 1 runtime errors and output paths that cannot be written.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from .errors import (
     CorruptTrace,
     DefsimError,
     IndexOutOfRange,
+    OutputUnwritable,
     SchemaMismatch,
     read_json,
+    write_text,
 )
 from .runner import (
     explain,
@@ -71,11 +73,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_dir(path: str) -> Path:
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot make directory {path}: {exc.strerror or exc}") from exc
+    return Path(path)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario)
     result = run_episode(config, args.seed, agent_enabled=not args.agent_off)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     write_trace(result, out / "trace.jsonl")
     write_result(result, out / "result.json")
     print(json.dumps(result.metrics, sort_keys=True, indent=2))
@@ -85,10 +94,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario)
     batch = run_batch(config, _parse_seeds(args.seeds), agent_enabled=not args.agent_off)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     export_csv(batch, out / "metrics.csv")
-    (out / "aggregate.json").write_text(json.dumps(batch, sort_keys=True, indent=2) + "\n")
+    write_text(out / "aggregate.json", json.dumps(batch, sort_keys=True, indent=2) + "\n")
     print(json.dumps(batch["aggregate"], sort_keys=True, indent=2))
     return 0
 

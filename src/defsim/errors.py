@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the simulation kit, the reader that
-maps a bad input file onto it, and the writer of canonical JSON."""
+maps a bad input file onto it, and the writers of files and canonical JSON."""
 
 from __future__ import annotations
 
 import json
+import os
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -83,6 +84,10 @@ class IndexOutOfRange(DefsimError):
     """Decision index outside the decision log."""
 
 
+class OutputUnwritable(DefsimError):
+    """An output file or directory cannot be written; names the path and why."""
+
+
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -112,6 +117,20 @@ def read_json(path: str | Path, error: type[DefsimError], what: str,
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise error(f"cannot read {what}: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8 bytes, untranslated. An existing file is
+    overwritten in place and cut to length, as O_TRUNC costs far more on ext4;
+    nothing is fsynced, so a crash mid-write can leave stale or torn bytes."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "wb") as file:
+            file.write(text.encode("utf-8"))
+            if os.fstat(fd).st_size > file.tell():  # a device such as /dev/null has no length
+                file.truncate()
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # json.dumps(value, sort_keys=True, separators=(",", ":")) builds a C encoder

@@ -16,6 +16,7 @@ event's seq is its 0-based position in its tick.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -36,6 +37,7 @@ from .errors import (
     UnknownGoal,
     canonical_json,
     read_json,
+    write_text,
 )
 from .execution import AgentMode, AgentState, Authority, PlanExecution
 from .learning import KnowledgeBase
@@ -627,11 +629,11 @@ def write_trace(result: EpisodeResult, path: str | Path) -> None:
     lines += [canonical_json(event) for event in result.trace]
     lines.append(canonical_json(
         {"kind": "end", "events": len(result.trace), "metrics": result.metrics}))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_result(result: EpisodeResult, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(result.to_json()) + "\n")
+    write_text(path, canonical_json(result.to_json()) + "\n")
 
 
 def replay(trace_path: str | Path) -> dict[str, Any]:
@@ -764,9 +766,10 @@ def export_csv(batch: dict[str, Any], path: str | Path) -> None:
     """One row per (scenario, seed) with named metric columns."""
     fields = ["scenario", "seed", "resilience_auc", "time_to_recovery",
               "agent_survived", "harm_events", "reward_total"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for seed in batch["seeds"]:
-            metrics = batch["per_seed"][str(seed)]
-            writer.writerow({"scenario": batch["scenario"], "seed": seed, **metrics})
+    rows = io.StringIO(newline="")
+    writer = csv.DictWriter(rows, fieldnames=fields)
+    writer.writeheader()
+    for seed in batch["seeds"]:
+        metrics = batch["per_seed"][str(seed)]
+        writer.writerow({"scenario": batch["scenario"], "seed": seed, **metrics})
+    write_text(path, rows.getvalue())

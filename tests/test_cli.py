@@ -240,6 +240,35 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# command line, with OUT standing for an output path, and the part of OUT
+# that is made a directory, or a regular file, before the run
+UNWRITABLE = {
+    "run_out_is_a_file": (["run", "--scenario", S1, "--seed", "1", "--out", "OUT"], "", "file"),
+    "batch_out_is_a_file": (["batch", "--scenario", S1, "--seeds", "1", "--out", "OUT"], "",
+                            "file"),
+    "trace_is_a_directory": (["run", "--scenario", S1, "--seed", "1", "--out", "OUT"],
+                             "trace.jsonl", "directory"),
+    "csv_is_a_directory": (["batch", "--scenario", S1, "--seeds", "1", "--out", "OUT"],
+                           "metrics.csv", "directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_unwritable_output_exits_1_without_traceback(case, tmp_path):
+    args, inside, kind = UNWRITABLE[case]
+    out = tmp_path / "out"
+    blocker = out / inside
+    if kind == "file":
+        blocker.write_text("")
+    else:
+        blocker.mkdir(parents=True)
+    proc = run_python(["-m", "defsim.cli"] + [str(out) if arg == "OUT" else arg for arg in args])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: cannot ")
+    assert str(blocker) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("text", [
     trace_text('{"kind": "x", "s": "a\u2028b\u2029c\u0085d"}'),
     trace_text(DECISION, same_as("0"), DECISION.replace("[]", "[1]"), same_as("2"), same_as("0")),

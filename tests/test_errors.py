@@ -1,9 +1,16 @@
+import hashlib
 import json
+import os
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from defsim.errors import CorruptTrace, canonical_json, read_json
+from defsim.cli import main
+from defsim.errors import CorruptTrace, OutputUnwritable, canonical_json, read_json, write_text
+from defsim.runner import replay, write_trace
+
+from conftest import run_python, scenario_path
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)))  # UTF-8 can encode it
 
@@ -98,3 +105,90 @@ def test_canonical_json_refuses_a_circular_value():
     with pytest.raises(ValueError, match="^Circular reference detected$"):
         canonical_json(value)
     assert canonical_json([value[0]]) == "[1]"
+
+
+@pytest.mark.parametrize("old", [None, b"x" * 1000 + b"\n", b"ab"],
+                         ids=["absent", "longer", "shorter"])
+@pytest.mark.parametrize("text", ["one\ntwo\n", "a\r\nb\nc\r\n", "\u00e9\u2028\U0001f600\n"],
+                         ids=["lf", "crlf_and_lf", "non_ascii"])
+def test_write_text_leaves_exactly_the_utf8_bytes_of_the_text(tmp_path, old, text):
+    path = tmp_path / "artifact"
+    if old is not None:
+        path.write_bytes(old)
+    write_text(path, text)
+    # no stale tail of a longer file, no newline translation, no locale codec
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_write_text_writes_utf8_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "artifact"
+    proc = run_python(["-c", "import sys; from defsim.errors import write_text; "
+                       "write_text(sys.argv[1], '\\u00e9\\r\\n')", str(path)],
+                      LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_bytes() == "\u00e9\r\n".encode("utf-8")
+
+
+def test_write_text_creates_a_file_as_path_write_text_does(tmp_path):
+    (tmp_path / "reference").write_text("x")
+    write_text(tmp_path / "artifact", "x")
+    assert (os.stat(tmp_path / "artifact").st_mode
+            == os.stat(tmp_path / "reference").st_mode)  # umask applied, not executable
+
+
+def test_write_text_through_a_symlink_rewrites_its_target(tmp_path):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"an older and longer text\n")
+    link.symlink_to(target)
+    write_text(link, "new\n")
+    assert link.is_symlink()
+    assert target.read_bytes() == b"new\n"
+
+
+def test_write_text_writes_to_a_device_that_cannot_be_cut(tmp_path):
+    link = tmp_path / "trace.jsonl"
+    link.symlink_to(os.devnull)  # how a user can discard an artifact
+    write_text(link, "x\n")
+    assert link.read_bytes() == b""
+
+
+@pytest.mark.parametrize("case", ["directory", "missing_parent"])
+def test_write_text_to_an_unwritable_path_names_it(tmp_path, case):
+    path = tmp_path / "artifact"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path = path / "artifact"
+    with pytest.raises(OutputUnwritable, match=f"^cannot write {re.escape(str(path))}: ") as error:
+        write_text(path, "x")
+    assert isinstance(error.value.__cause__, OSError)
+
+
+@pytest.mark.parametrize("written", [1.0, 0.5, 0.01], ids=["before_the_cut", "half", "start"])
+def test_a_trace_torn_by_a_crash_mid_write_fails_replay(bundled_results, tmp_path, written):
+    # nothing is fsynced: a crash can leave part of the new trace over the old
+    # one, before the file is cut to length
+    old, new = bundled_results[("s3_partition", 1)], bundled_results[("s1_comms_spoof", 1)]
+    path = tmp_path / "trace.jsonl"
+    write_trace(new, path)
+    new_bytes = path.read_bytes()
+    write_trace(old, path)
+    with open(path, "r+b") as file:
+        file.write(new_bytes[:int(len(new_bytes) * written)])
+    with pytest.raises(CorruptTrace):
+        replay(path)
+
+
+def test_batch_exports_keep_their_bytes(tmp_path, capsys):
+    # metrics.csv has csv's CRLF rows and aggregate.json LF lines, on every OS
+    out = tmp_path / "batch"
+    assert main(["batch", "--scenario", scenario_path("s2_lateral_hunt"),
+                 "--seeds", "1..3", "--out", str(out)]) == 0
+    assert (out / "metrics.csv").read_bytes() == (
+        b"scenario,seed,resilience_auc,time_to_recovery,agent_survived,harm_events,"
+        b"reward_total\r\n"
+        b"s2_lateral_hunt,1,0.29333333333333333,,False,0,-5.999999999999999\r\n"
+        b"s2_lateral_hunt,2,0.7933333333333327,,True,0,-19.549999999999983\r\n"
+        b"s2_lateral_hunt,3,0.7933333333333327,,True,0,-19.549999999999983\r\n")
+    assert hashlib.sha256((out / "aggregate.json").read_bytes()).hexdigest() == (
+        "5532c0bb674967d5ed3ceec693638c1a0d77d3351cddccec2d7d4afd10cd58b2")

@@ -462,6 +462,66 @@ def test_only_the_agent_phase_reads_a_hosts_change_count():
         "runner.py": ["Episode._agent_phase"]}
 
 
+PATH_WRITERS = {"write_text", "write_bytes"}
+
+
+def file_writes(source: str) -> list[str]:
+    """`function: call` of each call in `source` that can write a file:
+    Path.write_text or write_bytes, os.open, and open, io.open or a
+    `.open` method given a mode holding w, a, x or +, or a mode that is not
+    a literal. open's and io.open's mode is their second argument, a
+    method's its first."""
+    tree = ast.parse(source)
+    owner = function_owners(tree)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        receiver = func.value.id if isinstance(func, ast.Attribute) and isinstance(
+            func.value, ast.Name) else None
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open" and receiver != "os":
+            at = 1 if isinstance(func, ast.Name) or receiver == "io" else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[at] if len(node.args) > at else ast.Constant("r"))
+            writes = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                          and not set(mode.value) & set("wax+"))
+        else:  # os.open opens for writing by its flags
+            writes = name == "open" or (name in PATH_WRITERS and isinstance(func, ast.Attribute)
+                                        and receiver != "errors")
+        if writes:
+            call = f"{receiver}.{name}" if receiver in ("os", "io") else name
+            found.append(f"{owner.get(id(node), '<module>')}: {call}")
+    return sorted(found)
+
+
+def test_checker_names_each_call_that_can_write_a_file():
+    source = ("import io, os\n"
+              "def read(path):\n"
+              "    with open(path, encoding='utf-8', newline='') as f, open(path, 'rb') as g:\n"
+              "        return f.read(), g.read(), Path(path).read_text(), Path(path).open()\n"
+              "def write(path, text, mode):\n"
+              "    Path(path).write_text(text)\n"
+              "    path.write_bytes(b'')\n"
+              "    os.open(path, os.O_RDONLY)\n"
+              "    open(path, 'a'), open(path, mode=mode), io.open(path, 'r+')\n"
+              "    Path(path).open('x'), open(path, 'rb'), io.open(path)\n"
+              "    write_text(path, text), errors.write_text(path, text)\n"
+              "open(os.devnull, 'w')\n")
+    assert file_writes(source) == [
+        "<module>: open", "write: io.open", "write: open", "write: open", "write: open",
+        "write: os.open", "write: write_bytes", "write: write_text"]
+
+
+def test_only_the_one_writer_writes_a_file():
+    # errors.write_text writes every artifact the same way: UTF-8, no newline
+    # translation, overwritten in place and cut to length
+    found = {path.name: file_writes(path.read_text()) for path in SOURCES}
+    assert found.pop("errors.py") == ["write_text: open", "write_text: os.open"]
+    assert found == {name: [] for name in found}
+
+
 # raises that name no class of errors.py: (module, function, exception) -> why it stays
 KEPT_RAISES = {
     ("planning.py", "_product", "OverflowError"):
