@@ -83,8 +83,8 @@ def _output_dir(path: str) -> Path:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario)
-    result = run_episode(config, args.seed, agent_enabled=not args.agent_off)
     out = _output_dir(args.out)
+    result = run_episode(config, args.seed, agent_enabled=not args.agent_off)
     write_trace(result, out / "trace.jsonl")
     write_result(result, out / "result.json")
     print(json.dumps(result.metrics, sort_keys=True, indent=2))
@@ -93,8 +93,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario)
-    batch = run_batch(config, _parse_seeds(args.seeds), agent_enabled=not args.agent_off)
+    seeds = _parse_seeds(args.seeds)
     out = _output_dir(args.out)
+    batch = run_batch(config, seeds, agent_enabled=not args.agent_off)
     export_csv(batch, out / "metrics.csv")
     write_text(out / "aggregate.json", json.dumps(batch, sort_keys=True, indent=2) + "\n")
     print(json.dumps(batch["aggregate"], sort_keys=True, indent=2))

@@ -232,12 +232,7 @@ def apply_control(
         return {"command": name, "field": fld, "value": command["value"]}
     if name == "add_rule":
         spec = command["rule"]
-        rule = ConditionActionRule(
-            rule_id=spec["rule_id"],
-            condition=[tuple(p) for p in spec["condition"]],
-            action_id=spec["action_id"],
-            priority=spec["priority"],
-        )
+        rule = ConditionActionRule(**dict(spec, condition=[tuple(p) for p in spec["condition"]]))
         kb.rules[rule.rule_id] = rule
         return {"command": name, "rule_id": rule.rule_id}
     # add_pattern_example, the one case of the scenario's _COMMAND left (fail_safe is routed)

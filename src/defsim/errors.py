@@ -73,7 +73,7 @@ class RefusedOccupied(PropagationRefused):
 # -- runner -----------------------------------------------------------------
 
 class SchemaMismatch(DefsimError):
-    """Trace file or replica knowledge written under a different schema version."""
+    """Trace file written under a different schema version."""
 
 
 class CorruptTrace(DefsimError):

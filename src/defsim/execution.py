@@ -75,20 +75,11 @@ class ExecutionRecord:
 
 @dataclass
 class Deviation:
-    kind: str  # failed | overdue | effect_unmet
+    deviation_kind: str  # failed | overdue | effect_unmet
     action_id: str
     entry_index: int
     detail: str = ""
     probability: Optional[float] = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "deviation_kind": self.kind,
-            "action_id": self.action_id,
-            "entry_index": self.entry_index,
-            "detail": self.detail,
-            "probability": self.probability,
-        }
 
 
 @dataclass

@@ -11,14 +11,11 @@ probabilities the scenario declares, not with these estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
-from .errors import SchemaMismatch
 from .planning import ConditionActionRule, Goal
 from .sensing import Pattern, WorldState, all_hold
-
-KB_SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -48,75 +45,34 @@ class KnowledgeBase:
             self.pattern_version += 1
 
     def to_json(self) -> dict[str, Any]:
-        """Every field an episode reads, patterns and rules in the knowledge
-        base's own order: fast_rule_select keeps it between equal priorities."""
+        """The knowledge a replica starts from: patterns, rules and goals as their
+        dataclass fields with lists copied (the tuples in them are never edited),
+        in the knowledge base's order, which fast_rule_select keeps between equal
+        priorities; effect_stats as [action id, effect index, successes, trials]
+        rows, since tuple keys cannot be JSON object keys."""
         return {
-            "schema_version": KB_SCHEMA_VERSION,
-            "patterns": [
-                {
-                    "id": p.pattern_id,
-                    "predicates": [list(x) for x in p.predicates],
-                    "severity": p.severity,
-                    "confidence": p.confidence,
-                    "progression": [list(x) for x in p.progression],
-                    "deadline_ticks": p.deadline_ticks,
-                }
-                for p in self.patterns.values()
-            ],
-            "effect_stats": {
-                f"{aid}:{idx}": list(counts)
-                for (aid, idx), counts in sorted(self.effect_stats.items())
-            },
-            "pattern_stats": {pid: list(counts)
-                              for pid, counts in sorted(self.pattern_stats.items())},
-            "rules": [
-                {
-                    "rule_id": r.rule_id,
-                    "condition": [list(x) for x in r.condition],
-                    "action_id": r.action_id,
-                    "priority": r.priority,
-                }
-                for r in self.rules.values()
-            ],
-            "goals": [
-                {"goal_id": g.goal_id, "predicates": [list(x) for x in g.predicates],
-                 "weight": g.weight}
-                for g in self.goals
-            ],
+            "patterns": [_fields(p) for p in self.patterns.values()],
+            "rules": [_fields(r) for r in self.rules.values()],
+            "goals": [_fields(g) for g in self.goals],
+            "effect_stats": [[*key, *counts] for key, counts in self.effect_stats.items()],
+            "pattern_stats": dict(self.pattern_stats),
         }
 
     @staticmethod
     def from_json(data: dict[str, Any]) -> "KnowledgeBase":
-        version = data.get("schema_version")
-        if version != KB_SCHEMA_VERSION:
-            raise SchemaMismatch(
-                f"knowledge base schema_version {version!r}, expected {KB_SCHEMA_VERSION}")
-        kb = KnowledgeBase()
-        for spec in data["patterns"]:
-            kb.patterns[spec["id"]] = Pattern(
-                pattern_id=spec["id"],
-                predicates=[tuple(x) for x in spec["predicates"]],
-                severity=spec["severity"],
-                confidence=spec["confidence"],
-                progression=[tuple(x) for x in spec["progression"]],
-                deadline_ticks=spec["deadline_ticks"],
-            )
-        for key, counts in data["effect_stats"].items():
-            aid, idx = key.rsplit(":", 1)
-            kb.effect_stats[(aid, int(idx))] = (counts[0], counts[1])
-        for pid, counts in data["pattern_stats"].items():
-            kb.pattern_stats[pid] = (counts[0], counts[1])
-        for spec in data["rules"]:
-            kb.rules[spec["rule_id"]] = ConditionActionRule(
-                rule_id=spec["rule_id"],
-                condition=[tuple(x) for x in spec["condition"]],
-                action_id=spec["action_id"],
-                priority=spec["priority"],
-            )
-        for spec in data["goals"]:
-            kb.goals.append(Goal(spec["goal_id"], [tuple(x) for x in spec["predicates"]],
-                                 spec["weight"]))
-        return kb
+        """The knowledge base `to_json` gave, built on its payload's lists."""
+        return KnowledgeBase(
+            patterns={p["pattern_id"]: Pattern(**p) for p in data["patterns"]},
+            rules={r["rule_id"]: ConditionActionRule(**r) for r in data["rules"]},
+            goals=[Goal(**g) for g in data["goals"]],
+            effect_stats={(aid, idx): (s, t) for aid, idx, s, t in data["effect_stats"]},
+            pattern_stats=data["pattern_stats"],
+        )
+
+
+def _fields(record: Any) -> dict[str, Any]:
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    return {name: list(v) if isinstance(v, list) else v for name, v in values.items()}
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from random import Random
@@ -427,7 +427,7 @@ class Episode:
                 rt.plan_exec = None  # the plan's last attempt is ruled on
             return
         for dev in deviations:
-            self.emit("agent.deviation", agent=rt.state.agent_id, **dev.to_dict())
+            self.emit("agent.deviation", agent=rt.state.agent_id, **asdict(dev))
         decision = execution.adjust(pe, deviations, self.repertoire, rt.retry_counts,
                                     rt.ws, rt.roe)
         self.emit("agent.adjustment", agent=rt.state.agent_id, decision=decision.kind,

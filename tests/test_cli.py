@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from defsim import cli
 from defsim.cli import main
 from defsim.runner import explain, run_episode, write_result
 
@@ -267,6 +268,27 @@ def test_unwritable_output_exits_1_without_traceback(case, tmp_path):
     assert proc.stderr.startswith("error: cannot ")
     assert str(blocker) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_an_unwritable_out_fails_before_any_episode_runs(command, tmp_path, capsys,
+                                                         monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_episode", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(cli, "run_batch", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "out"
+    out.write_text("")
+    seeds = ["--seed", "1"] if command == "run" else ["--seeds", "1..20"]
+    assert main([command, "--scenario", S1, *seeds, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot make directory {out}")
+    assert calls == []
+
+
+def test_bad_seeds_exit_2_before_the_output_directory_is_made(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["batch", "--scenario", S1, "--seeds", "1..x", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot parse seeds")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [

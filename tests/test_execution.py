@@ -304,7 +304,7 @@ def test_monitor_execution_reports_failure():
     pe = PlanExecution(plan_of("kill_ghost"))
     execute_step(pe, env, state, 0, rep, Random(1), no_propagate)
     deviations = monitor_execution(pe, 1, rep)
-    assert len(deviations) == 1 and deviations[0].kind == "failed"
+    assert len(deviations) == 1 and deviations[0].deviation_kind == "failed"
     assert deviations[0].action_id == "kill_ghost"
 
 
@@ -315,7 +315,7 @@ def test_monitor_execution_flags_overdue():
                        attempt=ExecutionRecord("slow", 0, ActionStatus.IN_PROGRESS, started_tick=3))
     assert monitor_execution(pe, 4, rep) == []  # still on schedule at 3+2-1
     overdue = monitor_execution(pe, 6, rep)     # started+duration+1
-    assert len(overdue) == 1 and overdue[0].kind == "overdue"
+    assert len(overdue) == 1 and overdue[0].deviation_kind == "overdue"
 
 
 def test_monitor_effects_met_and_unmet():
@@ -336,7 +336,7 @@ def test_monitor_effects_met_and_unmet():
     deviations, checks = monitor_effects(pe2, unmet_ws, rep)
     assert checks == [("fix", 0, False)]
     assert len(deviations) == 1
-    assert deviations[0].kind == "effect_unmet"
+    assert deviations[0].deviation_kind == "effect_unmet"
     assert deviations[0].probability == 0.7  # retry heuristic input
 
 

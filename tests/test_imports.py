@@ -195,6 +195,10 @@ KEPT_FIELDS = {
 # the check below matches by name, so only the class-aware field probe of
 # scripts/scenario_coverage.py sees them.
 READ_ON_ANOTHER_CLASS = {"runner.py: EpisodeResult.decision_log"}
+# Fields the package reads only through dataclasses.asdict (the runner emits a
+# Deviation whole as its agent.deviation event): the check below sees attribute
+# loads alone, so only the class-aware field probe sees these read.
+READ_BY_ASDICT = {"execution.py: Deviation.detail", "execution.py: Deviation.deviation_kind"}
 
 
 def dataclass_fields(tree: ast.Module) -> list[str]:
@@ -250,7 +254,8 @@ def test_checker_flags_an_unread_field_and_accepts_read_ones():
 
 def test_every_dataclass_field_is_read_in_the_package():
     sources = {path.name: path.read_text() for path in SOURCES}
-    assert unread_fields(sources) == sorted(KEPT_FIELDS.keys() - READ_ON_ANOTHER_CLASS)
+    assert unread_fields(sources) == sorted(
+        (KEPT_FIELDS.keys() - READ_ON_ANOTHER_CLASS) | READ_BY_ASDICT)
 
 
 def unraised_errors(sources: dict[str, str]) -> list[str]:
