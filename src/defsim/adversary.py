@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from random import Random
 from typing import Any, Callable, Optional
 
@@ -63,6 +64,14 @@ class Playbook:
     spoof_probability: float = 0.5
     degradation_amount: float = 0.2
     max_instances: int = 8
+
+    @cached_property
+    def steps_at(self) -> dict[tuple[int, str], list[PlaybookStep]]:
+        """The steps by (tick, instance id), each list in playbook order."""
+        index: dict[tuple[int, str], list[PlaybookStep]] = {}
+        for step in self.steps:
+            index.setdefault((step.tick, step.instance_id), []).append(step)
+        return index
 
 
 class HuntResult(str, Enum):
@@ -210,13 +219,9 @@ def malware_step(
     Scripted steps for the tick run in list order; with none scheduled and
     fallback enabled, one phase-appropriate action runs instead.
     """
-    scripted = [
-        s for s in playbook.steps
-        if s.tick == tick and s.instance_id == instance.instance_id
-    ]
     effects: list[EffectDescriptor] = []
     ran_script = False
-    for step in scripted:
+    for step in playbook.steps_at.get((tick, instance.instance_id), ()):
         if not _trigger_holds(step.trigger, env):
             continue
         ran_script = True
