@@ -13,11 +13,13 @@ whose episodes share its memos. Then it runs the `wide_repertoire`
 benchmark workload of workload seed 7, as perfbench/workloads.py draws
 it, the same way: its 12 generated scenarios times the first N of its 9
 episode seeds as lone episodes, then each scenario's seeds as one
-run_batch. It prints one row for each: decisions (all, and
+run_batch. It prints one row for each: decisions (the passes that
+decide, logged or not: calls of runner.Episode._decide, all and
 deliberative), key derivations (calls of planning.Deliberations.key, one
 per deliberation an agent could not take over from its last decision),
 searches (calls of planning.propose_plans), distinct bodies (distinct
-encoded bodies of the deliberative decisions), re-reads (calls of
+encoded bodies of the logged deliberative decisions; a decision the trace
+does not log repeats a logged one's body), re-reads (calls of
 sensing.sense) and derivations (runs of the logical and transformer stages,
 one per folded row set the sensor memo did not hold). A lone row gives the
 mean per episode, a batch row the total of its batches. Searches above
@@ -57,11 +59,13 @@ COUNTED = ((planning.Deliberations, "key"), (planning, "propose_plans"), (sensin
 
 @contextmanager
 def counting() -> Iterator[tuple[dict[str, int], list[runner.EpisodeResult]]]:
-    """The calls of each COUNTED function and the results of every
+    """The calls of each COUNTED function, the decisions and deliberative
+    decisions Episode._decide is given, and the results of every
     Episode.run, while open."""
-    calls, results = {name: 0 for _, name in COUNTED}, []
+    calls = {name: 0 for name in ("decisions", "deliberative", *(name for _, name in COUNTED))}
+    results: list[runner.EpisodeResult] = []
     wrapped = [(owner, name, getattr(owner, name)) for owner, name in COUNTED]
-    run = runner.Episode.run
+    run, decide = runner.Episode.run, runner.Episode._decide
 
     def counted(name, function):
         def call(*args, **kwargs):
@@ -73,15 +77,20 @@ def counting() -> Iterator[tuple[dict[str, int], list[runner.EpisodeResult]]]:
         results.append(run(self))
         return results[-1]
 
+    def counted_decide(self, rt, tick, path, *rest):
+        calls["decisions"] += 1
+        calls["deliberative"] += path == "deliberative"
+        return decide(self, rt, tick, path, *rest)
+
     for owner, name, function in wrapped:
         setattr(owner, name, counted(name, function))
-    runner.Episode.run = recorded_run
+    runner.Episode.run, runner.Episode._decide = recorded_run, counted_decide
     try:
         yield calls, results
     finally:
         for owner, name, function in wrapped:
             setattr(owner, name, function)
-        runner.Episode.run = run
+        runner.Episode.run, runner.Episode._decide = run, decide
 
 
 def bodies(result: runner.EpisodeResult) -> list[str]:
@@ -89,11 +98,10 @@ def bodies(result: runner.EpisodeResult) -> list[str]:
             for d in result.decision_log if d["path"] == "deliberative"]
 
 
-def counts(results: list[runner.EpisodeResult], calls: dict[str, int],
-           distinct: int) -> tuple[int, ...]:
+def counts(calls: dict[str, int], distinct: int) -> tuple[int, ...]:
     keys, searches, reads, derivations = (calls[name] for _, name in COUNTED)
-    return (sum(len(r.decision_log) for r in results), sum(len(bodies(r)) for r in results),
-            keys, searches, distinct, reads, derivations)
+    return (calls["decisions"], calls["deliberative"], keys, searches, distinct, reads,
+            derivations)
 
 
 def parsed_again(config: ScenarioConfig) -> ScenarioConfig:
@@ -110,12 +118,12 @@ def probe(name: str, configs: list[ScenarioConfig],
         for seed in seeds:
             with counting() as (calls, results):
                 runner.run_episode(parsed_again(config), seed)
-            for i, n in enumerate(counts(results, calls, len(set(bodies(results[0]))))):
+            for i, n in enumerate(counts(calls, len(set(bodies(results[0]))))):
                 lone[i] += n
         with counting() as (calls, results):
             runner.run_batch(parsed_again(config), seeds)
         distinct = len({body for result in results for body in bodies(result)})
-        for i, n in enumerate(counts(results, calls, distinct)):
+        for i, n in enumerate(counts(calls, distinct)):
             batch[i] += n
     episodes = len(configs) * len(seeds)
     return [(name, "lone", tuple(n / episodes for n in lone)), (name, "batch", tuple(batch))]

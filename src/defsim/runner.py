@@ -45,7 +45,7 @@ from .planning import ActionSpec, RulesOfEngagement
 from .scenario import AgentSpec, ScenarioConfig
 from .sensing import Assessment, WorldState
 
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 RECOVERY_LEVEL = 0.95
 RECOVERY_SUSTAIN_TICKS = 10
 
@@ -66,11 +66,12 @@ class AgentRuntime:
     assessment: Optional[Assessment] = None
     identified_at: int = -1  # the knowledge base's pattern version at the last identify
     sensed_at: int = -1  # its host's change count at the last sense
-    # the last decision: (its assessment, path, body, canonical bytes). It
-    # stands while its assessment does: features and patterns change only
-    # through a sense or a write that re-runs identify, and goals, rules and
-    # ROE only through a C2 command, which drops it
+    # the last decision: (its assessment, path, body, canonical bytes); identify's re-run
+    # drops it, and so does a C2 command, which may edit goals, rules or ROE
     decision: Optional[tuple[Assessment, str, dict[str, Any], str]] = None
+    # the last logged decision (index, path, body bytes, trigger) and assessment summary
+    logged: Optional[tuple[int, str, str, dict[str, Any]]] = None
+    logged_assessment: Optional[dict[str, Any]] = None
 
 
 @dataclass
@@ -91,6 +92,7 @@ class EpisodeResult:
             "scenario": self.scenario_name,
             "scenario_hash": self.scenario_hash,
             "seed": self.seed,
+            "ticks": len(self.functionality_series),
             "agents": self.agents,
             "primary_agent": self.primary_agent,
         }
@@ -124,10 +126,25 @@ def time_to_recovery(series: list[float], onset: Optional[int]) -> Optional[int]
     return None
 
 
-def _episode_metrics(events: list[dict[str, Any]], primary: Optional[str]) -> dict[str, Any]:
+def _differs(value: Any, last: Any) -> bool:
+    """Whether `value` logs differently from `last`: repr, like JSON, tells -0.0 from 0.0."""
+    return value is not last and (value != last or repr(value) != repr(last))
+
+
+def _functionality_series(events: list[dict[str, Any]], ticks: int) -> list[float]:
+    """One functionality value per tick: each logged value holds until the next."""
+    series: list[float] = []
+    for event in events:
+        if event["kind"] == "tick.functionality":
+            series += series[-1:] * (event["tick"] - len(series)) + [event["value"]]
+    return series + series[-1:] * (ticks - len(series))
+
+
+def _episode_metrics(events: list[dict[str, Any]], primary: Optional[str],
+                     ticks: int) -> dict[str, Any]:
     """The metrics block folded from an episode's events: by the episode
     from its own trace, and by replay from the trace file."""
-    series = [e["value"] for e in events if e["kind"] == "tick.functionality"]
+    series = _functionality_series(events, ticks)
     onsets = [e["tick"] for e in events if e["kind"] == "attack.onset"]
     harm_events = sum(1 for e in events if e["kind"] == "harm")
     reward_total = sum_in_order((e["reward"] for e in events
@@ -227,6 +244,7 @@ class Episode:
     # -- episode loop ---------------------------------------------------------------
 
     def run(self) -> EpisodeResult:
+        functionality = None  # the last logged value
         for tick in range(self.config.duration_ticks):
             self.tick, self.seq = tick, 0
             for channel, message in self.env.step(tick):
@@ -236,15 +254,16 @@ class Episode:
             for agent_id in self.agent_ids:
                 self._agent_phase(self.runtimes[agent_id], tick)
             self._c2_phase(tick)
-            self.emit("tick.functionality", value=self.env.functionality())
+            if _differs(value := self.env.functionality(), functionality):
+                functionality = value
+                self.emit("tick.functionality", value=value)
         self._end_of_episode_learning()
         return EpisodeResult(
             scenario_name=self.config.name,
             scenario_hash=self.config.scenario_hash,
             seed=self.seed,
-            metrics=_episode_metrics(self.trace, self.primary_agent),
-            functionality_series=[e["value"] for e in self.trace
-                                  if e["kind"] == "tick.functionality"],
+            metrics=_episode_metrics(self.trace, self.primary_agent, self.config.duration_ticks),
+            functionality_series=_functionality_series(self.trace, self.config.duration_ticks),
             decision_log=self.decision_log,
             trace=self.trace,
             agents=list(self.runtimes),
@@ -273,14 +292,17 @@ class Episode:
         changed = sensing.update_world_state(
             rt.ws, rows, self.sensors, tick,
             {"detectability": rt.state.detectability, "replica_count": rt.replica_count})
-        # an assessment stands while the features and the patterns do (C2's
-        # add_pattern_example moves a confidence)
+        # an assessment stands while the features and patterns do; an equal one under
+        # the same patterns holds the same numbers, so the old object stays (not its decision)
         if changed or rt.kb.pattern_version != rt.identified_at:
-            rt.assessment = sensing.identify(rt.ws, list(rt.kb.patterns.values()),
-                                             self.config.trigger_threshold)
-            rt.identified_at = rt.kb.pattern_version
+            assessment = sensing.identify(rt.ws, list(rt.kb.patterns.values()),
+                                          self.config.trigger_threshold)
+            if rt.kb.pattern_version != rt.identified_at or assessment != rt.assessment:
+                rt.assessment = assessment
+            rt.identified_at, rt.decision = rt.kb.pattern_version, None
         assessment = rt.assessment
-        if assessment.matched:
+        if assessment.matched and _differs(assessment.summary, rt.logged_assessment):
+            rt.logged_assessment = assessment.summary
             self.emit("agent.assessment", agent=rt.state.agent_id, **assessment.summary)
 
         self._apply_control_queue(rt, commands)
@@ -475,22 +497,25 @@ class Episode:
 
     def _decide(self, rt: AgentRuntime, tick: int, path: str, assessment: Assessment,
                 body: dict[str, Any], encoded: str) -> None:
-        """Log the decision and release its plan, if any. The plan runs a copy
-        of the logged entries: execution.adjust substitutes an action by editing
-        its entry in place, and the decisions of one memoised outcome share its
-        body, so no logged entry is edited after this point. A body that
-        encodes to the bytes of an earlier one in this episode is emitted as
-        the index of the first, `same_as`."""
-        envelope = {"tick": tick, "agent": rt.state.agent_id, "path": path,
-                    "trigger": assessment.summary}
-        first = self.body_index.setdefault(encoded, len(self.decision_log))
-        reused = first < len(self.decision_log)
-        self.decision_log.append({**envelope, **body})
-        self.emit("agent.decision", **envelope, **({"same_as": first} if reused else body))
+        """Log the decision unless it repeats the agent's last logged one in path,
+        trigger and body, and release its plan, if any, naming the logged one.
+        The plan runs a copy of the logged entries, so nothing edits them later:
+        execution.adjust edits the plan's entry in place to substitute, and the
+        decisions of one memoised outcome share its body. A body encoded like an
+        earlier one in this episode is emitted as the index of the first, `same_as`."""
+        last = rt.logged
+        if last is None or last[1:3] != (path, encoded) or _differs(assessment.summary, last[3]):
+            envelope = {"tick": tick, "agent": rt.state.agent_id, "path": path,
+                        "trigger": assessment.summary}
+            rt.logged = (len(self.decision_log), path, encoded, assessment.summary)
+            same = self.body_index.setdefault(encoded, rt.logged[0])
+            self.decision_log.append({**envelope, **body})
+            self.emit("agent.decision", **envelope,
+                      **({"same_as": same} if same < rt.logged[0] else body))
         chosen = body["chosen"]
         if not chosen["no_action"]:
             self.emit("agent.plan_released", agent=rt.state.agent_id,
-                      entries=chosen["entries"], path=path)
+                      decision=rt.logged[0], path=path)
             rt.plan_exec = PlanExecution([dict(e) for e in chosen["entries"]])
             rt.no_action_streak = 0
 
@@ -570,7 +595,7 @@ class Episode:
         if not self.config.training:
             return
         compromised = self.malware.held_hosts()
-        # an agent's assessment events are exactly its passes that matched a pattern
+        # every assessment that matched a pattern equals one its agent logged
         matched: dict[str, set[str]] = {}
         for event in self.trace:
             if event["kind"] == "agent.assessment":
@@ -657,15 +682,25 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
             if not (full or type(ref) is int and 0 <= ref < len(holds_body) and holds_body[ref]):
                 raise CorruptTrace(_bad_reference(ref, "trace line", number))
             holds_body.append(full)
+        elif event["kind"] == "agent.plan_released":
+            if not (type(ref := event.get("decision")) is int and 0 <= ref < len(holds_body)):
+                raise CorruptTrace(f"trace line {number}: plan_released names no earlier decision")
     if not events or events[-1].get("kind") != "end":
         raise CorruptTrace("trace missing end record")
     end = events.pop()
     if end.get("events") != len(events):
         raise CorruptTrace(
             f"trace truncated: end record says {end.get('events')} events, found {len(events)}")
+    ticks = header.get("ticks")
+    steps = [event.get("tick") for event in events if event["kind"] == "tick.functionality"]
+    if (type(ticks) is not int or steps[:1] != ([0] if ticks else [])
+            or any(type(tick) is not int for tick in steps) or steps != sorted(set(steps))
+            or steps and steps[-1] >= ticks):
+        raise CorruptTrace(f"functionality ticks {canonical_json(steps)} do not rise strictly "
+                           f"from 0 below the header's tick count {canonical_json(ticks)}")
 
     try:
-        return _episode_metrics(events, header.get("primary_agent"))
+        return _episode_metrics(events, header.get("primary_agent"), ticks)
     except (KeyError, TypeError, OverflowError) as exc:
         raise CorruptTrace(f"malformed event field: {exc!r}") from exc
 

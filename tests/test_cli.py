@@ -5,7 +5,8 @@ import pytest
 
 from defsim import cli
 from defsim.cli import main
-from defsim.runner import explain, run_episode, write_result
+from defsim.errors import CorruptTrace, SchemaMismatch
+from defsim.runner import explain, replay, run_episode, write_result, write_trace
 
 from conftest import BUNDLED, run_python, scenario_path
 
@@ -83,7 +84,7 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
 
 def test_corrupt_trace_exits_2(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
-    trace.write_text('{"schema_version": 1}\n{"truncated...')
+    trace.write_text(HEADER + '\n{"truncated...')
     rc = main(["replay", "--trace", str(trace)])
     assert rc == 2
 
@@ -108,6 +109,7 @@ def test_explain_of_a_result_with_no_decisions_says_so(tmp_path, capsys):
 
 
 S1 = scenario_path("s1_comms_spoof")
+HEADER = '{"schema_version": 2, "ticks": 0}'  # a trace header with no tick to log
 END_ONE = '{"kind": "end", "events": 1}\n'
 TOO_LARGE = "1" + "0" * 400  # a JSON integer no float can hold
 NOT_UTF8 = str(Path(__file__).parent / "data" / "not_utf8.json")
@@ -133,8 +135,9 @@ S2_RESERVED_IDS = {
 
 
 def trace_text(*events: str) -> str:
-    """A version-1 trace of these event lines, framed by its end record."""
-    return "\n".join(['{"schema_version": 1}', *events,
+    """A trace of these event lines, none a functionality event, framed by
+    its header and its end record."""
+    return "\n".join([HEADER, *events,
                       f'{{"kind": "end", "events": {len(events)}}}']) + "\n"
 
 
@@ -179,19 +182,20 @@ MALFORMED = {
     "trace_header_array": (["replay", "--trace", "FILE"],
                            '[1, 2]\n{"kind": "end", "events": 0}\n'),
     "trace_event_array": (["replay", "--trace", "FILE"],
-                          '{"schema_version": 1}\n[1]\n' + END_ONE),
+                          HEADER + '\n[1]\n' + END_ONE),
     "trace_event_without_kind": (["replay", "--trace", "FILE"],
-                                 '{"schema_version": 1}\n{"tick": 0}\n' + END_ONE),
+                                 HEADER + '\n{"tick": 0}\n' + END_ONE),
     "trace_event_without_field": (
         ["replay", "--trace", "FILE"],
-        '{"schema_version": 1}\n{"kind": "tick.functionality", "tick": 0}\n' + END_ONE),
+        '{"schema_version": 2, "ticks": 1}\n{"kind": "tick.functionality", "tick": 0}\n'
+        + END_ONE),
     "trace_reward_too_large": (
         ["replay", "--trace", "FILE"],
-        '{"schema_version": 1, "primary_agent": "a1"}\n'
+        '{"schema_version": 2, "ticks": 0, "primary_agent": "a1"}\n'
         '{"kind": "agent.reward", "agent": "a1", "reward": ' + TOO_LARGE + '}\n' + END_ONE),
     "trace_functionality_too_large": (
         ["replay", "--trace", "FILE"],
-        '{"schema_version": 1}\n'
+        '{"schema_version": 2, "ticks": 1}\n'
         '{"kind": "tick.functionality", "tick": 0, "value": ' + TOO_LARGE + '}\n' + END_ONE),
     **{f"trace_same_as_{case}": (["replay", "--trace", "FILE"], trace_text(*events))
        for case, events in SAME_AS_CASES.items()},
@@ -200,10 +204,10 @@ MALFORMED = {
        for case, entries in SAME_AS_CASES.items()},
     "result_same_as_in_a_list": explain_last_reference(DECISION, '["same_as"]'),
     "trace_bare_cr_line_breaks": (  # only LF ends a line: this is one line of two values
-        ["replay", "--trace", "FILE"], '{"schema_version": 1}\r{"kind": "end", "events": 0}\r'),
+        ["replay", "--trace", "FILE"], HEADER + '\r{"kind": "end", "events": 0}\r'),
     "trace_line_of_unicode_space": (  # not JSON, so not a blank line either
         ["replay", "--trace", "FILE"],
-        '{"schema_version": 1}\n\u00a0\n{"kind": "end", "events": 0}\n'),
+        HEADER + '\n\u00a0\n{"kind": "end", "events": 0}\n'),
     "trace_decision_without_body": (
         ["replay", "--trace", "FILE"],
         trace_text('{"kind": "agent.decision", "candidates": [], "chosen": {}}')),
@@ -302,3 +306,68 @@ def test_replay_accepts_a_valid_trace(text, tmp_path, capsys):
     trace.write_text(text, encoding="utf-8")
     assert main(["replay", "--trace", str(trace)]) == 0
     assert json.loads(capsys.readouterr().out)["harm_events"] == 0
+
+
+def _bundled_trace(bundled_configs, path, name="s2_lateral_hunt", seed=2):
+    """The lines of a bundled episode's trace, written at `path`: s2 seed 2
+    logs 8 functionality values and releases 15 plans."""
+    write_trace(run_episode(bundled_configs[name], seed), path)
+    return path.read_text().splitlines()
+
+
+def test_a_schema_1_trace_exits_2_with_a_mismatch_naming_version_1(bundled_configs, tmp_path,
+                                                                    capsys):
+    path = tmp_path / "trace.jsonl"
+    lines = _bundled_trace(bundled_configs, path)
+    header = json.loads(lines[0])
+    del header["ticks"]  # a schema-1 header has no tick count
+    path.write_text("\n".join([json.dumps({**header, "schema_version": 1}), *lines[1:]]) + "\n")
+    with pytest.raises(SchemaMismatch, match="^trace schema_version 1, expected 2$"):
+        replay(path)
+    assert main(["replay", "--trace", str(path)]) == 2
+    assert capsys.readouterr().err == "error: trace schema_version 1, expected 2\n"
+
+
+# one-line edits of a bundled trace: the kind of the edited line (or the
+# header), its position among the lines of that kind, and the fields it takes
+# (None drops the field)
+REFERENCE_EDITS = {
+    "released_names_the_next_decision": ("agent.plan_released", 0, {"decision": 1}),
+    "released_out_of_range": ("agent.plan_released", 3, {"decision": 10 ** 6}),
+    "released_negative": ("agent.plan_released", 0, {"decision": -1}),
+    "released_true": ("agent.plan_released", 1, {"decision": True}),
+    "released_float": ("agent.plan_released", 0, {"decision": 0.0}),
+    "released_string": ("agent.plan_released", 0, {"decision": "0"}),
+    "released_without_decision": ("agent.plan_released", 0, {"decision": None}),
+    "functionality_starts_after_0": ("tick.functionality", 0, {"tick": 1}),
+    "functionality_at_false": ("tick.functionality", 0, {"tick": False}),
+    "functionality_repeats_a_tick": ("tick.functionality", 1, {"tick": 0}),
+    "functionality_falls": ("tick.functionality", 2, {"tick": 3}),
+    "functionality_at_the_tick_count": ("tick.functionality", -1, {"tick": 60}),
+    "functionality_tick_string": ("tick.functionality", 1, {"tick": "4"}),
+    "functionality_without_tick": ("tick.functionality", 1, {"tick": None}),
+    "header_tick_count_at_the_last_tick": ("header", 0, {"ticks": 39}),
+    "header_tick_count_string": ("header", 0, {"ticks": "60"}),
+    "header_without_tick_count": ("header", 0, {"ticks": None}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_EDITS))
+def test_a_bad_release_or_functionality_reference_is_corrupt(case, bundled_configs, tmp_path,
+                                                             capsys):
+    path = tmp_path / "trace.jsonl"
+    lines = _bundled_trace(bundled_configs, path)
+    assert main(["replay", "--trace", str(path)]) == 0
+    assert json.loads(lines[0])["ticks"] == 60
+    kind, position, fields = REFERENCE_EDITS[case]
+    events = [json.loads(line) for line in lines]
+    number = [i for i, event in enumerate(events)
+              if event.get("kind", "header") == kind][position]
+    edited = {k: v for k, v in {**events[number], **fields}.items() if v is not None}
+    lines[number] = json.dumps(edited)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptTrace):
+        replay(path)
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

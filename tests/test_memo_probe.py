@@ -14,7 +14,7 @@ _spec.loader.exec_module(PROBE)
 def test_memo_probe_counts_one_seed_and_restores_what_it_wraps(capsys):
     def wrappable():
         return (planning.Deliberations.key, planning.propose_plans, sensing.sense,
-                sensing._by_kind, runner.Episode.run)
+                sensing._by_kind, runner.Episode.run, runner.Episode._decide)
     wrapped = wrappable()
     assert PROBE.main(["--seeds", "1"]) == 0
     assert wrappable() == wrapped

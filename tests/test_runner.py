@@ -249,6 +249,30 @@ def test_replay_checks_every_decision_reference(bundled_results, tmp_path_factor
             replay(path)
 
 
+@given(data=st.data(), seed=st.integers(min_value=1, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_replay_checks_every_release_reference(bundled_results, tmp_path_factory, data, seed):
+    """A release's `decision` rewritten to any JSON value replays to the
+    episode's metrics if it still names an earlier decision, and raises
+    CorruptTrace otherwise."""
+    result = bundled_results[("s1_comms_spoof", seed)]
+    path = tmp_path_factory.mktemp("releases") / "trace.jsonl"
+    write_trace(result, path)
+    lines = path.read_text().splitlines()
+    events = [json.loads(line) for line in lines]
+    line = data.draw(st.sampled_from(
+        [i for i, e in enumerate(events) if e.get("kind") == "agent.plan_released"]))
+    value = data.draw(_json_values)
+    lines[line] = json.dumps({**events[line], "decision": value})
+    path.write_text("\n".join(lines) + "\n")
+    earlier = sum(1 for e in events[:line] if e.get("kind") == "agent.decision")
+    if type(value) is int and 0 <= value < earlier:
+        assert replay(path) == result.metrics
+    else:
+        with pytest.raises(CorruptTrace):
+            replay(path)
+
+
 @pytest.mark.parametrize("agent_enabled", [True, False], ids=["agent_on", "agent_off"])
 @pytest.mark.parametrize("name", BUNDLED)
 def test_replay_metrics_serialize_like_result_json(name, agent_enabled, bundled_configs,
@@ -435,10 +459,11 @@ def test_two_hunts_that_find_the_agent_in_one_tick_kill_it_once(tmp_path):
         for iid in ("m1", "m2")]
     raw["playbook"]["steps"] = []
     raw["agents"][0]["detectability"] = 1.0
-    result = run_episode(parse_scenario(raw), 1)
+    episode = Episode(parse_scenario(raw), 1)
+    result = episode.run()
     killed = [(e["tick"], e["agent"], e["by"]) for e in result.trace if e["kind"] == "agent.killed"]
     assert killed == [(0, "a1", "malware:m1")]
-    assert result.trace[-1]["tick"] == raw["duration_ticks"] - 1
+    assert episode.tick == raw["duration_ticks"] - 1
     write_trace(result, tmp_path / "trace.jsonl")
     assert replay(tmp_path / "trace.jsonl") == result.metrics
 
@@ -459,14 +484,15 @@ def test_a_hunt_kills_an_agent_whose_own_action_killed_its_process(tmp_path):
         rules=[{"rule_id": "r", "action_id": "self_kill", "priority": 1}],
         roe={"fast_deadline_ticks": 1},
         agents=[{"agent_id": "a1", "host_id": "h1", "detectability": 0.0}])
-    result = run_episode(config, 1)
+    episode = Episode(config, 1)
+    result = episode.run()
     effects = [(e["tick"], e["cause"], e["changes"][0]["entity"])
                for e in result.trace if e["kind"] == "env.effect"]
     assert effects == [(0, "agent:a1:self_kill", "process:h1:agent_proc_a1"),
                        (1, "malware:m1", "agent:a1")]
     killed = [(e["tick"], e["agent"]) for e in result.trace if e["kind"] == "agent.killed"]
     assert killed == [(1, "a1")]
-    assert result.trace[-1]["tick"] == 5 and result.metrics["agent_survived"] is False
+    assert episode.tick == 5 and result.metrics["agent_survived"] is False
     write_trace(result, tmp_path / "trace.jsonl")
     assert replay(tmp_path / "trace.jsonl") == result.metrics
 
@@ -664,10 +690,20 @@ def test_the_agent_applies_every_control_command_of_the_format_in_its_own_branch
 
 
 def test_decision_log_complete_for_released_plans(bundled_results):
+    """Each release names its agent's last logged decision, and each logged
+    decision that releases a plan is named by a release."""
     for result in bundled_results.values():
-        released_events = [e for e in result.trace if e["kind"] == "agent.plan_released"]
-        released_decisions = [d for d in result.decision_log if not d["chosen"]["no_action"]]
-        assert len(released_events) == len(released_decisions)
+        last: dict[str, int] = {}  # by agent: its last logged decision
+        decisions, named = 0, set()
+        for event in result.trace:
+            if event["kind"] == "agent.decision":
+                last[event["agent"]], decisions = decisions, decisions + 1
+            elif event["kind"] == "agent.plan_released":
+                assert event["decision"] == last[event["agent"]]
+                named.add(event["decision"])
+        assert decisions == len(result.decision_log)
+        assert sorted(named) == [i for i, d in enumerate(result.decision_log)
+                                 if not d["chosen"]["no_action"]]
 
 
 def test_control_commands_apply_at_decision_boundary(bundled_results):
@@ -849,7 +885,8 @@ def test_set_roe_zero_risk_budget_filters_all_risky_plans(bundled_configs):
         boundary = applied[0]["tick"]
         for event in result.trace:
             if event["kind"] == "agent.plan_released" and event["tick"] > boundary:
-                assert all(risk_of.get(e["action"], 0.0) == 0.0 for e in event["entries"])
+                entries = result.decision_log[event["decision"]]["chosen"]["entries"]
+                assert all(risk_of.get(e["action"], 0.0) == 0.0 for e in entries)
 
 
 # -- the deliberation memo ------------------------------------------------------------
@@ -923,6 +960,84 @@ def resolve_same_as(decisions):
             first = decisions[record.pop("same_as")]
             record.update({k: first[k] for k in _DECISION_BODY})
     return decisions
+
+
+def _repeats(records):
+    """The records, each keyed by its agent, that encode like the last one of
+    their agent but for tick and seq."""
+    last, repeats = {}, []
+    for record in records:
+        encoded = _encode({k: v for k, v in record.items() if k not in ("tick", "seq")})
+        if last.get(record["agent"]) == encoded:
+            repeats.append(record)
+        last[record["agent"]] = encoded
+    return repeats
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_each_fact_is_logged_once(name, bundled_configs, tmp_path):
+    """Seeds 1-20: no agent's logged decision (its `same_as` resolved) or
+    assessment repeats its last logged one but for tick and seq, and no
+    functionality event repeats the value before it; replay still equals
+    the metrics, and explain from result.json explain from memory."""
+    for seed in range(1, 21):
+        result = run_episode(bundled_configs[name], seed)
+        write_trace(result, tmp_path / "trace.jsonl")
+        write_result(result, tmp_path / "result.json")
+        logged = json.loads((tmp_path / "result.json").read_text())["decision_log"]
+        assert _repeats(resolve_same_as(copy.deepcopy(logged))) == [], seed
+        assert _repeats(e for e in result.trace if e["kind"] == "agent.assessment") == [], seed
+        values = [_encode(e["value"]) for e in result.trace if e["kind"] == "tick.functionality"]
+        assert all(a != b for a, b in zip(values, values[1:])), seed
+        assert replay(tmp_path / "trace.jsonl") == result.metrics, seed
+        assert len(logged) == len(result.decision_log), seed
+        assert [explain(logged, i) for i in range(len(logged))] == [
+            explain(result.decision_log, i) for i in range(len(logged))], seed
+
+
+def test_functionality_is_logged_when_its_encoding_changes(monkeypatch, tmp_path):
+    """A value equal to the last but encoded differently, -0.0 after 0.0 or
+    1 after 1.0, is logged; the series carries each logged value forward."""
+    values = iter([1.0, 1.0, 0.0, -0.0, -0.0, 1, 1.0, 1.0])
+    monkeypatch.setattr(Environment, "functionality", lambda self: next(values))
+    result = run_episode(quiet_scenario(duration_ticks=8), 1)
+    logged = [(e["tick"], e["value"]) for e in result.trace if e["kind"] == "tick.functionality"]
+    assert [(tick, repr(value)) for tick, value in logged] == [
+        (0, "1.0"), (2, "0.0"), (3, "-0.0"), (5, "1"), (6, "1.0")]
+    assert [repr(v) for v in result.functionality_series] == [
+        "1.0", "1.0", "0.0", "-0.0", "-0.0", "1", "1.0", "1.0"]
+    write_trace(result, tmp_path / "trace.jsonl")
+    assert replay(tmp_path / "trace.jsonl") == result.metrics
+
+
+def test_an_assessment_that_a_pattern_write_leaves_equal_is_logged_as_it_encodes():
+    """A confirmed example turns the scenario's confidence 1 into 1.0: an
+    equal assessment, which the next pass logs, since it encodes differently."""
+    topology = copy.deepcopy(quiet_scenario().raw["topology"])
+    topology["hosts"][0]["processes"].append(
+        {"process_id": "x", "image_hash": "x", "known_good": False, "owner": "malware"})
+    config = quiet_scenario(topology=topology, patterns=[
+        {"id": "proc", "predicates": [["unknown_proc_count", ">=", 1]], "severity": 0.9,
+         "confidence": 1}])
+    episode = Episode(config, seed=1)
+    rt = episode.runtimes["a1"]
+    for tick in range(3):
+        episode.tick = tick
+        episode._agent_phase(rt, tick)
+        if tick == 0:
+            episode._apply_control_queue(rt, [{"command": "add_pattern_example", "label":
+                                               "compromised", "features": {"unknown_proc_count": 1}}])
+    assert rt.kb.patterns["proc"].confidence == 1.0
+    assert [(e["tick"], repr(e["matched"][0][2])) for e in episode.trace
+            if e["kind"] == "agent.assessment"] == [(0, "1"), (1, "1.0")]
+
+
+def test_a_trigger_that_encodes_differently_is_logged():
+    episode, rt = withholding_agent()
+    for tick, severity in enumerate([0.0, -0.0, -0.0, 0.0]):
+        episode._maybe_plan(rt, Assessment([("proc", 0.9, 0.9)], True, severity), tick)
+    assert [(d["tick"], repr(d["trigger"]["top_severity"])) for d in episode.decision_log] == [
+        (0, "0.0"), (1, "-0.0"), (3, "0.0")]
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -1103,42 +1218,52 @@ def _set_feature(key, value):
     return apply
 
 
-@pytest.mark.parametrize("start, between, searches", [
-    ({}, lambda episode, rt: None, 1),
-    ({}, _command(command="set_goal_weight", goal_id="g", weight=3.0), 2),
-    ({}, _command(command="set_roe", field="max_plan_risk", value=0.5), 2),
+# the ticks of the logged deliberations: the second is logged only when it
+# differs from the agent's last logged decision in path, trigger or body
+ONCE, TWICE = [0], [0, 2]
+
+
+@pytest.mark.parametrize("start, between, searches, logged", [
+    ({}, lambda episode, rt: None, 1, ONCE),
+    ({}, _command(command="set_goal_weight", goal_id="g", weight=3.0), 2, TWICE),
+    # a new search, which finds the same body
+    ({}, _command(command="set_roe", field="max_plan_risk", value=0.5), 2, ONCE),
     # selection tests no category: `watch`'s precondition fails, so no
     # candidate holds an action
-    ({}, _command(command="set_roe", field="forbidden_categories", value=["contain"]), 1),
+    ({}, _command(command="set_roe", field="forbidden_categories", value=["contain"]), 1, ONCE),
     # read only by the fast path, which runs before the memo
-    ({}, _command(command="set_roe", field="fast_deadline_ticks", value=0), 1),
+    ({}, _command(command="set_roe", field="fast_deadline_ticks", value=0), 1, ONCE),
     # every comparison on it gives the same outcome
-    ({}, _set_feature("functionality_belief", 1.0), 1),
-    ({}, _set_feature("functionality_belief", 0.99), 1),
-    ({}, _set_feature("functionality_belief", 0.9), 2),
+    ({}, _set_feature("functionality_belief", 1.0), 1, ONCE),
+    ({}, _set_feature("functionality_belief", 0.99), 1, ONCE),
+    ({}, _set_feature("functionality_belief", 0.9), 2, TWICE),
     # 0 and 0.0 give every comparison the same outcome, type aside
-    ({"unknown_proc_count": 0}, _set_feature("unknown_proc_count", 0.0), 1),
-    ({}, _set_feature("process_count", 4), 1),  # nothing reads it
-    ({}, _set_feature("link_state", 0), 2),  # only a precondition reads it
-    ({}, _set_feature("backlog", 0.0), 2),
-    ({}, _release_plan, 1),  # the memo outlives a released plan
-    ({}, lambda episode, rt: "spreading", 2),
-    # only expected_loss applies a progression, and then reads goal features alone
-    ({}, lambda episode, rt: "relinking", 1),
+    ({"unknown_proc_count": 0}, _set_feature("unknown_proc_count", 0.0), 1, ONCE),
+    ({}, _set_feature("process_count", 4), 1, ONCE),  # nothing reads it
+    ({}, _set_feature("link_state", 0), 2, ONCE),  # only a precondition reads it
+    ({}, _set_feature("backlog", 0.0), 2, TWICE),
+    # the memo outlives a released plan; the fast decision between is logged
+    ({}, _release_plan, 1, TWICE),
+    ({}, lambda episode, rt: "spreading", 2, TWICE),
+    # only expected_loss applies a progression, and then reads goal features
+    # alone; the trigger names another pattern
+    ({}, lambda episode, rt: "relinking", 1, TWICE),
 ], ids=["nothing", "set_goal_weight", "set_roe", "set_roe_forbidden_categories",
         "set_roe_fast_deadline_ticks", "goal_feature_1_to_1.0", "same_cell_value",
         "crosses_a_threshold", "value_on_a_threshold_0_to_0.0", "unread_feature",
         "precondition_feature", "read_feature_absent_to_0.0",
         "released_plan", "threat_progression", "unread_progression"])
-def test_what_forces_a_new_search(start, between, searches, search_calls):
+def test_what_forces_a_new_search(start, between, searches, logged, search_calls):
     episode, rt = withholding_agent()
     rt.ws.features.update(start)
     episode._maybe_plan(rt, threat("proc"), tick=0)
+    first = rt.decision[3]
     second = between(episode, rt) or "proc"
     episode._maybe_plan(rt, threat(second), tick=2)
     assert len(search_calls) == searches
     withheld = [d for d in episode.decision_log if d["path"] == "deliberative"]
-    assert [d["tick"] for d in withheld] == [0, 2]
+    assert [d["tick"] for d in withheld] == logged
+    assert logged == TWICE or rt.decision[3] == first  # a kept body is not logged again
     assert all(d["chosen"]["no_action"] for d in withheld)
     assert rt.no_action_streak == (1 if between is _release_plan else 2)
 
@@ -1164,9 +1289,9 @@ def test_a_decision_stands_while_its_assessment_does(key_derivations):
     for tick in (0, 2, 4):
         episode._maybe_plan(rt, assessment, tick)
     assert len(key_derivations) == 1
-    # each pass still logs and emits its decision and counts the withheld streak
-    assert [d["tick"] for d in episode.decision_log] == [0, 2, 4]
-    assert [e["kind"] for e in episode.trace].count("agent.decision") == 3
+    # only the first pass logs its decision; each counts the withheld streak
+    assert [d["tick"] for d in episode.decision_log] == [0]
+    assert [e["kind"] for e in episode.trace].count("agent.decision") == 1
     assert rt.no_action_streak == 3
 
 
@@ -1182,7 +1307,9 @@ def test_a_fast_decision_stands_while_its_assessment_does(monkeypatch):
         assert rt.plan_exec is not None
         rt.plan_exec = None  # the plan ran to its end
     assert len(calls) == 1
-    assert [(d["tick"], d["path"]) for d in episode.decision_log] == [(0, "fast"), (2, "fast")]
+    # the decision is logged once, and each release names it
+    assert [(d["tick"], d["path"]) for d in episode.decision_log] == [(0, "fast")]
+    assert [e["decision"] for e in episode.trace if e["kind"] == "agent.plan_released"] == [0, 0]
 
 
 @pytest.mark.parametrize("between", [
@@ -1502,7 +1629,7 @@ def test_a_substitution_leaves_the_logged_entries_unchanged():
     decision, released = (next(e for e in episode.trace if e["kind"] == kind)
                           for kind in ("agent.decision", "agent.plan_released"))
     assert episode.decision_log[-1]["chosen"]["entries"] == logged
-    assert decision["chosen"]["entries"] == released["entries"] == logged
+    assert decision["chosen"]["entries"] == logged and released["decision"] == 0
 
 
 def test_a_memo_hit_releases_the_logged_entries_after_a_substitution(search_calls):
@@ -1523,8 +1650,10 @@ def test_a_memo_hit_releases_the_logged_entries_after_a_substitution(search_call
     second._maybe_plan(rt2, threat("proc"), tick=3)  # a hit again
     assert len(search_calls) == 1
     assert _entries(rt2) == released and _entries(rt1) == released
+    # the second release repeats the second runtime's logged decision
+    assert [e["decision"] for e in second.trace if e["kind"] == "agent.plan_released"] == [0, 0]
     logged = [d["chosen"]["entries"] for d in first.decision_log + second.decision_log]
-    assert logged[0] == logged[1] == logged[2]
+    assert len(logged) == 2 and logged[0] == logged[1]
 
 
 _S3_GOALS = ("g_available", "g_comms", "g_clean", "g_unknown")  # the last is rejected

@@ -10,7 +10,7 @@ from defsim.cli import main
 from defsim.envsim import EffectDescriptor
 from defsim.execution import resolve_self
 from defsim.errors import ConfigInvalid, DefsimError
-from defsim.runner import replay, run_episode, write_trace
+from defsim.runner import Episode, replay, run_episode, write_trace
 from defsim.scenario import (CHANNEL_STATE, NULL, NUMBER, _COMMAND, _ENV_OPERATIONS, _STEP,
                              load_scenario, parse_scenario)
 
@@ -676,7 +676,9 @@ def test_any_ids_are_config_invalid_or_run_to_the_end(ids):
         config = parse_scenario(id_scenario(**ids))
     except ConfigInvalid:
         return
-    assert run_episode(config, 1).trace[-1]["tick"] == config.duration_ticks - 1
+    episode = Episode(config, 1)
+    episode.run()
+    assert episode.tick == config.duration_ticks - 1
 
 
 # -- fuzzing: what validation guarantees, the runtime does not check again ------------
