@@ -141,10 +141,9 @@ def _functionality_series(events: list[dict[str, Any]], ticks: int) -> list[floa
 
 
 def _episode_metrics(events: list[dict[str, Any]], primary: Optional[str],
-                     ticks: int) -> dict[str, Any]:
-    """The metrics block folded from an episode's events: by the episode
-    from its own trace, and by replay from the trace file."""
-    series = _functionality_series(events, ticks)
+                     series: list[float]) -> dict[str, Any]:
+    """The metrics block folded from an episode's events and the series they
+    give: by the episode from its own trace, and by replay from the trace file."""
     onsets = [e["tick"] for e in events if e["kind"] == "attack.onset"]
     harm_events = sum(1 for e in events if e["kind"] == "harm")
     reward_total = sum_in_order((e["reward"] for e in events
@@ -258,12 +257,13 @@ class Episode:
                 functionality = value
                 self.emit("tick.functionality", value=value)
         self._end_of_episode_learning()
+        series = _functionality_series(self.trace, self.config.duration_ticks)
         return EpisodeResult(
             scenario_name=self.config.name,
             scenario_hash=self.config.scenario_hash,
             seed=self.seed,
-            metrics=_episode_metrics(self.trace, self.primary_agent, self.config.duration_ticks),
-            functionality_series=_functionality_series(self.trace, self.config.duration_ticks),
+            metrics=_episode_metrics(self.trace, self.primary_agent, series),
+            functionality_series=series,
             decision_log=self.decision_log,
             trace=self.trace,
             agents=list(self.runtimes),
@@ -691,16 +691,16 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
     if end.get("events") != len(events):
         raise CorruptTrace(
             f"trace truncated: end record says {end.get('events')} events, found {len(events)}")
-    ticks = header.get("ticks")
     steps = [event.get("tick") for event in events if event["kind"] == "tick.functionality"]
-    if (type(ticks) is not int or steps[:1] != ([0] if ticks else [])
+    if (type(ticks := header.get("ticks")) is not int or steps[:1] != ([0] if ticks else [])
             or any(type(tick) is not int for tick in steps) or steps != sorted(set(steps))
             or steps and steps[-1] >= ticks):
         raise CorruptTrace(f"functionality ticks {canonical_json(steps)} do not rise strictly "
                            f"from 0 below the header's tick count {canonical_json(ticks)}")
 
     try:
-        return _episode_metrics(events, header.get("primary_agent"), ticks)
+        return _episode_metrics(events, header.get("primary_agent"),
+                                _functionality_series(events, ticks))
     except (KeyError, TypeError, OverflowError) as exc:
         raise CorruptTrace(f"malformed event field: {exc!r}") from exc
 
