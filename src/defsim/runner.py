@@ -42,7 +42,7 @@ from .errors import (
 from .execution import AgentMode, AgentState, Authority, PlanExecution
 from .learning import KnowledgeBase
 from .planning import ActionSpec, RulesOfEngagement
-from .scenario import AgentSpec, ScenarioConfig
+from .scenario import MAX_DURATION_TICKS, AgentSpec, ScenarioConfig
 from .sensing import Assessment, WorldState
 
 TRACE_SCHEMA_VERSION = 2
@@ -292,8 +292,7 @@ class Episode:
         changed = sensing.update_world_state(
             rt.ws, rows, self.sensors, tick,
             {"detectability": rt.state.detectability, "replica_count": rt.replica_count})
-        # an assessment stands while the features and patterns do; an equal one under
-        # the same patterns holds the same numbers, so the old object stays (not its decision)
+        # an assessment stands while features and patterns do; an equal one keeps its object
         if changed or rt.kb.pattern_version != rt.identified_at:
             assessment = sensing.identify(rt.ws, list(rt.kb.patterns.values()),
                                           self.config.trigger_threshold)
@@ -669,10 +668,8 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
     header = events.pop(0)
     if not isinstance(header, dict):
         raise CorruptTrace("trace header is not a JSON object")
-    version = header.get("schema_version")
-    if version != TRACE_SCHEMA_VERSION:
-        raise SchemaMismatch(
-            f"trace schema_version {version!r}, expected {TRACE_SCHEMA_VERSION}")
+    if (version := header.get("schema_version")) != TRACE_SCHEMA_VERSION:
+        raise SchemaMismatch(f"trace schema_version {version!r}, expected {TRACE_SCHEMA_VERSION}")
     holds_body: list[bool] = []  # per decision so far: does its event hold its body
     for number, event in enumerate(events, start=2):
         if not isinstance(event, dict) or "kind" not in event:
@@ -692,11 +689,12 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
         raise CorruptTrace(
             f"trace truncated: end record says {end.get('events')} events, found {len(events)}")
     steps = [event.get("tick") for event in events if event["kind"] == "tick.functionality"]
-    if (type(ticks := header.get("ticks")) is not int or steps[:1] != ([0] if ticks else [])
-            or any(type(tick) is not int for tick in steps) or steps != sorted(set(steps))
-            or steps and steps[-1] >= ticks):
+    if type(ticks := header.get("ticks")) is not int or not 0 <= ticks <= MAX_DURATION_TICKS:
+        raise CorruptTrace(f"header ticks {canonical_json(ticks)} not in 0..{MAX_DURATION_TICKS}")
+    if (steps[:1] != ([0] if ticks else []) or any(type(tick) is not int for tick in steps)
+            or steps != sorted(set(steps)) or steps and steps[-1] >= ticks):
         raise CorruptTrace(f"functionality ticks {canonical_json(steps)} do not rise strictly "
-                           f"from 0 below the header's tick count {canonical_json(ticks)}")
+                           f"from 0 below the header's tick count {ticks}")
 
     try:
         return _episode_metrics(events, header.get("primary_agent"),

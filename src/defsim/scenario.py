@@ -330,6 +330,7 @@ FRACTION = _number("a fraction in [0, 1]", lo=0, hi=1)
 INTEGER = _number("an integer", types=(int,))
 COUNT = _number("an integer >= 0", lo=0, types=(int,))
 AT_LEAST_ONE = _number("an integer >= 1", lo=1, types=(int,))
+MAX_DURATION_TICKS = 100_000  # replay builds one functionality value per tick a trace claims
 CATEGORY = OneOf(ActionCategory, "category")
 CHANNEL_STATE = OneOf(ChannelState, "state")
 OWNER = OneOf(Owner, "owner")
@@ -426,7 +427,8 @@ _C2_ENTRY = Switch("kind", "message kind", {
 SCENARIO = Record({
     "schema_version": (_number("1", lo=1, hi=1, types=(int,)), REQUIRED),
     "name": (STR, "unnamed"),
-    "duration_ticks": (AT_LEAST_ONE, REQUIRED),
+    "duration_ticks": (_number(f"an integer in [1, {MAX_DURATION_TICKS}]", lo=1,
+                               hi=MAX_DURATION_TICKS, types=(int,)), REQUIRED),
     "training": (BOOL, False),
     "seeds": (List(INTEGER), []),  # informational: `defsim batch` takes --seeds
     "trigger_threshold": (FRACTION, 0.5),

@@ -7,6 +7,7 @@ from defsim import cli
 from defsim.cli import main
 from defsim.errors import CorruptTrace, SchemaMismatch
 from defsim.runner import explain, replay, run_episode, write_result, write_trace
+from defsim.scenario import MAX_DURATION_TICKS
 
 from conftest import BUNDLED, run_python, scenario_path
 
@@ -197,6 +198,11 @@ MALFORMED = {
         ["replay", "--trace", "FILE"],
         '{"schema_version": 2, "ticks": 1}\n'
         '{"kind": "tick.functionality", "tick": 0, "value": ' + TOO_LARGE + '}\n' + END_ONE),
+    # a tick count no episode has: replay must refuse it before building its series
+    "trace_tick_count_past_the_longest_episode": (
+        ["replay", "--trace", "FILE"],
+        '{"schema_version": 2, "ticks": 4611686018427387904}\n'
+        '{"kind": "tick.functionality", "tick": 0, "value": 1.0}\n' + END_ONE),
     **{f"trace_same_as_{case}": (["replay", "--trace", "FILE"], trace_text(*events))
        for case, events in SAME_AS_CASES.items()},
     # the result's entries are the trace's events less kind and seq; a kind changes nothing
@@ -349,6 +355,8 @@ REFERENCE_EDITS = {
     "header_tick_count_at_the_last_tick": ("header", 0, {"ticks": 39}),
     "header_tick_count_string": ("header", 0, {"ticks": "60"}),
     "header_without_tick_count": ("header", 0, {"ticks": None}),
+    "header_tick_count_past_the_longest_episode": ("header", 0, {"ticks": MAX_DURATION_TICKS + 1}),
+    "header_tick_count_negative": ("header", 0, {"ticks": -1}),
 }
 
 
@@ -371,3 +379,12 @@ def test_a_bad_release_or_functionality_reference_is_corrupt(case, bundled_confi
     capsys.readouterr()
     assert main(["replay", "--trace", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_trace_of_the_longest_episode_replays(tmp_path):
+    """replay takes the tick counts a scenario may set: one value logged at
+    tick 0 holds for all of them."""
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps({"schema_version": 2, "ticks": MAX_DURATION_TICKS}) + "\n"
+                    '{"kind": "tick.functionality", "tick": 0, "value": 0.5}\n' + END_ONE)
+    assert replay(path)["resilience_auc"] == 0.5

@@ -11,8 +11,8 @@ from defsim.envsim import EffectDescriptor
 from defsim.execution import resolve_self
 from defsim.errors import ConfigInvalid, DefsimError
 from defsim.runner import Episode, replay, run_episode, write_trace
-from defsim.scenario import (CHANNEL_STATE, NULL, NUMBER, _COMMAND, _ENV_OPERATIONS, _STEP,
-                             load_scenario, parse_scenario)
+from defsim.scenario import (CHANNEL_STATE, MAX_DURATION_TICKS, NULL, NUMBER, _COMMAND,
+                             _ENV_OPERATIONS, _STEP, load_scenario, parse_scenario)
 
 from conftest import BUNDLED, run_python, scenario_path
 
@@ -395,6 +395,7 @@ BAD_IDS = {
     (lambda r: r.update(planner={"depth": "3"}), "planner.depth"),
     (lambda r: r.update(planner={"noise_weight": "1"}), "planner.noise_weight"),
     (lambda r: r.update(trigger_threshold="0.5"), "scenario.trigger_threshold"),
+    (lambda r: r.update(duration_ticks=MAX_DURATION_TICKS + 1), "scenario.duration_ticks"),
     (lambda r: r["topology"]["hosts"][0]["services"][0].update(weight="1"),
      "weight must be positive"),
     (lambda r: r.update(repertoire=[{"action_id": "a", "category": "observe", "duration": "2"}]),
@@ -437,7 +438,8 @@ BAD_IDS = {
     *BAD_IDS.values(),
 ], ids=["threshold_string", "report_interval_zero", "communicate_noise_negative",
         "fail_safe_streak_string", "duplicate_agent_id", "depth_string",
-        "noise_weight_string", "trigger_threshold_string", "service_weight_string",
+        "noise_weight_string", "trigger_threshold_string", "duration_ticks_past_the_bound",
+        "service_weight_string",
         "duration_string", "step_without_any_instance", "agent_entry_string",
         "agent_id_list", "topology_list", "host_entry_string", "unknown_preparation",
         "malware_process_known_good_by_default", "action_id_shadows_builtin", "agent_id_c2",
