@@ -95,7 +95,7 @@ def counting() -> Iterator[tuple[dict[str, int], list[runner.EpisodeResult]]]:
 
 def bodies(result: runner.EpisodeResult) -> list[str]:
     return [canonical_json({k: d[k] for k in ("candidates", "chosen", "rationale")})
-            for d in result.decision_log if d["path"] == "deliberative"]
+            for d in result.decision_log if d["path"] == "deliberative" and "same_as" not in d]
 
 
 def counts(calls: dict[str, int], distinct: int) -> tuple[int, ...]:

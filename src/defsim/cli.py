@@ -37,12 +37,14 @@ _VALIDATION_ERRORS = (ConfigInvalid, SchemaMismatch, CorruptTrace, IndexOutOfRan
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in text.split(",") if part.strip()]
+        lo, dots, hi = text.partition("..")
+        seeds = (list(range(int(lo), int(hi) + 1)) if dots
+                 else [int(part) for part in text.split(",") if part.strip()])
     except ValueError as exc:
         raise ConfigInvalid(f"cannot parse seeds {text!r}: {exc}") from exc
+    if not seeds:
+        raise ConfigInvalid(f"cannot parse seeds {text!r}: they name no seed")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -102,8 +102,7 @@ class EpisodeResult:
         records, a repeated body named by `same_as`, which `explain` resolves."""
         return {**self.header(), "metrics": self.metrics,
                 "functionality_series": self.functionality_series,
-                "decision_log": [{k: v for k, v in event.items() if k not in ("kind", "seq")}
-                                 for event in self.trace if event["kind"] == "agent.decision"]}
+                "decision_log": self.decision_log}
 
 
 def time_to_recovery(series: list[float], onset: Optional[int]) -> Optional[int]:
@@ -501,16 +500,16 @@ class Episode:
         The plan runs a copy of the logged entries, so nothing edits them later:
         execution.adjust edits the plan's entry in place to substitute, and the
         decisions of one memoised outcome share its body. A body encoded like an
-        earlier one in this episode is emitted as the index of the first, `same_as`."""
+        earlier one in this episode is logged as the index of the first, `same_as`."""
         last = rt.logged
         if last is None or last[1:3] != (path, encoded) or _differs(assessment.summary, last[3]):
-            envelope = {"tick": tick, "agent": rt.state.agent_id, "path": path,
-                        "trigger": assessment.summary}
             rt.logged = (len(self.decision_log), path, encoded, assessment.summary)
             same = self.body_index.setdefault(encoded, rt.logged[0])
-            self.decision_log.append({**envelope, **body})
-            self.emit("agent.decision", **envelope,
-                      **({"same_as": same} if same < rt.logged[0] else body))
+            record = {"tick": tick, "agent": rt.state.agent_id, "path": path,
+                      "trigger": assessment.summary,
+                      **({"same_as": same} if same < rt.logged[0] else body)}
+            self.decision_log.append(record)
+            self.emit("agent.decision", **record)
         chosen = body["chosen"]
         if not chosen["no_action"]:
             self.emit("agent.plan_released", agent=rt.state.agent_id,
@@ -668,26 +667,24 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
     header = events.pop(0)
     if not isinstance(header, dict):
         raise CorruptTrace("trace header is not a JSON object")
-    if (version := header.get("schema_version")) != TRACE_SCHEMA_VERSION:
+    if type(version := header.get("schema_version")) is not int or version != TRACE_SCHEMA_VERSION:
         raise SchemaMismatch(f"trace schema_version {version!r}, expected {TRACE_SCHEMA_VERSION}")
-    holds_body: list[bool] = []  # per decision so far: does its event hold its body
+    decisions: list[dict[str, Any]] = []
     for number, event in enumerate(events, start=2):
         if not isinstance(event, dict) or "kind" not in event:
             raise CorruptTrace(f"trace line {number} is not an event object with a kind")
         if event["kind"] == "agent.decision":
-            full, ref = _holds_body(event, "trace line", number), event.get("same_as")
-            if not (full or type(ref) is int and 0 <= ref < len(holds_body) and holds_body[ref]):
-                raise CorruptTrace(_bad_reference(ref, "trace line", number))
-            holds_body.append(full)
+            decisions.append(event)
+            decision_body(decisions, len(decisions) - 1, f"trace line {number}")
         elif event["kind"] == "agent.plan_released":
-            if not (type(ref := event.get("decision")) is int and 0 <= ref < len(holds_body)):
+            if not (type(ref := event.get("decision")) is int and 0 <= ref < len(decisions)):
                 raise CorruptTrace(f"trace line {number}: plan_released names no earlier decision")
     if not events or events[-1].get("kind") != "end":
         raise CorruptTrace("trace missing end record")
     end = events.pop()
-    if end.get("events") != len(events):
-        raise CorruptTrace(
-            f"trace truncated: end record says {end.get('events')} events, found {len(events)}")
+    if type(count := end.get("events")) is not int or count != len(events):
+        raise CorruptTrace(f"trace truncated: end record says {canonical_json(count)} events, "
+                           f"found {len(events)}")
     steps = [event.get("tick") for event in events if event["kind"] == "tick.functionality"]
     if type(ticks := header.get("ticks")) is not int or not 0 <= ticks <= MAX_DURATION_TICKS:
         raise CorruptTrace(f"header ticks {canonical_json(ticks)} not in 0..{MAX_DURATION_TICKS}")
@@ -703,21 +700,25 @@ def replay(trace_path: str | Path) -> dict[str, Any]:
         raise CorruptTrace(f"malformed event field: {exc!r}") from exc
 
 
-def _holds_body(record: Any, what: str, number: int) -> bool:
-    """Whether a decision record holds its body (True) or names an earlier
-    decision's with `same_as` (False). It must do exactly one of the two."""
+def decision_body(log: list[Any], index: int, where: str) -> dict[str, Any]:
+    """The record that holds decision `index`'s body, all of candidates, chosen and
+    rationale: the record itself, or the earlier one that its int `same_as` names."""
+    record = log[index]
     if not isinstance(record, dict):
-        raise CorruptTrace(f"{what} {number} is not a JSON object")
+        raise CorruptTrace(f"{where} is not a JSON object")
     full = "same_as" not in record
     if ("candidates" in record, "chosen" in record, "rationale" in record) != (full, full, full):
-        raise CorruptTrace(f"{what} {number}: a decision carries either same_as or "
+        raise CorruptTrace(f"{where}: a decision carries either same_as or "
                            "all of candidates, chosen and rationale")
-    return full
-
-
-def _bad_reference(ref: Any, what: str, number: int) -> str:
-    return (f"{what} {number}: same_as {canonical_json(ref)} names no earlier decision that "
-            "holds its body")
+    if full:
+        return record
+    ref = record["same_as"]
+    body = log[ref] if type(ref) is int and 0 <= ref < index else None
+    if not (isinstance(body, dict) and "same_as" not in body
+            and {"candidates", "chosen", "rationale"} <= body.keys()):
+        raise CorruptTrace(f"{where}: same_as {canonical_json(ref)} names no earlier decision "
+                           "that holds its body")
+    return body
 
 
 def explain(decision_log: list[dict[str, Any]], index: int) -> str:
@@ -727,15 +728,9 @@ def explain(decision_log: list[dict[str, Any]], index: int) -> str:
     if not 0 <= index < len(decision_log):
         raise IndexOutOfRange(f"decision index {index} outside 0..{len(decision_log) - 1}"
                               if decision_log else "the result holds no decisions")
-    entry = body = decision_log[index]
-    if not _holds_body(entry, "decision", index):
-        ref = entry["same_as"]
-        if not (type(ref) is int and 0 <= ref < index
-                and _holds_body(decision_log[ref], "decision", ref)):
-            raise CorruptTrace(_bad_reference(ref, "decision", index))
-        body = decision_log[ref]
+    body = decision_body(decision_log, index, f"decision {index}")
     try:
-        return _render_decision(entry, body, index)
+        return _render_decision(decision_log[index], body, index)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CorruptTrace(f"decision {index} is malformed: {exc!r}") from exc
 

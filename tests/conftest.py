@@ -11,7 +11,7 @@ import pytest
 
 import defsim
 from defsim.envsim import CommsChannel, Environment, Host, Owner, Process, Service
-from defsim.runner import EpisodeResult, run_episode
+from defsim.runner import EpisodeResult, decision_body, run_episode
 from defsim.scenario import ScenarioConfig, load_scenario, parse_scenario
 
 # the stories shipped in the package, one JSON file each
@@ -29,6 +29,11 @@ def run_python(args: list[str], **env: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path, **env))
+
+
+def body_of(decision_log: list[dict], index: int) -> dict:
+    """The record that holds decision `index`'s body, as explain resolves it."""
+    return decision_body(decision_log, index, f"decision {index}")
 
 
 def fresh_config(config: ScenarioConfig) -> ScenarioConfig:

@@ -23,7 +23,7 @@ from defsim.scenario import parse_scenario
 from defsim.sensing import WorldState, all_hold
 from defsim.learning import reward
 
-from conftest import BUNDLED
+from conftest import BUNDLED, body_of
 from negotiation_oracle import run_negotiation
 from planning_oracle import oracle_best, random_instance
 
@@ -489,12 +489,13 @@ def test_criterion_10_explainability(bundled_results, bundled_configs):
         for (name, _seed), result in bundled_results.items():
             categories = {a["action_id"]: a["category"]
                           for a in bundled_configs[name].raw["repertoire"]}
-            for entry in result.decision_log:
+            for index, record in enumerate(result.decision_log):
+                entry = body_of(result.decision_log, index)  # a `same_as` resolved
                 if entry["chosen"]["no_action"]:
                     continue
                 checked += 1
                 entries = entry["chosen"]["entries"]
-                if entry["path"] == "fast":
+                if record["path"] == "fast":
                     evaluated = entry["rationale"]["rules_evaluated"]
                     firing = next(e["rule"] for e in evaluated
                                   if e["condition_held"] and e["roe_ok"])

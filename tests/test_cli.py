@@ -203,6 +203,13 @@ MALFORMED = {
         ["replay", "--trace", "FILE"],
         '{"schema_version": 2, "ticks": 4611686018427387904}\n'
         '{"kind": "tick.functionality", "tick": 0, "value": 1.0}\n' + END_ONE),
+    # a version and an event count equal to the right int, but not ints
+    "trace_schema_version_float": (["replay", "--trace", "FILE"],
+                                   HEADER.replace("2", "2.0") + '\n{"kind": "end", "events": 0}\n'),
+    "trace_end_events_true": (["replay", "--trace", "FILE"],
+                              HEADER + '\n{"kind": "x"}\n' + END_ONE.replace("1", "true")),
+    "trace_end_events_float": (["replay", "--trace", "FILE"],
+                               HEADER + '\n{"kind": "x"}\n' + END_ONE.replace("1", "1.0")),
     **{f"trace_same_as_{case}": (["replay", "--trace", "FILE"], trace_text(*events))
        for case, events in SAME_AS_CASES.items()},
     # the result's entries are the trace's events less kind and seq; a kind changes nothing
@@ -294,9 +301,10 @@ def test_an_unwritable_out_fails_before_any_episode_runs(command, tmp_path, caps
     assert calls == []
 
 
-def test_bad_seeds_exit_2_before_the_output_directory_is_made(tmp_path, capsys):
+@pytest.mark.parametrize("seeds", ["1..x", ",", "5..1"])
+def test_bad_seeds_exit_2_before_the_output_directory_is_made(seeds, tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["batch", "--scenario", S1, "--seeds", "1..x", "--out", str(out)]) == 2
+    assert main(["batch", "--scenario", S1, "--seeds", seeds, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot parse seeds")
     assert not out.exists()
 

@@ -36,7 +36,7 @@ from defsim.runner import (
 from defsim.scenario import _COMMAND, load_scenario, parse_scenario
 from defsim.sensing import Assessment
 
-from conftest import BUNDLED, assert_same_knowledge, fresh_config, scenario_path
+from conftest import BUNDLED, assert_same_knowledge, body_of, fresh_config, scenario_path
 from memo_oracle import check_reads, episode_inputs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -312,10 +312,10 @@ def test_explain_index_out_of_range():
 
 
 def test_explain_released_plan_lists_origins(bundled_results):
-    result = bundled_results[("s1_comms_spoof", 1)]
-    released = [i for i, d in enumerate(result.decision_log)
-                if not d["chosen"]["no_action"] and d["path"] == "deliberative"]
-    text = explain(result.decision_log, released[0])
+    log = bundled_results[("s1_comms_spoof", 1)].decision_log
+    released = [i for i, d in enumerate(log)
+                if not body_of(log, i)["chosen"]["no_action"] and d["path"] == "deliberative"]
+    text = explain(log, released[0])
     assert "Risk gate" in text
     assert "[proposed]" in text
     assert "[precautionary]" in text or "[post_execution]" in text
@@ -324,12 +324,13 @@ def test_explain_released_plan_lists_origins(bundled_results):
 
 def test_explain_no_action_states_gate_numbers(bundled_results):
     for seed in range(1, 6):
-        result = bundled_results[("s2_lateral_hunt", seed)]
-        withheld = [i for i, d in enumerate(result.decision_log)
-                    if d["chosen"]["no_action"] and d["rationale"].get("gate", {}).get(
+        log = bundled_results[("s2_lateral_hunt", seed)].decision_log
+        bodies = [body_of(log, i) for i in range(len(log))]
+        withheld = [i for i, body in enumerate(bodies)
+                    if body["chosen"]["no_action"] and body["rationale"].get("gate", {}).get(
                         "inaction_loss") is not None]
         if withheld:
-            text = explain(result.decision_log, withheld[0])
+            text = explain(log, withheld[0])
             assert "inaction loss" in text and "plan loss" in text
             assert "no action" in text
             return
@@ -702,8 +703,8 @@ def test_decision_log_complete_for_released_plans(bundled_results):
                 assert event["decision"] == last[event["agent"]]
                 named.add(event["decision"])
         assert decisions == len(result.decision_log)
-        assert sorted(named) == [i for i, d in enumerate(result.decision_log)
-                                 if not d["chosen"]["no_action"]]
+        assert sorted(named) == [i for i in range(decisions)
+                                 if not body_of(result.decision_log, i)["chosen"]["no_action"]]
 
 
 def test_control_commands_apply_at_decision_boundary(bundled_results):
@@ -852,8 +853,8 @@ def test_training_sets_a_matched_patterns_confidence_to_its_confirmed_ratio(bund
 
 
 def test_result_file_round_trip(bundled_configs, tmp_path):
-    """The result file's decision log holds the trace's decision records, and
-    resolving their `same_as` gives back the in-memory log."""
+    """The result file's decision log is the episode's, which holds the
+    trace's decision records, a repeated body named by `same_as`."""
     result = run_episode(bundled_configs["s3_partition"], 1)  # repeats decision bodies
     path = tmp_path / "result.json"
     write_result(result, path)
@@ -863,10 +864,10 @@ def test_result_file_round_trip(bundled_configs, tmp_path):
     data = json.loads(text)
     assert data["metrics"] == result.metrics
     assert data == result.to_json()
+    assert result.to_json()["decision_log"] is result.decision_log
     assert data["decision_log"] == [{k: v for k, v in event.items() if k not in ("kind", "seq")}
                                     for event in decision_events(tmp_path / "trace.jsonl")]
     assert any("same_as" in entry for entry in data["decision_log"])
-    assert resolve_same_as(data["decision_log"]) == result.decision_log
 
 
 def test_set_roe_zero_risk_budget_filters_all_risky_plans(bundled_configs):
@@ -885,7 +886,7 @@ def test_set_roe_zero_risk_budget_filters_all_risky_plans(bundled_configs):
         boundary = applied[0]["tick"]
         for event in result.trace:
             if event["kind"] == "agent.plan_released" and event["tick"] > boundary:
-                entries = result.decision_log[event["decision"]]["chosen"]["entries"]
+                entries = body_of(result.decision_log, event["decision"])["chosen"]["entries"]
                 assert all(risk_of.get(e["action"], 0.0) == 0.0 for e in entries)
 
 
@@ -951,15 +952,13 @@ def decision_events(trace_path):
 
 
 def resolve_same_as(decisions):
-    """These decision records, each `same_as` replaced in place by the body
-    of the decision it names; also checks that no two full bodies are equal."""
+    """These decision records, each with the body of the record that holds it
+    in place of its `same_as`; also checks that no two full bodies are equal."""
     full = [_encode({k: d[k] for k in _DECISION_BODY}) for d in decisions if "same_as" not in d]
     assert len(set(full)) == len(full), "a full body repeats an earlier one"
-    for record in decisions:
-        if "same_as" in record:
-            first = decisions[record.pop("same_as")]
-            record.update({k: first[k] for k in _DECISION_BODY})
-    return decisions
+    bodies = [body_of(decisions, i) for i in range(len(decisions))]
+    return [{**{k: v for k, v in d.items() if k != "same_as"}, **{k: b[k] for k in _DECISION_BODY}}
+            for d, b in zip(decisions, bodies)]
 
 
 def _repeats(records):
@@ -979,20 +978,18 @@ def test_each_fact_is_logged_once(name, bundled_configs, tmp_path):
     """Seeds 1-20: no agent's logged decision (its `same_as` resolved) or
     assessment repeats its last logged one but for tick and seq, and no
     functionality event repeats the value before it; replay still equals
-    the metrics, and explain from result.json explain from memory."""
+    the metrics, and result.json holds the episode's decision log."""
     for seed in range(1, 21):
         result = run_episode(bundled_configs[name], seed)
         write_trace(result, tmp_path / "trace.jsonl")
         write_result(result, tmp_path / "result.json")
         logged = json.loads((tmp_path / "result.json").read_text())["decision_log"]
-        assert _repeats(resolve_same_as(copy.deepcopy(logged))) == [], seed
+        assert _repeats(resolve_same_as(logged)) == [], seed
         assert _repeats(e for e in result.trace if e["kind"] == "agent.assessment") == [], seed
         values = [_encode(e["value"]) for e in result.trace if e["kind"] == "tick.functionality"]
         assert all(a != b for a, b in zip(values, values[1:])), seed
         assert replay(tmp_path / "trace.jsonl") == result.metrics, seed
-        assert len(logged) == len(result.decision_log), seed
-        assert [explain(logged, i) for i in range(len(logged))] == [
-            explain(result.decision_log, i) for i in range(len(logged))], seed
+        assert logged == result.decision_log, seed
 
 
 def test_functionality_is_logged_when_its_encoding_changes(monkeypatch, tmp_path):
@@ -1045,10 +1042,10 @@ def test_episodes_sharing_one_memo_write_the_bytes_of_lone_episodes(name, bundle
                                                                     tmp_path):
     """Seeds 1-20 run forward through one config and in reverse through a
     second each write the bytes of the seed run on a config parsed for it
-    alone, and resolving each `same_as` gives back the full decision event's
-    bytes: {tick, seq, kind} and the decision_log entry. This guards both
-    memos a config's episodes share: its deliberations and the features its
-    sensor config derived from each typed row set."""
+    alone, and each decision event's bytes are {tick, seq, kind} and its
+    decision_log record. This guards both memos a config's episodes share:
+    its deliberations and the features its sensor config derived from each
+    typed row set."""
     forward, reverse = fresh_config(bundled_configs[name]), fresh_config(bundled_configs[name])
     seeds = range(1, 21)
     shared = {seed: _artifact_bytes(run_episode(forward, seed), tmp_path) for seed in seeds}
@@ -1057,10 +1054,10 @@ def test_episodes_sharing_one_memo_write_the_bytes_of_lone_episodes(name, bundle
     for seed in seeds:
         lone = run_episode(fresh_config(bundled_configs[name]), seed)
         assert _artifact_bytes(lone, tmp_path) == shared[seed], seed
-        resolved = resolve_same_as(decision_events(tmp_path / "trace.jsonl"))
-        assert [_encode(event) for event in resolved] == [
+        events = decision_events(tmp_path / "trace.jsonl")
+        assert [_encode(event) for event in events] == [
             _encode({"tick": event["tick"], "seq": event["seq"], "kind": "agent.decision", **entry})
-            for event, entry in zip(resolved, lone.decision_log, strict=True)], seed
+            for event, entry in zip(events, lone.decision_log, strict=True)], seed
     assert forward.deliberations.bodies and reverse.deliberations.bodies
     assert forward.sensors.derived and reverse.sensors.derived
 
@@ -1261,10 +1258,11 @@ def test_what_forces_a_new_search(start, between, searches, logged, search_calls
     second = between(episode, rt) or "proc"
     episode._maybe_plan(rt, threat(second), tick=2)
     assert len(search_calls) == searches
-    withheld = [d for d in episode.decision_log if d["path"] == "deliberative"]
-    assert [d["tick"] for d in withheld] == logged
+    log = episode.decision_log
+    withheld = [i for i, d in enumerate(log) if d["path"] == "deliberative"]
+    assert [log[i]["tick"] for i in withheld] == logged
     assert logged == TWICE or rt.decision[3] == first  # a kept body is not logged again
-    assert all(d["chosen"]["no_action"] for d in withheld)
+    assert all(body_of(log, i)["chosen"]["no_action"] for i in withheld)
     assert rt.no_action_streak == (1 if between is _release_plan else 2)
 
 
